@@ -1,8 +1,9 @@
-"""Variational circuits and exact parameter-shift gradients.
+"""Variational circuits and exact gradients.
 
-Builds a small data-embedding circuit, differentiates it two ways
-(shift rule vs central finite differences), and then trains it by plain
-gradient descent to pin the qubit-0 readout at a target value.
+Builds a small data-embedding circuit, differentiates it three ways
+(shift rule vs central finite differences, then the adjoint sweep that
+training uses vs the shift rule), and then trains it by plain gradient
+descent to pin the qubit-0 readout at a target value.
 
 Run with: python demos/02_variational_gradients.py
 """
@@ -10,10 +11,12 @@ Run with: python demos/02_variational_gradients.py
 import numpy as np
 
 from qscale.vqc import (
+    adjoint_grad_batch,
     evaluate,
     init_params,
     linear_vqr_template,
     parameter_shift_grad,
+    parameter_shift_grad_batch,
 )
 
 
@@ -45,6 +48,20 @@ def main() -> None:
           f"{np.max(np.abs(grad_params - fd)):.2e}")
     print(f"input gradient (chain rule through the arctan embedding): "
           f"{np.round(grad_inputs, 6)}")
+
+    print()
+    print("== adjoint sweep vs shift rule ==")
+    # training differentiates by one forward and one backward pass over a
+    # batch of rows; the shift rule runs 2 circuits per angle and per row
+    batch = rng.uniform(-1.0, 1.0, (8, template.input_dim))
+    weights = rng.uniform(-1.0, 1.0, (8, template.n_qubits))
+    shift_p, shift_x = parameter_shift_grad_batch(template, params, batch, weights)
+    adj_p, adj_x = adjoint_grad_batch(template, params, batch, weights)
+    n_angles = template.total_params + template.input_dim
+    print(f"8 rows, {n_angles} angles: shift rule runs {8 * 2 * n_angles} circuits, "
+          f"adjoint one forward and one backward pass over the 8 rows")
+    print(f"max |adjoint - shift|: params {np.max(np.abs(adj_p - shift_p)):.2e}, "
+          f"inputs {np.max(np.abs(adj_x - shift_x)):.2e}")
 
     print()
     print("== training the readout to a target ==")

@@ -3,7 +3,8 @@
 Four model families (feed-forward, LSTM, variational quantum regressor,
 quantum LSTM) share one data pipeline, training loop, and evaluation
 protocol.  The quantum parts run on the built-in statevector simulator
-with exact parameter-shift gradients.
+with exact gradients: adjoint differentiation for training, and the
+parameter-shift rule as the hardware-realistic public API.
 """
 
 from .errors import ConfigurationError, DataError, TrainingDivergedError

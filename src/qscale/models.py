@@ -13,8 +13,13 @@ concentration in ug/m3.  Inputs and targets are scaled to [-1, +1] with
 range maps fitted on the training partition; training happens in scaled
 space and losses are reported in original units through the exact affine
 conversion (an L1 loss scales by the target half-span, an MSE loss by its
-square).  Quantum parameters train by the parameter-shift rule, classical
-ones by backpropagation, mixed via the chain rule.
+square).  Quantum parameters train by adjoint differentiation of the
+circuits (one backward sweep per batch of circuits), classical ones by
+backpropagation, mixed via the chain rule.  The adjoint sweep reuses the
+amplitudes of the forward pass that made the predictions.  Parameter shift
+stays as the public, hardware-realistic gradient and as the oracle the
+adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
+per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
 """
 
 from __future__ import annotations
@@ -47,8 +52,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ConfigurationError("epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.optimizer not in nn.OPTIMIZER_KINDS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in nn.LOSS_KINDS:
@@ -358,24 +365,18 @@ class VQRModel(_ModelBase):
         return float(vqc.evaluate(self.template, self.params, x_scaled_row)[0])
 
     def _predict_scaled(self, x_scaled):
-        if x_scaled.shape[0] == 0:
-            return np.zeros(0)
-        angles = np.stack(
-            [
-                vqc._angle_table(self.template, self.params, row[0])
-                for row in x_scaled
-            ]
-        )
-        return vqc._run_rows(self.template, angles)[:, 0]
+        angles = vqc._angle_table(self.template, self.params, x_scaled[:, 0, :])
+        return vqc._run_rows(self.template, angles)[0][:, 0]
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        preds = self._predict_scaled(x_scaled)
-        d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
-        weights = np.zeros((x_scaled.shape[0], self.template.n_qubits))
-        weights[:, 0] = d_preds
-        grad_params, _ = vqc.parameter_shift_grad_batch(
-            self.template, self.params, x_scaled[:, 0, :], weights
-        )
+        inputs = x_scaled[:, 0, :]
+        angles = vqc._angle_table(self.template, self.params, inputs)
+        exps, states = vqc._run_rows(self.template, angles)
+        preds = exps[:, 0]
+        weights = np.zeros_like(exps)
+        weights[:, 0] = nn.loss_grad(loss_kind, preds, y_scaled)
+        dangles = vqc._adjoint_rows(self.template, angles, states, weights)
+        grad_params, _ = vqc._angle_grads_to_args(self.template, dangles, inputs)
         return nn.loss_value(loss_kind, preds, y_scaled), grad_params.sum(axis=0)
 
 
@@ -391,6 +392,11 @@ class QLSTMModel(_ModelBase):
     a shared expansion (``fc_out``) back to the hidden size; a dedicated
     projection feeds circuits 5-6, which produce the next hidden state and
     the per-step prediction.
+
+    The cell runs over a minibatch [B, ...].  Circuits sharing an input run
+    as one stack of rows with per-row params: per time step, one batched run
+    for circuits 1-4 x B windows and one for circuits 5-6 x B, and
+    backpropagation through time makes one adjoint sweep per stack.
     """
 
     kind = "qlstm"
@@ -463,144 +469,184 @@ class QLSTMModel(_ModelBase):
 
     # -- cell -------------------------------------------------------------
 
+    def _fc_out_stack(self, gates: slice) -> tuple[np.ndarray, np.ndarray]:
+        """fc_out weights [K, hidden, n] and biases [K, 1, hidden] of the
+        given gates; a shared map is one entry that broadcasts over them."""
+        layers = self.fc_out if len(self.fc_out) == 1 else self.fc_out[gates]
+        weights = np.stack([layer.weights for layer in layers])
+        return weights, np.stack([layer.bias for layer in layers])[:, None, :]
+
+    def _run_circuits(
+        self, gates: slice, inputs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the given circuits on the same inputs [B, n] as one stack of
+        K x B rows, circuit-major; returns the angle rows, the
+        expectations [K, B, n] and the final amplitudes."""
+        params = np.stack(self.vqc_params[gates])[:, None, :]
+        angles = vqc._angle_table(self.template, params, inputs[None])
+        angles = angles.reshape(-1, angles.shape[-1])
+        exps, states = vqc._run_rows(self.template, angles)
+        return angles, exps.reshape(len(params), *inputs.shape), states
+
     def cell_forward(
         self, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float, dict]:
-        """One time step on scaled inputs; returns (h, c, y, cache)."""
-        concat = np.concatenate([h_prev, np.asarray(x_t, dtype=float)])
-        v = self.fc_in.weights @ concat + self.fc_in.bias
-        e = [vqc.evaluate(self.template, self.vqc_params[k], v) for k in range(4)]
-        z = [self._fc_out(k).weights @ e[k] + self._fc_out(k).bias for k in range(4)]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """One time step on scaled inputs x_t [B, features] and states
+        h_prev, c_prev [B, hidden]; returns (h, c, y [B], cache).  Given
+        1-D arguments it steps one sample and returns its h, c and a float
+        y; the cache keeps the batch axis either way."""
+        single = np.ndim(x_t) == 1
+        x_t, h_prev, c_prev = (
+            np.atleast_2d(np.asarray(a, dtype=float)) for a in (x_t, h_prev, c_prev)
+        )
+        concat = np.concatenate([h_prev, x_t], axis=1)
+        v = concat @ self.fc_in.weights.T + self.fc_in.bias
+        gate_angles, e, gate_states = self._run_circuits(slice(0, 4), v)
+        weights, bias = self._fc_out_stack(slice(0, 4))
+        z = e @ weights.transpose(0, 2, 1) + bias
         f, i, o = nn.sigmoid(z[0]), nn.sigmoid(z[1]), nn.sigmoid(z[3])
         g = np.tanh(z[2])
         c = f * c_prev + i * g
         tc = np.tanh(c)
         u = o * tc
-        w = self.proj.weights @ u + self.proj.bias
-        e5 = vqc.evaluate(self.template, self.vqc_params[4], w)
-        h = self._fc_out(4).weights @ e5 + self._fc_out(4).bias
-        e6 = vqc.evaluate(self.template, self.vqc_params[5], w)
-        q = self._fc_out(5).weights @ e6 + self._fc_out(5).bias
-        y = float((self.readout.weights @ q + self.readout.bias)[0])
+        w = u @ self.proj.weights.T + self.proj.bias
+        out_angles, e_out, out_states = self._run_circuits(slice(4, 6), w)
+        weights, bias = self._fc_out_stack(slice(4, 6))
+        h, q = e_out @ weights.transpose(0, 2, 1) + bias
+        y = q @ self.readout.weights[0] + self.readout.bias[0]
         cache = {
             "concat": concat,
             "v": v,
             "e": e,
+            "gate_angles": gate_angles,
+            "gate_states": gate_states,
             "f": f,
             "i": i,
             "g": g,
             "o": o,
             "c_prev": c_prev,
-            "c": c,
             "tc": tc,
             "u": u,
             "w": w,
-            "e5": e5,
-            "e6": e6,
+            "e_out": e_out,
+            "out_angles": out_angles,
+            "out_states": out_states,
             "q": q,
         }
+        if single:
+            return h[0], c[0], float(y[0]), cache
         return h, c, y, cache
 
-    def sequence_forward(self, window_scaled: np.ndarray) -> tuple[float, list[dict]]:
-        hidden = self.hidden_size
-        h = np.zeros(hidden)
-        c = np.zeros(hidden)
+    def sequence_forward(self, x_scaled: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+        """Run windows [B, T, features]; returns the predictions [B] and the
+        per-step caches that :meth:`_backward` consumes."""
+        h = c = np.zeros((x_scaled.shape[0], self.hidden_size))
         caches = []
-        y = 0.0
-        for t in range(window_scaled.shape[0]):
-            h, c, y, cache = self.cell_forward(window_scaled[t], h, c)
+        for t in range(x_scaled.shape[1]):
+            h, c, y, cache = self.cell_forward(x_scaled[:, t], h, c)
             caches.append(cache)
         return y, caches
 
     def _predict_scaled(self, x_scaled):
-        return np.array([self.sequence_forward(w)[0] for w in x_scaled])
+        # drops each step's cache, circuit amplitudes included, as it goes
+        h = c = np.zeros((x_scaled.shape[0], self.hidden_size))
+        for t in range(x_scaled.shape[1]):
+            h, c, y, _ = self.cell_forward(x_scaled[:, t], h, c)
+        return y
 
     # -- backward ---------------------------------------------------------
 
-    def _backward_sample(self, caches: list[dict], d_pred: float, accum: dict) -> None:
-        """Backpropagation through time for one window, into accum arrays."""
-        hidden = self.hidden_size
-        steps = len(caches)
-        dh = np.zeros(hidden)
-        dc = np.zeros(hidden)
-        shared = len(self.fc_out) == 1
+    def _circuits_backward(
+        self, gates: slice, angles, states, d_exps, inputs, grad_quantum
+    ) -> np.ndarray:
+        """Adjoint pass through a stack that :meth:`_run_circuits` ran, with
+        output weights d_exps [K, B, n]; adds each circuit's parameter
+        gradient to grad_quantum[gates] and returns d inputs [B, n]."""
+        n_circuits, batch, n = d_exps.shape
+        dangles = vqc._adjoint_rows(
+            self.template, angles, states, d_exps.reshape(n_circuits * batch, n)
+        )
+        grad_params, grad_inputs = vqc._angle_grads_to_args(
+            self.template, dangles, np.tile(inputs, (n_circuits, 1))
+        )
+        grad_quantum[gates] += grad_params.reshape(n_circuits, batch, -1).sum(axis=1)
+        return grad_inputs.reshape(n_circuits, batch, n).sum(axis=0)
 
-        def fc_out_key(k: int) -> str:
-            return "fc_out0" if shared else f"fc_out{k}"
-
+    def _backward(self, caches: list[dict], d_pred: np.ndarray) -> np.ndarray:
+        """Backpropagation through time over the batch; the flat gradient."""
+        hidden, steps, batch = self.hidden_size, len(caches), d_pred.shape[0]
+        accum = {name: np.zeros_like(a) for name, a in self.param_arrays()}
+        grad_fc_w = np.zeros((6, hidden, self.n_qubits))
+        grad_fc_b = np.zeros((6, hidden))
+        grad_quantum = np.zeros((6, self.template.total_params))
+        gate_weights, _ = self._fc_out_stack(slice(0, 4))
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
         for t in range(steps - 1, -1, -1):
             cache = caches[t]
-            dw = np.zeros(self.n_qubits)
-            if t == steps - 1 and d_pred != 0.0:
-                accum["readout.weights"] += d_pred * cache["q"][None, :]
-                accum["readout.bias"] += d_pred
-                dq = self.readout.weights[0] * d_pred
-                accum[fc_out_key(5) + ".weights"] += np.outer(dq, cache["e6"])
-                accum[fc_out_key(5) + ".bias"] += dq
-                de6 = self._fc_out(5).weights.T @ dq
-                g6, dw6 = vqc.parameter_shift_grad(
-                    self.template, self.vqc_params[5], cache["w"], de6
-                )
-                accum["quantum." + self.GATE_NAMES[5]] += g6
-                dw += dw6
-            # hidden-state path through circuit 5
-            if np.any(dh):
-                accum[fc_out_key(4) + ".weights"] += np.outer(dh, cache["e5"])
-                accum[fc_out_key(4) + ".bias"] += dh
-                de5 = self._fc_out(4).weights.T @ dh
-                g5, dw5 = vqc.parameter_shift_grad(
-                    self.template, self.vqc_params[4], cache["w"], de5
-                )
-                accum["quantum." + self.GATE_NAMES[4]] += g5
-                dw += dw5
+            # Nothing reads h after the last step, and the prediction reads
+            # circuit 6 at the last step only, so each step sends gradient
+            # back through exactly one of circuits 5 and 6.
+            if t == steps - 1:
+                accum["readout.weights"] += (d_pred @ cache["q"])[None, :]
+                accum["readout.bias"] += d_pred.sum()
+                k, d_out = 5, d_pred[:, None] * self.readout.weights[0]
+            else:
+                k, d_out = 4, dh
+            grad_fc_w[k] += d_out.T @ cache["e_out"][k - 4]
+            grad_fc_b[k] += d_out.sum(axis=0)
+            rows = slice((k - 4) * batch, (k - 3) * batch)
+            dw = self._circuits_backward(
+                slice(k, k + 1),
+                cache["out_angles"][rows],
+                cache["out_states"][rows],
+                (d_out @ self._fc_out(k).weights)[None],
+                cache["w"],
+                grad_quantum,
+            )
+            accum["projection.weights"] += dw.T @ cache["u"]
+            accum["projection.bias"] += dw.sum(axis=0)
+            du = dw @ self.proj.weights
 
-            accum["projection.weights"] += np.outer(dw, cache["u"])
-            accum["projection.bias"] += dw
-            du = self.proj.weights.T @ dw
+            f, i, g, o, tc = (cache[key] for key in ("f", "i", "g", "o", "tc"))
+            do = du * tc
+            dc = dc + du * o * (1.0 - tc**2)
+            dz = np.stack(
+                [
+                    dc * cache["c_prev"] * f * (1.0 - f),
+                    dc * g * i * (1.0 - i),
+                    dc * i * (1.0 - g**2),
+                    do * o * (1.0 - o),
+                ]
+            )
+            grad_fc_w[:4] += dz.transpose(0, 2, 1) @ cache["e"]
+            grad_fc_b[:4] += dz.sum(axis=1)
+            dv = self._circuits_backward(
+                slice(0, 4),
+                cache["gate_angles"],
+                cache["gate_states"],
+                dz @ gate_weights,
+                cache["v"],
+                grad_quantum,
+            )
+            accum["fc_in.weights"] += dv.T @ cache["concat"]
+            accum["fc_in.bias"] += dv.sum(axis=0)
+            dh = (dv @ self.fc_in.weights)[:, :hidden]
+            dc = dc * f
 
-            do = du * cache["tc"]
-            dc = dc + du * cache["o"] * (1.0 - cache["tc"] ** 2)
-            df = dc * cache["c_prev"]
-            di = dc * cache["g"]
-            dg = dc * cache["i"]
-            dc_prev = dc * cache["f"]
-
-            dz = [
-                df * cache["f"] * (1.0 - cache["f"]),
-                di * cache["i"] * (1.0 - cache["i"]),
-                dg * (1.0 - cache["g"] ** 2),
-                do * cache["o"] * (1.0 - cache["o"]),
-            ]
-            dv = np.zeros(self.n_qubits)
-            for k in range(4):
-                accum[fc_out_key(k) + ".weights"] += np.outer(dz[k], cache["e"][k])
-                accum[fc_out_key(k) + ".bias"] += dz[k]
-                de_k = self._fc_out(k).weights.T @ dz[k]
-                gk, dvk = vqc.parameter_shift_grad(
-                    self.template, self.vqc_params[k], cache["v"], de_k
-                )
-                accum["quantum." + self.GATE_NAMES[k]] += gk
-                dv += dvk
-
-            accum["fc_in.weights"] += np.outer(dv, cache["concat"])
-            accum["fc_in.bias"] += dv
-            dconcat = self.fc_in.weights.T @ dv
-            dh = dconcat[:hidden]
-            dc = dc_prev
+        if len(self.fc_out) == 1:
+            grad_fc_w, grad_fc_b = grad_fc_w.sum(axis=0)[None], grad_fc_b.sum(axis=0)[None]
+        for k in range(len(self.fc_out)):
+            accum[f"fc_out{k}.weights"] = grad_fc_w[k]
+            accum[f"fc_out{k}.bias"] = grad_fc_b[k]
+        for k, name in enumerate(self.GATE_NAMES):
+            accum["quantum." + name] = grad_quantum[k]
+        return nn.flatten_arrays([accum[name] for name, _ in self.param_arrays()])
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        batch = x_scaled.shape[0]
-        preds = np.empty(batch)
-        all_caches = []
-        for b in range(batch):
-            preds[b], caches = self.sequence_forward(x_scaled[b])
-            all_caches.append(caches)
+        preds, caches = self.sequence_forward(x_scaled)
         d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
-        accum = {name: np.zeros_like(a) for name, a in self.param_arrays()}
-        for b in range(batch):
-            self._backward_sample(all_caches[b], d_preds[b], accum)
-        flat = nn.flatten_arrays([accum[name] for name, _ in self.param_arrays()])
-        return nn.loss_value(loss_kind, preds, y_scaled), flat
+        return nn.loss_value(loss_kind, preds, y_scaled), self._backward(caches, d_preds)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ of the basis-state index, so basis index ``b`` assigns qubit ``q`` the bit
 
 All public operations have value semantics: they return a new state and
 never mutate their arguments.  The batched row kernels used internally
-operate in place on ``[rows, 2**n]`` arrays so that a sweep of shifted
-circuit evaluations can share one allocation.
+operate in place on ``[rows, 2**n]`` arrays, so that many circuits, and
+the forward and backward sweeps of their gradients, share one allocation.
 """
 
 from __future__ import annotations
@@ -180,6 +180,30 @@ def _cnot_rows(amps: np.ndarray, control: int, target: int) -> None:
 def _expect_z_rows(amps: np.ndarray, qubit: int) -> np.ndarray:
     probs = amps.real**2 + amps.imag**2
     return np.sum(probs * _z_signs(amps.shape[-1], qubit), axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _flip_indices(dim: int, target: int) -> np.ndarray:
+    flipped = np.arange(dim) ^ (1 << target)
+    flipped.setflags(write=False)
+    return flipped
+
+
+def _pauli_overlap_im_rows(
+    bra: np.ndarray, ket: np.ndarray, kind: str, target: int
+) -> np.ndarray:
+    """Im <bra|P|ket> per row of [rows, dim] amplitudes, for the Pauli P
+    that the rotation ``kind`` turns about on ``target``."""
+    dim = ket.shape[-1]
+    conj_bra = bra.conj()
+    if kind == "RZ":  # Z ket = signs * ket
+        return np.einsum("rj,rj,j->r", conj_bra, ket, _z_signs(dim, target)).imag
+    flipped = ket[:, _flip_indices(dim, target)]  # X ket
+    if kind == "RX":
+        return np.einsum("rj,rj->r", conj_bra, flipped).imag
+    if kind == "RY":  # Y ket = -i * signs * X ket, and Im(-i z) = -Re z
+        return -np.einsum("rj,rj,j->r", conj_bra, flipped, _z_signs(dim, target)).real
+    raise ConfigurationError(f"unknown rotation kind {kind!r}")  # pragma: no cover
 
 
 def _check_qubit(index: int, n_qubits: int, role: str) -> None:

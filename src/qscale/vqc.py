@@ -1,4 +1,4 @@
-"""Variational circuit templates, evaluation, and parameter-shift gradients.
+"""Variational circuit templates, evaluation, and exact gradients.
 
 A :class:`CircuitTemplate` is an ordered list of segments.  An embedding
 segment encodes classical inputs as rotation angles (optionally through an
@@ -11,11 +11,21 @@ slice of a flat trainable-parameter vector.  Supported ansatz families:
 * ``ring_rx`` - one RX rotation per qubit followed by a nearest-neighbour
   CNOT ring.
 
-Gradients use the exact two-point parameter-shift rule (shift pi/2,
-coefficient 1/2), applied both to ansatz parameters and to encoded inputs;
-for an ``arctan`` embedding the chain-rule factor 1/(1+x^2) is included.
-Evaluations of the shifted circuits run batched over a shared ``[rows,
-2**n]`` amplitude array, which yields results identical to evaluating each
+Gradients are exact.  Training uses adjoint differentiation (Jones &
+Gacon, arXiv:2009.02823): the forward pass that produced the outputs keeps
+its final amplitudes, and one backward sweep over the same rows yields the
+derivative of every gate angle.  The two-point parameter-shift rule (shift
+pi/2, coefficient 1/2) stays as the public API: it is the rule that runs on
+quantum hardware, and it is the oracle the adjoint sweep is tested against.
+It costs 2 x n_angles circuit evaluations per gradient, 104 for a row of the
+default vqr circuit and 80 for one call of a default qlstm circuit.  Both
+differentiate ansatz parameters and encoded inputs; for an ``arctan``
+embedding the chain-rule factor 1/(1+x^2) is included.
+
+Every template lowers to one op table whose gate angles are gathered per
+row from ``[params | inputs | arctan(inputs)]``, so many circuits that
+share a template, with their own params and inputs, run batched over one
+``[rows, 2**n]`` amplitude array with results identical to evaluating each
 circuit on its own.
 """
 
@@ -24,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -146,10 +156,6 @@ class CircuitTemplate:
 # gate-list construction
 
 
-def _transform_angles(values: np.ndarray, transform: str) -> np.ndarray:
-    return np.arctan(values) if transform == "arctan" else values
-
-
 def build_angle_embedding(
     features: Sequence[float],
     axis: str = "Y",
@@ -166,64 +172,63 @@ def build_angle_embedding(
         raise ConfigurationError(
             f"{feats.size} features exceed {n_qubits} qubits"
         )
-    angles = _transform_angles(feats, transform)
+    angles = np.arctan(feats) if transform == "arctan" else feats
     kind = "R" + axis
     return [GateSpec(kind, q, angle=float(a)) for q, a in enumerate(angles)]
+
+
+def _ansatz_ops(kind: str, n_qubits: int, n_layers: int) -> list[tuple]:
+    """Gate structure of an ansatz in circuit order: ``(rotation kind,
+    target, local param index)`` per rotation, ``("CNOT", control, target)``
+    per CNOT."""
+    ops: list[tuple] = []
+    k = 0
+    for layer in range(n_layers):
+        for q in range(n_qubits):
+            if kind == "strongly_entangling":
+                ops += [("RZ", q, k), ("RY", q, k + 1), ("RZ", q, k + 2)]
+                k += 3
+            else:
+                ops.append(("RX", q, k))
+                k += 1
+        if n_qubits >= 2:
+            reach = (layer % (n_qubits - 1)) + 1 if kind == "strongly_entangling" else 1
+            ops += [("CNOT", q, (q + reach) % n_qubits) for q in range(n_qubits)]
+    return ops
+
+
+def _gate(op: tuple, angles: np.ndarray) -> GateSpec:
+    kind, a, b = op
+    if kind == "CNOT":
+        return GateSpec("CNOT", b, control=a)
+    return GateSpec(kind, a, angle=float(angles[b]))
+
+
+def _ansatz_gates(
+    kind: str, n_qubits: int, n_layers: int, params: Sequence[float]
+) -> list[GateSpec]:
+    params = np.asarray(params, dtype=float)
+    expected = ansatz_param_count(kind, n_qubits, n_layers)
+    if params.size != expected:
+        raise ConfigurationError(
+            f"expected {expected} params for {kind} "
+            f"({n_qubits} qubits, {n_layers} layers), got {params.size}"
+        )
+    return [_gate(op, params) for op in _ansatz_ops(kind, n_qubits, n_layers)]
 
 
 def build_strongly_entangling(
     n_qubits: int, n_layers: int, params: Sequence[float]
 ) -> list[GateSpec]:
     """RZ/RY/RZ triples per qubit, then a CNOT ring with layer-dependent range."""
-    params = np.asarray(params, dtype=float)
-    expected = ansatz_param_count("strongly_entangling", n_qubits, n_layers)
-    if params.size != expected:
-        raise ConfigurationError(
-            f"expected {expected} params for strongly entangling "
-            f"({n_qubits} qubits, {n_layers} layers), got {params.size}"
-        )
-    gates: list[GateSpec] = []
-    k = 0
-    for layer in range(n_layers):
-        for q in range(n_qubits):
-            gates.append(GateSpec("RZ", q, angle=float(params[k])))
-            gates.append(GateSpec("RY", q, angle=float(params[k + 1])))
-            gates.append(GateSpec("RZ", q, angle=float(params[k + 2])))
-            k += 3
-        if n_qubits >= 2:
-            reach = (layer % (n_qubits - 1)) + 1
-            for q in range(n_qubits):
-                gates.append(GateSpec("CNOT", (q + reach) % n_qubits, control=q))
-    return gates
+    return _ansatz_gates("strongly_entangling", n_qubits, n_layers, params)
 
 
 def build_ring_rx_ansatz(
     n_qubits: int, n_layers: int, params: Sequence[float]
 ) -> list[GateSpec]:
     """One RX per qubit, then a nearest-neighbour CNOT ring, per layer."""
-    params = np.asarray(params, dtype=float)
-    expected = ansatz_param_count("ring_rx", n_qubits, n_layers)
-    if params.size != expected:
-        raise ConfigurationError(
-            f"expected {expected} params for ring RX "
-            f"({n_qubits} qubits, {n_layers} layers), got {params.size}"
-        )
-    gates: list[GateSpec] = []
-    k = 0
-    for _layer in range(n_layers):
-        for q in range(n_qubits):
-            gates.append(GateSpec("RX", q, angle=float(params[k])))
-            k += 1
-        if n_qubits >= 2:
-            for q in range(n_qubits):
-                gates.append(GateSpec("CNOT", (q + 1) % n_qubits, control=q))
-    return gates
-
-
-_ANSATZ_BUILDERS = {
-    "strongly_entangling": build_strongly_entangling,
-    "ring_rx": build_ring_rx_ansatz,
-}
+    return _ansatz_gates("ring_rx", n_qubits, n_layers, params)
 
 
 def _check_args(template: CircuitTemplate, params, inputs) -> tuple[np.ndarray, np.ndarray]:
@@ -245,25 +250,8 @@ def template_gates(
 ) -> list[GateSpec]:
     """Lower a template to a concrete gate list for given params and inputs."""
     params, inputs = _check_args(template, params, inputs)
-    gates: list[GateSpec] = []
-    for seg in template.segments:
-        if isinstance(seg, Embedding):
-            gates.extend(
-                build_angle_embedding(
-                    inputs[list(seg.feature_slots)],
-                    seg.axis,
-                    seg.transform,
-                    template.n_qubits,
-                )
-            )
-        else:
-            start, stop = seg.param_slots
-            gates.extend(
-                _ANSATZ_BUILDERS[seg.kind](
-                    template.n_qubits, seg.n_layers, params[start:stop]
-                )
-            )
-    return gates
+    angles = _angle_table(template, params, inputs)
+    return [_gate(op, angles) for op in _lowered(template).ops]
 
 
 def evaluate(
@@ -276,88 +264,140 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# lowered representation: ops referencing a flat angle table, used for the
-# batched evaluation of shifted circuits
+# lowered representation: one op table per template whose gate angles are
+# gathered per row, evaluated and differentiated over [rows, 2**n] amplitudes
 
-_ROT, _CNOT = 0, 1
+
+class _Lowered(NamedTuple):
+    """``ops``: ``(rotation kind, target, angle index)`` or ``("CNOT",
+    control, target)``, in circuit order.  ``columns``: per angle, its
+    column in the source table ``[params | inputs | arctan(inputs)]``."""
+
+    ops: tuple
+    columns: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _lowered(template: CircuitTemplate):
-    """ops: (_ROT, kind, target, angle_idx) | (_CNOT, control, target);
-    sources: per angle slot, ("p", param_idx) or ("x", input_idx, transform)."""
+def _lowered(template: CircuitTemplate) -> _Lowered:
+    n_params, n_inputs = template.total_params, template.input_dim
     ops: list[tuple] = []
-    sources: list[tuple] = []
+    columns: list[int] = []
     for seg in template.segments:
         if isinstance(seg, Embedding):
-            kind = "R" + seg.axis
+            offset = n_params + (n_inputs if seg.transform == "arctan" else 0)
             for q, slot in enumerate(seg.feature_slots):
-                ops.append((_ROT, kind, q, len(sources)))
-                sources.append(("x", slot, seg.transform))
+                ops.append(("R" + seg.axis, q, len(columns)))
+                columns.append(offset + slot)
         else:
-            start, stop = seg.param_slots
-            structural = _ANSATZ_BUILDERS[seg.kind](
-                template.n_qubits, seg.n_layers, np.arange(stop - start, dtype=float)
-            )
-            for gate in structural:
-                if gate.kind == "CNOT":
-                    ops.append((_CNOT, gate.control, gate.target))
+            start = seg.param_slots[0]
+            for kind, a, b in _ansatz_ops(seg.kind, template.n_qubits, seg.n_layers):
+                if kind == "CNOT":
+                    ops.append((kind, a, b))
                 else:
-                    # the structural build used the local param index as angle
-                    ops.append((_ROT, gate.kind, gate.target, len(sources)))
-                    sources.append(("p", start + int(gate.angle)))
-    return tuple(ops), tuple(sources)
+                    ops.append((kind, a, len(columns)))
+                    columns.append(start + b)
+    gather = np.array(columns, dtype=np.intp)
+    gather.setflags(write=False)
+    return _Lowered(tuple(ops), gather)
 
 
 def _angle_table(
     template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray
 ) -> np.ndarray:
-    _, sources = _lowered(template)
-    angles = np.empty(len(sources), dtype=float)
-    for a, src in enumerate(sources):
-        if src[0] == "p":
-            angles[a] = params[src[1]]
-        else:
-            _, slot, transform = src
-            x = inputs[slot]
-            angles[a] = math.atan(x) if transform == "arctan" else x
-    return angles
+    """Gate angles ``[..., n_angles]`` for params ``[..., P]`` and inputs
+    ``[..., input_dim]``.  Leading axes broadcast, so the params can be
+    given once for every row or one set per row."""
+    params = np.asarray(params, dtype=float)
+    inputs = np.asarray(inputs, dtype=float)
+    lead = np.broadcast_shapes(params.shape[:-1], inputs.shape[:-1])
+    source = np.concatenate(
+        [
+            np.broadcast_to(params, lead + params.shape[-1:]),
+            np.broadcast_to(inputs, lead + inputs.shape[-1:]),
+            np.broadcast_to(np.arctan(inputs), lead + inputs.shape[-1:]),
+        ],
+        axis=-1,
+    )
+    return source[..., _lowered(template).columns]
 
 
-def _run_rows(template: CircuitTemplate, angle_rows: np.ndarray) -> np.ndarray:
+def _run_rows(
+    template: CircuitTemplate, angle_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate many circuits sharing the template structure.
 
-    ``angle_rows`` has shape [rows, n_angles]; returns [rows, n_qubits]
-    Pauli-Z expectations.
+    ``angle_rows`` has shape [rows, n_angles].  Returns the Pauli-Z
+    expectations [rows, n_qubits] and the final amplitudes [rows, 2**n],
+    from which :func:`_adjoint_rows` differentiates the same circuits.
     """
-    ops, _ = _lowered(template)
-    rows = angle_rows.shape[0]
-    dim = 1 << template.n_qubits
-    amps = np.zeros((rows, dim), dtype=np.complex128)
+    amps = np.zeros((angle_rows.shape[0], 1 << template.n_qubits), dtype=np.complex128)
     amps[:, 0] = 1.0
-    for op in ops:
-        if op[0] == _ROT:
-            _, kind, target, angle_idx = op
-            sim._rotate_rows(amps, kind, angle_rows[:, angle_idx], target)
+    for kind, a, b in _lowered(template).ops:
+        if kind == "CNOT":
+            sim._cnot_rows(amps, a, b)
         else:
-            _, control, target = op
-            sim._cnot_rows(amps, control, target)
-    return np.stack(
+            sim._rotate_rows(amps, kind, angle_rows[:, b], a)
+    exps = np.stack(
         [sim._expect_z_rows(amps, q) for q in range(template.n_qubits)], axis=1
     )
+    return exps, amps
 
 
-def parameter_shift_grad_batch(
+def _adjoint_rows(
     template: CircuitTemplate,
-    params: Sequence[float],
-    inputs_batch: np.ndarray,
-    output_weights_batch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row gradients of f_b = sum_q w[b, q] * <Z_q>(params, inputs[b]).
+    angle_rows: np.ndarray,
+    states: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Per-row derivatives [rows, n_angles] of f_r = sum_q weights[r, q] *
+    <Z_q> with respect to every gate angle of row r's circuit.
 
-    Returns ``(grad_params [B, P], grad_inputs [B, input_dim])``.  All
-    shifted circuits for the whole batch are evaluated in one batched run.
+    ``states`` are the final amplitudes that :func:`_run_rows` returned for
+    ``angle_rows``; they are left unchanged.  The sweep (Jones & Gacon,
+    arXiv:2009.02823) walks the gates backwards, undoing each on psi and on
+    lambda = O psi, which sit stacked in one [2 * rows, 2**n] array.  For a
+    rotation exp(-i theta P / 2), df/dtheta = Im <lambda|P|psi> taken just
+    before that rotation is undone.
     """
+    rows, dim = states.shape
+    signs = np.stack([sim._z_signs(dim, q) for q in range(template.n_qubits)])
+    pair = np.concatenate([states, (weights @ signs) * states])
+    undo = -np.concatenate([angle_rows, angle_rows])
+    grads = np.zeros(angle_rows.shape)
+    for kind, a, b in reversed(_lowered(template).ops):
+        if kind == "CNOT":
+            sim._cnot_rows(pair, a, b)
+            continue
+        grads[:, b] = sim._pauli_overlap_im_rows(pair[rows:], pair[:rows], kind, a)
+        sim._rotate_rows(pair, kind, undo[:, b], a)
+    return grads
+
+
+def _angle_grads_to_args(
+    template: CircuitTemplate, dangles: np.ndarray, inputs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold angle derivatives [rows, n_angles] into gradients with respect
+    to params [rows, P] and inputs [rows, input_dim].  An input that several
+    embeddings encode accumulates every term, each through the arctan chain
+    rule 1/(1+x^2) where that transform applies."""
+    n_params, n_inputs = template.total_params, template.input_dim
+    columns = _lowered(template).columns
+    rows = dangles.shape[0]
+    grad_params = np.zeros((rows, n_params))
+    grad_inputs = np.zeros((rows, n_inputs))
+    is_param = columns < n_params
+    np.add.at(grad_params, (slice(None), columns[is_param]), dangles[:, is_param])
+    input_cols = columns[~is_param] - n_params
+    arctan = input_cols >= n_inputs
+    slots = np.where(arctan, input_cols - n_inputs, input_cols)
+    chain = np.where(arctan, 1.0 / (1.0 + inputs[:, slots] ** 2), 1.0)
+    np.add.at(grad_inputs, (slice(None), slots), dangles[:, ~is_param] * chain)
+    return grad_params, grad_inputs
+
+
+def _check_batch_args(
+    template: CircuitTemplate, params, inputs_batch, output_weights_batch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     params = np.asarray(params, dtype=float)
     inputs_batch = np.atleast_2d(np.asarray(inputs_batch, dtype=float))
     weights = np.atleast_2d(np.asarray(output_weights_batch, dtype=float))
@@ -375,17 +415,51 @@ def parameter_shift_grad_batch(
             "output weights must have one row per input row and one column "
             f"per qubit; got {weights.shape}"
         )
-    batch = inputs_batch.shape[0]
-    _, sources = _lowered(template)
-    n_angles = len(sources)
-    grad_params = np.zeros((batch, template.total_params))
-    grad_inputs = np.zeros((batch, template.input_dim))
-    if n_angles == 0 or not np.any(weights):
-        return grad_params, grad_inputs
+    return params, inputs_batch, weights
 
-    base = np.stack(
-        [_angle_table(template, params, inputs_batch[b]) for b in range(batch)]
+
+def adjoint_grad_batch(
+    template: CircuitTemplate,
+    params: Sequence[float],
+    inputs_batch: np.ndarray,
+    output_weights_batch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of :func:`parameter_shift_grad_batch`, by adjoint
+    differentiation: one forward and one backward pass over the batch rows
+    instead of 2 * n_angles shifted circuits per row.  It needs the
+    simulator's amplitudes, so it has no counterpart on hardware.
+    """
+    params, inputs_batch, weights = _check_batch_args(
+        template, params, inputs_batch, output_weights_batch
     )
+    angles = _angle_table(template, params, inputs_batch)
+    _, states = _run_rows(template, angles)
+    dangles = _adjoint_rows(template, angles, states, weights)
+    return _angle_grads_to_args(template, dangles, inputs_batch)
+
+
+def parameter_shift_grad_batch(
+    template: CircuitTemplate,
+    params: Sequence[float],
+    inputs_batch: np.ndarray,
+    output_weights_batch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row gradients of f_b = sum_q w[b, q] * <Z_q>(params, inputs[b]).
+
+    Returns ``(grad_params [B, P], grad_inputs [B, input_dim])``.  All
+    shifted circuits for the whole batch are evaluated in one batched run.
+    """
+    params, inputs_batch, weights = _check_batch_args(
+        template, params, inputs_batch, output_weights_batch
+    )
+    batch = inputs_batch.shape[0]
+    n_angles = _lowered(template).columns.size
+    if n_angles == 0 or not np.any(weights):
+        return np.zeros((batch, template.total_params)), np.zeros(
+            (batch, template.input_dim)
+        )
+
+    base = _angle_table(template, params, inputs_batch)
     # rows: for each sample, 2 * n_angles shifted copies (+pi/2 then -pi/2)
     rows = np.repeat(base, 2 * n_angles, axis=0)
     offsets = np.zeros((2 * n_angles, n_angles))
@@ -393,21 +467,10 @@ def parameter_shift_grad_batch(
     offsets[2 * ar, ar] = SHIFT
     offsets[2 * ar + 1, ar] = -SHIFT
     rows += np.tile(offsets, (batch, 1))
-    exps = _run_rows(template, rows)  # [batch * 2A, n_qubits]
+    exps, _ = _run_rows(template, rows)  # [batch * 2A, n_qubits]
     f = np.einsum("bq,baq->ba", weights, exps.reshape(batch, 2 * n_angles, -1))
     dangle = 0.5 * (f[:, 0::2] - f[:, 1::2])  # [batch, n_angles]
-
-    for a, src in enumerate(sources):
-        if src[0] == "p":
-            grad_params[:, src[1]] += dangle[:, a]
-        else:
-            _, slot, transform = src
-            if transform == "arctan":
-                chain = 1.0 / (1.0 + inputs_batch[:, slot] ** 2)
-            else:
-                chain = 1.0
-            grad_inputs[:, slot] += dangle[:, a] * chain
-    return grad_params, grad_inputs
+    return _angle_grads_to_args(template, dangle, inputs_batch)
 
 
 def parameter_shift_grad(

@@ -263,6 +263,22 @@ class TestTrainPredict:
         assert "diverged" in err
 
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_config_error(self, tmp_path, capsys, campaign, rate):
+        code, _, err = run(
+            capsys,
+            "train",
+            "--model", "ffnn",
+            "--data", str(campaign),
+            "--epochs", "2",
+            "--learning-rate", rate,
+            "--out", str(tmp_path / "bad"),
+        )
+        assert code == 1
+        assert err.startswith("config error:")
+        assert "learning rate" in err
+        assert "Traceback" not in err
+
 class TestBenchmark:
     def test_perfect_campaign_prints_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("QSCALE_SEED", raising=False)

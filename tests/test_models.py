@@ -92,6 +92,9 @@ class TestTrainConfig:
             TrainConfig(epochs=-1, learning_rate=0.1)
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=1, learning_rate=0.0)
+        for rate in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                TrainConfig(epochs=1, learning_rate=rate)
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=1, learning_rate=0.1, optimizer="lbfgs")
         with pytest.raises(ConfigurationError):
@@ -312,6 +315,34 @@ class TestHybridGradients:
         _, grad = models.hybrid_backward(model, x[:3], y[:3], "l1")
         fd = fd_flat_gradient(model, x[:3], y[:3], "l1", h=1e-5)
         assert np.all(np.abs(grad - fd) <= 1e-3 * (1.0 + np.abs(fd)))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_qlstm_batch_matches_per_window(self, shared):
+        """The batched cell, stacked circuits and BPTT agree with running
+        each window alone: predictions, and gradients summed over windows."""
+        ds = tiny_dataset(24, seed=23)
+        names = ("pm25", "temp")
+        inp, tgt = scalers_for(ds, names)
+        x, y, _ = make_windows(ds.select_features(names), 3)
+        x, y = x[:7], y[:7]
+        model = models.QLSTMModel(
+            names, inp, tgt, 3, 2, hidden_size=4, window=3,
+            shared_fc_out=shared, seed=29,
+        )
+        preds = model.predict(x)
+        single = np.concatenate([model.predict(x[b : b + 1]) for b in range(len(y))])
+        np.testing.assert_allclose(preds, single, rtol=0.0, atol=1e-12)
+        for loss_kind in ("mse", "l1"):
+            # both losses average over the batch, so the batch gradient is
+            # the mean of the per-window ones
+            _, grad = models.hybrid_backward(model, x, y, loss_kind)
+            per_window = sum(
+                models.hybrid_backward(model, x[b : b + 1], y[b : b + 1], loss_kind)[1]
+                for b in range(len(y))
+            )
+            np.testing.assert_allclose(
+                grad * len(y), per_window, rtol=0.0, atol=1e-12
+            )
 
     def test_loss_units_match_prediction_error(self):
         ds = tiny_dataset(12, seed=9)

@@ -19,6 +19,7 @@ from qscale.vqc import (
     init_params,
     linear_vqr_template,
     nonlinear_vqr_template,
+    adjoint_grad_batch,
     parameter_shift_grad,
     parameter_shift_grad_batch,
     ring_rx_template,
@@ -183,8 +184,36 @@ class TestEvaluate:
             params = init_params(t, rng)
             inputs = rng.uniform(-2, 2, t.input_dim)
             single = evaluate(t, params, inputs)
-            rows = vqc._run_rows(t, vqc._angle_table(t, params, inputs)[None, :])
+            rows, _ = vqc._run_rows(t, vqc._angle_table(t, params, inputs)[None, :])
             np.testing.assert_array_equal(rows[0], single)
+
+
+    def test_lowered_gates_match_builders(self):
+        t = nonlinear_vqr_template(3, 2, axis="X", transform="arctan")
+        rng = np.random.default_rng(13)
+        params = init_params(t, rng)
+        inputs = rng.uniform(-2, 2, 3)
+        per = params.size // 2
+        expected = []
+        for layer in range(2):
+            expected += build_angle_embedding(inputs, "X", "arctan")
+            expected += build_strongly_entangling(3, 1, params[layer * per : (layer + 1) * per])
+        assert template_gates(t, params, inputs) == expected
+
+    def test_angle_table_rows_match_single_rows(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            t = random_template(rng)
+            params = init_params(t, rng)
+            inputs = rng.uniform(-2, 2, (5, t.input_dim))
+            per_row_params = np.stack([init_params(t, rng) for _ in range(5)])
+            shared = vqc._angle_table(t, params, inputs)
+            own = vqc._angle_table(t, per_row_params, inputs)
+            for b in range(5):
+                np.testing.assert_array_equal(shared[b], vqc._angle_table(t, params, inputs[b]))
+                np.testing.assert_array_equal(
+                    own[b], vqc._angle_table(t, per_row_params[b], inputs[b])
+                )
 
 
 class TestParameterShift:
@@ -268,6 +297,78 @@ class TestParameterShift:
         t = linear_vqr_template(2, 1)
         with pytest.raises(ConfigurationError):
             parameter_shift_grad(t, np.zeros(6), np.zeros(2), np.array([1.0]))
+
+
+class TestAdjoint:
+    """The adjoint sweep against parameter shift, its test oracle."""
+
+    def test_matches_parameter_shift(self):
+        rng = np.random.default_rng(20240303)
+        worst = 0.0
+        for _ in range(60):
+            t = random_template(rng, max_qubits=5)
+            params = init_params(t, rng)
+            batch = int(rng.integers(1, 6))
+            inputs = rng.uniform(-2.0, 2.0, (batch, t.input_dim))
+            weights = rng.uniform(-1.0, 1.0, (batch, t.n_qubits))
+            shift = parameter_shift_grad_batch(t, params, inputs, weights)
+            adjoint = adjoint_grad_batch(t, params, inputs, weights)
+            for a, b in zip(adjoint, shift):
+                worst = max(worst, float(np.max(np.abs(a - b), initial=0.0)))
+        assert worst <= 1e-10
+
+    def test_reuploaded_arctan_inputs(self):
+        # every embedding of the re-uploading circuit encodes the same inputs
+        # through arctan, so each input gradient sums several chain-rule terms
+        t = nonlinear_vqr_template(3, 4, transform="arctan")
+        rng = np.random.default_rng(9)
+        params = init_params(t, rng)
+        inputs = rng.uniform(-3.0, 3.0, (4, 3))
+        weights = rng.uniform(-1.0, 1.0, (4, 3))
+        _, gx = adjoint_grad_batch(t, params, inputs, weights)
+        _, sx = parameter_shift_grad_batch(t, params, inputs, weights)
+        np.testing.assert_allclose(gx, sx, rtol=0.0, atol=1e-10)
+        fd = oracle.central_difference(
+            lambda x: float(weights[0] @ evaluate(t, params, x)), inputs[0]
+        )
+        np.testing.assert_allclose(gx[0], fd, atol=1e-7)
+
+    def test_per_row_params_match_shift(self):
+        # rows of one stack may carry different params, as QLSTM's do
+        t = ring_rx_template(4, 3)
+        rng = np.random.default_rng(10)
+        params = np.stack([init_params(t, rng) for _ in range(5)])
+        inputs = rng.uniform(-1.0, 1.0, (5, 4))
+        weights = rng.uniform(-1.0, 1.0, (5, 4))
+        angles = vqc._angle_table(t, params, inputs)
+        _, states = vqc._run_rows(t, angles)
+        dangles = vqc._adjoint_rows(t, angles, states, weights)
+        gp, gx = vqc._angle_grads_to_args(t, dangles, inputs)
+        for r in range(5):
+            sp, sx = parameter_shift_grad(t, params[r], inputs[r], weights[r])
+            np.testing.assert_allclose(gp[r], sp, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(gx[r], sx, rtol=0.0, atol=1e-10)
+
+    def test_batch_matches_single_rows(self):
+        t = linear_vqr_template(4, 3)
+        rng = np.random.default_rng(11)
+        params = init_params(t, rng)
+        inputs = rng.uniform(-1.0, 1.0, (6, 4))
+        weights = rng.uniform(-1.0, 1.0, (6, 4))
+        gp_b, gx_b = adjoint_grad_batch(t, params, inputs, weights)
+        for b in range(6):
+            gp, gx = adjoint_grad_batch(t, params, inputs[b], weights[b])
+            np.testing.assert_allclose(gp_b[b], gp[0], rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(gx_b[b], gx[0], rtol=0.0, atol=1e-14)
+
+    def test_leaves_forward_states_unchanged(self):
+        t = linear_vqr_template(3, 2)
+        rng = np.random.default_rng(12)
+        angles = vqc._angle_table(t, init_params(t, rng), rng.uniform(-1, 1, (2, 3)))
+        _, states = vqc._run_rows(t, angles)
+        before = states.copy()
+        vqc._adjoint_rows(t, angles, states, np.ones((2, 3)))
+        np.testing.assert_array_equal(states, before)
 
 
 class TestInitParams:
