@@ -33,7 +33,6 @@ from .models import (
     TrainConfig,
     VQRModel,
     build_model,
-    count_trainable_params,
     evaluate_losses,
     fit_model,
     load_model,
@@ -80,7 +79,6 @@ __all__ = [
     "TrainConfig",
     "VQRModel",
     "build_model",
-    "count_trainable_params",
     "evaluate_losses",
     "fit_model",
     "load_model",

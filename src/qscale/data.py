@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -152,7 +152,7 @@ class CalibrationDataset:
 # ingest
 
 
-def _read_csv_rows(path: Path, expected_header: tuple[str, ...]) -> Iterable[list[str]]:
+def _read_csv_rows(path: Path, expected_header: tuple[str, ...]) -> list[list[str]]:
     try:
         text = path.read_text()
     except OSError as exc:
@@ -168,6 +168,12 @@ def _read_csv_rows(path: Path, expected_header: tuple[str, ...]) -> Iterable[lis
             f"got {','.join(header)!r}"
         )
     return list(reader)
+
+
+def _row_error(path, body: list[list[str]], row: list[str], err: ValueError) -> DataError:
+    """``path:line`` error for the failed ``row``: every earlier row parsed, so the
+    first equal row is it (line 1 is the header), and the loops need no counter."""
+    return DataError(f"{path}:{body.index(row) + 2}: {err}")
 
 
 def ingest(paths: Sequence[str | Path]) -> IngestResult:
@@ -197,15 +203,19 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
 
 def load_reference(path: str | Path) -> Series:
     """Load the hourly reference-instrument CSV."""
+    body = _read_csv_rows(Path(path), REFERENCE_HEADER)
     stamps: list[int] = []
     values: list[float] = []
-    for row in _read_csv_rows(Path(path), REFERENCE_HEADER):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise DataError(f"{path}: reference row needs 2 columns, got {row}")
-        stamps.append(parse_timestamp(row[0]))
-        values.append(float(row[1]))
+    try:
+        for row in body:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 2:
+                raise DataError(f"reference row needs 2 columns, got {row}")
+            stamps.append(parse_timestamp(row[0]))
+            values.append(float(row[1]))
+    except ValueError as err:
+        raise _row_error(path, body, row, err) from err
     order = np.argsort(stamps, kind="stable")
     ts = np.asarray(stamps, dtype=np.int64)[order]
     if np.any(ts % HOUR != 0):
@@ -398,11 +408,6 @@ def invert_scaler(scaler: RangeScaler, values: np.ndarray) -> np.ndarray:
     return (arr + 1.0) / 2.0 * (scaler.maximum - scaler.minimum) + scaler.minimum
 
 
-def identity_scaler(n_columns: int = 1) -> RangeScaler:
-    """Maps [-1, 1] to itself; useful for already-normalised data."""
-    return RangeScaler(-np.ones(n_columns), np.ones(n_columns))
-
-
 # ---------------------------------------------------------------------------
 # windows and splits
 
@@ -485,20 +490,23 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     rows: list[list[float]] = []
     targets: list[float] = []
     present: Optional[list[bool]] = None
-    for row in body:
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(DATASET_HEADER):
-            raise DataError(f"{path}: dataset row has {len(row)} columns")
-        stamps.append(parse_timestamp(row[0]))
-        cells = row[1:5]
-        flags = [bool(c.strip()) for c in cells]
-        if present is None:
-            present = flags
-        elif flags != present:
-            raise DataError(f"{path}: inconsistent feature columns across rows")
-        rows.append([float(c) for c, ok in zip(cells, flags) if ok])
-        targets.append(float(row[5]))
+    try:
+        for row in body:
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(DATASET_HEADER):
+                raise DataError(f"dataset row has {len(row)} columns")
+            stamps.append(parse_timestamp(row[0]))
+            cells = row[1:5]
+            flags = [bool(c.strip()) for c in cells]
+            if present is None:
+                present = flags
+            elif flags != present:
+                raise DataError("inconsistent feature columns across rows")
+            rows.append([float(c) for c, ok in zip(cells, flags) if ok])
+            targets.append(float(row[5]))
+    except ValueError as err:
+        raise _row_error(path, body, row, err) from err
     if not stamps:
         raise DataError(f"{path}: dataset file holds no rows")
     names = tuple(n for n, ok in zip(FEATURE_COLUMNS, present) if ok)

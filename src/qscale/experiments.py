@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -135,6 +134,7 @@ def _evaluate_on_fold(
     entry.update(models.evaluate_losses(model, x, y))
     entry["final_train_loss"] = history[-1] if history else None
     entry["series"] = models.predictions_rows(model, test_set)
+    entry["model"] = model
     return entry
 
 
@@ -146,35 +146,29 @@ def cross_validate(
     options: Optional[dict] = None,
     n_threads: int = 1,
 ) -> "MetricsReport":
-    """Train/evaluate on every fold; divergent folds are recorded, not fatal."""
+    """Train/evaluate on every fold; divergent folds are recorded, not fatal.
+
+    Folds run one after another in the calling thread.  ``n_threads`` is
+    accepted and unused: a thread pool only slowed the small GIL-bound NumPy
+    calls training makes.  ``options`` and ``param_count`` come from the first
+    fold that trained; when every fold diverged, ``param_count`` is None and
+    ``options`` are the caller's merged over the kind's defaults.
+    """
     if config.window > 1 and spec.mode != "contiguous":
         raise ConfigurationError(
             "sequence models need contiguous folds; shuffled folds would "
             "leave no intact training windows"
         )
-    probe = models.build_model(
-        kind,
-        tuple((options or {}).get("features", models.default_options(kind)["features"])),
-        _unit_scaler_for(kind, options),
-        _unit_scaler_for(kind, options, target=True),
-        options=options,
-        window=config.window,
-        seed=config.seed,
-    )
-    folds = make_folds(len(dataset), spec)
-
-    def run(i: int) -> dict:
-        return _evaluate_on_fold(kind, dataset, config, options, i, folds[i])
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            entries = list(pool.map(run, range(len(folds))))
-    else:
-        entries = [run(i) for i in range(len(folds))]
-
+    entries: list[dict] = []
     series: list[dict] = []
-    for entry in entries:
+    trained = None
+    for i, test_indices in enumerate(make_folds(len(dataset), spec)):
+        entry = _evaluate_on_fold(kind, dataset, config, options, i, test_indices)
         series.extend(entry.pop("series", []))
+        model = entry.pop("model", None)
+        if trained is None:
+            trained = model
+        entries.append(entry)
     series.sort(key=lambda row: row["timestamp"])
 
     good = [e for e in entries if "error" not in e]
@@ -183,26 +177,21 @@ def cross_validate(
         average = {
             key: float(np.mean([e[key] for e in good])) for key in ("l1", "mse", "rmse")
         }
+    if trained is None:
+        report_options = {**models.default_options(kind), **(options or {})}
+    else:
+        report_options = trained.options
     return MetricsReport(
         model_kind=kind,
         config=models.config_to_dict(config),
-        options=models._jsonable(probe.options),
+        options=models._jsonable(report_options),
         seed=config.seed,
-        param_count=probe.param_count(),
+        param_count=None if trained is None else trained.param_count(),
         fold_spec={"k": spec.k, "mode": spec.mode, "seed": spec.seed},
         folds=entries,
         fold_average=average,
         series=series,
     )
-
-
-def _unit_scaler_for(kind: str, options: Optional[dict], target: bool = False):
-    from .data import identity_scaler
-
-    if target:
-        return identity_scaler(1)
-    features = (options or {}).get("features") or models.default_options(kind)["features"]
-    return identity_scaler(len(features))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +306,18 @@ def grid_search(
     seed: int = 0,
     n_threads: int = 1,
 ) -> "GridSearchResult":
-    """Train every grid point on one fixed chronological split and rank."""
+    """Train every grid point on one fixed chronological split and rank.
+
+    Points run one after another in the calling thread; ``n_threads`` is
+    accepted and unused, as in ``cross_validate``.
+    """
     total = grid_size(grid)
     if rank_loss not in ("l1", "mse", "rmse"):
         raise ConfigurationError(f"unknown ranking loss {rank_loss!r}")
     base = base_config or models.default_config(kind)
     train_set, test_set = chronological_split(dataset, train_fraction)
-    points = grid_points(grid)
-
-    def run(item: tuple[int, dict]) -> dict:
-        index, overrides = item
+    entries: list[dict] = []
+    for index, overrides in enumerate(grid_points(grid)):
         entry: dict = {"index": index, "params": models._jsonable(overrides)}
         cfg_fields = {k: v for k, v in overrides.items() if k in _CONFIG_AXES}
         opt_fields = {k: v for k, v in overrides.items() if k not in _CONFIG_AXES}
@@ -346,14 +337,7 @@ def grid_search(
             entry["final_train_loss"] = history[-1] if history else None
         except (ConfigurationError, DataError, TrainingDivergedError) as err:
             entry["error"] = f"{type(err).__name__}: {err}"
-        return entry
-
-    items = list(enumerate(points))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            entries = list(pool.map(run, items))
-    else:
-        entries = [run(item) for item in items]
+        entries.append(entry)
 
     ranked = sorted(
         (e for e in entries if "error" not in e), key=lambda e: (e[rank_loss], e["index"])

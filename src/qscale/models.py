@@ -34,7 +34,7 @@ import numpy as np
 
 from . import nn, vqc
 from .data import RangeScaler, apply_scaler, invert_scaler
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import ConfigurationError, DataError, TrainingDivergedError
 
 MODEL_KINDS = ("ffnn", "lstm", "vqr", "qlstm")
 
@@ -711,10 +711,6 @@ def build_model(
     )
 
 
-def count_trainable_params(model) -> int:
-    return model.param_count()
-
-
 def hybrid_backward(model, x_raw: np.ndarray, y_raw: np.ndarray, loss_kind: str):
     """Mean loss over a raw batch and its gradient w.r.t. the flat parameters.
 
@@ -827,10 +823,15 @@ def predictions_rows(model, dataset) -> list[dict]:
 # ---------------------------------------------------------------------------
 # checkpoints
 
+CHECKPOINT_SCHEMA_VERSION = 1
+_CHECKPOINT_KEYS = (
+    "kind", "window", "options", "feature_names", "input_scaler", "target_scaler", "arrays"
+)
+
 
 def save_model(model, path: str | Path) -> None:
     payload = {
-        "schema_version": 1,
+        "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "kind": model.kind,
         "window": model.window,
         "options": _jsonable(model.options),
@@ -852,7 +853,23 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    payload = json.loads(Path(path).read_text())
+    """Rebuild a model from ``save_model`` output; a file that is not a
+    version-1 checkpoint raises ``DataError`` naming it."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
+        raise DataError(f"checkpoint {path} is not valid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise DataError(f"checkpoint {path} must hold a JSON object")
+    missing = [key for key in _CHECKPOINT_KEYS if key not in payload]
+    if missing:
+        raise DataError(f"checkpoint {path} lacks {', '.join(missing)}")
+    version = payload.get("schema_version")
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise DataError(
+            f"checkpoint {path} has schema_version {version!r}, "
+            f"expected {CHECKPOINT_SCHEMA_VERSION}"
+        )
     input_scaler = RangeScaler(
         np.array(payload["input_scaler"]["minimum"]),
         np.array(payload["input_scaler"]["maximum"]),

@@ -17,9 +17,7 @@ generator, so a fixed seed reproduces training bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -413,24 +411,4 @@ def unflatten_like(vector: np.ndarray, arrays: Sequence[np.ndarray]) -> list[np.
     for a in arrays:
         out.append(vector[cursor : cursor + a.size].reshape(a.shape))
         cursor += a.size
-    return out
-
-
-def save_checkpoint(path: str | Path, named_arrays: dict[str, np.ndarray]) -> None:
-    """JSON checkpoint; float64 values survive the round trip exactly."""
-    payload = {
-        "schema_version": 1,
-        "arrays": {
-            name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
-            for name, arr in named_arrays.items()
-        },
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    payload = json.loads(Path(path).read_text())
-    out = {}
-    for name, entry in payload["arrays"].items():
-        out[name] = np.array(entry["values"], dtype=float).reshape(entry["shape"])
     return out

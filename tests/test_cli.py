@@ -241,6 +241,32 @@ class TestTrainPredict:
         assert code == 1
         assert "data error" in err
 
+    def test_predict_old_checkpoint_is_data_error(self, tmp_path, capsys, campaign):
+        train_dir = tmp_path / "trained"
+        code, _, _ = run(
+            capsys,
+            "train",
+            "--model", "ffnn",
+            "--data", str(campaign),
+            "--epochs", "1",
+            "--out", str(train_dir),
+        )
+        assert code == 0
+        checkpoint = train_dir / "model.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["schema_version"] = 99
+        checkpoint.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys,
+            "predict",
+            "--model-file", str(checkpoint),
+            "--data", str(campaign),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert err.startswith("data error:")
+        assert "Traceback" not in err
+
     def test_train_divergence_reports_numeric_error(self, tmp_path, capsys, campaign):
         with np.errstate(all="ignore"):
             import warnings

@@ -369,6 +369,29 @@ class TestDatasetCsv:
         with pytest.raises(DataError):
             dataset_from_csv(path)
 
+    def test_non_numeric_cell_names_line(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text(
+            "timestamp,pm25,temp,hum,press,ref_pm25\n"
+            "2023-01-01T00:00:00Z,10.0,,,,9.0\n"
+            "2023-01-01T01:00:00Z,abc,,,,9.5\n"
+        )
+        with pytest.raises(DataError, match=r"dataset\.csv:3: .*'abc'"):
+            dataset_from_csv(path)
+
+
+class TestLoadReference:
+    def test_non_numeric_cell_names_line(self, tmp_path):
+        path = tmp_path / "reference.csv"
+        path.write_text(
+            "timestamp_iso8601,pm25_ug_m3\n"
+            "2023-01-01T00:00:00Z,9.0\n"
+            "\n"
+            "2023-01-01T01:00:00Z,n/a\n"
+        )
+        with pytest.raises(DataError, match=r"reference\.csv:4: .*'n/a'"):
+            load_reference(path)
+
 
 class TestSynthesize:
     def test_deterministic(self):

@@ -205,6 +205,28 @@ class TestCrossValidate:
         assert all("error" in f for f in report.folds)
         assert all("diverged" in f["error"] for f in report.folds)
         assert report.fold_average is None
+        assert report.param_count is None
+        assert report.options == {
+            "hidden_sizes": [4], "activation": "tanh", "features": ["pm25", "temp"]
+        }
+
+    def test_one_model_per_fold(self, monkeypatch):
+        built = []
+        build = models.build_model
+
+        def counting_build(*args, **kwargs):
+            built.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(models, "build_model", counting_build)
+        ds = affine_dataset(36, seed=8)
+        cfg = TrainConfig(1, 0.05, "adam", "mse", batch_size=8, window=1, seed=4)
+        report = cross_validate(
+            "ffnn", ds, cfg, FoldSpec(4, "shuffled", seed=3),
+            options={"hidden_sizes": (4,), "features": ("pm25", "temp")},
+        )
+        assert built == ["ffnn"] * 4
+        assert report.param_count == (2 * 4 + 4) + (4 + 1)
 
     def test_threaded_matches_sequential(self):
         ds = affine_dataset(36, seed=8)

@@ -7,7 +7,7 @@ import pytest
 
 from qscale import models, nn, vqc
 from qscale.data import CalibrationDataset, RangeScaler, fit_scaler, make_windows
-from qscale.errors import ConfigurationError, TrainingDivergedError
+from qscale.errors import ConfigurationError, DataError, TrainingDivergedError
 from qscale.models import TrainConfig
 
 from _oracles import central_difference
@@ -569,4 +569,24 @@ class TestCheckpoints:
         payload["arrays"]["mystery.weights"] = {"shape": [1], "values": [0.0]}
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError):
+            models.load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: "[1, 2, 3]\n",
+            lambda text: text.replace('"window"', '"windwo"'),
+            lambda text: text.replace('"schema_version": 1', '"schema_version": 99'),
+        ],
+        ids=["truncated", "not-an-object", "missing-window", "schema-99"],
+    )
+    def test_rejects_corrupt_checkpoint(self, tmp_path, corrupt):
+        ds = tiny_dataset(20, seed=24)
+        names = ("pm25", "temp")
+        inp, tgt = scalers_for(ds, names)
+        path = tmp_path / "model.json"
+        models.save_model(models.FFNNModel(names, inp, tgt, hidden_sizes=(3,)), path)
+        path.write_text(corrupt(path.read_text()))
+        with pytest.raises(DataError, match="model.json"):
             models.load_model(path)

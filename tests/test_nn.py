@@ -1,4 +1,4 @@
-"""Dense/LSTM forward-backward checks, losses, optimizers, checkpoints."""
+"""Dense/LSTM forward-backward checks, losses, optimizers, flat parameters."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from qscale.nn import (
     ffnn_forward,
     flatten_arrays,
     init_optimizer,
-    load_checkpoint,
     loss_grad,
     loss_value,
     lstm_cell_forward,
@@ -24,7 +23,6 @@ from qscale.nn import (
     lstm_stack,
     optimizer_step,
     rmse,
-    save_checkpoint,
     unflatten_like,
 )
 
@@ -299,20 +297,6 @@ class TestOptimizers:
 
 
 class TestCheckpoints:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        named = {
-            "layer0.weights": rng.normal(size=(7, 3)),
-            "layer0.bias": rng.normal(size=7),
-            "quantum": rng.uniform(0, 2 * np.pi, 12),
-        }
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, named)
-        loaded = load_checkpoint(path)
-        assert set(loaded) == set(named)
-        for name in named:
-            np.testing.assert_array_equal(loaded[name], named[name])
-
     def test_flatten_unflatten_round_trip(self):
         rng = np.random.default_rng(10)
         arrays = [rng.normal(size=(3, 2)), rng.normal(size=5)]
