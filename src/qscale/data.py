@@ -220,6 +220,9 @@ def load_reference(path: str | Path) -> Series:
     ts = np.asarray(stamps, dtype=np.int64)[order]
     if np.any(ts % HOUR != 0):
         raise DataError(f"{path}: reference timestamps must be on the hour")
+    repeated = ts[1:][np.diff(ts) == 0]
+    if repeated.size:
+        raise DataError(f"{path}: reference hour {format_timestamp(repeated[0])} repeats")
     return Series(ts, np.asarray(values, dtype=float)[order])
 
 

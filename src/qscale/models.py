@@ -20,6 +20,11 @@ amplitudes of the forward pass that made the predictions.  Parameter shift
 stays as the public, hardware-realistic gradient and as the oracle the
 adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
 per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
+
+Every model takes a minibatch in one forward and one backward pass on
+``[B, ...]`` arrays; ``predict`` runs the same forward pass over blocks of
+``PREDICT_ROWS`` windows, so the activations it keeps stay bounded
+whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ from .data import RangeScaler, apply_scaler, invert_scaler
 from .errors import ConfigurationError, DataError, TrainingDivergedError
 
 MODEL_KINDS = ("ffnn", "lstm", "vqr", "qlstm")
+# windows per forward pass in predict: a pass keeps every layer's activations
+# (and circuit amplitudes) for its rows, so a sensor-year goes in blocks
+PREDICT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -178,8 +186,13 @@ class _ModelBase:
     # -- prediction -------------------------------------------------------
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Calibrated PM2.5 in ug/m3 for raw windows [batch, T, features]."""
-        preds_scaled = self._predict_scaled(self.scale_windows(x))
+        """Calibrated PM2.5 in ug/m3 for raw windows [batch, T, features],
+        predicted PREDICT_ROWS windows at a time."""
+        x_scaled = self.scale_windows(x)
+        preds_scaled = np.empty(x_scaled.shape[0])
+        for start in range(0, x_scaled.shape[0], PREDICT_ROWS):
+            block = slice(start, start + PREDICT_ROWS)
+            preds_scaled[block] = self._predict_scaled(x_scaled[block])
         return invert_scaler(self.target_scaler, preds_scaled)
 
 
@@ -228,26 +241,15 @@ class FFNNModel(_ModelBase):
         return named
 
     def _predict_scaled(self, x_scaled):
-        return np.array(
-            [nn.ffnn_forward(self.layers, row[0])[0][0] for row in x_scaled]
-        )
+        return nn.ffnn_forward(self.layers, x_scaled[:, 0])[0][:, 0]
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        batch = x_scaled.shape[0]
-        preds = np.empty(batch)
-        caches = []
-        for b in range(batch):
-            out, cache = nn.ffnn_forward(self.layers, x_scaled[b, 0])
-            preds[b] = out[0]
-            caches.append(cache)
+        out, caches = nn.ffnn_forward(self.layers, x_scaled[:, 0])
+        preds = out[:, 0]
         d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
-        accum = [np.zeros_like(a) for _, a in self.param_arrays()]
-        for b in range(batch):
-            grads, _ = nn.ffnn_backward(self.layers, caches[b], np.array([d_preds[b]]))
-            flat_pairs = [g for pair in grads for g in pair]
-            for acc, g in zip(accum, flat_pairs):
-                acc += g
-        return nn.loss_value(loss_kind, preds, y_scaled), nn.flatten_arrays(accum)
+        grads, _ = nn.ffnn_backward(self.layers, caches, d_preds[:, None])
+        flat = nn.flatten_arrays([g for pair in grads for g in pair])
+        return nn.loss_value(loss_kind, preds, y_scaled), flat
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +287,14 @@ class LSTMModel(_ModelBase):
         return nn.lstm_param_arrays(self.params)
 
     def _predict_scaled(self, x_scaled):
-        return np.array(
-            [nn.lstm_sequence_forward(self.params, w)[0] for w in x_scaled]
-        )
+        return nn.lstm_sequence_forward(self.params, x_scaled)[0]
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        batch = x_scaled.shape[0]
-        preds = np.empty(batch)
-        states = []
-        for b in range(batch):
-            preds[b], state = nn.lstm_sequence_forward(self.params, x_scaled[b])
-            states.append(state)
+        preds, state = nn.lstm_sequence_forward(self.params, x_scaled)
         d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
-        accum = [np.zeros_like(a) for _, a in self.param_arrays()]
-        for b in range(batch):
-            grads = nn.lstm_sequence_backward(self.params, states[b], d_preds[b])
-            for acc, (_, g) in zip(accum, grads):
-                acc += g
-        return nn.loss_value(loss_kind, preds, y_scaled), nn.flatten_arrays(accum)
+        grads = nn.lstm_sequence_backward(self.params, state, d_preds)
+        flat = nn.flatten_arrays([g for _, g in grads])
+        return nn.loss_value(loss_kind, preds, y_scaled), flat
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +846,8 @@ def save_model(model, path: str | Path) -> None:
 
 def load_model(path: str | Path):
     """Rebuild a model from ``save_model`` output; a file that is not a
-    version-1 checkpoint raises ``DataError`` naming it."""
+    complete version-1 checkpoint raises ``DataError`` naming it and the
+    entry at fault."""
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
@@ -870,32 +863,68 @@ def load_model(path: str | Path):
             f"checkpoint {path} has schema_version {version!r}, "
             f"expected {CHECKPOINT_SCHEMA_VERSION}"
         )
-    input_scaler = RangeScaler(
-        np.array(payload["input_scaler"]["minimum"]),
-        np.array(payload["input_scaler"]["maximum"]),
-    )
-    target_scaler = RangeScaler(
-        np.array(payload["target_scaler"]["minimum"]),
-        np.array(payload["target_scaler"]["maximum"]),
-    )
-    options = dict(payload["options"])
-    options["features"] = tuple(payload["feature_names"])
-    if "hidden_sizes" in options:
-        options["hidden_sizes"] = tuple(options["hidden_sizes"])
-    model = build_model(
-        payload["kind"],
-        payload["feature_names"],
-        input_scaler,
-        target_scaler,
-        options=options,
-        window=payload["window"],
-    )
+    names = payload["feature_names"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise DataError(f"checkpoint {path}: feature_names must be a list of names")
+    for key in ("options", "arrays"):
+        if not isinstance(payload[key], dict):
+            raise DataError(f"checkpoint {path}: {key} must be a JSON object")
+    input_scaler = _checkpoint_scaler(path, payload, "input_scaler", len(names))
+    target_scaler = _checkpoint_scaler(path, payload, "target_scaler", 1)
+    options = dict(payload["options"], features=tuple(names))
+    try:
+        if "hidden_sizes" in options:
+            options["hidden_sizes"] = tuple(options["hidden_sizes"])
+        model = build_model(
+            payload["kind"],
+            names,
+            input_scaler,
+            target_scaler,
+            options=options,
+            window=payload["window"],
+        )
+    except (TypeError, ValueError, OverflowError) as err:  # ConfigurationError too
+        raise DataError(f"checkpoint {path} describes no model: {err}") from err
     arrays = dict(model.param_arrays())
-    for name, entry in payload["arrays"].items():
+    for name in payload["arrays"]:
         if name not in arrays:
             raise ConfigurationError(f"checkpoint array {name!r} unknown to {model.kind}")
-        np.copyto(arrays[name], np.array(entry["values"]).reshape(entry["shape"]))
+    for name, current in arrays.items():
+        entry = payload["arrays"].get(name)
+        if not isinstance(entry, dict):
+            raise DataError(f"checkpoint {path} lacks array {name}")
+        if entry.get("shape") != list(current.shape):
+            raise DataError(
+                f"checkpoint {path}: array {name} has shape {entry.get('shape')!r}, "
+                f"expected {list(current.shape)}"
+            )
+        values = _checkpoint_floats(path, f"array {name}", entry.get("values"), current.size)
+        np.copyto(current, values.reshape(current.shape))
     return model
+
+
+def _checkpoint_floats(path, entry: str, values, size: int) -> np.ndarray:
+    """``values`` as ``size`` floats, else a ``DataError`` naming the entry."""
+    try:
+        floats = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise DataError(f"checkpoint {path}: {entry} holds non-numbers") from err
+    if floats.shape != (size,):
+        raise DataError(
+            f"checkpoint {path}: {entry} holds values of shape {floats.shape}, "
+            f"expected {size}"
+        )
+    return floats
+
+
+def _checkpoint_scaler(path, payload: dict, key: str, size: int) -> RangeScaler:
+    entry = payload[key]
+    bounds = []
+    for end in ("minimum", "maximum"):
+        if not isinstance(entry, dict) or end not in entry:
+            raise DataError(f"checkpoint {path}: {key} lacks {end}")
+        bounds.append(_checkpoint_floats(path, f"{key} {end}", entry[end], size))
+    return RangeScaler(*bounds)
 
 
 def _jsonable(value):

@@ -13,6 +13,11 @@ analytic gradients.  The LSTM follows the classic gate equations
 with the hidden state concatenated before the input.  Weights initialise
 uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a caller-provided
 generator, so a fixed seed reproduces training bit for bit.
+
+Layers run over a minibatch: activations, states and their gradients are
+``[B, size]``, LSTM windows ``[B, T, n_features]``, and parameter gradients
+come back summed over the batch.  Each function also takes one sample in
+1-D form (one ``[T, n_features]`` window, predicting a float).
 """
 
 from __future__ import annotations
@@ -102,17 +107,27 @@ def dense_layer(
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    z = layer.weights @ x + layer.bias
+    z = x @ layer.weights.T + layer.bias
     a = _activate(layer.activation, z)
     return a, (x, z, a)
 
 
+def _outer_sum(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Weight gradient delta.T @ x summed over the batch; np.outer for 1-D."""
+    return np.atleast_2d(delta).T @ np.atleast_2d(x)
+
+
+def _batch_sum(delta: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(delta).sum(axis=0)
+
+
 def ffnn_forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run a stack of dense layers; caches are consumed by ffnn_backward."""
+    """Run a stack of dense layers on x [B, n_in] or [n_in]; caches are
+    consumed by ffnn_backward."""
     caches = []
     a = np.asarray(x, dtype=float)
     for layer in layers:
-        if a.shape != (layer.n_in,):
+        if a.ndim not in (1, 2) or a.shape[-1] != layer.n_in:
             raise ConfigurationError(
                 f"layer expects input of size {layer.n_in}, got shape {a.shape}"
             )
@@ -124,14 +139,15 @@ def ffnn_forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarra
 def ffnn_backward(
     layers: Sequence[DenseLayer], caches: list, d_out: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Backpropagate d_out; returns per-layer (dW, db) and the input gradient."""
+    """Backpropagate d_out (shaped like the forward output); returns per-layer
+    (dW, db) summed over the batch and the input gradient."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore
     delta = np.asarray(d_out, dtype=float)
     for idx in range(len(layers) - 1, -1, -1):
         x, z, a = caches[idx]
         delta = delta * _activation_grad(layers[idx].activation, z, a)
-        grads[idx] = (np.outer(delta, x), delta.copy())
-        delta = layers[idx].weights.T @ delta
+        grads[idx] = (_outer_sum(delta, x), _batch_sum(delta))
+        delta = delta @ layers[idx].weights
     return grads, delta
 
 
@@ -154,10 +170,6 @@ class LSTMLayerParams:
     def hidden_size(self) -> int:
         return self.w_f.shape[0]
 
-    @property
-    def input_size(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
-
 
 def lstm_layer(rng: np.random.Generator, n_in: int, hidden: int) -> LSTMLayerParams:
     bound = 1.0 / np.sqrt(n_in + hidden)
@@ -171,11 +183,13 @@ def lstm_layer(rng: np.random.Generator, n_in: int, hidden: int) -> LSTMLayerPar
 def lstm_cell_forward(
     layer: LSTMLayerParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    concat = np.concatenate([h_prev, x_t])
-    f = sigmoid(layer.w_f @ concat + layer.b_f)
-    i = sigmoid(layer.w_i @ concat + layer.b_i)
-    g = np.tanh(layer.w_c @ concat + layer.b_c)
-    o = sigmoid(layer.w_o @ concat + layer.b_o)
+    """One step on x_t [B, n_in] and states h_prev, c_prev [B, hidden], or on
+    one sample's 1-D arrays; returns (h, c, cache)."""
+    concat = np.concatenate([h_prev, x_t], axis=-1)
+    f = sigmoid(concat @ layer.w_f.T + layer.b_f)
+    i = sigmoid(concat @ layer.w_i.T + layer.b_i)
+    g = np.tanh(concat @ layer.w_c.T + layer.b_c)
+    o = sigmoid(concat @ layer.w_o.T + layer.b_o)
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -186,9 +200,9 @@ def lstm_cell_forward(
 def lstm_cell_backward(
     layer: LSTMLayerParams, cache: tuple, dh: np.ndarray, dc: np.ndarray
 ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (param grads, dx, dh_prev, dc_prev)."""
+    """Returns (param grads summed over the batch, dx, dh_prev, dc_prev)."""
     concat, c_prev, f, i, g, o, tc = cache
-    hidden = f.size
+    hidden = f.shape[-1]
     do = dh * tc
     dc = dc + dh * o * (1.0 - tc**2)
     df = dc * c_prev
@@ -200,22 +214,17 @@ def lstm_cell_backward(
     dz_g = dg * (1.0 - g**2)
     dz_o = do * o * (1.0 - o)
     grads = {
-        "w_f": np.outer(dz_f, concat),
-        "w_i": np.outer(dz_i, concat),
-        "w_c": np.outer(dz_g, concat),
-        "w_o": np.outer(dz_o, concat),
-        "b_f": dz_f,
-        "b_i": dz_i,
-        "b_c": dz_g,
-        "b_o": dz_o,
+        "w_f": _outer_sum(dz_f, concat),
+        "w_i": _outer_sum(dz_i, concat),
+        "w_c": _outer_sum(dz_g, concat),
+        "w_o": _outer_sum(dz_o, concat),
+        "b_f": _batch_sum(dz_f),
+        "b_i": _batch_sum(dz_i),
+        "b_c": _batch_sum(dz_g),
+        "b_o": _batch_sum(dz_o),
     }
-    dconcat = (
-        layer.w_f.T @ dz_f
-        + layer.w_i.T @ dz_i
-        + layer.w_c.T @ dz_g
-        + layer.w_o.T @ dz_o
-    )
-    return grads, dconcat[hidden:], dconcat[:hidden], dc_prev
+    dconcat = dz_f @ layer.w_f + dz_i @ layer.w_i + dz_g @ layer.w_c + dz_o @ layer.w_o
+    return grads, dconcat[..., hidden:], dconcat[..., :hidden], dc_prev
 
 
 @dataclass
@@ -238,27 +247,35 @@ def lstm_stack(
 
 
 def lstm_sequence_forward(
-    params: LSTMParams, window: np.ndarray
-) -> tuple[float, dict]:
-    """Run a [T, n_features] window through the stack; predict from h_T."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2:
-        raise ConfigurationError(f"window must be [T, features], got {window.shape}")
-    steps, _ = window.shape
+    params: LSTMParams, windows: np.ndarray
+) -> tuple[np.ndarray | float, dict]:
+    """Run windows [B, T, n_features] through the stack and predict from each
+    h_T; returns the predictions [B] and the state lstm_sequence_backward
+    consumes.  One window [T, n_features] gives a float prediction."""
+    windows = np.asarray(windows, dtype=float)
+    single = windows.ndim == 2
+    if single:
+        windows = windows[None]
+    if windows.ndim != 3:
+        raise ConfigurationError(
+            f"windows must be [B, T, features] or [T, features], got {windows.shape}"
+        )
+    batch, steps, _ = windows.shape
     if steps < 1:
         raise ConfigurationError("window must contain at least one step")
     n_layers = len(params.layers)
     hidden = params.layers[0].hidden_size
-    h = [np.zeros(hidden) for _ in range(n_layers)]
-    c = [np.zeros(hidden) for _ in range(n_layers)]
+    h = [np.zeros((batch, hidden)) for _ in range(n_layers)]
+    c = [np.zeros((batch, hidden)) for _ in range(n_layers)]
     caches = [[None] * n_layers for _ in range(steps)]
     for t in range(steps):
-        x = window[t]
+        x = windows[:, t]
         for k, layer in enumerate(params.layers):
             h[k], c[k], caches[t][k] = lstm_cell_forward(layer, x, h[k], c[k])
             x = h[k]
     pred, read_cache = dense_forward(params.readout, h[-1])
-    return float(pred[0]), {"caches": caches, "read": read_cache, "steps": steps}
+    state = {"caches": caches, "read": read_cache, "steps": steps}
+    return (float(pred[0, 0]) if single else pred[:, 0]), state
 
 
 def lstm_param_arrays(params: LSTMParams) -> list[tuple[str, np.ndarray]]:
@@ -273,16 +290,15 @@ def lstm_param_arrays(params: LSTMParams) -> list[tuple[str, np.ndarray]]:
 
 
 def lstm_sequence_backward(
-    params: LSTMParams, forward_state: dict, d_pred: float
+    params: LSTMParams, forward_state: dict, d_pred: np.ndarray | float
 ) -> list[tuple[str, np.ndarray]]:
-    """Backpropagation through time; gradient order matches lstm_param_arrays."""
+    """Backpropagation through time of d_pred [B] (or a float for one window),
+    summed over the batch; gradient order matches lstm_param_arrays."""
     caches = forward_state["caches"]
-    steps = forward_state["steps"]
     n_layers = len(params.layers)
-    hidden = params.layers[0].hidden_size
 
     read_grads, dh_last = ffnn_backward(
-        [params.readout], [forward_state["read"]], np.array([float(d_pred)])
+        [params.readout], [forward_state["read"]], np.reshape(d_pred, (-1, 1))
     )
     acc = {
         name: np.zeros_like(arr) for name, arr in lstm_param_arrays(params)
@@ -290,10 +306,10 @@ def lstm_sequence_backward(
     acc["readout.weights"] += read_grads[0][0]
     acc["readout.bias"] += read_grads[0][1]
 
-    dh = [np.zeros(hidden) for _ in range(n_layers)]
-    dc = [np.zeros(hidden) for _ in range(n_layers)]
+    dh = [np.zeros_like(dh_last) for _ in range(n_layers)]
+    dc = [np.zeros_like(dh_last) for _ in range(n_layers)]
     dh[-1] = dh_last
-    for t in range(steps - 1, -1, -1):
+    for t in range(forward_state["steps"] - 1, -1, -1):
         dx_from_above = None
         for k in range(n_layers - 1, -1, -1):
             dh_k = dh[k] if dx_from_above is None else dh[k] + dx_from_above

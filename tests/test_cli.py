@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qscale import cli
+from qscale import cli, data, models
 
 
 def run(capsys, *argv):
@@ -267,6 +269,33 @@ class TestTrainPredict:
         assert err.startswith("data error:")
         assert "Traceback" not in err
 
+    def test_predict_checkpoint_without_array_is_data_error(self, tmp_path, capsys, campaign):
+        train_dir = tmp_path / "trained"
+        code, _, _ = run(
+            capsys,
+            "train",
+            "--model", "ffnn",
+            "--data", str(campaign),
+            "--epochs", "1",
+            "--out", str(train_dir),
+        )
+        assert code == 0
+        checkpoint = train_dir / "model.json"
+        payload = json.loads(checkpoint.read_text())
+        del payload["arrays"]["dense1.bias"]
+        checkpoint.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys,
+            "predict",
+            "--model-file", str(checkpoint),
+            "--data", str(campaign),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert err.startswith("data error:")
+        assert "dense1.bias" in err
+        assert "Traceback" not in err
+
     def test_train_divergence_reports_numeric_error(self, tmp_path, capsys, campaign):
         with np.errstate(all="ignore"):
             import warnings
@@ -304,6 +333,92 @@ class TestTrainPredict:
         assert err.startswith("config error:")
         assert "learning rate" in err
         assert "Traceback" not in err
+
+
+ERROR_PREFIXES = ("config error:", "data error:", "numeric error:", "io error:")
+DELETE = object()
+# small numbers only: options size the model before its arrays are checked
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(-40.0, 40.0)
+    | st.sampled_from([float("nan"), float("inf")])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def json_paths(node, prefix=()):
+    """Paths to every member of a JSON tree; a list contributes its first item."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_paths(value, prefix + (key,))
+    elif isinstance(node, list) and node:
+        yield from json_paths(node[0], prefix + (0,))
+
+
+class TestCheckpointFuzz:
+    @pytest.mark.parametrize(
+        "kind,options,window",
+        [
+            ("ffnn", {"hidden_sizes": (3, 2)}, 1),
+            ("lstm", {"hidden_size": 2, "n_layers": 2}, 3),
+            ("vqr", {"n_qubits": 4, "n_layers": 1}, 1),
+            ("qlstm", {"n_qubits": 2, "n_layers": 1, "hidden_size": 2}, 2),
+        ],
+    )
+    def test_mutated_checkpoint_never_tracebacks(
+        self, tmp_path, capsys, campaign, kind, options, window
+    ):
+        """Deleting or replacing any member of a valid model.json ends
+        predict with exit 0, or exit 1 and a typed error prefix."""
+        dataset = data.dataset_from_csv(campaign)
+        names = models.default_options(kind)["features"]
+        sub = dataset.select_features(names)
+        model = models.build_model(
+            kind,
+            names,
+            data.fit_scaler(sub.features, names=names),
+            data.fit_scaler(sub.target, names=("ref_pm25",)),
+            options=options,
+            window=window,
+        )
+        checkpoint = tmp_path / "model.json"
+        models.save_model(model, checkpoint)
+        valid = json.loads(checkpoint.read_text())
+        paths = [path for path in json_paths(valid) if path]
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.sampled_from(paths), st.one_of(st.just(DELETE), JSON_VALUES))
+        def mutate_and_predict(path, value):
+            payload = json.loads(json.dumps(valid))
+            *parents, last = path
+            node = payload
+            for key in parents:
+                node = node[key]
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = value
+            checkpoint.write_text(json.dumps(payload))
+            code, _, err = run(
+                capsys,
+                "predict",
+                "--model-file", str(checkpoint),
+                "--data", str(campaign),
+                "--out", str(tmp_path / "o"),
+            )
+            assert "Traceback" not in err
+            assert code in (0, 1)
+            if code == 1:
+                assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
+
+        mutate_and_predict()
+
 
 class TestBenchmark:
     def test_perfect_campaign_prints_zero(self, tmp_path, capsys, monkeypatch):

@@ -392,6 +392,17 @@ class TestLoadReference:
         with pytest.raises(DataError, match=r"reference\.csv:4: .*'n/a'"):
             load_reference(path)
 
+    def test_duplicate_hour_is_data_error(self, tmp_path):
+        path = tmp_path / "reference.csv"
+        path.write_text(
+            "timestamp_iso8601,pm25_ug_m3\n"
+            "2023-01-01T01:00:00Z,9.0\n"
+            "2023-01-01T00:00:00Z,8.0\n"
+            "2023-01-01T01:00:00Z,9.5\n"
+        )
+        with pytest.raises(DataError, match=r"reference\.csv: .*2023-01-01T01:00:00Z repeats"):
+            load_reference(path)
+
 
 class TestSynthesize:
     def test_deterministic(self):

@@ -1,5 +1,6 @@
 """Model-level tests: wiring, hybrid gradients vs finite differences, training."""
 
+import json
 import math
 
 import numpy as np
@@ -50,6 +51,13 @@ def fd_flat_gradient(model, x, y, loss_kind, h=1e-6):
     fd = central_difference(objective, theta0, h)
     model.set_flat(theta0)
     return fd
+
+
+def edited(text, edit):
+    """The checkpoint text with ``edit`` applied to its parsed payload."""
+    payload = json.loads(text)
+    edit(payload)
+    return json.dumps(payload)
 
 
 class TestTrainConfig:
@@ -513,6 +521,36 @@ class TestEvaluationAndPredictions:
         assert rows[0]["calibrated_pm25"] == pytest.approx(float(preds[0]))
 
 
+class TestPredictBlocks:
+    @pytest.mark.parametrize(
+        "kind,options,window",
+        [
+            ("ffnn", {"hidden_sizes": (5, 3), "features": ("pm25", "temp")}, 1),
+            ("lstm", {"hidden_size": 3, "n_layers": 2, "features": ("pm25",)}, 3),
+            ("vqr", {"n_qubits": 2, "n_layers": 2, "features": ("pm25", "temp")}, 1),
+            (
+                "qlstm",
+                {"n_qubits": 2, "n_layers": 1, "hidden_size": 3, "features": ("pm25",)},
+                2,
+            ),
+        ],
+    )
+    def test_blocks_match_row_by_row(self, kind, options, window):
+        """predict runs PREDICT_ROWS windows per pass; the rows on both
+        sides of a block boundary predict as they do alone."""
+        names = tuple(options["features"])
+        inp, tgt = scalers_for(tiny_dataset(24, seed=41), names)
+        model = models.build_model(kind, names, inp, tgt, options=options, window=window, seed=43)
+        rng = np.random.default_rng(47)
+        x = rng.uniform(0.0, 30.0, (models.PREDICT_ROWS + 3, window, len(names)))
+        preds = model.predict(x)
+        single = np.concatenate([model.predict(row[None]) for row in x])
+        assert preds.shape == (models.PREDICT_ROWS + 3,)
+        np.testing.assert_allclose(preds, single, rtol=1e-12, atol=0.0)
+        empty = model.predict(np.zeros((0, window, len(names))))
+        assert empty.shape == (0,)
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize(
         "kind,options,window",
@@ -572,21 +610,50 @@ class TestCheckpoints:
             models.load_model(path)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt,message",
         [
-            lambda text: text[: len(text) // 2],
-            lambda text: "[1, 2, 3]\n",
-            lambda text: text.replace('"window"', '"windwo"'),
-            lambda text: text.replace('"schema_version": 1', '"schema_version": 99'),
+            (lambda text: text[: len(text) // 2], "model.json"),
+            (lambda text: "[1, 2, 3]\n", "model.json"),
+            (lambda text: text.replace('"window"', '"windwo"'), "model.json"),
+            (
+                lambda text: text.replace('"schema_version": 1', '"schema_version": 99'),
+                "model.json",
+            ),
+            (
+                lambda text: edited(text, lambda p: p["arrays"].pop("dense0.bias")),
+                r"model\.json .*dense0\.bias",
+            ),
+            (
+                lambda text: edited(
+                    text,
+                    lambda p: p["arrays"].update(
+                        {"dense0.bias": {"shape": [1], "values": [0.0]}}
+                    ),
+                ),
+                r"model\.json.* dense0\.bias has shape \[1\]",
+            ),
+            (
+                lambda text: edited(
+                    text, lambda p: p["arrays"]["dense1.weights"]["values"].pop()
+                ),
+                r"model\.json.* dense1\.weights holds values",
+            ),
+            (
+                lambda text: edited(text, lambda p: p["input_scaler"].pop("minimum")),
+                r"model\.json.* input_scaler lacks minimum",
+            ),
         ],
-        ids=["truncated", "not-an-object", "missing-window", "schema-99"],
+        ids=[
+            "truncated", "not-an-object", "missing-window", "schema-99",
+            "missing-array", "array-shape", "values-misfit-shape", "scaler-minimum",
+        ],
     )
-    def test_rejects_corrupt_checkpoint(self, tmp_path, corrupt):
+    def test_rejects_corrupt_checkpoint(self, tmp_path, corrupt, message):
         ds = tiny_dataset(20, seed=24)
         names = ("pm25", "temp")
         inp, tgt = scalers_for(ds, names)
         path = tmp_path / "model.json"
         models.save_model(models.FFNNModel(names, inp, tgt, hidden_sizes=(3,)), path)
         path.write_text(corrupt(path.read_text()))
-        with pytest.raises(DataError, match="model.json"):
+        with pytest.raises(DataError, match=message):
             models.load_model(path)

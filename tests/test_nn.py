@@ -214,6 +214,72 @@ class TestLSTMSequence:
             assert np.max(np.abs(flat - fd)) < 1e-4 * (1 + np.max(np.abs(fd)))
 
 
+def assert_close_relative(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestBatchedEqualsPerSample:
+    """One [B, .] pass gives the per-sample loss and the sum of the
+    per-sample 1-D gradients."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 10])
+    @pytest.mark.parametrize("kind", ["l1", "mse"])
+    def test_ffnn(self, batch, kind):
+        rng = np.random.default_rng(batch)
+        stacks = [
+            random_ffnn(rng, [4, 30, 15, 5, 1]),
+            random_ffnn(rng, [3, 6, 2, 1], ["relu", "sigmoid", "identity"]),
+        ]
+        for layers in stacks:
+            x = rng.uniform(-1, 1, (batch, layers[0].n_in))
+            y = rng.uniform(-1, 1, batch)
+            out, caches = ffnn_forward(layers, x)
+            preds = out[:, 0]
+            d_preds = loss_grad(kind, preds, y)
+            grads, _ = ffnn_backward(layers, caches, d_preds[:, None])
+            flat = flatten_arrays([a for g in grads for a in g])
+
+            singles = [ffnn_forward(layers, row) for row in x]
+            single_preds = np.array([o[0] for o, _ in singles])
+            per_sample = sum(
+                flatten_arrays(
+                    [a for g in ffnn_backward(layers, c, np.array([d]))[0] for a in g]
+                )
+                for (_, c), d in zip(singles, loss_grad(kind, single_preds, y))
+            )
+            assert loss_value(kind, preds, y) == pytest.approx(
+                loss_value(kind, single_preds, y), rel=1e-14
+            )
+            assert_close_relative(flat, per_sample)
+
+    @pytest.mark.parametrize("batch", [1, 3, 10])
+    @pytest.mark.parametrize("kind", ["l1", "mse"])
+    def test_lstm(self, batch, kind):
+        rng = np.random.default_rng(10 + batch)
+        for n_layers in (1, 2, 3):
+            for steps in (1, 3, 5):
+                features = int(rng.integers(1, 3))
+                params = lstm_stack(rng, features, int(rng.integers(1, 6)), n_layers)
+                windows = rng.uniform(-1, 1, (batch, steps, features))
+                y = rng.uniform(-1, 1, batch)
+                preds, state = lstm_sequence_forward(params, windows)
+                d_preds = loss_grad(kind, preds, y)
+                flat = flatten_arrays(
+                    [g for _, g in lstm_sequence_backward(params, state, d_preds)]
+                )
+
+                singles = [lstm_sequence_forward(params, w) for w in windows]
+                single_preds = np.array([p for p, _ in singles])
+                per_sample = sum(
+                    flatten_arrays([g for _, g in lstm_sequence_backward(params, st, d)])
+                    for (_, st), d in zip(singles, loss_grad(kind, single_preds, y))
+                )
+                assert loss_value(kind, preds, y) == pytest.approx(
+                    loss_value(kind, single_preds, y), rel=1e-14
+                )
+                assert_close_relative(flat, per_sample)
+
+
 class TestLosses:
     def test_l1(self):
         assert loss_value("l1", np.array([1.0, 3.0]), np.array([2.0, 1.0])) == 1.5
