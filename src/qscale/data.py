@@ -326,8 +326,9 @@ def align_and_clean(
     """Inner-join fused hourly features with the reference grid and repair gaps.
 
     Hours without a reference value never enter the grid.  Feature gaps of
-    up to two consecutive reference hours are linearly interpolated; rows
-    whose features cannot be repaired are dropped.
+    up to two consecutive reference hours are linearly interpolated; then
+    rows whose features cannot be repaired, or whose reference value is not
+    finite, are dropped.
     """
     if "pm25" not in features:
         raise ConfigurationError("aligned features require a 'pm25' series")
@@ -344,7 +345,7 @@ def align_and_clean(
         column, filled = _interpolate_short_gaps(column, MAX_GAP_HOURS)
         interpolated += filled
         matrix[:, col] = column
-    keep = ~np.isnan(matrix).any(axis=1)
+    keep = ~np.isnan(matrix).any(axis=1) & np.isfinite(reference.values)
     dropped = int(np.sum(~keep))
     if not np.any(keep):
         raise DataError("no hours with complete features remain after cleaning")

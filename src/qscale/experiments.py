@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -105,15 +105,7 @@ def _evaluate_on_fold(
     train_set = dataset.subset(np.nonzero(mask)[0])
     test_set = dataset.subset(test_indices)
     fold_seed = int(config.seed) + fold_index
-    fold_config = models.TrainConfig(
-        config.epochs,
-        config.learning_rate,
-        config.optimizer,
-        config.loss,
-        config.batch_size,
-        config.window,
-        fold_seed,
-    )
+    fold_config = replace(config, seed=fold_seed)
     entry: dict = {
         "fold": fold_index,
         "seed": fold_seed,

@@ -712,7 +712,7 @@ def hybrid_backward(model, x_raw: np.ndarray, y_raw: np.ndarray, loss_kind: str)
     xs = model.scale_windows(np.asarray(x_raw, dtype=float))
     ys = model.scale_targets(np.asarray(y_raw, dtype=float))
     loss_scaled, grad = model._loss_and_grad_scaled(xs, ys, loss_kind)
-    factor = model.target_halfspan if loss_kind == "l1" else model.target_halfspan**2
+    factor = _loss_to_original_units(loss_kind, 1.0, model.target_halfspan)
     return loss_scaled * factor, grad * factor
 
 
@@ -888,7 +888,7 @@ def load_model(path: str | Path):
     arrays = dict(model.param_arrays())
     for name in payload["arrays"]:
         if name not in arrays:
-            raise ConfigurationError(f"checkpoint array {name!r} unknown to {model.kind}")
+            raise DataError(f"checkpoint {path}: array {name} unknown to {model.kind}")
     for name, current in arrays.items():
         entry = payload["arrays"].get(name)
         if not isinstance(entry, dict):

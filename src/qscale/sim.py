@@ -101,19 +101,6 @@ def init_zero_state(n_qubits: int) -> StateVector:
     return StateVector(int(n_qubits), amps)
 
 
-def rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    """Dense 2x2 matrix of a rotation gate (exp(-i*angle*P/2))."""
-    half = 0.5 * angle
-    c, s = np.cos(half), np.sin(half)
-    if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if kind == "RZ":
-        return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]], dtype=np.complex128)
-    raise ConfigurationError(f"unknown rotation kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # strided kernels over amplitude pairs, shared by the single-state API and
 # the batched evaluation path in qscale.vqc

@@ -26,7 +26,10 @@ Every template lowers to one op table whose gate angles are gathered per
 row from ``[params | inputs | arctan(inputs)]``, so many circuits that
 share a template, with their own params and inputs, run batched over one
 ``[rows, 2**n]`` amplitude array with results identical to evaluating each
-circuit on its own.
+circuit on its own.  The table is the only form in which a template runs:
+:func:`evaluate` runs one circuit as a one-row batch of it, and the
+parameter-shift and adjoint gradients run their shifted circuits and
+backward sweeps over its rows.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import numpy as np
 
 from . import sim
 from .errors import ConfigurationError
-from .sim import GateSpec
 
 AXES = ("X", "Y")
 TRANSFORMS = ("identity", "arctan")
@@ -153,28 +155,8 @@ class CircuitTemplate:
 
 
 # ---------------------------------------------------------------------------
-# gate-list construction
-
-
-def build_angle_embedding(
-    features: Sequence[float],
-    axis: str = "Y",
-    transform: str = "identity",
-    n_qubits: Optional[int] = None,
-) -> list[GateSpec]:
-    """One rotation per feature, feature i on qubit i."""
-    if axis not in AXES:
-        raise ConfigurationError(f"embedding axis must be one of {AXES}")
-    if transform not in TRANSFORMS:
-        raise ConfigurationError(f"transform must be one of {TRANSFORMS}")
-    feats = np.asarray(features, dtype=float)
-    if n_qubits is not None and feats.size > n_qubits:
-        raise ConfigurationError(
-            f"{feats.size} features exceed {n_qubits} qubits"
-        )
-    angles = np.arctan(feats) if transform == "arctan" else feats
-    kind = "R" + axis
-    return [GateSpec(kind, q, angle=float(a)) for q, a in enumerate(angles)]
+# lowered representation: one op table per template whose gate angles are
+# gathered per row, evaluated and differentiated over [rows, 2**n] amplitudes
 
 
 def _ansatz_ops(kind: str, n_qubits: int, n_layers: int) -> list[tuple]:
@@ -195,77 +177,6 @@ def _ansatz_ops(kind: str, n_qubits: int, n_layers: int) -> list[tuple]:
             reach = (layer % (n_qubits - 1)) + 1 if kind == "strongly_entangling" else 1
             ops += [("CNOT", q, (q + reach) % n_qubits) for q in range(n_qubits)]
     return ops
-
-
-def _gate(op: tuple, angles: np.ndarray) -> GateSpec:
-    kind, a, b = op
-    if kind == "CNOT":
-        return GateSpec("CNOT", b, control=a)
-    return GateSpec(kind, a, angle=float(angles[b]))
-
-
-def _ansatz_gates(
-    kind: str, n_qubits: int, n_layers: int, params: Sequence[float]
-) -> list[GateSpec]:
-    params = np.asarray(params, dtype=float)
-    expected = ansatz_param_count(kind, n_qubits, n_layers)
-    if params.size != expected:
-        raise ConfigurationError(
-            f"expected {expected} params for {kind} "
-            f"({n_qubits} qubits, {n_layers} layers), got {params.size}"
-        )
-    return [_gate(op, params) for op in _ansatz_ops(kind, n_qubits, n_layers)]
-
-
-def build_strongly_entangling(
-    n_qubits: int, n_layers: int, params: Sequence[float]
-) -> list[GateSpec]:
-    """RZ/RY/RZ triples per qubit, then a CNOT ring with layer-dependent range."""
-    return _ansatz_gates("strongly_entangling", n_qubits, n_layers, params)
-
-
-def build_ring_rx_ansatz(
-    n_qubits: int, n_layers: int, params: Sequence[float]
-) -> list[GateSpec]:
-    """One RX per qubit, then a nearest-neighbour CNOT ring, per layer."""
-    return _ansatz_gates("ring_rx", n_qubits, n_layers, params)
-
-
-def _check_args(template: CircuitTemplate, params, inputs) -> tuple[np.ndarray, np.ndarray]:
-    params = np.asarray(params, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    if params.shape != (template.total_params,):
-        raise ConfigurationError(
-            f"expected {template.total_params} params, got shape {params.shape}"
-        )
-    if inputs.shape != (template.input_dim,):
-        raise ConfigurationError(
-            f"expected {template.input_dim} inputs, got shape {inputs.shape}"
-        )
-    return params, inputs
-
-
-def template_gates(
-    template: CircuitTemplate, params: Sequence[float], inputs: Sequence[float]
-) -> list[GateSpec]:
-    """Lower a template to a concrete gate list for given params and inputs."""
-    params, inputs = _check_args(template, params, inputs)
-    angles = _angle_table(template, params, inputs)
-    return [_gate(op, angles) for op in _lowered(template).ops]
-
-
-def evaluate(
-    template: CircuitTemplate, params: Sequence[float], inputs: Sequence[float]
-) -> np.ndarray:
-    """Run the circuit from |0...0> and return all Pauli-Z expectations."""
-    gates = template_gates(template, params, inputs)
-    state = sim.apply_circuit(sim.init_zero_state(template.n_qubits), gates)
-    return sim.expectation_z_all(state)
-
-
-# ---------------------------------------------------------------------------
-# lowered representation: one op table per template whose gate angles are
-# gathered per row, evaluated and differentiated over [rows, 2**n] amplitudes
 
 
 class _Lowered(NamedTuple):
@@ -396,26 +307,41 @@ def _angle_grads_to_args(
 
 
 def _check_batch_args(
-    template: CircuitTemplate, params, inputs_batch, output_weights_batch
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    template: CircuitTemplate, params, inputs_batch, output_weights_batch=None
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Params [P], inputs [rows, input_dim] and, when given, output weights
+    [rows, n_qubits] as float arrays; any other shape is a
+    ``ConfigurationError``."""
     params = np.asarray(params, dtype=float)
-    inputs_batch = np.atleast_2d(np.asarray(inputs_batch, dtype=float))
-    weights = np.atleast_2d(np.asarray(output_weights_batch, dtype=float))
+    inputs_batch = np.asarray(inputs_batch, dtype=float)
     if params.shape != (template.total_params,):
         raise ConfigurationError(
             f"expected {template.total_params} params, got shape {params.shape}"
         )
-    if inputs_batch.shape[1] != template.input_dim:
+    if inputs_batch.ndim != 2 or inputs_batch.shape[1] != template.input_dim:
         raise ConfigurationError(
             f"expected inputs with {template.input_dim} columns, "
-            f"got {inputs_batch.shape[1]}"
+            f"got shape {inputs_batch.shape}"
         )
+    if output_weights_batch is None:
+        return params, inputs_batch, None
+    weights = np.asarray(output_weights_batch, dtype=float)
     if weights.shape != (inputs_batch.shape[0], template.n_qubits):
         raise ConfigurationError(
             "output weights must have one row per input row and one column "
             f"per qubit; got {weights.shape}"
         )
     return params, inputs_batch, weights
+
+
+def evaluate(
+    template: CircuitTemplate, params: Sequence[float], inputs: Sequence[float]
+) -> np.ndarray:
+    """Run the circuit from |0...0> and return all Pauli-Z expectations."""
+    params, row, _ = _check_batch_args(
+        template, params, np.asarray(inputs, dtype=float)[None]
+    )
+    return _run_rows(template, _angle_table(template, params, row))[0][0]
 
 
 def adjoint_grad_batch(
@@ -430,7 +356,10 @@ def adjoint_grad_batch(
     simulator's amplitudes, so it has no counterpart on hardware.
     """
     params, inputs_batch, weights = _check_batch_args(
-        template, params, inputs_batch, output_weights_batch
+        template,
+        params,
+        np.atleast_2d(inputs_batch),
+        np.atleast_2d(output_weights_batch),
     )
     angles = _angle_table(template, params, inputs_batch)
     _, states = _run_rows(template, angles)
@@ -450,7 +379,10 @@ def parameter_shift_grad_batch(
     shifted circuits for the whole batch are evaluated in one batched run.
     """
     params, inputs_batch, weights = _check_batch_args(
-        template, params, inputs_batch, output_weights_batch
+        template,
+        params,
+        np.atleast_2d(inputs_batch),
+        np.atleast_2d(output_weights_batch),
     )
     batch = inputs_batch.shape[0]
     n_angles = _lowered(template).columns.size
@@ -486,19 +418,16 @@ def parameter_shift_grad(
     transform is active); an input appearing in several embedding segments
     accumulates all its shift terms.
     """
-    params, inputs = _check_args(template, params, inputs)
     if output_weights is None:
-        weights = np.zeros(template.n_qubits)
-        weights[0] = 1.0
-    else:
-        weights = np.asarray(output_weights, dtype=float)
-        if weights.shape != (template.n_qubits,):
-            raise ConfigurationError(
-                f"output_weights must have length {template.n_qubits}"
-            )
-    gp, gx = parameter_shift_grad_batch(
-        template, params, inputs[None, :], weights[None, :]
+        output_weights = np.zeros(template.n_qubits)
+        output_weights[0] = 1.0
+    params, row, weights = _check_batch_args(
+        template,
+        params,
+        np.asarray(inputs, dtype=float)[None],
+        np.asarray(output_weights, dtype=float)[None],
     )
+    gp, gx = parameter_shift_grad_batch(template, params, row, weights)
     return gp[0], gx[0]
 
 

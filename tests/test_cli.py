@@ -140,6 +140,39 @@ class TestSynthAndPrepare:
         assert "config error" in err
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_reference_hour_is_dropped(
+        self, tmp_path, capsys, monkeypatch, bad
+    ):
+        monkeypatch.delenv("QSCALE_SEED", raising=False)
+        raw = tmp_path / "raw"
+        code, _, _ = run(capsys, "synth", "--seed", "3", "--hours", "72", "--out", str(raw))
+        assert code == 0
+        lines = (raw / "reference.csv").read_text().splitlines()
+        stamp = lines[30].split(",")[0]
+        lines[30] = f"{stamp},{bad}"
+        reference = tmp_path / "reference.csv"
+        reference.write_text("\n".join(lines) + "\n")
+
+        def prepare(reference_path, out):
+            code, _, err = run(
+                capsys,
+                "prepare",
+                "--sensors", str(raw / "sensors.csv"),
+                "--reference", str(reference_path),
+                "--out", str(out),
+            )
+            assert code == 0, err
+            return json.loads((out / "manifest.json").read_text())["settings"]
+
+        clean = prepare(raw / "reference.csv", tmp_path / "clean")
+        holed = prepare(reference, tmp_path / "holed")
+        assert holed["n_hours"] == clean["n_hours"] - 1
+        assert holed["dropped_rows"] == clean["dropped_rows"] + 1
+        assert stamp in (tmp_path / "clean" / "dataset.csv").read_text()
+        assert stamp not in (tmp_path / "holed" / "dataset.csv").read_text()
+
+
 class TestTrainPredict:
     def test_train_smoke(self, tmp_path, capsys, campaign):
         out = tmp_path / "run"
@@ -418,6 +451,60 @@ class TestCheckpointFuzz:
                 assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
 
         mutate_and_predict()
+
+
+REFERENCE_MUTATIONS = ("empty", "text", "nan", "repeat-hour", "off-hour", "columns")
+
+
+class TestReferenceFuzz:
+    def test_mutated_reference_never_tracebacks(self, tmp_path, capsys, monkeypatch):
+        """Mutating cells of a valid reference.csv ends prepare with exit 0,
+        or exit 1 and a typed error prefix."""
+        monkeypatch.delenv("QSCALE_SEED", raising=False)
+        raw = tmp_path / "raw"
+        code, _, _ = run(capsys, "synth", "--seed", "4", "--hours", "48", "--out", str(raw))
+        assert code == 0
+        header, *valid = (raw / "reference.csv").read_text().splitlines()
+        reference = tmp_path / "reference.csv"
+        rows = st.integers(0, len(valid) - 1)
+        mutation = st.tuples(
+            st.sampled_from(REFERENCE_MUTATIONS), rows, st.integers(0, 1), rows
+        )
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.lists(mutation, min_size=1, max_size=3))
+        def mutate_and_prepare(mutations):
+            cells = [line.split(",") for line in valid]
+            widths = [2] * len(cells)
+            for kind, row, column, other in mutations:
+                if kind == "empty":
+                    cells[row][column] = ""
+                elif kind == "text":
+                    cells[row][column] = "abc"
+                elif kind == "nan":
+                    cells[row][1] = "nan"
+                elif kind == "repeat-hour":
+                    cells[row][0] = cells[other][0]
+                elif kind == "off-hour":
+                    stamp = data.parse_timestamp(valid[row].split(",")[0])
+                    cells[row][0] = data.format_timestamp(stamp + 60 * (other + 1))
+                else:
+                    widths[row] = 3 if column else 1
+            body = [",".join((row + ["1.0"])[:w]) for row, w in zip(cells, widths)]
+            reference.write_text("\n".join([header, *body]) + "\n")
+            code, _, err = run(
+                capsys,
+                "prepare",
+                "--sensors", str(raw / "sensors.csv"),
+                "--reference", str(reference),
+                "--out", str(tmp_path / "o"),
+            )
+            assert "Traceback" not in err
+            assert code in (0, 1)
+            if code == 1:
+                assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
+
+        mutate_and_prepare()
 
 
 class TestBenchmark:

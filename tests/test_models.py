@@ -606,7 +606,7 @@ class TestCheckpoints:
         payload = json.loads(path.read_text())
         payload["arrays"]["mystery.weights"] = {"shape": [1], "values": [0.0]}
         path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DataError, match="mystery.weights"):
             models.load_model(path)
 
     @pytest.mark.parametrize(

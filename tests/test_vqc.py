@@ -1,4 +1,5 @@
-"""Circuit templates and parameter-shift gradients against finite differences."""
+"""Circuit templates against a dense-matrix oracle, and parameter-shift
+gradients against finite differences."""
 
 import math
 
@@ -8,13 +9,12 @@ import pytest
 import _oracles as oracle
 from qscale.errors import ConfigurationError
 from qscale import vqc
+from qscale.sim import GateSpec
 from qscale.vqc import (
     Ansatz,
     CircuitTemplate,
     Embedding,
-    build_angle_embedding,
-    build_ring_rx_ansatz,
-    build_strongly_entangling,
+    ansatz_param_count,
     evaluate,
     init_params,
     linear_vqr_template,
@@ -24,7 +24,6 @@ from qscale.vqc import (
     parameter_shift_grad_batch,
     ring_rx_template,
     template_from_dict,
-    template_gates,
     template_to_dict,
 )
 
@@ -40,72 +39,110 @@ def random_template(rng, max_qubits=4, max_layers=3):
     return ring_rx_template(n, layers)
 
 
+def reference_gates(template, params, inputs):
+    """The template's gate sequence written out from the ansatz definitions
+    in the ``vqc`` module docstring, without the package's op table."""
+    n = template.n_qubits
+    gates = []
+    for seg in template.segments:
+        if isinstance(seg, Embedding):
+            x = np.arctan(inputs) if seg.transform == "arctan" else inputs
+            for q, slot in enumerate(seg.feature_slots):
+                gates.append(GateSpec("R" + seg.axis, q, angle=x[slot]))
+            continue
+        theta = iter(params[seg.param_slots[0] : seg.param_slots[1]])
+        entangling = seg.kind == "strongly_entangling"
+        for layer in range(seg.n_layers):
+            for q in range(n):
+                for kind in ("RZ", "RY", "RZ") if entangling else ("RX",):
+                    gates.append(GateSpec(kind, q, angle=next(theta)))
+            if n >= 2:
+                reach = layer % (n - 1) + 1 if entangling else 1
+                gates += [GateSpec("CNOT", (q + reach) % n, control=q) for q in range(n)]
+    return gates
+
+
+def ansatz_ops(kind, n_qubits, n_layers):
+    """The lowered ops of a template holding one ansatz and nothing else."""
+    total = ansatz_param_count(kind, n_qubits, n_layers)
+    template = CircuitTemplate(n_qubits, 0, (Ansatz(kind, n_layers, (0, total)),))
+    return vqc._lowered(template).ops
+
+
+def cnot_pairs(ops):
+    return [(a, b) for kind, a, b in ops if kind == "CNOT"]
+
+
 class TestBuilders:
+    """The structure of the lowered op table, per segment kind."""
+
     def test_embedding_angles(self):
-        gates = build_angle_embedding([0.1, -0.4], axis="Y")
-        assert [g.kind for g in gates] == ["RY", "RY"]
-        assert [g.target for g in gates] == [0, 1]
-        assert gates[0].angle == pytest.approx(0.1)
+        t = CircuitTemplate(2, 2, (Embedding("Y", (0, 1), "identity"),))
+        assert vqc._lowered(t).ops == (("RY", 0, 0), ("RY", 1, 1))
+        angles = vqc._angle_table(t, np.zeros(0), np.array([0.1, -0.4]))
+        np.testing.assert_array_equal(angles, [0.1, -0.4])
 
     def test_embedding_arctan(self):
-        gates = build_angle_embedding([1.0], axis="X", transform="arctan")
-        assert gates[0].angle == pytest.approx(math.pi / 4)
+        t = CircuitTemplate(1, 1, (Embedding("X", (0,), "arctan"),))
+        assert vqc._lowered(t).ops == (("RX", 0, 0),)
+        angles = vqc._angle_table(t, np.zeros(0), np.array([1.0]))
+        assert angles[0] == pytest.approx(math.pi / 4)
 
     def test_embedding_too_many_features(self):
+        payload = template_to_dict(linear_vqr_template(2, 1))
+        payload["segments"][0]["feature_slots"] = [0, 1, 1]
         with pytest.raises(ConfigurationError):
-            build_angle_embedding([0.1, 0.2, 0.3], n_qubits=2)
+            template_from_dict(payload)
 
     def test_strongly_entangling_counts(self):
-        gates = build_strongly_entangling(4, 2, np.zeros(24))
-        rotations = [g for g in gates if g.kind != "CNOT"]
-        cnots = [g for g in gates if g.kind == "CNOT"]
+        ops = ansatz_ops("strongly_entangling", 4, 2)
+        rotations = [op for op in ops if op[0] != "CNOT"]
         assert len(rotations) == 24
-        assert len(cnots) == 8
-        assert [g.kind for g in rotations[:3]] == ["RZ", "RY", "RZ"]
+        assert len(cnot_pairs(ops)) == 8
+        assert [op[0] for op in rotations[:3]] == ["RZ", "RY", "RZ"]
+        # per layer, each qubit's triple in turn, reading the params in order
+        assert [op[1] for op in rotations] == 2 * [q for q in range(4) for _ in range(3)]
+        assert [op[2] for op in rotations] == list(range(24))
 
     def test_strongly_entangling_reach_grows_with_layer(self):
-        gates = build_strongly_entangling(4, 3, np.zeros(36))
-        cnots = [g for g in gates if g.kind == "CNOT"]
+        pairs = cnot_pairs(ansatz_ops("strongly_entangling", 4, 3))
         # layer l uses reach (l mod 3) + 1 on 4 qubits
-        reaches = [(g.target - g.control) % 4 for g in cnots]
+        reaches = [(target - control) % 4 for control, target in pairs]
         assert reaches == [1] * 4 + [2] * 4 + [3] * 4
 
     def test_strongly_entangling_single_qubit_has_no_cnots(self):
-        gates = build_strongly_entangling(1, 1, np.zeros(3))
-        assert [g.kind for g in gates] == ["RZ", "RY", "RZ"]
+        ops = ansatz_ops("strongly_entangling", 1, 1)
+        assert [op[0] for op in ops] == ["RZ", "RY", "RZ"]
 
     def test_strongly_entangling_zero_params_is_cnot_pair(self):
-        gates = build_strongly_entangling(2, 1, np.zeros(6))
-        cnots = [g for g in gates if g.kind == "CNOT"]
-        assert [(g.control, g.target) for g in cnots] == [(0, 1), (1, 0)]
-        # rotations at angle zero: the circuit acts as the CNOT pair alone
-        state = np.array([0.5, 0.5, 0.5, 0.5])  # uniform probe, q0+q1 basis
-        from qscale.sim import StateVector, apply_circuit
-
-        probe = StateVector(2, np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-        got = apply_circuit(probe, gates).amplitudes
-        want = oracle.cnot_operator(2, 1, 0) @ (
-            oracle.cnot_operator(2, 0, 1) @ probe.amplitudes
-        )
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert cnot_pairs(ansatz_ops("strongly_entangling", 2, 1)) == [(0, 1), (1, 0)]
+        # rotations at angle zero: after the embedding, the circuit acts as
+        # the CNOT pair alone
+        t = linear_vqr_template(2, 1, transform="identity")
+        inputs = np.array([0.7, -1.1])
+        state = np.zeros(4, dtype=complex)
+        state[0] = 1.0
+        for q, x in enumerate(inputs):
+            state = oracle.single_qubit_operator(2, q, oracle.ry_matrix(x)) @ state
+        state = oracle.cnot_operator(2, 1, 0) @ (oracle.cnot_operator(2, 0, 1) @ state)
+        want = [oracle.dense_expectation_z(state, 2, q) for q in range(2)]
+        np.testing.assert_allclose(evaluate(t, np.zeros(6), inputs), want, atol=1e-12)
 
     def test_ring_rx_counts(self):
-        gates = build_ring_rx_ansatz(5, 7, np.zeros(35))
-        assert sum(g.kind == "RX" for g in gates) == 35
-        assert sum(g.kind == "CNOT" for g in gates) == 35
+        ops = ansatz_ops("ring_rx", 5, 7)
+        assert sum(op[0] == "RX" for op in ops) == 35
+        assert len(cnot_pairs(ops)) == 35
 
     def test_ring_rx_two_qubit_ring(self):
-        gates = build_ring_rx_ansatz(2, 1, np.zeros(2))
-        cnots = [g for g in gates if g.kind == "CNOT"]
-        assert [(g.control, g.target) for g in cnots] == [(0, 1), (1, 0)]
+        assert cnot_pairs(ansatz_ops("ring_rx", 2, 1)) == [(0, 1), (1, 0)]
 
     def test_ring_rx_param_count_mismatch(self):
         with pytest.raises(ConfigurationError):
-            build_ring_rx_ansatz(3, 2, np.zeros(5))
+            CircuitTemplate(3, 3, (Ansatz("ring_rx", 2, (0, 5)),))
 
     def test_strongly_entangling_param_count_mismatch(self):
         with pytest.raises(ConfigurationError):
-            build_strongly_entangling(3, 1, np.zeros(8))
+            CircuitTemplate(3, 3, (Ansatz("strongly_entangling", 1, (0, 8)),))
 
 
 class TestTemplateValidation:
@@ -141,7 +178,10 @@ class TestTemplateValidation:
         b = linear_vqr_template(3, 1)
         params = np.linspace(0.1, 0.9, 9)
         inputs = np.array([0.2, -0.5, 0.8])
-        assert template_gates(a, params, inputs) == template_gates(b, params, inputs)
+        assert vqc._lowered(a).ops == vqc._lowered(b).ops
+        np.testing.assert_array_equal(
+            vqc._angle_table(a, params, inputs), vqc._angle_table(b, params, inputs)
+        )
 
 
 class TestEvaluate:
@@ -176,29 +216,27 @@ class TestEvaluate:
         b = evaluate(t, params, inputs)
         np.testing.assert_array_equal(a, b)
 
-    def test_batched_rows_match_single_evaluation(self):
-        """The internal batched evaluator must agree with the public path."""
+    def test_matches_dense_oracle(self):
+        """evaluate against dense matrices applied to the gate sequence the
+        ansatz definitions give."""
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            t = random_template(rng)
+        worst = 0.0
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            layers = int(rng.integers(1, 4))
+            axis = str(rng.choice(["X", "Y"]))
+            transform = str(rng.choice(["identity", "arctan"]))
+            t = [
+                linear_vqr_template(n, layers, axis, transform),
+                nonlinear_vqr_template(n, layers, axis, transform),
+                ring_rx_template(n, layers, transform),
+            ][rng.integers(3)]
             params = init_params(t, rng)
             inputs = rng.uniform(-2, 2, t.input_dim)
-            single = evaluate(t, params, inputs)
-            rows, _ = vqc._run_rows(t, vqc._angle_table(t, params, inputs)[None, :])
-            np.testing.assert_array_equal(rows[0], single)
-
-
-    def test_lowered_gates_match_builders(self):
-        t = nonlinear_vqr_template(3, 2, axis="X", transform="arctan")
-        rng = np.random.default_rng(13)
-        params = init_params(t, rng)
-        inputs = rng.uniform(-2, 2, 3)
-        per = params.size // 2
-        expected = []
-        for layer in range(2):
-            expected += build_angle_embedding(inputs, "X", "arctan")
-            expected += build_strongly_entangling(3, 1, params[layer * per : (layer + 1) * per])
-        assert template_gates(t, params, inputs) == expected
+            state = oracle.dense_run(n, reference_gates(t, params, inputs))
+            want = [oracle.dense_expectation_z(state, n, q) for q in range(n)]
+            worst = max(worst, float(np.max(np.abs(evaluate(t, params, inputs) - want))))
+        assert worst <= 1e-10
 
     def test_angle_table_rows_match_single_rows(self):
         rng = np.random.default_rng(14)
@@ -390,8 +428,10 @@ class TestSerialization:
             assert clone == t
             params = init_params(t, np.random.default_rng(0))
             inputs = np.zeros(t.input_dim)
-            assert template_gates(clone, params, inputs) == template_gates(
-                t, params, inputs
+            assert vqc._lowered(clone).ops == vqc._lowered(t).ops
+            np.testing.assert_array_equal(
+                vqc._angle_table(clone, params, inputs),
+                vqc._angle_table(t, params, inputs),
             )
 
     def test_json_serialisable(self):
