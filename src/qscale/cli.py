@@ -23,8 +23,6 @@ import numpy as np
 from . import __version__, data, experiments, models
 from .errors import ConfigurationError, DataError, TrainingDivergedError
 
-_CONFIG_FIELDS = set(models.TrainConfig.__dataclass_fields__)
-
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
@@ -46,7 +44,7 @@ def _read_json(path_str: str, what: str) -> dict:
         raise DataError(f"{what} file not found: {path}")
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigurationError(f"{what} file {path} is not valid JSON: {err}")
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{what} file {path} must hold a JSON object")
@@ -60,21 +58,10 @@ def _load_dataset(path_str: str) -> data.CalibrationDataset:
     return data.dataset_from_csv(path)
 
 
-def _split_settings(payload: dict) -> tuple[dict, dict]:
-    """Split a flat settings dict into TrainConfig fields and model options."""
-    config = {k: v for k, v in payload.items() if k in _CONFIG_FIELDS}
-    options = {k: v for k, v in payload.items() if k not in _CONFIG_FIELDS}
-    if "features" in options:
-        options["features"] = tuple(options["features"])
-    if "hidden_sizes" in options:
-        options["hidden_sizes"] = tuple(options["hidden_sizes"])
-    return config, options
-
-
 def _gather_settings(args) -> tuple[dict, dict]:
     """Config file first, then command-line overrides on top."""
     payload = _read_json(args.config, "config") if getattr(args, "config", None) else {}
-    config, options = _split_settings(payload)
+    config, options = models.split_settings(payload)
     for field, flag in (
         ("epochs", "epochs"),
         ("learning_rate", "learning_rate"),
@@ -206,11 +193,7 @@ def _cmd_train(args) -> int:
         f"({config.epochs} epochs), testing on {len(test_set)} hours"
     )
     model, history = models.fit_model(args.model, train_set, config, options)
-    sub = test_set.select_features(model.feature_names)
-    x, y, _ = data.make_windows(sub, config.window)
-    if y.size == 0:
-        raise DataError("test partition has no full windows; lower --window")
-    losses = models.evaluate_losses(model, x, y)
+    losses = experiments.score_holdout(model, test_set)
     models.save_model(model, out / "model.json")
     report = experiments.MetricsReport(
         model_kind=args.model,
@@ -347,14 +330,10 @@ def _cmd_grid_search(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
     dataset = _load_dataset(args.data)
-    grid_payload = _read_json(args.grid, "grid")
-    for axis, values in grid_payload.items():
+    grid = _read_json(args.grid, "grid")
+    for axis, values in grid.items():
         if not isinstance(values, list):
             raise ConfigurationError(f"grid axis {axis!r} must be a JSON list")
-    grid = {
-        axis: [tuple(v) if isinstance(v, list) else v for v in values]
-        for axis, values in grid_payload.items()
-    }
     config_fields, options = _gather_settings(args)
     seed = _resolve_seed(args, config_fields)
     config_fields["seed"] = seed
@@ -388,40 +367,51 @@ def _cmd_grid_search(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    payload = _read_json(args.report_file, "report")
+def _number(entry: dict, key: str) -> float:
+    if not isinstance(entry[key], (int, float)):
+        raise TypeError(f"{key} holds {entry[key]!r}, not a number")
+    return entry[key]
+
+
+def _losses_text(losses: dict) -> str:
+    return " ".join(f"{key}={_number(losses, key):.6g}" for key in ("l1", "mse", "rmse"))
+
+
+def _report_lines(payload: dict) -> list[str]:
+    """The summary of a report.json; a field qscale always writes that is
+    missing raises KeyError, one of the wrong type TypeError or ValueError."""
     lines = [
-        f"model: {payload.get('model_kind', '?')}",
-        f"schema: {payload.get('schema_version', '?')}",
-        f"seed: {payload.get('seed', '?')}",
-        f"trainable parameters: {payload.get('param_count', 'n/a')}",
+        f"model: {payload['model_kind']}",
+        f"schema: {payload['schema_version']}",
+        f"seed: {payload['seed']}",
+        f"trainable parameters: {payload['param_count']}",
     ]
-    for fold in payload.get("folds") or []:
+    for fold in payload["folds"] or []:
         if "error" in fold:
             lines.append(f"fold {fold['fold']}: FAILED ({fold['error']})")
         else:
-            lines.append(
-                f"fold {fold['fold']}: l1={fold['l1']:.6g} "
-                f"mse={fold['mse']:.6g} rmse={fold['rmse']:.6g}"
-            )
-    average = payload.get("fold_average")
-    if average:
-        lines.append(
-            f"fold average: l1={average['l1']:.6g} "
-            f"mse={average['mse']:.6g} rmse={average['rmse']:.6g}"
-        )
-    test_losses = payload.get("test_losses")
-    if test_losses:
-        lines.append(
-            f"test: l1={test_losses['l1']:.6g} "
-            f"mse={test_losses['mse']:.6g} rmse={test_losses['rmse']:.6g}"
-        )
-    bench = payload.get("benchmark")
+            lines.append(f"fold {fold['fold']}: {_losses_text(fold)}")
+    if payload["fold_average"]:
+        lines.append(f"fold average: {_losses_text(payload['fold_average'])}")
+    if payload["test_losses"]:
+        lines.append(f"test: {_losses_text(payload['test_losses'])}")
+    bench = payload["benchmark"]
     if bench:
         lines.append(
-            f"benchmark ({bench['loss_kind']}): mean={bench['mean']:.6g} "
-            f"std={bench['std']:.6g} full={bench['full_loss']:.6g}"
+            f"benchmark ({bench['loss_kind']}): mean={_number(bench, 'mean'):.6g} "
+            f"std={_number(bench, 'std'):.6g} full={_number(bench, 'full_loss'):.6g}"
         )
+    return lines
+
+
+def _cmd_report(args) -> int:
+    payload = _read_json(args.report_file, "report")
+    try:
+        lines = _report_lines(payload)
+    except KeyError as err:
+        raise DataError(f"report {args.report_file} lacks field {err}") from err
+    except (TypeError, ValueError, OverflowError) as err:
+        raise DataError(f"report {args.report_file} has a malformed field: {err}") from err
     print("\n".join(lines))
     return 0
 

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class CalibrationDataset:
 def _read_csv_rows(path: Path, expected_header: tuple[str, ...]) -> list[list[str]]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     try:
@@ -168,12 +168,6 @@ def _read_csv_rows(path: Path, expected_header: tuple[str, ...]) -> list[list[st
             f"got {','.join(header)!r}"
         )
     return list(reader)
-
-
-def _row_error(path, body: list[list[str]], row: list[str], err: ValueError) -> DataError:
-    """``path:line`` error for the failed ``row``: every earlier row parsed, so the
-    first equal row is it (line 1 is the header), and the loops need no counter."""
-    return DataError(f"{path}:{body.index(row) + 2}: {err}")
 
 
 def ingest(paths: Sequence[str | Path]) -> IngestResult:
@@ -202,24 +196,26 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
 
 
 def load_reference(path: str | Path) -> Series:
-    """Load the hourly reference-instrument CSV."""
+    """Load the hourly reference-instrument CSV; a bad cell or an off-hour
+    stamp is a ``DataError`` naming ``path:line``."""
     body = _read_csv_rows(Path(path), REFERENCE_HEADER)
     stamps: list[int] = []
     values: list[float] = []
     try:
-        for row in body:
+        for line, row in enumerate(body, 2):  # line 1 is the header
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 2:
                 raise DataError(f"reference row needs 2 columns, got {row}")
-            stamps.append(parse_timestamp(row[0]))
+            stamp = parse_timestamp(row[0])
+            if stamp % HOUR:
+                raise DataError(f"reference stamp {row[0].strip()} is not on the hour")
+            stamps.append(stamp)
             values.append(float(row[1]))
     except ValueError as err:
-        raise _row_error(path, body, row, err) from err
+        raise DataError(f"{path}:{line}: {err}") from err
     order = np.argsort(stamps, kind="stable")
     ts = np.asarray(stamps, dtype=np.int64)[order]
-    if np.any(ts % HOUR != 0):
-        raise DataError(f"{path}: reference timestamps must be on the hour")
     repeated = ts[1:][np.diff(ts) == 0]
     if repeated.size:
         raise DataError(f"{path}: reference hour {format_timestamp(repeated[0])} repeats")
@@ -473,8 +469,13 @@ def chronological_split(
 # cached-dataset CSV round trip
 
 
+def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the header row, then each already-joined line."""
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
+
+
 def dataset_to_csv(dataset: CalibrationDataset, path: str | Path) -> None:
-    rows = [",".join(DATASET_HEADER)]
+    lines = []
     name_to_col = {n: i for i, n in enumerate(dataset.feature_names)}
     for r in range(len(dataset)):
         cells = [format_timestamp(dataset.timestamps[r])]
@@ -484,23 +485,33 @@ def dataset_to_csv(dataset: CalibrationDataset, path: str | Path) -> None:
             else:
                 cells.append("")
         cells.append(repr(float(dataset.target[r])))
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n")
+        lines.append(",".join(cells))
+    _write_csv(path, DATASET_HEADER, lines)
 
 
 def dataset_from_csv(path: str | Path) -> CalibrationDataset:
+    """Read a ``dataset_to_csv`` file; a bad cell, or a stamp off the hour
+    grid or not after the row before, is a ``DataError`` naming ``path:line``."""
     body = _read_csv_rows(Path(path), DATASET_HEADER)
     stamps: list[int] = []
     rows: list[list[float]] = []
     targets: list[float] = []
     present: Optional[list[bool]] = None
     try:
-        for row in body:
+        for line, row in enumerate(body, 2):  # line 1 is the header
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(DATASET_HEADER):
                 raise DataError(f"dataset row has {len(row)} columns")
-            stamps.append(parse_timestamp(row[0]))
+            stamp = parse_timestamp(row[0])
+            if stamp % HOUR:
+                raise DataError(f"timestamp {row[0].strip()} is not on the hour")
+            if stamps and stamp <= stamps[-1]:
+                raise DataError(
+                    f"timestamp {row[0].strip()} does not follow "
+                    f"{format_timestamp(stamps[-1])}"
+                )
+            stamps.append(stamp)
             cells = row[1:5]
             flags = [bool(c.strip()) for c in cells]
             if present is None:
@@ -510,7 +521,7 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
             rows.append([float(c) for c, ok in zip(cells, flags) if ok])
             targets.append(float(row[5]))
     except ValueError as err:
-        raise _row_error(path, body, row, err) from err
+        raise DataError(f"{path}:{line}: {err}") from err
     if not stamps:
         raise DataError(f"{path}: dataset file holds no rows")
     names = tuple(n for n, ok in zip(FEATURE_COLUMNS, present) if ok)
@@ -523,19 +534,15 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
 
 
 def predictions_to_csv(rows: Sequence[dict], path: str | Path) -> None:
-    lines = [",".join(PREDICTIONS_HEADER)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    format_timestamp(row["timestamp"]),
-                    repr(float(row["raw_pm25"])),
-                    repr(float(row["calibrated_pm25"])),
-                    repr(float(row["reference_pm25"])),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        PREDICTIONS_HEADER,
+        (
+            f"{format_timestamp(row['timestamp'])},{float(row['raw_pm25'])!r},"
+            f"{float(row['calibrated_pm25'])!r},{float(row['reference_pm25'])!r}"
+            for row in rows
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -671,20 +678,24 @@ def write_campaign(campaign: SyntheticCampaign, out_dir: str | Path) -> dict[str
     """Write sensors.csv / reference.csv in the ingest schemas."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sensors_path = out / "sensors.csv"
-    lines = [",".join(RAW_HEADER)]
-    for s in campaign.samples:
-        lines.append(
+    paths = {"sensors": out / "sensors.csv", "reference": out / "reference.csv"}
+    _write_csv(
+        paths["sensors"],
+        RAW_HEADER,
+        (
             f"{format_timestamp(s.timestamp)},{s.sensor_id},{s.quantity},{s.value!r}"
-        )
-    sensors_path.write_text("\n".join(lines) + "\n")
-
-    reference_path = out / "reference.csv"
-    lines = [",".join(REFERENCE_HEADER)]
-    for t, v in zip(campaign.reference.timestamps, campaign.reference.values):
-        lines.append(f"{format_timestamp(t)},{float(v)!r}")
-    reference_path.write_text("\n".join(lines) + "\n")
-    return {"sensors": sensors_path, "reference": reference_path}
+            for s in campaign.samples
+        ),
+    )
+    _write_csv(
+        paths["reference"],
+        REFERENCE_HEADER,
+        (
+            f"{format_timestamp(t)},{float(v)!r}"
+            for t, v in zip(campaign.reference.timestamps, campaign.reference.values)
+        ),
+    )
+    return paths
 
 
 def prepare_dataset(

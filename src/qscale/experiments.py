@@ -91,6 +91,16 @@ def make_folds(n: int, spec: FoldSpec) -> list[np.ndarray]:
 # cross-validation
 
 
+def score_holdout(model, test_set: CalibrationDataset) -> dict[str, float]:
+    """L1/MSE/RMSE of a fitted model on the windows of held-out hours."""
+    x, y, _ = make_windows(test_set.select_features(model.feature_names), model.window)
+    if y.size == 0:
+        raise DataError(
+            f"the {len(test_set)} held-out hours hold no {model.window}-hour window"
+        )
+    return models.evaluate_losses(model, x, y)
+
+
 def _evaluate_on_fold(
     kind: str,
     dataset: CalibrationDataset,
@@ -117,13 +127,7 @@ def _evaluate_on_fold(
     except TrainingDivergedError as err:
         entry["error"] = str(err)
         return entry
-    sub = test_set.select_features(model.feature_names)
-    x, y, _ = make_windows(sub, config.window)
-    if y.size == 0:
-        raise DataError(
-            f"fold {fold_index} is too short for {config.window}-hour windows"
-        )
-    entry.update(models.evaluate_losses(model, x, y))
+    entry.update(score_holdout(model, test_set))
     entry["final_train_loss"] = history[-1] if history else None
     entry["series"] = models.predictions_rows(model, test_set)
     entry["model"] = model
@@ -275,8 +279,6 @@ def grid_size(grid: dict[str, Sequence]) -> int:
         size *= len(values)
     return size
 
-_CONFIG_AXES = set(TrainConfig.__dataclass_fields__)
-
 
 def grid_points(grid: dict[str, Sequence]) -> list[dict]:
     """Cartesian product in deterministic (sorted-axis) order."""
@@ -311,21 +313,13 @@ def grid_search(
     entries: list[dict] = []
     for index, overrides in enumerate(grid_points(grid)):
         entry: dict = {"index": index, "params": models._jsonable(overrides)}
-        cfg_fields = {k: v for k, v in overrides.items() if k in _CONFIG_AXES}
-        opt_fields = {k: v for k, v in overrides.items() if k not in _CONFIG_AXES}
-        merged_options = dict(options or {})
-        merged_options.update(opt_fields)
-        payload = models.config_to_dict(base)
-        payload.update(cfg_fields)
-        payload["seed"] = int(seed)
+        config_fields, option_fields = models.split_settings(overrides)
         try:
-            config = models.TrainConfig(**payload)
-            model, history = models.fit_model(kind, train_set, config, merged_options)
-            sub = test_set.select_features(model.feature_names)
-            x, y, _ = make_windows(sub, config.window)
-            if y.size == 0:
-                raise DataError("test partition has no full windows")
-            entry.update(models.evaluate_losses(model, x, y))
+            config = replace(base, **{**config_fields, "seed": int(seed)})
+            model, history = models.fit_model(
+                kind, train_set, config, {**(options or {}), **option_fields}
+            )
+            entry.update(score_holdout(model, test_set))
             entry["final_train_loss"] = history[-1] if history else None
         except (ConfigurationError, DataError, TrainingDivergedError) as err:
             entry["error"] = f"{type(err).__name__}: {err}"
@@ -392,9 +386,6 @@ class MetricsReport:
     benchmark: Optional[dict] = None
     series: list[dict] = field(default_factory=list)
     train_history: Optional[list[float]] = None
-    # measured wall time is kept out of the serialized report so reruns with
-    # an identical manifest stay byte-identical; the CLI manifest records it
-    wall_time_s: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
@@ -417,10 +408,6 @@ class MetricsReport:
         return not (
             self.folds or self.test_losses or self.benchmark or self.series
         )
-
-
-def report_from_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def emit_report(report: MetricsReport, directory: str | Path) -> dict[str, Path]:

@@ -347,15 +347,6 @@ class VQRModel(_ModelBase):
     def param_arrays(self):
         return [("quantum.angles", self.params)]
 
-    def predict_one(self, features: Sequence[float]) -> float:
-        """Calibrate a single raw feature vector."""
-        x = np.asarray(features, dtype=float)[None, None, :]
-        return float(self.predict(x)[0])
-
-    def raw_expectation(self, x_scaled_row: np.ndarray) -> float:
-        """Qubit-0 readout in [-1, 1] for one already-scaled feature vector."""
-        return float(vqc.evaluate(self.template, self.params, x_scaled_row)[0])
-
     def _predict_scaled(self, x_scaled):
         angles = vqc._angle_table(self.template, self.params, x_scaled[:, 0, :])
         return vqc._run_rows(self.template, angles)[0][:, 0]
@@ -381,7 +372,8 @@ class QLSTMModel(_ModelBase):
 
     One linear map (``fc_in``) compresses [h_prev, x_t] to one angle per
     qubit; circuits 1-4 drive the forget/input/update/output gates through
-    a shared expansion (``fc_out``) back to the hidden size; a dedicated
+    a shared expansion (``fc_out``) back to the hidden size, and
+    ``nn.lstm_gates`` turns them into the cell update; a dedicated
     projection feeds circuits 5-6, which produce the next hidden state and
     the per-step prediction.
 
@@ -495,12 +487,7 @@ class QLSTMModel(_ModelBase):
         v = concat @ self.fc_in.weights.T + self.fc_in.bias
         gate_angles, e, gate_states = self._run_circuits(slice(0, 4), v)
         weights, bias = self._fc_out_stack(slice(0, 4))
-        z = e @ weights.transpose(0, 2, 1) + bias
-        f, i, o = nn.sigmoid(z[0]), nn.sigmoid(z[1]), nn.sigmoid(z[3])
-        g = np.tanh(z[2])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        u = o * tc
+        u, c, gates = nn.lstm_gates(e @ weights.transpose(0, 2, 1) + bias, c_prev)
         w = u @ self.proj.weights.T + self.proj.bias
         out_angles, e_out, out_states = self._run_circuits(slice(4, 6), w)
         weights, bias = self._fc_out_stack(slice(4, 6))
@@ -512,12 +499,7 @@ class QLSTMModel(_ModelBase):
             "e": e,
             "gate_angles": gate_angles,
             "gate_states": gate_states,
-            "f": f,
-            "i": i,
-            "g": g,
-            "o": o,
-            "c_prev": c_prev,
-            "tc": tc,
+            "gates": gates,
             "u": u,
             "w": w,
             "e_out": e_out,
@@ -600,17 +582,8 @@ class QLSTMModel(_ModelBase):
             accum["projection.bias"] += dw.sum(axis=0)
             du = dw @ self.proj.weights
 
-            f, i, g, o, tc = (cache[key] for key in ("f", "i", "g", "o", "tc"))
-            do = du * tc
-            dc = dc + du * o * (1.0 - tc**2)
-            dz = np.stack(
-                [
-                    dc * cache["c_prev"] * f * (1.0 - f),
-                    dc * g * i * (1.0 - i),
-                    dc * i * (1.0 - g**2),
-                    do * o * (1.0 - o),
-                ]
-            )
+            dz, dc = nn.lstm_gates_backward(cache["gates"], du, dc)
+            dz = np.stack(dz)
             grad_fc_w[:4] += dz.transpose(0, 2, 1) @ cache["e"]
             grad_fc_b[:4] += dz.sum(axis=1)
             dv = self._circuits_backward(
@@ -624,7 +597,6 @@ class QLSTMModel(_ModelBase):
             accum["fc_in.weights"] += dv.T @ cache["concat"]
             accum["fc_in.bias"] += dv.sum(axis=0)
             dh = (dv @ self.fc_in.weights)[:, :hidden]
-            dc = dc * f
 
         if len(self.fc_out) == 1:
             grad_fc_w, grad_fc_b = grad_fc_w.sum(axis=0)[None], grad_fc_b.sum(axis=0)[None]
@@ -654,10 +626,12 @@ def build_model(
     window: int = 1,
     seed: int = 0,
 ):
-    """Instantiate an untrained model of the given kind."""
-    if kind not in MODEL_KINDS:
-        raise ConfigurationError(f"unknown model kind {kind!r}")
+    """Instantiate an untrained model of the given kind; an option the kind
+    does not have is a ``ConfigurationError`` naming it."""
     opts = default_options(kind)
+    unknown = sorted(set(options or {}) - set(opts))
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} options {unknown}")
     opts.update(options or {})
     opts.pop("features", None)
     if kind == "ffnn":
@@ -666,7 +640,7 @@ def build_model(
             input_scaler,
             target_scaler,
             hidden_sizes=opts["hidden_sizes"],
-            activation=opts.get("activation", "tanh"),
+            activation=opts["activation"],
             seed=seed,
         )
     if kind == "lstm":
@@ -687,7 +661,7 @@ def build_model(
             n_qubits=opts["n_qubits"],
             n_layers=opts["n_layers"],
             architecture=opts["architecture"],
-            transform=opts.get("transform", "arctan"),
+            transform=opts["transform"],
             seed=seed,
         )
     return QLSTMModel(
@@ -698,7 +672,7 @@ def build_model(
         n_layers=opts["n_layers"],
         hidden_size=opts["hidden_size"],
         window=window,
-        shared_fc_out=opts.get("shared_fc_out", True),
+        shared_fc_out=opts["shared_fc_out"],
         seed=seed,
     )
 
@@ -767,7 +741,10 @@ def fit_model(kind: str, dataset, config: TrainConfig, options: Optional[dict] =
         raise ConfigurationError(f"{kind} uses single-hour inputs; set window=1")
     opts = default_options(kind)
     opts.update(options or {})
-    features = tuple(opts["features"])
+    try:
+        features = tuple(opts["features"])
+    except TypeError as err:
+        raise ConfigurationError(f"features must be a list of names: {err}") from err
     sub = dataset.select_features(features)
     from .data import fit_scaler, make_windows  # local import avoids a cycle
 
@@ -871,16 +848,13 @@ def load_model(path: str | Path):
             raise DataError(f"checkpoint {path}: {key} must be a JSON object")
     input_scaler = _checkpoint_scaler(path, payload, "input_scaler", len(names))
     target_scaler = _checkpoint_scaler(path, payload, "target_scaler", 1)
-    options = dict(payload["options"], features=tuple(names))
     try:
-        if "hidden_sizes" in options:
-            options["hidden_sizes"] = tuple(options["hidden_sizes"])
         model = build_model(
             payload["kind"],
             names,
             input_scaler,
             target_scaler,
-            options=options,
+            options=payload["options"],
             window=payload["window"],
         )
     except (TypeError, ValueError, OverflowError) as err:  # ConfigurationError too
@@ -943,11 +917,15 @@ def config_to_dict(config: TrainConfig) -> dict:
     return asdict(config)
 
 
+def split_settings(payload: dict) -> tuple[dict, dict]:
+    """Split flat settings into TrainConfig fields and model options."""
+    config = {k: v for k, v in payload.items() if k in TrainConfig.__dataclass_fields__}
+    return config, {k: v for k, v in payload.items() if k not in config}
+
+
 def config_from_dict(payload: dict, kind: Optional[str] = None) -> TrainConfig:
-    base = config_to_dict(default_config(kind)) if kind else {}
-    base.update(payload or {})
-    known = {f for f in TrainConfig.__dataclass_fields__}
-    unknown = set(base) - known
+    config, unknown = split_settings(payload or {})
     if unknown:
         raise ConfigurationError(f"unknown training fields {sorted(unknown)}")
-    return TrainConfig(**base)
+    base = config_to_dict(default_config(kind)) if kind else {}
+    return TrainConfig(**{**base, **config})

@@ -10,7 +10,11 @@ analytic gradients.  The LSTM follows the classic gate equations
     o_t = sigmoid(W_o . [h_prev, x_t] + b_o)
     h_t = o_t * tanh(c_t)
 
-with the hidden state concatenated before the input.  Weights initialise
+with the hidden state concatenated before the input.  ``lstm_gates`` and
+``lstm_gates_backward`` hold the gate update, from the four pre-activations
+to c_t and h_t, and its gradient.  The LSTM cell feeds them the linear maps
+above; the QLSTM cell in ``models`` feeds them maps of variational-circuit
+outputs instead (Chen, Yoo & Fang, arXiv:2009.01783).  Weights initialise
 uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a caller-provided
 generator, so a fixed seed reproduces training bit for bit.
 
@@ -180,39 +184,58 @@ def lstm_layer(rng: np.random.Generator, n_in: int, hidden: int) -> LSTMLayerPar
     return LSTMLayerParams(mat(), mat(), mat(), mat(), vec(), vec(), vec(), vec())
 
 
+def lstm_gates(
+    z: Sequence[np.ndarray], c_prev: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The gate update from the pre-activations z = (z_f, z_i, z_g, z_o),
+    each shaped like c_prev; returns (h, c, cache).  The cache is
+    (c_prev, f, i, g, o, tanh(c)) and feeds lstm_gates_backward."""
+    z_f, z_i, z_g, z_o = z
+    f, i, g, o = sigmoid(z_f), sigmoid(z_i), np.tanh(z_g), sigmoid(z_o)
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (c_prev, f, i, g, o, tc)
+
+
+def lstm_gates_backward(
+    cache: tuple, dh: np.ndarray, dc: np.ndarray
+) -> tuple[tuple, np.ndarray]:
+    """Gradients of the gate update for upstream dh and dc; returns
+    ((dz_f, dz_i, dz_g, dz_o), dc_prev)."""
+    c_prev, f, i, g, o, tc = cache
+    do = dh * tc
+    dc = dc + dh * o * (1.0 - tc**2)
+    dz = (
+        dc * c_prev * f * (1.0 - f),
+        dc * g * i * (1.0 - i),
+        dc * i * (1.0 - g**2),
+        do * o * (1.0 - o),
+    )
+    return dz, dc * f
+
+
 def lstm_cell_forward(
     layer: LSTMLayerParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """One step on x_t [B, n_in] and states h_prev, c_prev [B, hidden], or on
     one sample's 1-D arrays; returns (h, c, cache)."""
     concat = np.concatenate([h_prev, x_t], axis=-1)
-    f = sigmoid(concat @ layer.w_f.T + layer.b_f)
-    i = sigmoid(concat @ layer.w_i.T + layer.b_i)
-    g = np.tanh(concat @ layer.w_c.T + layer.b_c)
-    o = sigmoid(concat @ layer.w_o.T + layer.b_o)
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = (concat, c_prev, f, i, g, o, tc)
-    return h, c, cache
+    z = (
+        concat @ layer.w_f.T + layer.b_f,
+        concat @ layer.w_i.T + layer.b_i,
+        concat @ layer.w_c.T + layer.b_c,
+        concat @ layer.w_o.T + layer.b_o,
+    )
+    h, c, gates = lstm_gates(z, c_prev)
+    return h, c, (concat, gates)
 
 
 def lstm_cell_backward(
     layer: LSTMLayerParams, cache: tuple, dh: np.ndarray, dc: np.ndarray
 ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (param grads summed over the batch, dx, dh_prev, dc_prev)."""
-    concat, c_prev, f, i, g, o, tc = cache
-    hidden = f.shape[-1]
-    do = dh * tc
-    dc = dc + dh * o * (1.0 - tc**2)
-    df = dc * c_prev
-    di = dc * g
-    dg = dc * i
-    dc_prev = dc * f
-    dz_f = df * f * (1.0 - f)
-    dz_i = di * i * (1.0 - i)
-    dz_g = dg * (1.0 - g**2)
-    dz_o = do * o * (1.0 - o)
+    concat, gates = cache
+    (dz_f, dz_i, dz_g, dz_o), dc_prev = lstm_gates_backward(gates, dh, dc)
     grads = {
         "w_f": _outer_sum(dz_f, concat),
         "w_i": _outer_sum(dz_i, concat),
@@ -224,6 +247,7 @@ def lstm_cell_backward(
         "b_o": _batch_sum(dz_o),
     }
     dconcat = dz_f @ layer.w_f + dz_i @ layer.w_i + dz_g @ layer.w_c + dz_o @ layer.w_o
+    hidden = layer.hidden_size
     return grads, dconcat[..., hidden:], dconcat[..., :hidden], dc_prev
 
 

@@ -30,6 +30,9 @@ circuit on its own.  The table is the only form in which a template runs:
 :func:`evaluate` runs one circuit as a one-row batch of it, and the
 parameter-shift and adjoint gradients run their shifted circuits and
 backward sweeps over its rows.
+
+Templates have no file format of their own: a checkpoint stores a model's
+options, and the model rebuilds its template from them.
 """
 
 from __future__ import annotations
@@ -483,50 +486,3 @@ def init_params(template: CircuitTemplate, rng: np.random.Generator) -> np.ndarr
     """Trainable angles drawn uniformly from [0, 2*pi)."""
     return rng.uniform(0.0, 2.0 * math.pi, template.total_params)
 
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def template_to_dict(template: CircuitTemplate) -> dict:
-    segments = []
-    for seg in template.segments:
-        if isinstance(seg, Embedding):
-            segments.append(
-                {
-                    "type": "embedding",
-                    "axis": seg.axis,
-                    "feature_slots": list(seg.feature_slots),
-                    "transform": seg.transform,
-                }
-            )
-        else:
-            segments.append(
-                {
-                    "type": "ansatz",
-                    "kind": seg.kind,
-                    "n_layers": seg.n_layers,
-                    "param_slots": list(seg.param_slots),
-                }
-            )
-    return {
-        "n_qubits": template.n_qubits,
-        "input_dim": template.input_dim,
-        "segments": segments,
-    }
-
-
-def template_from_dict(payload: dict) -> CircuitTemplate:
-    segments: list[Segment] = []
-    for seg in payload["segments"]:
-        if seg["type"] == "embedding":
-            segments.append(
-                Embedding(seg["axis"], tuple(seg["feature_slots"]), seg["transform"])
-            )
-        elif seg["type"] == "ansatz":
-            segments.append(
-                Ansatz(seg["kind"], seg["n_layers"], tuple(seg["param_slots"]))
-            )
-        else:
-            raise ConfigurationError(f"unknown segment type {seg['type']!r}")
-    return CircuitTemplate(payload["n_qubits"], payload["input_dim"], tuple(segments))

@@ -240,6 +240,58 @@ class TestTrainPredict:
         assert report["options"]["hidden_sizes"] == [4]
         assert report["options"]["features"] == ["pm25", "temp"]
 
+    @pytest.mark.parametrize(
+        "settings,named",
+        [
+            ({"hiden_sizes": [3]}, "hiden_sizes"),
+            ({"epoch": 3}, "epoch"),
+            ({"features": 5}, "features"),
+        ],
+    )
+    def test_bad_option_in_config_is_config_error(
+        self, tmp_path, capsys, campaign, settings, named
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code, _, err = run(
+            capsys,
+            "train",
+            "--model", "ffnn",
+            "--data", str(campaign),
+            "--config", str(cfg),
+            "--epochs", "1",
+            "--out", str(tmp_path / "bad"),
+        )
+        assert code == 1
+        assert err.splitlines()[-1].startswith("config error:")
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("train", "--config"),
+            ("grid-search", "--grid"),
+            ("synth", "--profile"),
+            ("report", "--report-file"),
+        ],
+    )
+    def test_json_file_not_utf8_is_config_error(
+        self, tmp_path, capsys, campaign, command, flag
+    ):
+        settings = tmp_path / "settings.json"
+        settings.write_bytes(b'{"epochs": "\xff"}')
+        out = ["--out", str(tmp_path / "o")]
+        argv = {
+            "train": ["--model", "ffnn", "--data", str(campaign), *out],
+            "grid-search": ["--model", "ffnn", "--data", str(campaign), *out],
+            "synth": out,
+            "report": [],
+        }[command]
+        code, _, err = run(capsys, command, flag, str(settings), *argv)
+        assert code == 1
+        assert err.startswith("config error:")
+        assert "not valid JSON" in err
+
     def test_predict_round_trip(self, tmp_path, capsys, campaign):
         train_dir = tmp_path / "trained"
         code, _, _ = run(
@@ -507,6 +559,98 @@ class TestReferenceFuzz:
         mutate_and_prepare()
 
 
+class TestDatasetDefects:
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize(
+        "defect,stamp",
+        [
+            ("swap", "2023-01-01T03:00:00Z"),
+            ("repeat", "2023-01-01T03:00:00Z"),
+            ("off-grid", "2023-01-01T04:30:00Z"),
+        ],
+    )
+    def test_dataset_stamp_defect_names_line_and_stamp(
+        self, tmp_path, capsys, campaign, command, defect, stamp
+    ):
+        header, *rows = campaign.read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        if defect == "swap":
+            cells[3], cells[4] = cells[4], cells[3]
+        elif defect == "repeat":
+            cells[4][0] = cells[3][0]
+        else:
+            cells[4][0] = stamp
+        bad = tmp_path / "dataset.csv"
+        bad.write_text("\n".join([header, *(",".join(c) for c in cells)]) + "\n")
+        argv = ["--model", "ffnn", "--epochs", "1"] if command == "train" else []
+        code, _, err = run(
+            capsys, command, "--data", str(bad), *argv, "--out", str(tmp_path / "o")
+        )
+        assert code == 1
+        assert err.splitlines()[-1].startswith(f"data error: {bad}:6: timestamp {stamp}")
+
+    def test_dataset_not_utf8_is_data_error(self, tmp_path, capsys, campaign):
+        bad = tmp_path / "dataset.csv"
+        bad.write_bytes(campaign.read_bytes() + b"\xff\n")
+        code, _, err = run(capsys, "benchmark", "--data", str(bad))
+        assert code == 1
+        assert err.startswith(f"data error: cannot read {bad}")
+
+
+DATASET_MUTATIONS = (
+    "empty", "text", "nan", "inf", "huge", "repeat-hour", "off-hour", "swap", "columns", "bytes"
+)
+
+
+class TestDatasetFuzz:
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_mutated_dataset_never_tracebacks(self, tmp_path, capsys, campaign, command):
+        """Mutating cells of a valid dataset.csv ends train and benchmark
+        with exit 0, or exit 1 and a typed error prefix."""
+        header, *valid = campaign.read_text().splitlines()
+        dataset = tmp_path / "dataset.csv"
+        rows = st.integers(0, len(valid) - 1)
+        mutation = st.tuples(
+            st.sampled_from(DATASET_MUTATIONS), rows, st.integers(0, 5), rows
+        )
+        argv = ["--model", "ffnn", "--epochs", "1"] if command == "train" else ["--draws", "5"]
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.lists(mutation, min_size=1, max_size=3))
+        def mutate_and_run(mutations):
+            cells = [line.split(",") for line in valid]
+            suffix = b""
+            for kind, row, column, other in mutations:
+                if kind == "empty":
+                    cells[row][column] = ""
+                elif kind == "text":
+                    cells[row][column] = "abc"
+                elif kind in ("nan", "inf", "huge"):
+                    cells[row][max(column, 1)] = {"nan": "nan", "inf": "-inf", "huge": "1e308"}[kind]
+                elif kind == "repeat-hour":
+                    cells[row][0] = cells[other][0]
+                elif kind == "off-hour":
+                    stamp = data.parse_timestamp(valid[row].split(",")[0])
+                    cells[row][0] = data.format_timestamp(stamp + 60 * (column + 1))
+                elif kind == "swap":
+                    cells[row], cells[other] = cells[other], cells[row]
+                elif kind == "columns":
+                    cells[row] = cells[row][:column] or ["x"]
+                else:
+                    suffix = b"\xff\n"
+            body = "\n".join([header, *(",".join(c) for c in cells)]) + "\n"
+            dataset.write_bytes(body.encode() + suffix)
+            code, _, err = run(
+                capsys, command, "--data", str(dataset), *argv, "--out", str(tmp_path / "o")
+            )
+            assert "Traceback" not in err
+            assert code in (0, 1)
+            if code == 1:
+                assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
+
+        mutate_and_run()
+
+
 class TestBenchmark:
     def test_perfect_campaign_prints_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("QSCALE_SEED", raising=False)
@@ -655,6 +799,24 @@ class TestGridSearchCommand:
         assert "config error" in err
 
 
+@pytest.fixture()
+def cv_report(tmp_path, capsys, campaign):
+    """report.json of a 2-fold ffnn cross-validation of the campaign."""
+    out = tmp_path / "cv"
+    code, _, _ = run(
+        capsys,
+        "cross-validate",
+        "--model", "ffnn",
+        "--data", str(campaign),
+        "--epochs", "1",
+        "--folds", "2",
+        "--benchmark-draws", "5",
+        "--out", str(out),
+    )
+    assert code == 0
+    return out / "report.json"
+
+
 class TestReportCommand:
     def test_report_prints_summary(self, tmp_path, capsys, campaign):
         out = tmp_path / "cv"
@@ -678,6 +840,55 @@ class TestReportCommand:
         assert "fold 0:" in stdout
         assert "fold average:" in stdout
         assert "benchmark (l1):" in stdout
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda report: report.clear(), "model_kind"),
+            (lambda report: report.pop("benchmark"), "benchmark"),
+            (lambda report: report["folds"][1].pop("l1"), "l1"),
+            (lambda report: report["fold_average"].update(mse="x"), "mse"),
+        ],
+        ids=["empty", "no-benchmark", "fold-without-l1", "text-mse"],
+    )
+    def test_report_bad_field_is_data_error(self, capsys, cv_report, edit, named):
+        report = json.loads(cv_report.read_text())
+        edit(report)
+        cv_report.write_text(json.dumps(report))
+        code, stdout, err = run(capsys, "report", "--report-file", str(cv_report))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("data error:")
+        assert named in err
+
+    def test_mutated_report_never_tracebacks(self, capsys, cv_report):
+        """Deleting or replacing any member of a valid report.json ends
+        report with exit 0, or exit 1 and a typed error prefix."""
+        valid = json.loads(cv_report.read_text())
+        valid["test_losses"] = dict(valid["fold_average"])
+        valid["folds"].append({"fold": 2, "error": "training diverged at epoch 0"})
+        paths = [path for path in json_paths(valid) if path]
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.sampled_from(paths), st.one_of(st.just(DELETE), JSON_VALUES))
+        def mutate_and_report(path, value):
+            payload = json.loads(json.dumps(valid))
+            *parents, last = path
+            node = payload
+            for key in parents:
+                node = node[key]
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = value
+            cv_report.write_text(json.dumps(payload))
+            code, _, err = run(capsys, "report", "--report-file", str(cv_report))
+            assert "Traceback" not in err
+            assert code in (0, 1)
+            if code == 1:
+                assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
+
+        mutate_and_report()
 
     def test_report_missing_file(self, tmp_path, capsys):
         code, _, err = run(

@@ -404,6 +404,18 @@ class TestLoadReference:
             load_reference(path)
 
 
+    def test_off_hour_stamp_names_line_and_stamp(self, tmp_path):
+        path = tmp_path / "reference.csv"
+        path.write_text(
+            "timestamp_iso8601,pm25_ug_m3\n"
+            "2023-01-01T00:00:00Z,9.0\n"
+            "2023-01-01T01:20:00Z,8.0\n"
+        )
+        with pytest.raises(
+            DataError, match=r"reference\.csv:3: .*2023-01-01T01:20:00Z is not on the hour"
+        ):
+            load_reference(path)
+
 class TestSynthesize:
     def test_deterministic(self):
         a = synthesize(11, 48)

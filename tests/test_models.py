@@ -191,7 +191,7 @@ class TestFrozenBehaviour:
         model = models.VQRModel(names, inp, tgt, 4, 4)
         model.set_flat(np.zeros(model.param_count()))
         midpoint = (inp.minimum + inp.maximum) / 2.0
-        pred = model.predict_one(midpoint)
+        pred = model.predict(midpoint[None, None, :])[0]
         assert abs(pred - float(tgt.maximum[0])) < 1e-9
 
     def test_vqr_raw_expectation_bounded(self):
@@ -201,7 +201,7 @@ class TestFrozenBehaviour:
         model = models.VQRModel(names, inp, tgt, 4, 2, seed=9)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            val = model.raw_expectation(rng.uniform(-1, 1, 4))
+            val = vqc.evaluate(model.template, model.params, rng.uniform(-1, 1, 4))[0]
             assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
 
     def test_qlstm_zero_params_cell(self):
@@ -213,8 +213,9 @@ class TestFrozenBehaviour:
         c_prev = np.full(4, 2.0)
         h, c, y, cache = model.cell_forward(np.array([0.3]), np.zeros(4), c_prev)
         assert np.allclose(cache["e"][0], 1.0)
-        assert np.allclose(cache["f"], 0.5)
-        assert np.allclose(cache["g"], 0.0)
+        _, f, _, g, _, _ = cache["gates"]
+        assert np.allclose(f, 0.5)
+        assert np.allclose(g, 0.0)
         assert np.allclose(c, 1.0)  # f * c_prev = 0.5 * 2
         assert np.allclose(h, 0.0)
         assert y == 0.0

@@ -23,8 +23,6 @@ from qscale.vqc import (
     parameter_shift_grad,
     parameter_shift_grad_batch,
     ring_rx_template,
-    template_from_dict,
-    template_to_dict,
 )
 
 
@@ -89,10 +87,12 @@ class TestBuilders:
         assert angles[0] == pytest.approx(math.pi / 4)
 
     def test_embedding_too_many_features(self):
-        payload = template_to_dict(linear_vqr_template(2, 1))
-        payload["segments"][0]["feature_slots"] = [0, 1, 1]
+        segments = (
+            Embedding("Y", (0, 1, 1), "arctan"),
+            Ansatz("strongly_entangling", 1, (0, 6)),
+        )
         with pytest.raises(ConfigurationError):
-            template_from_dict(payload)
+            CircuitTemplate(2, 2, segments)
 
     def test_strongly_entangling_counts(self):
         ops = ansatz_ops("strongly_entangling", 4, 2)
@@ -418,25 +418,3 @@ class TestInitParams:
         assert a.shape == (48,)
         assert np.all(a >= 0.0) and np.all(a < 2 * np.pi)
 
-
-class TestSerialization:
-    def test_round_trip_gate_lists(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            t = random_template(rng)
-            clone = template_from_dict(template_to_dict(t))
-            assert clone == t
-            params = init_params(t, np.random.default_rng(0))
-            inputs = np.zeros(t.input_dim)
-            assert vqc._lowered(clone).ops == vqc._lowered(t).ops
-            np.testing.assert_array_equal(
-                vqc._angle_table(clone, params, inputs),
-                vqc._angle_table(t, params, inputs),
-            )
-
-    def test_json_serialisable(self):
-        import json
-
-        payload = json.dumps(template_to_dict(nonlinear_vqr_template(3, 2)))
-        t = template_from_dict(json.loads(payload))
-        assert t.total_params == 18
