@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -81,10 +82,12 @@ def _gather_settings(args) -> tuple[dict, dict]:
 
 
 def _resolve_seed(args, config: dict) -> int:
+    """--seed, else the settings file's seed (which ``TrainConfig`` then
+    checks), else QSCALE_SEED, else 0."""
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        return args.seed
     if "seed" in config:
-        return int(config["seed"])
+        return config["seed"]
     env = _env_seed()
     return env if env is not None else 0
 
@@ -193,20 +196,20 @@ def _cmd_train(args) -> int:
         f"({config.epochs} epochs), testing on {len(test_set)} hours"
     )
     model, history = models.fit_model(args.model, train_set, config, options)
-    losses = experiments.score_holdout(model, test_set)
+    losses, series = experiments.score_holdout(model, test_set)
     models.save_model(model, out / "model.json")
     report = experiments.MetricsReport(
         model_kind=args.model,
-        config=models.config_to_dict(config),
+        config=asdict(config),
         options=models._jsonable(model.options),
         seed=seed,
         param_count=model.param_count(),
         test_losses=losses,
-        series=models.predictions_rows(model, test_set),
+        series=series,
         train_history=history,
     )
     experiments.emit_report(report, out)
-    settings = dict(models.config_to_dict(config))
+    settings = asdict(config)
     settings.update(models._jsonable(model.options))
     settings["train_fraction"] = args.train_fraction
     settings["model"] = args.model
@@ -271,7 +274,7 @@ def _cmd_cross_validate(args) -> int:
         )
         report.benchmark = bench.summary()
     experiments.emit_report(report, out)
-    settings = dict(models.config_to_dict(config))
+    settings = asdict(config)
     settings.update(models._jsonable(options))
     settings.update(
         {

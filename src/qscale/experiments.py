@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -91,14 +91,18 @@ def make_folds(n: int, spec: FoldSpec) -> list[np.ndarray]:
 # cross-validation
 
 
-def score_holdout(model, test_set: CalibrationDataset) -> dict[str, float]:
-    """L1/MSE/RMSE of a fitted model on the windows of held-out hours."""
-    x, y, _ = make_windows(test_set.select_features(model.feature_names), model.window)
+def score_holdout(
+    model, test_set: CalibrationDataset
+) -> tuple[dict[str, float], list[dict]]:
+    """L1/MSE/RMSE of a fitted model on the windows of held-out hours, and
+    the series rows of those windows, from one prediction pass."""
+    x, y, ends = make_windows(test_set.select_features(model.feature_names), model.window)
     if y.size == 0:
         raise DataError(
             f"the {len(test_set)} held-out hours hold no {model.window}-hour window"
         )
-    return models.evaluate_losses(model, x, y)
+    preds = model.predict(x)
+    return models.prediction_losses(preds, y), models.series_rows(test_set, preds, y, ends)
 
 
 def _evaluate_on_fold(
@@ -127,9 +131,9 @@ def _evaluate_on_fold(
     except TrainingDivergedError as err:
         entry["error"] = str(err)
         return entry
-    entry.update(score_holdout(model, test_set))
+    losses, entry["series"] = score_holdout(model, test_set)
+    entry.update(losses)
     entry["final_train_loss"] = history[-1] if history else None
-    entry["series"] = models.predictions_rows(model, test_set)
     entry["model"] = model
     return entry
 
@@ -173,13 +177,10 @@ def cross_validate(
         average = {
             key: float(np.mean([e[key] for e in good])) for key in ("l1", "mse", "rmse")
         }
-    if trained is None:
-        report_options = {**models.default_options(kind), **(options or {})}
-    else:
-        report_options = trained.options
+    report_options = trained.options if trained else models.resolve_options(kind, options)
     return MetricsReport(
         model_kind=kind,
-        config=models.config_to_dict(config),
+        config=asdict(config),
         options=models._jsonable(report_options),
         seed=config.seed,
         param_count=None if trained is None else trained.param_count(),
@@ -319,7 +320,7 @@ def grid_search(
             model, history = models.fit_model(
                 kind, train_set, config, {**(options or {}), **option_fields}
             )
-            entry.update(score_holdout(model, test_set))
+            entry.update(score_holdout(model, test_set)[0])
             entry["final_train_loss"] = history[-1] if history else None
         except (ConfigurationError, DataError, TrainingDivergedError) as err:
             entry["error"] = f"{type(err).__name__}: {err}"

@@ -25,6 +25,12 @@ Every model takes a minibatch in one forward and one backward pass on
 ``[B, ...]`` arrays; ``predict`` runs the same forward pass over blocks of
 ``PREDICT_ROWS`` windows, so the activations it keeps stay bounded
 whatever the number of rows.
+
+A kind's option defaults live only in ``_DEFAULT_OPTIONS`` and its default
+window only in ``_DEFAULT_CONFIGS``.  Every model is built by one path:
+``resolve_options`` merges and type-checks the options, and
+``_ModelBase.__init__`` takes them as keywords after the keyword-only
+``window`` and ``seed``.
 """
 
 from __future__ import annotations
@@ -58,11 +64,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "window", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        rate = self.learning_rate
+        if not (isinstance(rate, float) or _is_int(rate)):
+            raise ConfigurationError(f"learning rate must be a number, got {rate!r}")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be non-negative")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (math.isfinite(rate) and rate > 0):
             raise ConfigurationError(
-                f"learning rate must be positive and finite, got {self.learning_rate}"
+                f"learning rate must be positive and finite, got {rate}"
             )
         if self.optimizer not in nn.OPTIMIZER_KINDS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
@@ -72,6 +85,13 @@ class TrainConfig:
             raise ConfigurationError("batch size must be at least 1")
         if self.window < 1:
             raise ConfigurationError("window must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false arrive as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # tuned defaults per model family
@@ -118,19 +138,82 @@ def default_options(kind: str) -> dict:
     return dict(_DEFAULT_OPTIONS[kind])
 
 
+# what an option may hold, by the type of its default (of its entries, for a
+# tuple default, which takes a list of such entries)
+_OPTION_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def resolve_options(kind: str, options: Optional[dict] = None) -> dict:
+    """The kind's options: ``options`` merged over its defaults, a list held
+    as a tuple.  An unknown option, or a value that does not fit the type of
+    the option's default, is a ``ConfigurationError`` naming it."""
+    resolved = default_options(kind)
+    unknown = sorted(set(options or {}) - set(resolved))
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} options {unknown}")
+    for name, value in (options or {}).items():
+        default = resolved[name]
+        listed = isinstance(default, tuple)
+        what, fits = _OPTION_TYPES[type(default[0] if listed else default)]
+        if listed and isinstance(value, (list, tuple)) and all(map(fits, value)):
+            value = tuple(value)
+        elif listed or not fits(value):
+            shape = f"a list of entries each {what}" if listed else what
+            raise ConfigurationError(f"{kind} option {name} must be {shape}, got {value!r}")
+        resolved[name] = value
+    return resolved
+
+
 def _loss_to_original_units(kind: str, scaled_loss: float, halfspan: float) -> float:
     return scaled_loss * (halfspan if kind == "l1" else halfspan**2)
 
 
 class _ModelBase:
-    """Shared scaling, flattening, and prediction plumbing."""
+    """Shared construction, scaling, flattening, and prediction plumbing.
+
+    ``__init__`` settles the kind's options with ``resolve_options``, checks
+    the window (None is the kind's default; ffnn and vqr take only 1), and
+    has the subclass's ``_init_params`` draw the parameters from a generator
+    seeded with ``[seed, seed_tag]``.
+    """
 
     kind: str = ""
+    seed_tag: int
     feature_names: tuple[str, ...] = ()
     window: int = 1
     input_scaler: RangeScaler
     target_scaler: RangeScaler
     options: dict
+
+    def __init__(
+        self,
+        feature_names: Sequence[str],
+        input_scaler: RangeScaler,
+        target_scaler: RangeScaler,
+        *,
+        window: Optional[int] = None,
+        seed: int = 0,
+        **options,
+    ):
+        self.feature_names = tuple(feature_names)
+        if not self.feature_names:
+            raise ConfigurationError(f"{self.kind} needs at least one feature")
+        self.input_scaler = input_scaler
+        self.target_scaler = target_scaler
+        self.options = {**resolve_options(self.kind, options), "features": self.feature_names}
+        self.window = _DEFAULT_CONFIGS[self.kind].window if window is None else window
+        if not (_is_int(self.window) and self.window >= 1):
+            raise ConfigurationError(f"window must be a positive integer, got {self.window!r}")
+        if self.kind in ("ffnn", "vqr") and self.window != 1:
+            raise ConfigurationError(f"{self.kind} uses single-hour inputs; set window=1")
+        self._init_params(np.random.default_rng(np.random.SeedSequence([seed, self.seed_tag])))
+
+    def _init_params(self, rng: np.random.Generator) -> None:
+        raise NotImplementedError
 
     def param_arrays(self) -> list[tuple[str, np.ndarray]]:
         raise NotImplementedError
@@ -202,33 +285,16 @@ class _ModelBase:
 
 class FFNNModel(_ModelBase):
     kind = "ffnn"
+    seed_tag = 10
 
-    def __init__(
-        self,
-        feature_names: Sequence[str],
-        input_scaler: RangeScaler,
-        target_scaler: RangeScaler,
-        hidden_sizes: Sequence[int] = (30, 15, 5),
-        activation: str = "tanh",
-        seed: int = 0,
-    ):
-        self.feature_names = tuple(feature_names)
-        self.window = 1
-        self.input_scaler = input_scaler
-        self.target_scaler = target_scaler
-        self.options = {
-            "hidden_sizes": tuple(int(h) for h in hidden_sizes),
-            "activation": activation,
-            "features": self.feature_names,
-        }
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 10]))
+    def _init_params(self, rng):
         sizes = [len(self.feature_names), *self.options["hidden_sizes"], 1]
         self.layers = [
             nn.dense_layer(
                 rng,
                 sizes[k],
                 sizes[k + 1],
-                activation if k < len(sizes) - 2 else "identity",
+                self.options["activation"] if k < len(sizes) - 2 else "identity",
             )
             for k in range(len(sizes) - 1)
         ]
@@ -258,29 +324,11 @@ class FFNNModel(_ModelBase):
 
 class LSTMModel(_ModelBase):
     kind = "lstm"
+    seed_tag = 11
 
-    def __init__(
-        self,
-        feature_names: Sequence[str],
-        input_scaler: RangeScaler,
-        target_scaler: RangeScaler,
-        hidden_size: int = 15,
-        n_layers: int = 2,
-        window: int = 3,
-        seed: int = 0,
-    ):
-        self.feature_names = tuple(feature_names)
-        self.window = int(window)
-        self.input_scaler = input_scaler
-        self.target_scaler = target_scaler
-        self.options = {
-            "hidden_size": int(hidden_size),
-            "n_layers": int(n_layers),
-            "features": self.feature_names,
-        }
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
+    def _init_params(self, rng):
         self.params = nn.lstm_stack(
-            rng, len(self.feature_names), int(hidden_size), int(n_layers)
+            rng, len(self.feature_names), self.options["hidden_size"], self.options["n_layers"]
         )
 
     def param_arrays(self):
@@ -303,46 +351,22 @@ class LSTMModel(_ModelBase):
 
 class VQRModel(_ModelBase):
     kind = "vqr"
+    seed_tag = 12
 
-    def __init__(
-        self,
-        feature_names: Sequence[str],
-        input_scaler: RangeScaler,
-        target_scaler: RangeScaler,
-        n_qubits: int = 4,
-        n_layers: int = 4,
-        architecture: str = "linear",
-        transform: str = "arctan",
-        seed: int = 0,
-    ):
-        self.feature_names = tuple(feature_names)
+    def _init_params(self, rng):
+        n_qubits, architecture = self.options["n_qubits"], self.options["architecture"]
         if len(self.feature_names) != n_qubits:
             raise ConfigurationError(
                 f"vqr encodes one feature per qubit: {len(self.feature_names)} "
                 f"features vs {n_qubits} qubits"
             )
-        if architecture not in ("linear", "nonlinear"):
+        builders = {"linear": vqc.linear_vqr_template, "nonlinear": vqc.nonlinear_vqr_template}
+        if architecture not in builders:
             raise ConfigurationError("vqr architecture must be linear or nonlinear")
-        self.window = 1
-        self.input_scaler = input_scaler
-        self.target_scaler = target_scaler
-        self.options = {
-            "n_qubits": int(n_qubits),
-            "n_layers": int(n_layers),
-            "architecture": architecture,
-            "transform": transform,
-            "features": self.feature_names,
-        }
-        builder = (
-            vqc.linear_vqr_template
-            if architecture == "linear"
-            else vqc.nonlinear_vqr_template
+        self.template = builders[architecture](
+            n_qubits, self.options["n_layers"], transform=self.options["transform"]
         )
-        self.template = builder(int(n_qubits), int(n_layers), transform=transform)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 12]))
         self.params = vqc.init_params(self.template, rng)
-        self._readout = np.zeros(int(n_qubits))
-        self._readout[0] = 1.0
 
     def param_arrays(self):
         return [("quantum.angles", self.params)]
@@ -384,38 +408,16 @@ class QLSTMModel(_ModelBase):
     """
 
     kind = "qlstm"
+    seed_tag = 13
     GATE_NAMES = ("forget", "input", "update", "output", "hidden", "readout")
 
-    def __init__(
-        self,
-        feature_names: Sequence[str],
-        input_scaler: RangeScaler,
-        target_scaler: RangeScaler,
-        n_qubits: int = 5,
-        n_layers: int = 7,
-        hidden_size: int = 15,
-        window: int = 5,
-        shared_fc_out: bool = True,
-        seed: int = 0,
-    ):
-        self.feature_names = tuple(feature_names)
-        self.window = int(window)
-        self.input_scaler = input_scaler
-        self.target_scaler = target_scaler
-        self.options = {
-            "n_qubits": int(n_qubits),
-            "n_layers": int(n_layers),
-            "hidden_size": int(hidden_size),
-            "shared_fc_out": bool(shared_fc_out),
-            "features": self.feature_names,
-        }
-        self.template = vqc.ring_rx_template(int(n_qubits), int(n_layers))
-        n, hidden = int(n_qubits), int(hidden_size)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 13]))
+    def _init_params(self, rng):
+        n, hidden = self.n_qubits, self.hidden_size
+        self.template = vqc.ring_rx_template(n, self.options["n_layers"])
         n_features = len(self.feature_names)
         self.fc_in = nn.dense_layer(rng, hidden + n_features, n, "identity")
         self.proj = nn.dense_layer(rng, hidden, n, "identity")
-        if shared_fc_out:
+        if self.options["shared_fc_out"]:
             self.fc_out = [nn.dense_layer(rng, n, hidden, "identity")]
         else:
             self.fc_out = [
@@ -613,6 +615,9 @@ class QLSTMModel(_ModelBase):
         return nn.loss_value(loss_kind, preds, y_scaled), self._backward(caches, d_preds)
 
 
+_MODEL_CLASSES = {cls.kind: cls for cls in (FFNNModel, LSTMModel, VQRModel, QLSTMModel)}
+
+
 # ---------------------------------------------------------------------------
 # construction, training, evaluation
 
@@ -623,57 +628,16 @@ def build_model(
     input_scaler: RangeScaler,
     target_scaler: RangeScaler,
     options: Optional[dict] = None,
-    window: int = 1,
+    window: Optional[int] = None,
     seed: int = 0,
 ):
-    """Instantiate an untrained model of the given kind; an option the kind
-    does not have is a ``ConfigurationError`` naming it."""
-    opts = default_options(kind)
-    unknown = sorted(set(options or {}) - set(opts))
-    if unknown:
-        raise ConfigurationError(f"unknown {kind} options {unknown}")
-    opts.update(options or {})
-    opts.pop("features", None)
-    if kind == "ffnn":
-        return FFNNModel(
-            feature_names,
-            input_scaler,
-            target_scaler,
-            hidden_sizes=opts["hidden_sizes"],
-            activation=opts["activation"],
-            seed=seed,
-        )
-    if kind == "lstm":
-        return LSTMModel(
-            feature_names,
-            input_scaler,
-            target_scaler,
-            hidden_size=opts["hidden_size"],
-            n_layers=opts["n_layers"],
-            window=window,
-            seed=seed,
-        )
-    if kind == "vqr":
-        return VQRModel(
-            feature_names,
-            input_scaler,
-            target_scaler,
-            n_qubits=opts["n_qubits"],
-            n_layers=opts["n_layers"],
-            architecture=opts["architecture"],
-            transform=opts["transform"],
-            seed=seed,
-        )
-    return QLSTMModel(
-        feature_names,
-        input_scaler,
-        target_scaler,
-        n_qubits=opts["n_qubits"],
-        n_layers=opts["n_layers"],
-        hidden_size=opts["hidden_size"],
-        window=window,
-        shared_fc_out=opts["shared_fc_out"],
-        seed=seed,
+    """Instantiate an untrained model of the given kind; an unknown kind, an
+    option the kind does not have or a misfit value is a
+    ``ConfigurationError`` naming it."""
+    # resolved here too, so that no key of ``options`` lands on a named argument
+    opts = resolve_options(kind, options)
+    return _MODEL_CLASSES[kind](
+        feature_names, input_scaler, target_scaler, window=window, seed=seed, **opts
     )
 
 
@@ -727,7 +691,11 @@ def train(
 
 def evaluate_losses(model, x_raw: np.ndarray, y_raw: np.ndarray) -> dict[str, float]:
     """L1/MSE/RMSE between calibrated predictions and reference, in ug/m3."""
-    preds = model.predict(x_raw)
+    return prediction_losses(model.predict(x_raw), y_raw)
+
+
+def prediction_losses(preds: np.ndarray, y_raw: np.ndarray) -> dict[str, float]:
+    """L1/MSE/RMSE between predictions and reference, in their units."""
     return {
         "l1": nn.loss_value("l1", preds, y_raw),
         "mse": nn.loss_value("mse", preds, y_raw),
@@ -737,14 +705,7 @@ def evaluate_losses(model, x_raw: np.ndarray, y_raw: np.ndarray) -> dict[str, fl
 
 def fit_model(kind: str, dataset, config: TrainConfig, options: Optional[dict] = None):
     """Select features, window, fit scalers on the training rows, and train."""
-    if kind in ("ffnn", "vqr") and config.window != 1:
-        raise ConfigurationError(f"{kind} uses single-hour inputs; set window=1")
-    opts = default_options(kind)
-    opts.update(options or {})
-    try:
-        features = tuple(opts["features"])
-    except TypeError as err:
-        raise ConfigurationError(f"features must be a list of names: {err}") from err
+    features = resolve_options(kind, options)["features"]
     sub = dataset.select_features(features)
     from .data import fit_scaler, make_windows  # local import avoids a cycle
 
@@ -760,7 +721,7 @@ def fit_model(kind: str, dataset, config: TrainConfig, options: Optional[dict] =
         features,
         input_scaler,
         target_scaler,
-        options=opts,
+        options=options,
         window=config.window,
         seed=config.seed,
     )
@@ -775,7 +736,11 @@ def predictions_rows(model, dataset) -> list[dict]:
     x, y, ends = make_windows(sub, model.window)
     if y.size == 0:
         return []
-    preds = model.predict(x)
+    return series_rows(dataset, model.predict(x), y, ends)
+
+
+def series_rows(dataset, preds: np.ndarray, y: np.ndarray, ends: np.ndarray) -> list[dict]:
+    """Prediction rows for the windows of ``dataset`` that end at ``ends``."""
     raw_col = list(dataset.feature_names).index("pm25")
     raw_by_stamp = {int(t): float(v) for t, v in zip(dataset.timestamps, dataset.features[:, raw_col])}
     return [
@@ -848,6 +813,8 @@ def load_model(path: str | Path):
             raise DataError(f"checkpoint {path}: {key} must be a JSON object")
     input_scaler = _checkpoint_scaler(path, payload, "input_scaler", len(names))
     target_scaler = _checkpoint_scaler(path, payload, "target_scaler", 1)
+    if payload["window"] is None:  # None would build the kind's default window
+        raise DataError(f"checkpoint {path}: window is null")
     try:
         model = build_model(
             payload["kind"],
@@ -857,7 +824,7 @@ def load_model(path: str | Path):
             options=payload["options"],
             window=payload["window"],
         )
-    except (TypeError, ValueError, OverflowError) as err:  # ConfigurationError too
+    except ConfigurationError as err:
         raise DataError(f"checkpoint {path} describes no model: {err}") from err
     arrays = dict(model.param_arrays())
     for name in payload["arrays"]:
@@ -913,10 +880,6 @@ def _jsonable(value):
     return value
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    return asdict(config)
-
-
 def split_settings(payload: dict) -> tuple[dict, dict]:
     """Split flat settings into TrainConfig fields and model options."""
     config = {k: v for k, v in payload.items() if k in TrainConfig.__dataclass_fields__}
@@ -927,5 +890,5 @@ def config_from_dict(payload: dict, kind: Optional[str] = None) -> TrainConfig:
     config, unknown = split_settings(payload or {})
     if unknown:
         raise ConfigurationError(f"unknown training fields {sorted(unknown)}")
-    base = config_to_dict(default_config(kind)) if kind else {}
+    base = asdict(default_config(kind)) if kind else {}
     return TrainConfig(**{**base, **config})

@@ -420,6 +420,111 @@ class TestTrainPredict:
         assert "Traceback" not in err
 
 
+# wrong-typed settings, each with the model kind that has the setting
+BAD_SETTINGS = [
+    ("qlstm", {"shared_fc_out": "false"}, "shared_fc_out"),
+    ("vqr", {"n_layers": 1.9}, "n_layers"),
+    ("ffnn", {"hidden_sizes": [2.7]}, "hidden_sizes"),
+    ("ffnn", {"hidden_sizes": 5}, "hidden_sizes"),
+    ("ffnn", {"hidden_sizes": [-1]}, "hidden_sizes"),
+    ("ffnn", {"hidden_sizes": [0]}, "hidden_sizes"),
+    ("lstm", {"n_layers": 0}, "n_layers"),
+    ("ffnn", {"epochs": "a"}, "epochs"),
+    ("ffnn", {"epochs": 1.5}, "epochs"),
+    ("ffnn", {"batch_size": 2.5}, "batch_size"),
+    ("ffnn", {"learning_rate": "0.1"}, "learning rate"),
+    ("ffnn", {"seed": 1.9}, "seed"),
+]
+# small options per kind, so that a checkpoint or a fuzzed run stays cheap
+SMALL_OPTIONS = {
+    "ffnn": ({"hidden_sizes": [3, 2]}, 1),
+    "lstm": ({"hidden_size": 2, "n_layers": 2}, 3),
+    "vqr": ({"n_qubits": 4, "n_layers": 1}, 1),
+    "qlstm": ({"n_qubits": 2, "n_layers": 1, "hidden_size": 2}, 2),
+}
+
+
+def save_untrained(campaign, kind, options, window, path):
+    """Write the checkpoint of an untrained model scaled to the campaign."""
+    sub = data.dataset_from_csv(campaign).select_features(
+        models.default_options(kind)["features"]
+    )
+    model = models.build_model(
+        kind,
+        sub.feature_names,
+        data.fit_scaler(sub.features, names=sub.feature_names),
+        data.fit_scaler(sub.target, names=("ref_pm25",)),
+        options=options,
+        window=window,
+    )
+    models.save_model(model, path)
+
+
+class TestSettingTypes:
+    @pytest.mark.parametrize("kind,settings,named", BAD_SETTINGS)
+    def test_wrong_type_in_config_is_config_error(
+        self, tmp_path, capsys, campaign, kind, settings, named
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code, _, err = run(
+            capsys,
+            "train",
+            "--model", kind,
+            "--data", str(campaign),
+            "--config", str(cfg),
+            "--out", str(tmp_path / "bad"),
+        )
+        assert code == 1
+        assert err.splitlines()[-1].startswith("config error:")
+        assert named in err
+
+    @pytest.mark.parametrize("kind,settings,named", BAD_SETTINGS)
+    def test_wrong_type_in_checkpoint_is_data_error(
+        self, tmp_path, capsys, campaign, kind, settings, named
+    ):
+        checkpoint = tmp_path / "model.json"
+        save_untrained(campaign, kind, *SMALL_OPTIONS[kind], checkpoint)
+        payload = json.loads(checkpoint.read_text())
+        payload["options"].update(settings)
+        checkpoint.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys,
+            "predict",
+            "--model-file", str(checkpoint),
+            "--data", str(campaign),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert err.startswith(f"data error: checkpoint {checkpoint} describes no model")
+        assert named.split()[0] in err
+
+    @pytest.mark.parametrize("command,predicts", [("train", 1), ("cross-validate", 4)])
+    def test_held_out_hours_predicted_once(
+        self, tmp_path, capsys, campaign, monkeypatch, command, predicts
+    ):
+        calls = []
+        predict = models._ModelBase.predict
+
+        def counting_predict(self, x):
+            calls.append(len(x))
+            return predict(self, x)
+
+        monkeypatch.setattr(models._ModelBase, "predict", counting_predict)
+        extra = ["--folds", "4", "--benchmark-draws", "0"] if command == "cross-validate" else []
+        code, _, _ = run(
+            capsys,
+            command,
+            "--model", "ffnn",
+            "--data", str(campaign),
+            "--epochs", "1",
+            *extra,
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 0
+        assert len(calls) == predicts
+
+
 ERROR_PREFIXES = ("config error:", "data error:", "numeric error:", "io error:")
 DELETE = object()
 # small numbers only: options size the model before its arrays are checked
@@ -461,19 +566,8 @@ class TestCheckpointFuzz:
     ):
         """Deleting or replacing any member of a valid model.json ends
         predict with exit 0, or exit 1 and a typed error prefix."""
-        dataset = data.dataset_from_csv(campaign)
-        names = models.default_options(kind)["features"]
-        sub = dataset.select_features(names)
-        model = models.build_model(
-            kind,
-            names,
-            data.fit_scaler(sub.features, names=names),
-            data.fit_scaler(sub.target, names=("ref_pm25",)),
-            options=options,
-            window=window,
-        )
         checkpoint = tmp_path / "model.json"
-        models.save_model(model, checkpoint)
+        save_untrained(campaign, kind, options, window, checkpoint)
         valid = json.loads(checkpoint.read_text())
         paths = [path for path in json_paths(valid) if path]
 
@@ -503,6 +597,108 @@ class TestCheckpointFuzz:
                 assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
 
         mutate_and_predict()
+
+
+SETTING_VALUES = st.one_of(
+    st.integers(-3, 5),
+    st.floats(-3.0, 5.0) | st.sampled_from([float("nan"), float("inf")]),
+    st.text(max_size=4) | st.sampled_from(["pm25", "temp", "adam", "mse", "relu", "nonlinear"]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-1, 4) | st.sampled_from(["pm25", "temp", "x"]), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+class TestConfigFuzz:
+    def test_fuzzed_config_never_tracebacks(self, tmp_path, capsys, campaign):
+        """One training field or model option of a --config file set to a
+        value of any JSON type ends train with exit 0, or exit 1 and a typed
+        error prefix."""
+        fields = sorted(models.TrainConfig.__dataclass_fields__)
+        setting = st.sampled_from(models.MODEL_KINDS).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind), st.sampled_from(fields + sorted(models.default_options(kind)))
+            )
+        )
+        cfg = tmp_path / "cfg.json"
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(setting, SETTING_VALUES)
+        def train_with(kind_and_name, value):
+            kind, name = kind_and_name
+            options, window = SMALL_OPTIONS[kind]
+            cfg.write_text(json.dumps({"epochs": 1, "window": window, **options, name: value}))
+            code, _, err = run(
+                capsys,
+                "train",
+                "--model", kind,
+                "--data", str(campaign),
+                "--config", str(cfg),
+                "--out", str(tmp_path / "o"),
+            )
+            assert "Traceback" not in err
+            assert code in (0, 1)
+            if code == 1:
+                assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
+
+        train_with()
+
+
+SENSOR_MUTATIONS = ("empty", "text", "nan", "stamp", "short", "wide", "quantity", "bytes")
+
+
+class TestRawLogFuzz:
+    def test_mutated_sensor_log_never_tracebacks(self, tmp_path, capsys, monkeypatch):
+        """Mutating rows of a valid sensors.csv ends prepare with exit 0, or
+        exit 1 and a typed error prefix."""
+        monkeypatch.delenv("QSCALE_SEED", raising=False)
+        raw = tmp_path / "raw"
+        code, _, _ = run(capsys, "synth", "--seed", "6", "--hours", "48", "--out", str(raw))
+        assert code == 0
+        header, *valid = (raw / "sensors.csv").read_text().splitlines()
+        sensors = tmp_path / "sensors.csv"
+        mutation = st.tuples(
+            st.sampled_from(SENSOR_MUTATIONS), st.integers(0, len(valid) - 1), st.integers(0, 3)
+        )
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.lists(mutation, min_size=1, max_size=3))
+        def mutate_and_prepare(mutations):
+            cells = [line.split(",") for line in valid]
+            suffix = b""
+            for kind, row, column in mutations:
+                if kind == "empty":
+                    cells[row][column] = ""
+                elif kind == "text":
+                    cells[row][column] = "abc"
+                elif kind == "nan":
+                    cells[row][3] = "nan"
+                elif kind == "stamp":
+                    cells[row][0] = "2023-13-45T99:00:00Z"
+                elif kind == "short":
+                    cells[row] = cells[row][: column or 1]
+                elif kind == "wide":
+                    cells[row] = cells[row][:4] + ["1.0"]
+                elif kind == "quantity":
+                    cells[row][2] = "co2"
+                else:
+                    suffix = b"\xff"
+            body = "\n".join([header, *(",".join(c) for c in cells)]) + "\n"
+            sensors.write_bytes(body.encode() + suffix)
+            code, _, err = run(
+                capsys,
+                "prepare",
+                "--sensors", str(sensors),
+                "--reference", str(raw / "reference.csv"),
+                "--out", str(tmp_path / "o"),
+            )
+            assert "Traceback" not in err
+            assert code in (0, 1)
+            if code == 1:
+                assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
+
+        mutate_and_prepare()
 
 
 REFERENCE_MUTATIONS = ("empty", "text", "nan", "repeat-hour", "off-hour", "columns")

@@ -351,17 +351,22 @@ class TestGridSearch:
         }
         assert seen == {(0.01, (3,)), (0.01, (5,)), (0.05, (3,)), (0.05, (5,))}
 
-    def test_failures_recorded_and_skipped_in_ranking(self):
+    @pytest.mark.parametrize(
+        "axis,good,bad",
+        [("optimizer", "adam", "newton"), ("epochs", 2, 1.5), ("hidden_sizes", [3], [2.7])],
+        ids=["optimizer", "epochs", "hidden_sizes"],
+    )
+    def test_failures_recorded_and_skipped_in_ranking(self, axis, good, bad):
         ds = affine_dataset(40, seed=17)
         result = grid_search(
-            "ffnn", ds, {"optimizer": ["adam", "newton"]},
+            "ffnn", ds, {axis: [good, bad]},
             base_config=TrainConfig(2, 0.05, "adam", "mse", window=1),
             options={"hidden_sizes": (3,), "features": ("pm25", "temp")},
             seed=4,
         )
         failed = [e for e in result.entries if "error" in e]
         assert len(failed) == 1
-        assert failed[0]["params"]["optimizer"] == "newton"
+        assert failed[0]["params"][axis] == bad
         assert "ConfigurationError" in failed[0]["error"]
         assert len(result.ranking) == 1
 

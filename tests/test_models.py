@@ -141,14 +141,18 @@ class TestParameterCounts:
     def test_vqr_published_template(self):
         ds = tiny_dataset()
         inp, tgt = scalers_for(ds, ("pm25", "temp", "hum", "press"))
-        model = models.VQRModel(("pm25", "temp", "hum", "press"), inp, tgt, 4, 4)
+        model = models.VQRModel(
+            ("pm25", "temp", "hum", "press"), inp, tgt, n_qubits=4, n_layers=4
+        )
         assert model.param_count() == 48
         assert model.param_breakdown() == {"quantum": 48}
 
     def test_qlstm_published_shape(self):
         ds = tiny_dataset()
         inp, tgt = scalers_for(ds, ("pm25",))
-        model = models.QLSTMModel(("pm25",), inp, tgt, 5, 7, hidden_size=15)
+        model = models.QLSTMModel(
+            ("pm25",), inp, tgt, n_qubits=5, n_layers=7, hidden_size=15
+        )
         breakdown = model.param_breakdown()
         assert breakdown["quantum"] == 210
         assert breakdown["fc_in"] == 5 * 16 + 5
@@ -160,8 +164,12 @@ class TestParameterCounts:
     def test_qlstm_per_gate_expansions(self):
         ds = tiny_dataset()
         inp, tgt = scalers_for(ds, ("pm25",))
-        shared = models.QLSTMModel(("pm25",), inp, tgt, 5, 7, 15)
-        split = models.QLSTMModel(("pm25",), inp, tgt, 5, 7, 15, shared_fc_out=False)
+        shared = models.QLSTMModel(
+            ("pm25",), inp, tgt, n_qubits=5, n_layers=7, hidden_size=15
+        )
+        split = models.QLSTMModel(
+            ("pm25",), inp, tgt, n_qubits=5, n_layers=7, hidden_size=15, shared_fc_out=False
+        )
         assert split.param_count() - shared.param_count() == 5 * (15 * 5 + 15)
 
     def test_vqr_feature_qubit_mismatch(self):
@@ -170,10 +178,19 @@ class TestParameterCounts:
         with pytest.raises(ConfigurationError):
             models.VQRModel(("pm25", "temp"), inp, tgt, n_qubits=4)
 
+    def test_options_are_keyword_only(self):
+        """A positional option fails instead of landing in window or seed."""
+        ds = tiny_dataset()
+        inp, tgt = scalers_for(ds, ("pm25",))
+        with pytest.raises(TypeError):
+            models.LSTMModel(("pm25",), inp, tgt, 4, 1)
+
     def test_flat_round_trip(self):
         ds = tiny_dataset()
         inp, tgt = scalers_for(ds, ("pm25",))
-        model = models.QLSTMModel(("pm25",), inp, tgt, 2, 1, 3, window=2, seed=3)
+        model = models.QLSTMModel(
+            ("pm25",), inp, tgt, n_qubits=2, n_layers=1, hidden_size=3, window=2, seed=3
+        )
         flat = model.get_flat()
         perturbed = flat + 0.25
         model.set_flat(perturbed)
@@ -188,7 +205,7 @@ class TestFrozenBehaviour:
         ds = tiny_dataset()
         names = ("pm25", "temp", "hum", "press")
         inp, tgt = scalers_for(ds, names)
-        model = models.VQRModel(names, inp, tgt, 4, 4)
+        model = models.VQRModel(names, inp, tgt, n_qubits=4, n_layers=4)
         model.set_flat(np.zeros(model.param_count()))
         midpoint = (inp.minimum + inp.maximum) / 2.0
         pred = model.predict(midpoint[None, None, :])[0]
@@ -198,7 +215,7 @@ class TestFrozenBehaviour:
         ds = tiny_dataset()
         names = ("pm25", "temp", "hum", "press")
         inp, tgt = scalers_for(ds, names)
-        model = models.VQRModel(names, inp, tgt, 4, 2, seed=9)
+        model = models.VQRModel(names, inp, tgt, n_qubits=4, n_layers=2, seed=9)
         rng = np.random.default_rng(1)
         for _ in range(20):
             val = vqc.evaluate(model.template, model.params, rng.uniform(-1, 1, 4))[0]
@@ -208,7 +225,9 @@ class TestFrozenBehaviour:
         """Zero weights: circuits read +1 on every qubit, gates sit at 1/2."""
         ds = tiny_dataset()
         inp, tgt = scalers_for(ds, ("pm25",))
-        model = models.QLSTMModel(("pm25",), inp, tgt, 3, 2, hidden_size=4, window=2)
+        model = models.QLSTMModel(
+            ("pm25",), inp, tgt, n_qubits=3, n_layers=2, hidden_size=4, window=2
+        )
         model.set_flat(np.zeros(model.param_count()))
         c_prev = np.full(4, 2.0)
         h, c, y, cache = model.cell_forward(np.array([0.3]), np.zeros(4), c_prev)
@@ -223,7 +242,9 @@ class TestFrozenBehaviour:
     def test_qlstm_zero_params_predicts_target_midpoint(self):
         ds = tiny_dataset()
         inp, tgt = scalers_for(ds, ("pm25",))
-        model = models.QLSTMModel(("pm25",), inp, tgt, 2, 1, hidden_size=3, window=2)
+        model = models.QLSTMModel(
+            ("pm25",), inp, tgt, n_qubits=2, n_layers=1, hidden_size=3, window=2
+        )
         model.set_flat(np.zeros(model.param_count()))
         sub = ds.select_features(("pm25",))
         x, _, _ = make_windows(sub, 2)
@@ -234,7 +255,7 @@ class TestFrozenBehaviour:
     def test_window_validation(self):
         ds = tiny_dataset()
         inp, tgt = scalers_for(ds, ("pm25",))
-        model = models.LSTMModel(("pm25",), inp, tgt, 4, 1, window=3)
+        model = models.LSTMModel(("pm25",), inp, tgt, hidden_size=4, n_layers=1, window=3)
         with pytest.raises(ConfigurationError):
             model.predict(np.zeros((2, 2, 1)))
         with pytest.raises(ConfigurationError):
@@ -282,7 +303,7 @@ class TestHybridGradients:
         inp, tgt = scalers_for(ds, names)
         sub = ds.select_features(names)
         x, y, _ = make_windows(sub, 1)
-        model = models.VQRModel(names, inp, tgt, 3, 2, seed=11)
+        model = models.VQRModel(names, inp, tgt, n_qubits=3, n_layers=2, seed=11)
         for loss_kind in ("mse", "l1"):
             _, grad = models.hybrid_backward(model, x[:10], y[:10], loss_kind)
             fd = fd_flat_gradient(model, x[:10], y[:10], loss_kind)
@@ -294,7 +315,9 @@ class TestHybridGradients:
         inp, tgt = scalers_for(ds, names)
         sub = ds.select_features(names)
         x, y, _ = make_windows(sub, 1)
-        model = models.VQRModel(names, inp, tgt, 2, 3, architecture="nonlinear", seed=13)
+        model = models.VQRModel(
+            names, inp, tgt, n_qubits=2, n_layers=3, architecture="nonlinear", seed=13
+        )
         _, grad = models.hybrid_backward(model, x[:10], y[:10], "mse")
         fd = fd_flat_gradient(model, x[:10], y[:10], "mse")
         assert np.all(np.abs(grad - fd) <= 1e-5 * (1.0 + np.abs(fd)))
@@ -306,7 +329,9 @@ class TestHybridGradients:
         inp, tgt = scalers_for(ds, names)
         sub = ds.select_features(names)
         x, y, _ = make_windows(sub, 2)
-        model = models.QLSTMModel(names, inp, tgt, 2, 1, hidden_size=2, window=2, seed=17)
+        model = models.QLSTMModel(
+            names, inp, tgt, n_qubits=2, n_layers=1, hidden_size=2, window=2, seed=17
+        )
         _, grad = models.hybrid_backward(model, x[:3], y[:3], "mse")
         fd = fd_flat_gradient(model, x[:3], y[:3], "mse", h=1e-5)
         assert np.all(np.abs(grad - fd) <= 1e-3 * (1.0 + np.abs(fd)))
@@ -318,7 +343,7 @@ class TestHybridGradients:
         sub = ds.select_features(names)
         x, y, _ = make_windows(sub, 2)
         model = models.QLSTMModel(
-            names, inp, tgt, 2, 1, hidden_size=2, window=2,
+            names, inp, tgt, n_qubits=2, n_layers=1, hidden_size=2, window=2,
             shared_fc_out=False, seed=19,
         )
         _, grad = models.hybrid_backward(model, x[:3], y[:3], "l1")
@@ -335,7 +360,7 @@ class TestHybridGradients:
         x, y, _ = make_windows(ds.select_features(names), 3)
         x, y = x[:7], y[:7]
         model = models.QLSTMModel(
-            names, inp, tgt, 3, 2, hidden_size=4, window=3,
+            names, inp, tgt, n_qubits=3, n_layers=2, hidden_size=4, window=3,
             shared_fc_out=shared, seed=29,
         )
         preds = model.predict(x)
@@ -643,10 +668,28 @@ class TestCheckpoints:
                 lambda text: edited(text, lambda p: p["input_scaler"].pop("minimum")),
                 r"model\.json.* input_scaler lacks minimum",
             ),
+            (
+                lambda text: edited(text, lambda p: p.update(window=3)),
+                r"model\.json describes no model: ffnn uses single-hour inputs",
+            ),
+            (
+                lambda text: edited(text, lambda p: p.update(window=None)),
+                r"model\.json: window is null",
+            ),
+            (
+                lambda text: edited(
+                    text,
+                    lambda p: p.update(
+                        feature_names=[], input_scaler={"minimum": [], "maximum": []}
+                    ),
+                ),
+                r"model\.json describes no model: ffnn needs at least one feature",
+            ),
         ],
         ids=[
             "truncated", "not-an-object", "missing-window", "schema-99",
             "missing-array", "array-shape", "values-misfit-shape", "scaler-minimum",
+            "ffnn-window-3", "window-null", "no-features",
         ],
     )
     def test_rejects_corrupt_checkpoint(self, tmp_path, corrupt, message):
