@@ -34,9 +34,16 @@ def _env_seed() -> Optional[int]:
     if raw is None or raw == "":
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigurationError(f"QSCALE_SEED must be an integer, got {raw!r}")
+    return _checked_seed(seed, "QSCALE_SEED")
+
+
+def _checked_seed(seed: int, what: str) -> int:
+    if seed < 0:
+        raise ConfigurationError(f"{what} must be non-negative, got {seed}")
+    return seed
 
 
 def _read_json(path_str: str, what: str) -> dict:
@@ -85,7 +92,7 @@ def _resolve_seed(args, config: dict) -> int:
     """--seed, else the settings file's seed (which ``TrainConfig`` then
     checks), else QSCALE_SEED, else 0."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return _checked_seed(args.seed, "--seed")
     if "seed" in config:
         return config["seed"]
     env = _env_seed()

@@ -53,6 +53,8 @@ class FoldSpec:
             raise ConfigurationError(
                 f"fold mode must be one of {FOLD_MODES}, got {self.mode!r}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"fold seed must be non-negative, got {self.seed}")
 
 
 def protocol_fold_spec(kind: str, seed: int = 0) -> FoldSpec:

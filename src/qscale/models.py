@@ -815,6 +815,7 @@ def load_model(path: str | Path):
     target_scaler = _checkpoint_scaler(path, payload, "target_scaler", 1)
     if payload["window"] is None:  # None would build the kind's default window
         raise DataError(f"checkpoint {path}: window is null")
+    _check_option_sizes(path, payload["options"], payload["arrays"])
     try:
         model = build_model(
             payload["kind"],
@@ -842,6 +843,30 @@ def load_model(path: str | Path):
         values = _checkpoint_floats(path, f"array {name}", entry.get("values"), current.size)
         np.copyto(current, values.reshape(current.shape))
     return model
+
+
+def _check_option_sizes(path, options: dict, arrays: dict) -> None:
+    """Every layer, unit, qubit and feature owns at least one parameter, so
+    in a valid checkpoint the integer options, list entries and list
+    lengths add up to no more than the number of values stored in its
+    arrays.  Checking that before building keeps forged sizes, alone or
+    multiplied together, from allocating."""
+    stored = sum(
+        len(entry["values"])
+        for entry in arrays.values()
+        if isinstance(entry, dict) and isinstance(entry.get("values"), list)
+    )
+    named = 0
+    for value in options.values():
+        entries = value if isinstance(value, list) else [value]
+        named += (len(entries) if isinstance(value, list) else 0) + sum(
+            v for v in entries if _is_int(v) and v > 0
+        )
+    if named > stored:
+        raise DataError(
+            f"checkpoint {path}: its options name {named} layers, units, qubits "
+            f"and features, more than the {stored} values stored in its arrays"
+        )
 
 
 def _checkpoint_floats(path, entry: str, values, size: int) -> np.ndarray:

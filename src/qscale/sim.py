@@ -7,9 +7,23 @@ of the basis-state index, so basis index ``b`` assigns qubit ``q`` the bit
 ``RY(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>``.
 
 All public operations have value semantics: they return a new state and
-never mutate their arguments.  The batched row kernels used internally
-operate in place on ``[rows, 2**n]`` arrays, so that many circuits, and
-the forward and backward sweeps of their gradients, share one allocation.
+never mutate their arguments.  Underneath, a few row kernels act on many
+states at once, ``[rows, 2**n]`` amplitudes stored column-major:
+
+* ``_rotate_rows`` applies one 2x2 unitary per row to one qubit, in place,
+  with elementwise products over whole rows; ``_su2`` builds those
+  unitaries from unit quaternions, so a single rotation and a fused run of
+  rotations take the same path;
+* ``_cnot_rows`` applies a layer of CNOTs as one permutation gather, from
+  ``_cnot_permutation``;
+* ``_expect_z_rows`` reads <Z> on every qubit in one reduction;
+* ``_pauli_rows`` reduces two states to Im <bra|P|ket> for the three
+  Paulis on each of several qubits, which the adjoint sweep of
+  ``qscale.vqc`` differentiates from.
+
+The single-state API runs one gate at a time through the same kernels that
+``qscale.vqc`` runs its fused circuit plans through, so the dense-matrix
+oracle of the tests pins the kernels the models use.
 """
 
 from __future__ import annotations
@@ -102,95 +116,125 @@ def init_zero_state(n_qubits: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# strided kernels over amplitude pairs, shared by the single-state API and
-# the batched evaluation path in qscale.vqc
+# row kernels, shared by the single-state API and the fused circuit plans of
+# qscale.vqc.  Amplitudes are [rows, dim] arrays stored column-major: the
+# transpose [dim, rows] is C-contiguous, so one basis state's amplitudes for
+# every row sit side by side and each elementwise product runs over whole rows.
+
+
+def _column_major(amps: np.ndarray) -> np.ndarray:
+    """The C-contiguous [dim, rows] buffer behind column-major amplitudes."""
+    work = amps.T
+    if not work.flags.c_contiguous:  # pragma: no cover - internal contract
+        raise ValueError("row kernels need column-major amplitudes")
+    return work
+
+
+def _zero_rows(rows: int, n_qubits: int) -> np.ndarray:
+    """|0...0> on every row, as column-major amplitudes [rows, 2**n]."""
+    work = np.zeros((1 << n_qubits, rows), dtype=np.complex128)
+    work[0] = 1.0
+    return work.T
+
+
+def _su2(w, x, y, z) -> np.ndarray:
+    """The unitaries U = w I - i (x X + y Y + z Z) of unit quaternions, as
+    [2, 2, ...] complex arrays u[a, i] = U[i, i ^ a]: the diagonal, then
+    the off-diagonal; each component has the trailing shape."""
+    u = np.empty((2, 2) + np.shape(w), dtype=np.complex128)
+    re, im = u.real, u.imag
+    minus_x = np.negative(x)
+    re[0, 0], im[0, 0] = w, np.negative(z)
+    re[0, 1], im[0, 1] = w, z
+    re[1, 0], im[1, 0] = np.negative(y), minus_x
+    re[1, 1], im[1, 1] = y, minus_x
+    return u
+
+
+def _rotation_su2(kind: str, angles: np.ndarray) -> np.ndarray:
+    """R(theta) = exp(-i theta P / 2) per angle, in the form of :func:`_su2`."""
+    half = 0.5 * np.asarray(angles, dtype=float)
+    q = [np.cos(half)] + [np.zeros_like(half)] * 3
+    q[1 + ROTATION_KINDS.index(kind)] = np.sin(half)
+    return _su2(*q)
+
+
+def _rotate_rows(amps: np.ndarray, u: np.ndarray, target: int) -> None:
+    """Apply one 2x2 unitary per row, u [2, 2, rows] in the form of
+    :func:`_su2`, in place on qubit ``target`` of column-major amplitudes
+    [rows, dim].  With the pair (a0, a1) of each amplitude index,
+    a_i <- U[i, i] a_i + U[i, i ^ 1] a_(i ^ 1)."""
+    pairs = _column_major(amps).reshape(-1, 2, 1 << target, amps.shape[0])
+    off = u[1, :, None] * pairs[:, ::-1]
+    pairs *= u[0, :, None]
+    pairs += off
 
 
 @lru_cache(maxsize=None)
-def _rotation_indices(dim: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(dim)
-    mask = 1 << target
-    i0 = idx[(idx & mask) == 0]
-    i1 = i0 | mask
-    i0.setflags(write=False)
-    i1.setflags(write=False)
-    return i0, i1
+def _cnot_permutation(n_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Gather index of a CNOT layer: ``amps[:, perm]`` applies the CNOTs
+    ``pairs`` ((control, target), ...) in order."""
+    idx = np.arange(1 << n_qubits)
+    perm = idx
+    for control, target in pairs:
+        perm = perm[idx ^ (((idx >> control) & 1) << target)]
+    perm.setflags(write=False)
+    return perm
+
+
+def _cnot_rows(amps: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """A CNOT layer as one permutation gather; returns new column-major
+    amplitudes [rows, dim]."""
+    return _column_major(amps)[perm].T
 
 
 @lru_cache(maxsize=None)
-def _cnot_indices(dim: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(dim)
-    sel = ((idx & (1 << control)) != 0) & ((idx & (1 << target)) == 0)
-    i0 = idx[sel]
-    i1 = i0 | (1 << target)
-    i0.setflags(write=False)
-    i1.setflags(write=False)
-    return i0, i1
-
-
-@lru_cache(maxsize=None)
-def _z_signs(dim: int, qubit: int) -> np.ndarray:
-    signs = np.where((np.arange(dim) & (1 << qubit)) == 0, 1.0, -1.0)
+def _z_signs(n_qubits: int) -> np.ndarray:
+    """[n, 2**n]: +1 where qubit q's bit is 0, -1 where it is 1."""
+    bits = (np.arange(1 << n_qubits)[None, :] >> np.arange(n_qubits)[:, None]) & 1
+    signs = 1.0 - 2.0 * bits
     signs.setflags(write=False)
     return signs
 
 
-def _rotate_rows(amps: np.ndarray, kind: str, angles: np.ndarray, target: int) -> None:
-    """Apply a rotation in place to batched amplitudes [rows, dim], one angle per row."""
-    i0, i1 = _rotation_indices(amps.shape[-1], target)
-    half = 0.5 * angles
-    c = np.cos(half)[:, None]
-    s = np.sin(half)[:, None]
-    a0 = amps[:, i0]
-    a1 = amps[:, i1]
-    if kind == "RX":
-        amps[:, i0] = c * a0 - 1j * (s * a1)
-        amps[:, i1] = c * a1 - 1j * (s * a0)
-    elif kind == "RY":
-        amps[:, i0] = c * a0 - s * a1
-        amps[:, i1] = s * a0 + c * a1
-    elif kind == "RZ":
-        amps[:, i0] = (c - 1j * s) * a0
-        amps[:, i1] = (c + 1j * s) * a1
-    else:  # pragma: no cover - guarded by GateSpec validation
-        raise ConfigurationError(f"unknown rotation kind {kind!r}")
-
-
-def _cnot_rows(amps: np.ndarray, control: int, target: int) -> None:
-    """Apply a CNOT in place to batched amplitudes [rows, dim]."""
-    i0, i1 = _cnot_indices(amps.shape[-1], control, target)
-    swapped = amps[:, i1].copy()
-    amps[:, i1] = amps[:, i0]
-    amps[:, i0] = swapped
-
-
-def _expect_z_rows(amps: np.ndarray, qubit: int) -> np.ndarray:
+def _expect_z_rows(amps: np.ndarray) -> np.ndarray:
+    """<Z_q> for every qubit q, as [rows, n], from amplitudes [rows, dim]."""
     probs = amps.real**2 + amps.imag**2
-    return np.sum(probs * _z_signs(amps.shape[-1], qubit), axis=-1)
+    return probs @ _z_signs(amps.shape[-1].bit_length() - 1).T
 
 
 @lru_cache(maxsize=None)
-def _flip_indices(dim: int, target: int) -> np.ndarray:
-    flipped = np.arange(dim) ^ (1 << target)
-    flipped.setflags(write=False)
-    return flipped
+def _pauli_tables(n_qubits: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per qubit q of ``qubits``: the gather index b -> b ^ 2**q [k, dim],
+    the reductions [sum_b, sum_b z_q(b)] as [k, 2, dim] complex, and the
+    signs z_q [k, dim]."""
+    idx = np.arange(1 << n_qubits)
+    flips = np.stack([idx ^ (1 << q) for q in qubits])
+    signs = _z_signs(n_qubits)[list(qubits)]
+    sums = np.stack([np.ones_like(signs), signs], axis=1).astype(np.complex128)
+    for table in (flips, sums, signs):
+        table.setflags(write=False)
+    return flips, sums, signs
 
 
-def _pauli_overlap_im_rows(
-    bra: np.ndarray, ket: np.ndarray, kind: str, target: int
-) -> np.ndarray:
-    """Im <bra|P|ket> per row of [rows, dim] amplitudes, for the Pauli P
-    that the rotation ``kind`` turns about on ``target``."""
-    dim = ket.shape[-1]
-    conj_bra = bra.conj()
-    if kind == "RZ":  # Z ket = signs * ket
-        return np.einsum("rj,rj,j->r", conj_bra, ket, _z_signs(dim, target)).imag
-    flipped = ket[:, _flip_indices(dim, target)]  # X ket
-    if kind == "RX":
-        return np.einsum("rj,rj->r", conj_bra, flipped).imag
-    if kind == "RY":  # Y ket = -i * signs * X ket, and Im(-i z) = -Re z
-        return -np.einsum("rj,rj,j->r", conj_bra, flipped, _z_signs(dim, target)).real
-    raise ConfigurationError(f"unknown rotation kind {kind!r}")  # pragma: no cover
+def _pauli_rows(ket: np.ndarray, conj_bra: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Im <bra|P_q|ket> for P = X, Y, Z and each qubit q of ``qubits``, as
+    [3, k, rows]: with R the 2x2 overlap sum over the other qubits of
+    ket_i * conj(bra_j) on qubit q, these are Im Tr(P R).  Both operands
+    are column-major [rows, dim]; the second holds conj(bra)."""
+    n = ket.shape[-1].bit_length() - 1
+    flips, sums, signs = _pauli_tables(n, qubits)
+    ket, conj_bra = ket.T, conj_bra.T
+    # [sum_b, sum_b z_q(b)] of ket_(b ^ 2**q) conj(bra_b), per qubit: X ket
+    # flips bit q, and Y ket = -i z_q X ket
+    flipped = ket[flips]
+    flipped *= conj_bra
+    flipped = np.matmul(sums, flipped)
+    out = np.empty((3, len(qubits), ket.shape[-1]))
+    out[0] = flipped[:, 0].imag
+    np.negative(flipped[:, 1].real, out=out[1])
+    out[2] = (signs @ (ket * conj_bra)).imag
+    return out
 
 
 def _check_qubit(index: int, n_qubits: int, role: str) -> None:
@@ -198,14 +242,14 @@ def _check_qubit(index: int, n_qubits: int, role: str) -> None:
         raise IndexError(f"{role} qubit {index} out of range for {n_qubits} qubits")
 
 
-def _apply_to_rows(rows: np.ndarray, gate: GateSpec, n_qubits: int) -> None:
+def _apply_to_rows(rows: np.ndarray, gate: GateSpec, n_qubits: int) -> np.ndarray:
     _check_qubit(gate.target, n_qubits, "target")
     if gate.kind == "CNOT":
         _check_qubit(gate.control, n_qubits, "control")
-        _cnot_rows(rows, gate.control, gate.target)
-    else:
-        angles = np.full(rows.shape[0], float(gate.angle))
-        _rotate_rows(rows, gate.kind, angles, gate.target)
+        perm = _cnot_permutation(n_qubits, ((gate.control, gate.target),))
+        return _cnot_rows(rows, perm)
+    _rotate_rows(rows, _rotation_su2(gate.kind, np.array([gate.angle])), gate.target)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -215,27 +259,23 @@ def _apply_to_rows(rows: np.ndarray, gate: GateSpec, n_qubits: int) -> None:
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
     """Apply one gate and return the resulting state (the input is unchanged)."""
     work = state.amplitudes.reshape(1, -1).copy()
-    _apply_to_rows(work, gate, state.n_qubits)
-    return StateVector(state.n_qubits, work[0])
+    return StateVector(state.n_qubits, _apply_to_rows(work, gate, state.n_qubits)[0])
 
 
 def apply_circuit(state: StateVector, gates: Iterable[GateSpec]) -> StateVector:
-    """Apply a gate sequence in order, sharing a single working buffer."""
+    """Apply a gate sequence in order."""
     work = state.amplitudes.reshape(1, -1).copy()
     for gate in gates:
-        _apply_to_rows(work, gate, state.n_qubits)
+        work = _apply_to_rows(work, gate, state.n_qubits)
     return StateVector(state.n_qubits, work[0])
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:
     """<Z> on one qubit: sum of |amp|^2 signed by that qubit's bit."""
     _check_qubit(qubit, state.n_qubits, "measured")
-    return float(_expect_z_rows(state.amplitudes.reshape(1, -1), qubit)[0])
+    return float(expectation_z_all(state)[qubit])
 
 
 def expectation_z_all(state: StateVector) -> np.ndarray:
     """Vector of <Z_q> for every qubit q."""
-    rows = state.amplitudes.reshape(1, -1)
-    return np.array(
-        [_expect_z_rows(rows, q)[0] for q in range(state.n_qubits)], dtype=float
-    )
+    return _expect_z_rows(state.amplitudes.reshape(1, -1))[0]

@@ -22,14 +22,25 @@ default vqr circuit and 80 for one call of a default qlstm circuit.  Both
 differentiate ansatz parameters and encoded inputs; for an ``arctan``
 embedding the chain-rule factor 1/(1+x^2) is included.
 
-Every template lowers to one op table whose gate angles are gathered per
-row from ``[params | inputs | arctan(inputs)]``, so many circuits that
-share a template, with their own params and inputs, run batched over one
-``[rows, 2**n]`` amplitude array with results identical to evaluating each
-circuit on its own.  The table is the only form in which a template runs:
-:func:`evaluate` runs one circuit as a one-row batch of it, and the
-parameter-shift and adjoint gradients run their shifted circuits and
-backward sweeps over its rows.
+Every template lowers twice, and both forms are cached per template:
+
+* The op table lists the gates in circuit order, each rotation with the
+  column of its angle in the per-row source table ``[params | inputs |
+  arctan(inputs)]``.  Many circuits that share a template, each with its
+  own params and inputs, are rows of one angle table.
+* The fused plan runs those rows.  Gate fusion is the standard simulator
+  technique (see Qulacs, Suzuki et al., arXiv:2011.13524).  Between CNOT
+  layers, each run of rotations on one qubit (a group) becomes one 2x2
+  unitary per row, built as a product of unit quaternions from one cosine
+  and sine per angle; consecutive rotations about one axis first fuse into
+  one rotation by the sum of their angles.  Each CNOT layer becomes one
+  permutation of the amplitudes, and one reduction reads <Z> on every
+  qubit.  The adjoint sweep walks the same plan backwards, one group at a
+  time.
+
+:func:`evaluate` runs one circuit as a one-row batch of the plan, and the
+parameter-shift gradients run their shifted circuits as rows of it, with
+results identical to evaluating each circuit on its own.
 
 Templates have no file format of their own: a checkpoint stores a model's
 options, and the model rebuilds its template from them.
@@ -235,6 +246,152 @@ def _angle_table(
     return source[..., _lowered(template).columns]
 
 
+# ---------------------------------------------------------------------------
+# fused plan: the op table lowered once more.  Between CNOT layers every run
+# of rotations on one qubit (a group) becomes one 2x2 unitary per row, and
+# every CNOT layer one permutation.
+
+
+class _Class(NamedTuple):
+    """Groups ``groups`` that share one sequence of rotation axes (0, 1, 2
+    for X, Y, Z).  Their fused angles are rows ``start`` onward of the fused
+    table, position-major: the one at position m of the g-th group is row
+    ``start + m * len(groups) + g``, so the class reads its [L, G] slab of
+    any fused table as a view."""
+
+    axes: tuple[int, ...]
+    groups: np.ndarray
+    start: int
+
+    def slab(self, table: np.ndarray) -> np.ndarray:
+        """The class's rows of a fused table [n_fused, rows], as [L, G, rows]."""
+        size = len(self.axes) * self.groups.size
+        return table[self.start : self.start + size].reshape(len(self.axes), -1, table.shape[-1])
+
+
+class _Plan(NamedTuple):
+    """A template's fused plan.  Consecutive rotations about one axis on a
+    qubit fuse into one angle, their sum: ``order`` lists the angles fused
+    angle by fused angle, each fused angle starting at its entry of
+    ``starts``, and ``fused_of_angle`` maps each angle back.  ``blocks``
+    lists per CNOT-free block the qubits of its groups, in group order, and
+    the gather indices of the CNOT layer after it and of that layer's
+    inverse (``None`` where no CNOT follows)."""
+
+    order: np.ndarray
+    starts: np.ndarray
+    fused_of_angle: np.ndarray
+    blocks: tuple[tuple[tuple[int, ...], Optional[np.ndarray], Optional[np.ndarray]], ...]
+    classes: tuple[_Class, ...]
+    n_groups: int
+
+
+_AXES = {"RX": 0, "RY": 1, "RZ": 2}
+
+
+def _left_product(k: int) -> np.ndarray:
+    """The matrix of q -> (0, e_k) * q, the quaternion product, on
+    components (w, x, y, z); (cos, sin * e_k) * q = cos q + sin (this q)."""
+    i, j = (k + 1) % 3, (k + 2) % 3
+    out = np.zeros((4, 4))
+    out[0, 1 + k], out[1 + k, 0] = -1.0, 1.0
+    out[1 + i, 1 + j], out[1 + j, 1 + i] = -1.0, 1.0
+    out.setflags(write=False)
+    return out
+
+
+_LEFT_PRODUCT = tuple(_left_product(k) for k in range(3))
+
+
+def _index(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _plan(template: CircuitTemplate) -> _Plan:
+    n = template.n_qubits
+    # per block: {qubit: [(axis, [angle indices]), ...]} and its CNOT layer
+    blocks: list[tuple[dict, tuple]] = []
+    runs: dict[int, list] = {}
+    pairs: list[tuple[int, int]] = []
+    for kind, a, b in _lowered(template).ops:
+        if kind == "CNOT":
+            pairs.append((a, b))
+            continue
+        if pairs:
+            blocks.append((runs, tuple(pairs)))
+            runs, pairs = {}, []
+        run = runs.setdefault(a, [])
+        if run and run[-1][0] == _AXES[kind]:
+            run[-1][1].append(b)
+        else:
+            run.append((_AXES[kind], [b]))
+    blocks.append((runs, tuple(pairs)))
+
+    by_axes: dict[tuple, tuple[list, list]] = {}  # axes -> group ids, runs
+    plan_blocks = []
+    n_groups = 0
+    for runs, pairs in blocks:
+        for run in runs.values():
+            groups, members = by_axes.setdefault(tuple(ax for ax, _ in run), ([], []))
+            groups.append(n_groups)
+            members.append([angles for _, angles in run])
+            n_groups += 1
+        layer = inverse = None
+        if pairs:
+            layer = sim._cnot_permutation(n, pairs)
+            inverse = sim._cnot_permutation(n, pairs[::-1])
+        plan_blocks.append((tuple(runs), layer, inverse))
+
+    fused: list[list[int]] = []  # the angles of each fused angle
+    classes = []
+    for axes, (groups, members) in by_axes.items():
+        classes.append(_Class(axes, _index(groups), len(fused)))
+        fused += [run[m] for m in range(len(axes)) for run in members]
+    fused_of_angle = np.empty(_lowered(template).columns.size, dtype=np.intp)
+    for f, angles in enumerate(fused):
+        fused_of_angle[angles] = f
+    fused_of_angle.setflags(write=False)
+    lengths = [len(angles) for angles in fused]
+    return _Plan(
+        _index([a for angles in fused for a in angles]),
+        _index(np.cumsum(lengths) - lengths),
+        fused_of_angle,
+        tuple(plan_blocks),
+        tuple(classes),
+        n_groups,
+    )
+
+
+def _half_angles(plan: _Plan, angle_rows: np.ndarray) -> np.ndarray:
+    """Half of every fused angle, [n_fused, rows]."""
+    half = np.add.reduceat(angle_rows.T[plan.order], plan.starts, axis=0)
+    half *= 0.5
+    return half
+
+
+def _group_quaternions(plan: _Plan, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z) [4, n_groups, rows] of every group's
+    unitary U = w I - i (x X + y Y + z Z), from the cosines and sines of the
+    fused half angles [n_fused, rows]."""
+    quats = np.empty((4, plan.n_groups, cos.shape[-1]))
+    for cls in plan.classes:
+        c, s = cls.slab(cos), cls.slab(sin)  # [L, G, rows]
+        q = np.zeros((4,) + c[0].shape)
+        q[0], q[1 + cls.axes[0]] = c[0], s[0]
+        turn = np.empty_like(q)
+        for m in range(1, len(cls.axes)):
+            # left-multiply by the member's rotation, in place
+            np.matmul(_LEFT_PRODUCT[cls.axes[m]], q.reshape(4, -1), out=turn.reshape(4, -1))
+            turn *= s[m]
+            q *= c[m]
+            q += turn
+        quats[:, cls.groups] = q
+    return quats
+
+
 def _run_rows(
     template: CircuitTemplate, angle_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,17 +401,22 @@ def _run_rows(
     expectations [rows, n_qubits] and the final amplitudes [rows, 2**n],
     from which :func:`_adjoint_rows` differentiates the same circuits.
     """
-    amps = np.zeros((angle_rows.shape[0], 1 << template.n_qubits), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for kind, a, b in _lowered(template).ops:
-        if kind == "CNOT":
-            sim._cnot_rows(amps, a, b)
-        else:
-            sim._rotate_rows(amps, kind, angle_rows[:, b], a)
-    exps = np.stack(
-        [sim._expect_z_rows(amps, q) for q in range(template.n_qubits)], axis=1
-    )
-    return exps, amps
+    plan = _plan(template)
+    half = _half_angles(plan, angle_rows)
+    cos = np.cos(half)
+    quats = _group_quaternions(plan, cos, np.sin(half, out=half))
+    del half, cos  # free the angle tables before the amplitudes grow
+    amps = sim._zero_rows(angle_rows.shape[0], template.n_qubits)
+    g = 0
+    for qubits, layer, _ in plan.blocks:
+        if qubits:
+            u = sim._su2(*quats[:, g : g + len(qubits)])
+            for k, qubit in enumerate(qubits):
+                sim._rotate_rows(amps, u[:, :, k], qubit)
+            g += len(qubits)
+        if layer is not None:
+            amps = sim._cnot_rows(amps, layer)
+    return sim._expect_z_rows(amps), amps
 
 
 def _adjoint_rows(
@@ -268,23 +430,58 @@ def _adjoint_rows(
 
     ``states`` are the final amplitudes that :func:`_run_rows` returned for
     ``angle_rows``; they are left unchanged.  The sweep (Jones & Gacon,
-    arXiv:2009.02823) walks the gates backwards, undoing each on psi and on
-    lambda = O psi, which sit stacked in one [2 * rows, 2**n] array.  For a
-    rotation exp(-i theta P / 2), df/dtheta = Im <lambda|P|psi> taken just
-    before that rotation is undone.
+    arXiv:2009.02823) walks the fused plan backwards over psi and lambda =
+    O psi, stacked in one [2 * rows, 2**n] array.  For a rotation
+    exp(-i theta P / 2), df/dtheta = Im <lambda|P|psi> just after it.  With
+    R the 2x2 overlap of psi and lambda on a group's qubit, member m's
+    derivative is Im Tr(P' R), P' its Pauli conjugated by the later members
+    of the group; so the vector t = Im Tr(sigma R) of the three Paulis,
+    turned back through each later member's rotation, gives them all.
+    Undoing a group on one qubit leaves R on every other qubit unchanged,
+    so t is read for all groups of a CNOT-free block in one reduction
+    before the block's groups are undone with U^dagger.
     """
+    plan = _plan(template)
     rows, dim = states.shape
-    signs = np.stack([sim._z_signs(dim, q) for q in range(template.n_qubits)])
-    pair = np.concatenate([states, (weights @ signs) * states])
-    undo = -np.concatenate([angle_rows, angle_rows])
-    grads = np.zeros(angle_rows.shape)
-    for kind, a, b in reversed(_lowered(template).ops):
-        if kind == "CNOT":
-            sim._cnot_rows(pair, a, b)
+    half = _half_angles(plan, angle_rows)
+    cos = np.cos(half)
+    sin = np.sin(half, out=half)
+    # each group's U^dagger, repeated for the psi and the lambda rows
+    inverses = _group_quaternions(plan, cos, sin)
+    inverses = np.concatenate([inverses, inverses], axis=-1)
+    inverses[1:] *= -1.0
+    pair = np.empty((dim, 2 * rows), dtype=np.complex128).T
+    pair[:rows] = states
+    pair[rows:] = (weights @ sim._z_signs(template.n_qubits)) * states
+    pauli = np.empty((3, plan.n_groups, rows))
+    g = plan.n_groups
+    for qubits, _, inverse in reversed(plan.blocks):
+        if g == 0:
+            break
+        if inverse is not None:
+            pair = sim._cnot_rows(pair, inverse)
+        if not qubits:
             continue
-        grads[:, b] = sim._pauli_overlap_im_rows(pair[rows:], pair[:rows], kind, a)
-        sim._rotate_rows(pair, kind, undo[:, b], a)
-    return grads
+        g -= len(qubits)
+        pauli[:, g : g + len(qubits)] = sim._pauli_rows(pair[:rows], pair[rows:].conj(), qubits)
+        if g:
+            u = sim._su2(*inverses[:, g : g + len(qubits)])
+            for k, qubit in enumerate(qubits):
+                sim._rotate_rows(pair, u[:, :, k], qubit)
+
+    cos_full, sin_full = 1.0 - 2.0 * sin**2, 2.0 * sin * cos
+    dfused = np.empty_like(sin)
+    for cls in plan.classes:
+        t = pauli[:, cls.groups]  # [3, G, rows]
+        c, s = cls.slab(cos_full), cls.slab(sin_full)  # [L, G, rows]
+        d = cls.slab(dfused)
+        for m in range(len(cls.axes) - 1, -1, -1):
+            k = cls.axes[m]
+            d[m] = t[k]
+            if m:  # turn t back through member m's rotation about axis k
+                i, j = (k + 1) % 3, (k + 2) % 3
+                t[i], t[j] = c[m] * t[i] + s[m] * t[j], c[m] * t[j] - s[m] * t[i]
+    return dfused[plan.fused_of_angle].T
 
 
 def _angle_grads_to_args(

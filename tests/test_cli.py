@@ -127,6 +127,14 @@ class TestSynthAndPrepare:
         assert code == 1
         assert "config error" in err
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QSCALE_SEED", raising=False)
+        code, _, err = run(
+            capsys, "synth", "--seed", "-1", "--hours", "48", "--out", str(tmp_path / "n")
+        )
+        assert code == 1
+        assert "config error: --seed must be non-negative" in err
+
     def test_bad_profile_field(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("QSCALE_SEED", raising=False)
         profile = tmp_path / "p.json"
@@ -532,6 +540,7 @@ JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-3, 40)
+    | st.integers(10**4, 10**12)  # sizes no checkpoint may allocate
     | st.floats(-40.0, 40.0)
     | st.sampled_from([float("nan"), float("inf")])
     | st.text(max_size=4),
@@ -890,6 +899,30 @@ class TestBenchmark:
         assert report["benchmark"]["sample_size"] == 15
         assert report["benchmark"]["n_draws"] == 30
         assert report["model_kind"] == "uncalibrated"
+
+
+class TestNegativeSeeds:
+    """A negative seed reaching numpy's SeedSequence would raise ValueError;
+    each entry point rejects it first."""
+
+    def test_negative_environment_seed_in_benchmark(self, capsys, campaign, monkeypatch):
+        monkeypatch.setenv("QSCALE_SEED", "-2")
+        code, _, err = run(capsys, "benchmark", "--data", str(campaign), "--draws", "5")
+        assert code == 1
+        assert "config error: QSCALE_SEED must be non-negative" in err
+
+    def test_negative_fold_seed_in_cross_validate(self, tmp_path, capsys, campaign):
+        code, _, err = run(
+            capsys,
+            "cross-validate",
+            "--model", "ffnn",
+            "--data", str(campaign),
+            "--epochs", "1",
+            "--fold-seed", "-1",
+            "--out", str(tmp_path / "cv"),
+        )
+        assert code == 1
+        assert "config error: fold seed must be non-negative" in err
 
 
 class TestCrossValidateCommand:

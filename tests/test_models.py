@@ -390,6 +390,86 @@ class TestHybridGradients:
         assert abs(loss - direct) < 1e-9
 
 
+def default_model(kind, seed, **options):
+    """A model of the kind's default options and window, scaled on a tiny
+    dataset, with a batch of 10 of its scaled windows."""
+    names = models.default_options(kind)["features"]
+    window = models.default_config(kind).window
+    ds = tiny_dataset(10 + window, seed=seed)
+    inp, tgt = scalers_for(ds, names)
+    model = models.build_model(kind, names, inp, tgt, options=options, window=window, seed=seed)
+    x, _, _ = make_windows(ds.select_features(names), window)
+    return model, model.scale_windows(x[:10])
+
+
+class TestDirectionalGradients:
+    """Every kind at its default options: the gradient along random unit
+    directions against central differences of the batch loss.  This pins
+    the paths the models train through, the fused circuit sweeps included
+    (CNOT reach up to 3 on vqr's 4 qubits, the ring wrap on qlstm's 5)."""
+
+    @pytest.mark.parametrize(
+        "kind,options",
+        [
+            ("ffnn", {}),
+            ("lstm", {}),
+            ("vqr", {}),
+            ("vqr", {"architecture": "nonlinear"}),
+            ("qlstm", {}),
+            ("qlstm", {"shared_fc_out": False}),
+        ],
+        ids=["ffnn", "lstm", "vqr-linear", "vqr-nonlinear", "qlstm-shared", "qlstm-per-gate"],
+    )
+    @pytest.mark.parametrize("loss_kind", ["mse", "l1"])
+    def test_matches_central_differences(self, kind, options, loss_kind):
+        model, xs = default_model(kind, seed=41, **options)
+        theta = model.get_flat().copy()
+        # targets 0.3 below every prediction keep l1 away from its kink, and
+        # residuals of one sign keep the batch gradient from cancelling
+        ys = model._predict_scaled(xs) - 0.3
+        _, grad = model._loss_and_grad_scaled(xs, ys, loss_kind)
+
+        def loss_at(flat):
+            model.set_flat(flat)
+            return nn.loss_value(loss_kind, model._predict_scaled(xs), ys)
+
+        rng = np.random.default_rng(43)
+        h = 1e-5
+        for _ in range(3):
+            direction = rng.normal(size=theta.size)
+            direction /= np.linalg.norm(direction)
+            central = (loss_at(theta + h * direction) - loss_at(theta - h * direction)) / (2 * h)
+            along = float(grad @ direction)
+            assert abs(central - along) <= 1e-6 * abs(along)
+        model.set_flat(theta)
+
+
+class TestQLSTMShiftOracle:
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_bptt_with_parameter_shift_circuits(self, monkeypatch, shared):
+        """Backpropagation through time with each circuit's gradient taken
+        by parameter shift, one circuit at a time, instead of the stacked
+        adjoint sweep: the paper-config QLSTM gradient agrees to 1e-10."""
+        model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
+        xs = xs[:4]
+        ys = np.linspace(-0.5, 0.5, xs.shape[0])
+        _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
+
+        def shift_backward(gates, angles, states, d_exps, inputs, grad_quantum):
+            d_inputs = np.zeros_like(inputs)
+            for k, weights in zip(range(6)[gates], d_exps):
+                gp, gx = vqc.parameter_shift_grad_batch(
+                    model.template, model.vqc_params[k], inputs, weights
+                )
+                grad_quantum[k] += gp.sum(axis=0)
+                d_inputs += gx
+            return d_inputs
+
+        monkeypatch.setattr(model, "_circuits_backward", shift_backward)
+        _, shifted = model._loss_and_grad_scaled(xs, ys, "mse")
+        np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
+
+
 class TestTraining:
     def test_ffnn_descends(self):
         ds = tiny_dataset(40, seed=10)
@@ -633,6 +713,37 @@ class TestCheckpoints:
         payload["arrays"]["mystery.weights"] = {"shape": [1], "values": [0.0]}
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="mystery.weights"):
+            models.load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind,forged",
+        [
+            ("vqr", {"n_layers": 1_000_000_000}),
+            ("ffnn", {"hidden_sizes": [100_000]}),
+            ("ffnn", {"hidden_sizes": [3] * 1_000}),
+            # the length and each entry are under the 701 stored values, but
+            # 700 layers of 700 units would hold 343 million weights
+            ("ffnn", {"hidden_sizes": [700] * 700}),
+            ("qlstm", {"hidden_size": 10**12}),
+        ],
+        ids=["vqr-layers", "ffnn-width", "ffnn-depth", "ffnn-width-and-depth", "qlstm-hidden"],
+    )
+    def test_forged_sizes_fail_before_building(self, tmp_path, monkeypatch, kind, forged):
+        """Size options that add up to more than the values the arrays
+        store are refused before any model is built, so nothing is
+        allocated from them."""
+        ds = tiny_dataset(20, seed=24)
+        names = models.default_options(kind)["features"]
+        inp, tgt = scalers_for(ds, names)
+        path = tmp_path / "model.json"
+        models.save_model(models.build_model(kind, names, inp, tgt), path)
+        path.write_text(edited(path.read_text(), lambda p: p["options"].update(forged)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model ran on forged sizes")
+
+        monkeypatch.setattr(models, "build_model", refuse)
+        with pytest.raises(DataError, match=r"model\.json: its options name \d+ .* more than"):
             models.load_model(path)
 
     @pytest.mark.parametrize(
