@@ -1,12 +1,18 @@
 """Measurement ingest, aggregation, fusion, cleaning, and synthetic campaigns.
 
 The pipeline turns raw multi-sensor streams into an hourly calibration
-dataset:
+dataset.  The raw path works on columns (``SampleColumns``: int64 stamps,
+sensor and quantity codes, float64 values), never on a Python object per
+row:
 
-1. ingest raw rows (``timestamp_iso8601,sensor_id,quantity,value``),
-2. aggregate each (sensor, quantity) stream to minute or hour means,
-3. fuse the per-sensor hourly series into one median series per quantity,
-4. align the fused features against the hourly reference instrument,
+1. ingest streams raw rows (``timestamp_iso8601,sensor_id,quantity,value``)
+   a chunk at a time, parses each distinct timestamp text once, and counts
+   malformed rows by reason,
+2. aggregate finds each (sensor, quantity, bucket) group with one sort and
+   takes minute or hour means with ``np.bincount`` sums in input order,
+3. fuse sorts the hourly means by (quantity, hour, value) and takes each
+   group's median across sensors,
+4. align looks the fused features up on the hourly reference grid,
    interpolating short feature gaps (at most two consecutive hours) and
    dropping hours that cannot be repaired,
 5. scale features/targets with a [-1, +1] range map fitted on training
@@ -22,10 +28,12 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, islice, repeat
+from operator import not_
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +50,14 @@ REFERENCE_HEADER = ("timestamp_iso8601", "pm25_ug_m3")
 PREDICTIONS_HEADER = ("timestamp", "raw_pm25", "calibrated_pm25", "reference_pm25")
 
 GRANULARITIES = {"minute": MINUTE, "hour": HOUR}
+MALFORMED_REASONS = (
+    "bad_timestamp",
+    "non_numeric_value",
+    "unknown_quantity",
+    "wrong_column_count",
+    "non_finite_value",
+    "empty_sensor",
+)
 
 
 def parse_timestamp(text: str) -> int:
@@ -72,10 +88,30 @@ class RawSample:
     value: float
 
 
+@dataclass(frozen=True)
+class SampleColumns:
+    """Samples as parallel columns, raw from ``ingest`` or bucket means from
+    ``aggregate``; ``sensors`` index ``sensor_names`` and ``quantities``
+    index ``QUANTITIES``."""
+
+    timestamps: np.ndarray  # int64 epoch seconds, UTC (bucket starts once aggregated)
+    sensors: np.ndarray  # int64
+    quantities: np.ndarray  # int64
+    values: np.ndarray  # float64
+    sensor_names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return int(self.values.size)
+
+
 @dataclass
 class IngestResult:
-    samples: list[RawSample]
-    malformed: int
+    samples: SampleColumns
+    malformed_by_reason: dict[str, int]  # every key of MALFORMED_REASONS
+
+    @property
+    def malformed(self) -> int:
+        return sum(self.malformed_by_reason.values())
 
 
 @dataclass(frozen=True)
@@ -152,53 +188,132 @@ class CalibrationDataset:
 # ingest
 
 
-def _read_csv_rows(path: Path, expected_header: tuple[str, ...]) -> list[list[str]]:
+def _csv_rows(path: Path, expected_header: tuple[str, ...]) -> Iterator[list[str]]:
+    """The data rows of a CSV, one at a time, after checking its header; a
+    file that cannot be read or decoded, or a row the ``csv`` module cannot
+    split, is a ``DataError``.
+
+    The whole text is decoded before any row is split, so a file that is
+    not valid text fails before a row is counted.
+    """
+    # Splitting rows straight from the open file would hold less memory, but
+    # freeing the decoded text is also what raises glibc malloc's mmap
+    # threshold before the models run on a loaded dataset; without it, the
+    # large temporaries of a later predict map fresh pages on every call
+    # (predict-year ran 40% slower so).
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if [h.strip() for h in header] != list(expected_header):
-        raise DataError(
-            f"{path}: expected header {','.join(expected_header)!r}, "
-            f"got {','.join(header)!r}"
-        )
-    return list(reader)
+        header = next(reader, None)
+        if header is None:
+            return
+        if [h.strip() for h in header] != list(expected_header):
+            raise DataError(
+                f"{path}: expected header {','.join(expected_header)!r}, "
+                f"got {','.join(header)!r}"
+            )
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+# ingest parses rows a chunk at a time: few enough that a chunk's row lists
+# are freed before the garbage collector moves them to an older generation
+# (16,384 rows made ingest half again slower), enough that the per-chunk
+# NumPy calls cost little per row
+_INGEST_CHUNK = 512
+
+
+def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of each text, and a mask of the texts that are no number."""
+    try:
+        return np.array(list(map(float, texts)), dtype=float), np.zeros(len(texts), bool)
+    except ValueError:
+        pass
+    values = np.zeros(len(texts))
+    bad = np.zeros(len(texts), bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = float(text)
+        except ValueError:
+            bad[i] = True
+    return values, bad
 
 
 def ingest(paths: Sequence[str | Path]) -> IngestResult:
-    """Parse raw sample CSVs; malformed rows are counted, never silently lost."""
-    samples: list[RawSample] = []
-    malformed = 0
+    """Parse raw sample CSVs into columns; malformed rows are counted by
+    reason, never silently lost.
+
+    A row whose cells are all blank is skipped.  Any other row is checked
+    for four columns, a timestamp, a numeric value, a known quantity, a
+    sensor id and a finite value, in that order, and the first check it
+    fails is its reason.  Each distinct timestamp text is parsed once.
+    """
+    malformed = dict.fromkeys(MALFORMED_REASONS, 0)
+    parsed: dict[str, int] = {}  # timestamp text -> epoch seconds, 0 when bad
+    bad_texts: set[str] = set()
+    sensor_codes: dict[str, int] = {}
+    quantity_codes = {q: i for i, q in enumerate(QUANTITIES)}
+    empty = np.zeros(0, np.int64)
+    parts = [(empty, empty, empty, np.zeros(0))]
     for path in paths:
-        for row in _read_csv_rows(Path(path), RAW_HEADER):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                malformed += 1
-                continue
-            stamp_text, sensor_id, quantity, value_text = (c.strip() for c in row)
-            try:
-                stamp = parse_timestamp(stamp_text)
-                value = float(value_text)
-            except (DataError, ValueError):
-                malformed += 1
-                continue
-            if quantity not in QUANTITIES or not sensor_id or not math.isfinite(value):
-                malformed += 1
-                continue
-            samples.append(RawSample(stamp, sensor_id, quantity, value))
-    return IngestResult(samples=samples, malformed=malformed)
+        rows = _csv_rows(Path(path), RAW_HEADER)
+        while chunk := list(islice(rows, _INGEST_CHUNK)):
+            if set(map(len, chunk)) != {4}:
+                malformed["wrong_column_count"] += sum(
+                    len(row) != 4 and any(cell.strip() for cell in row) for row in chunk
+                )
+                chunk = [row for row in chunk if len(row) == 4]
+                if not chunk:
+                    continue
+            n = len(chunk)
+            stamp_texts, sensor_ids, names, value_texts = (
+                list(map(str.strip, column)) for column in zip(*chunk)
+            )
+            for text in dict.fromkeys(stamp_texts):
+                if text not in parsed:
+                    try:
+                        parsed[text] = parse_timestamp(text)
+                    except ValueError:
+                        parsed[text] = 0
+                        bad_texts.add(text)
+            bad_stamp = np.fromiter(map(bad_texts.__contains__, stamp_texts), bool, n)
+            keep = np.ones(n, bool)
+            for i in np.flatnonzero(bad_stamp):  # an all-blank row is skipped, not counted
+                keep[i] = any((stamp_texts[i], sensor_ids[i], names[i], value_texts[i]))
+            values, non_numeric = _floats(value_texts)
+            quantities = np.fromiter(map(quantity_codes.get, names, repeat(-1)), np.int64, n)
+            for reason, fails in (
+                ("bad_timestamp", bad_stamp),
+                ("non_numeric_value", non_numeric),
+                ("unknown_quantity", quantities < 0),
+                ("empty_sensor", np.fromiter(map(not_, sensor_ids), bool, n)),
+                ("non_finite_value", ~np.isfinite(values)),
+            ):
+                malformed[reason] += int(np.count_nonzero(keep & fails))
+                keep &= ~fails
+            kept_ids = list(compress(sensor_ids, keep.tolist()))
+            for sensor_id in dict.fromkeys(kept_ids):
+                sensor_codes.setdefault(sensor_id, len(sensor_codes))
+            stamps = np.fromiter(map(parsed.__getitem__, stamp_texts), np.int64, n)
+            parts.append((
+                stamps[keep],
+                np.fromiter(map(sensor_codes.__getitem__, kept_ids), np.int64, len(kept_ids)),
+                quantities[keep],
+                values[keep],
+            ))
+    stamps, sensors, quantities, values = (np.concatenate(column) for column in zip(*parts))
+    samples = SampleColumns(stamps, sensors, quantities, values, tuple(sensor_codes))
+    return IngestResult(samples=samples, malformed_by_reason=malformed)
 
 
 def load_reference(path: str | Path) -> Series:
     """Load the hourly reference-instrument CSV; a bad cell or an off-hour
     stamp is a ``DataError`` naming ``path:line``."""
-    body = _read_csv_rows(Path(path), REFERENCE_HEADER)
+    body = list(_csv_rows(Path(path), REFERENCE_HEADER))
     stamps: list[int] = []
     values: list[float] = []
     try:
@@ -226,57 +341,73 @@ def load_reference(path: str | Path) -> Series:
 # aggregation and fusion
 
 
-def aggregate(
-    samples: Sequence[RawSample], granularity: str = "hour"
-) -> dict[tuple[str, str], Series]:
-    """Mean of raw samples per (sensor, quantity) time bucket."""
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows that start a run of equal rows in sorted key columns."""
+    start = np.zeros(keys[0].size, bool)
+    start[:1] = True
+    for key in keys:
+        start[1:] |= key[1:] != key[:-1]
+    return start
+
+
+def aggregate(samples: SampleColumns, granularity: str = "hour") -> SampleColumns:
+    """Mean of the samples in each (sensor, quantity, time bucket) group,
+    ordered by sensor code, quantity code and bucket.
+
+    Each group is summed in input order, and a group whose samples are all
+    equal averages to exactly that value instead of sum / count.
+    """
     if granularity not in GRANULARITIES:
         raise ConfigurationError(
             f"granularity must be one of {tuple(GRANULARITIES)}, got {granularity!r}"
         )
     width = GRANULARITIES[granularity]
-    # cell = [running sum, count, first value, all-equal flag]; the flag lets a
-    # constant bucket average to exactly that constant instead of sum/count
-    sums: dict[tuple[str, str], dict[int, list]] = {}
-    for s in samples:
-        bucket = (s.timestamp // width) * width
-        acc = sums.setdefault((s.sensor_id, s.quantity), {})
-        cell = acc.setdefault(bucket, [0.0, 0, s.value, True])
-        if cell[3] and s.value != cell[2]:
-            cell[3] = False
-        cell[0] += s.value
-        cell[1] += 1
-    out = {}
-    for key, acc in sums.items():
-        buckets = np.array(sorted(acc), dtype=np.int64)
-        means = np.array(
-            [acc[b][2] if acc[b][3] else acc[b][0] / acc[b][1] for b in buckets]
-        )
-        out[key] = Series(buckets, means)
-    return out
+    buckets = samples.timestamps // width * width
+    # stable, so first[g] below is group g's first sample in input order
+    order = np.lexsort((buckets, samples.quantities, samples.sensors))
+    start = _run_starts(samples.sensors[order], samples.quantities[order], buckets[order])
+    starts = np.flatnonzero(start)
+    group = np.empty(order.size, np.int64)
+    group[order] = np.cumsum(start) - 1
+    sums = np.bincount(group, weights=samples.values, minlength=starts.size)
+    means = sums / np.bincount(group, minlength=starts.size)
+    first = order[starts]
+    if starts.size:
+        ordered = samples.values[order]
+        constant = np.minimum.reduceat(ordered, starts) == np.maximum.reduceat(ordered, starts)
+        means[constant] = samples.values[first[constant]]
+    return SampleColumns(
+        buckets[first],
+        samples.sensors[first],
+        samples.quantities[first],
+        means,
+        samples.sensor_names,
+    )
 
 
-def median_fuse(series_by_sensor: dict[str, Series]) -> Series:
-    """Per-bucket median over the sensors that reported that bucket."""
-    if not series_by_sensor:
+def fuse_by_quantity(aggregated: SampleColumns) -> dict[str, Series]:
+    """Median across sensors of each (quantity, bucket) group.
+
+    A group of even size takes ``(a + b) / 2.0`` of its two middle values,
+    which is what ``np.median`` gives.
+    """
+    if not len(aggregated):
         raise ConfigurationError("median fusion needs at least one sensor series")
-    collected: dict[int, list[float]] = {}
-    for series in series_by_sensor.values():
-        for t, v in zip(series.timestamps, series.values):
-            collected.setdefault(int(t), []).append(float(v))
-    buckets = np.array(sorted(collected), dtype=np.int64)
-    values = np.array([float(np.median(collected[int(b)])) for b in buckets])
-    return Series(buckets, values)
-
-
-def fuse_by_quantity(
-    aggregated: dict[tuple[str, str], Series]
-) -> dict[str, Series]:
-    """Group aggregated streams by quantity and median-fuse across sensors."""
-    grouped: dict[str, dict[str, Series]] = {}
-    for (sensor_id, quantity), series in aggregated.items():
-        grouped.setdefault(quantity, {})[sensor_id] = series
-    return {q: median_fuse(by_sensor) for q, by_sensor in grouped.items()}
+    order = np.lexsort((aggregated.values, aggregated.timestamps, aggregated.quantities))
+    quantities = aggregated.quantities[order]
+    buckets = aggregated.timestamps[order]
+    values = aggregated.values[order]
+    starts = np.flatnonzero(_run_starts(quantities, buckets))
+    sizes = np.diff(np.append(starts, order.size))
+    medians = values[starts + (sizes - 1) // 2]
+    even = sizes % 2 == 0
+    medians[even] = (medians[even] + values[starts[even] + sizes[even] // 2]) / 2.0
+    group_quantity, group_bucket = quantities[starts], buckets[starts]
+    fused = {}
+    for code in np.unique(group_quantity):
+        mask = group_quantity == code
+        fused[QUANTITIES[code]] = Series(group_bucket[mask], medians[mask])
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +467,11 @@ def align_and_clean(
     interpolated = 0
     for col, name in enumerate(names):
         series = features[name]
-        lookup = {int(t): v for t, v in zip(series.timestamps, series.values)}
-        column = np.array([lookup.get(int(t), np.nan) for t in grid])
+        column = np.full(grid.size, np.nan)
+        if len(series):
+            at = np.minimum(np.searchsorted(series.timestamps, grid), len(series) - 1)
+            found = series.timestamps[at] == grid
+            column[found] = series.values[at[found]]
         column, filled = _interpolate_short_gaps(column, MAX_GAP_HOURS)
         interpolated += filled
         matrix[:, col] = column
@@ -492,7 +626,7 @@ def dataset_to_csv(dataset: CalibrationDataset, path: str | Path) -> None:
 def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     """Read a ``dataset_to_csv`` file; a bad cell, or a stamp off the hour
     grid or not after the row before, is a ``DataError`` naming ``path:line``."""
-    body = _read_csv_rows(Path(path), DATASET_HEADER)
+    body = list(_csv_rows(Path(path), DATASET_HEADER))
     stamps: list[int] = []
     rows: list[list[float]] = []
     targets: list[float] = []
@@ -709,13 +843,8 @@ def prepare_dataset(
         raise DataError("no valid samples found in the sensor files")
     aggregated = aggregate(result.samples, granularity)
     if granularity != "hour":
-        # re-bucket the finer series to the hourly grid expected by alignment
-        hourly_samples = [
-            RawSample(int(t), sensor, quantity, float(v))
-            for (sensor, quantity), series in aggregated.items()
-            for t, v in zip(series.timestamps, series.values)
-        ]
-        aggregated = aggregate(hourly_samples, "hour")
+        # re-bucket the finer means to the hourly grid expected by alignment
+        aggregated = aggregate(aggregated, "hour")
     fused = fuse_by_quantity(aggregated)
     reference = load_reference(reference_path)
     dataset, report = align_and_clean(fused, reference)

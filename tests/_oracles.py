@@ -2,7 +2,9 @@
 
 The simulator oracle builds full 2^n x 2^n dense unitaries with Kronecker
 products and literal gate matrices; the gradient oracle is plain central
-finite differences.  Nothing here imports the package's kernels.
+finite differences; the aggregation and fusion oracles are the row-wise
+dict loops that the columnar data path replaced.  Nothing here imports the
+package's kernels.
 """
 
 from __future__ import annotations
@@ -104,3 +106,50 @@ def random_gates(rng: np.random.Generator, n_qubits: int, n_gates: int):
                 )
             )
     return gates
+
+
+def aggregate_rows(samples, width: int) -> dict:
+    """Mean per (sensor, quantity, bucket) of ``(timestamp, sensor, quantity,
+    value)`` tuples, summed row by row in input order; a bucket whose values
+    are all equal averages to exactly its first value.
+
+    Returns ``{(sensor, quantity): (buckets, means)}`` with sorted buckets.
+    """
+    # cell = [running sum, count, first value, all-equal flag]
+    sums: dict = {}
+    for timestamp, sensor, quantity, value in samples:
+        bucket = (timestamp // width) * width
+        acc = sums.setdefault((sensor, quantity), {})
+        cell = acc.setdefault(bucket, [0.0, 0, value, True])
+        if cell[3] and value != cell[2]:
+            cell[3] = False
+        cell[0] += value
+        cell[1] += 1
+    out = {}
+    for key, acc in sums.items():
+        buckets = np.array(sorted(acc), dtype=np.int64)
+        means = np.array(
+            [acc[b][2] if acc[b][3] else acc[b][0] / acc[b][1] for b in buckets], dtype=float
+        )
+        out[key] = (buckets, means)
+    return out
+
+
+def median_fuse(series_by_sensor: dict) -> tuple:
+    """Per-bucket ``np.median`` over the sensors that reported that bucket;
+    ``series_by_sensor`` maps a sensor to ``(buckets, values)``."""
+    collected: dict = {}
+    for buckets, values in series_by_sensor.values():
+        for t, v in zip(buckets, values):
+            collected.setdefault(int(t), []).append(float(v))
+    buckets = np.array(sorted(collected), dtype=np.int64)
+    values = np.array([float(np.median(collected[int(b)])) for b in buckets])
+    return buckets, values
+
+
+def fuse_by_quantity(aggregated: dict) -> dict:
+    """``median_fuse`` of each quantity's ``aggregate_rows`` series."""
+    grouped: dict = {}
+    for (sensor, quantity), series in aggregated.items():
+        grouped.setdefault(quantity, {})[sensor] = series
+    return {q: median_fuse(by_sensor) for q, by_sensor in grouped.items()}

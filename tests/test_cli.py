@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscale import cli, data, models
@@ -655,6 +655,14 @@ class TestConfigFuzz:
 
 
 SENSOR_MUTATIONS = ("empty", "text", "nan", "stamp", "short", "wide", "quantity", "bytes")
+# cell mutations: (fixed column or None for the drawn one, new cell text)
+SENSOR_CELL_MUTATIONS = {
+    "empty": (None, ""),
+    "text": (None, "abc"),
+    "nan": (3, "nan"),
+    "stamp": (0, "2023-13-45T99:00:00Z"),
+    "quantity": (2, "co2"),
+}
 
 
 class TestRawLogFuzz:
@@ -673,24 +681,20 @@ class TestRawLogFuzz:
 
         @settings(max_examples=100, deadline=None, derandomize=True)
         @given(st.lists(mutation, min_size=1, max_size=3))
+        @example([("short", 0, 0), ("empty", 0, 1)])
         def mutate_and_prepare(mutations):
             cells = [line.split(",") for line in valid]
             suffix = b""
             for kind, row, column in mutations:
-                if kind == "empty":
-                    cells[row][column] = ""
-                elif kind == "text":
-                    cells[row][column] = "abc"
-                elif kind == "nan":
-                    cells[row][3] = "nan"
-                elif kind == "stamp":
-                    cells[row][0] = "2023-13-45T99:00:00Z"
+                if kind in SENSOR_CELL_MUTATIONS:
+                    fixed, text = SENSOR_CELL_MUTATIONS[kind]
+                    column = column if fixed is None else fixed
+                    if column < len(cells[row]):  # a "short" mutation may have cut it off
+                        cells[row][column] = text
                 elif kind == "short":
                     cells[row] = cells[row][: column or 1]
                 elif kind == "wide":
                     cells[row] = cells[row][:4] + ["1.0"]
-                elif kind == "quantity":
-                    cells[row][2] = "co2"
                 else:
                     suffix = b"\xff"
             body = "\n".join([header, *(",".join(c) for c in cells)]) + "\n"

@@ -1,15 +1,24 @@
 """Ingest, aggregation, fusion, cleaning, scaling, windows, and synthesis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
+from qscale import cli
 from qscale.errors import ConfigurationError, DataError
 from qscale.data import (
+    GRANULARITIES,
     HOUR,
+    MALFORMED_REASONS,
+    QUANTITIES,
+    RAW_HEADER,
     CalibrationDataset,
     RawSample,
+    SampleColumns,
     Series,
     SynthProfile,
     aggregate,
@@ -25,7 +34,6 @@ from qscale.data import (
     invert_scaler,
     load_reference,
     make_windows,
-    median_fuse,
     parse_timestamp,
     prepare_dataset,
     synthesize,
@@ -33,6 +41,47 @@ from qscale.data import (
 )
 
 T0 = 1672531200  # 2023-01-01T00:00:00Z
+
+
+def columns(samples):
+    """``RawSample`` rows as the ``SampleColumns`` that ``ingest`` returns."""
+    names = tuple(dict.fromkeys(s.sensor_id for s in samples))
+    return SampleColumns(
+        np.array([s.timestamp for s in samples], dtype=np.int64),
+        np.array([names.index(s.sensor_id) for s in samples], dtype=np.int64),
+        np.array([QUANTITIES.index(s.quantity) for s in samples], dtype=np.int64),
+        np.array([s.value for s in samples], dtype=float),
+        names,
+    )
+
+
+def rows_of(cols):
+    """``SampleColumns`` back as ``RawSample`` rows, in column order."""
+    return [
+        RawSample(int(t), cols.sensor_names[s], QUANTITIES[q], float(v))
+        for t, s, q, v in zip(cols.timestamps, cols.sensors, cols.quantities, cols.values)
+    ]
+
+
+def series_of(cols, sensor, quantity):
+    """One (sensor, quantity) stream of aggregated columns as a ``Series``."""
+    mask = (cols.sensors == cols.sensor_names.index(sensor)) & (
+        cols.quantities == QUANTITIES.index(quantity)
+    )
+    return Series(cols.timestamps[mask], cols.values[mask])
+
+
+def fused_pm25(series_by_sensor):
+    """``fuse_by_quantity`` of per-sensor hourly pm25 ``Series``."""
+    return fuse_by_quantity(
+        columns(
+            [
+                RawSample(int(t), sensor, "pm25", float(v))
+                for sensor, series in series_by_sensor.items()
+                for t, v in zip(series.timestamps, series.values)
+            ]
+        )
+    )["pm25"]
 
 
 def hourly_dataset(n, features=None, target=None, names=("pm25",), start=T0):
@@ -66,7 +115,7 @@ class TestIngest:
         p = tmp_path / "empty.csv"
         p.write_text("timestamp_iso8601,sensor_id,quantity,value\n")
         result = ingest([p])
-        assert result.samples == [] and result.malformed == 0
+        assert len(result.samples) == 0 and result.malformed == 0
 
     def test_single_row(self, tmp_path):
         p = tmp_path / "one.csv"
@@ -75,7 +124,7 @@ class TestIngest:
             "2023-01-01T00:00:00Z,pm-00,pm25,12.5\n"
         )
         result = ingest([p])
-        assert result.samples == [RawSample(T0, "pm-00", "pm25", 12.5)]
+        assert rows_of(result.samples) == [RawSample(T0, "pm-00", "pm25", 12.5)]
 
     def test_malformed_rows_counted(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -90,6 +139,31 @@ class TestIngest:
         assert result.malformed == 3
         assert len(result.samples) == 1
 
+    def test_reason_is_first_failed_check(self, tmp_path):
+        p = tmp_path / "reasons.csv"
+        p.write_text(
+            "timestamp_iso8601,sensor_id,quantity,value\n"
+            "2023-01-01T00:00:00Z,pm-00,pm25\n"
+            "nonsense, ,co2,abc\n"
+            "2023-01-01T00:00:00Z, ,co2,abc\n"
+            "2023-01-01T00:00:00Z, ,co2,nan\n"
+            "2023-01-01T00:00:00Z, ,pm25,nan\n"
+            "2023-01-01T00:00:00Z,pm-00,pm25,inf\n"
+            ",,,\n"
+            " , \n"
+            "2023-01-01T00:00:00Z,pm-00,pm25,1.0\n"
+        )
+        result = ingest([p])
+        assert result.malformed_by_reason == {
+            "bad_timestamp": 1,
+            "non_numeric_value": 1,
+            "unknown_quantity": 1,
+            "wrong_column_count": 1,
+            "non_finite_value": 1,
+            "empty_sensor": 1,
+        }
+        assert result.malformed == 6 and len(result.samples) == 1
+
     def test_wrong_header_is_schema_violation(self, tmp_path):
         p = tmp_path / "schema.csv"
         p.write_text("time,id,what,val\n1,2,3,4\n")
@@ -100,11 +174,20 @@ class TestIngest:
         with pytest.raises(DataError):
             ingest([tmp_path / "nope.csv"])
 
+    def test_unsplittable_row_names_line(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text(
+            "timestamp_iso8601,sensor_id,quantity,value\n"
+            '2023-01-01T00:00:00Z,pm-00,pm25,"' + "9" * 200_000 + "\n"
+        )
+        with pytest.raises(DataError, match=r"big\.csv:2: field larger than field limit"):
+            ingest([p])
+
 
 class TestAggregate:
     def test_hour_mean_of_constant(self):
         samples = [RawSample(T0 + k, "s", "pm25", 5.0) for k in range(0, 3600, 60)]
-        series = aggregate(samples, "hour")[("s", "pm25")]
+        series = series_of(aggregate(columns(samples), "hour"), "s", "pm25")
         assert len(series) == 1
         assert series.values[0] == pytest.approx(5.0)
 
@@ -114,30 +197,27 @@ class TestAggregate:
             RawSample(T0 + 120, "s", "pm25", 3.0),
             RawSample(T0 + HOUR, "s", "pm25", 10.0),
         ]
-        series = aggregate(samples, "hour")[("s", "pm25")]
+        series = series_of(aggregate(columns(samples), "hour"), "s", "pm25")
         np.testing.assert_allclose(series.values, [2.0, 10.0])
 
     def test_minute_buckets(self):
         samples = [
             RawSample(T0 + k, "s", "temp", float(k)) for k in (0, 30, 60, 90)
         ]
-        series = aggregate(samples, "minute")[("s", "temp")]
+        series = series_of(aggregate(columns(samples), "minute"), "s", "temp")
         np.testing.assert_allclose(series.values, [15.0, 75.0])
 
     def test_idempotent_on_hourly_data(self):
         samples = [RawSample(T0 + HOUR * k, "s", "pm25", float(k)) for k in range(5)]
-        once = aggregate(samples, "hour")[("s", "pm25")]
-        again_samples = [
-            RawSample(int(t), "s", "pm25", float(v))
-            for t, v in zip(once.timestamps, once.values)
-        ]
-        twice = aggregate(again_samples, "hour")[("s", "pm25")]
+        once = aggregate(columns(samples), "hour")
+        twice = aggregate(once, "hour")
+        once, twice = series_of(once, "s", "pm25"), series_of(twice, "s", "pm25")
         np.testing.assert_array_equal(once.values, twice.values)
         np.testing.assert_array_equal(once.timestamps, twice.timestamps)
 
     def test_unknown_granularity(self):
         with pytest.raises(ConfigurationError):
-            aggregate([], "day")
+            aggregate(columns([]), "day")
 
 
 class TestMedianFuse:
@@ -147,7 +227,7 @@ class TestMedianFuse:
             "b": Series(np.array([T0]), np.array([9.0])),
             "c": Series(np.array([T0]), np.array([2.0])),
         }
-        assert median_fuse(series).values[0] == 2.0
+        assert fused_pm25(series).values[0] == 2.0
 
     def test_even_count_means_middle_two(self):
         series = {
@@ -156,14 +236,14 @@ class TestMedianFuse:
             "c": Series(np.array([T0]), np.array([8.0])),
             "d": Series(np.array([T0]), np.array([100.0])),
         }
-        assert median_fuse(series).values[0] == 5.0
+        assert fused_pm25(series).values[0] == 5.0
 
     def test_missing_buckets_use_reporting_sensors(self):
         series = {
             "a": Series(np.array([T0, T0 + HOUR]), np.array([1.0, 5.0])),
             "b": Series(np.array([T0]), np.array([3.0])),
         }
-        fused = median_fuse(series)
+        fused = fused_pm25(series)
         np.testing.assert_allclose(fused.values, [2.0, 5.0])
 
     @settings(deadline=None, max_examples=50)
@@ -174,11 +254,94 @@ class TestMedianFuse:
             for k, v in enumerate(values)
         }
         shuffled = dict(reversed(list(base.items())))
-        assert median_fuse(base).values[0] == median_fuse(shuffled).values[0]
+        assert fused_pm25(base).values[0] == fused_pm25(shuffled).values[0]
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            median_fuse({})
+            fuse_by_quantity(columns([]))
+
+
+def sample_rows(draw_rows):
+    """(timestamp, sensor, quantity, value) tuples from drawn row specs."""
+    return [
+        (T0 + HOUR * hour + second, f"s{sensor}", QUANTITIES[quantity], value)
+        for sensor, quantity, hour, second, value in draw_rows
+    ]
+
+
+SENSOR = st.integers(0, 4)  # 1-5 sensors, so both odd and even counts
+QUANTITY = st.integers(0, 1)
+HOUR_INDEX = st.integers(0, 3)  # buckets repeat across rows and sensors
+ROW = st.tuples(
+    SENSOR,
+    QUANTITY,
+    HOUR_INDEX,
+    st.sampled_from([0, 1, 59, 60, 61, 1799, 3599]),  # second within the hour
+    st.one_of(st.sampled_from([0.1, 2.5, -7.0]), st.floats(-1e6, 1e6, allow_nan=False)),
+)
+# 3-6 equal values within one minute: a constant bucket, whose mean must be
+# that value exactly (three 0.1s sum to 0.30000000000000004)
+CONSTANT_RUN = st.tuples(
+    SENSOR, QUANTITY, HOUR_INDEX, st.sampled_from([0.1, 0.7, 1.1]), st.integers(3, 6)
+)
+
+
+class TestColumnarMatchesRowOracle:
+    def test_matches_dict_loops(self, tmp_path):
+        """ingest → aggregate → fuse_by_quantity over rows spread across
+        several files is bit-equal to the row-wise dict loops."""
+
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        @given(
+            st.lists(ROW, min_size=1, max_size=60),
+            st.lists(CONSTANT_RUN, max_size=4),
+            st.integers(1, 3),
+            st.sampled_from(sorted(GRANULARITIES)),
+        )
+        def check(draw_rows, constant_runs, n_files, granularity):
+            samples = sample_rows(
+                draw_rows
+                + [
+                    (sensor, quantity, hour, 600 + k, value)
+                    for sensor, quantity, hour, value, count in constant_runs
+                    for k in range(count)
+                ]
+            )
+            bounds = np.linspace(0, len(samples), n_files + 1).astype(int)
+            paths = []
+            for k in range(n_files):
+                path = tmp_path / f"sensors-{k}.csv"
+                lines = [
+                    f"{format_timestamp(t)},{sensor},{quantity},{value!r}"
+                    for t, sensor, quantity, value in samples[bounds[k]:bounds[k + 1]]
+                ]
+                path.write_text("\n".join([",".join(RAW_HEADER), *lines]) + "\n")
+                paths.append(path)
+
+            want = _oracles.aggregate_rows(samples, GRANULARITIES[granularity])
+            got = aggregate(ingest(paths).samples, granularity)
+            if granularity != "hour":
+                rebucketed = [
+                    (int(t), sensor, quantity, float(v))
+                    for (sensor, quantity), (buckets, means) in want.items()
+                    for t, v in zip(buckets, means)
+                ]
+                want = _oracles.aggregate_rows(rebucketed, HOUR)
+                got = aggregate(got, "hour")
+            for (sensor, quantity), (buckets, means) in want.items():
+                series = series_of(got, sensor, quantity)
+                assert np.array_equal(series.timestamps, buckets)
+                assert np.array_equal(series.values, means)
+            assert len(got) == sum(b.size for b, _ in want.values())
+
+            fused = fuse_by_quantity(got)
+            want_fused = _oracles.fuse_by_quantity(want)
+            assert set(fused) == set(want_fused)
+            for quantity, (buckets, values) in want_fused.items():
+                assert np.array_equal(fused[quantity].timestamps, buckets)
+                assert np.array_equal(fused[quantity].values, values)
+
+        check()
 
 
 class TestAlignAndClean:
@@ -425,7 +588,7 @@ class TestSynthesize:
 
     def test_zero_profile_sensors_equal_reference(self):
         campaign = synthesize(3, 48)
-        aggregated = aggregate(campaign.samples, "hour")
+        aggregated = aggregate(columns(campaign.samples), "hour")
         fused = fuse_by_quantity(aggregated)
         np.testing.assert_allclose(
             fused["pm25"].values, campaign.reference.values, atol=1e-9
@@ -434,7 +597,7 @@ class TestSynthesize:
     def test_distorted_profile_deviates(self):
         profile = SynthProfile(gain=1.5, offset=3.0, noise_std=1.0)
         campaign = synthesize(5, 48, profile)
-        fused = fuse_by_quantity(aggregate(campaign.samples, "hour"))
+        fused = fuse_by_quantity(aggregate(columns(campaign.samples), "hour"))
         l1 = np.mean(np.abs(fused["pm25"].values - campaign.reference.values))
         assert l1 > 5.0
 
@@ -474,3 +637,135 @@ class TestPrepareMinuteGranularity:
             [paths["sensors"]], paths["reference"], granularity="minute"
         )
         np.testing.assert_allclose(dataset.target, campaign.reference.values)
+
+
+# A defect-injected campaign whose prepared dataset.csv bytes are pinned.
+# Its values are decimal fractions drawn as integers and its sums run in a
+# fixed order, so the bytes depend on no platform's math library.
+DEFECT_HOURS = 120
+DEFECT_OUTAGES = {  # hours with no sample of a quantity from any sensor
+    "pm25": (30,),  # 1-2 hours are interpolated
+    "temp": (50, 51),
+    "hum": (70, 71, 72, 73),  # longer outages are dropped
+    "press": (90, 91, 92),
+}
+DEFECT_INJECTED = {
+    "bad_timestamp": 3,
+    "non_numeric_value": 2,
+    "unknown_quantity": 2,
+    "wrong_column_count": 2,
+    "non_finite_value": 3,
+    "empty_sensor": 1,
+}
+# sha256 of dataset.csv as prepared by the row-wise pipeline that the
+# columnar one replaced; both must write the same bytes
+PINNED_DATASET_SHA256 = {
+    "hour": "cd9ce42051f1913412a404657ec29ebb3ecd962070f5daed9673c9e48638a0e9",
+    "minute": "b85b0a76083d53a05ec424324e292fd53a35f4e03181f28efd877404472a11c7",
+}
+
+
+def _defect_row(rng, valid, reason):
+    """A malformed variant of a valid raw row that ``ingest`` rejects for ``reason``."""
+    stamp, sensor, quantity, value = valid.split(",")
+    variants = {
+        "bad_timestamp": [
+            f"{bad},{sensor},{quantity},{value}"
+            for bad in ("2023-02-30T10:00:00Z", "not-a-time", "")
+        ],
+        "non_numeric_value": [f"{stamp},{sensor},{quantity},{bad}" for bad in ("n/a", "")],
+        "unknown_quantity": [f"{stamp},{sensor},{bad},{value}" for bad in ("pm10", "co2")],
+        "wrong_column_count": [f"{stamp},{sensor},{quantity}", f"{valid},1"],
+        "non_finite_value": [
+            f"{stamp},{sensor},{quantity},{bad}" for bad in ("nan", "inf", "-inf")
+        ],
+        "empty_sensor": [f"{stamp}, ,{quantity},{value}"],
+    }[reason]
+    return variants[rng.integers(len(variants))]
+
+
+def write_defect_campaign(out):
+    """Two raw logs and a reference log over ``DEFECT_HOURS`` hours.
+
+    Four pm25 sensors report for the first half and three for the second
+    (even and odd medians); one holds a constant value per hour, and each
+    of the others adds a second sample in the minute of its first. Every
+    reason in ``DEFECT_INJECTED`` is injected, plus two blank rows that are
+    skipped. The reference lacks hour 100 and holds ``nan`` at hour 110.
+    """
+    rng = np.random.default_rng(2210)
+    rows = []
+    for h in range(DEFECT_HOURS):
+        base = T0 + HOUR * h
+        level = int(rng.integers(50, 400))
+        for s in range(4 if h < DEFECT_HOURS // 2 else 3):
+            for k in range(6):
+                t = base + 600 * k + int(rng.integers(0, 60))
+                n = level if s == 2 else level + int(rng.integers(-30, 31))
+                value = n / 50 if s == 2 else n / 100 * (s + 1)
+                rows.append((t, f"pm-{s:02d}", "pm25", value))
+                if k == 0 and s != 2:
+                    rows.append((t + 1, f"pm-{s:02d}", "pm25", value + 0.25))
+        for e in range(2):
+            for quantity, lo, hi in (("temp", -50, 300), ("hum", 300, 980), ("press", 9900, 10300)):
+                for k in range(3):
+                    t = base + 1200 * k + 7 * e
+                    rows.append((t, f"env-{e:02d}", quantity, int(rng.integers(lo, hi)) / 10))
+    rows = [r for r in rows if (r[0] - T0) // HOUR not in DEFECT_OUTAGES[r[2]]]
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    body = [f"{format_timestamp(t)},{sensor},{q},{v!r}" for t, sensor, q, v in rows]
+    inserts = [
+        (at, _defect_row(rng, body[at], reason))
+        for reason, count in DEFECT_INJECTED.items()
+        for at in (int(rng.integers(len(body))) for _ in range(count))
+    ]
+    inserts += [(int(rng.integers(len(body))), ",,,"), (int(rng.integers(len(body))), "")]
+    for at, line in sorted(inserts, key=lambda item: item[0], reverse=True):
+        body.insert(at, line)
+    out.mkdir(parents=True, exist_ok=True)
+    half = len(body) // 2
+    sensors = []
+    for name, part in (("sensors-1.csv", body[:half]), ("sensors-2.csv", body[half:])):
+        (out / name).write_text(
+            "\n".join(["timestamp_iso8601,sensor_id,quantity,value", *part]) + "\n"
+        )
+        sensors.append(out / name)
+    reference = ["timestamp_iso8601,pm25_ug_m3"]
+    for h in range(DEFECT_HOURS):
+        if h != 100:
+            value = "nan" if h == 110 else repr(int(rng.integers(20, 300)) / 10)
+            reference.append(f"{format_timestamp(T0 + HOUR * h)},{value}")
+    (out / "reference.csv").write_text("\n".join(reference) + "\n")
+    return sensors, out / "reference.csv"
+
+
+class TestPinnedPrepare:
+    @pytest.mark.parametrize("granularity", sorted(PINNED_DATASET_SHA256))
+    def test_dataset_csv_bytes(self, tmp_path, granularity):
+        sensors, reference = write_defect_campaign(tmp_path / "raw")
+        code = cli.main([
+            "prepare",
+            "--sensors", *map(str, sensors),
+            "--reference", str(reference),
+            "--granularity", granularity,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "out" / "dataset.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_DATASET_SHA256[granularity]
+
+    def test_counts(self, tmp_path):
+        sensors, reference = write_defect_campaign(tmp_path)
+        dataset, report, malformed = prepare_dataset(sensors, reference)
+        assert malformed == sum(DEFECT_INJECTED.values())
+        assert report.interpolated_cells == 3  # pm25 hour 30, temp hours 50-51
+        assert report.dropped_rows == 8  # hum 70-73, press 90-92, nan reference at 110
+        assert len(dataset) == DEFECT_HOURS - 1 - 8  # hour 100 has no reference
+
+    def test_malformed_by_reason(self, tmp_path):
+        sensors, _ = write_defect_campaign(tmp_path)
+        result = ingest(sensors)
+        assert result.malformed_by_reason == {
+            reason: DEFECT_INJECTED.get(reason, 0) for reason in MALFORMED_REASONS
+        }
+        assert sum(result.malformed_by_reason.values()) == result.malformed
