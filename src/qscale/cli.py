@@ -384,7 +384,7 @@ def _number(entry: dict, key: str) -> float:
 
 
 def _losses_text(losses: dict) -> str:
-    return " ".join(f"{key}={_number(losses, key):.6g}" for key in ("l1", "mse", "rmse"))
+    return " ".join(f"{key}={_number(losses, key):.6g}" for key in models.METRICS)
 
 
 def _report_lines(payload: dict) -> list[str]:
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="uncalibrated sensor-vs-reference loss")
     p.add_argument("--data", required=True)
-    p.add_argument("--loss", choices=("l1", "mse", "rmse"), default="l1")
+    p.add_argument("--loss", choices=tuple(models.METRICS), default="l1")
     p.add_argument("--sample-size", dest="sample_size", type=int, default=None)
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_flags(p)
     p.add_argument("--grid", required=True, help="JSON file: axis -> value list")
     p.add_argument("--train-fraction", type=float, default=0.75)
-    p.add_argument("--rank-loss", choices=("l1", "mse", "rmse"), default="l1")
+    p.add_argument("--rank-loss", choices=tuple(models.METRICS), default="l1")
     p.add_argument("--threads", type=int, default=1, help="unused; grid points run serially")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_grid_search)

@@ -625,7 +625,8 @@ def dataset_to_csv(dataset: CalibrationDataset, path: str | Path) -> None:
 
 def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     """Read a ``dataset_to_csv`` file; a bad cell, or a stamp off the hour
-    grid or not after the row before, is a ``DataError`` naming ``path:line``."""
+    grid or not after the row before, is a ``DataError`` naming ``path:line``,
+    and a blank pm25 column (every series row reads it) one naming ``path``."""
     body = list(_csv_rows(Path(path), DATASET_HEADER))
     stamps: list[int] = []
     rows: list[list[float]] = []
@@ -659,6 +660,8 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     if not stamps:
         raise DataError(f"{path}: dataset file holds no rows")
     names = tuple(n for n, ok in zip(FEATURE_COLUMNS, present) if ok)
+    if "pm25" not in names:
+        raise DataError(f"{path}: the pm25 column is blank")
     return CalibrationDataset(
         np.asarray(stamps, dtype=np.int64),
         names,

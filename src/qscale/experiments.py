@@ -177,7 +177,7 @@ def cross_validate(
     average = None
     if good:
         average = {
-            key: float(np.mean([e[key] for e in good])) for key in ("l1", "mse", "rmse")
+            key: float(np.mean([e[key] for e in good])) for key in models.METRICS
         }
     report_options = trained.options if trained else models.resolve_options(kind, options)
     return MetricsReport(
@@ -223,14 +223,6 @@ class BenchmarkResult:
         }
 
 
-def _benchmark_loss(kind: str, raw: np.ndarray, ref: np.ndarray) -> float:
-    from . import nn
-
-    if kind == "rmse":
-        return nn.rmse(raw, ref)
-    return nn.loss_value(kind, raw, ref)
-
-
 def benchmark_uncalibrated(
     dataset: CalibrationDataset,
     loss_kind: str = "l1",
@@ -239,7 +231,7 @@ def benchmark_uncalibrated(
     seed: int = 0,
 ) -> BenchmarkResult:
     """Loss of the raw fused sensor against the reference, no model at all."""
-    if loss_kind not in ("l1", "mse", "rmse"):
+    if loss_kind not in models.METRICS:
         raise ConfigurationError(f"unknown benchmark loss {loss_kind!r}")
     if "pm25" not in dataset.feature_names:
         raise ConfigurationError("benchmark needs the raw pm25 feature")
@@ -254,17 +246,18 @@ def benchmark_uncalibrated(
         raise ConfigurationError("draw count must be non-negative")
     raw = dataset.features[:, dataset.feature_names.index("pm25")]
     ref = dataset.target
+    metric = models.METRICS[loss_kind]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 57]))
     draws = np.empty(n_draws)
     for d in range(n_draws):
         idx = rng.choice(n, size=sample_size, replace=False)
-        draws[d] = _benchmark_loss(loss_kind, raw[idx], ref[idx])
+        draws[d] = metric(raw[idx], ref[idx])
     return BenchmarkResult(
         loss_kind=loss_kind,
         sample_size=int(sample_size),
         seed=int(seed),
         draws=draws,
-        full_loss=_benchmark_loss(loss_kind, raw, ref),
+        full_loss=metric(raw, ref),
     )
 
 
@@ -309,7 +302,7 @@ def grid_search(
     accepted and unused, as in ``cross_validate``.
     """
     total = grid_size(grid)
-    if rank_loss not in ("l1", "mse", "rmse"):
+    if rank_loss not in models.METRICS:
         raise ConfigurationError(f"unknown ranking loss {rank_loss!r}")
     base = base_config or models.default_config(kind)
     train_set, test_set = chronological_split(dataset, train_fraction)

@@ -22,9 +22,13 @@ adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
 per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
 
 Every model takes a minibatch in one forward and one backward pass on
-``[B, ...]`` arrays; ``predict`` runs the same forward pass over blocks of
-``PREDICT_ROWS`` windows, so the activations it keeps stay bounded
-whatever the number of rows.
+``[B, ...]`` arrays, one window being a batch of one; ``predict`` runs the
+same forward pass over blocks of ``PREDICT_ROWS`` windows, so the
+activations it keeps stay bounded whatever the number of rows.  The LSTM
+keeps each layer's gates as ``nn.LSTMLayerParams`` slabs and the QLSTM its
+fc_out maps as one slab pair; ``param_arrays`` names per-gate and per-map
+views of them, so checkpoints and the flat vector keep one array per gate
+and map.  Held-out losses are the ``METRICS`` table, by name.
 
 A kind's option defaults live only in ``_DEFAULT_OPTIONS`` and its default
 window only in ``_DEFAULT_CONFIGS``.  Every model is built by one path:
@@ -38,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,6 +56,12 @@ MODEL_KINDS = ("ffnn", "lstm", "vqr", "qlstm")
 # windows per forward pass in predict: a pass keeps every layer's activations
 # (and circuit amplitudes) for its rows, so a sensor-year goes in blocks
 PREDICT_ROWS = 1024
+# every reported loss by name, as a function of (predictions, reference)
+METRICS = {
+    "l1": partial(nn.loss_value, "l1"),
+    "mse": partial(nn.loss_value, "mse"),
+    "rmse": nn.rmse,
+}
 
 
 @dataclass(frozen=True)
@@ -396,10 +407,13 @@ class QLSTMModel(_ModelBase):
 
     One linear map (``fc_in``) compresses [h_prev, x_t] to one angle per
     qubit; circuits 1-4 drive the forget/input/update/output gates through
-    a shared expansion (``fc_out``) back to the hidden size, and
+    an expansion (``fc_out``) back to the hidden size, and
     ``nn.lstm_gates`` turns them into the cell update; a dedicated
     projection feeds circuits 5-6, which produce the next hidden state and
-    the per-step prediction.
+    the per-step prediction.  The expansions are one slab pair,
+    ``fc_out_weights`` [K, hidden, n] and ``fc_out_bias`` [K, hidden], with
+    K = 1 when shared and 6 otherwise; ``fc_out_slot`` names each circuit's
+    entry.  ``vqc_params`` holds the six circuits' angles as one slab.
 
     The cell runs over a minibatch [B, ...].  Circuits sharing an input run
     as one stack of rows with per-row params: per time step, one batched run
@@ -417,14 +431,13 @@ class QLSTMModel(_ModelBase):
         n_features = len(self.feature_names)
         self.fc_in = nn.dense_layer(rng, hidden + n_features, n, "identity")
         self.proj = nn.dense_layer(rng, hidden, n, "identity")
-        if self.options["shared_fc_out"]:
-            self.fc_out = [nn.dense_layer(rng, n, hidden, "identity")]
-        else:
-            self.fc_out = [
-                nn.dense_layer(rng, n, hidden, "identity") for _ in range(6)
-            ]
+        shared = self.options["shared_fc_out"]
+        fc_out = [nn.dense_layer(rng, n, hidden, "identity") for _ in range(1 if shared else 6)]
+        self.fc_out_weights = np.stack([layer.weights for layer in fc_out])
+        self.fc_out_bias = np.stack([layer.bias for layer in fc_out])
+        self.fc_out_slot = np.zeros(6, dtype=int) if shared else np.arange(6)
         self.readout = nn.dense_layer(rng, hidden, 1, "identity")
-        self.vqc_params = [vqc.init_params(self.template, rng) for _ in range(6)]
+        self.vqc_params = np.stack([vqc.init_params(self.template, rng) for _ in range(6)])
 
     @property
     def hidden_size(self) -> int:
@@ -434,9 +447,6 @@ class QLSTMModel(_ModelBase):
     def n_qubits(self) -> int:
         return self.options["n_qubits"]
 
-    def _fc_out(self, gate_index: int) -> nn.DenseLayer:
-        return self.fc_out[0] if len(self.fc_out) == 1 else self.fc_out[gate_index]
-
     def param_arrays(self):
         named = [
             ("fc_in.weights", self.fc_in.weights),
@@ -444,9 +454,9 @@ class QLSTMModel(_ModelBase):
             ("projection.weights", self.proj.weights),
             ("projection.bias", self.proj.bias),
         ]
-        for k, layer in enumerate(self.fc_out):
-            named.append((f"fc_out{k}.weights", layer.weights))
-            named.append((f"fc_out{k}.bias", layer.bias))
+        for k in range(len(self.fc_out_weights)):
+            named.append((f"fc_out{k}.weights", self.fc_out_weights[k]))
+            named.append((f"fc_out{k}.bias", self.fc_out_bias[k]))
         named.append(("readout.weights", self.readout.weights))
         named.append(("readout.bias", self.readout.bias))
         for k, params in enumerate(self.vqc_params):
@@ -455,12 +465,11 @@ class QLSTMModel(_ModelBase):
 
     # -- cell -------------------------------------------------------------
 
-    def _fc_out_stack(self, gates: slice) -> tuple[np.ndarray, np.ndarray]:
-        """fc_out weights [K, hidden, n] and biases [K, 1, hidden] of the
-        given gates; a shared map is one entry that broadcasts over them."""
-        layers = self.fc_out if len(self.fc_out) == 1 else self.fc_out[gates]
-        weights = np.stack([layer.weights for layer in layers])
-        return weights, np.stack([layer.bias for layer in layers])[:, None, :]
+    def _expand(self, gates: slice, e: np.ndarray) -> np.ndarray:
+        """The given circuits' expectations e [K, B, n] through their fc_out
+        entries; returns [K, B, hidden]."""
+        slots = self.fc_out_slot[gates]
+        return e @ self.fc_out_weights[slots].transpose(0, 2, 1) + self.fc_out_bias[slots, None]
 
     def _run_circuits(
         self, gates: slice, inputs: np.ndarray
@@ -468,7 +477,7 @@ class QLSTMModel(_ModelBase):
         """Run the given circuits on the same inputs [B, n] as one stack of
         K x B rows, circuit-major; returns the angle rows, the
         expectations [K, B, n] and the final amplitudes."""
-        params = np.stack(self.vqc_params[gates])[:, None, :]
+        params = self.vqc_params[gates, None, :]
         angles = vqc._angle_table(self.template, params, inputs[None])
         angles = angles.reshape(-1, angles.shape[-1])
         exps, states = vqc._run_rows(self.template, angles)
@@ -478,22 +487,14 @@ class QLSTMModel(_ModelBase):
         self, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         """One time step on scaled inputs x_t [B, features] and states
-        h_prev, c_prev [B, hidden]; returns (h, c, y [B], cache).  Given
-        1-D arguments it steps one sample and returns its h, c and a float
-        y; the cache keeps the batch axis either way."""
-        single = np.ndim(x_t) == 1
-        x_t, h_prev, c_prev = (
-            np.atleast_2d(np.asarray(a, dtype=float)) for a in (x_t, h_prev, c_prev)
-        )
+        h_prev, c_prev [B, hidden]; returns (h, c, y [B], cache)."""
         concat = np.concatenate([h_prev, x_t], axis=1)
         v = concat @ self.fc_in.weights.T + self.fc_in.bias
         gate_angles, e, gate_states = self._run_circuits(slice(0, 4), v)
-        weights, bias = self._fc_out_stack(slice(0, 4))
-        u, c, gates = nn.lstm_gates(e @ weights.transpose(0, 2, 1) + bias, c_prev)
+        u, c, gates = nn.lstm_gates(self._expand(slice(0, 4), e), c_prev)
         w = u @ self.proj.weights.T + self.proj.bias
         out_angles, e_out, out_states = self._run_circuits(slice(4, 6), w)
-        weights, bias = self._fc_out_stack(slice(4, 6))
-        h, q = e_out @ weights.transpose(0, 2, 1) + bias
+        h, q = self._expand(slice(4, 6), e_out)
         y = q @ self.readout.weights[0] + self.readout.bias[0]
         cache = {
             "concat": concat,
@@ -509,8 +510,6 @@ class QLSTMModel(_ModelBase):
             "out_states": out_states,
             "q": q,
         }
-        if single:
-            return h[0], c[0], float(y[0]), cache
         return h, c, y, cache
 
     def sequence_forward(self, x_scaled: np.ndarray) -> tuple[np.ndarray, list[dict]]:
@@ -555,7 +554,7 @@ class QLSTMModel(_ModelBase):
         grad_fc_w = np.zeros((6, hidden, self.n_qubits))
         grad_fc_b = np.zeros((6, hidden))
         grad_quantum = np.zeros((6, self.template.total_params))
-        gate_weights, _ = self._fc_out_stack(slice(0, 4))
+        gate_weights = self.fc_out_weights[self.fc_out_slot[:4]]
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
         for t in range(steps - 1, -1, -1):
@@ -576,7 +575,7 @@ class QLSTMModel(_ModelBase):
                 slice(k, k + 1),
                 cache["out_angles"][rows],
                 cache["out_states"][rows],
-                (d_out @ self._fc_out(k).weights)[None],
+                (d_out @ self.fc_out_weights[self.fc_out_slot[k]])[None],
                 cache["w"],
                 grad_quantum,
             )
@@ -585,7 +584,6 @@ class QLSTMModel(_ModelBase):
             du = dw @ self.proj.weights
 
             dz, dc = nn.lstm_gates_backward(cache["gates"], du, dc)
-            dz = np.stack(dz)
             grad_fc_w[:4] += dz.transpose(0, 2, 1) @ cache["e"]
             grad_fc_b[:4] += dz.sum(axis=1)
             dv = self._circuits_backward(
@@ -600,11 +598,12 @@ class QLSTMModel(_ModelBase):
             accum["fc_in.bias"] += dv.sum(axis=0)
             dh = (dv @ self.fc_in.weights)[:, :hidden]
 
-        if len(self.fc_out) == 1:
-            grad_fc_w, grad_fc_b = grad_fc_w.sum(axis=0)[None], grad_fc_b.sum(axis=0)[None]
-        for k in range(len(self.fc_out)):
-            accum[f"fc_out{k}.weights"] = grad_fc_w[k]
-            accum[f"fc_out{k}.bias"] = grad_fc_b[k]
+        # each fc_out entry sums the gradients of the circuits in its slot
+        fc_w, fc_b = np.zeros_like(self.fc_out_weights), np.zeros_like(self.fc_out_bias)
+        np.add.at(fc_w, self.fc_out_slot, grad_fc_w)
+        np.add.at(fc_b, self.fc_out_slot, grad_fc_b)
+        for k in range(len(fc_w)):
+            accum[f"fc_out{k}.weights"], accum[f"fc_out{k}.bias"] = fc_w[k], fc_b[k]
         for k, name in enumerate(self.GATE_NAMES):
             accum["quantum." + name] = grad_quantum[k]
         return nn.flatten_arrays([accum[name] for name, _ in self.param_arrays()])
@@ -695,12 +694,8 @@ def evaluate_losses(model, x_raw: np.ndarray, y_raw: np.ndarray) -> dict[str, fl
 
 
 def prediction_losses(preds: np.ndarray, y_raw: np.ndarray) -> dict[str, float]:
-    """L1/MSE/RMSE between predictions and reference, in their units."""
-    return {
-        "l1": nn.loss_value("l1", preds, y_raw),
-        "mse": nn.loss_value("mse", preds, y_raw),
-        "rmse": nn.rmse(preds, y_raw),
-    }
+    """Each of ``METRICS`` between predictions and reference, in their units."""
+    return {name: metric(preds, y_raw) for name, metric in METRICS.items()}
 
 
 def fit_model(kind: str, dataset, config: TrainConfig, options: Optional[dict] = None):

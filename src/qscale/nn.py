@@ -10,18 +10,20 @@ analytic gradients.  The LSTM follows the classic gate equations
     o_t = sigmoid(W_o . [h_prev, x_t] + b_o)
     h_t = o_t * tanh(c_t)
 
-with the hidden state concatenated before the input.  ``lstm_gates`` and
-``lstm_gates_backward`` hold the gate update, from the four pre-activations
-to c_t and h_t, and its gradient.  The LSTM cell feeds them the linear maps
-above; the QLSTM cell in ``models`` feeds them maps of variational-circuit
-outputs instead (Chen, Yoo & Fang, arXiv:2009.01783).  Weights initialise
-uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a caller-provided
-generator, so a fixed seed reproduces training bit for bit.
+with the hidden state concatenated before the input.  A layer keeps its
+four gates as two slabs in gate order f, i, c, o: weights
+``[4, hidden, hidden + n_in]`` and bias ``[4, hidden]``, so one batched
+matmul makes the ``[4, B, hidden]`` pre-activation slab.  ``lstm_gates``
+and ``lstm_gates_backward`` hold the gate update, from that slab to c_t and
+h_t, and its gradient.  The LSTM cell feeds them the linear maps above; the
+QLSTM cell in ``models`` feeds them maps of variational-circuit outputs
+instead (Chen, Yoo & Fang, arXiv:2009.01783).  Weights initialise uniformly
+in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a caller-provided generator, so
+a fixed seed reproduces training bit for bit.
 
 Layers run over a minibatch: activations, states and their gradients are
 ``[B, size]``, LSTM windows ``[B, T, n_features]``, and parameter gradients
-come back summed over the batch.  Each function also takes one sample in
-1-D form (one ``[T, n_features]`` window, predicting a float).
+come back summed over the batch.  One sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -116,22 +118,13 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     return a, (x, z, a)
 
 
-def _outer_sum(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Weight gradient delta.T @ x summed over the batch; np.outer for 1-D."""
-    return np.atleast_2d(delta).T @ np.atleast_2d(x)
-
-
-def _batch_sum(delta: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(delta).sum(axis=0)
-
-
 def ffnn_forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run a stack of dense layers on x [B, n_in] or [n_in]; caches are
-    consumed by ffnn_backward."""
+    """Run a stack of dense layers on x [B, n_in]; caches are consumed by
+    ffnn_backward."""
     caches = []
     a = np.asarray(x, dtype=float)
     for layer in layers:
-        if a.ndim not in (1, 2) or a.shape[-1] != layer.n_in:
+        if a.ndim != 2 or a.shape[1] != layer.n_in:
             raise ConfigurationError(
                 f"layer expects input of size {layer.n_in}, got shape {a.shape}"
             )
@@ -143,14 +136,14 @@ def ffnn_forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarra
 def ffnn_backward(
     layers: Sequence[DenseLayer], caches: list, d_out: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Backpropagate d_out (shaped like the forward output); returns per-layer
-    (dW, db) summed over the batch and the input gradient."""
+    """Backpropagate d_out [B, n_out]; returns per-layer (dW, db) summed
+    over the batch and the input gradient [B, n_in]."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore
     delta = np.asarray(d_out, dtype=float)
     for idx in range(len(layers) - 1, -1, -1):
         x, z, a = caches[idx]
         delta = delta * _activation_grad(layers[idx].activation, z, a)
-        grads[idx] = (_outer_sum(delta, x), _batch_sum(delta))
+        grads[idx] = (delta.T @ x, delta.sum(axis=0))
         delta = delta @ layers[idx].weights
     return grads, delta
 
@@ -161,35 +154,27 @@ def ffnn_backward(
 
 @dataclass
 class LSTMLayerParams:
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    """One layer's four gates as slabs in gate order f, i, c, o: weights
+    [4, hidden, hidden + n_in] acting on [h_prev, x_t] and bias [4, hidden]."""
+
+    weights: np.ndarray
+    bias: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.w_f.shape[0]
+        return self.weights.shape[1]
 
 
 def lstm_layer(rng: np.random.Generator, n_in: int, hidden: int) -> LSTMLayerParams:
     bound = 1.0 / np.sqrt(n_in + hidden)
-    def mat() -> np.ndarray:
-        return rng.uniform(-bound, bound, (hidden, n_in + hidden))
-    def vec() -> np.ndarray:
-        return rng.uniform(-bound, bound, hidden)
-    return LSTMLayerParams(mat(), mat(), mat(), mat(), vec(), vec(), vec(), vec())
+    weights = rng.uniform(-bound, bound, (4, hidden, n_in + hidden))
+    return LSTMLayerParams(weights, rng.uniform(-bound, bound, (4, hidden)))
 
 
-def lstm_gates(
-    z: Sequence[np.ndarray], c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The gate update from the pre-activations z = (z_f, z_i, z_g, z_o),
-    each shaped like c_prev; returns (h, c, cache).  The cache is
-    (c_prev, f, i, g, o, tanh(c)) and feeds lstm_gates_backward."""
+def lstm_gates(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The gate update from the pre-activations z [4, B, hidden] (f, i, g,
+    o); returns (h, c, cache).  The cache is (c_prev, f, i, g, o, tanh(c))
+    and feeds lstm_gates_backward."""
     z_f, z_i, z_g, z_o = z
     f, i, g, o = sigmoid(z_f), sigmoid(z_i), np.tanh(z_g), sigmoid(z_o)
     c = f * c_prev + i * g
@@ -199,17 +184,19 @@ def lstm_gates(
 
 def lstm_gates_backward(
     cache: tuple, dh: np.ndarray, dc: np.ndarray
-) -> tuple[tuple, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the gate update for upstream dh and dc; returns
-    ((dz_f, dz_i, dz_g, dz_o), dc_prev)."""
+    (dz [4, B, hidden], dc_prev)."""
     c_prev, f, i, g, o, tc = cache
     do = dh * tc
     dc = dc + dh * o * (1.0 - tc**2)
-    dz = (
-        dc * c_prev * f * (1.0 - f),
-        dc * g * i * (1.0 - i),
-        dc * i * (1.0 - g**2),
-        do * o * (1.0 - o),
+    dz = np.stack(
+        (
+            dc * c_prev * f * (1.0 - f),
+            dc * g * i * (1.0 - i),
+            dc * i * (1.0 - g**2),
+            do * o * (1.0 - o),
+        )
     )
     return dz, dc * f
 
@@ -217,38 +204,24 @@ def lstm_gates_backward(
 def lstm_cell_forward(
     layer: LSTMLayerParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One step on x_t [B, n_in] and states h_prev, c_prev [B, hidden], or on
-    one sample's 1-D arrays; returns (h, c, cache)."""
-    concat = np.concatenate([h_prev, x_t], axis=-1)
-    z = (
-        concat @ layer.w_f.T + layer.b_f,
-        concat @ layer.w_i.T + layer.b_i,
-        concat @ layer.w_c.T + layer.b_c,
-        concat @ layer.w_o.T + layer.b_o,
-    )
+    """One step on x_t [B, n_in] and states h_prev, c_prev [B, hidden];
+    returns (h, c, cache)."""
+    concat = np.concatenate([h_prev, x_t], axis=1)
+    z = concat @ layer.weights.transpose(0, 2, 1) + layer.bias[:, None, :]
     h, c, gates = lstm_gates(z, c_prev)
     return h, c, (concat, gates)
 
 
 def lstm_cell_backward(
     layer: LSTMLayerParams, cache: tuple, dh: np.ndarray, dc: np.ndarray
-) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[LSTMLayerParams, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (param grads summed over the batch, dx, dh_prev, dc_prev)."""
     concat, gates = cache
-    (dz_f, dz_i, dz_g, dz_o), dc_prev = lstm_gates_backward(gates, dh, dc)
-    grads = {
-        "w_f": _outer_sum(dz_f, concat),
-        "w_i": _outer_sum(dz_i, concat),
-        "w_c": _outer_sum(dz_g, concat),
-        "w_o": _outer_sum(dz_o, concat),
-        "b_f": _batch_sum(dz_f),
-        "b_i": _batch_sum(dz_i),
-        "b_c": _batch_sum(dz_g),
-        "b_o": _batch_sum(dz_o),
-    }
-    dconcat = dz_f @ layer.w_f + dz_i @ layer.w_i + dz_g @ layer.w_c + dz_o @ layer.w_o
+    dz, dc_prev = lstm_gates_backward(gates, dh, dc)
+    grads = LSTMLayerParams(dz.transpose(0, 2, 1) @ concat, dz.sum(axis=1))
+    dconcat = np.tensordot(dz, layer.weights, axes=([0, 2], [0, 1]))
     hidden = layer.hidden_size
-    return grads, dconcat[..., hidden:], dconcat[..., :hidden], dc_prev
+    return grads, dconcat[:, hidden:], dconcat[:, :hidden], dc_prev
 
 
 @dataclass
@@ -270,20 +243,13 @@ def lstm_stack(
     return LSTMParams(layers=layers, readout=dense_layer(rng, hidden, 1, "identity"))
 
 
-def lstm_sequence_forward(
-    params: LSTMParams, windows: np.ndarray
-) -> tuple[np.ndarray | float, dict]:
+def lstm_sequence_forward(params: LSTMParams, windows: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run windows [B, T, n_features] through the stack and predict from each
     h_T; returns the predictions [B] and the state lstm_sequence_backward
-    consumes.  One window [T, n_features] gives a float prediction."""
+    consumes."""
     windows = np.asarray(windows, dtype=float)
-    single = windows.ndim == 2
-    if single:
-        windows = windows[None]
     if windows.ndim != 3:
-        raise ConfigurationError(
-            f"windows must be [B, T, features] or [T, features], got {windows.shape}"
-        )
+        raise ConfigurationError(f"windows must be [B, T, features], got {windows.shape}")
     batch, steps, _ = windows.shape
     if steps < 1:
         raise ConfigurationError("window must contain at least one step")
@@ -298,37 +264,40 @@ def lstm_sequence_forward(
             h[k], c[k], caches[t][k] = lstm_cell_forward(layer, x, h[k], c[k])
             x = h[k]
     pred, read_cache = dense_forward(params.readout, h[-1])
-    state = {"caches": caches, "read": read_cache, "steps": steps}
-    return (float(pred[0, 0]) if single else pred[:, 0]), state
+    return pred[:, 0], {"caches": caches, "read": read_cache, "steps": steps}
 
 
 def lstm_param_arrays(params: LSTMParams) -> list[tuple[str, np.ndarray]]:
-    """Stable (name, array) ordering used for flattening and checkpoints."""
+    """Stable (name, array) ordering used for flattening and checkpoints;
+    each gate's weights and bias are views of the layer's slabs."""
     named = []
     for k, layer in enumerate(params.layers):
-        for field_name in ("w_f", "b_f", "w_i", "b_i", "w_c", "b_c", "w_o", "b_o"):
-            named.append((f"layer{k}.{field_name}", getattr(layer, field_name)))
+        for gate, letter in enumerate("fico"):
+            named.append((f"layer{k}.w_{letter}", layer.weights[gate]))
+            named.append((f"layer{k}.b_{letter}", layer.bias[gate]))
     named.append(("readout.weights", params.readout.weights))
     named.append(("readout.bias", params.readout.bias))
     return named
 
 
 def lstm_sequence_backward(
-    params: LSTMParams, forward_state: dict, d_pred: np.ndarray | float
+    params: LSTMParams, forward_state: dict, d_pred: np.ndarray
 ) -> list[tuple[str, np.ndarray]]:
-    """Backpropagation through time of d_pred [B] (or a float for one window),
-    summed over the batch; gradient order matches lstm_param_arrays."""
+    """Backpropagation through time of d_pred [B], summed over the batch;
+    gradient order matches lstm_param_arrays."""
     caches = forward_state["caches"]
     n_layers = len(params.layers)
 
     read_grads, dh_last = ffnn_backward(
-        [params.readout], [forward_state["read"]], np.reshape(d_pred, (-1, 1))
+        [params.readout], [forward_state["read"]], d_pred[:, None]
     )
-    acc = {
-        name: np.zeros_like(arr) for name, arr in lstm_param_arrays(params)
-    }
-    acc["readout.weights"] += read_grads[0][0]
-    acc["readout.bias"] += read_grads[0][1]
+    grads = LSTMParams(
+        layers=[
+            LSTMLayerParams(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+            for layer in params.layers
+        ],
+        readout=DenseLayer(*read_grads[0]),
+    )
 
     dh = [np.zeros_like(dh_last) for _ in range(n_layers)]
     dc = [np.zeros_like(dh_last) for _ in range(n_layers)]
@@ -337,15 +306,12 @@ def lstm_sequence_backward(
         dx_from_above = None
         for k in range(n_layers - 1, -1, -1):
             dh_k = dh[k] if dx_from_above is None else dh[k] + dx_from_above
-            grads, dx, dh_prev, dc_prev = lstm_cell_backward(
+            step, dx_from_above, dh[k], dc[k] = lstm_cell_backward(
                 params.layers[k], caches[t][k], dh_k, dc[k]
             )
-            for field_name, g in grads.items():
-                acc[f"layer{k}.{field_name}"] += g
-            dh[k] = dh_prev
-            dc[k] = dc_prev
-            dx_from_above = dx
-    return [(name, acc[name]) for name, _ in lstm_param_arrays(params)]
+            grads.layers[k].weights += step.weights
+            grads.layers[k].bias += step.bias
+    return lstm_param_arrays(grads)
 
 
 # ---------------------------------------------------------------------------

@@ -798,6 +798,28 @@ class TestDatasetDefects:
         assert code == 1
         assert err.splitlines()[-1].startswith(f"data error: {bad}:6: timestamp {stamp}")
 
+    @pytest.mark.parametrize("command", ["train", "predict", "cross-validate", "benchmark"])
+    def test_blank_pm25_column_is_data_error(self, tmp_path, capsys, campaign, command):
+        """Every series row reads the raw pm25 column, so a dataset without
+        one is rejected when read, before any model trains or predicts."""
+        header, *rows = campaign.read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        bad = tmp_path / "dataset.csv"
+        bad.write_text("\n".join([header, *(",".join([c[0], "", *c[2:]]) for c in cells)]) + "\n")
+        fit = ["--model", "ffnn", "--epochs", "1", "--features", "temp,hum,press"]
+        argv = {"train": fit, "cross-validate": [*fit, "--folds", "2"], "benchmark": []}
+        if command == "predict":
+            model_dir = tmp_path / "m"
+            code, _, _ = run(capsys, "train", "--data", str(campaign), *fit, "--out", str(model_dir))
+            assert code == 0
+            argv["predict"] = ["--model-file", str(model_dir / "model.json")]
+        code, _, err = run(
+            capsys, command, "--data", str(bad), *argv[command], "--out", str(tmp_path / "o")
+        )
+        assert code == 1
+        assert err.startswith(f"data error: {bad}: ")
+        assert "Traceback" not in err
+
     def test_dataset_not_utf8_is_data_error(self, tmp_path, capsys, campaign):
         bad = tmp_path / "dataset.csv"
         bad.write_bytes(campaign.read_bytes() + b"\xff\n")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,15 +230,15 @@ class TestFrozenBehaviour:
             ("pm25",), inp, tgt, n_qubits=3, n_layers=2, hidden_size=4, window=2
         )
         model.set_flat(np.zeros(model.param_count()))
-        c_prev = np.full(4, 2.0)
-        h, c, y, cache = model.cell_forward(np.array([0.3]), np.zeros(4), c_prev)
+        c_prev = np.full((1, 4), 2.0)
+        h, c, y, cache = model.cell_forward(np.array([[0.3]]), np.zeros((1, 4)), c_prev)
         assert np.allclose(cache["e"][0], 1.0)
         _, f, _, g, _, _ = cache["gates"]
         assert np.allclose(f, 0.5)
         assert np.allclose(g, 0.0)
         assert np.allclose(c, 1.0)  # f * c_prev = 0.5 * 2
         assert np.allclose(h, 0.0)
-        assert y == 0.0
+        assert y[0] == 0.0
 
     def test_qlstm_zero_params_predicts_target_midpoint(self):
         ds = tiny_dataset()
@@ -812,3 +813,22 @@ class TestCheckpoints:
         path.write_text(corrupt(path.read_text()))
         with pytest.raises(DataError, match=message):
             models.load_model(path)
+
+
+CHECKPOINTS = Path(__file__).parent / "checkpoints"
+
+
+class TestCheckpointCompatibility:
+    """Checkpoints written by qscale 0.1.0 at commit ccdaf75, when an LSTM
+    layer kept its gates as eight arrays and a QLSTM its fc_out maps as a
+    list, with that version's flat parameters and predictions on stored
+    windows (``expected.json``)."""
+
+    @pytest.mark.parametrize("name", ["lstm", "qlstm-shared", "qlstm-per-gate"])
+    def test_earlier_checkpoint_loads(self, name):
+        expected = json.loads((CHECKPOINTS / "expected.json").read_text())[name]
+        model = models.load_model(CHECKPOINTS / f"{name}.json")
+        assert [n for n, _ in model.param_arrays()] == expected["names"]
+        np.testing.assert_array_equal(model.get_flat(), expected["flat"])
+        preds = model.predict(np.array(expected["windows"]))
+        np.testing.assert_allclose(preds, expected["predictions"], rtol=0.0, atol=1e-12)

@@ -47,8 +47,8 @@ def ffnn_flat_loss(layers, x, target, kind):
             DenseLayer(pieces[2 * k], pieces[2 * k + 1], layers[k].activation)
             for k in range(len(layers))
         ]
-        out, _ = ffnn_forward(probe, x)
-        return loss_value(kind, out, np.array([target]))
+        out, _ = ffnn_forward(probe, x[None])
+        return loss_value(kind, out[0], np.array([target]))
 
     return f, flatten_arrays(arrays)
 
@@ -56,30 +56,30 @@ def ffnn_flat_loss(layers, x, target, kind):
 class TestDenseForward:
     def test_identity_layer(self):
         layer = DenseLayer(np.array([[2.0]]), np.array([1.0]), "identity")
-        out, _ = ffnn_forward([layer], np.array([3.0]))
-        np.testing.assert_allclose(out, [7.0])
+        out, _ = ffnn_forward([layer], np.array([[3.0]]))
+        np.testing.assert_allclose(out[0], [7.0])
 
     def test_zero_weights_sigmoid(self):
         layer = DenseLayer(np.zeros((4, 3)), np.zeros(4), "sigmoid")
-        out, _ = ffnn_forward([layer], np.ones(3))
-        np.testing.assert_allclose(out, 0.5 * np.ones(4))
+        out, _ = ffnn_forward([layer], np.ones((1, 3)))
+        np.testing.assert_allclose(out[0], 0.5 * np.ones(4))
 
     def test_stack_shapes(self):
         rng = np.random.default_rng(0)
         layers = random_ffnn(rng, [4, 30, 15, 5, 1])
-        out, caches = ffnn_forward(layers, rng.uniform(-1, 1, 4))
-        assert out.shape == (1,)
+        out, caches = ffnn_forward(layers, rng.uniform(-1, 1, (1, 4)))
+        assert out[0].shape == (1,)
         assert len(caches) == 4
 
     def test_input_size_mismatch(self):
         layer = DenseLayer(np.zeros((2, 3)), np.zeros(2), "tanh")
         with pytest.raises(ConfigurationError):
-            ffnn_forward([layer], np.zeros(4))
+            ffnn_forward([layer], np.zeros((1, 4)))
 
     def test_relu(self):
         layer = DenseLayer(np.eye(2), np.zeros(2), "relu")
-        out, _ = ffnn_forward([layer], np.array([-1.0, 2.0]))
-        np.testing.assert_allclose(out, [0.0, 2.0])
+        out, _ = ffnn_forward([layer], np.array([[-1.0, 2.0]]))
+        np.testing.assert_allclose(out[0], [0.0, 2.0])
 
 
 class TestFFNNGradients:
@@ -92,9 +92,9 @@ class TestFFNNGradients:
             layers = random_ffnn(rng, sizes)
             x = rng.uniform(-1, 1, sizes[0])
             target = float(rng.uniform(-1, 1))
-            out, caches = ffnn_forward(layers, x)
-            d_out = loss_grad(kind, out, np.array([target]))
-            grads, _ = ffnn_backward(layers, caches, d_out)
+            out, caches = ffnn_forward(layers, x[None])
+            d_out = loss_grad(kind, out[0], np.array([target]))
+            grads, _ = ffnn_backward(layers, caches, d_out[None])
             flat_grad = flatten_arrays([a for g in grads for a in g])
             f, vec = ffnn_flat_loss(layers, x, target, kind)
             fd = oracle.central_difference(f, vec)
@@ -104,36 +104,45 @@ class TestFFNNGradients:
         rng = np.random.default_rng(2)
         layers = random_ffnn(rng, [3, 4, 1])
         x = rng.uniform(-1, 1, 3)
-        out, caches = ffnn_forward(layers, x)
-        _, dx = ffnn_backward(layers, caches, np.array([1.0]))
+        out, caches = ffnn_forward(layers, x[None])
+        _, dx = ffnn_backward(layers, caches, np.array([[1.0]]))
         fd = oracle.central_difference(
-            lambda probe: float(ffnn_forward(layers, probe)[0][0]), x
+            lambda probe: float(ffnn_forward(layers, probe[None])[0][0, 0]), x
         )
-        np.testing.assert_allclose(dx, fd, atol=1e-7)
+        np.testing.assert_allclose(dx[0], fd, atol=1e-7)
 
 
 class TestLSTMCell:
     def test_zero_params_with_cell_state(self):
-        layer = nn.LSTMLayerParams(
-            *(np.zeros((1, 2)) for _ in range(4)), *(np.zeros(1) for _ in range(4))
+        layer = nn.LSTMLayerParams(np.zeros((4, 1, 2)), np.zeros((4, 1)))
+        h, c, _ = lstm_cell_forward(
+            layer, np.zeros((1, 1)), np.zeros((1, 1)), np.array([[2.0]])
         )
-        h, c, _ = lstm_cell_forward(layer, np.zeros(1), np.zeros(1), np.array([2.0]))
-        assert c[0] == pytest.approx(1.0)
-        assert h[0] == pytest.approx(0.5 * np.tanh(1.0))  # 0.380797...
+        assert c[0, 0] == pytest.approx(1.0)
+        assert h[0, 0] == pytest.approx(0.5 * np.tanh(1.0))  # 0.380797...
 
     def test_zero_everything(self):
-        layer = nn.LSTMLayerParams(
-            *(np.zeros((2, 3)) for _ in range(4)), *(np.zeros(2) for _ in range(4))
-        )
-        h, c, _ = lstm_cell_forward(layer, np.zeros(1), np.zeros(2), np.zeros(2))
+        layer = nn.LSTMLayerParams(np.zeros((4, 2, 3)), np.zeros((4, 2)))
+        h, c, _ = lstm_cell_forward(layer, np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((1, 2)))
         np.testing.assert_allclose(h, 0.0)
         np.testing.assert_allclose(c, 0.0)
+
+    def test_init_draws_gate_matrices_then_biases(self):
+        """Seeding gives the weights of one draw per gate array: the f, i,
+        c and o matrices, then the f, i, c and o biases."""
+        layer = nn.lstm_layer(np.random.default_rng(12), 2, 3)
+        rng = np.random.default_rng(12)
+        bound = 1.0 / np.sqrt(5)
+        matrices = [rng.uniform(-bound, bound, (3, 5)) for _ in range(4)]
+        biases = [rng.uniform(-bound, bound, 3) for _ in range(4)]
+        np.testing.assert_array_equal(layer.weights, np.stack(matrices))
+        np.testing.assert_array_equal(layer.bias, np.stack(biases))
 
     def test_stack_shapes(self):
         rng = np.random.default_rng(3)
         params = lstm_stack(rng, 1, 15, 2)
-        assert params.layers[0].w_f.shape == (15, 16)
-        assert params.layers[1].w_f.shape == (15, 30)
+        assert params.layers[0].weights[0].shape == (15, 16)
+        assert params.layers[1].weights[0].shape == (15, 30)
         assert params.readout.weights.shape == (1, 15)
 
 
@@ -142,29 +151,27 @@ class TestLSTMSequence:
         rng = np.random.default_rng(4)
         params = lstm_stack(rng, 2, 3, 1)
         window = rng.uniform(-1, 1, (1, 2))
-        pred, _ = lstm_sequence_forward(params, window)
+        pred, _ = lstm_sequence_forward(params, window[None])
         h, _, _ = lstm_cell_forward(
-            params.layers[0], window[0], np.zeros(3), np.zeros(3)
+            params.layers[0], window[:1], np.zeros((1, 3)), np.zeros((1, 3))
         )
-        want = (params.readout.weights @ h + params.readout.bias)[0]
-        assert pred == pytest.approx(want)
+        want = (params.readout.weights @ h[0] + params.readout.bias)[0]
+        assert pred[0] == pytest.approx(want)
 
     def test_constant_window_zero_params_returns_readout_bias(self):
         layers = [
-            nn.LSTMLayerParams(
-                *(np.zeros((3, 4)) for _ in range(4)), *(np.zeros(3) for _ in range(4))
-            )
+            nn.LSTMLayerParams(np.zeros((4, 3, 4)), np.zeros((4, 3)))
         ]
         readout = DenseLayer(np.zeros((1, 3)), np.array([0.7]), "identity")
         params = LSTMParams(layers=layers, readout=readout)
-        pred, _ = lstm_sequence_forward(params, np.full((4, 1), 2.5))
-        assert pred == pytest.approx(0.7)
+        pred, _ = lstm_sequence_forward(params, np.full((1, 4, 1), 2.5))
+        assert pred[0] == pytest.approx(0.7)
 
     def test_empty_window_rejected(self):
         rng = np.random.default_rng(5)
         params = lstm_stack(rng, 1, 2, 1)
         with pytest.raises(ConfigurationError):
-            lstm_sequence_forward(params, np.zeros((0, 1)))
+            lstm_sequence_forward(params, np.zeros((1, 0, 1)))
 
     @pytest.mark.parametrize("kind", ["l1", "mse"])
     def test_bptt_matches_finite_differences(self, kind):
@@ -178,8 +185,8 @@ class TestLSTMSequence:
             window = rng.uniform(-1, 1, (steps, features))
             target = float(rng.uniform(-1, 1))
 
-            pred, state = lstm_sequence_forward(params, window)
-            d_pred = loss_grad(kind, np.array([pred]), np.array([target]))[0]
+            pred, state = lstm_sequence_forward(params, window[None])
+            d_pred = loss_grad(kind, pred, np.array([target]))
             grads = lstm_sequence_backward(params, state, d_pred)
             flat = flatten_arrays([g for _, g in grads])
 
@@ -190,16 +197,11 @@ class TestLSTMSequence:
                 probe_layers = []
                 cursor = 0
                 for k in range(n_layers):
+                    # pieces run w_f, b_f, w_i, b_i, ... per layer
                     probe_layers.append(
                         nn.LSTMLayerParams(
-                            pieces[cursor],
-                            pieces[cursor + 2],
-                            pieces[cursor + 4],
-                            pieces[cursor + 6],
-                            pieces[cursor + 1],
-                            pieces[cursor + 3],
-                            pieces[cursor + 5],
-                            pieces[cursor + 7],
+                            np.stack(pieces[cursor : cursor + 8 : 2]),
+                            np.stack(pieces[cursor + 1 : cursor + 8 : 2]),
                         )
                     )
                     cursor += 8
@@ -207,8 +209,8 @@ class TestLSTMSequence:
                     layers=probe_layers,
                     readout=DenseLayer(pieces[cursor], pieces[cursor + 1], "identity"),
                 )
-                p, _ = lstm_sequence_forward(probe, window)
-                return loss_value(kind, np.array([p]), np.array([target]))
+                p, _ = lstm_sequence_forward(probe, window[None])
+                return loss_value(kind, p, np.array([target]))
 
             fd = oracle.central_difference(f, flatten_arrays(arrays))
             assert np.max(np.abs(flat - fd)) < 1e-4 * (1 + np.max(np.abs(fd)))
@@ -220,7 +222,7 @@ def assert_close_relative(got, want, rtol=1e-12):
 
 class TestBatchedEqualsPerSample:
     """One [B, .] pass gives the per-sample loss and the sum of the
-    per-sample 1-D gradients."""
+    per-sample gradients, each sample run as a batch of one."""
 
     @pytest.mark.parametrize("batch", [1, 3, 10])
     @pytest.mark.parametrize("kind", ["l1", "mse"])
@@ -239,11 +241,11 @@ class TestBatchedEqualsPerSample:
             grads, _ = ffnn_backward(layers, caches, d_preds[:, None])
             flat = flatten_arrays([a for g in grads for a in g])
 
-            singles = [ffnn_forward(layers, row) for row in x]
-            single_preds = np.array([o[0] for o, _ in singles])
+            singles = [ffnn_forward(layers, row[None]) for row in x]
+            single_preds = np.array([o[0, 0] for o, _ in singles])
             per_sample = sum(
                 flatten_arrays(
-                    [a for g in ffnn_backward(layers, c, np.array([d]))[0] for a in g]
+                    [a for g in ffnn_backward(layers, c, np.array([[d]]))[0] for a in g]
                 )
                 for (_, c), d in zip(singles, loss_grad(kind, single_preds, y))
             )
@@ -268,10 +270,12 @@ class TestBatchedEqualsPerSample:
                     [g for _, g in lstm_sequence_backward(params, state, d_preds)]
                 )
 
-                singles = [lstm_sequence_forward(params, w) for w in windows]
-                single_preds = np.array([p for p, _ in singles])
+                singles = [lstm_sequence_forward(params, w[None]) for w in windows]
+                single_preds = np.array([p[0] for p, _ in singles])
                 per_sample = sum(
-                    flatten_arrays([g for _, g in lstm_sequence_backward(params, st, d)])
+                    flatten_arrays(
+                        [g for _, g in lstm_sequence_backward(params, st, np.array([d]))]
+                    )
                     for (_, st), d in zip(singles, loss_grad(kind, single_preds, y))
                 )
                 assert loss_value(kind, preds, y) == pytest.approx(
