@@ -12,6 +12,7 @@ from qscale.data import CalibrationDataset, RangeScaler, fit_scaler, make_window
 from qscale.errors import ConfigurationError, DataError, TrainingDivergedError
 from qscale.models import TrainConfig
 
+import pins
 from _oracles import central_difference
 
 HOUR = 3600
@@ -819,12 +820,14 @@ CHECKPOINTS = Path(__file__).parent / "checkpoints"
 
 
 class TestCheckpointCompatibility:
-    """Checkpoints written by qscale 0.1.0 at commit ccdaf75, when an LSTM
-    layer kept its gates as eight arrays and a QLSTM its fc_out maps as a
-    list, with that version's flat parameters and predictions on stored
-    windows (``expected.json``)."""
+    """Checkpoints written by qscale 0.1.0 with that version's flat
+    parameters and predictions on stored windows (``expected.json``): lstm
+    and qlstm at commit ccdaf75, when an LSTM layer kept its gates as eight
+    arrays and a QLSTM its fc_out maps as a list; ffnn and vqr, the pinned
+    models of ``pins.py``, at commit 26f68e8, before a vqr predict ran its
+    ansatz as one matrix."""
 
-    @pytest.mark.parametrize("name", ["lstm", "qlstm-shared", "qlstm-per-gate"])
+    @pytest.mark.parametrize("name", ["lstm", "qlstm-shared", "qlstm-per-gate", "ffnn", "vqr"])
     def test_earlier_checkpoint_loads(self, name):
         expected = json.loads((CHECKPOINTS / "expected.json").read_text())[name]
         model = models.load_model(CHECKPOINTS / f"{name}.json")
@@ -832,3 +835,25 @@ class TestCheckpointCompatibility:
         np.testing.assert_array_equal(model.get_flat(), expected["flat"])
         preds = model.predict(np.array(expected["windows"]))
         np.testing.assert_allclose(preds, expected["predictions"], rtol=0.0, atol=1e-12)
+
+
+# Pin tolerances, fixed from the largest gap a reordering of floating-point
+# sums has made so far (4.9e-16 in the lstm weights when its gates became
+# slabs), with a margin of about 2,000: weights absolute, losses and
+# predictions relative to their ug/m3 values.
+PIN_FLAT_ATOL = 1e-12
+PIN_RTOL = 1e-12
+
+
+class TestTrainingPins:
+    """Two epochs of each kind at the fixed configs of ``pins.py`` reproduce
+    the loss history, trained parameters and held-out predictions stored in
+    ``checkpoints/pins.json`` at commit 26f68e8."""
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_training_outputs_hold(self, kind):
+        want = json.loads(pins.PINS.read_text())[kind]
+        model, history, _, preds = pins.fit_pin(kind)
+        np.testing.assert_allclose(history, want["history"], rtol=PIN_RTOL, atol=0.0)
+        np.testing.assert_allclose(model.get_flat(), want["flat"], rtol=0.0, atol=PIN_FLAT_ATOL)
+        np.testing.assert_allclose(preds, want["predictions"], rtol=PIN_RTOL, atol=0.0)
