@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, data, experiments, models
+from . import __version__, data, experiments, models, nn
 from .errors import ConfigurationError, DataError, TrainingDivergedError
 
 
@@ -458,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON settings file")
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-        p.add_argument("--optimizer", choices=("sgd", "adam", "rmsprop"), default=None)
-        p.add_argument("--loss", choices=("l1", "mse"), default=None)
+        p.add_argument("--optimizer", choices=nn.OPTIMIZER_KINDS, default=None)
+        p.add_argument("--loss", choices=nn.LOSS_KINDS, default=None)
         p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
         p.add_argument("--window", type=int, default=None)
         p.add_argument("--features", default=None, help="comma-separated feature names")

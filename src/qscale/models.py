@@ -14,9 +14,11 @@ range maps fitted on the training partition; training happens in scaled
 space and losses are reported in original units through the exact affine
 conversion (an L1 loss scales by the target half-span, an MSE loss by its
 square).  Quantum parameters train by adjoint differentiation of the
-circuits (one backward sweep per batch of circuits), classical ones by
-backpropagation, mixed via the chain rule.  The adjoint sweep reuses the
-amplitudes of the forward pass that made the predictions.  Parameter shift
+circuits, classical ones by backpropagation, mixed via the chain rule.  A
+model's circuits run as one ``vqc.CircuitStack`` per training step or
+``predict`` call, which picks the fused plan or the ansatz matrix for the
+rows they share, and the adjoint sweep reuses the amplitudes of the
+forward pass that made the predictions.  Parameter shift
 stays as the public, hardware-realistic gradient and as the oracle the
 adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
 per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
@@ -43,6 +45,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -179,6 +182,21 @@ def resolve_options(kind: str, options: Optional[dict] = None) -> dict:
     return resolved
 
 
+def _settings(kind: str, feature_names: Sequence[str], options: dict, window) -> tuple[dict, int]:
+    """A model's options, settled by ``resolve_options`` with its features,
+    and its window (None is the kind's default; ffnn and vqr take only 1),
+    checked before anything is built."""
+    if not feature_names:
+        raise ConfigurationError(f"{kind} needs at least one feature")
+    options = {**resolve_options(kind, options), "features": tuple(feature_names)}
+    window = _DEFAULT_CONFIGS[kind].window if window is None else window
+    if not (_is_int(window) and window >= 1):
+        raise ConfigurationError(f"window must be a positive integer, got {window!r}")
+    if kind in ("ffnn", "vqr") and window != 1:
+        raise ConfigurationError(f"{kind} uses single-hour inputs; set window=1")
+    return options, window
+
+
 def _loss_to_original_units(kind: str, scaled_loss: float, halfspan: float) -> float:
     return scaled_loss * (halfspan if kind == "l1" else halfspan**2)
 
@@ -186,10 +204,9 @@ def _loss_to_original_units(kind: str, scaled_loss: float, halfspan: float) -> f
 class _ModelBase:
     """Shared construction, scaling, flattening, and prediction plumbing.
 
-    ``__init__`` settles the kind's options with ``resolve_options``, checks
-    the window (None is the kind's default; ffnn and vqr take only 1), and
-    has the subclass's ``_init_params`` draw the parameters from a generator
-    seeded with ``[seed, seed_tag]``.
+    ``__init__`` settles the kind's options and window with ``_settings``
+    and has the subclass's ``_init_params`` draw the parameters from a
+    generator seeded with ``[seed, seed_tag]``.
     """
 
     kind: str = ""
@@ -210,17 +227,10 @@ class _ModelBase:
         seed: int = 0,
         **options,
     ):
-        self.feature_names = tuple(feature_names)
-        if not self.feature_names:
-            raise ConfigurationError(f"{self.kind} needs at least one feature")
+        self.options, self.window = _settings(self.kind, tuple(feature_names), options, window)
+        self.feature_names = self.options["features"]
         self.input_scaler = input_scaler
         self.target_scaler = target_scaler
-        self.options = {**resolve_options(self.kind, options), "features": self.feature_names}
-        self.window = _DEFAULT_CONFIGS[self.kind].window if window is None else window
-        if not (_is_int(self.window) and self.window >= 1):
-            raise ConfigurationError(f"window must be a positive integer, got {self.window!r}")
-        if self.kind in ("ffnn", "vqr") and self.window != 1:
-            raise ConfigurationError(f"{self.kind} uses single-hour inputs; set window=1")
         self._init_params(np.random.default_rng(np.random.SeedSequence([seed, self.seed_tag])))
 
     def _init_params(self, rng: np.random.Generator) -> None:
@@ -246,7 +256,7 @@ class _ModelBase:
             np.copyto(current, new)
 
     def param_count(self) -> int:
-        return int(sum(a.size for _, a in self.param_arrays()))
+        return count_params(self.kind, self.options)
 
     def param_breakdown(self) -> dict[str, int]:
         groups: dict[str, int] = {}
@@ -283,11 +293,18 @@ class _ModelBase:
         """Calibrated PM2.5 in ug/m3 for raw windows [batch, T, features],
         predicted PREDICT_ROWS windows at a time."""
         x_scaled = self.scale_windows(x)
+        predict_block = self._predictor(x_scaled.shape[0])
         preds_scaled = np.empty(x_scaled.shape[0])
         for start in range(0, x_scaled.shape[0], PREDICT_ROWS):
             block = slice(start, start + PREDICT_ROWS)
-            preds_scaled[block] = self._predict_scaled(x_scaled[block])
+            preds_scaled[block] = predict_block(x_scaled[block])
         return invert_scaler(self.target_scaler, preds_scaled)
+
+    def _predictor(self, rows: int):
+        """What predicts each block of the ``rows`` scaled windows of one
+        ``predict``; the quantum kinds set up their circuits here, once for
+        all blocks."""
+        return self._predict_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +399,25 @@ class VQRModel(_ModelBase):
     def param_arrays(self):
         return [("quantum.angles", self.params)]
 
-    def _predict_scaled(self, x_scaled):
-        angles = vqc._angle_table(self.template, self.params, x_scaled[:, 0, :])
-        return vqc._run_rows(self.template, angles)[0][:, 0]
+    def _circuits(self, rows: int) -> vqc.CircuitStack:
+        return vqc.CircuitStack(self.template, self.params[None], rows)
+
+    def _predictor(self, rows):
+        return partial(self._predict_scaled, circuits=self._circuits(rows))
+
+    def _predict_scaled(self, x_scaled, circuits=None):
+        circuits = circuits or self._circuits(x_scaled.shape[0])
+        return circuits.run(slice(None), x_scaled[:, 0])[0][0, :, 0]
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        inputs = x_scaled[:, 0, :]
-        angles = vqc._angle_table(self.template, self.params, inputs)
-        exps, states = vqc._run_rows(self.template, angles)
-        preds = exps[:, 0]
+        inputs = x_scaled[:, 0]
+        circuits = self._circuits(inputs.shape[0])
+        exps, record = circuits.run(slice(None), inputs)
+        preds = exps[0, :, 0]
         weights = np.zeros_like(exps)
-        weights[:, 0] = nn.loss_grad(loss_kind, preds, y_scaled)
-        dangles = vqc._adjoint_rows(self.template, angles, states, weights)
-        grad_params, _ = vqc._angle_grads_to_args(self.template, dangles, inputs)
-        return nn.loss_value(loss_kind, preds, y_scaled), grad_params.sum(axis=0)
+        weights[0, :, 0] = nn.loss_grad(loss_kind, preds, y_scaled)
+        circuits.backward(slice(None), record, weights, inputs)
+        return nn.loss_value(loss_kind, preds, y_scaled), circuits.param_grads()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +437,15 @@ class QLSTMModel(_ModelBase):
     K = 1 when shared and 6 otherwise; ``fc_out_slot`` names each circuit's
     entry.  ``vqc_params`` holds the six circuits' angles as one slab.
 
-    The cell runs over a minibatch [B, ...].  Circuits sharing an input run
-    as one stack of rows with per-row params: per time step, one batched run
-    for circuits 1-4 x B windows and one for circuits 5-6 x B, and
-    backpropagation through time makes one adjoint sweep per stack.
+    The cell runs over a minibatch [B, ...].  The six circuits are one
+    ``vqc.CircuitStack`` for the whole window, B x T rows each: per time
+    step, one run of circuits 1-4 on B rows and one of circuits 5-6.  At B
+    x T >= 2**n (the default qlstm's training steps and predicts) the six
+    ansatz matrices are built once per step or predict and every run is a
+    product state times them; backpropagation through time then sums each
+    circuit's seeds over the steps and makes one adjoint sweep over the
+    basis rows of all six.  Below that, each run goes through the fused
+    plan and each backward run makes its own adjoint sweep.
     """
 
     kind = "qlstm"
@@ -465,95 +492,82 @@ class QLSTMModel(_ModelBase):
 
     # -- cell -------------------------------------------------------------
 
+    def _circuits(self, rows: int) -> vqc.CircuitStack:
+        return vqc.CircuitStack(self.template, self.vqc_params, rows)
+
     def _expand(self, gates: slice, e: np.ndarray) -> np.ndarray:
         """The given circuits' expectations e [K, B, n] through their fc_out
         entries; returns [K, B, hidden]."""
         slots = self.fc_out_slot[gates]
         return e @ self.fc_out_weights[slots].transpose(0, 2, 1) + self.fc_out_bias[slots, None]
 
-    def _run_circuits(
-        self, gates: slice, inputs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run the given circuits on the same inputs [B, n] as one stack of
-        K x B rows, circuit-major; returns the angle rows, the
-        expectations [K, B, n] and the final amplitudes."""
-        params = self.vqc_params[gates, None, :]
-        angles = vqc._angle_table(self.template, params, inputs[None])
-        angles = angles.reshape(-1, angles.shape[-1])
-        exps, states = vqc._run_rows(self.template, angles)
-        return angles, exps.reshape(len(params), *inputs.shape), states
-
     def cell_forward(
-        self, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+        self,
+        x_t: np.ndarray,
+        h_prev: np.ndarray,
+        c_prev: np.ndarray,
+        circuits: Optional[vqc.CircuitStack] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         """One time step on scaled inputs x_t [B, features] and states
-        h_prev, c_prev [B, hidden]; returns (h, c, y [B], cache)."""
+        h_prev, c_prev [B, hidden], its circuits run by ``circuits`` (by
+        default a stack for this step alone); returns (h, c, y [B], cache)."""
+        circuits = circuits or self._circuits(x_t.shape[0])
         concat = np.concatenate([h_prev, x_t], axis=1)
         v = concat @ self.fc_in.weights.T + self.fc_in.bias
-        gate_angles, e, gate_states = self._run_circuits(slice(0, 4), v)
+        e, gate_run = circuits.run(slice(0, 4), v)
         u, c, gates = nn.lstm_gates(self._expand(slice(0, 4), e), c_prev)
         w = u @ self.proj.weights.T + self.proj.bias
-        out_angles, e_out, out_states = self._run_circuits(slice(4, 6), w)
+        e_out, out_run = circuits.run(slice(4, 6), w)
         h, q = self._expand(slice(4, 6), e_out)
         y = q @ self.readout.weights[0] + self.readout.bias[0]
         cache = {
             "concat": concat,
             "v": v,
             "e": e,
-            "gate_angles": gate_angles,
-            "gate_states": gate_states,
+            "gate_run": gate_run,
             "gates": gates,
             "u": u,
             "w": w,
             "e_out": e_out,
-            "out_angles": out_angles,
-            "out_states": out_states,
+            "out_run": out_run,
             "q": q,
         }
         return h, c, y, cache
 
-    def sequence_forward(self, x_scaled: np.ndarray) -> tuple[np.ndarray, list[dict]]:
-        """Run windows [B, T, features]; returns the predictions [B] and the
-        per-step caches that :meth:`_backward` consumes."""
+    def sequence_forward(
+        self, x_scaled: np.ndarray, circuits: vqc.CircuitStack, keep_caches: bool = True
+    ) -> tuple[np.ndarray, list[dict]]:
+        """Run windows [B, T, features] through the cell, its circuits run
+        by ``circuits``; returns the predictions [B] and, when
+        ``keep_caches``, the per-step caches that :meth:`_backward`
+        consumes.  Otherwise each step's cache, circuit amplitudes included,
+        is dropped as it goes."""
         h = c = np.zeros((x_scaled.shape[0], self.hidden_size))
         caches = []
         for t in range(x_scaled.shape[1]):
-            h, c, y, cache = self.cell_forward(x_scaled[:, t], h, c)
-            caches.append(cache)
+            h, c, y, cache = self.cell_forward(x_scaled[:, t], h, c, circuits)
+            if keep_caches:
+                caches.append(cache)
         return y, caches
 
-    def _predict_scaled(self, x_scaled):
-        # drops each step's cache, circuit amplitudes included, as it goes
-        h = c = np.zeros((x_scaled.shape[0], self.hidden_size))
-        for t in range(x_scaled.shape[1]):
-            h, c, y, _ = self.cell_forward(x_scaled[:, t], h, c)
-        return y
+    def _predictor(self, rows):
+        return partial(self._predict_scaled, circuits=self._circuits(rows * self.window))
+
+    def _predict_scaled(self, x_scaled, circuits=None):
+        circuits = circuits or self._circuits(x_scaled.shape[0] * x_scaled.shape[1])
+        return self.sequence_forward(x_scaled, circuits, keep_caches=False)[0]
 
     # -- backward ---------------------------------------------------------
 
-    def _circuits_backward(
-        self, gates: slice, angles, states, d_exps, inputs, grad_quantum
+    def _backward(
+        self, circuits: vqc.CircuitStack, caches: list[dict], d_pred: np.ndarray
     ) -> np.ndarray:
-        """Adjoint pass through a stack that :meth:`_run_circuits` ran, with
-        output weights d_exps [K, B, n]; adds each circuit's parameter
-        gradient to grad_quantum[gates] and returns d inputs [B, n]."""
-        n_circuits, batch, n = d_exps.shape
-        dangles = vqc._adjoint_rows(
-            self.template, angles, states, d_exps.reshape(n_circuits * batch, n)
-        )
-        grad_params, grad_inputs = vqc._angle_grads_to_args(
-            self.template, dangles, np.tile(inputs, (n_circuits, 1))
-        )
-        grad_quantum[gates] += grad_params.reshape(n_circuits, batch, -1).sum(axis=1)
-        return grad_inputs.reshape(n_circuits, batch, n).sum(axis=0)
-
-    def _backward(self, caches: list[dict], d_pred: np.ndarray) -> np.ndarray:
-        """Backpropagation through time over the batch; the flat gradient."""
+        """Backpropagation through time over the batch, through the
+        circuits that ran the forward pass; the flat gradient."""
         hidden, steps, batch = self.hidden_size, len(caches), d_pred.shape[0]
         accum = {name: np.zeros_like(a) for name, a in self.param_arrays()}
         grad_fc_w = np.zeros((6, hidden, self.n_qubits))
         grad_fc_b = np.zeros((6, hidden))
-        grad_quantum = np.zeros((6, self.template.total_params))
         gate_weights = self.fc_out_weights[self.fc_out_slot[:4]]
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
@@ -570,15 +584,9 @@ class QLSTMModel(_ModelBase):
                 k, d_out = 4, dh
             grad_fc_w[k] += d_out.T @ cache["e_out"][k - 4]
             grad_fc_b[k] += d_out.sum(axis=0)
-            rows = slice((k - 4) * batch, (k - 3) * batch)
-            dw = self._circuits_backward(
-                slice(k, k + 1),
-                cache["out_angles"][rows],
-                cache["out_states"][rows],
-                (d_out @ self.fc_out_weights[self.fc_out_slot[k]])[None],
-                cache["w"],
-                grad_quantum,
-            )
+            d_exps = np.zeros_like(cache["e_out"])
+            d_exps[k - 4] = d_out @ self.fc_out_weights[self.fc_out_slot[k]]
+            dw = circuits.backward(slice(4, 6), cache["out_run"], d_exps, cache["w"])
             accum["projection.weights"] += dw.T @ cache["u"]
             accum["projection.bias"] += dw.sum(axis=0)
             du = dw @ self.proj.weights
@@ -586,14 +594,7 @@ class QLSTMModel(_ModelBase):
             dz, dc = nn.lstm_gates_backward(cache["gates"], du, dc)
             grad_fc_w[:4] += dz.transpose(0, 2, 1) @ cache["e"]
             grad_fc_b[:4] += dz.sum(axis=1)
-            dv = self._circuits_backward(
-                slice(0, 4),
-                cache["gate_angles"],
-                cache["gate_states"],
-                dz @ gate_weights,
-                cache["v"],
-                grad_quantum,
-            )
+            dv = circuits.backward(slice(0, 4), cache["gate_run"], dz @ gate_weights, cache["v"])
             accum["fc_in.weights"] += dv.T @ cache["concat"]
             accum["fc_in.bias"] += dv.sum(axis=0)
             dh = (dv @ self.fc_in.weights)[:, :hidden]
@@ -604,17 +605,73 @@ class QLSTMModel(_ModelBase):
         np.add.at(fc_b, self.fc_out_slot, grad_fc_b)
         for k in range(len(fc_w)):
             accum[f"fc_out{k}.weights"], accum[f"fc_out{k}.bias"] = fc_w[k], fc_b[k]
-        for k, name in enumerate(self.GATE_NAMES):
-            accum["quantum." + name] = grad_quantum[k]
+        for name, grad in zip(self.GATE_NAMES, circuits.param_grads()):
+            accum["quantum." + name] = grad
         return nn.flatten_arrays([accum[name] for name, _ in self.param_arrays()])
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        preds, caches = self.sequence_forward(x_scaled)
+        circuits = self._circuits(x_scaled.shape[0] * x_scaled.shape[1])
+        preds, caches = self.sequence_forward(x_scaled, circuits)
         d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
-        return nn.loss_value(loss_kind, preds, y_scaled), self._backward(caches, d_preds)
+        return nn.loss_value(loss_kind, preds, y_scaled), self._backward(circuits, caches, d_preds)
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (FFNNModel, LSTMModel, VQRModel, QLSTMModel)}
+
+
+def count_params(kind: str, options: dict) -> int:
+    """The parameter count of a ``kind`` model with the resolved
+    ``options``, from the options alone; ``param_count`` reads it, and
+    ``load_model`` compares it with a checkpoint's stored values."""
+    n_in = len(options["features"])
+    if kind == "ffnn":
+        sizes = [n_in, *options["hidden_sizes"], 1]
+        return sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    if kind == "vqr":
+        return vqc.ansatz_param_count("strongly_entangling", options["n_qubits"], options["n_layers"])
+    hidden, layers = options["hidden_size"], options["n_layers"]
+    if kind == "lstm":  # four gates per layer, each over [inputs, h] plus a bias
+        deeper = 4 * hidden * (2 * hidden + 1) * (layers - 1)
+        return 4 * hidden * (n_in + hidden + 1) + deeper + hidden + 1
+    n, maps = options["n_qubits"], 1 if options["shared_fc_out"] else 6
+    circuits = 6 * vqc.ansatz_param_count("ring_rx", n, layers)
+    return n * (hidden + n_in + 1) + n * (hidden + 1) + maps * hidden * (n + 1) + hidden + 1 + circuits
+
+
+def _param_shapes(kind: str, options: dict):
+    """(name, shape) of every parameter array of a ``kind`` model with the
+    resolved ``options``, in flat order, derived without building it."""
+    n_in = len(options["features"])
+    if kind == "ffnn":
+        sizes = [n_in, *options["hidden_sizes"], 1]
+        for k in range(len(sizes) - 1):
+            yield f"dense{k}.weights", (sizes[k + 1], sizes[k])
+            yield f"dense{k}.bias", (sizes[k + 1],)
+        return
+    if kind == "vqr":
+        yield "quantum.angles", (count_params(kind, options),)
+        return
+    hidden = options["hidden_size"]
+    if kind == "lstm":
+        for k in range(options["n_layers"]):
+            for letter in "fico":
+                yield f"layer{k}.w_{letter}", (hidden, (n_in if k == 0 else hidden) + hidden)
+                yield f"layer{k}.b_{letter}", (hidden,)
+    else:
+        n = options["n_qubits"]
+        yield "fc_in.weights", (n, hidden + n_in)
+        yield "fc_in.bias", (n,)
+        yield "projection.weights", (n, hidden)
+        yield "projection.bias", (n,)
+        for k in range(1 if options["shared_fc_out"] else 6):
+            yield f"fc_out{k}.weights", (hidden, n)
+            yield f"fc_out{k}.bias", (hidden,)
+    yield "readout.weights", (1, hidden)
+    yield "readout.bias", (1,)
+    if kind == "qlstm":
+        angles = (vqc.ansatz_param_count("ring_rx", options["n_qubits"], options["n_layers"]),)
+        for name in QLSTMModel.GATE_NAMES:
+            yield f"quantum.{name}", angles
 
 
 # ---------------------------------------------------------------------------
@@ -810,58 +867,53 @@ def load_model(path: str | Path):
     target_scaler = _checkpoint_scaler(path, payload, "target_scaler", 1)
     if payload["window"] is None:  # None would build the kind's default window
         raise DataError(f"checkpoint {path}: window is null")
-    _check_option_sizes(path, payload["options"], payload["arrays"])
     try:
+        options, window = _settings(payload["kind"], names, payload["options"], payload["window"])
+        values = _checkpoint_arrays(path, payload["kind"], options, payload["arrays"])
         model = build_model(
-            payload["kind"],
-            names,
-            input_scaler,
-            target_scaler,
-            options=payload["options"],
-            window=payload["window"],
+            payload["kind"], names, input_scaler, target_scaler, options=options, window=window
         )
     except ConfigurationError as err:
         raise DataError(f"checkpoint {path} describes no model: {err}") from err
-    arrays = dict(model.param_arrays())
-    for name in payload["arrays"]:
-        if name not in arrays:
-            raise DataError(f"checkpoint {path}: array {name} unknown to {model.kind}")
-    for name, current in arrays.items():
-        entry = payload["arrays"].get(name)
-        if not isinstance(entry, dict):
-            raise DataError(f"checkpoint {path} lacks array {name}")
-        if entry.get("shape") != list(current.shape):
-            raise DataError(
-                f"checkpoint {path}: array {name} has shape {entry.get('shape')!r}, "
-                f"expected {list(current.shape)}"
-            )
-        values = _checkpoint_floats(path, f"array {name}", entry.get("values"), current.size)
-        np.copyto(current, values.reshape(current.shape))
+    for name, current in model.param_arrays():
+        np.copyto(current, values[name].reshape(current.shape))
     return model
 
 
-def _check_option_sizes(path, options: dict, arrays: dict) -> None:
-    """Every layer, unit, qubit and feature owns at least one parameter, so
-    in a valid checkpoint the integer options, list entries and list
-    lengths add up to no more than the number of values stored in its
-    arrays.  Checking that before building keeps forged sizes, alone or
-    multiplied together, from allocating."""
+def _checkpoint_arrays(path, kind: str, options: dict, arrays: dict) -> dict[str, np.ndarray]:
+    """The values of every parameter array, checked against the options
+    before any model is built, so that no forged size makes the build
+    allocate.  Valid arrays are exactly the ones ``_param_shapes`` names,
+    so only that many plus one of its names are read.  The ``DataError``
+    names the first array that misfits, after the options' and the
+    arrays' parameter counts when those differ."""
+    shapes = dict(islice(_param_shapes(kind, options), len(arrays) + 1))
+    misfit = next((f"array {name} unknown to {kind}" for name in arrays if name not in shapes), None)
+    values = {}
+    for name, shape in shapes.items():
+        entry = arrays.get(name)
+        if misfit:
+            break
+        if not isinstance(entry, dict):
+            misfit = f"{Path(path).name} has no array {name}"
+        elif entry.get("shape") != list(shape):
+            misfit = f"array {name} has shape {entry.get('shape')!r}, expected {list(shape)}"
+        else:
+            values[name] = _checkpoint_floats(path, f"array {name}", entry.get("values"), math.prod(shape))
+    if misfit is None:
+        return values
+    expected = count_params(kind, options)
     stored = sum(
         len(entry["values"])
         for entry in arrays.values()
         if isinstance(entry, dict) and isinstance(entry.get("values"), list)
     )
-    named = 0
-    for value in options.values():
-        entries = value if isinstance(value, list) else [value]
-        named += (len(entries) if isinstance(value, list) else 0) + sum(
-            v for v in entries if _is_int(v) and v > 0
+    if expected != stored:
+        misfit = (
+            f"its options name {expected} parameters, {'more' if expected > stored else 'fewer'} "
+            f"than the {stored} values stored in its arrays: {misfit}"
         )
-    if named > stored:
-        raise DataError(
-            f"checkpoint {path}: its options name {named} layers, units, qubits "
-            f"and features, more than the {stored} values stored in its arrays"
-        )
+    raise DataError(f"checkpoint {path}: {misfit}")
 
 
 def _checkpoint_floats(path, entry: str, values, size: int) -> np.ndarray:

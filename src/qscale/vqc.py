@@ -22,7 +22,8 @@ default vqr circuit and 80 for one call of a default qlstm circuit.  Both
 differentiate ansatz parameters and encoded inputs; for an ``arctan``
 embedding the chain-rule factor 1/(1+x^2) is included.
 
-Every template lowers twice, and both forms are cached per template:
+Every template lowers twice, and both forms are cached per template; an
+embed-first template also runs a third way:
 
 * The op table lists the gates in circuit order, each rotation with the
   column of its angle in the per-row source table ``[params | inputs |
@@ -37,6 +38,18 @@ Every template lowers twice, and both forms are cached per template:
   permutation of the amplitudes, and one reduction reads <Z> on every
   qubit.  The adjoint sweep walks the same plan backwards, one group at a
   time.
+* The ansatz matrix.  When the data enter only through a first embedding
+  segment, the rest of the circuit is one 2**n x 2**n unitary U per set of
+  params.  U is built by running the plan on the 2**n basis states with
+  the embedding angles at 0, so the plan stays the only gate kernel; each
+  row is then its embedding's product state, in closed form, times U.  The
+  gradient sums lambda psi0^dagger over all rows and makes one adjoint
+  sweep over the basis rows (:class:`CircuitStack`).
+  :func:`uses_ansatz_matrix` is the one choice between plan and matrix:
+  the template must be embed-first, and the rows sharing U must number at
+  least 2**n, which also keeps U no larger than the plan's amplitudes for
+  those rows.  The re-uploading (nonlinear) vqr and small minibatches run
+  through the plan.
 
 :func:`evaluate` runs one circuit as a one-row batch of the plan, and the
 parameter-shift gradients run their shifted circuits as rows of it, with
@@ -393,20 +406,22 @@ def _group_quaternions(plan: _Plan, cos: np.ndarray, sin: np.ndarray) -> np.ndar
 
 
 def _run_rows(
-    template: CircuitTemplate, angle_rows: np.ndarray
+    template: CircuitTemplate, angle_rows: np.ndarray, start: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate many circuits sharing the template structure.
 
-    ``angle_rows`` has shape [rows, n_angles].  Returns the Pauli-Z
-    expectations [rows, n_qubits] and the final amplitudes [rows, 2**n],
-    from which :func:`_adjoint_rows` differentiates the same circuits.
+    ``angle_rows`` has shape [rows, n_angles].  Each row starts from
+    |0...0>, or from its row of ``start``, column-major amplitudes
+    [rows, 2**n] that the run overwrites.  Returns the Pauli-Z expectations
+    [rows, n_qubits] and the final amplitudes [rows, 2**n], from which
+    :func:`_adjoint_rows` differentiates the same circuits.
     """
     plan = _plan(template)
     half = _half_angles(plan, angle_rows)
     cos = np.cos(half)
     quats = _group_quaternions(plan, cos, np.sin(half, out=half))
     del half, cos  # free the angle tables before the amplitudes grow
-    amps = sim._zero_rows(angle_rows.shape[0], template.n_qubits)
+    amps = sim._zero_rows(angle_rows.shape[0], template.n_qubits) if start is None else start
     g = 0
     for qubits, layer, _ in plan.blocks:
         if qubits:
@@ -423,16 +438,20 @@ def _adjoint_rows(
     template: CircuitTemplate,
     angle_rows: np.ndarray,
     states: np.ndarray,
-    weights: np.ndarray,
+    cotangent: np.ndarray,
 ) -> np.ndarray:
-    """Per-row derivatives [rows, n_angles] of f_r = sum_q weights[r, q] *
-    <Z_q> with respect to every gate angle of row r's circuit.
+    """Per-row derivatives [rows, n_angles] of f_r = 2 Re <lambda_r|psi_r>,
+    lambda_r the row's amplitude cotangent [rows, 2**n] held fixed, with
+    respect to every gate angle of row r's circuit.  For f_r = sum_q
+    w[r, q] <Z_q>, lambda_r = (w[r] @ Z) psi_r, the amplitudes signed by
+    the weighted Z of each basis state.
 
-    ``states`` are the final amplitudes that :func:`_run_rows` returned for
-    ``angle_rows``; they are left unchanged.  The sweep (Jones & Gacon,
-    arXiv:2009.02823) walks the fused plan backwards over psi and lambda =
-    O psi, stacked in one [2 * rows, 2**n] array.  For a rotation
-    exp(-i theta P / 2), df/dtheta = Im <lambda|P|psi> just after it.  With
+    ``states`` are the final amplitudes psi that :func:`_run_rows` returned
+    for ``angle_rows`` (from any start); they are left unchanged.  The
+    sweep (Jones & Gacon, arXiv:2009.02823) walks the fused plan backwards
+    over psi and lambda, stacked in one [2 * rows, 2**n] array.  For a
+    rotation exp(-i theta P / 2), df/dtheta = Im <lambda|P|psi> just after
+    it.  With
     R the 2x2 overlap of psi and lambda on a group's qubit, member m's
     derivative is Im Tr(P' R), P' its Pauli conjugated by the later members
     of the group; so the vector t = Im Tr(sigma R) of the three Paulis,
@@ -452,7 +471,7 @@ def _adjoint_rows(
     inverses[1:] *= -1.0
     pair = np.empty((dim, 2 * rows), dtype=np.complex128).T
     pair[:rows] = states
-    pair[rows:] = (weights @ sim._z_signs(template.n_qubits)) * states
+    pair[rows:] = cotangent
     pauli = np.empty((3, plan.n_groups, rows))
     g = plan.n_groups
     for qubits, _, inverse in reversed(plan.blocks):
@@ -504,6 +523,153 @@ def _angle_grads_to_args(
     chain = np.where(arctan, 1.0 / (1.0 + inputs[:, slots] ** 2), 1.0)
     np.add.at(grad_inputs, (slice(None), slots), dangles[:, ~is_param] * chain)
     return grad_params, grad_inputs
+
+
+# ---------------------------------------------------------------------------
+# ansatz matrices: when the data enter only through a first embedding, the
+# rest of the circuit is one unitary U per set of params, shared by all rows
+
+
+def uses_ansatz_matrix(template: CircuitTemplate, rows: int) -> bool:
+    """Whether circuits of ``template`` that share their params over
+    ``rows`` input rows run as product state x U.  That needs the
+    template's only embedding to be its first segment.  Building U runs the
+    plan on 2**n basis rows, so it pays only for at least that many rows,
+    and then U holds no more amplitudes than the plan would for them."""
+    first, *rest = template.segments
+    return (
+        isinstance(first, Embedding)
+        and not any(isinstance(seg, Embedding) for seg in rest)
+        and rows >= 1 << template.n_qubits
+    )
+
+
+def _embedding_factors(template: CircuitTemplate, inputs: np.ndarray) -> np.ndarray:
+    """The one-qubit states [n, 2, rows] that the first segment's rotations
+    make from |0>, (cos, -i sin) of the half angle for RX and (cos, sin)
+    for RY, stacked on their derivatives by the angle: [2, n, 2, rows].  A
+    qubit that encodes no feature stays |0>."""
+    embedding = template.segments[0]
+    count = len(embedding.feature_slots)
+    angles = inputs[:, list(embedding.feature_slots)].T
+    if embedding.transform == "arctan":
+        angles = np.arctan(angles)
+    cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    phase = -1j if embedding.axis == "X" else 1.0
+    factors = np.zeros((2, template.n_qubits, 2, inputs.shape[0]), dtype=np.complex128)
+    factors[0, count:, 0] = 1.0
+    factors[0, :count, 0], factors[0, :count, 1] = cos, phase * sin
+    factors[1, :count, 0], factors[1, :count, 1] = -0.5 * sin, 0.5 * phase * cos
+    return factors
+
+
+def _product_state(factors: np.ndarray) -> np.ndarray:
+    """The product of one-qubit states [n, 2, rows] as amplitudes [rows,
+    2**n], qubit 0 the least significant bit."""
+    state = factors[0]
+    for factor in factors[1:]:
+        state = (factor[:, None] * state[None]).reshape(-1, state.shape[-1])
+    return state.T
+
+
+class CircuitStack:
+    """K circuits of one template, each with its own params ``params``
+    [K, P], to run on input rows that each run shares among its circuits,
+    and to differentiate.  ``rows`` is how many input rows each circuit
+    will run on over the stack's life, say B x T for a recurrent cell;
+    :func:`uses_ansatz_matrix` picks the lowering for all of them.
+
+    * Plan: every run goes through the fused plan, and :meth:`backward`
+      makes one adjoint sweep over its rows.
+    * Ansatz matrix: U_k is built once, as the plan's run of the 2**n basis
+      states with the embedding angles at 0 (RX(0) and RY(0) are the
+      identity), so row j of ``matrices[k]`` is U_k e_j.  A run is the
+      product state psi0 of its inputs times that matrix.  :meth:`backward` sums the seeds
+      G_k = sum lambda psi0^dagger over its rows and takes the input
+      gradient 2 Re <U^dagger lambda | d psi0> in closed form;
+      :meth:`param_grads` makes the one adjoint sweep over the basis rows,
+      seeded by the columns of each G_k.
+
+    ``grads`` [K, P] accumulates the plan path's parameter gradients.
+    """
+
+    def __init__(self, template: CircuitTemplate, params: np.ndarray, rows: int):
+        self.template = template
+        self.params = params
+        self.grads = np.zeros(params.shape)
+        self.matrices = None
+        if uses_ansatz_matrix(template, rows):
+            dim = 1 << template.n_qubits
+            angles = _angle_table(template, params[:, None], np.zeros((1, template.input_dim)))
+            angles = np.broadcast_to(angles, (len(params), dim, angles.shape[-1]))
+            self.basis_angles = angles.reshape(len(params) * dim, -1)
+            basis = np.tile(np.eye(dim, dtype=np.complex128), len(params)).T
+            _, columns = _run_rows(template, self.basis_angles, basis)
+            self.matrices = columns.reshape(len(params), dim, dim)
+            self.seeds = np.zeros_like(self.matrices)
+
+    def run(self, circuits: slice, inputs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """<Z> [k, B, n] of the given circuits on the inputs [B, input_dim],
+        and the record :meth:`backward` differentiates them from."""
+        if self.matrices is None:
+            angles = _angle_table(self.template, self.params[circuits, None], inputs[None])
+            k, batch, _ = angles.shape
+            angles = angles.reshape(k * batch, -1)
+            exps, states = _run_rows(self.template, angles)
+            return exps.reshape(k, batch, -1), (angles, states)
+        factors = _embedding_factors(self.template, inputs)
+        psi0 = _product_state(factors[0])
+        amps = psi0 @ self.matrices[circuits]
+        exps = (amps.real**2 + amps.imag**2) @ sim._z_signs(self.template.n_qubits).T
+        return exps, (factors, psi0, amps)
+
+    def backward(
+        self, circuits: slice, record: tuple, weights: np.ndarray, inputs: np.ndarray
+    ) -> np.ndarray:
+        """Differentiate sum weights * <Z> of a :meth:`run`, weights [k, B,
+        n]: adds the parameter gradient to the stack's and returns the
+        input gradient [B, input_dim], summed over the circuits."""
+        template = self.template
+        z = sim._z_signs(template.n_qubits)
+        k, batch, _ = weights.shape
+        if self.matrices is None:
+            angles, states = record
+            cotangent = (weights.reshape(k * batch, -1) @ z) * states
+            dangles = _adjoint_rows(template, angles, states, cotangent)
+            grad_params, grad_inputs = _angle_grads_to_args(
+                template, dangles, np.tile(inputs, (k, 1))
+            )
+            self.grads[circuits] += grad_params.reshape(k, batch, -1).sum(axis=1)
+            return grad_inputs.reshape(k, batch, -1).sum(axis=0)
+        factors, psi0, amps = record
+        cotangent = (weights @ z) * amps
+        self.seeds[circuits] += psi0.conj().T @ cotangent
+        back = (cotangent @ self.matrices[circuits].conj().transpose(0, 2, 1)).sum(axis=0)
+        # d psi0 / d angle q: the product state with qubit q's factor turned
+        # into its derivative, for every encoding qubit q as rows of one state
+        count = len(template.segments[0].feature_slots)
+        turned = np.repeat(factors[0][:, :, None], count, axis=2)  # [n, 2, q, B]
+        turned[np.arange(count), :, np.arange(count)] = factors[1, :count]
+        d_psi0 = _product_state(turned.reshape(*turned.shape[:2], -1)).reshape(count, batch, -1)
+        dangles = np.zeros((batch, _lowered(template).columns.size))
+        dangles[:, :count] = 2.0 * np.einsum("rb,qrb->rq", back.conj(), d_psi0).real
+        return _angle_grads_to_args(template, dangles, inputs)[1]
+
+    def param_grads(self) -> np.ndarray:
+        """The parameter gradients [K, P] of every :meth:`backward` so far."""
+        if self.matrices is None:
+            return self.grads
+        dim = self.matrices.shape[-1]
+        dangles = _adjoint_rows(
+            self.template,
+            self.basis_angles,
+            self.matrices.reshape(-1, dim),
+            self.seeds.reshape(-1, dim),
+        )
+        grad_params, _ = _angle_grads_to_args(
+            self.template, dangles, np.zeros((len(dangles), self.template.input_dim))
+        )
+        return self.grads + grad_params.reshape(len(self.params), dim, -1).sum(axis=1)
 
 
 def _check_batch_args(
@@ -563,7 +729,8 @@ def adjoint_grad_batch(
     )
     angles = _angle_table(template, params, inputs_batch)
     _, states = _run_rows(template, angles)
-    dangles = _adjoint_rows(template, angles, states, weights)
+    cotangent = (weights @ sim._z_signs(template.n_qubits)) * states
+    dangles = _adjoint_rows(template, angles, states, cotangent)
     return _angle_grads_to_args(template, dangles, inputs_batch)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qscale import cli, data, models
+from qscale import cli, data, models, nn
 
 
 def run(capsys, *argv):
@@ -74,6 +75,20 @@ class TestUsage:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert "qscale" in out
+
+    def test_training_choices_are_nn_kinds(self):
+        """Every command that trains offers exactly the optimizers and
+        losses that ``nn`` implements."""
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        trainers = []
+        for name, command in commands.choices.items():
+            choices = {flag: a.choices for a in command._actions for flag in a.option_strings}
+            if "--optimizer" in choices:
+                trainers.append(name)
+                assert tuple(choices["--optimizer"]) == nn.OPTIMIZER_KINDS
+                assert tuple(choices["--loss"]) == nn.LOSS_KINDS
+        assert {"train", "cross-validate", "grid-search"} <= set(trainers)
 
 
 class TestSynthAndPrepare:
@@ -925,6 +940,35 @@ class TestBenchmark:
         assert report["benchmark"]["sample_size"] == 15
         assert report["benchmark"]["n_draws"] == 30
         assert report["model_kind"] == "uncalibrated"
+
+
+class TestForgedCheckpoint:
+    def test_forged_widths_are_data_error_before_building(
+        self, tmp_path, capsys, campaign, monkeypatch
+    ):
+        """Hidden widths [350, 350] add up to the 701 values a default ffnn
+        checkpoint stores but name 124,951 parameters: predict ends with a
+        data error before any model is built."""
+        checkpoint = tmp_path / "model.json"
+        save_untrained(campaign, "ffnn", {}, 1, checkpoint)
+        payload = json.loads(checkpoint.read_text())
+        payload["options"]["hidden_sizes"] = [350, 350]
+        checkpoint.write_text(json.dumps(payload))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model ran on forged sizes")
+
+        monkeypatch.setattr(models, "build_model", refuse)
+        code, _, err = run(
+            capsys,
+            "predict",
+            "--model-file", str(checkpoint),
+            "--data", str(campaign),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert err.startswith("data error:")
+        assert "its options name 124951 parameters, more than the 701 values" in err
 
 
 class TestNegativeSeeds:

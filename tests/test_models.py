@@ -174,6 +174,31 @@ class TestParameterCounts:
         )
         assert split.param_count() - shared.param_count() == 5 * (15 * 5 + 15)
 
+    @pytest.mark.parametrize(
+        "kind,options,window",
+        [
+            ("ffnn", {"hidden_sizes": (30, 15, 5)}, 1),
+            ("ffnn", {"hidden_sizes": (2,), "features": ("pm25",)}, 1),
+            ("lstm", {"hidden_size": 4, "n_layers": 1}, 3),
+            ("lstm", {"hidden_size": 3, "n_layers": 3, "features": ("pm25", "temp")}, 2),
+            ("vqr", {}, 1),
+            ("vqr", {"n_qubits": 2, "n_layers": 3, "architecture": "nonlinear", "features": ("pm25", "hum")}, 1),
+            ("qlstm", {}, 5),
+            ("qlstm", {"n_qubits": 2, "hidden_size": 3, "shared_fc_out": False, "features": ("pm25", "temp")}, 2),
+        ],
+    )
+    def test_counted_from_options(self, kind, options, window):
+        """``count_params`` and the shapes that ``load_model`` checks a
+        checkpoint against, both read from the options alone, agree with the
+        arrays a built model holds, names and flat order included."""
+        names = tuple(options.get("features", models.default_options(kind)["features"]))
+        inp, tgt = scalers_for(tiny_dataset(), names)
+        model = models.build_model(kind, names, inp, tgt, options=options, window=window)
+        built = [(name, array.shape) for name, array in model.param_arrays()]
+        assert list(models._param_shapes(kind, model.options)) == built
+        assert models.count_params(kind, model.options) == model.get_flat().size
+        assert model.param_count() == model.get_flat().size
+
     def test_vqr_feature_qubit_mismatch(self):
         ds = tiny_dataset()
         inp, tgt = scalers_for(ds, ("pm25", "temp"))
@@ -446,28 +471,48 @@ class TestDirectionalGradients:
         model.set_flat(theta)
 
 
+def shift_backward(stack, circuits, record, weights, inputs):
+    """``vqc.CircuitStack.backward`` with each circuit's gradient taken by
+    parameter shift, one circuit at a time."""
+    d_inputs = np.zeros_like(inputs)
+    for k, circuit_weights in zip(range(len(stack.params))[circuits], weights):
+        gp, gx = vqc.parameter_shift_grad_batch(
+            stack.template, stack.params[k], inputs, circuit_weights
+        )
+        stack.grads[k] += gp.sum(axis=0)
+        d_inputs += gx
+    return d_inputs
+
+
 class TestQLSTMShiftOracle:
     @pytest.mark.parametrize("shared", [True, False])
     def test_bptt_with_parameter_shift_circuits(self, monkeypatch, shared):
         """Backpropagation through time with each circuit's gradient taken
         by parameter shift, one circuit at a time, instead of the stacked
-        adjoint sweep: the paper-config QLSTM gradient agrees to 1e-10."""
+        adjoint sweep: the paper-config QLSTM gradient agrees to 1e-10.
+        Four windows of 5 steps are 20 rows, under 2**5, so the circuits
+        run through the plan."""
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
         xs = xs[:4]
+        assert not vqc.uses_ansatz_matrix(model.template, xs.shape[0] * xs.shape[1])
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
 
-        def shift_backward(gates, angles, states, d_exps, inputs, grad_quantum):
-            d_inputs = np.zeros_like(inputs)
-            for k, weights in zip(range(6)[gates], d_exps):
-                gp, gx = vqc.parameter_shift_grad_batch(
-                    model.template, model.vqc_params[k], inputs, weights
-                )
-                grad_quantum[k] += gp.sum(axis=0)
-                d_inputs += gx
-            return d_inputs
+        monkeypatch.setattr(vqc.CircuitStack, "backward", shift_backward)
+        _, shifted = model._loss_and_grad_scaled(xs, ys, "mse")
+        np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
 
-        monkeypatch.setattr(model, "_circuits_backward", shift_backward)
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_bptt_through_ansatz_matrices(self, monkeypatch, shared):
+        """As above on ten windows, 50 rows per circuit: the forward pass
+        runs as product states times the six ansatz matrices, and the
+        gradient takes the one adjoint sweep over their basis rows."""
+        model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
+        assert vqc.uses_ansatz_matrix(model.template, xs.shape[0] * xs.shape[1])
+        ys = np.linspace(-0.5, 0.5, xs.shape[0])
+        _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
+
+        monkeypatch.setattr(vqc.CircuitStack, "backward", shift_backward)
         _, shifted = model._loss_and_grad_scaled(xs, ys, "mse")
         np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
 
@@ -727,13 +772,20 @@ class TestCheckpoints:
             # 700 layers of 700 units would hold 343 million weights
             ("ffnn", {"hidden_sizes": [700] * 700}),
             ("qlstm", {"hidden_size": 10**12}),
+            # widths that add up to the 701 stored values, 124,951 weights
+            ("ffnn", {"hidden_sizes": [350, 350]}),
+            # a trillion layers, which only a closed-form count reads in time
+            ("lstm", {"n_layers": 10**12}),
         ],
-        ids=["vqr-layers", "ffnn-width", "ffnn-depth", "ffnn-width-and-depth", "qlstm-hidden"],
+        ids=[
+            "vqr-layers", "ffnn-width", "ffnn-depth", "ffnn-width-and-depth", "qlstm-hidden",
+            "ffnn-half-widths", "lstm-layers",
+        ],
     )
     def test_forged_sizes_fail_before_building(self, tmp_path, monkeypatch, kind, forged):
-        """Size options that add up to more than the values the arrays
-        store are refused before any model is built, so nothing is
-        allocated from them."""
+        """Size options that name more parameters than the arrays store
+        are refused before any model is built, so nothing is allocated
+        from them."""
         ds = tiny_dataset(20, seed=24)
         names = models.default_options(kind)["features"]
         inp, tgt = scalers_for(ds, names)

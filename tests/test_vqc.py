@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracle
 from qscale.errors import ConfigurationError
-from qscale import vqc
+from qscale import sim, vqc
 from qscale.sim import GateSpec
 from qscale.vqc import (
     Ansatz,
@@ -380,7 +382,7 @@ class TestAdjoint:
         weights = rng.uniform(-1.0, 1.0, (5, 4))
         angles = vqc._angle_table(t, params, inputs)
         _, states = vqc._run_rows(t, angles)
-        dangles = vqc._adjoint_rows(t, angles, states, weights)
+        dangles = vqc._adjoint_rows(t, angles, states, (weights @ sim._z_signs(4)) * states)
         gp, gx = vqc._angle_grads_to_args(t, dangles, inputs)
         for r in range(5):
             sp, sx = parameter_shift_grad(t, params[r], inputs[r], weights[r])
@@ -405,8 +407,101 @@ class TestAdjoint:
         angles = vqc._angle_table(t, init_params(t, rng), rng.uniform(-1, 1, (2, 3)))
         _, states = vqc._run_rows(t, angles)
         before = states.copy()
-        vqc._adjoint_rows(t, angles, states, np.ones((2, 3)))
+        vqc._adjoint_rows(t, angles, states, (np.ones((2, 3)) @ sim._z_signs(3)) * states)
         np.testing.assert_array_equal(states, before)
+
+
+@st.composite
+def embed_first_stacks(draw, max_rows_per_dim=2):
+    """An embed-first template (RX or RY embedding of some features in any
+    qubit order, identity or arctan, then one ansatz of 1-4 layers on 1-6
+    qubits), K params rows, input rows on both sides of 2**n, and <Z>
+    weights per circuit."""
+    n = draw(st.integers(1, 6))
+    layers = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(vqc.ANSATZ_KINDS))
+    order = draw(st.permutations(range(n)))
+    slots = tuple(order[: draw(st.integers(1, n))])
+    embedding = Embedding(draw(st.sampled_from(vqc.AXES)), slots, draw(st.sampled_from(vqc.TRANSFORMS)))
+    total = ansatz_param_count(kind, n, layers)
+    template = CircuitTemplate(n, n, (embedding, Ansatz(kind, layers, (0, total))))
+    rows = draw(st.integers(1, max_rows_per_dim << n))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.uniform(0.0, 2.0 * math.pi, (k, total))
+    inputs = rng.uniform(-2.0, 2.0, (rows, n))
+    weights = rng.uniform(-1.0, 1.0, (k, rows, n))
+    return template, params, inputs, weights
+
+
+class TestAnsatzMatrix:
+    """The ansatz-matrix lowering of ``vqc.CircuitStack`` against the plan:
+    a stack declared for one row runs every call through the plan, one
+    declared for 2**n rows through product states times U."""
+
+    @staticmethod
+    def stacks(template, params):
+        plan = vqc.CircuitStack(template, params, 1)
+        matrix = vqc.CircuitStack(template, params, 1 << template.n_qubits)
+        assert plan.matrices is None and matrix.matrices is not None
+        return plan, matrix
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(embed_first_stacks())
+    def test_agrees_with_plan(self, case):
+        """<Z>, then two backward calls (all circuits, then the last one on
+        other inputs, as the steps of a recurrent cell make them): the
+        input gradients of each and the summed parameter gradients."""
+        template, params, inputs, weights = case
+        k = len(params)
+        plan, matrix = self.stacks(template, params)
+        calls = [(slice(0, k), inputs, weights), (slice(k - 1, k), inputs[::-1] * 0.5, weights[:1])]
+        for circuits, x, w in calls:
+            e_plan, run_plan = plan.run(circuits, x)
+            e_matrix, run_matrix = matrix.run(circuits, x)
+            np.testing.assert_allclose(e_matrix, e_plan, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                matrix.backward(circuits, run_matrix, w, x),
+                plan.backward(circuits, run_plan, w, x),
+                rtol=1e-10,
+                atol=1e-10,
+            )
+        np.testing.assert_allclose(matrix.param_grads(), plan.param_grads(), rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(embed_first_stacks(max_rows_per_dim=1))
+    def test_matches_parameter_shift(self, case):
+        template, params, inputs, weights = case
+        inputs, weights = inputs[:6], weights[:, :6]
+        _, matrix = self.stacks(template, params)
+        _, run = matrix.run(slice(None), inputs)
+        grad_inputs = matrix.backward(slice(None), run, weights, inputs)
+        shift_inputs = np.zeros_like(inputs)
+        for k, grad_params in enumerate(matrix.param_grads()):
+            gp, gx = parameter_shift_grad_batch(template, params[k], inputs, weights[k])
+            np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
+            shift_inputs += gx
+        np.testing.assert_allclose(grad_inputs, shift_inputs, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 200))
+    def test_path_choice(self, n, layers, rows):
+        """Embed-first templates take the matrix from 2**n rows on; the
+        vqr that re-uploads its inputs (two or more layers) never does, nor
+        does a template that starts with its ansatz."""
+        enough = rows >= 1 << n
+        assert vqc.uses_ansatz_matrix(linear_vqr_template(n, layers), rows) == enough
+        assert vqc.uses_ansatz_matrix(ring_rx_template(n, layers), rows) == enough
+        assert vqc.uses_ansatz_matrix(nonlinear_vqr_template(n, 1), rows) == enough
+        assert not vqc.uses_ansatz_matrix(nonlinear_vqr_template(n, layers + 1), rows)
+        total = ansatz_param_count("ring_rx", n, layers)
+        ansatz_first = CircuitTemplate(
+            n, n, (Ansatz("ring_rx", layers, (0, total)), Embedding("X", tuple(range(n))))
+        )
+        assert not vqc.uses_ansatz_matrix(ansatz_first, rows)
+        reuploading = nonlinear_vqr_template(n, layers + 1)
+        stack = vqc.CircuitStack(reuploading, np.zeros((2, reuploading.total_params)), 10**6)
+        assert stack.matrices is None
 
 
 class TestInitParams:
