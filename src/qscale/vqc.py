@@ -584,11 +584,11 @@ class CircuitStack:
     * Ansatz matrix: U_k is built once, as the plan's run of the 2**n basis
       states with the embedding angles at 0 (RX(0) and RY(0) are the
       identity), so row j of ``matrices[k]`` is U_k e_j.  A run is the
-      product state psi0 of its inputs times that matrix.  :meth:`backward` sums the seeds
-      G_k = sum lambda psi0^dagger over its rows and takes the input
-      gradient 2 Re <U^dagger lambda | d psi0> in closed form;
-      :meth:`param_grads` makes the one adjoint sweep over the basis rows,
-      seeded by the columns of each G_k.
+      product state psi0 of its inputs times that matrix.
+      :meth:`backward` adds lambda psi0^dagger over its rows to the seeds
+      G_k and takes the input gradient 2 Re <U^dagger lambda | d psi0> in
+      closed form; :meth:`param_grads` makes the one adjoint sweep over
+      the basis rows, seeded by the columns of each G_k.
 
     ``grads`` [K, P] accumulates the plan path's parameter gradients.
     """
@@ -597,16 +597,17 @@ class CircuitStack:
         self.template = template
         self.params = params
         self.grads = np.zeros(params.shape)
-        self.matrices = None
+        self.matrices = self.seeds = None
         if uses_ansatz_matrix(template, rows):
             dim = 1 << template.n_qubits
             angles = _angle_table(template, params[:, None], np.zeros((1, template.input_dim)))
             angles = np.broadcast_to(angles, (len(params), dim, angles.shape[-1]))
             self.basis_angles = angles.reshape(len(params) * dim, -1)
-            basis = np.tile(np.eye(dim, dtype=np.complex128), len(params)).T
-            _, columns = _run_rows(template, self.basis_angles, basis)
+            # the run owns the basis states, so it can free them after the first CNOT layer
+            _, columns = _run_rows(
+                template, self.basis_angles, np.tile(np.eye(dim, dtype=np.complex128), len(params)).T
+            )
             self.matrices = columns.reshape(len(params), dim, dim)
-            self.seeds = np.zeros_like(self.matrices)
 
     def run(self, circuits: slice, inputs: np.ndarray) -> tuple[np.ndarray, tuple]:
         """<Z> [k, B, n] of the given circuits on the inputs [B, input_dim],
@@ -643,6 +644,8 @@ class CircuitStack:
             return grad_inputs.reshape(k, batch, -1).sum(axis=0)
         factors, psi0, amps = record
         cotangent = (weights @ z) * amps
+        if self.seeds is None:  # only a backward pass needs them
+            self.seeds = np.zeros_like(self.matrices)
         self.seeds[circuits] += psi0.conj().T @ cotangent
         back = (cotangent @ self.matrices[circuits].conj().transpose(0, 2, 1)).sum(axis=0)
         # d psi0 / d angle q: the product state with qubit q's factor turned
@@ -657,7 +660,7 @@ class CircuitStack:
 
     def param_grads(self) -> np.ndarray:
         """The parameter gradients [K, P] of every :meth:`backward` so far."""
-        if self.matrices is None:
+        if self.seeds is None:
             return self.grads
         dim = self.matrices.shape[-1]
         dangles = _adjoint_rows(
