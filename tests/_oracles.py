@@ -3,9 +3,9 @@
 The simulator oracle builds full 2^n x 2^n dense unitaries with Kronecker
 products and literal gate matrices; the gradient oracle is plain central
 finite differences; the aggregation and fusion oracles are the row-wise
-dict loops that the columnar data path replaced.  Nothing here imports the
-package's kernels.
-"""
+dict loops that the columnar data path replaced, and the synthesis oracle
+the nested per-row loops that columnar synthesis replaced.  Nothing here
+imports the package's kernels."""
 
 from __future__ import annotations
 
@@ -153,3 +153,72 @@ def fuse_by_quantity(aggregated: dict) -> dict:
     for (sensor, quantity), series in aggregated.items():
         grouped.setdefault(quantity, {})[sensor] = series
     return {q: median_fuse(by_sensor) for q, by_sensor in grouped.items()}
+
+
+def _ar1_rows(rng, n: int, rho: float, sigma: float) -> np.ndarray:
+    noise = rng.normal(0.0, sigma, n)
+    out = np.empty(n)
+    acc = 0.0
+    for i in range(n):
+        acc = rho * acc + noise[i]
+        out[i] = acc
+    return out
+
+
+def synthesize_rows(seed: int, n_hours: int, profile) -> tuple[list, np.ndarray]:
+    """The synthetic campaign drawn row by row, as the nested loops did
+    before synthesis became columnar: ``(rows, reference)``, where ``rows``
+    are ``(timestamp, sensor_id, quantity, value)`` tuples sorted by
+    ``(timestamp, sensor_id, quantity)`` and ``reference`` is the hourly
+    reference PM2.5.  ``profile`` is read by attribute only."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2210]))
+    hours = np.arange(n_hours, dtype=float)
+    day_phase = 2.0 * np.pi * (hours % 24) / 24.0
+    season_phase = 2.0 * np.pi * hours / (24.0 * 30.0)
+    ref = (
+        14.0
+        + 6.0 * np.sin(season_phase)
+        + 4.0 * np.sin(day_phase - 0.8 * np.pi)
+        + _ar1_rows(rng, n_hours, 0.9, 1.1)
+    )
+    ref = np.clip(ref, 1.0, None)
+    temp = (
+        12.0
+        + 6.0 * np.sin(season_phase + 0.9)
+        + 7.0 * np.sin(day_phase - 0.55 * np.pi)
+        + _ar1_rows(rng, n_hours, 0.95, 0.35)
+    )
+    hum = np.clip(76.0 - 1.6 * (temp - 12.0) + _ar1_rows(rng, n_hours, 0.9, 1.4), 25.0, 98.0)
+    press = 1012.0 + 6.0 * np.sin(2.0 * np.pi * hours / (24.0 * 15.0)) + _ar1_rows(
+        rng, n_hours, 0.98, 0.12
+    )
+    stamps = 1672531200 + 3600 * np.arange(n_hours, dtype=np.int64)
+    per_hour = max(1, 3600 // int(profile.sample_period_s))
+    period = 3600 // per_hour
+    rows = []
+    for s in range(profile.n_pm_sensors):
+        jitter = profile.sensor_spread * rng.uniform(-1.0, 1.0, 3)
+        gain = 1.0 + (profile.gain - 1.0) * (1.0 + jitter[0])
+        offset = profile.offset * (1.0 + jitter[1])
+        hum_coeff = profile.humidity_coeff * (1.0 + jitter[2])
+        for h in range(n_hours):
+            base = ref[h] * gain + offset + hum_coeff * max(0.0, hum[h] - profile.humidity_knee)
+            noise = (
+                rng.normal(0.0, profile.noise_std, per_hour)
+                if profile.noise_std > 0
+                else np.zeros(per_hour)
+            )
+            for k in range(per_hour):
+                rows.append(
+                    (int(stamps[h]) + k * period, f"pm-{s:02d}", "pm25", float(base + noise[k]))
+                )
+    for s in range(profile.n_env_sensors):
+        for quantity, series in (("temp", temp), ("hum", hum), ("press", press)):
+            for h in range(n_hours):
+                noise = rng.normal(0.0, 0.05 * profile.noise_std) if profile.noise_std > 0 else 0.0
+                rows.append(
+                    (int(stamps[h]) + (s % per_hour) * period, f"env-{s:02d}", quantity,
+                     float(series[h] + noise))
+                )
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    return rows, ref

@@ -629,6 +629,105 @@ class TestSynthesize:
         ).read_bytes()
 
 
+SYNTH_PROFILES = st.builds(
+    SynthProfile,
+    n_pm_sensors=st.integers(1, 4),
+    n_env_sensors=st.integers(0, 3),
+    gain=st.floats(0.5, 2.0),
+    offset=st.floats(-5.0, 5.0),
+    humidity_coeff=st.floats(0.0, 0.3),
+    humidity_knee=st.floats(40.0, 90.0),
+    noise_std=st.just(0.0) | st.floats(0.1, 3.0),
+    sensor_spread=st.floats(0.0, 0.5),
+    sample_period_s=st.sampled_from([7, 120, 1000, 3600, 7200]),
+)
+
+
+class TestSynthMatchesRowOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(48, 60), SYNTH_PROFILES)
+    def test_matches_row_loops(self, seed, n_hours, profile):
+        """The campaign is the rows of the nested per-row loops, in their order."""
+        rows, reference = _oracles.synthesize_rows(seed, n_hours, profile)
+        campaign = synthesize(seed, n_hours, profile)
+        assert [(s.timestamp, s.sensor_id, s.quantity, s.value) for s in campaign.samples] == rows
+        assert np.array_equal(campaign.reference.values, reference)
+
+
+# Small campaigns whose synth outputs are pinned by sha256: name ->
+# (seed, hours, SynthProfile fields).  The digests were taken from the
+# row-wise generator that columnar synthesis replaced; both must write the
+# same bytes.
+PINNED_CAMPAIGNS = {
+    "default": (1, 48, {}),
+    "criterion-5": (2024, 72, {"gain": 1.45, "offset": 4.0, "humidity_coeff": 0.12,
+                               "noise_std": 1.5}),
+    "hourly": (3, 72, {"gain": 1.2, "offset": 2.0, "noise_std": 0.8, "sample_period_s": 3600}),
+    "600s-3-env": (4, 60, {"gain": 1.3, "offset": 1.0, "humidity_coeff": 0.05,
+                           "noise_std": 1.0, "n_env_sensors": 3, "sample_period_s": 600}),
+    "7200s": (5, 50, {"gain": 0.9, "offset": -1.5, "noise_std": 2.0, "sample_period_s": 7200}),
+    "zero-noise": (6, 48, {"gain": 1.5, "offset": 3.0, "humidity_coeff": 0.1}),
+    "1000s-no-env": (8, 49, {"n_pm_sensors": 2, "n_env_sensors": 0, "gain": 1.1,
+                             "noise_std": 0.5, "sample_period_s": 1000}),
+}
+PINNED_CAMPAIGN_SHA256 = {
+    "default": {
+        "sensors": "bcf4473ad953edbd212c07dfc073be4eea411ba84024fb15f202d8f0af73f245",
+        "reference": "d4d6b38fc7079470333f919b0ca58f93e8e7bfac7624561725323e5dee9ae1fb",
+        "dataset": "fe51b709b2bc0dcefc66102f43e32af35bb1d045a548da90f336a3815c78b11a",
+    },
+    "criterion-5": {
+        "sensors": "b982f35b6af0a9ce51e1dca7443cfbe51732234b5ba268b5ecd919806d9b38b0",
+        "reference": "f45399b84e263a28084cc577b95ecfbe30a04cc4c6b9a5877995fffb73547cf9",
+        "dataset": "72ab4845ddf4c313092d006487bbc839649d981b3e023d39543d0a51e8c8aad9",
+    },
+    "hourly": {
+        "sensors": "c434f897537f016e6b1b542bcb072b8bd22c9d29f20e789a58056d3a81ae3b53",
+        "reference": "d90db3b77a1f81a0c1acee51b257f49beb7a101fae3bd42d4c5e28c73c833657",
+        "dataset": "c7e818a442c4b816e0911e2ec283245aa72cc0522cd62b5478bf005bcd5b4a74",
+    },
+    "600s-3-env": {
+        "sensors": "534bb38af27ebe7935993c56213e1ac12290246e26ee600d07067bfcb40ebf10",
+        "reference": "e38527378fd1970c6476119a38ec08f0de823f9b167493b803cf8430601185c3",
+        "dataset": "d55ff942e71f2150015d3afade0aeab3fb121545f05fe18a323eb8dea8f80005",
+    },
+    "7200s": {
+        "sensors": "0f142680ce2a113147c10ba42a1b569a1d2cc7dedc6df0395ce0b8263d202b28",
+        "reference": "7b87b0106dcd400bcd8a4bc9de878a5eb2d40943c8c43aae2fd8c5508de42fc2",
+        "dataset": "55e83691a845233d828f6a61fb7bc32d8cfe8622985ca6120d31f309e6b5a502",
+    },
+    "zero-noise": {
+        "sensors": "c010afe3bcdbb55b208e2981622f021a1c77e96ba1347e76ba29a61a1354ad32",
+        "reference": "46819542817fccfffb51f1edad1c7c70b73b4d70a3f8c6405fbe47131ed69c13",
+        "dataset": "27438bb1fd6402fdbfded3389a783762fe1e48ef2be01e7c73157be58da11b0c",
+    },
+    "1000s-no-env": {
+        "sensors": "a1e9e95fada224e8958040804cb3fb4aa35f7bf080da09abf4c7bf88a606bc6c",
+        "reference": "6022b7a4838b8817e110e5fc958536618c130a1e4de26240b9fd7057bdacb603",
+        "dataset": "0da9c71f33f4081e00d14c0548a70a6bf0f4b1fb81489dbb6c087c4a2445bf70",
+    },
+}
+
+
+def campaign_digests(name, out):
+    """sha256 of the sensors.csv, reference.csv and dataset.csv that
+    ``qscale synth`` writes for the pinned campaign ``name``."""
+    seed, hours, fields = PINNED_CAMPAIGNS[name]
+    paths = write_campaign(synthesize(seed, hours, SynthProfile(**fields)), out)
+    dataset, _, _ = prepare_dataset([paths["sensors"]], paths["reference"])
+    dataset_to_csv(dataset, out / "dataset.csv")
+    return {
+        key: hashlib.sha256((out / f"{key}.csv").read_bytes()).hexdigest()
+        for key in ("sensors", "reference", "dataset")
+    }
+
+
+class TestPinnedSynth:
+    @pytest.mark.parametrize("name", sorted(PINNED_CAMPAIGNS))
+    def test_campaign_bytes(self, tmp_path, name):
+        assert campaign_digests(name, tmp_path) == PINNED_CAMPAIGN_SHA256[name]
+
+
 class TestPrepareMinuteGranularity:
     def test_minute_then_hour(self, tmp_path):
         campaign = synthesize(13, 48)
