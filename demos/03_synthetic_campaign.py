@@ -20,7 +20,7 @@ def main() -> None:
         gain=1.4, offset=3.5, humidity_coeff=0.1, noise_std=1.2
     )
     campaign = data.synthesize(seed=42, n_hours=240, profile=profile)
-    print(f"campaign: {len(campaign.samples)} raw samples from "
+    print(f"campaign: {len(campaign.columns)} raw samples from "
           f"{profile.n_pm_sensors} PM sensors + {profile.n_env_sensors} "
           f"environmental sensors")
 

@@ -20,6 +20,11 @@ row:
 
 A deterministic synthetic campaign generator emits the same CSV schemas,
 so every downstream stage can be exercised without the field recordings.
+It is columnar too: each sensor stream is drawn as whole arrays into one
+``SampleColumns``, one ``np.lexsort`` puts the rows in (timestamp,
+sensor_id, quantity) order, and ``write_campaign`` formats each distinct
+timestamp once.  ``SyntheticCampaign.samples`` gives the rows as
+``RawSample`` records only for readers outside the package.
 """
 
 from __future__ import annotations
@@ -78,6 +83,12 @@ def format_timestamp(seconds: int) -> str:
         .isoformat()
         .replace("+00:00", "Z")
     )
+
+
+def format_timestamps(stamps: np.ndarray) -> list[str]:
+    """``format_timestamp`` of each int64 epoch second, in one NumPy call."""
+    texts = np.datetime_as_string(np.asarray(stamps).astype("datetime64[s]"), unit="s")
+    return [text + "Z" for text in texts.tolist()]
 
 
 @dataclass(frozen=True)
@@ -609,18 +620,16 @@ def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) ->
 
 
 def dataset_to_csv(dataset: CalibrationDataset, path: str | Path) -> None:
-    lines = []
-    name_to_col = {n: i for i, n in enumerate(dataset.feature_names)}
-    for r in range(len(dataset)):
-        cells = [format_timestamp(dataset.timestamps[r])]
-        for name in FEATURE_COLUMNS:
-            if name in name_to_col:
-                cells.append(repr(float(dataset.features[r, name_to_col[name]])))
-            else:
-                cells.append("")
-        cells.append(repr(float(dataset.target[r])))
-        lines.append(",".join(cells))
-    _write_csv(path, DATASET_HEADER, lines)
+    """Write the dataset a column at a time; an absent feature is a blank cell."""
+    cells = [format_timestamps(dataset.timestamps)]
+    for name in FEATURE_COLUMNS:
+        if name in dataset.feature_names:
+            column = dataset.features[:, dataset.feature_names.index(name)]
+            cells.append(map(repr, column.tolist()))
+        else:
+            cells.append(repeat(""))
+    cells.append(map(repr, dataset.target.tolist()))
+    _write_csv(path, DATASET_HEADER, map(",".join, zip(*cells)))
 
 
 def dataset_from_csv(path: str | Path) -> CalibrationDataset:
@@ -686,12 +695,24 @@ def predictions_to_csv(rows: Sequence[dict], path: str | Path) -> None:
 # synthetic campaign generation
 
 
+# sensors of each kind a profile may ask for: their ids keep two digits
+# (pm-00 .. pm-99), and no profile turns a short campaign into billions of rows
+MAX_SENSORS = 100
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false arrive as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SynthProfile:
     """Distortion applied to the simulated low-cost sensors.
 
     With the default (all-zero distortion) profile every sensor reports the
     reference signal exactly, so the uncalibrated benchmark loss is zero.
+    A field of the wrong type or out of range is a ``ConfigurationError``
+    naming it.  The period is rounded to a whole number of samples per hour.
     """
 
     n_pm_sensors: int = 4
@@ -704,12 +725,56 @@ class SynthProfile:
     sensor_spread: float = 0.1  # per-sensor relative jitter on the distortions
     sample_period_s: int = 120
 
+    def __post_init__(self) -> None:
+        for name, low in (("n_pm_sensors", 1), ("n_env_sensors", 0)):
+            count = getattr(self, name)
+            if not (_is_int(count) and low <= count <= MAX_SENSORS):
+                raise ConfigurationError(
+                    f"profile field {name} must be an integer from {low} to "
+                    f"{MAX_SENSORS}, got {count!r}"
+                )
+        if not (_is_int(self.sample_period_s) and self.sample_period_s >= 1):
+            raise ConfigurationError(
+                f"profile field sample_period_s must be a positive integer, "
+                f"got {self.sample_period_s!r}"
+            )
+        for name in ("gain", "offset", "humidity_coeff", "humidity_knee", "noise_std",
+                     "sensor_spread"):
+            value = getattr(self, name)
+            try:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or an int no float holds
+                finite = False
+            if not finite:
+                raise ConfigurationError(
+                    f"profile field {name} must be a finite number, got {value!r}"
+                )
+        if self.noise_std < 0:
+            raise ConfigurationError(
+                f"profile field noise_std must not be negative, got {self.noise_std!r}"
+            )
+
 
 @dataclass
 class SyntheticCampaign:
-    samples: list[RawSample]
+    columns: SampleColumns  # sorted by (timestamp, sensor_id, quantity) text
     reference: Series
     truth: dict[str, np.ndarray]  # hourly pm25/temp/hum/press ground truth
+
+    @property
+    def samples(self) -> list[RawSample]:
+        """The columns as ``RawSample`` records in row order, for readers
+        outside the package; nothing in the package reads them."""
+        cols = self.columns
+        return [
+            RawSample(t, cols.sensor_names[s], QUANTITIES[q], v)
+            for t, s, q, v in zip(
+                cols.timestamps.tolist(),
+                cols.sensors.tolist(),
+                cols.quantities.tolist(),
+                cols.values.tolist(),
+            )
+        ]
 
 
 DEFAULT_EPOCH = 1672531200  # 2023-01-01T00:00:00Z
@@ -725,10 +790,21 @@ def _ar1(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np.ndarr
     return out
 
 
+def _text_ranks(texts: Sequence[str]) -> np.ndarray:
+    """Each text's position when the texts are sorted."""
+    ranks = np.empty(len(texts), np.int64)
+    ranks[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+    return ranks
+
+
 def synthesize(
     seed: int, n_hours: int, profile: SynthProfile = SynthProfile()
 ) -> SyntheticCampaign:
-    """Deterministic synthetic campaign with seasonal and diurnal structure."""
+    """Deterministic synthetic campaign with seasonal and diurnal structure.
+
+    Each pm sensor draws its three jitters, then one noise array over its
+    hours and samples; each env sensor draws one noise array per quantity.
+    """
     if n_hours < 48:
         raise ConfigurationError("synthetic campaigns need at least 48 hours")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2210]))
@@ -758,80 +834,74 @@ def synthesize(
     stamps = DEFAULT_EPOCH + HOUR * np.arange(n_hours, dtype=np.int64)
     reference = Series(stamps, ref)
 
-    samples: list[RawSample] = []
-    per_hour = max(1, HOUR // int(profile.sample_period_s))
+    per_hour = max(1, HOUR // profile.sample_period_s)
     period = HOUR // per_hour
-
+    sensor_names: list[str] = []
+    parts = []  # (stamps, sensor code, quantity, values) per sensor stream
+    pm_stamps = (stamps[:, None] + period * np.arange(per_hour)).ravel()
+    above_knee = np.maximum(0.0, hum - profile.humidity_knee)
     for s in range(profile.n_pm_sensors):
         jitter = profile.sensor_spread * rng.uniform(-1.0, 1.0, 3)
         gain = 1.0 + (profile.gain - 1.0) * (1.0 + jitter[0])
         offset = profile.offset * (1.0 + jitter[1])
         hum_coeff = profile.humidity_coeff * (1.0 + jitter[2])
-        sensor_id = f"pm-{s:02d}"
-        for h in range(n_hours):
-            base = (
-                ref[h] * gain
-                + offset
-                + hum_coeff * max(0.0, hum[h] - profile.humidity_knee)
-            )
-            noise = (
-                rng.normal(0.0, profile.noise_std, per_hour)
-                if profile.noise_std > 0
-                else np.zeros(per_hour)
-            )
-            for k in range(per_hour):
-                samples.append(
-                    RawSample(
-                        int(stamps[h]) + k * period,
-                        sensor_id,
-                        "pm25",
-                        float(base + noise[k]),
-                    )
-                )
+        base = ref * gain + offset + hum_coeff * above_knee
+        noise = (
+            rng.normal(0.0, profile.noise_std, (n_hours, per_hour))
+            if profile.noise_std > 0
+            else np.zeros((n_hours, per_hour))
+        )
+        parts.append((pm_stamps, len(sensor_names), "pm25", (base[:, None] + noise).ravel()))
+        sensor_names.append(f"pm-{s:02d}")
 
-    env_quants = {"temp": temp, "hum": hum, "press": press}
     for s in range(profile.n_env_sensors):
-        sensor_id = f"env-{s:02d}"
-        for quantity, series in env_quants.items():
-            for h in range(n_hours):
-                noise = (
-                    rng.normal(0.0, 0.05 * profile.noise_std)
-                    if profile.noise_std > 0
-                    else 0.0
-                )
-                samples.append(
-                    RawSample(
-                        int(stamps[h]) + (s % per_hour) * period,
-                        sensor_id,
-                        quantity,
-                        float(series[h] + noise),
-                    )
-                )
-    samples.sort(key=lambda r: (r.timestamp, r.sensor_id, r.quantity))
-    return SyntheticCampaign(samples=samples, reference=reference, truth=truth)
+        env_stamps = stamps + (s % per_hour) * period
+        for quantity, series in (("temp", temp), ("hum", hum), ("press", press)):
+            noise = (
+                rng.normal(0.0, 0.05 * profile.noise_std, n_hours)
+                if profile.noise_std > 0
+                else np.zeros(n_hours)
+            )
+            parts.append((env_stamps, len(sensor_names), quantity, series + noise))
+        sensor_names.append(f"env-{s:02d}")
+
+    times, sensors, quantities, values = (
+        np.concatenate(column)
+        for column in zip(*(
+            (t, np.full(t.size, sensor, np.int64),
+             np.full(t.size, QUANTITIES.index(quantity), np.int64), v)
+            for t, sensor, quantity, v in parts
+        ))
+    )
+    # rows in the order of their (timestamp, sensor_id, quantity) texts
+    order = np.lexsort((
+        _text_ranks(QUANTITIES)[quantities], _text_ranks(sensor_names)[sensors], times
+    ))
+    columns = SampleColumns(
+        times[order], sensors[order], quantities[order], values[order], tuple(sensor_names)
+    )
+    return SyntheticCampaign(columns=columns, reference=reference, truth=truth)
 
 
 def write_campaign(campaign: SyntheticCampaign, out_dir: str | Path) -> dict[str, Path]:
-    """Write sensors.csv / reference.csv in the ingest schemas."""
+    """Write sensors.csv / reference.csv in the ingest schemas, each
+    distinct timestamp formatted once."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"sensors": out / "sensors.csv", "reference": out / "reference.csv"}
-    _write_csv(
-        paths["sensors"],
-        RAW_HEADER,
-        (
-            f"{format_timestamp(s.timestamp)},{s.sensor_id},{s.quantity},{s.value!r}"
-            for s in campaign.samples
-        ),
+    cols = campaign.columns
+    start = _run_starts(cols.timestamps)  # the rows are sorted by stamp
+    stamp_texts = format_timestamps(cols.timestamps[start])
+    labels = [f"{sensor},{quantity}" for sensor in cols.sensor_names for quantity in QUANTITIES]
+    rows = zip(
+        map(stamp_texts.__getitem__, (np.cumsum(start) - 1).tolist()),
+        map(labels.__getitem__, (cols.sensors * len(QUANTITIES) + cols.quantities).tolist()),
+        map(repr, cols.values.tolist()),
     )
-    _write_csv(
-        paths["reference"],
-        REFERENCE_HEADER,
-        (
-            f"{format_timestamp(t)},{float(v)!r}"
-            for t, v in zip(campaign.reference.timestamps, campaign.reference.values)
-        ),
-    )
+    _write_csv(paths["sensors"], RAW_HEADER, map(",".join, rows))
+    reference = campaign.reference
+    rows = zip(format_timestamps(reference.timestamps), map(repr, reference.values.tolist()))
+    _write_csv(paths["reference"], REFERENCE_HEADER, map(",".join, rows))
     return paths
 
 

@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import nn, vqc
-from .data import RangeScaler, apply_scaler, invert_scaler
+from .data import RangeScaler, _is_int, apply_scaler, invert_scaler
 from .errors import ConfigurationError, DataError, TrainingDivergedError
 
 MODEL_KINDS = ("ffnn", "lstm", "vqr", "qlstm")
@@ -101,11 +101,6 @@ class TrainConfig:
             raise ConfigurationError("window must be at least 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool (JSON true/false arrive as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # tuned defaults per model family

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,43 @@ class TestSynthAndPrepare:
         )
         assert code == 1
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_pm_sensors", 0),
+            ("n_pm_sensors", 2.0),
+            ("n_pm_sensors", 10**6),
+            ("n_env_sensors", -1),
+            ("n_env_sensors", True),
+            ("n_env_sensors", "2"),
+            ("sample_period_s", 0),
+            ("sample_period_s", -60),
+            ("sample_period_s", "abc"),
+            ("sample_period_s", 120.0),
+            ("gain", "x"),
+            ("offset", None),
+            ("humidity_coeff", [0.1]),
+            ("humidity_knee", float("nan")),
+            ("sensor_spread", float("inf")),
+            ("gain", 10**400),
+            ("noise_std", -1),
+        ],
+    )
+    def test_bad_profile_value(self, tmp_path, capsys, monkeypatch, field, value):
+        """A profile value of the wrong type or out of range is a config
+        error naming its field, not a traceback or a silent default."""
+        monkeypatch.delenv("QSCALE_SEED", raising=False)
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps({field: value}))
+        code, _, err = run(
+            capsys,
+            "synth", "--hours", "48", "--profile", str(profile),
+            "--out", str(tmp_path / "y"),
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"config error: profile field {field} ")
 
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -667,6 +705,43 @@ class TestConfigFuzz:
                 assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
 
         train_with()
+
+
+def profile_value_fits(field, value) -> bool:
+    """Whether ``synth`` must accept ``value`` for the ``SynthProfile`` field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if field in ("n_pm_sensors", "n_env_sensors"):
+        low = 1 if field == "n_pm_sensors" else 0
+        return isinstance(value, int) and low <= value <= data.MAX_SENSORS
+    if field == "sample_period_s":
+        return isinstance(value, int) and value >= 1
+    return math.isfinite(value) and (field != "noise_std" or value >= 0)
+
+
+class TestProfileFuzz:
+    def test_fuzzed_profile_never_tracebacks(self, tmp_path, capsys, monkeypatch):
+        """One field of a --profile file set to a value of any JSON type ends
+        synth with exit 0 when the value fits the field, and otherwise with
+        exit 1 and a config error naming the field."""
+        monkeypatch.delenv("QSCALE_SEED", raising=False)
+        profile = tmp_path / "p.json"
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.sampled_from(sorted(data.SynthProfile.__dataclass_fields__)), JSON_VALUES)
+        def synth_with(field, value):
+            profile.write_text(json.dumps({field: value}))
+            code, _, err = run(
+                capsys,
+                "synth", "--hours", "48", "--profile", str(profile),
+                "--out", str(tmp_path / "o"),
+            )
+            assert "Traceback" not in err
+            assert code == (0 if profile_value_fits(field, value) else 1)
+            if code == 1:
+                assert err.splitlines()[-1].startswith(f"config error: profile field {field} ")
+
+        synth_with()
 
 
 SENSOR_MUTATIONS = ("empty", "text", "nan", "stamp", "short", "wide", "quantity", "bytes")

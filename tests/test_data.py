@@ -29,6 +29,7 @@ from qscale.data import (
     dataset_to_csv,
     fit_scaler,
     format_timestamp,
+    format_timestamps,
     fuse_by_quantity,
     ingest,
     invert_scaler,
@@ -41,6 +42,8 @@ from qscale.data import (
 )
 
 T0 = 1672531200  # 2023-01-01T00:00:00Z
+DATETIME_MIN_S = -62135596800  # 0001-01-01T00:00:00Z
+DATETIME_MAX_S = 253402300799  # 9999-12-31T23:59:59Z
 
 
 def columns(samples):
@@ -98,6 +101,15 @@ def hourly_dataset(n, features=None, target=None, names=("pm25",), start=T0):
 class TestTimestamps:
     def test_round_trip(self):
         assert parse_timestamp(format_timestamp(T0)) == T0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(DATETIME_MIN_S, DATETIME_MAX_S), max_size=20))
+    def test_vectorised_texts_match(self, stamps):
+        """``format_timestamps`` gives ``format_timestamp`` of each stamp
+        across the ``datetime`` range."""
+        assert format_timestamps(np.array(stamps, dtype=np.int64)) == list(
+            map(format_timestamp, stamps)
+        )
 
     def test_z_suffix(self):
         assert parse_timestamp("2023-01-01T00:00:00Z") == T0
@@ -583,12 +595,14 @@ class TestSynthesize:
     def test_deterministic(self):
         a = synthesize(11, 48)
         b = synthesize(11, 48)
-        assert a.samples == b.samples
+        for column in ("timestamps", "sensors", "quantities", "values"):
+            np.testing.assert_array_equal(getattr(a.columns, column), getattr(b.columns, column))
+        assert a.columns.sensor_names == b.columns.sensor_names
         np.testing.assert_array_equal(a.reference.values, b.reference.values)
 
     def test_zero_profile_sensors_equal_reference(self):
         campaign = synthesize(3, 48)
-        aggregated = aggregate(columns(campaign.samples), "hour")
+        aggregated = aggregate(campaign.columns, "hour")
         fused = fuse_by_quantity(aggregated)
         np.testing.assert_allclose(
             fused["pm25"].values, campaign.reference.values, atol=1e-9
@@ -597,7 +611,7 @@ class TestSynthesize:
     def test_distorted_profile_deviates(self):
         profile = SynthProfile(gain=1.5, offset=3.0, noise_std=1.0)
         campaign = synthesize(5, 48, profile)
-        fused = fuse_by_quantity(aggregate(columns(campaign.samples), "hour"))
+        fused = fuse_by_quantity(aggregate(campaign.columns, "hour"))
         l1 = np.mean(np.abs(fused["pm25"].values - campaign.reference.values))
         assert l1 > 5.0
 
@@ -647,11 +661,28 @@ class TestSynthMatchesRowOracle:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.integers(48, 60), SYNTH_PROFILES)
     def test_matches_row_loops(self, seed, n_hours, profile):
-        """The campaign is the rows of the nested per-row loops, in their order."""
+        """The campaign's columns are the rows of the nested per-row loops,
+        in their order, with bit-equal values."""
         rows, reference = _oracles.synthesize_rows(seed, n_hours, profile)
         campaign = synthesize(seed, n_hours, profile)
-        assert [(s.timestamp, s.sensor_id, s.quantity, s.value) for s in campaign.samples] == rows
-        assert np.array_equal(campaign.reference.values, reference)
+        cols = campaign.columns
+        stamps, sensors, quantities, values = map(list, zip(*rows))
+        assert cols.timestamps.dtype == cols.sensors.dtype == cols.quantities.dtype == np.int64
+        assert cols.timestamps.tolist() == stamps
+        assert [cols.sensor_names[s] for s in cols.sensors] == sensors
+        assert [QUANTITIES[q] for q in cols.quantities] == quantities
+        assert cols.values.tobytes() == np.array(values).tobytes()
+        assert campaign.reference.values.tobytes() == reference.tobytes()
+
+    def test_samples_are_the_rows_as_records(self):
+        """The ``samples`` view gives the oracle's rows as ``RawSample``
+        records of Python ints and floats."""
+        profile = SynthProfile(n_env_sensors=3, noise_std=1.0, sample_period_s=1000)
+        rows, _ = _oracles.synthesize_rows(4, 48, profile)
+        samples = synthesize(4, 48, profile).samples
+        assert samples == [RawSample(*row) for row in rows]
+        assert {type(s.timestamp) for s in samples} == {int}
+        assert {type(s.value) for s in samples} == {float}
 
 
 # Small campaigns whose synth outputs are pinned by sha256: name ->
