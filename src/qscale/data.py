@@ -836,7 +836,9 @@ def synthesize(
 
     per_hour = max(1, HOUR // profile.sample_period_s)
     period = HOUR // per_hour
-    sensor_names: list[str] = []
+    sensor_names = [f"pm-{s:02d}" for s in range(profile.n_pm_sensors)] + [
+        f"env-{s:02d}" for s in range(profile.n_env_sensors)
+    ]
     parts = []  # (stamps, sensor code, quantity, values) per sensor stream
     pm_stamps = (stamps[:, None] + period * np.arange(per_hour)).ravel()
     above_knee = np.maximum(0.0, hum - profile.humidity_knee)
@@ -851,8 +853,7 @@ def synthesize(
             if profile.noise_std > 0
             else np.zeros((n_hours, per_hour))
         )
-        parts.append((pm_stamps, len(sensor_names), "pm25", (base[:, None] + noise).ravel()))
-        sensor_names.append(f"pm-{s:02d}")
+        parts.append((pm_stamps, s, "pm25", (base[:, None] + noise).ravel()))
 
     for s in range(profile.n_env_sensors):
         env_stamps = stamps + (s % per_hour) * period
@@ -862,8 +863,7 @@ def synthesize(
                 if profile.noise_std > 0
                 else np.zeros(n_hours)
             )
-            parts.append((env_stamps, len(sensor_names), quantity, series + noise))
-        sensor_names.append(f"env-{s:02d}")
+            parts.append((env_stamps, profile.n_pm_sensors + s, quantity, series + noise))
 
     times, sensors, quantities, values = (
         np.concatenate(column)
