@@ -5,9 +5,11 @@ dataset.  The raw path works on columns (``SampleColumns``: int64 stamps,
 sensor and quantity codes, float64 values), never on a Python object per
 row:
 
-1. ingest streams raw rows (``timestamp_iso8601,sensor_id,quantity,value``)
-   a chunk at a time, parses each distinct timestamp text once, and counts
-   malformed rows by reason,
+1. ingest splits raw rows (``timestamp_iso8601,sensor_id,quantity,value``)
+   into columns a block at a time: a quote-free log is cut at line ends into
+   blocks of about 32 K characters, each split by one ``str.split``, and
+   only a log with quotes (or NUL) is read by ``csv.reader``; it parses each
+   distinct timestamp text once and counts malformed rows by reason,
 2. aggregate finds each (sensor, quantity, bucket) group with one sort and
    takes minute or hour means with ``np.bincount`` sums in input order,
 3. fuse sorts the hourly means by (quantity, hour, value) and takes each
@@ -199,43 +201,136 @@ class CalibrationDataset:
 # ingest
 
 
-def _csv_rows(path: Path, expected_header: tuple[str, ...]) -> Iterator[list[str]]:
-    """The data rows of a CSV, one at a time, after checking its header; a
-    file that cannot be read or decoded, or a row the ``csv`` module cannot
-    split, is a ``DataError``.
-
-    The whole text is decoded before any row is split, so a file that is
-    not valid text fails before a row is counted.
-    """
-    # Splitting rows straight from the open file would hold less memory, but
-    # freeing the decoded text is also what raises glibc malloc's mmap
-    # threshold before the models run on a loaded dataset; without it, the
-    # large temporaries of a later predict map fresh pages on every call
-    # (predict-year ran 40% slower so).
+def _read_text(path: Path) -> str:
+    """The whole decoded text of a file, with ``\\r\\n`` and ``\\r`` read as
+    ``\\n``; one that cannot be read or decoded is a ``DataError``, raised
+    before any row is split."""
     try:
-        text = path.read_text()
+        return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _check_header(path: Path, header: list[str], expected_header: tuple[str, ...]) -> None:
+    if [h.strip() for h in header] != list(expected_header):
+        raise DataError(
+            f"{path}: expected header {','.join(expected_header)!r}, "
+            f"got {','.join(header)!r}"
+        )
+
+
+def _csv_rows(path: Path, expected_header: tuple[str, ...], text: str) -> Iterator[list[str]]:
+    """The data rows of a CSV text, one at a time, after checking its
+    header; a row the ``csv`` module cannot split is a ``DataError``.
+
+    ``dataset_from_csv`` and ``load_reference`` read through here on
+    purpose, although the ``io.StringIO`` below holds a second copy of the
+    text at 4 bytes per character: freeing that large block is what raises
+    glibc malloc's mmap threshold before the models run on a loaded
+    dataset.  Without it, the large temporaries of a later predict map
+    fresh pages on every call (a StringIO-free ``dataset_from_csv`` took
+    predict-year from 0.035 to 0.055 s per operation).
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
         if header is None:
             return
-        if [h.strip() for h in header] != list(expected_header):
-            raise DataError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
+        _check_header(path, header, expected_header)
         yield from reader
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-# ingest parses rows a chunk at a time: few enough that a chunk's row lists
-# are freed before the garbage collector moves them to an older generation
-# (16,384 rows made ingest half again slower), enough that the per-chunk
-# NumPy calls cost little per row
+# a quoted raw log is split 512 rows at a time: few enough that a chunk's
+# row lists are freed before the garbage collector moves them to an older
+# generation (16,384 rows made ingest half again slower), enough that the
+# per-chunk NumPy calls cost little per row
 _INGEST_CHUNK = 512
+# a quote-free raw log is split in blocks of about this many characters,
+# about 650 rows of the synthetic schema (256 K-character blocks ran half
+# again slower)
+_INGEST_BLOCK = 32_768
+# the ASCII characters that str.strip removes, less the line ends that a
+# block never holds
+_ASCII_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+_RawColumns = tuple[list[str], list[str], list[str], list[str], int]
+
+
+def _has_text(cells: Iterable[str]) -> bool:
+    return any(cell.strip() for cell in cells)
+
+
+def _csv_columns(path: Path, text: str) -> Iterator[_RawColumns]:
+    """``_raw_columns`` through ``csv.reader``, for text that needs its
+    quoting rules."""
+    rows = _csv_rows(path, RAW_HEADER, text)
+    while chunk := list(islice(rows, _INGEST_CHUNK)):
+        wrong = 0
+        if set(map(len, chunk)) != {4}:
+            wrong = sum(len(row) != 4 and _has_text(row) for row in chunk)
+            chunk = [row for row in chunk if len(row) == 4]
+        columns = [list(map(str.strip, column)) for column in zip(*chunk)] or [[], [], [], []]
+        yield (*columns, wrong)
+
+
+def _check_field_limit(path: Path, first_line: int, lines: list[str]) -> None:
+    """The ``DataError`` that ``csv.reader`` gives a field over its limit."""
+    limit = csv.field_size_limit()
+    for line, text in enumerate(lines, first_line):
+        if len(text) > limit and max(map(len, text.split(","))) > limit:
+            raise DataError(f"{path}:{line}: field larger than field limit ({limit})")
+
+
+def _block_columns(path: Path, text: str) -> Iterator[_RawColumns]:
+    """``_raw_columns`` of a text without quotes or NUL, where every line is
+    a row and every comma splits cells, as ``csv.reader`` reads it.
+
+    The text is cut at ``\\n`` (never ``splitlines``, which also cuts at
+    ``\\x0b``, ``\\x85`` and more) into blocks of about ``_INGEST_BLOCK``
+    characters; one ``str.split`` over a block's three-comma lines gives
+    their cells, and the cells are stripped only when the block holds a
+    character ``str.strip`` removes.
+    """
+    if not text:
+        return
+    # blocks are sliced from the text itself: a body copy would double it
+    header_end = text.find("\n")
+    header = text if header_end < 0 else text[:header_end]
+    _check_field_limit(path, 1, [header])
+    _check_header(path, header.split(","), RAW_HEADER)
+    start, stop = len(header) + 1, len(text) - text.endswith("\n")
+    line = 2
+    while start < stop:
+        end = text.find("\n", start + _INGEST_BLOCK, stop)
+        end = stop if end < 0 else end
+        block = text[start:end]
+        start = end + 1
+        lines = block.split("\n")
+        if len(block) > csv.field_size_limit():
+            _check_field_limit(path, line, lines)
+        line += len(lines)
+        commas = list(map(str.count, lines, repeat(",")))
+        wrong = 0
+        if commas.count(3) != len(lines):
+            wrong = sum(c != 3 and _has_text(row.split(",")) for row, c in zip(lines, commas))
+            block = "\n".join(compress(lines, [c == 3 for c in commas]))
+        cells = block.replace("\n", ",").split(",") if block else []
+        if not block.isascii() or any(blank in block for blank in _ASCII_BLANKS):
+            cells = list(map(str.strip, cells))
+        yield cells[0::4], cells[1::4], cells[2::4], cells[3::4], wrong
+
+
+def _raw_columns(path: Path) -> Iterator[_RawColumns]:
+    """A raw log's rows, a few hundred at a time, as four stripped cell
+    columns (stamp, sensor id, quantity, value) of its four-cell rows and the
+    count of its other rows that are not blank."""
+    text = _read_text(path)
+    if '"' in text or "\0" in text:
+        # quoting rules, and the csv module of Python 3.10 refuses NUL
+        return _csv_columns(path, text)
+    return _block_columns(path, text)
 
 
 def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -271,19 +366,11 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
     empty = np.zeros(0, np.int64)
     parts = [(empty, empty, empty, np.zeros(0))]
     for path in paths:
-        rows = _csv_rows(Path(path), RAW_HEADER)
-        while chunk := list(islice(rows, _INGEST_CHUNK)):
-            if set(map(len, chunk)) != {4}:
-                malformed["wrong_column_count"] += sum(
-                    len(row) != 4 and any(cell.strip() for cell in row) for row in chunk
-                )
-                chunk = [row for row in chunk if len(row) == 4]
-                if not chunk:
-                    continue
-            n = len(chunk)
-            stamp_texts, sensor_ids, names, value_texts = (
-                list(map(str.strip, column)) for column in zip(*chunk)
-            )
+        for stamp_texts, sensor_ids, names, value_texts, wrong in _raw_columns(Path(path)):
+            malformed["wrong_column_count"] += wrong
+            n = len(stamp_texts)
+            if not n:
+                continue
             for text in dict.fromkeys(stamp_texts):
                 if text not in parsed:
                     try:
@@ -324,7 +411,7 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
 def load_reference(path: str | Path) -> Series:
     """Load the hourly reference-instrument CSV; a bad cell or an off-hour
     stamp is a ``DataError`` naming ``path:line``."""
-    body = list(_csv_rows(Path(path), REFERENCE_HEADER))
+    body = list(_csv_rows(Path(path), REFERENCE_HEADER, _read_text(Path(path))))
     stamps: list[int] = []
     values: list[float] = []
     try:
@@ -438,24 +525,19 @@ MAX_GAP_HOURS = 2
 def _interpolate_short_gaps(values: np.ndarray, max_gap: int) -> tuple[np.ndarray, int]:
     """Linearly fill NaN runs of length <= max_gap that are bounded by data."""
     out = values.copy()
-    filled = 0
-    n = out.size
-    i = 0
-    while i < n:
-        if not np.isnan(out[i]):
-            i += 1
-            continue
-        j = i
-        while j < n and np.isnan(out[j]):
-            j += 1
-        run = j - i
-        if run <= max_gap and i > 0 and j < n:
-            left, right = out[i - 1], out[j]
-            for k in range(run):
-                out[i + k] = left + (right - left) * (k + 1) / (run + 1)
-            filled += run
-        i = j
-    return out, filled
+    missing = np.isnan(out)
+    if not missing.any():
+        return out, 0
+    edges = np.diff(np.concatenate(([False], missing, [False])).astype(np.int8))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    bounded = (ends - starts <= max_gap) & (starts > 0) & (ends < out.size)
+    starts, ends = starts[bounded], ends[bounded]
+    runs = ends - starts
+    run = np.repeat(np.arange(runs.size), runs)  # the run of each cell to fill
+    k = np.arange(run.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    left, right = out[starts - 1][run], out[ends][run]
+    out[starts[run] + k] = left + (right - left) * (k + 1) / (runs[run] + 1)
+    return out, int(run.size)
 
 
 def align_and_clean(
@@ -636,7 +718,7 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     """Read a ``dataset_to_csv`` file; a bad cell, or a stamp off the hour
     grid or not after the row before, is a ``DataError`` naming ``path:line``,
     and a blank pm25 column (every series row reads it) one naming ``path``."""
-    body = list(_csv_rows(Path(path), DATASET_HEADER))
+    body = list(_csv_rows(Path(path), DATASET_HEADER, _read_text(Path(path))))
     stamps: list[int] = []
     rows: list[list[float]] = []
     targets: list[float] = []

@@ -3,11 +3,18 @@
 The simulator oracle builds full 2^n x 2^n dense unitaries with Kronecker
 products and literal gate matrices; the gradient oracle is plain central
 finite differences; the aggregation and fusion oracles are the row-wise
-dict loops that the columnar data path replaced, and the synthesis oracle
-the nested per-row loops that columnar synthesis replaced.  Nothing here
-imports the package's kernels."""
+dict loops that the columnar data path replaced, the raw-log oracle the
+``csv.reader`` chunk loop that the block reader replaced, and the synthesis
+oracle the nested per-row loops that columnar synthesis replaced.  Nothing
+here imports the package's kernels."""
 
 from __future__ import annotations
+
+import csv
+import io
+from datetime import datetime, timezone
+from itertools import compress, islice, repeat
+from operator import not_
 
 import numpy as np
 
@@ -222,3 +229,129 @@ def synthesize_rows(seed: int, n_hours: int, profile) -> tuple[list, np.ndarray]
                 )
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows, ref
+
+
+RAW_QUANTITIES = ("pm25", "temp", "hum", "press")
+RAW_REASONS = (
+    "bad_timestamp",
+    "non_numeric_value",
+    "unknown_quantity",
+    "wrong_column_count",
+    "non_finite_value",
+    "empty_sensor",
+)
+
+
+def _epoch_seconds(text: str) -> int:
+    stamp = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return int(stamp.timestamp())
+
+
+def _float_texts(texts: list) -> tuple:
+    values = np.zeros(len(texts))
+    bad = np.zeros(len(texts), bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = float(text)
+        except ValueError:
+            bad[i] = True
+    return values, bad
+
+
+def ingest_rows(paths) -> tuple:
+    """Raw logs split by ``csv.reader`` over an ``io.StringIO`` of each
+    decoded file, 512 rows at a time, as ingest did before its block reader:
+    ``(stamps, sensors, quantities, values, sensor_names, malformed_by_reason)``.
+    A row ``csv`` cannot split, or a wrong header, raises ``ValueError`` with
+    the message ingest's ``DataError`` carries."""
+    header_names = ["timestamp_iso8601", "sensor_id", "quantity", "value"]
+    malformed = dict.fromkeys(RAW_REASONS, 0)
+    parsed: dict = {}
+    bad_texts: set = set()
+    sensor_codes: dict = {}
+    quantity_codes = {q: i for i, q in enumerate(RAW_QUANTITIES)}
+    empty = np.zeros(0, np.int64)
+    parts = [(empty, empty, empty, np.zeros(0))]
+    for path in paths:
+        reader = csv.reader(io.StringIO(path.read_text()))
+        try:
+            header = next(reader, None)
+            if header is None:
+                continue
+            if [h.strip() for h in header] != header_names:
+                raise ValueError(f"{path}: expected header, got {','.join(header)!r}")
+            while chunk := list(islice(reader, 512)):
+                malformed["wrong_column_count"] += sum(
+                    len(row) != 4 and any(cell.strip() for cell in row) for row in chunk
+                )
+                chunk = [row for row in chunk if len(row) == 4]
+                if not chunk:
+                    continue
+                n = len(chunk)
+                stamp_texts, sensor_ids, names, value_texts = (
+                    list(map(str.strip, column)) for column in zip(*chunk)
+                )
+                for text in dict.fromkeys(stamp_texts):
+                    if text not in parsed:
+                        try:
+                            parsed[text] = _epoch_seconds(text)
+                        except ValueError:
+                            parsed[text] = 0
+                            bad_texts.add(text)
+                bad_stamp = np.fromiter(map(bad_texts.__contains__, stamp_texts), bool, n)
+                keep = np.ones(n, bool)
+                for i in np.flatnonzero(bad_stamp):
+                    keep[i] = any((stamp_texts[i], sensor_ids[i], names[i], value_texts[i]))
+                values, non_numeric = _float_texts(value_texts)
+                quantities = np.fromiter(
+                    map(quantity_codes.get, names, repeat(-1)), np.int64, n
+                )
+                for reason, fails in (
+                    ("bad_timestamp", bad_stamp),
+                    ("non_numeric_value", non_numeric),
+                    ("unknown_quantity", quantities < 0),
+                    ("empty_sensor", np.fromiter(map(not_, sensor_ids), bool, n)),
+                    ("non_finite_value", ~np.isfinite(values)),
+                ):
+                    malformed[reason] += int(np.count_nonzero(keep & fails))
+                    keep &= ~fails
+                kept_ids = list(compress(sensor_ids, keep.tolist()))
+                for sensor_id in dict.fromkeys(kept_ids):
+                    sensor_codes.setdefault(sensor_id, len(sensor_codes))
+                stamps = np.fromiter(map(parsed.__getitem__, stamp_texts), np.int64, n)
+                parts.append((
+                    stamps[keep],
+                    np.array([sensor_codes[s] for s in kept_ids], dtype=np.int64),
+                    quantities[keep],
+                    values[keep],
+                ))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    stamps, sensors, quantities, values = (np.concatenate(column) for column in zip(*parts))
+    return stamps, sensors, quantities, values, tuple(sensor_codes), malformed
+
+
+def interpolate_short_gaps(values: np.ndarray, max_gap: int) -> tuple:
+    """Linearly fill NaN runs of length <= max_gap that are bounded by data,
+    walking the cells one at a time: ``(filled copy, cells filled)``."""
+    out = values.copy()
+    filled = 0
+    n = out.size
+    i = 0
+    while i < n:
+        if not np.isnan(out[i]):
+            i += 1
+            continue
+        j = i
+        while j < n and np.isnan(out[j]):
+            j += 1
+        run = j - i
+        if run <= max_gap and i > 0 and j < n:
+            left, right = out[i - 1], out[j]
+            for k in range(run):
+                out[i + k] = left + (right - left) * (k + 1) / (run + 1)
+            filled += run
+        i = j
+    return out, filled

@@ -1,6 +1,8 @@
 """Ingest, aggregation, fusion, cleaning, scaling, windows, and synthesis."""
 
+import csv
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from qscale import cli
+from qscale import cli, data
 from qscale.errors import ConfigurationError, DataError
 from qscale.data import (
     GRANULARITIES,
@@ -194,6 +196,118 @@ class TestIngest:
         )
         with pytest.raises(DataError, match=r"big\.csv:2: field larger than field limit"):
             ingest([p])
+
+    def test_oversize_field_without_quotes_names_line(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text(
+            "timestamp_iso8601,sensor_id,quantity,value\n"
+            "2023-01-01T00:00:00Z,pm-00,pm25," + "9" * 200_000 + "\n"
+            "2023-01-01T00:00:00Z,pm-00,pm25,1.0\n"
+        )
+        with pytest.raises(DataError, match=r"big\.csv:2: field larger than field limit"):
+            ingest([p])
+
+    def test_quoted_sensor_ids_read_as_unquoted(self, tmp_path):
+        """A log that needs csv's quoting rules gives the columns and
+        counts of the same log written without quotes."""
+        rows = [
+            "2023-01-01T00:00:00Z,{pm0},pm25,12.5",
+            "2023-01-01T00:10:00Z,{pm1},pm25,13.0",
+            "2023-01-01T00:10:00Z,{pm0},temp,nan",
+            "2023-01-01T00:20:00Z,{pm1},pm25",
+            "2023-01-01T00:20:00Z,{pm0},pm25,-0",
+        ]
+        logs = []
+        for name, quote in (("plain.csv", ""), ("quoted.csv", '"')):
+            p = tmp_path / name
+            p.write_text("\n".join([",".join(RAW_HEADER), *(
+                row.format(pm0=f"{quote}pm-00{quote}", pm1=f"{quote}pm-01{quote}")
+                for row in rows
+            )]) + "\n")
+            logs.append(ingest([p]))
+        plain, quoted = logs
+        assert quoted.samples.sensor_names == plain.samples.sensor_names == ("pm-00", "pm-01")
+        for field in ("timestamps", "sensors", "quantities", "values"):
+            a, b = getattr(plain.samples, field), getattr(quoted.samples, field)
+            assert a.tobytes() == b.tobytes()
+        assert quoted.malformed_by_reason == plain.malformed_by_reason
+
+
+# cells and padding for raw logs: the padding holds what str.strip removes,
+# ASCII and not, and what splitlines (but not csv) would cut a line at
+RAW_PAD = st.sampled_from(["", "", " ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u2028"])
+RAW_CELL = st.sampled_from([
+    "2023-01-01T00:00:00Z", "2023-01-01T00:10:00Z", "2023-01-01T01:00:00",
+    "2023-02-30T00:00:00Z", "nonsense", "", "pm-00", "pm-01", "env-\u00e9", '"pm-00"',
+    "pm25", "temp", "hum", "press", "co2", "12.5", "-0", "7", "nan", "inf", "abc", "1e400",
+])
+RAW_VALID_ROW = st.tuples(
+    st.sampled_from(["2023-01-01T00:00:00Z", "2023-01-01T00:10:00Z", "2023-01-01T01:00:00"]),
+    st.sampled_from(["pm-00", "pm-01", "env-00"]),
+    st.sampled_from(QUANTITIES),
+    st.sampled_from(["12.5", "-0", "7", "0.1"]),
+).map(list)
+# one kind of padding per row, so a one-row block holds nothing else to strip
+RAW_PADDED_ROW = st.tuples(
+    RAW_VALID_ROW, RAW_PAD, st.lists(st.booleans(), min_size=8, max_size=8)
+).map(lambda drawn: [
+    drawn[1] * left + cell + drawn[1] * right
+    for cell, left, right in zip(drawn[0], drawn[2][::2], drawn[2][1::2])
+])
+RAW_ROW = st.one_of(
+    RAW_VALID_ROW,
+    st.just(["", "", "", ""]),
+    RAW_PADDED_ROW,
+    RAW_PADDED_ROW,
+    st.lists(st.tuples(RAW_PAD, RAW_CELL, RAW_PAD).map("".join), min_size=4, max_size=4),
+    st.sampled_from([0, 1, 3, 5]).flatmap(
+        lambda n: st.lists(st.tuples(RAW_PAD, RAW_CELL).map("".join), min_size=n, max_size=n)
+    ),
+)
+# a line holding one long field, alone or as the value of a row
+LONG_LINE = st.sampled_from(["{}", "2023-01-01T00:00:00Z,pm-00,pm25,{}"])
+
+
+class TestBlockReaderMatchesCsvOracle:
+    def test_matches_csv_chunk_loop(self, tmp_path, monkeypatch):
+        """ingest equals the csv.reader chunk loop it replaced, in column
+        bits, sensor order and reasons, or raises the same error, with
+        blocks small enough that every row boundary is a block boundary."""
+        limit = csv.field_size_limit()
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(
+            st.lists(st.lists(RAW_ROW, max_size=12), min_size=1, max_size=2),
+            st.sampled_from(["\n", "\n", "\r\n"]),
+            st.booleans(),
+            st.sampled_from([None, limit, limit + 1]),
+            LONG_LINE,
+            st.sampled_from([1, 40, 4096]),
+        )
+        def check(logs, newline, trailing, long_field, long_line, block):
+            monkeypatch.setattr(data, "_INGEST_BLOCK", block)
+            paths = []
+            for k, rows in enumerate(logs):
+                lines = [",".join(RAW_HEADER), *map(",".join, rows)]
+                if long_field and k == len(logs) - 1:
+                    lines.insert(len(lines) // 2 + 1, long_line.format("9" * long_field))
+                path = tmp_path / f"sensors-{k}.csv"
+                path.write_bytes((newline.join(lines) + newline * trailing).encode())
+                paths.append(path)
+            try:
+                want = _oracles.ingest_rows(paths)
+            except ValueError as exc:
+                with pytest.raises(DataError, match=re.escape(str(exc))):
+                    ingest(paths)
+                return
+            got = ingest(paths)
+            cols = got.samples
+            for a, b in zip((cols.timestamps, cols.sensors, cols.quantities, cols.values), want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert cols.sensor_names == want[4]
+            assert got.malformed_by_reason == want[5]
+
+        check()
 
 
 class TestAggregate:
@@ -410,6 +524,22 @@ class TestAlignAndClean:
         ref = self.ref(3)
         with pytest.raises(ConfigurationError):
             align_and_clean({"temp": ref}, ref)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(st.just(np.nan), st.floats(-1e6, 1e6), st.sampled_from([0.1, -0.0])),
+            max_size=30,
+        ),
+        st.integers(0, 3),
+    )
+    def test_gap_fill_matches_cell_loop(self, cells, max_gap):
+        """The run-wise gap fill equals the cell-by-cell loop it replaced,
+        bit for bit."""
+        values = np.array(cells, dtype=float)
+        got, filled = data._interpolate_short_gaps(values, max_gap)
+        want, want_filled = _oracles.interpolate_short_gaps(values, max_gap)
+        assert filled == want_filled and got.tobytes() == want.tobytes()
 
 
 class TestRangeScaler:
