@@ -3,9 +3,11 @@ benchmark, grid-search, report.
 
 Exit codes: 0 success, 1 runtime failure (config / data / numeric / io,
 stated in the message), 2 usage error.  Results go to files and stdout;
-progress lines go to stderr.  Every command that writes outputs also
-drops a ``manifest.json`` (config echo, seed, versions, wall time) next
-to them.  ``QSCALE_SEED`` supplies the default seed.
+progress lines go to stderr.  ``main`` runs every command the same way:
+it starts the clock, creates ``--out`` when the command has one, calls the
+handler, and writes ``manifest.json`` (config echo, seed, versions, wall
+time) next to the outputs from the ``(settings, seed)`` the handler
+returns.  ``QSCALE_SEED`` supplies the default seed.
 """
 
 from __future__ import annotations
@@ -66,28 +68,6 @@ def _load_dataset(path_str: str) -> data.CalibrationDataset:
     return data.dataset_from_csv(path)
 
 
-def _gather_settings(args) -> tuple[dict, dict]:
-    """Config file first, then command-line overrides on top."""
-    payload = _read_json(args.config, "config") if getattr(args, "config", None) else {}
-    config, options = models.split_settings(payload)
-    for field, flag in (
-        ("epochs", "epochs"),
-        ("learning_rate", "learning_rate"),
-        ("optimizer", "optimizer"),
-        ("loss", "loss"),
-        ("batch_size", "batch_size"),
-        ("window", "window"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[field] = value
-    if getattr(args, "features", None):
-        options["features"] = tuple(
-            name.strip() for name in args.features.split(",") if name.strip()
-        )
-    return config, options
-
-
 def _resolve_seed(args, config: dict) -> int:
     """--seed, else the settings file's seed (which ``TrainConfig`` then
     checks), else QSCALE_SEED, else 0."""
@@ -97,6 +77,24 @@ def _resolve_seed(args, config: dict) -> int:
         return config["seed"]
     env = _env_seed()
     return env if env is not None else 0
+
+
+def _training_settings(args) -> tuple[models.TrainConfig, dict, int]:
+    """The ``TrainConfig`` and model options of a training command, and its
+    seed: the config file first, then command-line overrides on top."""
+    payload = _read_json(args.config, "config") if args.config else {}
+    fields, options = models.split_settings(payload)
+    for field in ("epochs", "learning_rate", "optimizer", "loss", "batch_size", "window"):
+        value = getattr(args, field)
+        if value is not None:
+            fields[field] = value
+    if args.features:
+        options["features"] = tuple(
+            name.strip() for name in args.features.split(",") if name.strip()
+        )
+    seed = _resolve_seed(args, fields)
+    fields["seed"] = seed
+    return models.config_from_dict(fields, kind=args.model), options, seed
 
 
 def _write_manifest(
@@ -113,54 +111,42 @@ def _write_manifest(
         },
         "wall_time_s": time.monotonic() - started,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return experiments.write_json(out_dir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 
 
-def _cmd_prepare(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args)
+# Each handler that writes to ``--out`` returns the ``(settings, seed)`` that
+# ``main`` records in its manifest; one that writes no manifest returns None.
+Recorded = Optional[tuple[dict, int]]
+
+
+def _cmd_prepare(args) -> Recorded:
     dataset, report, malformed = data.prepare_dataset(
         args.sensors, args.reference, granularity=args.granularity
     )
-    data.dataset_to_csv(dataset, out / "dataset.csv")
+    data.dataset_to_csv(dataset, args.out / "dataset.csv")
     _log(
         f"prepared {report.n_hours} hours "
         f"({report.interpolated_cells} interpolated cells, "
         f"{report.dropped_rows} dropped rows, {malformed} malformed input rows)"
     )
-    _write_manifest(
-        out,
-        "prepare",
-        {
-            "sensors": list(args.sensors),
-            "reference": args.reference,
-            "granularity": args.granularity,
-            "n_hours": report.n_hours,
-            "interpolated_cells": report.interpolated_cells,
-            "dropped_rows": report.dropped_rows,
-            "malformed_rows": malformed,
-        },
-        seed=0,
-        started=started,
-    )
-    return 0
+    settings = {
+        "sensors": list(args.sensors),
+        "reference": args.reference,
+        "granularity": args.granularity,
+        "n_hours": report.n_hours,
+        "interpolated_cells": report.interpolated_cells,
+        "dropped_rows": report.dropped_rows,
+        "malformed_rows": malformed,
+    }
+    return settings, 0
 
 
-def _cmd_synth(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args)
+def _cmd_synth(args) -> Recorded:
+    out = args.out
     seed = _resolve_seed(args, {})
     profile_payload = (
         _read_json(args.profile, "profile") if args.profile else {}
@@ -179,24 +165,12 @@ def _cmd_synth(args) -> int:
         f"synthesized {args.hours} hours -> {out} "
         f"({report.n_hours} prepared rows)"
     )
-    _write_manifest(
-        out,
-        "synth",
-        {"hours": args.hours, "profile": models._jsonable(profile_payload)},
-        seed=seed,
-        started=started,
-    )
-    return 0
+    return {"hours": args.hours, "profile": models._jsonable(profile_payload)}, seed
 
 
-def _cmd_train(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args)
+def _cmd_train(args) -> Recorded:
     dataset = _load_dataset(args.data)
-    config_fields, options = _gather_settings(args)
-    seed = _resolve_seed(args, config_fields)
-    config_fields["seed"] = seed
-    config = models.config_from_dict(config_fields, kind=args.model)
+    config, options, seed = _training_settings(args)
     train_set, test_set = data.chronological_split(dataset, args.train_fraction)
     _log(
         f"training {args.model} on {len(train_set)} hours "
@@ -204,7 +178,7 @@ def _cmd_train(args) -> int:
     )
     model, history = models.fit_model(args.model, train_set, config, options)
     losses, series = experiments.score_holdout(model, test_set)
-    models.save_model(model, out / "model.json")
+    models.save_model(model, args.out / "model.json")
     report = experiments.MetricsReport(
         model_kind=args.model,
         config=asdict(config),
@@ -215,20 +189,17 @@ def _cmd_train(args) -> int:
         series=series,
         train_history=history,
     )
-    experiments.emit_report(report, out)
+    experiments.emit_report(report, args.out)
     settings = asdict(config)
     settings.update(models._jsonable(model.options))
     settings["train_fraction"] = args.train_fraction
     settings["model"] = args.model
     settings["data"] = args.data
-    _write_manifest(out, "train", settings, seed=seed, started=started)
     print(json.dumps(losses, sort_keys=True))
-    return 0
+    return settings, seed
 
 
-def _cmd_predict(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args)
+def _cmd_predict(args) -> Recorded:
     model_path = Path(args.model_file)
     if not model_path.exists():
         raise DataError(f"model checkpoint not found: {model_path}")
@@ -237,26 +208,19 @@ def _cmd_predict(args) -> int:
     rows = models.predictions_rows(model, dataset)
     if not rows:
         raise DataError("no prediction windows fit in the dataset")
-    data.predictions_to_csv(rows, out / "predictions.csv")
-    _log(f"wrote {len(rows)} predictions to {out / 'predictions.csv'}")
-    _write_manifest(
-        out,
-        "predict",
-        {"model_file": str(model_path), "data": args.data, "rows": len(rows)},
-        seed=0,
-        started=started,
-    )
-    return 0
+    path = args.out / "predictions.csv"
+    data.predictions_to_csv(rows, path)
+    _log(f"wrote {len(rows)} predictions to {path}")
+    return {"model_file": str(model_path), "data": args.data, "rows": len(rows)}, 0
 
 
-def _cmd_cross_validate(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args)
+def _cmd_cross_validate(args) -> Recorded:
     dataset = _load_dataset(args.data)
-    config_fields, options = _gather_settings(args)
-    seed = _resolve_seed(args, config_fields)
-    config_fields["seed"] = seed
-    config = models.config_from_dict(config_fields, kind=args.model)
+    config, options, seed = _training_settings(args)
+    if args.benchmark_draws < 0:
+        raise ConfigurationError(
+            f"--benchmark-draws must be non-negative, got {args.benchmark_draws}"
+        )
     default_spec = experiments.protocol_fold_spec(args.model, seed)
     spec = experiments.FoldSpec(
         args.folds if args.folds is not None else default_spec.k,
@@ -280,7 +244,7 @@ def _cmd_cross_validate(args) -> int:
             seed=seed,
         )
         report.benchmark = bench.summary()
-    experiments.emit_report(report, out)
+    experiments.emit_report(report, args.out)
     settings = asdict(config)
     settings.update(models._jsonable(options))
     settings.update(
@@ -291,16 +255,14 @@ def _cmd_cross_validate(args) -> int:
             "benchmark_draws": args.benchmark_draws,
         }
     )
-    _write_manifest(out, "cross-validate", settings, seed=seed, started=started)
     if report.fold_average is not None:
         print(json.dumps(report.fold_average, sort_keys=True))
     else:
         print(json.dumps({"error": "all folds failed"}, sort_keys=True))
-    return 0
+    return settings, seed
 
 
-def _cmd_benchmark(args) -> int:
-    started = time.monotonic()
+def _cmd_benchmark(args) -> Recorded:
     dataset = _load_dataset(args.data)
     seed = _resolve_seed(args, {})
     result = experiments.benchmark_uncalibrated(
@@ -311,43 +273,32 @@ def _cmd_benchmark(args) -> int:
         seed=seed,
     )
     print(repr(result.full_loss))
-    if args.out:
-        out = _out_dir(args)
-        report = experiments.MetricsReport(
-            model_kind="uncalibrated",
-            config={"loss": args.loss},
-            options={},
-            seed=seed,
-            benchmark=result.summary(),
-        )
-        experiments.emit_report(report, out)
-        _write_manifest(
-            out,
-            "benchmark",
-            {
-                "data": args.data,
-                "loss": args.loss,
-                "sample_size": result.sample_size,
-                "draws": args.draws,
-            },
-            seed=seed,
-            started=started,
-        )
-    return 0
+    if args.out is None:
+        return None
+    report = experiments.MetricsReport(
+        model_kind="uncalibrated",
+        config={"loss": args.loss},
+        options={},
+        seed=seed,
+        benchmark=result.summary(),
+    )
+    experiments.emit_report(report, args.out)
+    settings = {
+        "data": args.data,
+        "loss": args.loss,
+        "sample_size": result.sample_size,
+        "draws": args.draws,
+    }
+    return settings, seed
 
 
-def _cmd_grid_search(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args)
+def _cmd_grid_search(args) -> Recorded:
     dataset = _load_dataset(args.data)
     grid = _read_json(args.grid, "grid")
     for axis, values in grid.items():
         if not isinstance(values, list):
             raise ConfigurationError(f"grid axis {axis!r} must be a JSON list")
-    config_fields, options = _gather_settings(args)
-    seed = _resolve_seed(args, config_fields)
-    config_fields["seed"] = seed
-    base_config = models.config_from_dict(config_fields, kind=args.model)
+    base_config, options, seed = _training_settings(args)
     _log(f"grid search over {experiments.grid_size(grid)} configurations")
     result = experiments.grid_search(
         args.model,
@@ -360,9 +311,7 @@ def _cmd_grid_search(args) -> int:
         seed=seed,
         n_threads=args.threads,
     )
-    (out / "grid.json").write_text(
-        json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    experiments.write_json(args.out / "grid.json", result.to_dict())
     settings = {
         "model": args.model,
         "data": args.data,
@@ -370,11 +319,10 @@ def _cmd_grid_search(args) -> int:
         "train_fraction": args.train_fraction,
         "rank_loss": args.rank_loss,
     }
-    _write_manifest(out, "grid-search", settings, seed=seed, started=started)
     best = result.best
     print(json.dumps(best if best is not None else {"error": "no config succeeded"},
                      sort_keys=True))
-    return 0
+    return settings, seed
 
 
 def _number(entry: dict, key: str) -> float:
@@ -414,7 +362,7 @@ def _report_lines(payload: dict) -> list[str]:
     return lines
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> Recorded:
     payload = _read_json(args.report_file, "report")
     try:
         lines = _report_lines(payload)
@@ -423,7 +371,7 @@ def _cmd_report(args) -> int:
     except (TypeError, ValueError, OverflowError) as err:
         raise DataError(f"report {args.report_file} has a malformed field: {err}") from err
     print("\n".join(lines))
-    return 0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensors", nargs="+", required=True, help="raw sample CSV paths")
     p.add_argument("--reference", required=True, help="reference instrument CSV")
     p.add_argument("--granularity", choices=("hour", "minute"), default="hour")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(handler=_cmd_prepare)
 
     p = sub.add_parser("synth", help="generate a synthetic campaign")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--hours", type=int, default=720)
     p.add_argument("--profile", default=None, help="JSON file of distortion fields")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=_cmd_synth)
 
     def add_train_flags(p):
@@ -468,13 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model on a chronological split")
     add_train_flags(p)
     p.add_argument("--train-fraction", type=float, default=0.75)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("predict", help="run a saved model over a dataset")
     p.add_argument("--model-file", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("cross-validate", help="k-fold evaluation protocol")
@@ -484,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold-seed", type=int, default=None)
     p.add_argument("--benchmark-draws", type=int, default=1000)
     p.add_argument("--threads", type=int, default=1, help="unused; folds run serially")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=_cmd_cross_validate)
 
     p = sub.add_parser("benchmark", help="uncalibrated sensor-vs-reference loss")
@@ -493,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", dest="sample_size", type=int, default=None)
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=_cmd_benchmark)
 
     p = sub.add_parser("grid-search", help="exhaustive hyperparameter search")
@@ -502,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float, default=0.75)
     p.add_argument("--rank-loss", choices=tuple(models.METRICS), default="l1")
     p.add_argument("--threads", type=int, default=1, help="unused; grid points run serially")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=_cmd_grid_search)
 
     p = sub.add_parser("report", help="print a saved report")
@@ -518,8 +466,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_request:  # --help (0) or usage error (2)
         return int(exit_request.code or 0)
+    started = time.monotonic()
     try:
-        return args.handler(args)
+        out = getattr(args, "out", None)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        recorded = args.handler(args)
+        if recorded is not None:
+            settings, seed = recorded
+            _write_manifest(out, args.command, settings, seed, started)
+        return 0
     except ConfigurationError as err:
         _log(f"config error: {err}")
         return 1

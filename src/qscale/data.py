@@ -650,31 +650,18 @@ def make_windows(
     """
     if window < 1:
         raise ConfigurationError("window length must be at least 1")
-    xs, ys, ends = [], [], []
-    n = len(dataset)
-    run_start = 0
-    for i in range(1, n + 1):
-        contiguous = i < n and dataset.timestamps[i] - dataset.timestamps[i - 1] == HOUR
-        if contiguous:
-            continue
-        run = slice(run_start, i)
-        feats = dataset.features[run]
-        targs = dataset.target[run]
-        stamps = dataset.timestamps[run]
-        for end in range(window - 1, feats.shape[0]):
-            xs.append(feats[end - window + 1 : end + 1])
-            ys.append(targs[end])
-            ends.append(stamps[end])
-        run_start = i
-    if not xs:
-        if n:
-            warnings.warn(
-                f"no contiguous run is {window} hours long; no windows emitted",
-                stacklevel=2,
-            )
-        x = np.zeros((0, window, dataset.features.shape[1]))
-        return x, np.zeros(0), np.zeros(0, dtype=np.int64)
-    return np.stack(xs), np.asarray(ys), np.asarray(ends, dtype=np.int64)
+    stamps, n = dataset.timestamps, len(dataset)
+    # stamps strictly increase on the hour grid, so the window ending at e is
+    # contiguous exactly when it spans (window - 1) hours
+    ends = np.arange(window - 1, n)
+    ends = ends[stamps[ends] - stamps[ends - (window - 1)] == (window - 1) * HOUR]
+    if n and ends.size == 0:
+        warnings.warn(
+            f"no contiguous run is {window} hours long; no windows emitted",
+            stacklevel=2,
+        )
+    x = dataset.features[ends[:, None] + np.arange(1 - window, 1)]
+    return x, dataset.target[ends], stamps[ends]
 
 
 def chronological_split(

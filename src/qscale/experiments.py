@@ -350,16 +350,7 @@ class GridSearchResult:
         return self.entries[self.ranking[0]] if self.ranking else None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "model_kind": self.model_kind,
-            "rank_loss": self.rank_loss,
-            "grid_size": self.grid_size,
-            "train_fraction": self.train_fraction,
-            "seed": self.seed,
-            "entries": self.entries,
-            "ranking": self.ranking,
-        }
+        return {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +375,22 @@ class MetricsReport:
     train_history: Optional[list[float]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "model_kind": self.model_kind,
-            "config": self.config,
-            "options": self.options,
-            "seed": self.seed,
-            "param_count": self.param_count,
-            "fold_spec": self.fold_spec,
-            "folds": self.folds,
-            "fold_average": self.fold_average,
-            "test_losses": self.test_losses,
-            "benchmark": self.benchmark,
-            "train_history": self.train_history,
-            "n_series_rows": len(self.series),
-        }
+        """Every field but the series, which series.csv holds; its row count."""
+        payload = {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
+        payload["n_series_rows"] = len(payload.pop("series"))
+        return payload
 
     def is_empty(self) -> bool:
         return not (
             self.folds or self.test_losses or self.benchmark or self.series
         )
+
+
+def write_json(path: Path, payload: dict) -> Path:
+    """Write ``payload`` as key-sorted, two-space-indented JSON and a final
+    newline: the one format of report.json, grid.json and manifest.json."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return path
 
 
 def emit_report(report: MetricsReport, directory: str | Path) -> dict[str, Path]:
@@ -412,12 +399,7 @@ def emit_report(report: MetricsReport, directory: str | Path) -> dict[str, Path]
         raise ConfigurationError("refusing to write an empty report")
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    report_path = out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
-    written["report"] = report_path
+    written = {"report": write_json(out_dir / "report.json", report.to_dict())}
     if report.series:
         series_path = out_dir / "series.csv"
         predictions_to_csv(report.series, series_path)

@@ -617,20 +617,19 @@ _MODEL_CLASSES = {cls.kind: cls for cls in (FFNNModel, LSTMModel, VQRModel, QLST
 def count_params(kind: str, options: dict) -> int:
     """The parameter count of a ``kind`` model with the resolved
     ``options``, from the options alone; ``param_count`` reads it, and
-    ``load_model`` compares it with a checkpoint's stored values."""
-    n_in = len(options["features"])
-    if kind == "ffnn":
-        sizes = [n_in, *options["hidden_sizes"], 1]
-        return sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
-    if kind == "vqr":
-        return vqc.ansatz_param_count("strongly_entangling", options["n_qubits"], options["n_layers"])
-    hidden, layers = options["hidden_size"], options["n_layers"]
-    if kind == "lstm":  # four gates per layer, each over [inputs, h] plus a bias
-        deeper = 4 * hidden * (2 * hidden + 1) * (layers - 1)
-        return 4 * hidden * (n_in + hidden + 1) + deeper + hidden + 1
-    n, maps = options["n_qubits"], 1 if options["shared_fc_out"] else 6
-    circuits = 6 * vqc.ansatz_param_count("ring_rx", n, layers)
-    return n * (hidden + n_in + 1) + n * (hidden + 1) + maps * hidden * (n + 1) + hidden + 1 + circuits
+    ``load_model`` compares it with a checkpoint's stored values.
+
+    It sums the shapes of ``_param_shapes``.  An lstm's layers past the
+    first all have the second's shapes, so its count is read from one and
+    two layers: a forged checkpoint may name a trillion layers."""
+
+    def total(opts: dict) -> int:
+        return sum(math.prod(shape) for _, shape in _param_shapes(kind, opts))
+
+    if kind != "lstm" or options["n_layers"] < 3:
+        return total(options)
+    one, two = (total({**options, "n_layers": layers}) for layers in (1, 2))
+    return one + (options["n_layers"] - 1) * (two - one)
 
 
 def _param_shapes(kind: str, options: dict):
@@ -644,7 +643,10 @@ def _param_shapes(kind: str, options: dict):
             yield f"dense{k}.bias", (sizes[k + 1],)
         return
     if kind == "vqr":
-        yield "quantum.angles", (count_params(kind, options),)
+        n_angles = vqc.ansatz_param_count(
+            "strongly_entangling", options["n_qubits"], options["n_layers"]
+        )
+        yield "quantum.angles", (n_angles,)
         return
     hidden = options["hidden_size"]
     if kind == "lstm":

@@ -4,14 +4,16 @@ The simulator oracle builds full 2^n x 2^n dense unitaries with Kronecker
 products and literal gate matrices; the gradient oracle is plain central
 finite differences; the aggregation and fusion oracles are the row-wise
 dict loops that the columnar data path replaced, the raw-log oracle the
-``csv.reader`` chunk loop that the block reader replaced, and the synthesis
-oracle the nested per-row loops that columnar synthesis replaced.  Nothing
-here imports the package's kernels."""
+``csv.reader`` chunk loop that the block reader replaced, the synthesis
+oracle the nested per-row loops that columnar synthesis replaced, and the
+window oracle the per-hour run loop that the vectorized ``make_windows``
+replaced.  Nothing here imports the package's kernels."""
 
 from __future__ import annotations
 
 import csv
 import io
+import warnings
 from datetime import datetime, timezone
 from itertools import compress, islice, repeat
 from operator import not_
@@ -355,3 +357,30 @@ def interpolate_short_gaps(values: np.ndarray, max_gap: int) -> tuple:
             filled += run
         i = j
     return out, filled
+
+
+def make_windows(timestamps, features, target, window: int) -> tuple:
+    """Sliding windows over the contiguous hourly runs of a dataset, found
+    one hour at a time: ``(x [n, window, n_features], y [n], ends [n])``."""
+    hour = 3600
+    xs, ys, ends = [], [], []
+    n = len(timestamps)
+    run_start = 0
+    for i in range(1, n + 1):
+        if i < n and timestamps[i] - timestamps[i - 1] == hour:
+            continue
+        feats, targs, stamps = features[run_start:i], target[run_start:i], timestamps[run_start:i]
+        for end in range(window - 1, feats.shape[0]):
+            xs.append(feats[end - window + 1 : end + 1])
+            ys.append(targs[end])
+            ends.append(stamps[end])
+        run_start = i
+    if not xs:
+        if n:
+            warnings.warn(
+                f"no contiguous run is {window} hours long; no windows emitted",
+                stacklevel=2,
+            )
+        x = np.zeros((0, window, features.shape[1]))
+        return x, np.zeros(0), np.zeros(0, dtype=np.int64)
+    return np.stack(xs), np.asarray(ys), np.asarray(ends, dtype=np.int64)

@@ -1075,6 +1075,26 @@ class TestNegativeSeeds:
         assert "config error: fold seed must be non-negative" in err
 
 
+class TestNegativeDrawCounts:
+    @pytest.mark.parametrize(
+        "command,flag", [("benchmark", "--draws"), ("cross-validate", "--benchmark-draws")]
+    )
+    def test_negative_draw_count_is_config_error(
+        self, tmp_path, capsys, campaign, command, flag
+    ):
+        extra = ["--model", "ffnn", "--epochs", "1", "--folds", "2"]
+        if command == "benchmark":
+            extra = []
+        out = tmp_path / "o"
+        code, _, err = run(
+            capsys, command, *extra, "--data", str(campaign), flag, "-5", "--out", str(out)
+        )
+        assert code == 1
+        assert err.splitlines()[-1].startswith("config error:")
+        assert "non-negative" in err
+        assert not (out / "report.json").exists()
+
+
 class TestCrossValidateCommand:
     def test_cross_validate_writes_report(self, tmp_path, capsys, campaign):
         out = tmp_path / "cv"
@@ -1275,3 +1295,80 @@ class TestReportCommand:
         )
         assert code == 1
         assert "data error" in err
+
+
+CONFIG_KEYS = {"batch_size", "epochs", "learning_rate", "loss", "optimizer", "seed", "window"}
+# the settings keys of each command's manifest.json
+MANIFEST_SETTINGS = {
+    "prepare": {
+        "sensors", "reference", "granularity", "n_hours",
+        "interpolated_cells", "dropped_rows", "malformed_rows",
+    },
+    "synth": {"hours", "profile"},
+    "train": CONFIG_KEYS
+    | {"activation", "features", "hidden_sizes", "data", "model", "train_fraction"},
+    "predict": {"model_file", "data", "rows"},
+    "cross-validate": CONFIG_KEYS | {"data", "model", "fold_spec", "benchmark_draws"},
+    "grid-search": {"data", "model", "grid", "train_fraction", "rank_loss"},
+    "benchmark": {"data", "loss", "sample_size", "draws"},
+}
+
+
+def run_to_out(capsys, command, tmp_path, campaign, missing_input=False):
+    """Run a small ``command`` into tmp_path / "out", with seed 3 where it
+    takes one; ``missing_input`` swaps the file it reads first for a path
+    that does not exist.  Returns (code, stderr, out)."""
+    raw = campaign.parent
+    missing = tmp_path / "missing.csv" if missing_input else None
+    dataset = str(missing or campaign)
+    model = tmp_path / "model.json"
+    if command == "predict":
+        save_untrained(campaign, "ffnn", *SMALL_OPTIONS["ffnn"], model)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"epochs": [0, 1]}))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"gain": 1.1}))
+    argv = {
+        "prepare": ["--sensors", str(missing or raw / "sensors.csv"),
+                    "--reference", str(raw / "reference.csv")],
+        "synth": ["--hours", "48", "--seed", "3", "--profile", str(missing or profile)],
+        "train": ["--model", "ffnn", "--epochs", "1", "--seed", "3", "--data", dataset],
+        "predict": ["--model-file", str(model), "--data", dataset],
+        "cross-validate": ["--model", "ffnn", "--epochs", "1", "--folds", "2",
+                           "--benchmark-draws", "5", "--seed", "3", "--data", dataset],
+        "grid-search": ["--model", "ffnn", "--grid", str(grid), "--seed", "3", "--data", dataset],
+        "benchmark": ["--draws", "5", "--seed", "3", "--data", dataset],
+    }[command]
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, *argv, "--out", str(out))
+    return code, err, out
+
+
+class TestManifests:
+    @pytest.mark.parametrize("command", sorted(MANIFEST_SETTINGS))
+    def test_each_command_writes_its_manifest(self, tmp_path, capsys, campaign, command):
+        code, err, out = run_to_out(capsys, command, tmp_path, campaign)
+        assert code == 0, err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"command", "settings", "seed", "versions", "wall_time_s"}
+        assert manifest["command"] == command
+        assert set(manifest["settings"]) == MANIFEST_SETTINGS[command]
+        assert manifest["seed"] == (0 if command in ("prepare", "predict") else 3)
+
+    @pytest.mark.parametrize("command", sorted(MANIFEST_SETTINGS))
+    def test_failed_command_writes_no_manifest(self, tmp_path, capsys, campaign, command):
+        code, err, out = run_to_out(capsys, command, tmp_path, campaign, missing_input=True)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("data error:")
+        assert not (out / "manifest.json").exists()
+
+    def test_report_and_benchmark_without_out_write_no_manifest(
+        self, tmp_path, capsys, campaign, cv_report, monkeypatch
+    ):
+        before = sorted(tmp_path.rglob("manifest.json"))
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "benchmark", "--data", str(campaign), "--draws", "5")
+        assert code == 0
+        code, _, _ = run(capsys, "report", "--report-file", str(cv_report))
+        assert code == 0
+        assert sorted(tmp_path.rglob("manifest.json")) == before

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -618,6 +619,31 @@ class TestWindows:
     def test_bad_window(self):
         with pytest.raises(ConfigurationError):
             make_windows(hourly_dataset(5), 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from([1, 1, 1, 2, 3, 7]), max_size=40),
+        st.integers(1, 3),
+        st.integers(1, 6),
+    )
+    def test_matches_run_loop(self, steps, n_features, window):
+        """The vectorized windows equal the per-hour run loop they replaced
+        in shape, dtype, values, layout and the no-window warning."""
+        n = len(steps)
+        stamps = T0 + HOUR * np.cumsum(np.array(steps, dtype=np.int64))
+        features = np.arange(n * n_features, dtype=float).reshape(n, n_features)
+        target = -np.arange(n, dtype=float)
+        names = ("pm25", "rh", "temp")[:n_features]
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = make_windows(CalibrationDataset(stamps, names, features, target), window)
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = _oracles.make_windows(stamps, features, target, window)
+        assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+        for a, b in zip(got, want):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+            assert a.flags.c_contiguous and b.flags.c_contiguous
 
 
 class TestChronologicalSplit:
