@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 runtime failure (config / data / numeric / io,
 stated in the message), 2 usage error.  Results go to files and stdout;
 progress lines go to stderr.  ``main`` runs every command the same way:
 it starts the clock, creates ``--out`` when the command has one, calls the
-handler, and writes ``manifest.json`` (config echo, seed, versions, wall
-time) next to the outputs from the ``(settings, seed)`` the handler
-returns.  ``QSCALE_SEED`` supplies the default seed.
+handler, writes ``manifest.json`` (config echo, seed, versions, wall time)
+next to the outputs from the settings and seed the handler returns, and
+only then prints the handler's stdout result.  ``QSCALE_SEED`` supplies
+the default seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,6 +60,11 @@ def _read_json(path_str: str, what: str) -> dict:
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{what} file {path} must hold a JSON object")
     return payload
+
+
+def _optional_dir(text: str) -> Optional[Path]:
+    """An optional ``--out``: the empty string names no directory."""
+    return Path(text) if text else None
 
 
 def _load_dataset(path_str: str) -> data.CalibrationDataset:
@@ -118,9 +124,15 @@ def _write_manifest(
 # command handlers
 
 
-# Each handler that writes to ``--out`` returns the ``(settings, seed)`` that
-# ``main`` records in its manifest; one that writes no manifest returns None.
-Recorded = Optional[tuple[dict, int]]
+class Recorded(NamedTuple):
+    """What a handler that writes to ``--out`` hands back to ``main``: the
+    settings and seed its manifest records, and the result line ``main``
+    prints once the manifest is written.  A handler that writes no manifest
+    returns None."""
+
+    settings: dict
+    seed: int
+    result: Optional[str] = None
 
 
 def _cmd_prepare(args) -> Recorded:
@@ -142,7 +154,7 @@ def _cmd_prepare(args) -> Recorded:
         "dropped_rows": report.dropped_rows,
         "malformed_rows": malformed,
     }
-    return settings, 0
+    return Recorded(settings, 0)
 
 
 def _cmd_synth(args) -> Recorded:
@@ -165,7 +177,7 @@ def _cmd_synth(args) -> Recorded:
         f"synthesized {args.hours} hours -> {out} "
         f"({report.n_hours} prepared rows)"
     )
-    return {"hours": args.hours, "profile": models._jsonable(profile_payload)}, seed
+    return Recorded({"hours": args.hours, "profile": models._jsonable(profile_payload)}, seed)
 
 
 def _cmd_train(args) -> Recorded:
@@ -195,8 +207,7 @@ def _cmd_train(args) -> Recorded:
     settings["train_fraction"] = args.train_fraction
     settings["model"] = args.model
     settings["data"] = args.data
-    print(json.dumps(losses, sort_keys=True))
-    return settings, seed
+    return Recorded(settings, seed, json.dumps(losses, sort_keys=True))
 
 
 def _cmd_predict(args) -> Recorded:
@@ -211,7 +222,7 @@ def _cmd_predict(args) -> Recorded:
     path = args.out / "predictions.csv"
     data.predictions_to_csv(rows, path)
     _log(f"wrote {len(rows)} predictions to {path}")
-    return {"model_file": str(model_path), "data": args.data, "rows": len(rows)}, 0
+    return Recorded({"model_file": str(model_path), "data": args.data, "rows": len(rows)}, 0)
 
 
 def _cmd_cross_validate(args) -> Recorded:
@@ -255,14 +266,16 @@ def _cmd_cross_validate(args) -> Recorded:
             "benchmark_draws": args.benchmark_draws,
         }
     )
-    if report.fold_average is not None:
-        print(json.dumps(report.fold_average, sort_keys=True))
-    else:
-        print(json.dumps({"error": "all folds failed"}, sort_keys=True))
-    return settings, seed
+    average = report.fold_average
+    return Recorded(
+        settings,
+        seed,
+        json.dumps(average if average is not None else {"error": "all folds failed"},
+                   sort_keys=True),
+    )
 
 
-def _cmd_benchmark(args) -> Recorded:
+def _cmd_benchmark(args) -> Optional[Recorded]:
     dataset = _load_dataset(args.data)
     seed = _resolve_seed(args, {})
     result = experiments.benchmark_uncalibrated(
@@ -289,7 +302,7 @@ def _cmd_benchmark(args) -> Recorded:
         "sample_size": result.sample_size,
         "draws": args.draws,
     }
-    return settings, seed
+    return Recorded(settings, seed)
 
 
 def _cmd_grid_search(args) -> Recorded:
@@ -320,9 +333,12 @@ def _cmd_grid_search(args) -> Recorded:
         "rank_loss": args.rank_loss,
     }
     best = result.best
-    print(json.dumps(best if best is not None else {"error": "no config succeeded"},
-                     sort_keys=True))
-    return settings, seed
+    return Recorded(
+        settings,
+        seed,
+        json.dumps(best if best is not None else {"error": "no config succeeded"},
+                   sort_keys=True),
+    )
 
 
 def _number(entry: dict, key: str) -> float:
@@ -362,7 +378,7 @@ def _report_lines(payload: dict) -> list[str]:
     return lines
 
 
-def _cmd_report(args) -> Recorded:
+def _cmd_report(args) -> None:
     payload = _read_json(args.report_file, "report")
     try:
         lines = _report_lines(payload)
@@ -441,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", dest="sample_size", type=int, default=None)
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument(
+        "--out", type=_optional_dir, default=None, help="output directory; none if empty"
+    )
     p.set_defaults(handler=_cmd_benchmark)
 
     p = sub.add_parser("grid-search", help="exhaustive hyperparameter search")
@@ -473,8 +491,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         recorded = args.handler(args)
         if recorded is not None:
-            settings, seed = recorded
-            _write_manifest(out, args.command, settings, seed, started)
+            _write_manifest(out, args.command, recorded.settings, recorded.seed, started)
+            if recorded.result is not None:
+                print(recorded.result)
         return 0
     except ConfigurationError as err:
         _log(f"config error: {err}")

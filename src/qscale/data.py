@@ -655,11 +655,15 @@ def make_windows(
     # contiguous exactly when it spans (window - 1) hours
     ends = np.arange(window - 1, n)
     ends = ends[stamps[ends] - stamps[ends - (window - 1)] == (window - 1) * HOUR]
-    if n and ends.size == 0:
-        warnings.warn(
-            f"no contiguous run is {window} hours long; no windows emitted",
-            stacklevel=2,
-        )
+    if ends.size == 0:
+        # no offsets either: the window may be far longer than the dataset
+        if n:
+            warnings.warn(
+                f"no contiguous run is {window} hours long; no windows emitted",
+                stacklevel=2,
+            )
+        x = np.zeros((0, window, dataset.features.shape[1]))
+        return x, dataset.target[ends], stamps[ends]
     x = dataset.features[ends[:, None] + np.arange(1 - window, 1)]
     return x, dataset.target[ends], stamps[ends]
 

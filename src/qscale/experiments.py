@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -376,8 +376,11 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         """Every field but the series, which series.csv holds; its row count."""
-        payload = {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
-        payload["n_series_rows"] = len(payload.pop("series"))
+        payload = {"schema_version": REPORT_SCHEMA_VERSION}
+        payload.update(
+            (f.name, getattr(self, f.name)) for f in fields(self) if f.name != "series"
+        )
+        payload["n_series_rows"] = len(self.series)
         return payload
 
     def is_empty(self) -> bool:

@@ -1050,6 +1050,24 @@ class TestForgedCheckpoint:
         assert err.startswith("data error:")
         assert "its options name 124951 parameters, more than the 701 values" in err
 
+    def test_forged_window_is_data_error(self, tmp_path, capsys, campaign):
+        """An lstm's parameters do not depend on its window, so a checkpoint
+        window of 10**12 hours loads; predict finds no window that fits and
+        ends with a data error instead of allocating for it."""
+        checkpoint = tmp_path / "model.json"
+        save_untrained(campaign, "lstm", *SMALL_OPTIONS["lstm"], checkpoint)
+        payload = json.loads(checkpoint.read_text())
+        payload["window"] = 10**12
+        checkpoint.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        code, _, err = run(
+            capsys, "predict", "--model-file", str(checkpoint), "--data", str(campaign),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == "data error: no prediction windows fit in the dataset"
+        assert not (out / "predictions.csv").exists()
+
 
 class TestNegativeSeeds:
     """A negative seed reaching numpy's SeedSequence would raise ValueError;
@@ -1317,7 +1335,7 @@ MANIFEST_SETTINGS = {
 def run_to_out(capsys, command, tmp_path, campaign, missing_input=False):
     """Run a small ``command`` into tmp_path / "out", with seed 3 where it
     takes one; ``missing_input`` swaps the file it reads first for a path
-    that does not exist.  Returns (code, stderr, out)."""
+    that does not exist.  Returns (code, stdout, stderr, out)."""
     raw = campaign.parent
     missing = tmp_path / "missing.csv" if missing_input else None
     dataset = str(missing or campaign)
@@ -1340,14 +1358,14 @@ def run_to_out(capsys, command, tmp_path, campaign, missing_input=False):
         "benchmark": ["--draws", "5", "--seed", "3", "--data", dataset],
     }[command]
     out = tmp_path / "out"
-    code, _, err = run(capsys, command, *argv, "--out", str(out))
-    return code, err, out
+    code, stdout, err = run(capsys, command, *argv, "--out", str(out))
+    return code, stdout, err, out
 
 
 class TestManifests:
     @pytest.mark.parametrize("command", sorted(MANIFEST_SETTINGS))
     def test_each_command_writes_its_manifest(self, tmp_path, capsys, campaign, command):
-        code, err, out = run_to_out(capsys, command, tmp_path, campaign)
+        code, _, err, out = run_to_out(capsys, command, tmp_path, campaign)
         assert code == 0, err
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {"command", "settings", "seed", "versions", "wall_time_s"}
@@ -1357,7 +1375,7 @@ class TestManifests:
 
     @pytest.mark.parametrize("command", sorted(MANIFEST_SETTINGS))
     def test_failed_command_writes_no_manifest(self, tmp_path, capsys, campaign, command):
-        code, err, out = run_to_out(capsys, command, tmp_path, campaign, missing_input=True)
+        code, _, err, out = run_to_out(capsys, command, tmp_path, campaign, missing_input=True)
         assert code == 1
         assert err.splitlines()[-1].startswith("data error:")
         assert not (out / "manifest.json").exists()
@@ -1372,3 +1390,23 @@ class TestManifests:
         code, _, _ = run(capsys, "report", "--report-file", str(cv_report))
         assert code == 0
         assert sorted(tmp_path.rglob("manifest.json")) == before
+
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "grid-search"])
+    def test_result_printed_only_after_manifest(self, tmp_path, capsys, campaign, command):
+        """A directory where manifest.json goes makes its write fail: the
+        command exits 1 with an io error and prints no result."""
+        (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+        code, stdout, err, _ = run_to_out(capsys, command, tmp_path, campaign)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("io error:")
+        assert stdout == ""
+
+    def test_benchmark_with_empty_out_writes_nothing(self, tmp_path, capsys, campaign, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = run(
+            capsys, "benchmark", "--data", str(campaign), "--draws", "5", "--out", ""
+        )
+        assert code == 0
+        assert float(stdout)
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "manifest.json").exists()

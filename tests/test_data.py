@@ -645,6 +645,21 @@ class TestWindows:
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
             assert a.flags.c_contiguous and b.flags.c_contiguous
 
+    def test_window_longer_than_dataset_allocates_nothing(self):
+        """A window of 10**12 hours (8 TB of int64 offsets) fits nowhere, so
+        the result is empty without building the offsets."""
+        window = 10**12
+        dataset = hourly_dataset(5)
+        with pytest.warns(UserWarning, match="no contiguous run"):
+            got = make_windows(dataset, window)
+        with pytest.warns(UserWarning):
+            want = _oracles.make_windows(
+                dataset.timestamps, dataset.features, dataset.target, window
+            )
+        assert got[0].shape == (0, window, 1)
+        for a, b in zip(got, want):
+            assert (a.shape, a.dtype) == (b.shape, b.dtype)
+
 
 class TestChronologicalSplit:
     def test_three_quarters(self):
