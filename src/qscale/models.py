@@ -16,9 +16,10 @@ conversion (an L1 loss scales by the target half-span, an MSE loss by its
 square).  Quantum parameters train by adjoint differentiation of the
 circuits, classical ones by backpropagation, mixed via the chain rule.  A
 model's circuits run as one ``vqc.CircuitStack`` per training step or
-``predict`` call, which picks the fused plan or the ansatz matrix for the
-rows they share, and the adjoint sweep reuses the amplitudes of the
-forward pass that made the predictions.  Parameter shift
+``predict`` call, which lowers them as phase polynomials (the qlstm's
+ring-RX circuits), an ansatz matrix or the fused plan (the vqr's, by the
+rows they share); each backward pass reuses what the forward pass that
+made the predictions kept.  Parameter shift
 stays as the public, hardware-realistic gradient and as the oracle the
 adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
 per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
@@ -434,13 +435,14 @@ class QLSTMModel(_ModelBase):
 
     The cell runs over a minibatch [B, ...].  The six circuits are one
     ``vqc.CircuitStack`` for the whole window, B x T rows each: per time
-    step, one run of circuits 1-4 on B rows and one of circuits 5-6.  At B
-    x T >= 2**n (the default qlstm's training steps and predicts) the six
-    ansatz matrices are built once per step or predict and every run is a
-    product state times them; backpropagation through time then sums each
-    circuit's seeds over the steps and makes one adjoint sweep over the
-    basis rows of all six.  Below that, each run goes through the fused
-    plan and each backward run makes its own adjoint sweep.
+    step, one run of circuits 1-4 on B rows and one of circuits 5-6.  Every
+    gate of a ring-RX circuit is an RX or a CNOT, so the stack runs them as
+    phase polynomials at any batch size: the phase differences of the six
+    circuits' angles are made once per step or predict, each run makes
+    those of its B inputs, and <Z> is a sum of their cosines.
+    Backpropagation through time takes each run's input gradient in closed
+    form, sums each circuit's phase gradients over the steps, and folds
+    them into the angle gradients once per step.
     """
 
     kind = "qlstm"
@@ -543,6 +545,7 @@ class QLSTMModel(_ModelBase):
             h, c, y, cache = self.cell_forward(x_scaled[:, t], h, c, circuits)
             if keep_caches:
                 caches.append(cache)
+            del cache  # a predict holds no step's circuit records into the next step
         return y, caches
 
     def _predictor(self, rows):

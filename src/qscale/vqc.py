@@ -22,8 +22,7 @@ default vqr circuit and 80 for one call of a default qlstm circuit.  Both
 differentiate ansatz parameters and encoded inputs; for an ``arctan``
 embedding the chain-rule factor 1/(1+x^2) is included.
 
-Every template lowers twice, and both forms are cached per template; an
-embed-first template also runs a third way:
+Every template lowers twice, and both forms are cached per template:
 
 * The op table lists the gates in circuit order, each rotation with the
   column of its angle in the per-row source table ``[params | inputs |
@@ -38,22 +37,35 @@ embed-first template also runs a third way:
   permutation of the amplitudes, and one reduction reads <Z> on every
   qubit.  The adjoint sweep walks the same plan backwards, one group at a
   time.
-* The ansatz matrix.  When the data enter only through a first embedding
-  segment, the rest of the circuit is one 2**n x 2**n unitary U per set of
-  params.  U is built by running the plan on the 2**n basis states with
-  the embedding angles at 0, so the plan stays the only gate kernel; each
-  row is then its embedding's product state, in closed form, times U.  The
-  gradient sums lambda psi0^dagger over all rows and makes one adjoint
-  sweep over the basis rows (:class:`CircuitStack`).
-  :func:`uses_ansatz_matrix` is the one choice between plan and matrix:
-  the template must be embed-first, and the rows sharing U must number at
-  least 2**n, which also keeps U no larger than the plan's amplitudes for
-  those rows.  The re-uploading (nonlinear) vqr and small minibatches run
-  through the plan.
 
-:func:`evaluate` runs one circuit as a one-row batch of the plan, and the
-parameter-shift gradients run their shifted circuits as rows of it, with
-results identical to evaluating each circuit on its own.
+The plan is the gate kernel and the oracle: :func:`evaluate` runs one
+circuit as a one-row batch of it, the parameter-shift gradients run their
+shifted circuits as rows of it, with results identical to evaluating each
+circuit on its own, and :func:`adjoint_grad_batch` sweeps it.  A model's
+circuits run through a :class:`CircuitStack`, which lowers its template one
+of three ways; :func:`lowering` is the one choice:
+
+* ``"phase"``, every template made only of RX rotations and CNOTs (every
+  qlstm circuit, no vqr circuit).  In the X basis an RX is a diagonal phase
+  and CNOT(c -> t) is the permutation CNOT(t -> c), so the circuit is a
+  phase polynomial (Amy, Maslov & Mosca, arXiv:1303.2042): from the
+  uniform X-basis state, final amplitude j is 2**(-n/2) exp(-i phi_j),
+  phi_j linear in the gate angles.  Z_q swaps the X-basis states j and j ^
+  2**q, so <Z_q> = 2**(1-n) sum over the pairs (j, j ^ 2**q) of cos(phi_(j
+  ^ 2**q) - phi_j).  Each phase difference is a fixed +-1 combination of
+  the angles (:func:`_phase_differences`), split into a params part per
+  circuit and an inputs part per row, so <Z> and its exact gradient are a
+  cosine, a sine and a few matrix products, with no statevector.
+* ``"matrix"``, an embed-first template whose circuits share their params
+  over at least 2**n rows (the linear vqr's training steps and large
+  predicts).  The rest of the circuit is one 2**n x 2**n unitary U per set
+  of params, built by running the plan on the 2**n basis states with the
+  embedding angles at 0; each row is then its embedding's product state,
+  in closed form, times U.  The gradient sums lambda psi0^dagger over all
+  rows and makes one adjoint sweep over the basis rows.  U holds no more
+  amplitudes than the plan would for those rows.
+* ``"plan"``, everything else: the re-uploading (nonlinear) vqr and small
+  vqr batches run through the plan and its adjoint sweep.
 
 Templates have no file format of their own: a checkpoint stores a model's
 options, and the model rebuilds its template from them.
@@ -63,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -172,7 +184,7 @@ class CircuitTemplate:
                 )
             cursor = stop
 
-    @property
+    @cached_property
     def total_params(self) -> int:
         return sum(
             seg.param_slots[1] - seg.param_slots[0]
@@ -209,10 +221,20 @@ def _ansatz_ops(kind: str, n_qubits: int, n_layers: int) -> list[tuple]:
 class _Lowered(NamedTuple):
     """``ops``: ``(rotation kind, target, angle index)`` or ``("CNOT",
     control, target)``, in circuit order.  ``columns``: per angle, its
-    column in the source table ``[params | inputs | arctan(inputs)]``."""
+    column in the source table ``[params | inputs | arctan(inputs)]``;
+    ``scatter`` [n_angles, n_sources] is the same map as a 0/1 matrix.
+    ``phase``: whether every gate is an RX or a CNOT."""
 
     ops: tuple
     columns: np.ndarray
+    scatter: np.ndarray
+    phase: bool
+
+
+def _index(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -234,9 +256,12 @@ def _lowered(template: CircuitTemplate) -> _Lowered:
                 else:
                     ops.append((kind, a, len(columns)))
                     columns.append(start + b)
-    gather = np.array(columns, dtype=np.intp)
-    gather.setflags(write=False)
-    return _Lowered(tuple(ops), gather)
+    gather = _index(columns)
+    scatter = np.zeros((gather.size, n_params + 2 * n_inputs))
+    scatter[np.arange(gather.size), gather] = 1.0
+    scatter.setflags(write=False)
+    phase = all(op[0] in ("RX", "CNOT") for op in ops)
+    return _Lowered(tuple(ops), gather, scatter, phase)
 
 
 def _angle_table(
@@ -314,12 +339,6 @@ def _left_product(k: int) -> np.ndarray:
 
 
 _LEFT_PRODUCT = tuple(_left_product(k) for k in range(3))
-
-
-def _index(values) -> np.ndarray:
-    out = np.array(values, dtype=np.intp)
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -507,41 +526,73 @@ def _angle_grads_to_args(
     template: CircuitTemplate, dangles: np.ndarray, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold angle derivatives [rows, n_angles] into gradients with respect
+    to params [rows, P] and inputs [rows, input_dim]."""
+    return _source_grads_to_args(template, dangles @ _lowered(template).scatter, inputs)
+
+
+def _source_grads_to_args(
+    template: CircuitTemplate, dsource: np.ndarray, inputs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold derivatives [rows, n_sources] by the columns of the source
+    table ``[params | inputs | arctan(inputs)]`` into gradients with respect
     to params [rows, P] and inputs [rows, input_dim].  An input that several
-    embeddings encode accumulates every term, each through the arctan chain
-    rule 1/(1+x^2) where that transform applies."""
+    embeddings encode accumulates every term, its arctan terms through the
+    chain rule 1/(1+x^2)."""
     n_params, n_inputs = template.total_params, template.input_dim
-    columns = _lowered(template).columns
-    rows = dangles.shape[0]
-    grad_params = np.zeros((rows, n_params))
-    grad_inputs = np.zeros((rows, n_inputs))
-    is_param = columns < n_params
-    np.add.at(grad_params, (slice(None), columns[is_param]), dangles[:, is_param])
-    input_cols = columns[~is_param] - n_params
-    arctan = input_cols >= n_inputs
-    slots = np.where(arctan, input_cols - n_inputs, input_cols)
-    chain = np.where(arctan, 1.0 / (1.0 + inputs[:, slots] ** 2), 1.0)
-    np.add.at(grad_inputs, (slice(None), slots), dangles[:, ~is_param] * chain)
-    return grad_params, grad_inputs
+    grad_inputs = dsource[:, n_params + n_inputs :] * (1.0 / (1.0 + inputs**2))
+    grad_inputs += dsource[:, n_params : n_params + n_inputs]
+    return dsource[:, :n_params], grad_inputs
 
 
 # ---------------------------------------------------------------------------
-# ansatz matrices: when the data enter only through a first embedding, the
-# rest of the circuit is one unitary U per set of params, shared by all rows
+# the stack's lowerings: phase polynomials for RX/CNOT circuits, and ansatz
+# matrices when the data enter only through a first embedding, the rest of
+# the circuit then being one unitary U per set of params, shared by all rows
 
 
-def uses_ansatz_matrix(template: CircuitTemplate, rows: int) -> bool:
-    """Whether circuits of ``template`` that share their params over
-    ``rows`` input rows run as product state x U.  That needs the
-    template's only embedding to be its first segment.  Building U runs the
-    plan on 2**n basis rows, so it pays only for at least that many rows,
-    and then U holds no more amplitudes than the plan would for them."""
+def lowering(template: CircuitTemplate, rows: int) -> str:
+    """How a :class:`CircuitStack` runs circuits of ``template`` that share
+    their params over ``rows`` input rows: ``"phase"`` when every gate is
+    an RX or a CNOT, else ``"matrix"`` (product state x U) when the
+    template's only embedding is its first segment and ``rows`` is at least
+    2**n, else ``"plan"``.  Building U runs the plan on 2**n basis rows, so
+    it pays only for at least that many rows, and then U holds no more
+    amplitudes than the plan would for them."""
+    if _lowered(template).phase:
+        return "phase"
     first, *rest = template.segments
-    return (
-        isinstance(first, Embedding)
-        and not any(isinstance(seg, Embedding) for seg in rest)
-        and rows >= 1 << template.n_qubits
+    embed_first = isinstance(first, Embedding) and not any(
+        isinstance(seg, Embedding) for seg in rest
     )
+    return "matrix" if embed_first and rows >= 1 << template.n_qubits else "plan"
+
+
+@lru_cache(maxsize=None)
+def _phase_differences(template: CircuitTemplate) -> np.ndarray:
+    """For an RX/CNOT template, D [n, n_sources, 2**(n-1)]: source @ D[q]
+    are the phase differences phi_(j ^ 2**q) - phi_j of the final X-basis
+    amplitudes, over the j whose bit q is 0, for rows ``[params | inputs |
+    arctan(inputs)]`` of the source table.  Each path starts at X-basis
+    state j0 with phase 0; an RX on qubit q adds theta / 2 times the sign
+    of the path's bit q, and CNOT(c -> t) flips the path's bit c where its
+    bit t is set."""
+    n = template.n_qubits
+    ops, columns, scatter, _ = _lowered(template)
+    labels = np.arange(1 << n)
+    phases = np.zeros((1 << n, columns.size))  # d phi / d angle, by start
+    for kind, a, b in ops:
+        if kind == "CNOT":
+            labels ^= ((labels >> b) & 1) << a
+        else:
+            phases[:, b] = 0.5 - ((labels >> a) & 1)
+    final = np.empty_like(phases)
+    final[labels] = phases
+    index = np.arange(1 << n)
+    low = np.stack([index[(index >> q) & 1 == 0] for q in range(n)])  # [n, 2**(n-1)]
+    high = low | (1 << np.arange(n))[:, None]
+    out = np.ascontiguousarray(((final[high] - final[low]) @ scatter).transpose(0, 2, 1))
+    out.setflags(write=False)
+    return out
 
 
 def _embedding_factors(template: CircuitTemplate, inputs: np.ndarray) -> np.ndarray:
@@ -572,13 +623,37 @@ def _product_state(factors: np.ndarray) -> np.ndarray:
     return state.T
 
 
+def _cos_sin(source: np.ndarray, differences: np.ndarray) -> np.ndarray:
+    """The cosines and sines of the phase differences ``source @
+    differences[q]`` of source rows [R, S], differences [n, S, H], as one
+    table [n, R, 2H]: cosines, then sines.  The differences are made in
+    the sine half, so no other table of their size is held."""
+    n, _, half = differences.shape
+    out = np.empty((n, len(source), 2 * half))
+    sin = out[..., half:]
+    np.matmul(source, differences, out=sin)
+    np.cos(sin, out=out[..., :half])
+    np.sin(sin, out=sin)
+    return out
+
+
 class CircuitStack:
     """K circuits of one template, each with its own params ``params``
     [K, P], to run on input rows that each run shares among its circuits,
     and to differentiate.  ``rows`` is how many input rows each circuit
     will run on over the stack's life, say B x T for a recurrent cell;
-    :func:`uses_ansatz_matrix` picks the lowering for all of them.
+    :func:`lowering` picks one of three ways for all of them, named by
+    ``lowering``.
 
+    * Phase: the params' part dp of every phase difference of each
+      circuit (:func:`_phase_differences`), and its cosine and sine scaled
+      by 2**(1-n), are made once; a run makes the inputs' part dx for its
+      rows, and <Z_q> of circuit k on row b, 2**(1-n) times the sum of
+      cos(dp + dx) over qubit q's pairs, is one batched matrix product.
+      :meth:`backward` takes d<Z_q>/d(dx) = -2**(1-n) sin(dp + dx) back to
+      the inputs through the same differences, and adds sum_b w cos dx and
+      sum_b w sin dx to the seeds; :meth:`param_grads` turns the seeds into
+      the gradients of dp and takes them back to the params once.
     * Plan: every run goes through the fused plan, and :meth:`backward`
       makes one adjoint sweep over its rows.
     * Ansatz matrix: U_k is built once, as the plan's run of the 2**n basis
@@ -597,9 +672,16 @@ class CircuitStack:
         self.template = template
         self.params = params
         self.grads = np.zeros(params.shape)
-        self.matrices = self.seeds = None
-        if uses_ansatz_matrix(template, rows):
-            dim = 1 << template.n_qubits
+        self.lowering = lowering(template, rows)
+        self.seeds = None
+        n, dim = template.n_qubits, 1 << template.n_qubits
+        if self.lowering == "phase":
+            self.differences = _phase_differences(template)
+            # [n, K, 2 * 2**(n-1)]: 2**(1-n) (cos dp, -sin dp) per pair
+            self.trig = _cos_sin(params, self.differences[:, : template.total_params])
+            self.trig[..., dim >> 1 :] *= -(2.0 ** (1 - n))
+            self.trig[..., : dim >> 1] *= 2.0 ** (1 - n)
+        elif self.lowering == "matrix":
             angles = _angle_table(template, params[:, None], np.zeros((1, template.input_dim)))
             angles = np.broadcast_to(angles, (len(params), dim, angles.shape[-1]))
             self.basis_angles = angles.reshape(len(params) * dim, -1)
@@ -609,23 +691,29 @@ class CircuitStack:
             )
             self.matrices = columns.reshape(len(params), dim, dim)
 
-    def run(self, circuits: slice, inputs: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def run(self, circuits: slice, inputs: np.ndarray) -> tuple[np.ndarray, object]:
         """<Z> [k, B, n] of the given circuits on the inputs [B, input_dim],
         and the record :meth:`backward` differentiates them from."""
-        if self.matrices is None:
-            angles = _angle_table(self.template, self.params[circuits, None], inputs[None])
+        template = self.template
+        if self.lowering == "phase":
+            source = np.concatenate([inputs, np.arctan(inputs)], axis=1)
+            trig = _cos_sin(source, self.differences[:, template.total_params :])
+            exps = trig @ self.trig[:, circuits].transpose(0, 2, 1)  # [n, B, k]
+            return exps.transpose(2, 1, 0), trig
+        if self.lowering == "plan":
+            angles = _angle_table(template, self.params[circuits, None], inputs[None])
             k, batch, _ = angles.shape
             angles = angles.reshape(k * batch, -1)
-            exps, states = _run_rows(self.template, angles)
+            exps, states = _run_rows(template, angles)
             return exps.reshape(k, batch, -1), (angles, states)
-        factors = _embedding_factors(self.template, inputs)
+        factors = _embedding_factors(template, inputs)
         psi0 = _product_state(factors[0])
         amps = psi0 @ self.matrices[circuits]
-        exps = (amps.real**2 + amps.imag**2) @ sim._z_signs(self.template.n_qubits).T
+        exps = (amps.real**2 + amps.imag**2) @ sim._z_signs(template.n_qubits).T
         return exps, (factors, psi0, amps)
 
     def backward(
-        self, circuits: slice, record: tuple, weights: np.ndarray, inputs: np.ndarray
+        self, circuits: slice, record, weights: np.ndarray, inputs: np.ndarray
     ) -> np.ndarray:
         """Differentiate sum weights * <Z> of a :meth:`run`, weights [k, B,
         n]: adds the parameter gradient to the stack's and returns the
@@ -633,7 +721,17 @@ class CircuitStack:
         template = self.template
         z = sim._z_signs(template.n_qubits)
         k, batch, _ = weights.shape
-        if self.matrices is None:
+        if self.lowering == "phase":
+            trig, half = record, record.shape[-1] // 2
+            by_qubit = weights.transpose(2, 1, 0)  # [n, B, k]
+            if self.seeds is None:
+                self.seeds = np.zeros_like(self.trig)
+            self.seeds[:, circuits] += by_qubit.transpose(0, 2, 1) @ trig
+            mixed = by_qubit @ self.trig[:, circuits]  # [n, B, 2 half]
+            d_delta = trig[..., :half] * mixed[..., half:] - trig[..., half:] * mixed[..., :half]
+            dsource = (d_delta @ self.differences.transpose(0, 2, 1)).sum(axis=0)
+            return _source_grads_to_args(template, dsource, inputs)[1]
+        if self.lowering == "plan":
             angles, states = record
             cotangent = (weights.reshape(k * batch, -1) @ z) * states
             dangles = _adjoint_rows(template, angles, states, cotangent)
@@ -662,17 +760,20 @@ class CircuitStack:
         """The parameter gradients [K, P] of every :meth:`backward` so far."""
         if self.seeds is None:
             return self.grads
+        template, count = self.template, len(self.params)
+        if self.lowering == "phase":
+            # seeds hold sum_b w (cos dx, sin dx); d/d(dp) = -2**(1-n) sum_b w sin(dp + dx)
+            half, trig, seeds = self.trig.shape[-1] // 2, self.trig, self.seeds
+            d_delta = trig[..., half:] * seeds[..., :half] - trig[..., :half] * seeds[..., half:]
+            d_params = self.differences[:, : template.total_params].transpose(0, 2, 1)
+            return self.grads + (d_delta @ d_params).sum(axis=0)
         dim = self.matrices.shape[-1]
         dangles = _adjoint_rows(
-            self.template,
-            self.basis_angles,
-            self.matrices.reshape(-1, dim),
-            self.seeds.reshape(-1, dim),
+            template, self.basis_angles, self.matrices.reshape(-1, dim), self.seeds.reshape(-1, dim)
         )
-        grad_params, _ = _angle_grads_to_args(
-            self.template, dangles, np.zeros((len(dangles), self.template.input_dim))
-        )
-        return self.grads + grad_params.reshape(len(self.params), dim, -1).sum(axis=1)
+        dangles = dangles.reshape(count, dim, -1).sum(axis=1)
+        grad_params, _ = _angle_grads_to_args(template, dangles, np.zeros((count, template.input_dim)))
+        return self.grads + grad_params
 
 
 def _check_batch_args(

@@ -488,13 +488,13 @@ class TestQLSTMShiftOracle:
     @pytest.mark.parametrize("shared", [True, False])
     def test_bptt_with_parameter_shift_circuits(self, monkeypatch, shared):
         """Backpropagation through time with each circuit's gradient taken
-        by parameter shift, one circuit at a time, instead of the stacked
-        adjoint sweep: the paper-config QLSTM gradient agrees to 1e-10.
-        Four windows of 5 steps are 20 rows, under 2**5, so the circuits
-        run through the plan."""
+        by parameter shift, one circuit at a time, instead of the stack's
+        own backward: the paper-config QLSTM gradient agrees to 1e-10.
+        Four windows of 5 steps are 20 rows; ring-RX circuits run as phase
+        polynomials at any row count."""
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
         xs = xs[:4]
-        assert not vqc.uses_ansatz_matrix(model.template, xs.shape[0] * xs.shape[1])
+        assert vqc.lowering(model.template, xs.shape[0] * xs.shape[1]) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
 
@@ -503,12 +503,13 @@ class TestQLSTMShiftOracle:
         np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("shared", [True, False])
-    def test_bptt_through_ansatz_matrices(self, monkeypatch, shared):
-        """As above on ten windows, 50 rows per circuit: the forward pass
-        runs as product states times the six ansatz matrices, and the
-        gradient takes the one adjoint sweep over their basis rows."""
+    def test_bptt_through_phase_polynomials(self, monkeypatch, shared):
+        """As above on ten windows, 50 rows per circuit, more than 2**5: the
+        forward pass runs the six circuits as phase polynomials, and the
+        parameter gradient is folded from the phase gradients summed over
+        every step, once per stack."""
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
-        assert vqc.uses_ansatz_matrix(model.template, xs.shape[0] * xs.shape[1])
+        assert vqc.lowering(model.template, xs.shape[0] * xs.shape[1]) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
 

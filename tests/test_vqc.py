@@ -411,27 +411,127 @@ class TestAdjoint:
         np.testing.assert_array_equal(states, before)
 
 
-@st.composite
-def embed_first_stacks(draw, max_rows_per_dim=2):
-    """An embed-first template (RX or RY embedding of some features in any
-    qubit order, identity or arctan, then one ansatz of 1-4 layers on 1-6
-    qubits), K params rows, input rows on both sides of 2**n, and <Z>
-    weights per circuit."""
-    n = draw(st.integers(1, 6))
-    layers = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(vqc.ANSATZ_KINDS))
-    order = draw(st.permutations(range(n)))
-    slots = tuple(order[: draw(st.integers(1, n))])
-    embedding = Embedding(draw(st.sampled_from(vqc.AXES)), slots, draw(st.sampled_from(vqc.TRANSFORMS)))
-    total = ansatz_param_count(kind, n, layers)
-    template = CircuitTemplate(n, n, (embedding, Ansatz(kind, layers, (0, total))))
+def stack_case(draw, template, max_rows_per_dim):
+    """K params rows for ``template``, 1 to max_rows_per_dim x 2**n input
+    rows, and <Z> weights per circuit."""
+    n = template.n_qubits
     rows = draw(st.integers(1, max_rows_per_dim << n))
     k = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = rng.uniform(0.0, 2.0 * math.pi, (k, total))
-    inputs = rng.uniform(-2.0, 2.0, (rows, n))
+    params = rng.uniform(0.0, 2.0 * math.pi, (k, template.total_params))
+    inputs = rng.uniform(-2.0, 2.0, (rows, template.input_dim))
     weights = rng.uniform(-1.0, 1.0, (k, rows, n))
     return template, params, inputs, weights
+
+
+def some_features(draw, n):
+    """Some of n feature slots, in any qubit order."""
+    order = draw(st.permutations(range(n)))
+    return tuple(order[: draw(st.integers(1, n))])
+
+
+@st.composite
+def embed_first_stacks(draw, max_rows_per_dim=2):
+    """An embed-first template that still takes the ansatz matrix (RX or RY
+    embedding of some features in any qubit order, identity or arctan, then
+    one ansatz of 1-4 layers on 1-6 qubits; a ring-RX ansatz only after an
+    RY embedding, since with RX the circuit is a phase polynomial), and a
+    stack case with input rows on both sides of 2**n."""
+    n = draw(st.integers(1, 6))
+    layers = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(vqc.ANSATZ_KINDS))
+    axis = draw(st.sampled_from(("Y",) if kind == "ring_rx" else vqc.AXES))
+    embedding = Embedding(axis, some_features(draw, n), draw(st.sampled_from(vqc.TRANSFORMS)))
+    total = ansatz_param_count(kind, n, layers)
+    template = CircuitTemplate(n, n, (embedding, Ansatz(kind, layers, (0, total))))
+    return stack_case(draw, template, max_rows_per_dim)
+
+
+@st.composite
+def ring_rx_stacks(draw, max_rows_per_dim=2):
+    """An RX/CNOT template on 1-8 qubits (an RX embedding of some features
+    in any qubit order, identity or arctan, then a ring-RX ansatz of 1-3
+    layers, and perhaps a second RX embedding and ansatz that re-upload
+    the inputs), and a stack case."""
+    n = draw(st.sampled_from(range(1, 9)))
+    segments, start = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        transform = draw(st.sampled_from(vqc.TRANSFORMS))
+        segments.append(Embedding("X", some_features(draw, n), transform))
+        layers = draw(st.integers(1, 3))
+        stop = start + ansatz_param_count("ring_rx", n, layers)
+        segments.append(Ansatz("ring_rx", layers, (start, stop)))
+        start = stop
+    return stack_case(draw, CircuitTemplate(n, n, tuple(segments)), max_rows_per_dim)
+
+
+def plan_oracle(template, params, inputs, weights):
+    """<Z> [k, B, n], the input gradient [B, input_dim] summed over the
+    circuits and the parameter gradients [k, P] summed over the rows, from
+    the plan's run and adjoint sweep of every (circuit, row) pair."""
+    k, batch, n = weights.shape
+    angles = vqc._angle_table(template, params[:, None], inputs[None]).reshape(k * batch, -1)
+    exps, states = vqc._run_rows(template, angles)
+    cotangent = (weights.reshape(k * batch, n) @ sim._z_signs(n)) * states
+    dangles = vqc._adjoint_rows(template, angles, states, cotangent)
+    gp, gx = vqc._angle_grads_to_args(template, dangles, np.tile(inputs, (k, 1)))
+    return (
+        exps.reshape(k, batch, n),
+        gx.reshape(k, batch, -1).sum(axis=0),
+        gp.reshape(k, batch, -1).sum(axis=1),
+    )
+
+
+class TestPhasePolynomial:
+    """The phase-polynomial lowering of ``vqc.CircuitStack`` against the
+    plan's run and adjoint sweep and against parameter shift."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ring_rx_stacks())
+    def test_agrees_with_plan(self, case):
+        """<Z>, then two backward calls (all circuits, then the last one on
+        other inputs, as the steps of a recurrent cell make them): the
+        input gradients of each and the summed parameter gradients."""
+        template, params, inputs, weights = case
+        k = len(params)
+        stack = vqc.CircuitStack(template, params, len(inputs))
+        assert stack.lowering == "phase"
+        calls = [(slice(0, k), inputs, weights), (slice(k - 1, k), inputs[::-1] * 0.5, weights[:1])]
+        grad_params = np.zeros_like(params)
+        for circuits, x, w in calls:
+            exps, grad_inputs, gp = plan_oracle(template, params[circuits], x, w)
+            e_phase, run = stack.run(circuits, x)
+            np.testing.assert_allclose(e_phase, exps, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                stack.backward(circuits, run, w, x), grad_inputs, rtol=1e-10, atol=1e-10
+            )
+            grad_params[circuits] += gp
+        np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ring_rx_stacks(max_rows_per_dim=1))
+    def test_matches_parameter_shift(self, case):
+        template, params, inputs, weights = case
+        inputs, weights = inputs[:6], weights[:, :6]
+        stack = vqc.CircuitStack(template, params, len(inputs))
+        _, run = stack.run(slice(None), inputs)
+        grad_inputs = stack.backward(slice(None), run, weights, inputs)
+        shift_inputs = np.zeros_like(inputs)
+        for k, grad_params in enumerate(stack.param_grads()):
+            gp, gx = parameter_shift_grad_batch(template, params[k], inputs, weights[k])
+            np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
+            shift_inputs += gx
+        np.testing.assert_allclose(grad_inputs, shift_inputs, rtol=0.0, atol=1e-10)
+
+    def test_single_rx(self):
+        """One RX on one qubit: <Z> = cos(theta + x), the angles add."""
+        t = ring_rx_template(1, 1)
+        stack = vqc.CircuitStack(t, np.array([[0.3]]), 1)
+        exps, run = stack.run(slice(None), np.array([[0.5]]))
+        np.testing.assert_allclose(exps, [[[math.cos(0.8)]]], rtol=0.0, atol=1e-15)
+        grad_x = stack.backward(slice(None), run, np.ones((1, 1, 1)), np.array([[0.5]]))
+        np.testing.assert_allclose(grad_x, [[-math.sin(0.8)]], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(stack.param_grads(), [[-math.sin(0.8)]], rtol=0.0, atol=1e-15)
 
 
 class TestAnsatzMatrix:
@@ -443,7 +543,7 @@ class TestAnsatzMatrix:
     def stacks(template, params):
         plan = vqc.CircuitStack(template, params, 1)
         matrix = vqc.CircuitStack(template, params, 1 << template.n_qubits)
-        assert plan.matrices is None and matrix.matrices is not None
+        assert (plan.lowering, matrix.lowering) == ("plan", "matrix")
         return plan, matrix
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -486,22 +586,33 @@ class TestAnsatzMatrix:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 200))
     def test_path_choice(self, n, layers, rows):
-        """Embed-first templates take the matrix from 2**n rows on; the
+        """``vqc.lowering`` is the one choice.  Every RX/CNOT template is a
+        phase polynomial at any row count, whatever its segment order;
+        other embed-first templates take the matrix from 2**n rows on; the
         vqr that re-uploads its inputs (two or more layers) never does, nor
         does a template that starts with its ansatz."""
-        enough = rows >= 1 << n
-        assert vqc.uses_ansatz_matrix(linear_vqr_template(n, layers), rows) == enough
-        assert vqc.uses_ansatz_matrix(ring_rx_template(n, layers), rows) == enough
-        assert vqc.uses_ansatz_matrix(nonlinear_vqr_template(n, 1), rows) == enough
-        assert not vqc.uses_ansatz_matrix(nonlinear_vqr_template(n, layers + 1), rows)
+        by_rows = "matrix" if rows >= 1 << n else "plan"
+        assert vqc.lowering(ring_rx_template(n, layers), rows) == "phase"
+        assert vqc.lowering(linear_vqr_template(n, layers), rows) == by_rows
+        assert vqc.lowering(linear_vqr_template(n, layers, axis="X"), rows) == by_rows
+        assert vqc.lowering(nonlinear_vqr_template(n, 1), rows) == by_rows
+        assert vqc.lowering(nonlinear_vqr_template(n, layers + 1), rows) == "plan"
         total = ansatz_param_count("ring_rx", n, layers)
+        ring_after_ry = CircuitTemplate(
+            n, n, (Embedding("Y", tuple(range(n))), Ansatz("ring_rx", layers, (0, total)))
+        )
+        assert vqc.lowering(ring_after_ry, rows) == by_rows
         ansatz_first = CircuitTemplate(
             n, n, (Ansatz("ring_rx", layers, (0, total)), Embedding("X", tuple(range(n))))
         )
-        assert not vqc.uses_ansatz_matrix(ansatz_first, rows)
+        assert vqc.lowering(ansatz_first, rows) == "phase"
+        entangling_first = CircuitTemplate(
+            n, n, (Ansatz("strongly_entangling", layers, (0, 3 * total)), Embedding("Y", tuple(range(n))))
+        )
+        assert vqc.lowering(entangling_first, rows) == "plan"
         reuploading = nonlinear_vqr_template(n, layers + 1)
         stack = vqc.CircuitStack(reuploading, np.zeros((2, reuploading.total_params)), 10**6)
-        assert stack.matrices is None
+        assert stack.lowering == "plan"
 
 
 class TestInitParams:
