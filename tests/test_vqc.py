@@ -523,16 +523,6 @@ class TestPhasePolynomial:
             shift_inputs += gx
         np.testing.assert_allclose(grad_inputs, shift_inputs, rtol=0.0, atol=1e-10)
 
-    def test_single_rx(self):
-        """One RX on one qubit: <Z> = cos(theta + x), the angles add."""
-        t = ring_rx_template(1, 1)
-        stack = vqc.CircuitStack(t, np.array([[0.3]]), 1)
-        exps, run = stack.run(slice(None), np.array([[0.5]]))
-        np.testing.assert_allclose(exps, [[[math.cos(0.8)]]], rtol=0.0, atol=1e-15)
-        grad_x = stack.backward(slice(None), run, np.ones((1, 1, 1)), np.array([[0.5]]))
-        np.testing.assert_allclose(grad_x, [[-math.sin(0.8)]], rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(stack.param_grads(), [[-math.sin(0.8)]], rtol=0.0, atol=1e-15)
-
 
 class TestAnsatzMatrix:
     """The ansatz-matrix lowering of ``vqc.CircuitStack`` against the plan:
