@@ -90,7 +90,7 @@ def main() -> None:
     ring_params = init_params(ring, rng)
     batch = rng.uniform(-1.0, 1.0, (6, ring.input_dim))
     weights = rng.uniform(-1.0, 1.0, (6, ring.n_qubits))
-    stack = CircuitStack(ring, ring_params[None], len(batch))
+    stack = CircuitStack(ring, ring_params[None])
     exps, record = stack.run(slice(None), batch)
     phase_x = stack.backward(slice(None), record, weights[None], batch)
     phase_p = stack.param_grads()[0]

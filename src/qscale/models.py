@@ -17,9 +17,10 @@ square).  Quantum parameters train by adjoint differentiation of the
 circuits, classical ones by backpropagation, mixed via the chain rule.  A
 model's circuits run as one ``vqc.CircuitStack`` per training step or
 ``predict`` call, which lowers them as phase polynomials (the qlstm's
-ring-RX circuits), an ansatz matrix or the fused plan (the vqr's, by the
-rows they share); each backward pass reuses what the forward pass that
-made the predictions kept.  Parameter shift
+ring-RX circuits) or through the fused plan (the vqr's); a vqr ``predict``
+of at least 2**n rows, which nothing differentiates, runs them as one
+ansatz matrix instead.  Each backward pass reuses what the forward pass
+that made the predictions kept.  Parameter shift
 stays as the public, hardware-realistic gradient and as the oracle the
 adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
 per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
@@ -395,7 +396,9 @@ class VQRModel(_ModelBase):
     def param_arrays(self):
         return [("quantum.angles", self.params)]
 
-    def _circuits(self, rows: int) -> vqc.CircuitStack:
+    def _circuits(self, rows: Optional[int] = None) -> vqc.CircuitStack:
+        """The model's circuit stack; ``rows``, the rows a forward-only
+        stack runs, lets a predict take the ansatz matrix."""
         return vqc.CircuitStack(self.template, self.params[None], rows)
 
     def _predictor(self, rows):
@@ -407,7 +410,7 @@ class VQRModel(_ModelBase):
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
         inputs = x_scaled[:, 0]
-        circuits = self._circuits(inputs.shape[0])
+        circuits = self._circuits()
         exps, record = circuits.run(slice(None), inputs)
         preds = exps[0, :, 0]
         weights = np.zeros_like(exps)
@@ -489,8 +492,8 @@ class QLSTMModel(_ModelBase):
 
     # -- cell -------------------------------------------------------------
 
-    def _circuits(self, rows: int) -> vqc.CircuitStack:
-        return vqc.CircuitStack(self.template, self.vqc_params, rows)
+    def _circuits(self) -> vqc.CircuitStack:
+        return vqc.CircuitStack(self.template, self.vqc_params)
 
     def _expand(self, gates: slice, e: np.ndarray) -> np.ndarray:
         """The given circuits' expectations e [K, B, n] through their fc_out
@@ -508,7 +511,7 @@ class QLSTMModel(_ModelBase):
         """One time step on scaled inputs x_t [B, features] and states
         h_prev, c_prev [B, hidden], its circuits run by ``circuits`` (by
         default a stack for this step alone); returns (h, c, y [B], cache)."""
-        circuits = circuits or self._circuits(x_t.shape[0])
+        circuits = circuits or self._circuits()
         concat = np.concatenate([h_prev, x_t], axis=1)
         v = concat @ self.fc_in.weights.T + self.fc_in.bias
         e, gate_run = circuits.run(slice(0, 4), v)
@@ -549,10 +552,10 @@ class QLSTMModel(_ModelBase):
         return y, caches
 
     def _predictor(self, rows):
-        return partial(self._predict_scaled, circuits=self._circuits(rows * self.window))
+        return partial(self._predict_scaled, circuits=self._circuits())
 
     def _predict_scaled(self, x_scaled, circuits=None):
-        circuits = circuits or self._circuits(x_scaled.shape[0] * x_scaled.shape[1])
+        circuits = circuits or self._circuits()
         return self.sequence_forward(x_scaled, circuits, keep_caches=False)[0]
 
     # -- backward ---------------------------------------------------------
@@ -608,7 +611,7 @@ class QLSTMModel(_ModelBase):
         return nn.flatten_arrays([accum[name] for name, _ in self.param_arrays()])
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        circuits = self._circuits(x_scaled.shape[0] * x_scaled.shape[1])
+        circuits = self._circuits()
         preds, caches = self.sequence_forward(x_scaled, circuits)
         d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
         return nn.loss_value(loss_kind, preds, y_scaled), self._backward(circuits, caches, d_preds)

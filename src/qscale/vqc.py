@@ -56,16 +56,17 @@ of three ways; :func:`lowering` is the one choice:
   the angles (:func:`_phase_differences`), split into a params part per
   circuit and an inputs part per row, so <Z> and its exact gradient are a
   cosine, a sine and a few matrix products, with no statevector.
-* ``"matrix"``, an embed-first template whose circuits share their params
-  over at least 2**n rows (the linear vqr's training steps and large
-  predicts).  The rest of the circuit is one 2**n x 2**n unitary U per set
-  of params, built by running the plan on the 2**n basis states with the
-  embedding angles at 0; each row is then its embedding's product state,
-  in closed form, times U.  The gradient sums lambda psi0^dagger over all
-  rows and makes one adjoint sweep over the basis rows.  U holds no more
-  amplitudes than the plan would for those rows.
-* ``"plan"``, everything else: the re-uploading (nonlinear) vqr and small
-  vqr batches run through the plan and its adjoint sweep.
+* ``"matrix"``, a forward-only run of an embed-first template whose
+  circuits share their params over at least 2**n rows (the linear vqr's
+  large predicts).  The rest of the circuit is one 2**n x 2**n unitary U
+  per set of params, built by running the plan on the 2**n basis states
+  with the embedding angles at 0; each row is then its embedding's product
+  state, in closed form, times U.  U holds no more amplitudes than the plan
+  would for those rows.  Nothing differentiates it: at the batch sizes the
+  models train with, the plan's adjoint sweep over the rows is faster.
+* ``"plan"``, everything else: every vqr training step, and the
+  re-uploading (nonlinear) vqr's and small vqr predicts, run through the
+  plan and its adjoint sweep.
 
 Templates have no file format of their own: a checkpoint stores a model's
 options, and the model rebuilds its template from them.
@@ -545,26 +546,31 @@ def _source_grads_to_args(
 
 
 # ---------------------------------------------------------------------------
-# the stack's lowerings: phase polynomials for RX/CNOT circuits, and ansatz
-# matrices when the data enter only through a first embedding, the rest of
-# the circuit then being one unitary U per set of params, shared by all rows
+# the stack's lowerings: phase polynomials for RX/CNOT circuits, and, for
+# forward-only runs, ansatz matrices when the data enter only through a
+# first embedding, the rest of the circuit then being one unitary U per set
+# of params, shared by all rows
 
 
-def lowering(template: CircuitTemplate, rows: int) -> str:
-    """How a :class:`CircuitStack` runs circuits of ``template`` that share
-    their params over ``rows`` input rows: ``"phase"`` when every gate is
-    an RX or a CNOT, else ``"matrix"`` (product state x U) when the
-    template's only embedding is its first segment and ``rows`` is at least
-    2**n, else ``"plan"``.  Building U runs the plan on 2**n basis rows, so
-    it pays only for at least that many rows, and then U holds no more
-    amplitudes than the plan would for them."""
+def lowering(template: CircuitTemplate, rows: Optional[int] = None) -> str:
+    """How a :class:`CircuitStack` runs circuits of ``template``:
+    ``"phase"`` when every gate is an RX or a CNOT, else ``"matrix"``
+    (product state x U) when the stack is forward-only, its circuits
+    sharing their params over ``rows`` input rows, at least 2**n, and the
+    template's only embedding is its first segment, else ``"plan"``.
+    ``rows=None`` is a stack that will be differentiated.  Building U runs
+    the plan on 2**n basis rows, so it pays only for at least that many
+    rows, and then U holds no more amplitudes than the plan would for
+    them."""
     if _lowered(template).phase:
         return "phase"
     first, *rest = template.segments
     embed_first = isinstance(first, Embedding) and not any(
         isinstance(seg, Embedding) for seg in rest
     )
-    return "matrix" if embed_first and rows >= 1 << template.n_qubits else "plan"
+    if embed_first and rows is not None and rows >= 1 << template.n_qubits:
+        return "matrix"
+    return "plan"
 
 
 @lru_cache(maxsize=None)
@@ -598,19 +604,16 @@ def _phase_differences(template: CircuitTemplate) -> np.ndarray:
 def _embedding_factors(template: CircuitTemplate, inputs: np.ndarray) -> np.ndarray:
     """The one-qubit states [n, 2, rows] that the first segment's rotations
     make from |0>, (cos, -i sin) of the half angle for RX and (cos, sin)
-    for RY, stacked on their derivatives by the angle: [2, n, 2, rows].  A
-    qubit that encodes no feature stays |0>."""
+    for RY.  A qubit that encodes no feature stays |0>."""
     embedding = template.segments[0]
     count = len(embedding.feature_slots)
     angles = inputs[:, list(embedding.feature_slots)].T
     if embedding.transform == "arctan":
         angles = np.arctan(angles)
-    cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
     phase = -1j if embedding.axis == "X" else 1.0
-    factors = np.zeros((2, template.n_qubits, 2, inputs.shape[0]), dtype=np.complex128)
-    factors[0, count:, 0] = 1.0
-    factors[0, :count, 0], factors[0, :count, 1] = cos, phase * sin
-    factors[1, :count, 0], factors[1, :count, 1] = -0.5 * sin, 0.5 * phase * cos
+    factors = np.zeros((template.n_qubits, 2, inputs.shape[0]), dtype=np.complex128)
+    factors[count:, 0] = 1.0
+    factors[:count, 0], factors[:count, 1] = np.cos(0.5 * angles), phase * np.sin(0.5 * angles)
     return factors
 
 
@@ -640,10 +643,10 @@ def _cos_sin(source: np.ndarray, differences: np.ndarray) -> np.ndarray:
 class CircuitStack:
     """K circuits of one template, each with its own params ``params``
     [K, P], to run on input rows that each run shares among its circuits,
-    and to differentiate.  ``rows`` is how many input rows each circuit
-    will run on over the stack's life, say B x T for a recurrent cell;
-    :func:`lowering` picks one of three ways for all of them, named by
-    ``lowering``.
+    and to differentiate.  A stack that will only run, never be
+    differentiated, may give ``rows``, how many input rows each circuit
+    will run on over the stack's life; :func:`lowering` picks one of three
+    ways for all of them, named by ``lowering``.
 
     * Phase: the params' part dp of every phase difference of each
       circuit (:func:`_phase_differences`), and its cosine and sine scaled
@@ -656,19 +659,16 @@ class CircuitStack:
       the gradients of dp and takes them back to the params once.
     * Plan: every run goes through the fused plan, and :meth:`backward`
       makes one adjoint sweep over its rows.
-    * Ansatz matrix: U_k is built once, as the plan's run of the 2**n basis
-      states with the embedding angles at 0 (RX(0) and RY(0) are the
-      identity), so row j of ``matrices[k]`` is U_k e_j.  A run is the
-      product state psi0 of its inputs times that matrix.
-      :meth:`backward` adds lambda psi0^dagger over its rows to the seeds
-      G_k and takes the input gradient 2 Re <U^dagger lambda | d psi0> in
-      closed form; :meth:`param_grads` makes the one adjoint sweep over
-      the basis rows, seeded by the columns of each G_k.
+    * Ansatz matrix, forward-only: U_k is built once, as the plan's run of
+      the 2**n basis states with the embedding angles at 0 (RX(0) and
+      RY(0) are the identity), so row j of ``matrices[k]`` is U_k e_j.  A
+      run is the product state of its inputs times that matrix, and keeps
+      no record to differentiate.
 
     ``grads`` [K, P] accumulates the plan path's parameter gradients.
     """
 
-    def __init__(self, template: CircuitTemplate, params: np.ndarray, rows: int):
+    def __init__(self, template: CircuitTemplate, params: np.ndarray, rows: Optional[int] = None):
         self.template = template
         self.params = params
         self.grads = np.zeros(params.shape)
@@ -684,10 +684,11 @@ class CircuitStack:
         elif self.lowering == "matrix":
             angles = _angle_table(template, params[:, None], np.zeros((1, template.input_dim)))
             angles = np.broadcast_to(angles, (len(params), dim, angles.shape[-1]))
-            self.basis_angles = angles.reshape(len(params) * dim, -1)
             # the run owns the basis states, so it can free them after the first CNOT layer
             _, columns = _run_rows(
-                template, self.basis_angles, np.tile(np.eye(dim, dtype=np.complex128), len(params)).T
+                template,
+                angles.reshape(len(params) * dim, -1),
+                np.tile(np.eye(dim, dtype=np.complex128), len(params)).T,
             )
             self.matrices = columns.reshape(len(params), dim, dim)
 
@@ -706,11 +707,8 @@ class CircuitStack:
             angles = angles.reshape(k * batch, -1)
             exps, states = _run_rows(template, angles)
             return exps.reshape(k, batch, -1), (angles, states)
-        factors = _embedding_factors(template, inputs)
-        psi0 = _product_state(factors[0])
-        amps = psi0 @ self.matrices[circuits]
-        exps = (amps.real**2 + amps.imag**2) @ sim._z_signs(template.n_qubits).T
-        return exps, (factors, psi0, amps)
+        amps = _product_state(_embedding_factors(template, inputs)) @ self.matrices[circuits]
+        return (amps.real**2 + amps.imag**2) @ sim._z_signs(template.n_qubits).T, None
 
     def backward(
         self, circuits: slice, record, weights: np.ndarray, inputs: np.ndarray
@@ -719,8 +717,6 @@ class CircuitStack:
         n]: adds the parameter gradient to the stack's and returns the
         input gradient [B, input_dim], summed over the circuits."""
         template = self.template
-        z = sim._z_signs(template.n_qubits)
-        k, batch, _ = weights.shape
         if self.lowering == "phase":
             trig, half = record, record.shape[-1] // 2
             by_qubit = weights.transpose(2, 1, 0)  # [n, B, k]
@@ -731,49 +727,23 @@ class CircuitStack:
             d_delta = trig[..., :half] * mixed[..., half:] - trig[..., half:] * mixed[..., :half]
             dsource = (d_delta @ self.differences.transpose(0, 2, 1)).sum(axis=0)
             return _source_grads_to_args(template, dsource, inputs)[1]
-        if self.lowering == "plan":
-            angles, states = record
-            cotangent = (weights.reshape(k * batch, -1) @ z) * states
-            dangles = _adjoint_rows(template, angles, states, cotangent)
-            grad_params, grad_inputs = _angle_grads_to_args(
-                template, dangles, np.tile(inputs, (k, 1))
-            )
-            self.grads[circuits] += grad_params.reshape(k, batch, -1).sum(axis=1)
-            return grad_inputs.reshape(k, batch, -1).sum(axis=0)
-        factors, psi0, amps = record
-        cotangent = (weights @ z) * amps
-        if self.seeds is None:  # only a backward pass needs them
-            self.seeds = np.zeros_like(self.matrices)
-        self.seeds[circuits] += psi0.conj().T @ cotangent
-        back = (cotangent @ self.matrices[circuits].conj().transpose(0, 2, 1)).sum(axis=0)
-        # d psi0 / d angle q: the product state with qubit q's factor turned
-        # into its derivative, for every encoding qubit q as rows of one state
-        count = len(template.segments[0].feature_slots)
-        turned = np.repeat(factors[0][:, :, None], count, axis=2)  # [n, 2, q, B]
-        turned[np.arange(count), :, np.arange(count)] = factors[1, :count]
-        d_psi0 = _product_state(turned.reshape(*turned.shape[:2], -1)).reshape(count, batch, -1)
-        dangles = np.zeros((batch, _lowered(template).columns.size))
-        dangles[:, :count] = 2.0 * np.einsum("rb,qrb->rq", back.conj(), d_psi0).real
-        return _angle_grads_to_args(template, dangles, inputs)[1]
+        angles, states = record
+        k, batch, _ = weights.shape
+        cotangent = (weights.reshape(k * batch, -1) @ sim._z_signs(template.n_qubits)) * states
+        dangles = _adjoint_rows(template, angles, states, cotangent)
+        grad_params, grad_inputs = _angle_grads_to_args(template, dangles, np.tile(inputs, (k, 1)))
+        self.grads[circuits] += grad_params.reshape(k, batch, -1).sum(axis=1)
+        return grad_inputs.reshape(k, batch, -1).sum(axis=0)
 
     def param_grads(self) -> np.ndarray:
         """The parameter gradients [K, P] of every :meth:`backward` so far."""
         if self.seeds is None:
             return self.grads
-        template, count = self.template, len(self.params)
-        if self.lowering == "phase":
-            # seeds hold sum_b w (cos dx, sin dx); d/d(dp) = -2**(1-n) sum_b w sin(dp + dx)
-            half, trig, seeds = self.trig.shape[-1] // 2, self.trig, self.seeds
-            d_delta = trig[..., half:] * seeds[..., :half] - trig[..., :half] * seeds[..., half:]
-            d_params = self.differences[:, : template.total_params].transpose(0, 2, 1)
-            return self.grads + (d_delta @ d_params).sum(axis=0)
-        dim = self.matrices.shape[-1]
-        dangles = _adjoint_rows(
-            template, self.basis_angles, self.matrices.reshape(-1, dim), self.seeds.reshape(-1, dim)
-        )
-        dangles = dangles.reshape(count, dim, -1).sum(axis=1)
-        grad_params, _ = _angle_grads_to_args(template, dangles, np.zeros((count, template.input_dim)))
-        return self.grads + grad_params
+        # seeds hold sum_b w (cos dx, sin dx); d/d(dp) = -2**(1-n) sum_b w sin(dp + dx)
+        half, trig, seeds = self.trig.shape[-1] // 2, self.trig, self.seeds
+        d_delta = trig[..., half:] * seeds[..., :half] - trig[..., :half] * seeds[..., half:]
+        d_params = self.differences[:, : self.template.total_params].transpose(0, 2, 1)
+        return self.grads + (d_delta @ d_params).sum(axis=0)
 
 
 def _check_batch_args(

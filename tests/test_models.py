@@ -417,44 +417,65 @@ class TestHybridGradients:
         assert abs(loss - direct) < 1e-9
 
 
-def default_model(kind, seed, **options):
+def default_model(kind, seed, windows=10, **options):
     """A model of the kind's default options and window, scaled on a tiny
-    dataset, with a batch of 10 of its scaled windows."""
+    dataset, with a batch of ``windows`` of its scaled windows."""
     names = models.default_options(kind)["features"]
     window = models.default_config(kind).window
-    ds = tiny_dataset(10 + window, seed=seed)
+    ds = tiny_dataset(windows + window, seed=seed)
     inp, tgt = scalers_for(ds, names)
     model = models.build_model(kind, names, inp, tgt, options=options, window=window, seed=seed)
     x, _, _ = make_windows(ds.select_features(names), window)
-    return model, model.scale_windows(x[:10])
+    return model, model.scale_windows(x[:windows])
 
 
 class TestDirectionalGradients:
     """Every kind at its default options: the gradient along random unit
     directions against central differences of the batch loss.  This pins
     the paths the models train through, the fused circuit sweeps included
-    (CNOT reach up to 3 on vqr's 4 qubits, the ring wrap on qlstm's 5)."""
+    (CNOT reach up to 3 on vqr's 4 qubits, the ring wrap on qlstm's 5),
+    and the lowering of every stack a step differentiates: a vqr step of
+    32 windows, more than 2**4, runs through the plan, though a predict of
+    as many rows takes the ansatz matrix."""
 
     @pytest.mark.parametrize(
-        "kind,options",
+        "kind,options,windows",
         [
-            ("ffnn", {}),
-            ("lstm", {}),
-            ("vqr", {}),
-            ("vqr", {"architecture": "nonlinear"}),
-            ("qlstm", {}),
-            ("qlstm", {"shared_fc_out": False}),
+            ("ffnn", {}, 10),
+            ("lstm", {}, 10),
+            ("vqr", {}, 10),
+            ("vqr", {}, 32),
+            ("vqr", {"architecture": "nonlinear"}, 10),
+            ("qlstm", {}, 10),
+            ("qlstm", {"shared_fc_out": False}, 10),
         ],
-        ids=["ffnn", "lstm", "vqr-linear", "vqr-nonlinear", "qlstm-shared", "qlstm-per-gate"],
+        ids=[
+            "ffnn",
+            "lstm",
+            "vqr-linear",
+            "vqr-linear-32-windows",
+            "vqr-nonlinear",
+            "qlstm-shared",
+            "qlstm-per-gate",
+        ],
     )
     @pytest.mark.parametrize("loss_kind", ["mse", "l1"])
-    def test_matches_central_differences(self, kind, options, loss_kind):
-        model, xs = default_model(kind, seed=41, **options)
+    def test_matches_central_differences(self, monkeypatch, kind, options, windows, loss_kind):
+        model, xs = default_model(kind, seed=41, windows=windows, **options)
         theta = model.get_flat().copy()
         # targets 0.3 below every prediction keep l1 away from its kink, and
         # residuals of one sign keep the batch gradient from cancelling
         ys = model._predict_scaled(xs) - 0.3
+        lowerings = set()
+        backward = vqc.CircuitStack.backward
+
+        def recording_backward(stack, *args):
+            lowerings.add(stack.lowering)
+            return backward(stack, *args)
+
+        monkeypatch.setattr(vqc.CircuitStack, "backward", recording_backward)
         _, grad = model._loss_and_grad_scaled(xs, ys, loss_kind)
+        assert lowerings == {"vqr": {"plan"}, "qlstm": {"phase"}}.get(kind, set())
 
         def loss_at(flat):
             model.set_flat(flat)
@@ -494,7 +515,7 @@ class TestQLSTMShiftOracle:
         polynomials at any row count."""
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
         xs = xs[:4]
-        assert vqc.lowering(model.template, xs.shape[0] * xs.shape[1]) == "phase"
+        assert vqc.lowering(model.template) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
 
@@ -509,7 +530,7 @@ class TestQLSTMShiftOracle:
         parameter gradient is folded from the phase gradients summed over
         every step, once per stack."""
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
-        assert vqc.lowering(model.template, xs.shape[0] * xs.shape[1]) == "phase"
+        assert vqc.lowering(model.template) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
 
