@@ -28,11 +28,16 @@ per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
 Every model takes a minibatch in one forward and one backward pass on
 ``[B, ...]`` arrays, one window being a batch of one; ``predict`` runs the
 same forward pass over blocks of ``PREDICT_ROWS`` windows, so the
-activations it keeps stay bounded whatever the number of rows.  The LSTM
-keeps each layer's gates as ``nn.LSTMLayerParams`` slabs and the QLSTM its
-fc_out maps as one slab pair; ``param_arrays`` names per-gate and per-map
-views of them, so checkpoints and the flat vector keep one array per gate
-and map.  Held-out losses are the ``METRICS`` table, by name.
+activations it keeps stay bounded whatever the number of rows.  Held-out
+losses are the ``METRICS`` table, by name.
+
+Each model holds its parameters in one float64 vector, ``flat``; every
+array it computes with (dense layers, LSTM gate slabs, the QLSTM's fc_out
+slab pair, circuit angles) is a view of it that the kind's ``_bind`` lays
+over any vector of that layout: over ``flat`` once, and over a fresh zero
+gradient vector on each training step, whose backward pass adds into them.
+``nn.optimizer_step`` updates ``flat`` in place.  ``param_arrays`` cuts
+``flat`` into the per-gate and per-map arrays checkpoints store.
 
 A kind's option defaults live only in ``_DEFAULT_OPTIONS`` and its default
 window only in ``_DEFAULT_CONFIGS``.  Every model is built by one path:
@@ -199,11 +204,12 @@ def _loss_to_original_units(kind: str, scaled_loss: float, halfspan: float) -> f
 
 
 class _ModelBase:
-    """Shared construction, scaling, flattening, and prediction plumbing.
+    """Shared construction, scaling, parameter-vector, and prediction plumbing.
 
-    ``__init__`` settles the kind's options and window with ``_settings``
-    and has the subclass's ``_init_params`` draw the parameters from a
-    generator seeded with ``[seed, seed_tag]``.
+    ``__init__`` settles the kind's options and window with ``_settings``,
+    allocates the parameter vector ``flat``, has the subclass's ``_bind``
+    put its structures, ``params``, over it, and has ``_init_params`` fill
+    them from a generator seeded with ``[seed, seed_tag]``.
     """
 
     kind: str = ""
@@ -213,6 +219,7 @@ class _ModelBase:
     input_scaler: RangeScaler
     target_scaler: RangeScaler
     options: dict
+    flat: np.ndarray
 
     def __init__(
         self,
@@ -228,12 +235,17 @@ class _ModelBase:
         self.feature_names = self.options["features"]
         self.input_scaler = input_scaler
         self.target_scaler = target_scaler
+        self.flat = np.zeros(self.param_count())
+        self.params = self._bind(self.flat)
         self._init_params(np.random.default_rng(np.random.SeedSequence([seed, self.seed_tag])))
 
-    def _init_params(self, rng: np.random.Generator) -> None:
+    def _bind(self, vector: np.ndarray):
+        """The kind's parameter structures as views of ``vector``, a vector
+        laid out as ``flat``."""
         raise NotImplementedError
 
-    def param_arrays(self) -> list[tuple[str, np.ndarray]]:
+    def _init_params(self, rng: np.random.Generator) -> None:
+        """Fill ``params`` with the kind's draws from ``rng``."""
         raise NotImplementedError
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
@@ -245,12 +257,23 @@ class _ModelBase:
     # -- parameters -------------------------------------------------------
 
     def get_flat(self) -> np.ndarray:
-        return nn.flatten_arrays([a for _, a in self.param_arrays()])
+        return self.flat.copy()
 
     def set_flat(self, vector: np.ndarray) -> None:
-        arrays = [a for _, a in self.param_arrays()]
-        for current, new in zip(arrays, nn.unflatten_like(vector, arrays)):
-            np.copyto(current, new)
+        if np.shape(vector) != self.flat.shape:
+            raise ConfigurationError(f"expected {self.flat.size} parameters, got {np.shape(vector)}")
+        np.copyto(self.flat, vector)
+
+    def param_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """(name, view of ``flat``) of every array ``_param_shapes`` names,
+        in flat order."""
+        names, shapes = zip(*_param_shapes(self.kind, self.options))
+        return list(zip(names, _cut(self.flat, shapes)))
+
+    def _zero_grads(self):
+        """A fresh zero gradient vector and the kind's structures over it."""
+        grad = np.zeros_like(self.flat)
+        return grad, self._bind(grad)
 
     def param_count(self) -> int:
         return count_params(self.kind, self.options)
@@ -312,35 +335,25 @@ class FFNNModel(_ModelBase):
     kind = "ffnn"
     seed_tag = 10
 
-    def _init_params(self, rng):
-        sizes = [len(self.feature_names), *self.options["hidden_sizes"], 1]
-        self.layers = [
-            nn.dense_layer(
-                rng,
-                sizes[k],
-                sizes[k + 1],
-                self.options["activation"] if k < len(sizes) - 2 else "identity",
-            )
-            for k in range(len(sizes) - 1)
-        ]
+    def _bind(self, vector):
+        arrays = _cut(vector, [shape for _, shape in _param_shapes(self.kind, self.options)])
+        activations = [self.options["activation"]] * (len(arrays) // 2 - 1) + ["identity"]
+        return [nn.DenseLayer(*layer) for layer in zip(arrays[::2], arrays[1::2], activations)]
 
-    def param_arrays(self):
-        named = []
-        for k, layer in enumerate(self.layers):
-            named.append((f"dense{k}.weights", layer.weights))
-            named.append((f"dense{k}.bias", layer.bias))
-        return named
+    def _init_params(self, rng):
+        for layer in self.params:
+            nn.draw_uniform(rng, layer.weights, layer.bias)
 
     def _predict_scaled(self, x_scaled):
-        return nn.ffnn_forward(self.layers, x_scaled[:, 0])[0][:, 0]
+        return nn.ffnn_forward(self.params, x_scaled[:, 0])[0][:, 0]
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        out, caches = nn.ffnn_forward(self.layers, x_scaled[:, 0])
+        out, caches = nn.ffnn_forward(self.params, x_scaled[:, 0])
         preds = out[:, 0]
         d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
-        grads, _ = nn.ffnn_backward(self.layers, caches, d_preds[:, None])
-        flat = nn.flatten_arrays([g for pair in grads for g in pair])
-        return nn.loss_value(loss_kind, preds, y_scaled), flat
+        grad, grads = self._zero_grads()
+        nn.ffnn_backward(self.params, caches, d_preds[:, None], grads)
+        return nn.loss_value(loss_kind, preds, y_scaled), grad
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +364,22 @@ class LSTMModel(_ModelBase):
     kind = "lstm"
     seed_tag = 11
 
-    def _init_params(self, rng):
-        self.params = nn.lstm_stack(
-            rng, len(self.feature_names), self.options["hidden_size"], self.options["n_layers"]
+    def _bind(self, vector):
+        hidden = self.options["hidden_size"]
+        widths = [hidden + len(self.feature_names)] + [2 * hidden] * (self.options["n_layers"] - 1)
+        *slabs, read_w, read_b = _cut(
+            vector, [(4, hidden * (width + 1)) for width in widths] + [(1, hidden), (1,)]
         )
+        layers = [
+            nn.LSTMLayerParams(*_interleaved(slab, (hidden, width)))
+            for slab, width in zip(slabs, widths)
+        ]
+        return nn.LSTMParams(layers, nn.DenseLayer(read_w, read_b))
 
-    def param_arrays(self):
-        return nn.lstm_param_arrays(self.params)
+    def _init_params(self, rng):
+        # each layer's four gate matrices in one draw, then its four biases
+        for layer in [*self.params.layers, self.params.readout]:
+            nn.draw_uniform(rng, layer.weights, layer.bias)
 
     def _predict_scaled(self, x_scaled):
         return nn.lstm_sequence_forward(self.params, x_scaled)[0]
@@ -365,9 +387,9 @@ class LSTMModel(_ModelBase):
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
         preds, state = nn.lstm_sequence_forward(self.params, x_scaled)
         d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
-        grads = nn.lstm_sequence_backward(self.params, state, d_preds)
-        flat = nn.flatten_arrays([g for _, g in grads])
-        return nn.loss_value(loss_kind, preds, y_scaled), flat
+        grad, grads = self._zero_grads()
+        nn.lstm_sequence_backward(self.params, state, d_preds, grads)
+        return nn.loss_value(loss_kind, preds, y_scaled), grad
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +413,10 @@ class VQRModel(_ModelBase):
         self.template = builders[architecture](
             n_qubits, self.options["n_layers"], transform=self.options["transform"]
         )
-        self.params = vqc.init_params(self.template, rng)
+        self.params[...] = vqc.init_params(self.template, rng)
 
-    def param_arrays(self):
-        return [("quantum.angles", self.params)]
+    def _bind(self, vector):
+        return vector  # the angles are the whole vector
 
     def _circuits(self, rows: Optional[int] = None) -> vqc.CircuitStack:
         """The model's circuit stack; ``rows``, the rows a forward-only
@@ -423,6 +445,20 @@ class VQRModel(_ModelBase):
 # quantum LSTM
 
 
+@dataclass
+class QLSTMParams:
+    """A QLSTM's parameters: the fc_in and projection maps, the fc_out slab
+    pair (weights [K, hidden, n], bias [K, hidden]), the readout, and the
+    six circuits' angles [6, P]."""
+
+    fc_in: nn.DenseLayer
+    projection: nn.DenseLayer
+    fc_out_weights: np.ndarray
+    fc_out_bias: np.ndarray
+    readout: nn.DenseLayer
+    angles: np.ndarray
+
+
 class QLSTMModel(_ModelBase):
     """LSTM cell whose gates run through six ring-RX variational circuits.
 
@@ -431,10 +467,9 @@ class QLSTMModel(_ModelBase):
     an expansion (``fc_out``) back to the hidden size, and
     ``nn.lstm_gates`` turns them into the cell update; a dedicated
     projection feeds circuits 5-6, which produce the next hidden state and
-    the per-step prediction.  The expansions are one slab pair,
-    ``fc_out_weights`` [K, hidden, n] and ``fc_out_bias`` [K, hidden], with
-    K = 1 when shared and 6 otherwise; ``fc_out_slot`` names each circuit's
-    entry.  ``vqc_params`` holds the six circuits' angles as one slab.
+    the per-step prediction.  ``params`` is a ``QLSTMParams``; its
+    expansions are one slab pair, with K = 1 when shared and 6 otherwise,
+    and ``fc_out_slot`` names each circuit's entry.
 
     The cell runs over a minibatch [B, ...].  The six circuits are one
     ``vqc.CircuitStack`` for the whole window, B x T rows each: per time
@@ -452,19 +487,30 @@ class QLSTMModel(_ModelBase):
     seed_tag = 13
     GATE_NAMES = ("forget", "input", "update", "output", "hidden", "readout")
 
-    def _init_params(self, rng):
+    def _bind(self, vector):
         n, hidden = self.n_qubits, self.hidden_size
-        self.template = vqc.ring_rx_template(n, self.options["n_layers"])
-        n_features = len(self.feature_names)
-        self.fc_in = nn.dense_layer(rng, hidden + n_features, n, "identity")
-        self.proj = nn.dense_layer(rng, hidden, n, "identity")
-        shared = self.options["shared_fc_out"]
-        fc_out = [nn.dense_layer(rng, n, hidden, "identity") for _ in range(1 if shared else 6)]
-        self.fc_out_weights = np.stack([layer.weights for layer in fc_out])
-        self.fc_out_bias = np.stack([layer.bias for layer in fc_out])
-        self.fc_out_slot = np.zeros(6, dtype=int) if shared else np.arange(6)
-        self.readout = nn.dense_layer(rng, hidden, 1, "identity")
-        self.vqc_params = np.stack([vqc.init_params(self.template, rng) for _ in range(6)])
+        n_maps = 1 if self.options["shared_fc_out"] else 6
+        n_angles = vqc.ansatz_param_count("ring_rx", n, self.options["n_layers"])
+        shapes = [(n, hidden + len(self.feature_names)), (n,), (n, hidden), (n,)]
+        shapes += [(n_maps, hidden * (n + 1)), (1, hidden), (1,), (6, n_angles)]
+        in_w, in_b, proj_w, proj_b, fc_out, read_w, read_b, angles = _cut(vector, shapes)
+        return QLSTMParams(
+            nn.DenseLayer(in_w, in_b),
+            nn.DenseLayer(proj_w, proj_b),
+            *_interleaved(fc_out, (hidden, n)),
+            nn.DenseLayer(read_w, read_b),
+            angles,
+        )
+
+    def _init_params(self, rng):
+        self.template = vqc.ring_rx_template(self.n_qubits, self.options["n_layers"])
+        p = self.params
+        maps = [p.fc_in, p.projection, *map(nn.DenseLayer, p.fc_out_weights, p.fc_out_bias)]
+        for layer in maps + [p.readout]:
+            nn.draw_uniform(rng, layer.weights, layer.bias)
+        for angles in p.angles:
+            angles[...] = vqc.init_params(self.template, rng)
+        self.fc_out_slot = np.zeros(6, dtype=int) if self.options["shared_fc_out"] else np.arange(6)
 
     @property
     def hidden_size(self) -> int:
@@ -474,32 +520,16 @@ class QLSTMModel(_ModelBase):
     def n_qubits(self) -> int:
         return self.options["n_qubits"]
 
-    def param_arrays(self):
-        named = [
-            ("fc_in.weights", self.fc_in.weights),
-            ("fc_in.bias", self.fc_in.bias),
-            ("projection.weights", self.proj.weights),
-            ("projection.bias", self.proj.bias),
-        ]
-        for k in range(len(self.fc_out_weights)):
-            named.append((f"fc_out{k}.weights", self.fc_out_weights[k]))
-            named.append((f"fc_out{k}.bias", self.fc_out_bias[k]))
-        named.append(("readout.weights", self.readout.weights))
-        named.append(("readout.bias", self.readout.bias))
-        for k, params in enumerate(self.vqc_params):
-            named.append((f"quantum.{self.GATE_NAMES[k]}", params))
-        return named
-
     # -- cell -------------------------------------------------------------
 
     def _circuits(self) -> vqc.CircuitStack:
-        return vqc.CircuitStack(self.template, self.vqc_params)
+        return vqc.CircuitStack(self.template, self.params.angles)
 
     def _expand(self, gates: slice, e: np.ndarray) -> np.ndarray:
         """The given circuits' expectations e [K, B, n] through their fc_out
         entries; returns [K, B, hidden]."""
-        slots = self.fc_out_slot[gates]
-        return e @ self.fc_out_weights[slots].transpose(0, 2, 1) + self.fc_out_bias[slots, None]
+        slots, p = self.fc_out_slot[gates], self.params
+        return e @ p.fc_out_weights[slots].transpose(0, 2, 1) + p.fc_out_bias[slots, None]
 
     def cell_forward(
         self,
@@ -511,15 +541,15 @@ class QLSTMModel(_ModelBase):
         """One time step on scaled inputs x_t [B, features] and states
         h_prev, c_prev [B, hidden], its circuits run by ``circuits`` (by
         default a stack for this step alone); returns (h, c, y [B], cache)."""
-        circuits = circuits or self._circuits()
+        circuits, p = circuits or self._circuits(), self.params
         concat = np.concatenate([h_prev, x_t], axis=1)
-        v = concat @ self.fc_in.weights.T + self.fc_in.bias
+        v = concat @ p.fc_in.weights.T + p.fc_in.bias
         e, gate_run = circuits.run(slice(0, 4), v)
         u, c, gates = nn.lstm_gates(self._expand(slice(0, 4), e), c_prev)
-        w = u @ self.proj.weights.T + self.proj.bias
+        w = u @ p.projection.weights.T + p.projection.bias
         e_out, out_run = circuits.run(slice(4, 6), w)
         h, q = self._expand(slice(4, 6), e_out)
-        y = q @ self.readout.weights[0] + self.readout.bias[0]
+        y = q @ p.readout.weights[0] + p.readout.bias[0]
         cache = {
             "concat": concat,
             "v": v,
@@ -564,12 +594,13 @@ class QLSTMModel(_ModelBase):
         self, circuits: vqc.CircuitStack, caches: list[dict], d_pred: np.ndarray
     ) -> np.ndarray:
         """Backpropagation through time over the batch, through the
-        circuits that ran the forward pass; the flat gradient."""
+        circuits that ran the forward pass; a fresh flat gradient."""
         hidden, steps, batch = self.hidden_size, len(caches), d_pred.shape[0]
-        accum = {name: np.zeros_like(a) for name, a in self.param_arrays()}
+        p = self.params
+        grad, g = self._zero_grads()
         grad_fc_w = np.zeros((6, hidden, self.n_qubits))
         grad_fc_b = np.zeros((6, hidden))
-        gate_weights = self.fc_out_weights[self.fc_out_slot[:4]]
+        gate_weights = p.fc_out_weights[self.fc_out_slot[:4]]
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
         for t in range(steps - 1, -1, -1):
@@ -578,37 +609,33 @@ class QLSTMModel(_ModelBase):
             # circuit 6 at the last step only, so each step sends gradient
             # back through exactly one of circuits 5 and 6.
             if t == steps - 1:
-                accum["readout.weights"] += (d_pred @ cache["q"])[None, :]
-                accum["readout.bias"] += d_pred.sum()
-                k, d_out = 5, d_pred[:, None] * self.readout.weights[0]
+                g.readout.weights += (d_pred @ cache["q"])[None, :]
+                g.readout.bias += d_pred.sum()
+                k, d_out = 5, d_pred[:, None] * p.readout.weights[0]
             else:
                 k, d_out = 4, dh
             grad_fc_w[k] += d_out.T @ cache["e_out"][k - 4]
             grad_fc_b[k] += d_out.sum(axis=0)
             d_exps = np.zeros_like(cache["e_out"])
-            d_exps[k - 4] = d_out @ self.fc_out_weights[self.fc_out_slot[k]]
+            d_exps[k - 4] = d_out @ p.fc_out_weights[self.fc_out_slot[k]]
             dw = circuits.backward(slice(4, 6), cache["out_run"], d_exps, cache["w"])
-            accum["projection.weights"] += dw.T @ cache["u"]
-            accum["projection.bias"] += dw.sum(axis=0)
-            du = dw @ self.proj.weights
+            g.projection.weights += dw.T @ cache["u"]
+            g.projection.bias += dw.sum(axis=0)
+            du = dw @ p.projection.weights
 
             dz, dc = nn.lstm_gates_backward(cache["gates"], du, dc)
             grad_fc_w[:4] += dz.transpose(0, 2, 1) @ cache["e"]
             grad_fc_b[:4] += dz.sum(axis=1)
             dv = circuits.backward(slice(0, 4), cache["gate_run"], dz @ gate_weights, cache["v"])
-            accum["fc_in.weights"] += dv.T @ cache["concat"]
-            accum["fc_in.bias"] += dv.sum(axis=0)
-            dh = (dv @ self.fc_in.weights)[:, :hidden]
+            g.fc_in.weights += dv.T @ cache["concat"]
+            g.fc_in.bias += dv.sum(axis=0)
+            dh = (dv @ p.fc_in.weights)[:, :hidden]
 
         # each fc_out entry sums the gradients of the circuits in its slot
-        fc_w, fc_b = np.zeros_like(self.fc_out_weights), np.zeros_like(self.fc_out_bias)
-        np.add.at(fc_w, self.fc_out_slot, grad_fc_w)
-        np.add.at(fc_b, self.fc_out_slot, grad_fc_b)
-        for k in range(len(fc_w)):
-            accum[f"fc_out{k}.weights"], accum[f"fc_out{k}.bias"] = fc_w[k], fc_b[k]
-        for name, grad in zip(self.GATE_NAMES, circuits.param_grads()):
-            accum["quantum." + name] = grad
-        return nn.flatten_arrays([accum[name] for name, _ in self.param_arrays()])
+        np.add.at(g.fc_out_weights, self.fc_out_slot, grad_fc_w)
+        np.add.at(g.fc_out_bias, self.fc_out_slot, grad_fc_b)
+        g.angles += circuits.param_grads()
+        return grad
 
     def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
         circuits = self._circuits()
@@ -640,7 +667,8 @@ def count_params(kind: str, options: dict) -> int:
 
 def _param_shapes(kind: str, options: dict):
     """(name, shape) of every parameter array of a ``kind`` model with the
-    resolved ``options``, in flat order, derived without building it."""
+    resolved ``options``, in flat order, derived without building it.  Each
+    kind's ``_bind`` lays its structures over ``flat`` in this order."""
     n_in = len(options["features"])
     if kind == "ffnn":
         sizes = [n_in, *options["hidden_sizes"], 1]
@@ -675,6 +703,24 @@ def _param_shapes(kind: str, options: dict):
         angles = (vqc.ansatz_param_count("ring_rx", options["n_qubits"], options["n_layers"]),)
         for name in QLSTMModel.GATE_NAMES:
             yield f"quantum.{name}", angles
+
+
+def _cut(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``vector``, from its start, in the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _interleaved(segment: np.ndarray, weight_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The K (weights, bias) pairs laid one after another in the rows of
+    ``segment`` [K, w + b], as views: weights [K, *weight_shape] and bias
+    [K, b]."""
+    size = math.prod(weight_shape)
+    return segment[:, :size].reshape(len(segment), *weight_shape), segment[:, size:]
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +786,7 @@ def train(
             )
             if not (math.isfinite(loss_scaled) and np.all(np.isfinite(grad))):
                 raise TrainingDivergedError(epoch)
-            model.set_flat(nn.optimizer_step(optimizer, model.get_flat(), grad))
+            nn.optimizer_step(optimizer, model.flat, grad)
             running += loss_scaled * batch.size
         history.append(
             _loss_to_original_units(config.loss, running / n, halfspan)

@@ -17,13 +17,17 @@ matmul makes the ``[4, B, hidden]`` pre-activation slab.  ``lstm_gates``
 and ``lstm_gates_backward`` hold the gate update, from that slab to c_t and
 h_t, and its gradient.  The LSTM cell feeds them the linear maps above; the
 QLSTM cell in ``models`` feeds them maps of variational-circuit outputs
-instead (Chen, Yoo & Fang, arXiv:2009.01783).  Weights initialise uniformly
-in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a caller-provided generator, so
-a fixed seed reproduces training bit for bit.
+instead (Chen, Yoo & Fang, arXiv:2009.01783).  ``draw_uniform`` fills
+weights in place, uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)], from a
+caller-provided generator, so a fixed seed reproduces training bit for bit.
 
 Layers run over a minibatch: activations, states and their gradients are
-``[B, size]``, LSTM windows ``[B, T, n_features]``, and parameter gradients
-come back summed over the batch.  One sample is a batch of one.
+``[B, size]`` and LSTM windows ``[B, T, n_features]``.  The backward
+passes add the parameter gradients, summed over the batch, into structures
+of the parameters' shapes that the caller passes; ``models`` makes both
+the parameters and the gradients views of one flat vector each, and
+``optimizer_step`` updates a flat parameter vector in place.  One sample is
+a batch of one.
 """
 
 from __future__ import annotations
@@ -101,15 +105,13 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-def dense_layer(
-    rng: np.random.Generator, n_in: int, n_out: int, activation: str = "identity"
-) -> DenseLayer:
-    bound = 1.0 / np.sqrt(n_in)
-    return DenseLayer(
-        weights=rng.uniform(-bound, bound, (n_out, n_in)),
-        bias=rng.uniform(-bound, bound, n_out),
-        activation=activation,
-    )
+def draw_uniform(rng: np.random.Generator, weights: np.ndarray, bias: np.ndarray) -> None:
+    """Fill ``weights`` and then ``bias`` in place, uniformly in
+    [-1/sqrt(fan_in), +1/sqrt(fan_in)], the fan-in being the weights' last
+    axis: a dense layer's inputs, or an LSTM layer's [h_prev, x_t]."""
+    bound = 1.0 / np.sqrt(weights.shape[-1])
+    weights[...] = rng.uniform(-bound, bound, weights.shape)
+    bias[...] = rng.uniform(-bound, bound, bias.shape)
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -134,18 +136,19 @@ def ffnn_forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarra
 
 
 def ffnn_backward(
-    layers: Sequence[DenseLayer], caches: list, d_out: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Backpropagate d_out [B, n_out]; returns per-layer (dW, db) summed
-    over the batch and the input gradient [B, n_in]."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore
+    layers: Sequence[DenseLayer], caches: list, d_out: np.ndarray, grads: Sequence[DenseLayer]
+) -> np.ndarray:
+    """Backpropagate d_out [B, n_out]: adds each layer's weight and bias
+    gradients, summed over the batch, into ``grads`` (one layer each) and
+    returns the input gradient [B, n_in]."""
     delta = np.asarray(d_out, dtype=float)
     for idx in range(len(layers) - 1, -1, -1):
         x, z, a = caches[idx]
         delta = delta * _activation_grad(layers[idx].activation, z, a)
-        grads[idx] = (delta.T @ x, delta.sum(axis=0))
+        grads[idx].weights += delta.T @ x
+        grads[idx].bias += delta.sum(axis=0)
         delta = delta @ layers[idx].weights
-    return grads, delta
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +166,6 @@ class LSTMLayerParams:
     @property
     def hidden_size(self) -> int:
         return self.weights.shape[1]
-
-
-def lstm_layer(rng: np.random.Generator, n_in: int, hidden: int) -> LSTMLayerParams:
-    bound = 1.0 / np.sqrt(n_in + hidden)
-    weights = rng.uniform(-bound, bound, (4, hidden, n_in + hidden))
-    return LSTMLayerParams(weights, rng.uniform(-bound, bound, (4, hidden)))
 
 
 def lstm_gates(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -213,15 +210,17 @@ def lstm_cell_forward(
 
 
 def lstm_cell_backward(
-    layer: LSTMLayerParams, cache: tuple, dh: np.ndarray, dc: np.ndarray
-) -> tuple[LSTMLayerParams, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (param grads summed over the batch, dx, dh_prev, dc_prev)."""
+    layer: LSTMLayerParams, cache: tuple, dh: np.ndarray, dc: np.ndarray, grads: LSTMLayerParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adds the param grads, summed over the batch, into ``grads``; returns
+    (dx, dh_prev, dc_prev)."""
     concat, gates = cache
     dz, dc_prev = lstm_gates_backward(gates, dh, dc)
-    grads = LSTMLayerParams(dz.transpose(0, 2, 1) @ concat, dz.sum(axis=1))
+    grads.weights += dz.transpose(0, 2, 1) @ concat
+    grads.bias += dz.sum(axis=1)
     dconcat = np.tensordot(dz, layer.weights, axes=([0, 2], [0, 1]))
     hidden = layer.hidden_size
-    return grads, dconcat[:, hidden:], dconcat[:, :hidden], dc_prev
+    return dconcat[:, hidden:], dconcat[:, :hidden], dc_prev
 
 
 @dataclass
@@ -230,17 +229,6 @@ class LSTMParams:
 
     layers: list[LSTMLayerParams]
     readout: DenseLayer
-
-
-def lstm_stack(
-    rng: np.random.Generator, n_features: int, hidden: int, n_layers: int
-) -> LSTMParams:
-    layers = []
-    size_in = n_features
-    for _ in range(n_layers):
-        layers.append(lstm_layer(rng, size_in, hidden))
-        size_in = hidden
-    return LSTMParams(layers=layers, readout=dense_layer(rng, hidden, 1, "identity"))
 
 
 def lstm_sequence_forward(params: LSTMParams, windows: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -267,38 +255,17 @@ def lstm_sequence_forward(params: LSTMParams, windows: np.ndarray) -> tuple[np.n
     return pred[:, 0], {"caches": caches, "read": read_cache, "steps": steps}
 
 
-def lstm_param_arrays(params: LSTMParams) -> list[tuple[str, np.ndarray]]:
-    """Stable (name, array) ordering used for flattening and checkpoints;
-    each gate's weights and bias are views of the layer's slabs."""
-    named = []
-    for k, layer in enumerate(params.layers):
-        for gate, letter in enumerate("fico"):
-            named.append((f"layer{k}.w_{letter}", layer.weights[gate]))
-            named.append((f"layer{k}.b_{letter}", layer.bias[gate]))
-    named.append(("readout.weights", params.readout.weights))
-    named.append(("readout.bias", params.readout.bias))
-    return named
-
-
 def lstm_sequence_backward(
-    params: LSTMParams, forward_state: dict, d_pred: np.ndarray
-) -> list[tuple[str, np.ndarray]]:
-    """Backpropagation through time of d_pred [B], summed over the batch;
-    gradient order matches lstm_param_arrays."""
+    params: LSTMParams, forward_state: dict, d_pred: np.ndarray, grads: LSTMParams
+) -> None:
+    """Backpropagation through time of d_pred [B]: adds the gradients,
+    summed over the batch, into ``grads``, which has the shapes of
+    ``params``."""
     caches = forward_state["caches"]
     n_layers = len(params.layers)
-
-    read_grads, dh_last = ffnn_backward(
-        [params.readout], [forward_state["read"]], d_pred[:, None]
+    dh_last = ffnn_backward(
+        [params.readout], [forward_state["read"]], d_pred[:, None], [grads.readout]
     )
-    grads = LSTMParams(
-        layers=[
-            LSTMLayerParams(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-            for layer in params.layers
-        ],
-        readout=DenseLayer(*read_grads[0]),
-    )
-
     dh = [np.zeros_like(dh_last) for _ in range(n_layers)]
     dc = [np.zeros_like(dh_last) for _ in range(n_layers)]
     dh[-1] = dh_last
@@ -306,12 +273,9 @@ def lstm_sequence_backward(
         dx_from_above = None
         for k in range(n_layers - 1, -1, -1):
             dh_k = dh[k] if dx_from_above is None else dh[k] + dx_from_above
-            step, dx_from_above, dh[k], dc[k] = lstm_cell_backward(
-                params.layers[k], caches[t][k], dh_k, dc[k]
+            dx_from_above, dh[k], dc[k] = lstm_cell_backward(
+                params.layers[k], caches[t][k], dh_k, dc[k], grads.layers[k]
             )
-            grads.layers[k].weights += step.weights
-            grads.layers[k].bias += step.bias
-    return lstm_param_arrays(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -375,46 +339,26 @@ def init_optimizer(kind: str, learning_rate: float, n_params: int) -> OptimizerS
     return state
 
 
-def optimizer_step(
-    state: OptimizerState, params: np.ndarray, grads: np.ndarray
-) -> np.ndarray:
-    """One update; returns the new parameter vector (state advances in place)."""
+def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One update of the parameter vector ``params``, in place; the state
+    advances with it."""
     if params.shape != grads.shape:
         raise ConfigurationError("param/gradient shapes disagree")
     lr = state.learning_rate
     state.step += 1
     if state.kind == "sgd":
-        return params - lr * grads
+        params -= lr * grads
+        return
     if state.kind == "rmsprop":
-        state.v = RMSPROP_ALPHA * state.v + (1.0 - RMSPROP_ALPHA) * grads**2
-        return params - lr * grads / (np.sqrt(state.v) + RMSPROP_EPS)
+        state.v *= RMSPROP_ALPHA
+        state.v += (1.0 - RMSPROP_ALPHA) * grads**2
+        params -= lr * grads / (np.sqrt(state.v) + RMSPROP_EPS)
+        return
     # adam, bias-corrected
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads**2
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads**2
     m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
     v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-# ---------------------------------------------------------------------------
-# flattening and checkpoints
-
-
-def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    if not arrays:
-        return np.zeros(0)
-    return np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
-
-
-def unflatten_like(vector: np.ndarray, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    total = sum(a.size for a in arrays)
-    if vector.size != total:
-        raise ConfigurationError(
-            f"vector of size {vector.size} does not match templates ({total})"
-        )
-    out = []
-    cursor = 0
-    for a in arrays:
-        out.append(vector[cursor : cursor + a.size].reshape(a.shape))
-        cursor += a.size
-    return out
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

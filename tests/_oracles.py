@@ -7,7 +7,9 @@ dict loops that the columnar data path replaced, the raw-log oracle the
 ``csv.reader`` chunk loop that the block reader replaced, the synthesis
 oracle the nested per-row loops that columnar synthesis replaced, and the
 window oracle the per-hour run loop that the vectorized ``make_windows``
-replaced.  Nothing here imports the package's kernels."""
+replaced, and the optimizer oracle the out-of-place update that the in-place
+``nn.optimizer_step`` replaced.  Nothing here imports the package's
+kernels."""
 
 from __future__ import annotations
 
@@ -384,3 +386,21 @@ def make_windows(timestamps, features, target, window: int) -> tuple:
         x = np.zeros((0, window, features.shape[1]))
         return x, np.zeros(0), np.zeros(0, dtype=np.int64)
     return np.stack(xs), np.asarray(ys), np.asarray(ends, dtype=np.int64)
+
+
+def optimizer_step(state, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """One sgd, rmsprop or adam update that returns a new parameter vector
+    and gives the state new moment arrays, as the optimizer did before it
+    updated in place; ``state`` has the fields of ``nn.OptimizerState``."""
+    lr = state.learning_rate
+    state.step += 1
+    if state.kind == "sgd":
+        return params - lr * grads
+    if state.kind == "rmsprop":
+        state.v = 0.99 * state.v + (1.0 - 0.99) * grads**2
+        return params - lr * grads / (np.sqrt(state.v) + 1e-8)
+    state.m = 0.9 * state.m + (1.0 - 0.9) * grads
+    state.v = 0.999 * state.v + (1.0 - 0.999) * grads**2
+    m_hat = state.m / (1.0 - 0.9**state.step)
+    v_hat = state.v / (1.0 - 0.999**state.step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)

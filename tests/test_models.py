@@ -1,5 +1,6 @@
 """Model-level tests: wiring, hybrid gradients vs finite differences, training."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -40,6 +41,19 @@ def scalers_for(dataset, names):
         fit_scaler(sub.features, names=names),
         fit_scaler(sub.target, names=("ref_pm25",)),
     )
+
+
+def structure_arrays(params):
+    """Every array in a model's parameter structures: the dataclasses,
+    lists and arrays that its forward pass reads."""
+    if isinstance(params, np.ndarray):
+        return [params]
+    if isinstance(params, list):
+        return [a for item in params for a in structure_arrays(item)]
+    if dataclasses.is_dataclass(params):
+        fields = dataclasses.fields(params)
+        return [a for f in fields for a in structure_arrays(getattr(params, f.name))]
+    return []
 
 
 def fd_flat_gradient(model, x, y, loss_kind, h=1e-6):
@@ -187,17 +201,58 @@ class TestParameterCounts:
             ("qlstm", {"n_qubits": 2, "hidden_size": 3, "shared_fc_out": False, "features": ("pm25", "temp")}, 2),
         ],
     )
-    def test_counted_from_options(self, kind, options, window):
+    def test_counted_from_options(self, tmp_path, kind, options, window):
         """``count_params`` and the shapes that ``load_model`` checks a
         checkpoint against, both read from the options alone, agree with the
-        arrays a built model holds, names and flat order included."""
+        arrays a built model holds, names and flat order included.  Those
+        arrays, and every array the forward pass reads, are views that tile
+        ``flat``, so what ``set_flat`` sets is what ``predict`` runs on, in a
+        built model and in a loaded one."""
         names = tuple(options.get("features", models.default_options(kind)["features"]))
-        inp, tgt = scalers_for(tiny_dataset(), names)
+        ds = tiny_dataset()
+        inp, tgt = scalers_for(ds, names)
         model = models.build_model(kind, names, inp, tgt, options=options, window=window)
         built = [(name, array.shape) for name, array in model.param_arrays()]
         assert list(models._param_shapes(kind, model.options)) == built
         assert models.count_params(kind, model.options) == model.get_flat().size
         assert model.param_count() == model.get_flat().size
+
+        # with every entry of flat holding its index, the views read each
+        # index once, param_arrays reads them in flat order, and each named
+        # array lies within one array the forward pass reads
+        model.set_flat(np.arange(model.param_count(), dtype=float))
+        named = [array for _, array in model.param_arrays()]
+        read = structure_arrays(model.params)
+        assert all(np.shares_memory(a, model.flat) for a in named + read)
+        assert np.array_equal(np.concatenate([a.ravel() for a in named]), model.flat)
+        assert np.array_equal(np.sort(np.concatenate([a.ravel() for a in read])), model.flat)
+        assert all(any(np.isin(a, r).all() for r in read) for a in named)
+
+        models.save_model(model, tmp_path / "model.json")
+        loaded = models.load_model(tmp_path / "model.json")
+        x, _, _ = make_windows(ds.select_features(names), window)
+        vector = np.random.default_rng(3).uniform(-1.0, 1.0, model.param_count())
+        other = models.build_model(kind, names, inp, tgt, options=options, window=window, seed=1)
+        other.set_flat(vector)
+        want = other.predict(x[:5])
+        for target in (model, loaded):
+            before = target.predict(x[:5])
+            target.set_flat(vector)
+            assert np.array_equal(target.predict(x[:5]), want)
+            assert not np.array_equal(before, want)
+
+    def test_lstm_init_draws_gate_matrices_then_biases(self):
+        """Seeding gives an LSTM model's layer-0 slabs the weights of one
+        draw per gate array: the f, i, c and o matrices, then the f, i, c
+        and o biases."""
+        inp, tgt = scalers_for(tiny_dataset(), ("pm25", "temp"))
+        model = models.LSTMModel(("pm25", "temp"), inp, tgt, hidden_size=3, n_layers=2, seed=12)
+        rng = np.random.default_rng(np.random.SeedSequence([12, models.LSTMModel.seed_tag]))
+        bound = 1.0 / np.sqrt(5)
+        matrices = [rng.uniform(-bound, bound, (3, 5)) for _ in range(4)]
+        biases = [rng.uniform(-bound, bound, 3) for _ in range(4)]
+        np.testing.assert_array_equal(model.params.layers[0].weights, np.stack(matrices))
+        np.testing.assert_array_equal(model.params.layers[0].bias, np.stack(biases))
 
     def test_vqr_feature_qubit_mismatch(self):
         ds = tiny_dataset()
@@ -476,6 +531,9 @@ class TestDirectionalGradients:
         monkeypatch.setattr(vqc.CircuitStack, "backward", recording_backward)
         _, grad = model._loss_and_grad_scaled(xs, ys, loss_kind)
         assert lowerings == {"vqr": {"plan"}, "qlstm": {"phase"}}.get(kind, set())
+        _, again = model._loss_and_grad_scaled(xs, ys, loss_kind)
+        np.testing.assert_array_equal(again, grad)
+        assert_fresh(model, grad, again)
 
         def loss_at(flat):
             model.set_flat(flat)
@@ -490,6 +548,14 @@ class TestDirectionalGradients:
             along = float(grad @ direction)
             assert abs(central - along) <= 1e-6 * abs(along)
         model.set_flat(theta)
+
+
+def assert_fresh(model, first, second):
+    """Two gradients of consecutive steps share no buffer with each other
+    or with the parameters, so that comparing them compares two arrays."""
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, model.flat)
+    assert not np.shares_memory(second, model.flat)
 
 
 def shift_backward(stack, circuits, record, weights, inputs):
@@ -521,6 +587,7 @@ class TestQLSTMShiftOracle:
 
         monkeypatch.setattr(vqc.CircuitStack, "backward", shift_backward)
         _, shifted = model._loss_and_grad_scaled(xs, ys, "mse")
+        assert_fresh(model, adjoint, shifted)
         np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("shared", [True, False])
@@ -536,6 +603,7 @@ class TestQLSTMShiftOracle:
 
         monkeypatch.setattr(vqc.CircuitStack, "backward", shift_backward)
         _, shifted = model._loss_and_grad_scaled(xs, ys, "mse")
+        assert_fresh(model, adjoint, shifted)
         np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
 
 

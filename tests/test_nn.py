@@ -1,30 +1,86 @@
-"""Dense/LSTM forward-backward checks, losses, optimizers, flat parameters."""
+"""Dense/LSTM forward-backward checks, losses, optimizers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracle
 from qscale.errors import ConfigurationError
 from qscale import nn
 from qscale.nn import (
+    OPTIMIZER_KINDS,
     DenseLayer,
+    LSTMLayerParams,
     LSTMParams,
-    dense_layer,
     ffnn_backward,
     ffnn_forward,
-    flatten_arrays,
     init_optimizer,
     loss_grad,
     loss_value,
     lstm_cell_forward,
-    lstm_param_arrays,
     lstm_sequence_backward,
     lstm_sequence_forward,
-    lstm_stack,
     optimizer_step,
     rmse,
-    unflatten_like,
 )
+
+
+def flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def unflatten_like(vector, arrays):
+    """``vector`` cut into arrays of the shapes of ``arrays``, in order."""
+    assert vector.size == sum(a.size for a in arrays)
+    bounds = np.cumsum([0] + [a.size for a in arrays])
+    return [vector[lo:hi].reshape(a.shape) for lo, hi, a in zip(bounds, bounds[1:], arrays)]
+
+
+def dense_layer(rng, n_in, n_out, activation="identity"):
+    bound = 1.0 / np.sqrt(n_in)
+    weights = rng.uniform(-bound, bound, (n_out, n_in))
+    return DenseLayer(weights, rng.uniform(-bound, bound, n_out), activation)
+
+
+def lstm_stack(rng, n_features, hidden, n_layers):
+    """Layers drawn as the LSTM model draws them: each layer's four gate
+    matrices in one draw, then its four biases; then the readout."""
+    layers = []
+    for k in range(n_layers):
+        width = hidden + (n_features if k == 0 else hidden)
+        bound = 1.0 / np.sqrt(width)
+        weights = rng.uniform(-bound, bound, (4, hidden, width))
+        layers.append(LSTMLayerParams(weights, rng.uniform(-bound, bound, (4, hidden))))
+    return LSTMParams(layers, dense_layer(rng, hidden, 1))
+
+
+def lstm_arrays(params):
+    """Every array of an LSTM stack: each layer's slabs, then the readout."""
+    return [a for layer in params.layers for a in (layer.weights, layer.bias)] + [
+        params.readout.weights,
+        params.readout.bias,
+    ]
+
+
+def lstm_from_arrays(arrays):
+    """The stack whose ``lstm_arrays`` are ``arrays``."""
+    layers = [LSTMLayerParams(w, b) for w, b in zip(arrays[:-2:2], arrays[1:-2:2])]
+    return LSTMParams(layers, DenseLayer(arrays[-2], arrays[-1]))
+
+
+def ffnn_grads(layers, caches, d_out):
+    """ffnn_backward's parameter gradients, flattened layer by layer."""
+    grads = [DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+    ffnn_backward(layers, caches, d_out, grads)
+    return flatten([a for g in grads for a in (g.weights, g.bias)])
+
+
+def lstm_grads(params, state, d_pred):
+    """lstm_sequence_backward's gradients, flattened as ``lstm_arrays``."""
+    grads = lstm_from_arrays([np.zeros_like(a) for a in lstm_arrays(params)])
+    lstm_sequence_backward(params, state, d_pred, grads)
+    return flatten(lstm_arrays(grads))
 
 
 def random_ffnn(rng, sizes, activations=None):
@@ -50,7 +106,7 @@ def ffnn_flat_loss(layers, x, target, kind):
         out, _ = ffnn_forward(probe, x[None])
         return loss_value(kind, out[0], np.array([target]))
 
-    return f, flatten_arrays(arrays)
+    return f, flatten(arrays)
 
 
 class TestDenseForward:
@@ -94,8 +150,7 @@ class TestFFNNGradients:
             target = float(rng.uniform(-1, 1))
             out, caches = ffnn_forward(layers, x[None])
             d_out = loss_grad(kind, out[0], np.array([target]))
-            grads, _ = ffnn_backward(layers, caches, d_out[None])
-            flat_grad = flatten_arrays([a for g in grads for a in g])
+            flat_grad = ffnn_grads(layers, caches, d_out[None])
             f, vec = ffnn_flat_loss(layers, x, target, kind)
             fd = oracle.central_difference(f, vec)
             assert np.max(np.abs(flat_grad - fd)) < 1e-4 * (1 + np.max(np.abs(fd)))
@@ -105,7 +160,8 @@ class TestFFNNGradients:
         layers = random_ffnn(rng, [3, 4, 1])
         x = rng.uniform(-1, 1, 3)
         out, caches = ffnn_forward(layers, x[None])
-        _, dx = ffnn_backward(layers, caches, np.array([[1.0]]))
+        zeros = [DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+        dx = ffnn_backward(layers, caches, np.array([[1.0]]), zeros)
         fd = oracle.central_difference(
             lambda probe: float(ffnn_forward(layers, probe[None])[0][0, 0]), x
         )
@@ -126,17 +182,6 @@ class TestLSTMCell:
         h, c, _ = lstm_cell_forward(layer, np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((1, 2)))
         np.testing.assert_allclose(h, 0.0)
         np.testing.assert_allclose(c, 0.0)
-
-    def test_init_draws_gate_matrices_then_biases(self):
-        """Seeding gives the weights of one draw per gate array: the f, i,
-        c and o matrices, then the f, i, c and o biases."""
-        layer = nn.lstm_layer(np.random.default_rng(12), 2, 3)
-        rng = np.random.default_rng(12)
-        bound = 1.0 / np.sqrt(5)
-        matrices = [rng.uniform(-bound, bound, (3, 5)) for _ in range(4)]
-        biases = [rng.uniform(-bound, bound, 3) for _ in range(4)]
-        np.testing.assert_array_equal(layer.weights, np.stack(matrices))
-        np.testing.assert_array_equal(layer.bias, np.stack(biases))
 
     def test_stack_shapes(self):
         rng = np.random.default_rng(3)
@@ -187,32 +232,15 @@ class TestLSTMSequence:
 
             pred, state = lstm_sequence_forward(params, window[None])
             d_pred = loss_grad(kind, pred, np.array([target]))
-            grads = lstm_sequence_backward(params, state, d_pred)
-            flat = flatten_arrays([g for _, g in grads])
-
-            arrays = [a for _, a in lstm_param_arrays(params)]
+            flat = lstm_grads(params, state, d_pred)
+            arrays = lstm_arrays(params)
 
             def f(vec):
-                pieces = unflatten_like(vec, arrays)
-                probe_layers = []
-                cursor = 0
-                for k in range(n_layers):
-                    # pieces run w_f, b_f, w_i, b_i, ... per layer
-                    probe_layers.append(
-                        nn.LSTMLayerParams(
-                            np.stack(pieces[cursor : cursor + 8 : 2]),
-                            np.stack(pieces[cursor + 1 : cursor + 8 : 2]),
-                        )
-                    )
-                    cursor += 8
-                probe = LSTMParams(
-                    layers=probe_layers,
-                    readout=DenseLayer(pieces[cursor], pieces[cursor + 1], "identity"),
-                )
+                probe = lstm_from_arrays(unflatten_like(vec, arrays))
                 p, _ = lstm_sequence_forward(probe, window[None])
                 return loss_value(kind, p, np.array([target]))
 
-            fd = oracle.central_difference(f, flatten_arrays(arrays))
+            fd = oracle.central_difference(f, flatten(arrays))
             assert np.max(np.abs(flat - fd)) < 1e-4 * (1 + np.max(np.abs(fd)))
 
 
@@ -238,15 +266,12 @@ class TestBatchedEqualsPerSample:
             out, caches = ffnn_forward(layers, x)
             preds = out[:, 0]
             d_preds = loss_grad(kind, preds, y)
-            grads, _ = ffnn_backward(layers, caches, d_preds[:, None])
-            flat = flatten_arrays([a for g in grads for a in g])
+            flat = ffnn_grads(layers, caches, d_preds[:, None])
 
             singles = [ffnn_forward(layers, row[None]) for row in x]
             single_preds = np.array([o[0, 0] for o, _ in singles])
             per_sample = sum(
-                flatten_arrays(
-                    [a for g in ffnn_backward(layers, c, np.array([[d]]))[0] for a in g]
-                )
+                ffnn_grads(layers, c, np.array([[d]]))
                 for (_, c), d in zip(singles, loss_grad(kind, single_preds, y))
             )
             assert loss_value(kind, preds, y) == pytest.approx(
@@ -266,16 +291,12 @@ class TestBatchedEqualsPerSample:
                 y = rng.uniform(-1, 1, batch)
                 preds, state = lstm_sequence_forward(params, windows)
                 d_preds = loss_grad(kind, preds, y)
-                flat = flatten_arrays(
-                    [g for _, g in lstm_sequence_backward(params, state, d_preds)]
-                )
+                flat = lstm_grads(params, state, d_preds)
 
                 singles = [lstm_sequence_forward(params, w[None]) for w in windows]
                 single_preds = np.array([p[0] for p, _ in singles])
                 per_sample = sum(
-                    flatten_arrays(
-                        [g for _, g in lstm_sequence_backward(params, st, np.array([d]))]
-                    )
+                    lstm_grads(params, st, np.array([d]))
                     for (_, st), d in zip(singles, loss_grad(kind, single_preds, y))
                 )
                 assert loss_value(kind, preds, y) == pytest.approx(
@@ -322,28 +343,30 @@ class TestLosses:
 class TestOptimizers:
     def test_sgd_example(self):
         state = init_optimizer("sgd", 0.1, 1)
-        out = optimizer_step(state, np.array([1.0]), np.array([0.5]))
-        np.testing.assert_allclose(out, [0.95])
+        p = np.array([1.0])
+        optimizer_step(state, p, np.array([0.5]))
+        np.testing.assert_allclose(p, [0.95])
 
     def test_adam_first_step(self):
         state = init_optimizer("adam", 0.01, 1)
-        out = optimizer_step(state, np.array([1.0]), np.array([1.0]))
+        p = np.array([1.0])
+        optimizer_step(state, p, np.array([1.0]))
         # bias correction makes the first step ~ lr regardless of gradient scale
-        assert abs(out[0] - 0.99) < 1e-9
+        assert abs(p[0] - 0.99) < 1e-9
 
     def test_zero_gradient_keeps_params(self):
         for kind in ("sgd", "adam", "rmsprop"):
             state = init_optimizer(kind, 0.05, 3)
             p = np.array([1.0, -2.0, 0.5])
-            out = optimizer_step(state, p, np.zeros(3))
-            np.testing.assert_allclose(out, p)
+            optimizer_step(state, p, np.zeros(3))
+            np.testing.assert_allclose(p, [1.0, -2.0, 0.5])
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "rmsprop"])
     def test_descends_quadratic(self, kind):
         state = init_optimizer(kind, 0.05, 2)
         p = np.array([1.5, -2.0])
         for _ in range(200):
-            p = optimizer_step(state, p, 2.0 * p)  # grad of |p|^2
+            optimizer_step(state, p, 2.0 * p)  # grad of |p|^2
         assert np.linalg.norm(p) < 0.2
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "rmsprop"])
@@ -352,10 +375,37 @@ class TestOptimizers:
             state = init_optimizer(kind, 0.01, 4)
             p = np.linspace(-1, 1, 4)
             for step in range(50):
-                p = optimizer_step(state, p, np.sin(p + step))
+                optimizer_step(state, p, np.sin(p + step))
             return p
 
         np.testing.assert_array_equal(run(), run())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(OPTIMIZER_KINDS),
+        learning_rate=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 6),
+        zero_steps=st.sets(st.integers(0, 11)),
+    )
+    def test_in_place_matches_out_of_place(self, kind, learning_rate, seed, size, zero_steps):
+        """Twelve in-place updates, some with zero gradients, leave the
+        parameters, the step count and the moments bit-equal to the
+        out-of-place update that returned a new vector."""
+        rng = np.random.default_rng(seed)
+        state = init_optimizer(kind, learning_rate, size)
+        reference = init_optimizer(kind, learning_rate, size)
+        params = rng.normal(size=size)
+        want = params.copy()
+        for step in range(12):
+            grads = np.zeros(size) if step in zero_steps else rng.normal(scale=2.0, size=size)
+            optimizer_step(state, params, grads)
+            want = oracle.optimizer_step(reference, want, grads)
+            assert np.array_equal(params, want)
+            assert state.step == reference.step
+            for moment in ("m", "v"):
+                got, expected = getattr(state, moment), getattr(reference, moment)
+                assert (got is None and expected is None) or np.array_equal(got, expected)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -364,17 +414,3 @@ class TestOptimizers:
     def test_bad_learning_rate(self):
         with pytest.raises(ConfigurationError):
             init_optimizer("sgd", 0.0, 1)
-
-
-class TestCheckpoints:
-    def test_flatten_unflatten_round_trip(self):
-        rng = np.random.default_rng(10)
-        arrays = [rng.normal(size=(3, 2)), rng.normal(size=5)]
-        vec = flatten_arrays(arrays)
-        back = unflatten_like(vec, arrays)
-        for a, b in zip(arrays, back):
-            np.testing.assert_array_equal(a, b)
-
-    def test_unflatten_size_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            unflatten_like(np.zeros(3), [np.zeros((2, 2))])
