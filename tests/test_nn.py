@@ -69,9 +69,14 @@ def lstm_from_arrays(arrays):
     return LSTMParams(layers, DenseLayer(arrays[-2], arrays[-1]))
 
 
+def zero_layers(layers):
+    """Zero gradient layers of the shapes of ``layers``."""
+    return [DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+
+
 def ffnn_grads(layers, caches, d_out):
     """ffnn_backward's parameter gradients, flattened layer by layer."""
-    grads = [DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+    grads = zero_layers(layers)
     ffnn_backward(layers, caches, d_out, grads)
     return flatten([a for g in grads for a in (g.weights, g.bias)])
 
@@ -160,8 +165,7 @@ class TestFFNNGradients:
         layers = random_ffnn(rng, [3, 4, 1])
         x = rng.uniform(-1, 1, 3)
         out, caches = ffnn_forward(layers, x[None])
-        zeros = [DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
-        dx = ffnn_backward(layers, caches, np.array([[1.0]]), zeros)
+        dx = ffnn_backward(layers, caches, np.array([[1.0]]), zero_layers(layers))
         fd = oracle.central_difference(
             lambda probe: float(ffnn_forward(layers, probe[None])[0][0, 0]), x
         )
