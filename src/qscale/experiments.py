@@ -107,37 +107,17 @@ def score_holdout(
     return models.prediction_losses(preds, y), models.series_rows(test_set, preds, y, ends)
 
 
-def _evaluate_on_fold(
-    kind: str,
-    dataset: CalibrationDataset,
-    config: TrainConfig,
-    options: Optional[dict],
-    fold_index: int,
-    test_indices: np.ndarray,
-) -> dict:
-    n = len(dataset)
-    mask = np.ones(n, dtype=bool)
-    mask[test_indices] = False
-    train_set = dataset.subset(np.nonzero(mask)[0])
-    test_set = dataset.subset(test_indices)
-    fold_seed = int(config.seed) + fold_index
-    fold_config = replace(config, seed=fold_seed)
-    entry: dict = {
-        "fold": fold_index,
-        "seed": fold_seed,
-        "train_hours": int(len(train_set)),
-        "test_hours": int(len(test_set)),
-    }
-    try:
-        model, history = models.fit_model(kind, train_set, fold_config, options)
-    except TrainingDivergedError as err:
-        entry["error"] = str(err)
-        return entry
-    losses, entry["series"] = score_holdout(model, test_set)
+def _evaluate_on_fold(entry: dict, model, outcome, test_set: CalibrationDataset) -> list[dict]:
+    """Complete a fold's ``entry`` from its model's training ``outcome``,
+    the epoch losses or the ``TrainingDivergedError`` that ended them, and
+    its held-out hours; returns the fold's series rows."""
+    if isinstance(outcome, TrainingDivergedError):
+        entry["error"] = str(outcome)
+        return []
+    losses, series = score_holdout(model, test_set)
     entry.update(losses)
-    entry["final_train_loss"] = history[-1] if history else None
-    entry["model"] = model
-    return entry
+    entry["final_train_loss"] = outcome[-1] if outcome else None
+    return series
 
 
 def cross_validate(
@@ -150,10 +130,13 @@ def cross_validate(
 ) -> "MetricsReport":
     """Train/evaluate on every fold; divergent folds are recorded, not fatal.
 
-    Folds run one after another in the calling thread.  ``n_threads`` is
-    accepted and unused: a thread pool only slowed the small GIL-bound NumPy
-    calls training makes.  ``options`` and ``param_count`` come from the first
-    fold that trained; when every fold diverged, ``param_count`` is None and
+    Fold i trains with seed ``config.seed + i`` on the hours outside it.
+    All folds train in lockstep (``models.train_lockstep``), one model per
+    fold stacked into one, each ending with the weights and losses it would
+    have had alone, and a fold that diverges leaves the others unchanged.
+    ``n_threads`` is accepted and unused: the folds run in the calling
+    thread.  ``options`` and ``param_count`` come from the first fold that
+    trained; when every fold diverged, ``param_count`` is None and
     ``options`` are the caller's merged over the kind's defaults.
     """
     if config.window > 1 and spec.mode != "contiguous":
@@ -161,16 +144,27 @@ def cross_validate(
             "sequence models need contiguous folds; shuffled folds would "
             "leave no intact training windows"
         )
-    entries: list[dict] = []
-    series: list[dict] = []
-    trained = None
+    entries, fits, test_sets, configs = [], [], [], []
     for i, test_indices in enumerate(make_folds(len(dataset), spec)):
-        entry = _evaluate_on_fold(kind, dataset, config, options, i, test_indices)
-        series.extend(entry.pop("series", []))
-        model = entry.pop("model", None)
-        if trained is None:
-            trained = model
-        entries.append(entry)
+        mask = np.ones(len(dataset), dtype=bool)
+        mask[test_indices] = False
+        train_set = dataset.subset(np.nonzero(mask)[0])
+        test_sets.append(dataset.subset(test_indices))
+        configs.append(replace(config, seed=int(config.seed) + i))
+        entries.append(
+            {
+                "fold": i,
+                "seed": configs[-1].seed,
+                "train_hours": int(len(train_set)),
+                "test_hours": int(len(test_sets[-1])),
+            }
+        )
+        fits.append(models.prepare_fit(kind, train_set, configs[-1], options))
+    fold_models, xs, ys = zip(*fits)
+    outcomes = models.train_lockstep(fold_models, xs, ys, configs)
+    series: list[dict] = []
+    for entry, model, outcome, test_set in zip(entries, fold_models, outcomes, test_sets):
+        series.extend(_evaluate_on_fold(entry, model, outcome, test_set))
     series.sort(key=lambda row: row["timestamp"])
 
     good = [e for e in entries if "error" not in e]
@@ -179,6 +173,7 @@ def cross_validate(
         average = {
             key: float(np.mean([e[key] for e in good])) for key in models.METRICS
         }
+    trained = next((m for m, e in zip(fold_models, entries) if "error" not in e), None)
     report_options = trained.options if trained else models.resolve_options(kind, options)
     return MetricsReport(
         model_kind=kind,
@@ -298,8 +293,13 @@ def grid_search(
 ) -> "GridSearchResult":
     """Train every grid point on one fixed chronological split and rank.
 
-    Points run one after another in the calling thread; ``n_threads`` is
-    accepted and unused, as in ``cross_validate``.
+    Points whose models share one layout (``models.layout``: the same
+    window and the same options but feature names) train in lockstep, one
+    ``models.train_lockstep`` per layout; their learning rate, loss,
+    optimizer, batch size and epochs may differ.  Each ends with the
+    weights it would have had alone, and a point that fails or diverges is
+    recorded without touching the others.  ``n_threads`` is accepted and
+    unused, as in ``cross_validate``.
     """
     total = grid_size(grid)
     if rank_loss not in models.METRICS:
@@ -307,19 +307,32 @@ def grid_search(
     base = base_config or models.default_config(kind)
     train_set, test_set = chronological_split(dataset, train_fraction)
     entries: list[dict] = []
+    by_layout: dict[tuple, list] = {}
     for index, overrides in enumerate(grid_points(grid)):
         entry: dict = {"index": index, "params": models._jsonable(overrides)}
+        entries.append(entry)
         config_fields, option_fields = models.split_settings(overrides)
         try:
             config = replace(base, **{**config_fields, "seed": int(seed)})
-            model, history = models.fit_model(
+            model, x, y = models.prepare_fit(
                 kind, train_set, config, {**(options or {}), **option_fields}
             )
-            entry.update(score_holdout(model, test_set)[0])
-            entry["final_train_loss"] = history[-1] if history else None
-        except (ConfigurationError, DataError, TrainingDivergedError) as err:
+        except (ConfigurationError, DataError) as err:
             entry["error"] = f"{type(err).__name__}: {err}"
-        entries.append(entry)
+            continue
+        by_layout.setdefault(models.layout(model), []).append((entry, model, x, y, config))
+
+    for points in by_layout.values():
+        point_entries, point_models, xs, ys, configs = zip(*points)
+        outcomes = models.train_lockstep(point_models, xs, ys, configs)
+        for entry, model, outcome in zip(point_entries, point_models, outcomes):
+            try:
+                if isinstance(outcome, TrainingDivergedError):
+                    raise outcome
+                entry.update(score_holdout(model, test_set)[0])
+                entry["final_train_loss"] = outcome[-1] if outcome else None
+            except (DataError, TrainingDivergedError) as err:
+                entry["error"] = f"{type(err).__name__}: {err}"
 
     ranked = sorted(
         (e for e in entries if "error" not in e), key=lambda e: (e[rank_loss], e["index"])

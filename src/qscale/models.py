@@ -18,7 +18,7 @@ circuits, classical ones by backpropagation, mixed via the chain rule.  A
 model's circuits run as one ``vqc.CircuitStack`` per training step or
 ``predict`` call, which lowers them as phase polynomials (the qlstm's
 ring-RX circuits) or through the fused plan (the vqr's); a vqr ``predict``
-of at least 2**n rows, which nothing differentiates, runs them as one
+of at least 3 x 2**n rows, which nothing differentiates, runs them as one
 ansatz matrix instead.  Each backward pass reuses what the forward pass
 that made the predictions kept.  Parameter shift
 stays as the public, hardware-realistic gradient and as the oracle the
@@ -34,10 +34,18 @@ losses are the ``METRICS`` table, by name.
 Each model holds its parameters in one float64 vector, ``flat``; every
 array it computes with (dense layers, LSTM gate slabs, the QLSTM's fc_out
 slab pair, circuit angles) is a view of it that the kind's ``_bind`` lays
-over any vector of that layout: over ``flat`` once, and over a fresh zero
-gradient vector on each training step, whose backward pass adds into them.
-``nn.optimizer_step`` updates ``flat`` in place.  ``param_arrays`` cuts
+over any vector of that layout, or over a [K, P] matrix of K such vectors,
+each structure then with a leading model axis.  ``param_arrays`` cuts
 ``flat`` into the per-gate and per-map arrays checkpoints store.
+
+Training has one loop, ``train_lockstep``: K models of one layout train as
+one stack (``_ModelBase._stacked``) whose parameters are the rows of a
+[K, P] matrix, each step one forward and one backward pass over all K
+minibatches, their gradients added into views of one [K, P] gradient, and
+``nn.optimizer_step`` updating the matrix in place.  Each model keeps its
+own seed, scalers, batch order and optimizer state, so it ends as it would
+have trained alone; ``train`` and ``fit_model`` are the case K = 1, and
+cross-validation and grid search train their folds and points through it.
 
 A kind's option defaults live only in ``_DEFAULT_OPTIONS`` and its default
 window only in ``_DEFAULT_CONFIGS``.  Every model is built by one path:
@@ -48,11 +56,12 @@ window only in ``_DEFAULT_CONFIGS``.  Every model is built by one path:
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import islice
+from itertools import compress, groupby, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -248,7 +257,11 @@ class _ModelBase:
         """Fill ``params`` with the kind's draws from ``rng``."""
         raise NotImplementedError
 
-    def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
+    def _loss_and_grad_scaled(self, x_scaled: np.ndarray, loss) -> tuple:
+        """One training step's loss and flat gradient.  ``loss`` maps the
+        predictions to (loss, d loss / d predictions).  A stack of K models
+        (see :meth:`_stacked`) takes their windows model-major, [K * B, T,
+        features], and returns the gradient [K, P]."""
         raise NotImplementedError
 
     def _predict_scaled(self, x_scaled: np.ndarray) -> np.ndarray:
@@ -271,9 +284,31 @@ class _ModelBase:
         return list(zip(names, _cut(self.flat, shapes)))
 
     def _zero_grads(self):
-        """A fresh zero gradient vector and the kind's structures over it."""
-        grad = np.zeros_like(self.flat)
-        return grad, self._bind(grad)
+        """A zero gradient vector and the kind's structures over it: fresh
+        for a model, and for a stack its one buffer, zeroed, since its
+        trainer is done with each step's gradient before the next step."""
+        if self._grads is None:
+            grad = np.zeros_like(self.flat)
+            return grad, self._bind(grad)
+        self._grads[0].fill(0.0)
+        return self._grads
+
+    _grads = None
+
+    def _stacked(self, flat: np.ndarray):
+        """A copy of this model whose parameters are ``flat`` [K, P], the
+        vectors of K models of its layout, one per row: its forward and
+        backward passes run all K at once, each model on its own rows."""
+        stack = copy.copy(self)
+        stack.flat, stack.params = flat, self._bind(flat)
+        grad = np.zeros_like(flat)
+        stack._grads = grad, self._bind(grad)
+        return stack
+
+    def _by_model(self, x_scaled: np.ndarray) -> np.ndarray:
+        """Windows [K * B, T, features] of a stack as [K, B, T, features];
+        one model's windows [B, T, features] as they are."""
+        return x_scaled.reshape(self.flat.shape[:-1] + (-1,) + x_scaled.shape[1:])
 
     def param_count(self) -> int:
         return count_params(self.kind, self.options)
@@ -345,15 +380,14 @@ class FFNNModel(_ModelBase):
             nn.draw_uniform(rng, layer.weights, layer.bias)
 
     def _predict_scaled(self, x_scaled):
-        return nn.ffnn_forward(self.params, x_scaled[:, 0])[0][:, 0]
+        return nn.ffnn_forward(self.params, x_scaled[..., 0, :])[0][..., 0]
 
-    def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        out, caches = nn.ffnn_forward(self.params, x_scaled[:, 0])
-        preds = out[:, 0]
-        d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
+    def _loss_and_grad_scaled(self, x_scaled, loss):
+        out, caches = nn.ffnn_forward(self.params, self._by_model(x_scaled)[..., 0, :])
+        value, d_preds = loss(out[..., 0])
         grad, grads = self._zero_grads()
-        nn.ffnn_backward(self.params, caches, d_preds[:, None], grads)
-        return nn.loss_value(loss_kind, preds, y_scaled), grad
+        nn.ffnn_backward(self.params, caches, d_preds[..., None], grads)
+        return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +418,12 @@ class LSTMModel(_ModelBase):
     def _predict_scaled(self, x_scaled):
         return nn.lstm_sequence_forward(self.params, x_scaled)[0]
 
-    def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        preds, state = nn.lstm_sequence_forward(self.params, x_scaled)
-        d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
+    def _loss_and_grad_scaled(self, x_scaled, loss):
+        preds, state = nn.lstm_sequence_forward(self.params, self._by_model(x_scaled))
+        value, d_preds = loss(preds)
         grad, grads = self._zero_grads()
         nn.lstm_sequence_backward(self.params, state, d_preds, grads)
-        return nn.loss_value(loss_kind, preds, y_scaled), grad
+        return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +453,10 @@ class VQRModel(_ModelBase):
         return vector  # the angles are the whole vector
 
     def _circuits(self, rows: Optional[int] = None) -> vqc.CircuitStack:
-        """The model's circuit stack; ``rows``, the rows a forward-only
-        stack runs, lets a predict take the ansatz matrix."""
-        return vqc.CircuitStack(self.template, self.params[None], rows)
+        """The model's circuit stack, one circuit per model; ``rows``, the
+        rows a forward-only stack runs, lets a predict take the ansatz
+        matrix."""
+        return vqc.CircuitStack(self.template, self.params[..., None, :], rows)
 
     def _predictor(self, rows):
         return partial(self._predict_scaled, circuits=self._circuits(rows))
@@ -430,15 +465,15 @@ class VQRModel(_ModelBase):
         circuits = circuits or self._circuits(x_scaled.shape[0])
         return circuits.run(slice(None), x_scaled[:, 0])[0][0, :, 0]
 
-    def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
-        inputs = x_scaled[:, 0]
+    def _loss_and_grad_scaled(self, x_scaled, loss):
+        inputs = self._by_model(x_scaled)[..., 0, :]
         circuits = self._circuits()
         exps, record = circuits.run(slice(None), inputs)
-        preds = exps[0, :, 0]
+        value, d_preds = loss(exps[..., 0, :, 0])
         weights = np.zeros_like(exps)
-        weights[0, :, 0] = nn.loss_grad(loss_kind, preds, y_scaled)
+        weights[..., 0, :, 0] = d_preds
         circuits.backward(slice(None), record, weights, inputs)
-        return nn.loss_value(loss_kind, preds, y_scaled), circuits.param_grads()[0]
+        return value, circuits.param_grads()[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +561,11 @@ class QLSTMModel(_ModelBase):
         return vqc.CircuitStack(self.template, self.params.angles)
 
     def _expand(self, gates: slice, e: np.ndarray) -> np.ndarray:
-        """The given circuits' expectations e [K, B, n] through their fc_out
-        entries; returns [K, B, hidden]."""
+        """The given circuits' expectations e [..., k, B, n] through their
+        fc_out entries; returns [..., k, B, hidden]."""
         slots, p = self.fc_out_slot[gates], self.params
-        return e @ p.fc_out_weights[slots].transpose(0, 2, 1) + p.fc_out_bias[slots, None]
+        weights = p.fc_out_weights[..., slots, :, :]
+        return e @ weights.swapaxes(-1, -2) + p.fc_out_bias[..., slots, None, :]
 
     def cell_forward(
         self,
@@ -538,18 +574,19 @@ class QLSTMModel(_ModelBase):
         c_prev: np.ndarray,
         circuits: Optional[vqc.CircuitStack] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """One time step on scaled inputs x_t [B, features] and states
-        h_prev, c_prev [B, hidden], its circuits run by ``circuits`` (by
-        default a stack for this step alone); returns (h, c, y [B], cache)."""
+        """One time step on scaled inputs x_t [..., B, features] and states
+        h_prev, c_prev [..., B, hidden], its circuits run by ``circuits`` (by
+        default a stack for this step alone); returns (h, c, y [..., B],
+        cache)."""
         circuits, p = circuits or self._circuits(), self.params
-        concat = np.concatenate([h_prev, x_t], axis=1)
-        v = concat @ p.fc_in.weights.T + p.fc_in.bias
+        concat = np.concatenate([h_prev, x_t], axis=-1)
+        v = nn.dense_forward(p.fc_in, concat)[0]
         e, gate_run = circuits.run(slice(0, 4), v)
         u, c, gates = nn.lstm_gates(self._expand(slice(0, 4), e), c_prev)
-        w = u @ p.projection.weights.T + p.projection.bias
+        w = nn.dense_forward(p.projection, u)[0]
         e_out, out_run = circuits.run(slice(4, 6), w)
-        h, q = self._expand(slice(4, 6), e_out)
-        y = q @ p.readout.weights[0] + p.readout.bias[0]
+        h, q = np.moveaxis(self._expand(slice(4, 6), e_out), -3, 0)
+        y = nn.dense_forward(p.readout, q)[0][..., 0]
         cache = {
             "concat": concat,
             "v": v,
@@ -567,15 +604,15 @@ class QLSTMModel(_ModelBase):
     def sequence_forward(
         self, x_scaled: np.ndarray, circuits: vqc.CircuitStack, keep_caches: bool = True
     ) -> tuple[np.ndarray, list[dict]]:
-        """Run windows [B, T, features] through the cell, its circuits run
-        by ``circuits``; returns the predictions [B] and, when
+        """Run windows [..., B, T, features] through the cell, its circuits
+        run by ``circuits``; returns the predictions [..., B] and, when
         ``keep_caches``, the per-step caches that :meth:`_backward`
         consumes.  Otherwise each step's cache, circuit amplitudes included,
         is dropped as it goes."""
-        h = c = np.zeros((x_scaled.shape[0], self.hidden_size))
+        h = c = np.zeros(x_scaled.shape[:-2] + (self.hidden_size,))
         caches = []
-        for t in range(x_scaled.shape[1]):
-            h, c, y, cache = self.cell_forward(x_scaled[:, t], h, c, circuits)
+        for t in range(x_scaled.shape[-2]):
+            h, c, y, cache = self.cell_forward(x_scaled[..., t, :], h, c, circuits)
             if keep_caches:
                 caches.append(cache)
             del cache  # a predict holds no step's circuit records into the next step
@@ -595,53 +632,48 @@ class QLSTMModel(_ModelBase):
     ) -> np.ndarray:
         """Backpropagation through time over the batch, through the
         circuits that ran the forward pass; a fresh flat gradient."""
-        hidden, steps, batch = self.hidden_size, len(caches), d_pred.shape[0]
+        hidden, steps, lead = self.hidden_size, len(caches), self.flat.shape[:-1]
         p = self.params
         grad, g = self._zero_grads()
-        grad_fc_w = np.zeros((6, hidden, self.n_qubits))
-        grad_fc_b = np.zeros((6, hidden))
-        gate_weights = p.fc_out_weights[self.fc_out_slot[:4]]
-        dh = np.zeros((batch, hidden))
-        dc = np.zeros((batch, hidden))
+        grad_fc_w = np.zeros(lead + (6, hidden, self.n_qubits))
+        grad_fc_b = np.zeros(lead + (6, hidden))
+        gate_weights = p.fc_out_weights[..., self.fc_out_slot[:4], :, :]
+        dh = np.zeros(d_pred.shape + (hidden,))
+        dc = np.zeros_like(dh)
         for t in range(steps - 1, -1, -1):
             cache = caches[t]
             # Nothing reads h after the last step, and the prediction reads
             # circuit 6 at the last step only, so each step sends gradient
             # back through exactly one of circuits 5 and 6.
             if t == steps - 1:
-                g.readout.weights += (d_pred @ cache["q"])[None, :]
-                g.readout.bias += d_pred.sum()
-                k, d_out = 5, d_pred[:, None] * p.readout.weights[0]
+                k, d_out = 5, nn.linear_backward(p.readout, cache["q"], d_pred[..., None], g.readout)
             else:
                 k, d_out = 4, dh
-            grad_fc_w[k] += d_out.T @ cache["e_out"][k - 4]
-            grad_fc_b[k] += d_out.sum(axis=0)
+            grad_fc_w[..., k, :, :] += d_out.swapaxes(-1, -2) @ cache["e_out"][..., k - 4, :, :]
+            grad_fc_b[..., k, :] += d_out.sum(axis=-2)
             d_exps = np.zeros_like(cache["e_out"])
-            d_exps[k - 4] = d_out @ p.fc_out_weights[self.fc_out_slot[k]]
+            d_exps[..., k - 4, :, :] = d_out @ p.fc_out_weights[..., self.fc_out_slot[k], :, :]
             dw = circuits.backward(slice(4, 6), cache["out_run"], d_exps, cache["w"])
-            g.projection.weights += dw.T @ cache["u"]
-            g.projection.bias += dw.sum(axis=0)
-            du = dw @ p.projection.weights
+            du = nn.linear_backward(p.projection, cache["u"], dw, g.projection)
 
             dz, dc = nn.lstm_gates_backward(cache["gates"], du, dc)
-            grad_fc_w[:4] += dz.transpose(0, 2, 1) @ cache["e"]
-            grad_fc_b[:4] += dz.sum(axis=1)
+            grad_fc_w[..., :4, :, :] += dz.swapaxes(-1, -2) @ cache["e"]
+            grad_fc_b[..., :4, :] += dz.sum(axis=-2)
             dv = circuits.backward(slice(0, 4), cache["gate_run"], dz @ gate_weights, cache["v"])
-            g.fc_in.weights += dv.T @ cache["concat"]
-            g.fc_in.bias += dv.sum(axis=0)
-            dh = (dv @ p.fc_in.weights)[:, :hidden]
+            dh = nn.linear_backward(p.fc_in, cache["concat"], dv, g.fc_in)[..., :hidden]
 
         # each fc_out entry sums the gradients of the circuits in its slot
-        np.add.at(g.fc_out_weights, self.fc_out_slot, grad_fc_w)
-        np.add.at(g.fc_out_bias, self.fc_out_slot, grad_fc_b)
+        every = slice(None)
+        np.add.at(g.fc_out_weights, (..., self.fc_out_slot, every, every), grad_fc_w)
+        np.add.at(g.fc_out_bias, (..., self.fc_out_slot, every), grad_fc_b)
         g.angles += circuits.param_grads()
         return grad
 
-    def _loss_and_grad_scaled(self, x_scaled, y_scaled, loss_kind):
+    def _loss_and_grad_scaled(self, x_scaled, loss):
         circuits = self._circuits()
-        preds, caches = self.sequence_forward(x_scaled, circuits)
-        d_preds = nn.loss_grad(loss_kind, preds, y_scaled)
-        return nn.loss_value(loss_kind, preds, y_scaled), self._backward(circuits, caches, d_preds)
+        preds, caches = self.sequence_forward(self._by_model(x_scaled), circuits)
+        value, d_preds = loss(preds)
+        return value, self._backward(circuits, caches, d_preds)
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (FFNNModel, LSTMModel, VQRModel, QLSTMModel)}
@@ -706,21 +738,23 @@ def _param_shapes(kind: str, options: dict):
 
 
 def _cut(vector: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``vector``, from its start, in the given shapes."""
+    """Consecutive views of ``vector`` [..., P], from the start of its last
+    axis, in the given shapes after its leading axes."""
     views, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        views.append(vector[start : start + size].reshape(shape))
+        views.append(vector[..., start : start + size].reshape(vector.shape[:-1] + tuple(shape)))
         start += size
     return views
 
 
 def _interleaved(segment: np.ndarray, weight_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The K (weights, bias) pairs laid one after another in the rows of
-    ``segment`` [K, w + b], as views: weights [K, *weight_shape] and bias
-    [K, b]."""
+    ``segment`` [..., K, w + b], as views: weights [..., K, *weight_shape]
+    and bias [..., K, b]."""
     size = math.prod(weight_shape)
-    return segment[:, :size].reshape(len(segment), *weight_shape), segment[:, size:]
+    weights = segment[..., :size].reshape(segment.shape[:-1] + tuple(weight_shape))
+    return weights, segment[..., size:]
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +780,11 @@ def build_model(
     )
 
 
+def _batch_loss(kind: str, targets: np.ndarray, preds: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean ``kind`` loss of one model's predictions and its gradient."""
+    return nn.loss_value(kind, preds, targets), nn.loss_grad(kind, preds, targets)
+
+
 def hybrid_backward(model, x_raw: np.ndarray, y_raw: np.ndarray, loss_kind: str):
     """Mean loss over a raw batch and its gradient w.r.t. the flat parameters.
 
@@ -754,7 +793,7 @@ def hybrid_backward(model, x_raw: np.ndarray, y_raw: np.ndarray, loss_kind: str)
     """
     xs = model.scale_windows(np.asarray(x_raw, dtype=float))
     ys = model.scale_targets(np.asarray(y_raw, dtype=float))
-    loss_scaled, grad = model._loss_and_grad_scaled(xs, ys, loss_kind)
+    loss_scaled, grad = model._loss_and_grad_scaled(xs, partial(_batch_loss, loss_kind, ys))
     factor = _loss_to_original_units(loss_kind, 1.0, model.target_halfspan)
     return loss_scaled * factor, grad * factor
 
@@ -762,36 +801,167 @@ def hybrid_backward(model, x_raw: np.ndarray, y_raw: np.ndarray, loss_kind: str)
 def train(
     model, x_raw: np.ndarray, y_raw: np.ndarray, config: TrainConfig
 ) -> tuple[object, list[float]]:
-    """Mini-batch training; returns the model and per-epoch train losses (ug/m3)."""
-    x_raw = np.asarray(x_raw, dtype=float)
-    y_raw = np.asarray(y_raw, dtype=float)
-    n = y_raw.size
-    if n == 0:
-        raise ConfigurationError("training set is empty")
-    xs = model.scale_windows(x_raw)
-    ys = model.scale_targets(y_raw)
-    order_rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 99]))
-    optimizer = nn.init_optimizer(
-        config.optimizer, config.learning_rate, model.param_count()
-    )
-    history: list[float] = []
-    halfspan = model.target_halfspan
-    for epoch in range(config.epochs):
-        order = order_rng.permutation(n)
-        running = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss_scaled, grad = model._loss_and_grad_scaled(
-                xs[batch], ys[batch], config.loss
+    """Mini-batch training of one model, :func:`train_lockstep` with K = 1;
+    returns the model and per-epoch train losses (ug/m3), or raises the
+    ``TrainingDivergedError`` that ended it."""
+    (outcome,) = train_lockstep([model], [x_raw], [y_raw], [config])
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return model, outcome
+
+
+def layout(model) -> tuple:
+    """What models must share to train in one lockstep stack: kind,
+    window, feature count and every option but the feature names, hence
+    one parameter layout and one forward pass."""
+    options = tuple(sorted((k, v) for k, v in model.options.items() if k != "features"))
+    return model.kind, model.window, len(model.feature_names), options
+
+
+class _Lane:
+    """One model's place in a lockstep training: its scaled windows, its
+    own ``[seed, 99]`` batch order, its running epoch loss, and its outcome,
+    the epoch losses or the error that ended them."""
+
+    def __init__(self, model, x_raw, y_raw, config: TrainConfig):
+        y_raw = np.asarray(y_raw, dtype=float)
+        if y_raw.size == 0:
+            raise ConfigurationError("training set is empty")
+        self.model, self.config = model, config
+        self.xs = model.scale_windows(np.asarray(x_raw, dtype=float))
+        self.ys = model.scale_targets(y_raw)
+        self.order_rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 99]))
+        self.per_epoch = -(-y_raw.size // config.batch_size)
+        self.total = config.epochs * self.per_epoch
+        self.running = 0.0
+        self.outcome = self.history = []
+
+    def batch(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """The windows and targets of the lane's minibatch ``step``; each
+        epoch starts by drawing a new order."""
+        t = step % self.per_epoch
+        if t == 0:
+            order = self.order_rng.permutation(self.ys.size)
+            self.epoch_xs, self.epoch_ys = self.xs[order], self.ys[order]
+        rows = slice(t * self.config.batch_size, (t + 1) * self.config.batch_size)
+        return self.epoch_xs[rows], self.epoch_ys[rows]
+
+    def add_loss(self, step: int, scaled_loss: float, rows: int) -> None:
+        """Count minibatch ``step``'s loss; the last of an epoch closes it."""
+        self.running += scaled_loss * rows
+        if (step + 1) % self.per_epoch == 0:
+            mean = self.running / self.ys.size
+            self.history.append(
+                _loss_to_original_units(self.config.loss, mean, self.model.target_halfspan)
             )
-            if not (math.isfinite(loss_scaled) and np.all(np.isfinite(grad))):
-                raise TrainingDivergedError(epoch)
-            nn.optimizer_step(optimizer, model.flat, grad)
-            running += loss_scaled * batch.size
-        history.append(
-            _loss_to_original_units(config.loss, running / n, halfspan)
+            self.running = 0.0
+
+
+def _lane_losses(kinds, counts, targets, preds) -> tuple[np.ndarray, np.ndarray]:
+    """Each of K models' mean loss over its first ``counts[k]`` rows of
+    ``preds`` [K, W] and the loss gradient [K, W], zero on the padding rows
+    past them."""
+    values, d_preds = zip(
+        *(_batch_loss(kind, y[:n], p[:n]) for kind, n, y, p in zip(kinds, counts, targets, preds))
+    )
+    return np.array(values), _padded(d_preds)
+
+
+def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs: Sequence) -> list:
+    """Train K models of one :func:`layout` as one, each on its raw windows
+    and targets with its ``TrainConfig``.  Returns per model its per-epoch
+    train losses (ug/m3), or the ``TrainingDivergedError`` that ended its
+    training.
+
+    The models' parameter vectors are the rows of one [K, P] matrix.  Each
+    step runs every model's minibatch through one forward and one backward
+    pass of the stack (:meth:`_ModelBase._stacked`), then updates the rows
+    of each optimizer kind with one ``nn.optimizer_step``.  Each model keeps
+    what it would train with alone: its initial weights, scalers and
+    ``[seed, 99]`` batch order, and its learning rate, loss, optimizer,
+    batch size and epochs, so it ends with the weights and losses of
+    training alone.  A minibatch narrower than the step's widest is padded
+    with rows whose loss gradient is zero, and each model's loss is the mean
+    over its own rows.  A model leaves the stack, its row going back to its
+    ``flat``, when its epochs are done, or, unstepped, when its loss or
+    gradient is not finite, which ends it with that epoch's
+    ``TrainingDivergedError``.  The others train on unchanged, and no
+    optimizer state moves on a step that its model takes no part in.
+    """
+    if len({layout(model) for model in models}) > 1:
+        raise ConfigurationError("models trained in lockstep must share one kind and layout")
+    lanes = [_Lane(*args) for args in zip(models, xs_raw, ys_raw, configs)]
+    # the rows of one optimizer kind are one slice of the stack
+    live = sorted(
+        (lane for lane in lanes if lane.total),
+        key=lambda lane: nn.OPTIMIZER_KINDS.index(lane.config.optimizer),
+    )
+    if not live:
+        return [lane.outcome for lane in lanes]
+    flat = np.stack([lane.model.flat for lane in live])
+    groups = [list(group) for _, group in groupby(live, lambda lane: lane.config.optimizer)]
+    states = [
+        nn.init_optimizer(
+            group[0].config.optimizer,
+            [lane.config.learning_rate for lane in group],
+            (len(group), flat.shape[1]),
         )
-    return model, history
+        for group in groups
+    ]
+    step, stack = 0, live[0].model._stacked(flat)
+    while live:
+        x, y = zip(*(lane.batch(step) for lane in live))
+        counts = [len(rows) for rows in y]
+        loss = partial(_lane_losses, [lane.config.loss for lane in live], counts, _padded(y))
+        x = _padded(x)
+        values, grad = stack._loss_and_grad_scaled(x.reshape(-1, *x.shape[2:]), loss)
+        finite = np.isfinite(values) & np.isfinite(grad).all(axis=1)
+        if not finite.all():
+            for lane in compress(live, ~finite):
+                lane.outcome = TrainingDivergedError(step // lane.per_epoch)
+            values, counts = values[finite], list(compress(counts, finite))
+            live, flat, grad, groups, states = _leave(finite, live, flat, grad, groups, states)
+            stack = live[0].model._stacked(flat) if live else None
+        start = 0
+        for state, group in zip(states, groups):
+            rows = slice(start, start + len(group))
+            nn.optimizer_step(state, flat[rows], grad[rows])
+            start += len(group)
+        for lane, value, count in zip(live, values, counts):
+            lane.add_loss(step, value, count)
+        step += 1
+        if any(lane.total == step for lane in live):
+            going = np.array([lane.total > step for lane in live])
+            live, flat, grad, groups, states = _leave(going, live, flat, grad, groups, states)
+            stack = live[0].model._stacked(flat) if live else None
+    return [lane.outcome for lane in lanes]
+
+
+def _padded(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays ``parts`` [n_k, ...] as one [K, max n_k, ...], each
+    padded with zero rows."""
+    if len(set(map(len, parts))) == 1:
+        return np.concatenate(parts).reshape((len(parts), -1) + parts[0].shape[1:])
+    out = np.zeros((len(parts), max(map(len, parts))) + parts[0].shape[1:])
+    for row, part in enumerate(parts):
+        out[row, : len(part)] = part
+    return out
+
+
+def _leave(keep: np.ndarray, live: list, flat, grad, groups: list, states: list):
+    """The stack without the rows that ``keep`` leaves out: each of their
+    parameter rows goes back to its model's ``flat``, and their optimizer
+    rows are dropped."""
+    for lane, row in compress(zip(live, flat), ~keep):
+        np.copyto(lane.model.flat, row)
+    kept_groups, kept_states, start = [], [], 0
+    for group, state in zip(groups, states):
+        mask = keep[start : start + len(group)]
+        start += len(group)
+        if mask.any():
+            kept_groups.append(list(compress(group, mask)))
+            kept_states.append(state.rows(mask))
+    return list(compress(live, keep)), flat[keep], grad[keep], kept_groups, kept_states
 
 
 def evaluate_losses(model, x_raw: np.ndarray, y_raw: np.ndarray) -> dict[str, float]:
@@ -806,6 +976,14 @@ def prediction_losses(preds: np.ndarray, y_raw: np.ndarray) -> dict[str, float]:
 
 def fit_model(kind: str, dataset, config: TrainConfig, options: Optional[dict] = None):
     """Select features, window, fit scalers on the training rows, and train."""
+    model, x, y = prepare_fit(kind, dataset, config, options)
+    return train(model, x, y, config)
+
+
+def prepare_fit(kind: str, dataset, config: TrainConfig, options: Optional[dict] = None):
+    """The untrained model that ``fit_model`` trains on ``dataset``, with
+    the windows and targets it trains on: the features selected, the
+    windows made and the scalers fitted on the training rows."""
     features = resolve_options(kind, options)["features"]
     sub = dataset.select_features(features)
     from .data import fit_scaler, make_windows  # local import avoids a cycle
@@ -826,7 +1004,7 @@ def fit_model(kind: str, dataset, config: TrainConfig, options: Optional[dict] =
         window=config.window,
         seed=config.seed,
     )
-    return train(model, x, y, config)
+    return model, x, y
 
 
 def predictions_rows(model, dataset) -> list[dict]:

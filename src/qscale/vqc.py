@@ -57,8 +57,8 @@ of three ways; :func:`lowering` is the one choice:
   circuit and an inputs part per row, so <Z> and its exact gradient are a
   cosine, a sine and a few matrix products, with no statevector.
 * ``"matrix"``, a forward-only run of an embed-first template whose
-  circuits share their params over at least 2**n rows (the linear vqr's
-  large predicts).  The rest of the circuit is one 2**n x 2**n unitary U
+  circuits share their params over at least ``MATRIX_ROWS_PER_STATE``
+  x 2**n rows (the linear vqr's large predicts).  The rest of the circuit is one 2**n x 2**n unitary U
   per set of params, built by running the plan on the 2**n basis states
   with the embedding angles at 0; each row is then its embedding's product
   state, in closed form, times U.  U holds no more amplitudes than the plan
@@ -89,6 +89,10 @@ TRANSFORMS = ("identity", "arctan")
 ANSATZ_KINDS = ("strongly_entangling", "ring_rx")
 
 SHIFT = math.pi / 2.0
+# a forward-only stack takes the ansatz matrix from this many rows per basis
+# state on: one default vqr predict (4 qubits) broke even between 32 and 48
+# rows on one CPU, the matrix leading from 48 on (0.29 against 0.32 ms)
+MATRIX_ROWS_PER_STATE = 3
 
 
 @dataclass(frozen=True)
@@ -534,15 +538,15 @@ def _angle_grads_to_args(
 def _source_grads_to_args(
     template: CircuitTemplate, dsource: np.ndarray, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fold derivatives [rows, n_sources] by the columns of the source
+    """Fold derivatives [..., rows, n_sources] by the columns of the source
     table ``[params | inputs | arctan(inputs)]`` into gradients with respect
-    to params [rows, P] and inputs [rows, input_dim].  An input that several
-    embeddings encode accumulates every term, its arctan terms through the
-    chain rule 1/(1+x^2)."""
+    to params [..., rows, P] and inputs [..., rows, input_dim].  An input
+    that several embeddings encode accumulates every term, its arctan terms
+    through the chain rule 1/(1+x^2)."""
     n_params, n_inputs = template.total_params, template.input_dim
-    grad_inputs = dsource[:, n_params + n_inputs :] * (1.0 / (1.0 + inputs**2))
-    grad_inputs += dsource[:, n_params : n_params + n_inputs]
-    return dsource[:, :n_params], grad_inputs
+    grad_inputs = dsource[..., n_params + n_inputs :] * (1.0 / (1.0 + inputs**2))
+    grad_inputs += dsource[..., n_params : n_params + n_inputs]
+    return dsource[..., :n_params], grad_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -556,19 +560,19 @@ def lowering(template: CircuitTemplate, rows: Optional[int] = None) -> str:
     """How a :class:`CircuitStack` runs circuits of ``template``:
     ``"phase"`` when every gate is an RX or a CNOT, else ``"matrix"``
     (product state x U) when the stack is forward-only, its circuits
-    sharing their params over ``rows`` input rows, at least 2**n, and the
-    template's only embedding is its first segment, else ``"plan"``.
-    ``rows=None`` is a stack that will be differentiated.  Building U runs
-    the plan on 2**n basis rows, so it pays only for at least that many
-    rows, and then U holds no more amplitudes than the plan would for
-    them."""
+    sharing their params over ``rows`` input rows, at least
+    ``MATRIX_ROWS_PER_STATE`` x 2**n, and the template's only embedding is
+    its first segment, else ``"plan"``.  ``rows=None`` is a stack that will
+    be differentiated.  Building U runs the plan on 2**n basis rows, so it
+    pays only for a few times that many rows, and then U holds fewer
+    amplitudes than the plan would for them."""
     if _lowered(template).phase:
         return "phase"
     first, *rest = template.segments
     embed_first = isinstance(first, Embedding) and not any(
         isinstance(seg, Embedding) for seg in rest
     )
-    if embed_first and rows is not None and rows >= 1 << template.n_qubits:
+    if embed_first and rows is not None and rows >= MATRIX_ROWS_PER_STATE << template.n_qubits:
         return "matrix"
     return "plan"
 
@@ -628,13 +632,13 @@ def _product_state(factors: np.ndarray) -> np.ndarray:
 
 def _cos_sin(source: np.ndarray, differences: np.ndarray) -> np.ndarray:
     """The cosines and sines of the phase differences ``source @
-    differences[q]`` of source rows [R, S], differences [n, S, H], as one
-    table [n, R, 2H]: cosines, then sines.  The differences are made in
-    the sine half, so no other table of their size is held."""
+    differences[q]`` of source rows [..., R, S], differences [n, S, H], as
+    one table [..., n, R, 2H]: cosines, then sines.  The differences are
+    made in the sine half, so no other table of their size is held."""
     n, _, half = differences.shape
-    out = np.empty((n, len(source), 2 * half))
+    out = np.empty(source.shape[:-2] + (n, source.shape[-2], 2 * half))
     sin = out[..., half:]
-    np.matmul(source, differences, out=sin)
+    np.matmul(source[..., None, :, :], differences, out=sin)
     np.cos(sin, out=out[..., :half])
     np.sin(sin, out=sin)
     return out
@@ -642,11 +646,14 @@ def _cos_sin(source: np.ndarray, differences: np.ndarray) -> np.ndarray:
 
 class CircuitStack:
     """K circuits of one template, each with its own params ``params``
-    [K, P], to run on input rows that each run shares among its circuits,
-    and to differentiate.  A stack that will only run, never be
-    differentiated, may give ``rows``, how many input rows each circuit
-    will run on over the stack's life; :func:`lowering` picks one of three
-    ways for all of them, named by ``lowering``.
+    [..., K, P], to run on input rows [..., B, input_dim] that each run
+    shares among its circuits, and to differentiate.  Leading axes are
+    models: the circuits of M models of one shape are one stack with params
+    [M, K, P], and each model's inputs [M, B, input_dim] reach only its own
+    circuits.  A stack that will only run, never be differentiated, may
+    give ``rows``, how many input rows each circuit will run on over the
+    stack's life; :func:`lowering` picks one of three ways for all of them,
+    named by ``lowering`` (the ansatz matrix only for params [K, P]).
 
     * Phase: the params' part dp of every phase difference of each
       circuit (:func:`_phase_differences`), and its cosine and sine scaled
@@ -665,7 +672,7 @@ class CircuitStack:
       run is the product state of its inputs times that matrix, and keeps
       no record to differentiate.
 
-    ``grads`` [K, P] accumulates the plan path's parameter gradients.
+    ``grads`` [..., K, P] accumulates the plan path's parameter gradients.
     """
 
     def __init__(self, template: CircuitTemplate, params: np.ndarray, rows: Optional[int] = None):
@@ -677,7 +684,7 @@ class CircuitStack:
         n, dim = template.n_qubits, 1 << template.n_qubits
         if self.lowering == "phase":
             self.differences = _phase_differences(template)
-            # [n, K, 2 * 2**(n-1)]: 2**(1-n) (cos dp, -sin dp) per pair
+            # [..., n, K, 2 * 2**(n-1)]: 2**(1-n) (cos dp, -sin dp) per pair
             self.trig = _cos_sin(params, self.differences[:, : template.total_params])
             self.trig[..., dim >> 1 :] *= -(2.0 ** (1 - n))
             self.trig[..., : dim >> 1] *= 2.0 ** (1 - n)
@@ -693,57 +700,62 @@ class CircuitStack:
             self.matrices = columns.reshape(len(params), dim, dim)
 
     def run(self, circuits: slice, inputs: np.ndarray) -> tuple[np.ndarray, object]:
-        """<Z> [k, B, n] of the given circuits on the inputs [B, input_dim],
-        and the record :meth:`backward` differentiates them from."""
+        """<Z> [..., k, B, n] of the given circuits on the inputs [...,
+        B, input_dim], and the record :meth:`backward` differentiates them
+        from."""
         template = self.template
         if self.lowering == "phase":
-            source = np.concatenate([inputs, np.arctan(inputs)], axis=1)
+            source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
             trig = _cos_sin(source, self.differences[:, template.total_params :])
-            exps = trig @ self.trig[:, circuits].transpose(0, 2, 1)  # [n, B, k]
-            return exps.transpose(2, 1, 0), trig
+            exps = trig @ self.trig[..., circuits, :].swapaxes(-1, -2)  # [..., n, B, k]
+            return exps.swapaxes(-1, -3), trig
         if self.lowering == "plan":
-            angles = _angle_table(template, self.params[circuits, None], inputs[None])
-            k, batch, _ = angles.shape
-            angles = angles.reshape(k * batch, -1)
-            exps, states = _run_rows(template, angles)
-            return exps.reshape(k, batch, -1), (angles, states)
+            angles = _angle_table(
+                template, self.params[..., circuits, None, :], inputs[..., None, :, :]
+            )
+            exps, states = _run_rows(template, angles.reshape(-1, angles.shape[-1]))
+            return exps.reshape(angles.shape[:-1] + (-1,)), (angles, states)
         amps = _product_state(_embedding_factors(template, inputs)) @ self.matrices[circuits]
         return (amps.real**2 + amps.imag**2) @ sim._z_signs(template.n_qubits).T, None
 
     def backward(
         self, circuits: slice, record, weights: np.ndarray, inputs: np.ndarray
     ) -> np.ndarray:
-        """Differentiate sum weights * <Z> of a :meth:`run`, weights [k, B,
-        n]: adds the parameter gradient to the stack's and returns the
-        input gradient [B, input_dim], summed over the circuits."""
+        """Differentiate sum weights * <Z> of a :meth:`run`, weights [...,
+        k, B, n]: adds the parameter gradient to the stack's and returns the
+        input gradient [..., B, input_dim], summed over the circuits."""
         template = self.template
         if self.lowering == "phase":
             trig, half = record, record.shape[-1] // 2
-            by_qubit = weights.transpose(2, 1, 0)  # [n, B, k]
+            by_qubit = weights.swapaxes(-1, -3)  # [..., n, B, k]
             if self.seeds is None:
                 self.seeds = np.zeros_like(self.trig)
-            self.seeds[:, circuits] += by_qubit.transpose(0, 2, 1) @ trig
-            mixed = by_qubit @ self.trig[:, circuits]  # [n, B, 2 half]
+            self.seeds[..., circuits, :] += by_qubit.swapaxes(-1, -2) @ trig
+            mixed = by_qubit @ self.trig[..., circuits, :]  # [..., n, B, 2 half]
             d_delta = trig[..., :half] * mixed[..., half:] - trig[..., half:] * mixed[..., :half]
-            dsource = (d_delta @ self.differences.transpose(0, 2, 1)).sum(axis=0)
+            dsource = (d_delta @ self.differences.transpose(0, 2, 1)).sum(axis=-3)
             return _source_grads_to_args(template, dsource, inputs)[1]
         angles, states = record
-        k, batch, _ = weights.shape
-        cotangent = (weights.reshape(k * batch, -1) @ sim._z_signs(template.n_qubits)) * states
-        dangles = _adjoint_rows(template, angles, states, cotangent)
-        grad_params, grad_inputs = _angle_grads_to_args(template, dangles, np.tile(inputs, (k, 1)))
-        self.grads[circuits] += grad_params.reshape(k, batch, -1).sum(axis=1)
-        return grad_inputs.reshape(k, batch, -1).sum(axis=0)
+        rows = weights.shape[:-1]  # [..., k, B]
+        cotangent = (weights.reshape(-1, template.n_qubits) @ sim._z_signs(template.n_qubits)) * states
+        dangles = _adjoint_rows(template, angles.reshape(-1, angles.shape[-1]), states, cotangent)
+        per_row = np.broadcast_to(inputs[..., None, :, :], rows + inputs.shape[-1:])
+        grad_params, grad_inputs = _angle_grads_to_args(
+            template, dangles, per_row.reshape(-1, inputs.shape[-1])
+        )
+        self.grads[..., circuits, :] += grad_params.reshape(rows + (-1,)).sum(axis=-2)
+        return grad_inputs.reshape(rows + (-1,)).sum(axis=-3)
 
     def param_grads(self) -> np.ndarray:
-        """The parameter gradients [K, P] of every :meth:`backward` so far."""
+        """The parameter gradients [..., K, P] of every :meth:`backward` so
+        far."""
         if self.seeds is None:
             return self.grads
         # seeds hold sum_b w (cos dx, sin dx); d/d(dp) = -2**(1-n) sum_b w sin(dp + dx)
         half, trig, seeds = self.trig.shape[-1] // 2, self.trig, self.seeds
         d_delta = trig[..., half:] * seeds[..., :half] - trig[..., :half] * seeds[..., half:]
         d_params = self.differences[:, : self.template.total_params].transpose(0, 2, 1)
-        return self.grads + (d_delta @ d_params).sum(axis=0)
+        return self.grads + (d_delta @ d_params).sum(axis=-3)
 
 
 def _check_batch_args(

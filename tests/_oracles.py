@@ -7,9 +7,12 @@ dict loops that the columnar data path replaced, the raw-log oracle the
 ``csv.reader`` chunk loop that the block reader replaced, the synthesis
 oracle the nested per-row loops that columnar synthesis replaced, and the
 window oracle the per-hour run loop that the vectorized ``make_windows``
-replaced, and the optimizer oracle the out-of-place update that the in-place
-``nn.optimizer_step`` replaced.  Nothing here imports the package's
-kernels."""
+replaced, the optimizer oracle the out-of-place update that the in-place
+``nn.optimizer_step`` replaced, and the cross-validation and grid-search
+oracles the serial loops, one ``fit_model`` per fold or grid point, that
+lockstep training replaced.  Nothing here imports the package's kernels:
+the serial loops take the package's ``models`` and ``experiments`` modules
+as arguments, and train each model alone through ``models.fit_model``."""
 
 from __future__ import annotations
 
@@ -401,6 +404,102 @@ def optimizer_step(state, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         return params - lr * grads / (np.sqrt(state.v) + 1e-8)
     state.m = 0.9 * state.m + (1.0 - 0.9) * grads
     state.v = 0.999 * state.v + (1.0 - 0.999) * grads**2
-    m_hat = state.m / (1.0 - 0.9**state.step)
-    v_hat = state.v / (1.0 - 0.999**state.step)
+    m_hat = state.m / (1.0 - 0.9 ** int(state.step))
+    v_hat = state.v / (1.0 - 0.999 ** int(state.step))
     return params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def serial_cross_validate(models, experiments, kind, dataset, config, spec, options=None):
+    """Cross-validation with every fold trained alone, one after another, as
+    ``experiments.cross_validate`` did before it trained its folds in
+    lockstep.  Returns the report and, per fold, its ``(model, history)``,
+    or None where the fold diverged."""
+    from dataclasses import asdict, replace
+
+    entries, series, fits = [], [], []
+    for i, test_indices in enumerate(experiments.make_folds(len(dataset), spec)):
+        mask = np.ones(len(dataset), dtype=bool)
+        mask[test_indices] = False
+        train_set = dataset.subset(np.nonzero(mask)[0])
+        test_set = dataset.subset(test_indices)
+        fold_config = replace(config, seed=int(config.seed) + i)
+        entry = {
+            "fold": i,
+            "seed": fold_config.seed,
+            "train_hours": int(len(train_set)),
+            "test_hours": int(len(test_set)),
+        }
+        entries.append(entry)
+        try:
+            model, history = models.fit_model(kind, train_set, fold_config, options)
+        except experiments.TrainingDivergedError as err:
+            entry["error"] = str(err)
+            fits.append(None)
+            continue
+        losses, rows = experiments.score_holdout(model, test_set)
+        series.extend(rows)
+        entry.update(losses)
+        entry["final_train_loss"] = history[-1] if history else None
+        fits.append((model, history))
+    series.sort(key=lambda row: row["timestamp"])
+    good = [e for e in entries if "error" not in e]
+    average = None
+    if good:
+        average = {key: float(np.mean([e[key] for e in good])) for key in models.METRICS}
+    trained = next((fit[0] for fit in fits if fit is not None), None)
+    report_options = trained.options if trained else models.resolve_options(kind, options)
+    report = experiments.MetricsReport(
+        model_kind=kind,
+        config=asdict(config),
+        options=models._jsonable(report_options),
+        seed=config.seed,
+        param_count=None if trained is None else trained.param_count(),
+        fold_spec={"k": spec.k, "mode": spec.mode, "seed": spec.seed},
+        folds=entries,
+        fold_average=average,
+        series=series,
+    )
+    return report, fits
+
+
+def serial_grid_search(
+    models, experiments, kind, dataset, grid, base_config=None, options=None,
+    train_fraction=0.75, rank_loss="l1", seed=0,
+):
+    """The grid search with every point trained alone, one after another, as
+    ``experiments.grid_search`` did before it trained its points in
+    lockstep.  Returns the result and, per point, its ``(model, history)``,
+    or None where the point failed."""
+    from dataclasses import replace
+
+    errors = (experiments.ConfigurationError, experiments.DataError, experiments.TrainingDivergedError)
+    base = base_config or models.default_config(kind)
+    train_set, test_set = experiments.chronological_split(dataset, train_fraction)
+    entries, fits = [], []
+    for index, overrides in enumerate(experiments.grid_points(grid)):
+        entry = {"index": index, "params": models._jsonable(overrides)}
+        config_fields, option_fields = models.split_settings(overrides)
+        fit = None
+        try:
+            config = replace(base, **{**config_fields, "seed": int(seed)})
+            fit = models.fit_model(kind, train_set, config, {**(options or {}), **option_fields})
+            entry.update(experiments.score_holdout(fit[0], test_set)[0])
+            entry["final_train_loss"] = fit[1][-1] if fit[1] else None
+        except errors as err:
+            entry["error"] = f"{type(err).__name__}: {err}"
+            fit = None
+        entries.append(entry)
+        fits.append(fit)
+    ranked = sorted(
+        (e for e in entries if "error" not in e), key=lambda e: (e[rank_loss], e["index"])
+    )
+    result = experiments.GridSearchResult(
+        model_kind=kind,
+        rank_loss=rank_loss,
+        grid_size=experiments.grid_size(grid),
+        train_fraction=train_fraction,
+        seed=int(seed),
+        entries=entries,
+        ranking=[e["index"] for e in ranked],
+    )
+    return result, fits

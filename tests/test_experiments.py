@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qscale import models
+import _oracles as oracle
+from qscale import experiments, models, nn
 from qscale.data import CalibrationDataset, make_windows
 from qscale.errors import ConfigurationError
 from qscale.experiments import (
@@ -249,6 +252,259 @@ class TestCrossValidate:
             options={"hidden_sizes": (8,), "features": ("pm25",)},
         )
         assert report.fold_average["l1"] < 0.3
+
+
+# small options per kind, so that every kind's folds train in well under a second
+SMALL = {
+    "ffnn": {"hidden_sizes": (4, 3), "features": ("pm25", "temp")},
+    "lstm": {"hidden_size": 3, "n_layers": 2, "features": ("pm25",)},
+    "vqr": {"n_qubits": 2, "n_layers": 2, "features": ("pm25", "temp")},
+    "qlstm": {"n_qubits": 2, "n_layers": 1, "hidden_size": 3, "features": ("pm25",)},
+}
+
+
+def assert_same(got, want, where="report"):
+    """``got`` equals ``want`` field by field, floats to 1e-12 relative to
+    their size (absolute below 1), everything else exactly."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want)), (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+def record_lockstep(monkeypatch) -> tuple[list, dict]:
+    """Spy on the models that ``prepare_fit`` builds, in call order, and on
+    the outcome ``train_lockstep`` gives each, by model id."""
+    built, outcomes = [], {}
+    prepare, lockstep = models.prepare_fit, models.train_lockstep
+
+    def spy_prepare(*args, **kwargs):
+        fit = prepare(*args, **kwargs)
+        built.append(fit[0])
+        return fit
+
+    def spy_lockstep(stacked, *args):
+        result = lockstep(stacked, *args)
+        outcomes.update((id(model), outcome) for model, outcome in zip(stacked, result))
+        return result
+
+    monkeypatch.setattr(models, "prepare_fit", spy_prepare)
+    monkeypatch.setattr(models, "train_lockstep", spy_lockstep)
+    return built, outcomes
+
+
+def assert_matches_serial(lockstep_models, outcomes, serial_fits):
+    """Each model trained in lockstep has the history and weights of its
+    serial twin; a diverged one diverged in the same epoch."""
+    assert len(lockstep_models) == len(serial_fits)
+    for model, fit in zip(lockstep_models, serial_fits):
+        outcome = outcomes[id(model)]
+        if fit is None:
+            assert isinstance(outcome, experiments.TrainingDivergedError)
+            continue
+        serial_model, history = fit
+        assert_same(outcome, history, "history")
+        np.testing.assert_allclose(model.flat, serial_model.flat, rtol=0.0, atol=1e-12)
+
+
+def quiet(run):
+    """Run ``run()`` with the overflow warnings of a diverging model off."""
+    import warnings
+
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return run()
+
+
+class TestLockstepMatchesSerial:
+    """Lockstep cross-validation and grid search against the serial loops of
+    ``_oracles``: histories, weights, predictions and every report field to
+    1e-12.  Fold counts that do not divide the hours, and contiguous folds
+    of windowed kinds, give the folds unequal window counts and ragged last
+    minibatches."""
+
+    @pytest.mark.parametrize(
+        "kind,config,spec",
+        [
+            ("ffnn", TrainConfig(3, 0.05, "adam", "l1", 7, 1, 2), FoldSpec(4, "shuffled", 1)),
+            ("lstm", TrainConfig(2, 0.02, "rmsprop", "l1", 6, 3, 4), FoldSpec(3, "contiguous")),
+            ("vqr", TrainConfig(2, 0.05, "adam", "mse", 6, 1, 1), FoldSpec(3, "shuffled", 5)),
+            ("qlstm", TrainConfig(1, 0.05, "adam", "l1", 8, 2, 3), FoldSpec(3, "contiguous")),
+        ],
+        ids=["ffnn", "lstm", "vqr", "qlstm"],
+    )
+    def test_cross_validate(self, monkeypatch, kind, config, spec):
+        ds = affine_dataset(44, seed=30)
+        built, outcomes = record_lockstep(monkeypatch)
+        report = cross_validate(kind, ds, config, spec, options=SMALL[kind])
+        lockstep_models = list(built)
+        want, fits = oracle.serial_cross_validate(
+            models, experiments, kind, ds, config, spec, SMALL[kind]
+        )
+        assert_same(report.to_dict(), want.to_dict())
+        assert_same(report.series, want.series, "series")
+        assert_matches_serial(lockstep_models, outcomes, fits)
+
+    def test_grid_search(self, monkeypatch):
+        """Mixed optimizers, losses, learning rates, batch sizes, epochs and
+        hidden sizes (two layouts), a bad optimizer and a point forced to
+        diverge."""
+        ds = affine_dataset(40, seed=31)
+        grid = {
+            "optimizer": ["sgd", "adam", "rmsprop", "newton"],
+            "loss": ["l1", "mse"],
+            "learning_rate": [0.01, 1e15],
+            "batch_size": [4, 7],
+            "hidden_sizes": [(3,), (5,)],
+        }
+        kwargs = dict(
+            base_config=TrainConfig(2, 0.05, "adam", "mse", window=1),
+            options={"features": ("pm25", "temp")},
+            seed=6,
+        )
+        built, outcomes = record_lockstep(monkeypatch)
+        result = quiet(lambda: grid_search("ffnn", ds, grid, **kwargs))
+        lockstep_models = list(built)
+        want, fits = quiet(lambda: oracle.serial_grid_search(models, experiments, "ffnn", ds, grid, **kwargs))
+        assert_same(result.to_dict(), want.to_dict())
+        errors = {e.get("error", "").split(":")[0] for e in result.entries}
+        assert {"ConfigurationError", "TrainingDivergedError", ""} <= errors
+        prepared = [fit for fit, e in zip(fits, want.entries) if "newton" not in str(e["params"])]
+        assert_matches_serial(lockstep_models, outcomes, prepared)
+
+
+def lstm_dataset(n, seed):
+    return affine_dataset(n, seed=seed, names=("pm25",))
+
+
+class TestLockstepProperties:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 6),
+        mode=st.sampled_from(["shuffled", "contiguous"]),
+        hours=st.integers(30, 60),
+        batch=st.integers(2, 9),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 50),
+    )
+    def test_ffnn_folds_match_serial(self, k, mode, hours, batch, epochs, seed):
+        """One fold leaves no training hours, which both loops refuse alike."""
+        ds = affine_dataset(hours, seed=seed)
+        config = TrainConfig(epochs, 0.05, "adam", "mse", batch, 1, seed)
+        spec = FoldSpec(k, mode, seed)
+        if k == 1:
+            with pytest.raises(ConfigurationError) as serial:
+                oracle.serial_cross_validate(models, experiments, "ffnn", ds, config, spec, SMALL["ffnn"])
+            with pytest.raises(ConfigurationError, match=str(serial.value)):
+                cross_validate("ffnn", ds, config, spec, options=SMALL["ffnn"])
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            built, outcomes = record_lockstep(mp)
+            report = cross_validate("ffnn", ds, config, spec, options=SMALL["ffnn"])
+            lockstep_models = list(built)
+        want, fits = oracle.serial_cross_validate(
+            models, experiments, "ffnn", ds, config, spec, SMALL["ffnn"]
+        )
+        assert_same(report.to_dict(), want.to_dict())
+        assert_same(report.series, want.series, "series")
+        assert_matches_serial(lockstep_models, outcomes, fits)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(2, 6),
+        window=st.integers(2, 4),
+        hours=st.integers(36, 70),
+        batch=st.integers(3, 9),
+        seed=st.integers(0, 50),
+    )
+    def test_contiguous_lstm_folds_match_serial(self, k, window, hours, batch, seed):
+        """Contiguous lstm folds: the edge folds keep one training run and
+        the inner folds two, so their window counts and last minibatches
+        differ."""
+        ds = lstm_dataset(hours, seed)
+        config = TrainConfig(2, 0.02, "rmsprop", "l1", batch, window, seed)
+        spec = FoldSpec(k, "contiguous")
+        with pytest.MonkeyPatch.context() as mp:
+            built, outcomes = record_lockstep(mp)
+            report = cross_validate("lstm", ds, config, spec, options=SMALL["lstm"])
+            lockstep_models = list(built)
+        counts = {x.shape[0] for x in (make_windows_of(m, ds, spec, window) for m in range(k))}
+        want, fits = oracle.serial_cross_validate(
+            models, experiments, "lstm", ds, config, spec, SMALL["lstm"]
+        )
+        assert_same(report.to_dict(), want.to_dict())
+        assert_same(report.series, want.series, "series")
+        assert_matches_serial(lockstep_models, outcomes, fits)
+        if k >= 3:
+            assert len(counts) > 1  # the case this test exists for
+
+    def test_mixed_grid_with_divergence(self):
+        """sgd, adam and rmsprop, l1 and mse, and batch sizes that end their
+        epochs on different steps: every point equals its serial twin.  With
+        one learning rate of 1e15, the points that diverge carry the serial
+        error text and the others still equal their twins."""
+        ds = affine_dataset(46, seed=32)
+        grid = {
+            "optimizer": ["sgd", "adam", "rmsprop"],
+            "loss": ["l1", "mse"],
+            "learning_rate": [0.011, 0.013],
+            "batch_size": [3, 8, 16],
+        }
+        kwargs = dict(
+            base_config=TrainConfig(2, 0.05, "adam", "mse", window=1),
+            options={"hidden_sizes": (3,), "features": ("pm25", "temp")},
+            seed=9,
+        )
+        for rates in ([0.011, 0.013], [0.011, 1e15]):
+            points = {**grid, "learning_rate": rates}
+            got = quiet(lambda: grid_search("ffnn", ds, points, **kwargs))
+            want, _ = quiet(
+                lambda: oracle.serial_grid_search(models, experiments, "ffnn", ds, points, **kwargs)
+            )
+            assert_same(got.to_dict(), want.to_dict())
+        diverged = [e for e in got.entries if "error" in e]
+        assert diverged and all(e["params"]["learning_rate"] == 1e15 for e in diverged)
+        assert all(e["error"].startswith("TrainingDivergedError: training diverged at") for e in diverged)
+
+    def test_adam_counts_only_its_own_steps(self, monkeypatch):
+        """Three adam models whose batch sizes give them 24, 10 and 6 steps
+        train beside an sgd model of 48: each adam model's step count ends
+        at its own number of steps."""
+        ds = affine_dataset(48, seed=33)
+        names = ("pm25", "temp")
+        x, y, _ = make_windows(ds.select_features(names), 1)
+        stacked, configs = [], []
+        for rate, optimizer, batch in [(0.011, "adam", 4), (0.013, "adam", 10), (0.017, "adam", 16), (0.019, "sgd", 2)]:
+            config = TrainConfig(2, rate, optimizer, "l1", batch, 1, 3)
+            stacked.append(models.prepare_fit("ffnn", ds, config, SMALL["ffnn"])[0])
+            configs.append(config)
+        steps = {}
+        optimizer_step = nn.optimizer_step
+
+        def counting_step(state, params, grads):
+            optimizer_step(state, params, grads)
+            for rate, step in zip(state.learning_rate.ravel(), state.step):
+                steps[float(rate)] = int(step)
+
+        monkeypatch.setattr(nn, "optimizer_step", counting_step)
+        models.train_lockstep(stacked, [x] * 4, [y] * 4, configs)
+        assert steps == {0.011: 24, 0.013: 10, 0.017: 6, 0.019: 48}
+
+
+def make_windows_of(fold, ds, spec, window):
+    """The training windows of fold ``fold``'s complement."""
+    test = make_folds(len(ds), spec)[fold]
+    mask = np.ones(len(ds), dtype=bool)
+    mask[test] = False
+    return make_windows(ds.subset(np.nonzero(mask)[0]).select_features(("pm25",)), window)[0]
 
 
 class TestBenchmark:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -490,8 +491,8 @@ class TestDirectionalGradients:
     the paths the models train through, the fused circuit sweeps included
     (CNOT reach up to 3 on vqr's 4 qubits, the ring wrap on qlstm's 5),
     and the lowering of every stack a step differentiates: a vqr step of
-    32 windows, more than 2**4, runs through the plan, though a predict of
-    as many rows takes the ansatz matrix."""
+    32 windows, more than 2**4, runs through the plan, as every step does,
+    whatever its row count."""
 
     @pytest.mark.parametrize(
         "kind,options,windows",
@@ -529,9 +530,9 @@ class TestDirectionalGradients:
             return backward(stack, *args)
 
         monkeypatch.setattr(vqc.CircuitStack, "backward", recording_backward)
-        _, grad = model._loss_and_grad_scaled(xs, ys, loss_kind)
+        _, grad = scaled_step(model, xs, ys, loss_kind)
         assert lowerings == {"vqr": {"plan"}, "qlstm": {"phase"}}.get(kind, set())
-        _, again = model._loss_and_grad_scaled(xs, ys, loss_kind)
+        _, again = scaled_step(model, xs, ys, loss_kind)
         np.testing.assert_array_equal(again, grad)
         assert_fresh(model, grad, again)
 
@@ -548,6 +549,12 @@ class TestDirectionalGradients:
             along = float(grad @ direction)
             assert abs(central - along) <= 1e-6 * abs(along)
         model.set_flat(theta)
+
+
+def scaled_step(model, xs, ys, loss_kind):
+    """One training step's scaled loss and flat gradient on scaled windows
+    and targets."""
+    return model._loss_and_grad_scaled(xs, partial(models._batch_loss, loss_kind, ys))
 
 
 def assert_fresh(model, first, second):
@@ -583,10 +590,10 @@ class TestQLSTMShiftOracle:
         xs = xs[:4]
         assert vqc.lowering(model.template) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
-        _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
+        _, adjoint = scaled_step(model, xs, ys, "mse")
 
         monkeypatch.setattr(vqc.CircuitStack, "backward", shift_backward)
-        _, shifted = model._loss_and_grad_scaled(xs, ys, "mse")
+        _, shifted = scaled_step(model, xs, ys, "mse")
         assert_fresh(model, adjoint, shifted)
         np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
 
@@ -599,10 +606,10 @@ class TestQLSTMShiftOracle:
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
         assert vqc.lowering(model.template) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
-        _, adjoint = model._loss_and_grad_scaled(xs, ys, "mse")
+        _, adjoint = scaled_step(model, xs, ys, "mse")
 
         monkeypatch.setattr(vqc.CircuitStack, "backward", shift_backward)
-        _, shifted = model._loss_and_grad_scaled(xs, ys, "mse")
+        _, shifted = scaled_step(model, xs, ys, "mse")
         assert_fresh(model, adjoint, shifted)
         np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
 

@@ -527,8 +527,8 @@ class TestPhasePolynomial:
 class TestAnsatzMatrix:
     """The ansatz-matrix lowering of ``vqc.CircuitStack`` against the plan:
     a stack that will be differentiated runs every call through the plan,
-    a forward-only one declared for 2**n rows through product states times
-    U."""
+    a forward-only one declared for ``MATRIX_ROWS_PER_STATE`` x 2**n rows
+    through product states times U."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(embed_first_stacks())
@@ -537,7 +537,7 @@ class TestAnsatzMatrix:
         template, params, inputs = case
         k = len(params)
         plan = vqc.CircuitStack(template, params)
-        matrix = vqc.CircuitStack(template, params, 1 << template.n_qubits)
+        matrix = vqc.CircuitStack(template, params, vqc.MATRIX_ROWS_PER_STATE << template.n_qubits)
         assert (plan.lowering, matrix.lowering) == ("plan", "matrix")
         for circuits, x in [(slice(0, k), inputs), (slice(k - 1, k), inputs[::-1] * 0.5)]:
             np.testing.assert_allclose(
@@ -550,10 +550,11 @@ class TestAnsatzMatrix:
         """``vqc.lowering`` is the one choice.  Every RX/CNOT template is a
         phase polynomial at any row count, whatever its segment order;
         other embed-first templates take the matrix when forward-only over
-        2**n rows or more, and the plan when they will be differentiated;
+        ``MATRIX_ROWS_PER_STATE`` x 2**n rows or more (at most 192 here),
+        and the plan below that and when they will be differentiated;
         the vqr that re-uploads its inputs (two or more layers) never takes
         the matrix, nor does a template that starts with its ansatz."""
-        by_rows = "matrix" if rows >= 1 << n else "plan"
+        by_rows = "matrix" if rows >= vqc.MATRIX_ROWS_PER_STATE << n else "plan"
         total = ansatz_param_count("ring_rx", n, layers)
         ring_after_ry = CircuitTemplate(
             n, n, (Embedding("Y", tuple(range(n))), Ansatz("ring_rx", layers, (0, total)))
