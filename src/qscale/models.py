@@ -927,7 +927,7 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
             rows = slice(start, start + len(group))
             nn.optimizer_step(state, flat[rows], grad[rows])
             start += len(group)
-        for lane, value, count in zip(live, values, counts):
+        for lane, value, count in zip(live, values.tolist(), counts):
             lane.add_loss(step, value, count)
         step += 1
         if any(lane.total == step for lane in live):

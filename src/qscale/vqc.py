@@ -58,11 +58,11 @@ of three ways; :func:`lowering` is the one choice:
   cosine, a sine and a few matrix products, with no statevector.
 * ``"matrix"``, a forward-only run of an embed-first template whose
   circuits share their params over at least ``MATRIX_ROWS_PER_STATE``
-  x 2**n rows (the linear vqr's large predicts).  The rest of the circuit is one 2**n x 2**n unitary U
-  per set of params, built by running the plan on the 2**n basis states
-  with the embedding angles at 0; each row is then its embedding's product
-  state, in closed form, times U.  U holds no more amplitudes than the plan
-  would for those rows.  Nothing differentiates it: at the batch sizes the
+  x 2**n rows (the linear vqr's large predicts).  The rest of the circuit
+  is one 2**n x 2**n unitary U per set of params, built by running the
+  plan on the 2**n basis states with the embedding angles at 0; each row
+  is then its embedding's product state, in closed form, times U.  U holds
+  fewer amplitudes than the plan would for those rows.  Nothing differentiates it: at the batch sizes the
   models train with, the plan's adjoint sweep over the rows is faster.
 * ``"plan"``, everything else: every vqr training step, and the
   re-uploading (nonlinear) vqr's and small vqr predicts, run through the

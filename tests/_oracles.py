@@ -8,11 +8,13 @@ dict loops that the columnar data path replaced, the raw-log oracle the
 oracle the nested per-row loops that columnar synthesis replaced, and the
 window oracle the per-hour run loop that the vectorized ``make_windows``
 replaced, the optimizer oracle the out-of-place update that the in-place
-``nn.optimizer_step`` replaced, and the cross-validation and grid-search
-oracles the serial loops, one ``fit_model`` per fold or grid point, that
-lockstep training replaced.  Nothing here imports the package's kernels:
-the serial loops take the package's ``models`` and ``experiments`` modules
-as arguments, and train each model alone through ``models.fit_model``."""
+``nn.optimizer_step`` replaced, and the training, cross-validation and
+grid-search oracles the serial loops that lockstep training replaced: one
+model trained alone, one minibatch step after another, and one such fit
+per fold or grid point.  Nothing here imports the package's kernels: the
+serial loops take the package's ``models`` and ``experiments`` modules as
+arguments, and run one model's unstacked training step,
+``_loss_and_grad_scaled`` on its own ``flat``."""
 
 from __future__ import annotations
 
@@ -409,10 +411,40 @@ def optimizer_step(state, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
+def serial_fit(models, experiments, kind, dataset, config, options=None):
+    """``models.fit_model`` as it was before training went through a stack
+    of models: the model and windows of ``models.prepare_fit``, then one
+    minibatch step after another on the model's own parameter vector.
+    Returns the model and its per-epoch losses, or raises the
+    ``TrainingDivergedError`` of the epoch whose loss or gradient is not
+    finite."""
+    from functools import partial
+
+    model, x, y = models.prepare_fit(kind, dataset, config, options)
+    xs, ys = model.scale_windows(x), model.scale_targets(y)
+    order_rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 99]))
+    optimizer = models.nn.init_optimizer(config.optimizer, config.learning_rate, model.param_count())
+    history = []
+    for epoch in range(config.epochs):
+        order = order_rng.permutation(y.size)
+        running = 0.0
+        for start in range(0, y.size, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss = partial(models._batch_loss, config.loss, ys[batch])
+            value, grad = model._loss_and_grad_scaled(xs[batch], loss)
+            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+                raise experiments.TrainingDivergedError(epoch)
+            models.nn.optimizer_step(optimizer, model.flat, grad)
+            running += value * batch.size
+        scale = model.target_halfspan if config.loss == "l1" else model.target_halfspan**2
+        history.append(running / y.size * scale)
+    return model, history
+
+
 def serial_cross_validate(models, experiments, kind, dataset, config, spec, options=None):
-    """Cross-validation with every fold trained alone, one after another, as
-    ``experiments.cross_validate`` did before it trained its folds in
-    lockstep.  Returns the report and, per fold, its ``(model, history)``,
+    """Cross-validation with every fold trained alone by :func:`serial_fit`,
+    one after another, as ``experiments.cross_validate`` did before it
+    trained its folds in lockstep.  Returns the report and, per fold, its ``(model, history)``,
     or None where the fold diverged."""
     from dataclasses import asdict, replace
 
@@ -431,7 +463,7 @@ def serial_cross_validate(models, experiments, kind, dataset, config, spec, opti
         }
         entries.append(entry)
         try:
-            model, history = models.fit_model(kind, train_set, fold_config, options)
+            model, history = serial_fit(models, experiments, kind, train_set, fold_config, options)
         except experiments.TrainingDivergedError as err:
             entry["error"] = str(err)
             fits.append(None)
@@ -466,9 +498,9 @@ def serial_grid_search(
     models, experiments, kind, dataset, grid, base_config=None, options=None,
     train_fraction=0.75, rank_loss="l1", seed=0,
 ):
-    """The grid search with every point trained alone, one after another, as
-    ``experiments.grid_search`` did before it trained its points in
-    lockstep.  Returns the result and, per point, its ``(model, history)``,
+    """The grid search with every point trained alone by :func:`serial_fit`,
+    one after another, as ``experiments.grid_search`` did before it trained
+    its points in lockstep.  Returns the result and, per point, its ``(model, history)``,
     or None where the point failed."""
     from dataclasses import replace
 
@@ -482,7 +514,9 @@ def serial_grid_search(
         fit = None
         try:
             config = replace(base, **{**config_fields, "seed": int(seed)})
-            fit = models.fit_model(kind, train_set, config, {**(options or {}), **option_fields})
+            fit = serial_fit(
+                models, experiments, kind, train_set, config, {**(options or {}), **option_fields}
+            )
             entry.update(experiments.score_holdout(fit[0], test_set)[0])
             entry["final_train_loss"] = fit[1][-1] if fit[1] else None
         except errors as err:
