@@ -298,10 +298,13 @@ class _ModelBase:
     def _stacked(self, flat: np.ndarray):
         """A copy of this model whose parameters are ``flat`` [K, P], the
         vectors of K models of its layout, one per row: its forward and
-        backward passes run all K at once, each model on its own rows."""
+        backward passes run all K at once, each model on its own rows.  A
+        single row it binds as a plain [P] vector, without the model axis,
+        which every NumPy call of a step pays a little for."""
         stack = copy.copy(self)
-        stack.flat, stack.params = flat, self._bind(flat)
-        grad = np.zeros_like(flat)
+        stack.flat = flat[0] if len(flat) == 1 else flat
+        stack.params = self._bind(stack.flat)
+        grad = np.zeros_like(stack.flat)
         stack._grads = grad, self._bind(grad)
         return stack
 
@@ -585,7 +588,7 @@ class QLSTMModel(_ModelBase):
         u, c, gates = nn.lstm_gates(self._expand(slice(0, 4), e), c_prev)
         w = nn.dense_forward(p.projection, u)[0]
         e_out, out_run = circuits.run(slice(4, 6), w)
-        h, q = np.moveaxis(self._expand(slice(4, 6), e_out), -3, 0)
+        h, q = self._expand(slice(4, 6), e_out).swapaxes(0, -3)
         y = nn.dense_forward(p.readout, q)[0][..., 0]
         cache = {
             "concat": concat,
@@ -859,34 +862,31 @@ class _Lane:
 
 def _lane_losses(kinds, counts, targets, preds) -> tuple[np.ndarray, np.ndarray]:
     """Each of K models' mean loss over its first ``counts[k]`` rows of
-    ``preds`` [K, W] and the loss gradient [K, W], zero on the padding rows
-    past them."""
+    ``preds`` [K, W] (or [W] for one model) and the loss gradient, shaped
+    as ``preds``, zero on the padding rows past them."""
+    by_model = preds.reshape(len(kinds), -1)
     values, d_preds = zip(
-        *(_batch_loss(kind, y[:n], p[:n]) for kind, n, y, p in zip(kinds, counts, targets, preds))
+        *(_batch_loss(kind, y[:n], p[:n]) for kind, n, y, p in zip(kinds, counts, targets, by_model))
     )
-    return np.array(values), _padded(d_preds)
+    return np.array(values), _padded(d_preds).reshape(preds.shape)
 
 
 def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs: Sequence) -> list:
     """Train K models of one :func:`layout` as one, each on its raw windows
-    and targets with its ``TrainConfig``.  Returns per model its per-epoch
-    train losses (ug/m3), or the ``TrainingDivergedError`` that ended its
-    training.
+    and targets with its ``TrainConfig``; returns per model its per-epoch
+    train losses (ug/m3), or the ``TrainingDivergedError`` that ended it.
 
-    The models' parameter vectors are the rows of one [K, P] matrix.  Each
-    step runs every model's minibatch through one forward and one backward
-    pass of the stack (:meth:`_ModelBase._stacked`), then updates the rows
-    of each optimizer kind with one ``nn.optimizer_step``.  Each model keeps
-    what it would train with alone: its initial weights, scalers and
-    ``[seed, 99]`` batch order, and its learning rate, loss, optimizer,
-    batch size and epochs, so it ends with the weights and losses of
-    training alone.  A minibatch narrower than the step's widest is padded
-    with rows whose loss gradient is zero, and each model's loss is the mean
-    over its own rows.  A model leaves the stack, its row going back to its
+    The models' vectors are the rows of one [K, P] matrix.  A step runs
+    every model's minibatch through one forward and one backward pass of
+    the stack (:meth:`_ModelBase._stacked`) and updates the rows of each
+    optimizer kind with one ``nn.optimizer_step``.  Each model keeps its
+    initial weights, scalers, ``[seed, 99]`` batch order, learning rate,
+    loss, optimizer, batch size and epochs, so it ends as it would have
+    trained alone.  A narrower minibatch is padded with rows of zero loss
+    gradient.  A model leaves the stack, its row copied back to its
     ``flat``, when its epochs are done, or, unstepped, when its loss or
-    gradient is not finite, which ends it with that epoch's
-    ``TrainingDivergedError``.  The others train on unchanged, and no
-    optimizer state moves on a step that its model takes no part in.
+    gradient is not finite; the others train on unchanged, and no optimizer
+    state moves on a step its model takes no part in.
     """
     if len({layout(model) for model in models}) > 1:
         raise ConfigurationError("models trained in lockstep must share one kind and layout")
@@ -915,8 +915,9 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
         loss = partial(_lane_losses, [lane.config.loss for lane in live], counts, _padded(y))
         x = _padded(x)
         values, grad = stack._loss_and_grad_scaled(x.reshape(-1, *x.shape[2:]), loss)
-        finite = np.isfinite(values) & np.isfinite(grad).all(axis=1)
-        if not finite.all():
+        grad = grad.reshape(flat.shape)
+        if not (np.isfinite(values).all() and np.isfinite(grad).all()):
+            finite = np.isfinite(values) & np.isfinite(grad).all(axis=1)
             for lane in compress(live, ~finite):
                 lane.outcome = TrainingDivergedError(step // lane.per_epoch)
             values, counts = values[finite], list(compress(counts, finite))
@@ -939,7 +940,9 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
 
 def _padded(parts: Sequence[np.ndarray]) -> np.ndarray:
     """The arrays ``parts`` [n_k, ...] as one [K, max n_k, ...], each
-    padded with zero rows."""
+    padded with zero rows; one part as a view of it."""
+    if len(parts) == 1:
+        return parts[0][None]
     if len(set(map(len, parts))) == 1:
         return np.concatenate(parts).reshape((len(parts), -1) + parts[0].shape[1:])
     out = np.zeros((len(parts), max(map(len, parts))) + parts[0].shape[1:])

@@ -186,7 +186,7 @@ def lstm_gates(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """The gate update from the pre-activations z [..., 4, B, hidden] (f,
     i, g, o); returns (h, c, cache).  The cache is (c_prev, f, i, g, o,
     tanh(c)) and feeds lstm_gates_backward."""
-    z_f, z_i, z_g, z_o = np.moveaxis(z, -3, 0)
+    z_f, z_i, z_g, z_o = z.swapaxes(0, -3)
     f, i, g, o = sigmoid(z_f), sigmoid(z_i), np.tanh(z_g), sigmoid(z_o)
     c = f * c_prev + i * g
     tc = np.tanh(c)
@@ -235,7 +235,7 @@ def lstm_cell_backward(
     grads.bias += dz.sum(axis=-2)
     # one product over the gates and hidden units together: dz as [..., B, 4 hidden]
     *lead, gates_n, batch, hidden = dz.shape
-    by_row = np.moveaxis(dz, -3, -2).reshape(*lead, batch, gates_n * hidden)
+    by_row = dz.swapaxes(-3, -2).reshape(*lead, batch, gates_n * hidden)
     dconcat = by_row @ layer.weights.reshape(*lead, gates_n * hidden, -1)
     return dconcat[..., hidden:], dconcat[..., :hidden], dc_prev
 

@@ -713,8 +713,10 @@ class CircuitStack:
             angles = _angle_table(
                 template, self.params[..., circuits, None, :], inputs[..., None, :, :]
             )
-            exps, states = _run_rows(template, angles.reshape(-1, angles.shape[-1]))
-            return exps.reshape(angles.shape[:-1] + (-1,)), (angles, states)
+            rows = angles.shape[:-1]  # [..., k, B]
+            angles = angles.reshape(-1, angles.shape[-1])
+            exps, states = _run_rows(template, angles)
+            return exps.reshape(rows + (-1,)), (angles, states)
         amps = _product_state(_embedding_factors(template, inputs)) @ self.matrices[circuits]
         return (amps.real**2 + amps.imag**2) @ sim._z_signs(template.n_qubits).T, None
 
@@ -738,7 +740,7 @@ class CircuitStack:
         angles, states = record
         rows = weights.shape[:-1]  # [..., k, B]
         cotangent = (weights.reshape(-1, template.n_qubits) @ sim._z_signs(template.n_qubits)) * states
-        dangles = _adjoint_rows(template, angles.reshape(-1, angles.shape[-1]), states, cotangent)
+        dangles = _adjoint_rows(template, angles, states, cotangent)
         per_row = np.broadcast_to(inputs[..., None, :, :], rows + inputs.shape[-1:])
         grad_params, grad_inputs = _angle_grads_to_args(
             template, dangles, per_row.reshape(-1, inputs.shape[-1])
