@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold-mode", choices=experiments.FOLD_MODES, default=None)
     p.add_argument("--fold-seed", type=int, default=None)
     p.add_argument("--benchmark-draws", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=1, help="unused; folds run serially")
+    p.add_argument("--threads", type=int, default=1, help="unused; folds train in lockstep")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=_cmd_cross_validate)
 
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="JSON file: axis -> value list")
     p.add_argument("--train-fraction", type=float, default=0.75)
     p.add_argument("--rank-loss", choices=tuple(models.METRICS), default="l1")
-    p.add_argument("--threads", type=int, default=1, help="unused; grid points run serially")
+    p.add_argument("--threads", type=int, default=1, help="unused; points train in lockstep")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=_cmd_grid_search)
 

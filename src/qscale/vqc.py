@@ -62,8 +62,9 @@ of three ways; :func:`lowering` is the one choice:
   is one 2**n x 2**n unitary U per set of params, built by running the
   plan on the 2**n basis states with the embedding angles at 0; each row
   is then its embedding's product state, in closed form, times U.  U holds
-  fewer amplitudes than the plan would for those rows.  Nothing differentiates it: at the batch sizes the
-  models train with, the plan's adjoint sweep over the rows is faster.
+  fewer amplitudes than the plan would for those rows.  Nothing
+  differentiates it: at the batch sizes the models train with, the plan's
+  adjoint sweep over the rows is faster.
 * ``"plan"``, everything else: every vqr training step, and the
   re-uploading (nonlinear) vqr's and small vqr predicts, run through the
   plan and its adjoint sweep.
