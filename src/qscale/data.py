@@ -227,9 +227,12 @@ def _csv_rows(path: Path, expected_header: tuple[str, ...], text: str) -> Iterat
     purpose, although the ``io.StringIO`` below holds a second copy of the
     text at 4 bytes per character: freeing that large block is what raises
     glibc malloc's mmap threshold before the models run on a loaded
-    dataset.  Without it, the large temporaries of a later predict map
-    fresh pages on every call (a StringIO-free ``dataset_from_csv`` took
-    predict-year from 0.035 to 0.055 s per operation).
+    dataset.  Without it, the large temporaries of a later vqr predict map
+    fresh pages on every call: a sensor-year vqr predict took a median of
+    3.9-6.0 ms in a process that had freed no large block, 3.2-5.4 ms in
+    one that had (a StringIO-free ``dataset_from_csv`` once took
+    predict-year from 0.035 to 0.055 s per operation).  The lstm predict,
+    which writes into one workspace per call, no longer depends on it.
     """
     reader = csv.reader(io.StringIO(text))
     try:

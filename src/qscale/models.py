@@ -25,10 +25,13 @@ stays as the public, hardware-realistic gradient and as the oracle the
 adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
 per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
 
-Every model takes a minibatch in one forward and one backward pass on
-``[B, ...]`` arrays, one window being a batch of one; ``predict`` runs the
-same forward pass over blocks of ``PREDICT_ROWS`` windows, so the
-activations it keeps stay bounded whatever the number of rows.  Held-out
+Every model takes a minibatch of windows ``[B, T, features]`` in one
+forward and one backward pass, one window being a batch of one; the lstm
+runs it feature-major inside ``nn``, its states ``[hidden, B]``.
+``predict`` runs the same forward pass over blocks of ``PREDICT_ROWS``
+windows, so the activations it keeps stay bounded whatever the number of
+rows; the lstm allocates one workspace per ``predict`` and every block,
+the ragged last one too, writes into views from its start.  Held-out
 losses are the ``METRICS`` table, by name.
 
 Each model holds its parameters in one float64 vector, ``flat``; every
@@ -360,8 +363,8 @@ class _ModelBase:
 
     def _predictor(self, rows: int):
         """What predicts each block of the ``rows`` scaled windows of one
-        ``predict``; the quantum kinds set up their circuits here, once for
-        all blocks."""
+        ``predict``; the quantum kinds set up their circuits here and the
+        lstm its workspace, once for all blocks."""
         return self._predict_scaled
 
 
@@ -418,8 +421,12 @@ class LSTMModel(_ModelBase):
         for layer in [*self.params.layers, self.params.readout]:
             nn.draw_uniform(rng, layer.weights, layer.bias)
 
-    def _predict_scaled(self, x_scaled):
-        return nn.lstm_sequence_forward(self.params, x_scaled)[0]
+    def _predictor(self, rows):
+        shape = (min(rows, PREDICT_ROWS), self.window, len(self.feature_names))
+        return partial(self._predict_scaled, workspace=nn.lstm_workspace(self.params, shape))
+
+    def _predict_scaled(self, x_scaled, workspace=None):
+        return nn.lstm_sequence_forward(self.params, x_scaled, workspace)[0]
 
     def _loss_and_grad_scaled(self, x_scaled, loss):
         preds, state = nn.lstm_sequence_forward(self.params, self._by_model(x_scaled))

@@ -12,21 +12,29 @@ analytic gradients.  The LSTM follows the classic gate equations
 
 with the hidden state concatenated before the input.  A layer keeps its
 four gates as two slabs in gate order f, i, c, o: weights
-``[4, hidden, hidden + n_in]`` and bias ``[4, hidden]``, so one batched
-matmul makes the ``[4, B, hidden]`` pre-activation slab.  ``lstm_gates``
-and ``lstm_gates_backward`` hold the gate update, from that slab to c_t and
-h_t, and its gradient.  The LSTM cell feeds them the linear maps above; the
-QLSTM cell in ``models`` feeds them maps of variational-circuit outputs
-instead (Chen, Yoo & Fang, arXiv:2009.01783).  ``draw_uniform`` fills
-weights in place, uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)], from a
-caller-provided generator, so a fixed seed reproduces training bit for bit.
+``[4, hidden, hidden + n_in]`` and bias ``[4, hidden]``.  The LSTM runs
+feature-major: its states are ``[hidden, B]`` and [h_prev; x_t] is
+``[hidden + n_in, B]``, so four plain matmuls off the weight slab make the
+``[4, hidden, B]`` pre-activations, and the bias add and every gate
+operation run over rows B long (Appleyard, Kocisky & Blunsom,
+arXiv:1604.01946).  ``lstm_gates`` and ``lstm_gates_backward`` hold the gate
+update, from the pre-activations to c_t and h_t, and its gradient, with the
+gates on the third axis from the end.  The LSTM cell feeds them the linear
+maps above; the QLSTM cell in ``models`` feeds them ``[4, B, hidden]`` maps
+of variational-circuit outputs instead (Chen, Yoo & Fang,
+arXiv:2009.01783).  Every step of ``lstm_sequence_forward`` writes into
+views of one flat workspace, which a caller may allocate once
+(``lstm_workspace``) and pass to call after call; the backward pass reads
+the gates each step kept there.  ``draw_uniform`` fills weights in place,
+uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)], from a caller-provided
+generator, so a fixed seed reproduces training bit for bit.
 
-Layers run over a minibatch: activations, states and their gradients are
-``[B, size]`` and LSTM windows ``[B, T, n_features]``.  Every array may
-carry leading model axes, the same on the parameters and the data: K
-models of one shape, parameters ``[K, ...]`` and data ``[K, B, ...]``, run
-as one with batched (``...``-broadcast) matmuls, each model on its own
-rows.  The backward passes add the parameter gradients, summed over each
+Layers run over a minibatch: dense activations and their gradients are
+``[B, size]``, LSTM windows ``[B, T, n_features]`` and LSTM predictions
+``[B]``.  Every array may carry leading model axes, the same on the
+parameters and the data: K models of one shape, parameters ``[K, ...]``
+and data ``[K, B, ...]`` (LSTM states ``[K, hidden, B]``), run as one with
+batched (``...``-broadcast) matmuls, each model on its own rows.  The backward passes add the parameter gradients, summed over each
 model's batch, into structures of the parameters' shapes that the caller
 passes; ``models`` makes both the parameters and the gradients views of
 one flat vector each (``[K, P]`` for K models), and ``optimizer_step``
@@ -36,6 +44,7 @@ count.  One sample is a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -171,7 +180,7 @@ def linear_backward(
 @dataclass
 class LSTMLayerParams:
     """One layer's four gates as slabs in gate order f, i, c, o: weights
-    [..., 4, hidden, hidden + n_in] acting on [h_prev, x_t] and bias
+    [..., 4, hidden, hidden + n_in] acting on [h_prev; x_t] and bias
     [..., 4, hidden]."""
 
     weights: np.ndarray
@@ -182,22 +191,40 @@ class LSTMLayerParams:
         return self.weights.shape[-2]
 
 
-def lstm_gates(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The gate update from the pre-activations z [..., 4, B, hidden] (f,
-    i, g, o); returns (h, c, cache).  The cache is (c_prev, f, i, g, o,
-    tanh(c)) and feeds lstm_gates_backward."""
-    z_f, z_i, z_g, z_o = z.swapaxes(0, -3)
-    f, i, g, o = sigmoid(z_f), sigmoid(z_i), np.tanh(z_g), sigmoid(z_o)
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    return o * tc, c, (c_prev, f, i, g, o, tc)
+def lstm_gates(
+    z: np.ndarray, c_prev: np.ndarray, out: Optional[tuple] = None
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The gate update from the pre-activations z [..., 4, *S] (f, i, g,
+    o), S being the shape of c_prev: [hidden, B] for the LSTM, [B, hidden]
+    for the QLSTM.  z is overwritten with the gate values; c, tanh(c) and h
+    go into ``out`` = (c, tc, h), arrays of c_prev's shape, fresh ones by
+    default.  Returns (h, c, cache); the cache (c_prev, f, i, g, o, tanh(c))
+    feeds lstm_gates_backward.
+
+    sigmoid(x) = (1 + tanh(x / 2)) / 2, so the three sigmoid gates, halved
+    in place, share one tanh call with g; halving is exact, so each gate
+    has the bits of ``sigmoid`` and ``np.tanh`` applied alone."""
+    c, tc, h = out or (np.empty(z.shape[:-3] + z.shape[-2:]) for _ in range(3))
+    sigmoids = (z[..., :2, :, :], z[..., 3:, :, :])
+    for s in sigmoids:
+        s *= 0.5
+    np.tanh(z, out=z)
+    for s in sigmoids:
+        s += 1.0
+        s *= 0.5
+    f, i, g, o = z.swapaxes(0, -3)
+    np.multiply(f, c_prev, out=c)
+    c += np.multiply(i, g, out=tc)
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
+    return h, c, (c_prev, f, i, g, o, tc)
 
 
 def lstm_gates_backward(
     cache: tuple, dh: np.ndarray, dc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the gate update for upstream dh and dc; returns
-    (dz [..., 4, B, hidden], dc_prev)."""
+    (dz [..., 4, *S], dc_prev)."""
     c_prev, f, i, g, o, tc = cache
     do = dh * tc
     dc = dc + dh * o * (1.0 - tc**2)
@@ -214,13 +241,17 @@ def lstm_gates_backward(
 
 
 def lstm_cell_forward(
-    layer: LSTMLayerParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+    layer: LSTMLayerParams, concat: np.ndarray, c_prev: np.ndarray, out: Optional[tuple] = None
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One step on x_t [..., B, n_in] and states h_prev, c_prev [..., B,
-    hidden]; returns (h, c, cache)."""
-    concat = np.concatenate([h_prev, x_t], axis=-1)
-    z = concat[..., None, :, :] @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
-    h, c, gates = lstm_gates(z, c_prev)
+    """One step on concat [..., hidden + n_in, B], the stacked [h_prev;
+    x_t], and c_prev [..., hidden, B]; returns (h, c, cache).  ``out`` =
+    (z, c, tc, h) holds the arrays the step writes: z [..., 4, hidden, B]
+    takes the four gate matrices' products with concat and then the gates,
+    and c, tanh(c) and h are [..., hidden, B]; fresh ones by default."""
+    z, states = (None, None) if out is None else (out[0], out[1:])
+    z = np.matmul(layer.weights, concat[..., None, :, :], out=z)
+    z += layer.bias[..., None]
+    h, c, gates = lstm_gates(z, c_prev, states)
     return h, c, (concat, gates)
 
 
@@ -231,13 +262,13 @@ def lstm_cell_backward(
     (dx, dh_prev, dc_prev)."""
     concat, gates = cache
     dz, dc_prev = lstm_gates_backward(gates, dh, dc)
-    grads.weights += dz.swapaxes(-1, -2) @ concat[..., None, :, :]
-    grads.bias += dz.sum(axis=-2)
-    # one product over the gates and hidden units together: dz as [..., B, 4 hidden]
-    *lead, gates_n, batch, hidden = dz.shape
-    by_row = dz.swapaxes(-3, -2).reshape(*lead, batch, gates_n * hidden)
-    dconcat = by_row @ layer.weights.reshape(*lead, gates_n * hidden, -1)
-    return dconcat[..., hidden:], dconcat[..., :hidden], dc_prev
+    grads.weights += dz @ concat[..., None, :, :].swapaxes(-1, -2)
+    grads.bias += dz.sum(axis=-1)
+    # one product over the gates and hidden units together: W^T [..., n, 4 hidden]
+    *lead, gates_n, hidden, batch = dz.shape
+    by_column = layer.weights.reshape(*lead, gates_n * hidden, -1).swapaxes(-1, -2)
+    dconcat = by_column @ dz.reshape(*lead, gates_n * hidden, batch)
+    return dconcat[..., hidden:, :], dconcat[..., :hidden, :], dc_prev
 
 
 @dataclass
@@ -248,28 +279,67 @@ class LSTMParams:
     readout: DenseLayer
 
 
-def lstm_sequence_forward(params: LSTMParams, windows: np.ndarray) -> tuple[np.ndarray, dict]:
+def _lstm_shapes(params: LSTMParams, windows_shape: tuple):
+    """The shapes of each layer's workspace arrays for windows of
+    ``windows_shape`` [..., B, T, n_features], one row per step: the
+    stacked [h_prev; x_t] (one more row, whose h part is h_T), z, c (one
+    more row, c_0 first) and tanh(c)."""
+    *lead, batch, steps, _ = windows_shape
+    hidden = params.layers[0].hidden_size
+    for layer in params.layers:
+        yield (steps + 1, *lead, layer.weights.shape[-1], batch)
+        yield (steps, *lead, 4, hidden, batch)
+        yield (steps + 1, *lead, hidden, batch)
+        yield (steps, *lead, hidden, batch)
+
+
+def lstm_workspace(params: LSTMParams, windows_shape: tuple) -> np.ndarray:
+    """A flat buffer for every array lstm_sequence_forward writes on
+    windows of ``windows_shape`` or of fewer rows B."""
+    return np.empty(sum(math.prod(shape) for shape in _lstm_shapes(params, windows_shape)))
+
+
+def lstm_sequence_forward(
+    params: LSTMParams, windows: np.ndarray, workspace: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, dict]:
     """Run windows [..., B, T, n_features] through the stack and predict
     from each h_T; returns the predictions [..., B] and the state
-    lstm_sequence_backward consumes."""
+    lstm_sequence_backward consumes.
+
+    Every step writes into views carved from the start of ``workspace``
+    (from ``lstm_workspace``; a fresh one by default), feature-major: the
+    windows go in once as [T, ..., n_features, B], and each step's h is
+    the next step's h_prev and the input of the layer above.  The state
+    holds views of the workspace, so it is valid until the workspace is
+    passed to another call."""
     windows = np.asarray(windows, dtype=float)
     if windows.ndim < 3:
         raise ConfigurationError(f"windows must be [B, T, features], got {windows.shape}")
     steps = windows.shape[-2]
     if steps < 1:
         raise ConfigurationError("window must contain at least one step")
-    n_layers = len(params.layers)
-    state_shape = windows.shape[:-2] + (params.layers[0].hidden_size,)
-    h = [np.zeros(state_shape) for _ in range(n_layers)]
-    c = [np.zeros(state_shape) for _ in range(n_layers)]
-    caches = [[None] * n_layers for _ in range(steps)]
-    for t in range(steps):
-        x = windows[..., t, :]
-        for k, layer in enumerate(params.layers):
-            h[k], c[k], caches[t][k] = lstm_cell_forward(layer, x, h[k], c[k])
-            x = h[k]
-    pred, read_cache = dense_forward(params.readout, h[-1])
-    return pred[..., 0], {"caches": caches, "read": read_cache, "steps": steps}
+    if workspace is None:
+        workspace = lstm_workspace(params, windows.shape)
+    views, start = [], 0
+    for shape in _lstm_shapes(params, windows.shape):
+        views.append(workspace[start : start + math.prod(shape)].reshape(shape))
+        start += views[-1].size
+    hidden = params.layers[0].hidden_size
+    x = np.moveaxis(windows, (-2, -3), (0, -1))
+    caches = []
+    for k, layer in enumerate(params.layers):
+        concat, z, c, tc = views[4 * k : 4 * k + 4]
+        concat[0, ..., :hidden, :] = 0.0
+        concat[:-1, ..., hidden:, :] = x
+        c[0] = 0.0
+        layer_caches = []
+        for t in range(steps):
+            out = (z[t], c[t + 1], tc[t], concat[t + 1, ..., :hidden, :])
+            layer_caches.append(lstm_cell_forward(layer, concat[t], c[t], out)[2])
+        caches.append(layer_caches)
+        x = concat[1:, ..., :hidden, :]  # h_1 .. h_T, the input of the layer above
+    pred = params.readout.weights @ x[-1] + params.readout.bias[..., None]
+    return pred[..., 0, :], {"caches": caches, "h": x[-1]}
 
 
 def lstm_sequence_backward(
@@ -277,21 +347,19 @@ def lstm_sequence_backward(
 ) -> None:
     """Backpropagation through time of d_pred [..., B]: adds the gradients,
     summed over the batch, into ``grads``, which has the shapes of
-    ``params``."""
+    ``params``.  It runs layer by layer from the top, each layer's input
+    gradients at every step feeding the layer below."""
+    d = d_pred[..., None, :]
+    grads.readout.weights += d @ forward_state["h"].swapaxes(-1, -2)
+    grads.readout.bias += d.sum(axis=-1)
     caches = forward_state["caches"]
-    n_layers = len(params.layers)
-    dh_last = ffnn_backward(
-        [params.readout], [forward_state["read"]], d_pred[..., None], [grads.readout]
-    )
-    dh = [np.zeros_like(dh_last) for _ in range(n_layers)]
-    dc = [np.zeros_like(dh_last) for _ in range(n_layers)]
-    dh[-1] = dh_last
-    for t in range(forward_state["steps"] - 1, -1, -1):
-        dx_from_above = None
-        for k in range(n_layers - 1, -1, -1):
-            dh_k = dh[k] if dx_from_above is None else dh[k] + dx_from_above
-            dx_from_above, dh[k], dc[k] = lstm_cell_backward(
-                params.layers[k], caches[t][k], dh_k, dc[k], grads.layers[k]
+    steps = len(caches[0])
+    d_above = [0.0] * (steps - 1) + [params.readout.weights.swapaxes(-1, -2) @ d]
+    for k in range(len(params.layers) - 1, -1, -1):
+        dh, dc = 0.0, 0.0
+        for t in range(steps - 1, -1, -1):
+            d_above[t], dh, dc = lstm_cell_backward(
+                params.layers[k], caches[k][t], dh + d_above[t], dc, grads.layers[k]
             )
 
 

@@ -800,6 +800,35 @@ class TestPredictBlocks:
         empty = model.predict(np.zeros((0, window, len(names))))
         assert empty.shape == (0,)
 
+    @staticmethod
+    def default_lstm(seed):
+        names = models.default_options("lstm")["features"]
+        inp, tgt = scalers_for(tiny_dataset(24, seed=41), names)
+        window = models.default_config("lstm").window
+        return models.build_model("lstm", names, inp, tgt, window=window, seed=seed)
+
+    def test_lstm_workspace_blocks(self):
+        """An lstm predict writes every block, two full ones and a ragged
+        third, into one workspace: each row predicts as it does alone, and a
+        second predict repeats the first bit for bit."""
+        model = self.default_lstm(seed=53)
+        rows = 2 * models.PREDICT_ROWS + 566
+        x = np.random.default_rng(59).uniform(0.0, 30.0, (rows, model.window, 1))
+        preds = model.predict(x)
+        single = np.concatenate([model.predict(row[None]) for row in x])
+        np.testing.assert_allclose(preds, single, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(model.predict(x), preds)
+
+    def test_lstm_predicts_of_different_lengths(self):
+        """Two predicts of different lengths on one model each equal a
+        predict on a fresh model: nothing of one workspace leaks into the
+        next."""
+        model = self.default_lstm(seed=61)
+        rng = np.random.default_rng(67)
+        for rows in (models.PREDICT_ROWS + 5, 7):
+            x = rng.uniform(0.0, 30.0, (rows, model.window, 1))
+            np.testing.assert_array_equal(model.predict(x), self.default_lstm(seed=61).predict(x))
+
 
 class TestCheckpoints:
     @pytest.mark.parametrize(

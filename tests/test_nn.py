@@ -173,19 +173,35 @@ class TestFFNNGradients:
 
 
 class TestLSTMCell:
+    """Cells run feature-major: concat [h_prev; x_t] is [hidden + n_in, B]
+    and the states [hidden, B]."""
+
     def test_zero_params_with_cell_state(self):
         layer = nn.LSTMLayerParams(np.zeros((4, 1, 2)), np.zeros((4, 1)))
-        h, c, _ = lstm_cell_forward(
-            layer, np.zeros((1, 1)), np.zeros((1, 1)), np.array([[2.0]])
-        )
+        h, c, _ = lstm_cell_forward(layer, np.zeros((2, 1)), np.array([[2.0]]))
         assert c[0, 0] == pytest.approx(1.0)
         assert h[0, 0] == pytest.approx(0.5 * np.tanh(1.0))  # 0.380797...
 
     def test_zero_everything(self):
         layer = nn.LSTMLayerParams(np.zeros((4, 2, 3)), np.zeros((4, 2)))
-        h, c, _ = lstm_cell_forward(layer, np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((1, 2)))
+        h, c, _ = lstm_cell_forward(layer, np.zeros((3, 1)), np.zeros((2, 1)))
+        assert h.shape == c.shape == (2, 1)
         np.testing.assert_allclose(h, 0.0)
         np.testing.assert_allclose(c, 0.0)
+
+    def test_writes_into_out(self):
+        """A cell given out = (z, c, tc, h) writes there, the gates into z,
+        and equals a cell on fresh arrays bit for bit."""
+        rng = np.random.default_rng(7)
+        params = lstm_stack(rng, 2, 3, 1)
+        concat, c_prev = rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (3, 4))
+        h, c, (_, gates) = lstm_cell_forward(params.layers[0], concat, c_prev)
+        out = (np.empty((4, 3, 4)), np.empty((3, 4)), np.empty((3, 4)), np.empty((3, 4)))
+        h_out, c_out, (_, gates_out) = lstm_cell_forward(params.layers[0], concat, c_prev, out)
+        assert h_out is out[3] and c_out is out[1] and gates_out[5] is out[2]
+        np.testing.assert_array_equal(h_out, h)
+        np.testing.assert_array_equal(c_out, c)
+        np.testing.assert_array_equal(out[0], np.stack(gates[1:5]))
 
     def test_stack_shapes(self):
         rng = np.random.default_rng(3)
@@ -195,16 +211,36 @@ class TestLSTMCell:
         assert params.readout.weights.shape == (1, 15)
 
 
+class TestLSTMGates:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-model", "model-axis"])
+    @pytest.mark.parametrize("layout", ["lstm", "qlstm"])
+    def test_fused_nonlinearity_is_bit_identical(self, lead, layout):
+        """The sigmoid gates, halved to share one tanh with g, give the
+        bits of the per-gate sigmoid and tanh formula, in the LSTM's
+        [..., 4, hidden, B] layout and the QLSTM's [..., 4, B, hidden]."""
+        rng = np.random.default_rng(71)
+        shape = (5, 11) if layout == "lstm" else (11, 5)
+        z = rng.normal(0.0, 4.0, lead + (4,) + shape)
+        c_prev = rng.normal(0.0, 2.0, lead + shape)
+        want_f, want_i, want_o = (nn.sigmoid(z[..., k, :, :]) for k in (0, 1, 3))
+        want_g = np.tanh(z[..., 2, :, :])
+        want_c = want_f * c_prev + want_i * want_g
+        want_h = want_o * np.tanh(want_c)
+        h, c, (_, f, i, g, o, _) = nn.lstm_gates(z.copy(), c_prev)
+        for got, want in zip((f, i, g, o, c, h), (want_f, want_i, want_g, want_o, want_c, want_h)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestLSTMSequence:
     def test_single_step_equals_cell_plus_readout(self):
         rng = np.random.default_rng(4)
         params = lstm_stack(rng, 2, 3, 1)
         window = rng.uniform(-1, 1, (1, 2))
         pred, _ = lstm_sequence_forward(params, window[None])
-        h, _, _ = lstm_cell_forward(
-            params.layers[0], window[:1], np.zeros((1, 3)), np.zeros((1, 3))
-        )
-        want = (params.readout.weights @ h[0] + params.readout.bias)[0]
+        concat = np.concatenate([np.zeros(3), window[0]])[:, None]
+        h, _, _ = lstm_cell_forward(params.layers[0], concat, np.zeros((3, 1)))
+        want = (params.readout.weights @ h[:, 0] + params.readout.bias)[0]
         assert pred[0] == pytest.approx(want)
 
     def test_constant_window_zero_params_returns_readout_bias(self):
