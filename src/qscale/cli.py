@@ -7,7 +7,8 @@ progress lines go to stderr.  ``main`` runs every command the same way:
 it starts the clock, creates ``--out`` when the command has one, calls the
 handler, writes ``manifest.json`` (config echo, seed, versions, wall time)
 next to the outputs from the settings and seed the handler returns, and
-only then prints the handler's stdout result.  ``QSCALE_SEED`` supplies
+only then prints the handler's stdout result.  Python warnings raised on
+the way print as one ``warning:`` line each.  ``QSCALE_SEED`` supplies
 the default seed.
 """
 
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -30,6 +32,12 @@ from .errors import ConfigurationError, DataError, TrainingDivergedError
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A Python warning as one ``warning:`` line on stderr, without the
+    source file and line that the default display adds."""
+    _log(f"warning: {message}")
 
 
 def _env_seed() -> Optional[int]:
@@ -322,7 +330,6 @@ def _cmd_grid_search(args) -> Recorded:
         train_fraction=args.train_fraction,
         rank_loss=args.rank_loss,
         seed=seed,
-        n_threads=args.threads,
     )
     experiments.write_json(args.out / "grid.json", result.to_dict())
     settings = {
@@ -485,28 +492,30 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exit_request:  # --help (0) or usage error (2)
         return int(exit_request.code or 0)
     started = time.monotonic()
-    try:
-        out = getattr(args, "out", None)
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-        recorded = args.handler(args)
-        if recorded is not None:
-            _write_manifest(out, args.command, recorded.settings, recorded.seed, started)
-            if recorded.result is not None:
-                print(recorded.result)
-        return 0
-    except ConfigurationError as err:
-        _log(f"config error: {err}")
-        return 1
-    except DataError as err:
-        _log(f"data error: {err}")
-        return 1
-    except TrainingDivergedError as err:
-        _log(f"numeric error: {err}")
-        return 1
-    except OSError as err:
-        _log(f"io error: {err}")
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            out = getattr(args, "out", None)
+            if out is not None:
+                out.mkdir(parents=True, exist_ok=True)
+            recorded = args.handler(args)
+            if recorded is not None:
+                _write_manifest(out, args.command, recorded.settings, recorded.seed, started)
+                if recorded.result is not None:
+                    print(recorded.result)
+            return 0
+        except ConfigurationError as err:
+            _log(f"config error: {err}")
+            return 1
+        except DataError as err:
+            _log(f"data error: {err}")
+            return 1
+        except TrainingDivergedError as err:
+            _log(f"numeric error: {err}")
+            return 1
+        except OSError as err:
+            _log(f"io error: {err}")
+            return 1
 
 
 if __name__ == "__main__":

@@ -289,7 +289,6 @@ def grid_search(
     train_fraction: float = 0.75,
     rank_loss: str = "l1",
     seed: int = 0,
-    n_threads: int = 1,
 ) -> "GridSearchResult":
     """Train every grid point on one fixed chronological split and rank.
 
@@ -298,8 +297,7 @@ def grid_search(
     ``models.train_lockstep`` per layout; their learning rate, loss,
     optimizer, batch size and epochs may differ.  Each ends with the
     weights it would have had alone, and a point that fails or diverges is
-    recorded without touching the others.  ``n_threads`` is accepted and
-    unused, as in ``cross_validate``.
+    recorded without touching the others.
     """
     total = grid_size(grid)
     if rank_loss not in models.METRICS:

@@ -65,6 +65,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import compress, groupby, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -364,7 +365,8 @@ class _ModelBase:
     def _predictor(self, rows: int):
         """What predicts each block of the ``rows`` scaled windows of one
         ``predict``; the quantum kinds set up their circuits here and the
-        lstm its workspace, once for all blocks."""
+        lstm its workspace, once for all blocks, and pass them to their
+        ``_predict_scaled``, which builds none of its own."""
         return self._predict_scaled
 
 
@@ -425,7 +427,7 @@ class LSTMModel(_ModelBase):
         shape = (min(rows, PREDICT_ROWS), self.window, len(self.feature_names))
         return partial(self._predict_scaled, workspace=nn.lstm_workspace(self.params, shape))
 
-    def _predict_scaled(self, x_scaled, workspace=None):
+    def _predict_scaled(self, x_scaled, workspace):
         return nn.lstm_sequence_forward(self.params, x_scaled, workspace)[0]
 
     def _loss_and_grad_scaled(self, x_scaled, loss):
@@ -471,8 +473,7 @@ class VQRModel(_ModelBase):
     def _predictor(self, rows):
         return partial(self._predict_scaled, circuits=self._circuits(rows))
 
-    def _predict_scaled(self, x_scaled, circuits=None):
-        circuits = circuits or self._circuits(x_scaled.shape[0])
+    def _predict_scaled(self, x_scaled, circuits):
         return circuits.run(slice(None), x_scaled[:, 0])[0][0, :, 0]
 
     def _loss_and_grad_scaled(self, x_scaled, loss):
@@ -582,13 +583,12 @@ class QLSTMModel(_ModelBase):
         x_t: np.ndarray,
         h_prev: np.ndarray,
         c_prev: np.ndarray,
-        circuits: Optional[vqc.CircuitStack] = None,
+        circuits: vqc.CircuitStack,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         """One time step on scaled inputs x_t [..., B, features] and states
-        h_prev, c_prev [..., B, hidden], its circuits run by ``circuits`` (by
-        default a stack for this step alone); returns (h, c, y [..., B],
-        cache)."""
-        circuits, p = circuits or self._circuits(), self.params
+        h_prev, c_prev [..., B, hidden], its circuits run by ``circuits``, a
+        stack of the model's six; returns (h, c, y [..., B], cache)."""
+        p = self.params
         concat = np.concatenate([h_prev, x_t], axis=-1)
         v = nn.dense_forward(p.fc_in, concat)[0]
         e, gate_run = circuits.run(slice(0, 4), v)
@@ -631,8 +631,7 @@ class QLSTMModel(_ModelBase):
     def _predictor(self, rows):
         return partial(self._predict_scaled, circuits=self._circuits())
 
-    def _predict_scaled(self, x_scaled, circuits=None):
-        circuits = circuits or self._circuits()
+    def _predict_scaled(self, x_scaled, circuits):
         return self.sequence_forward(x_scaled, circuits, keep_caches=False)[0]
 
     # -- backward ---------------------------------------------------------
@@ -886,35 +885,31 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
     The models' vectors are the rows of one [K, P] matrix.  A step runs
     every model's minibatch through one forward and one backward pass of
     the stack (:meth:`_ModelBase._stacked`) and updates the rows of each
-    optimizer kind with one ``nn.optimizer_step``.  Each model keeps its
-    initial weights, scalers, ``[seed, 99]`` batch order, learning rate,
-    loss, optimizer, batch size and epochs, so it ends as it would have
-    trained alone.  A narrower minibatch is padded with rows of zero loss
-    gradient.  A model leaves the stack, its row copied back to its
-    ``flat``, when its epochs are done, or, unstepped, when its loss or
-    gradient is not finite; the others train on unchanged, and no optimizer
-    state moves on a step its model takes no part in.
+    optimizer kind, one ``nn.OptimizerState`` and one slice of the stack,
+    with one ``nn.optimizer_step``.  Each model keeps its initial weights,
+    scalers, ``[seed, 99]`` batch order, learning rate, loss, optimizer,
+    batch size and epochs, so it ends as it would have trained alone.  A
+    narrower minibatch is padded with rows of zero loss gradient.  A model
+    leaves the stack, its row copied back to its ``flat``, when its epochs
+    are done, or, unstepped, when its loss or gradient is not finite; the
+    others train on unchanged.  Every model starts at step 0 and takes part
+    in every step until it leaves, so the models of one state have always
+    taken the same number of steps, its one step count.
     """
     if len({layout(model) for model in models}) > 1:
         raise ConfigurationError("models trained in lockstep must share one kind and layout")
     lanes = [_Lane(*args) for args in zip(models, xs_raw, ys_raw, configs)]
-    # the rows of one optimizer kind are one slice of the stack
-    live = sorted(
-        (lane for lane in lanes if lane.total),
-        key=lambda lane: nn.OPTIMIZER_KINDS.index(lane.config.optimizer),
-    )
+    # the rows of one optimizer kind are one slice of the stack, as many as
+    # its state has learning rates
+    optimizer = attrgetter("config.optimizer")
+    live = sorted((lane for lane in lanes if lane.total), key=optimizer)
     if not live:
         return [lane.outcome for lane in lanes]
     flat = np.stack([lane.model.flat for lane in live])
-    groups = [list(group) for _, group in groupby(live, lambda lane: lane.config.optimizer)]
-    states = [
-        nn.init_optimizer(
-            group[0].config.optimizer,
-            [lane.config.learning_rate for lane in group],
-            (len(group), flat.shape[1]),
-        )
-        for group in groups
-    ]
+    states = []
+    for kind, group in groupby(live, optimizer):
+        rates = [lane.config.learning_rate for lane in group]
+        states.append(nn.init_optimizer(kind, rates, (len(rates), flat.shape[1])))
     step, stack = 0, live[0].model._stacked(flat)
     while live:
         x, y = zip(*(lane.batch(step) for lane in live))
@@ -928,19 +923,19 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
             for lane in compress(live, ~finite):
                 lane.outcome = TrainingDivergedError(step // lane.per_epoch)
             values, counts = values[finite], list(compress(counts, finite))
-            live, flat, grad, groups, states = _leave(finite, live, flat, grad, groups, states)
+            live, flat, grad, states = _leave(finite, live, flat, grad, states)
             stack = live[0].model._stacked(flat) if live else None
         start = 0
-        for state, group in zip(states, groups):
-            rows = slice(start, start + len(group))
+        for state in states:
+            rows = slice(start, start + len(state.learning_rate))
             nn.optimizer_step(state, flat[rows], grad[rows])
-            start += len(group)
+            start = rows.stop
         for lane, value, count in zip(live, values.tolist(), counts):
             lane.add_loss(step, value, count)
         step += 1
         if any(lane.total == step for lane in live):
             going = np.array([lane.total > step for lane in live])
-            live, flat, grad, groups, states = _leave(going, live, flat, grad, groups, states)
+            live, flat, grad, states = _leave(going, live, flat, grad, states)
             stack = live[0].model._stacked(flat) if live else None
     return [lane.outcome for lane in lanes]
 
@@ -958,20 +953,19 @@ def _padded(parts: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _leave(keep: np.ndarray, live: list, flat, grad, groups: list, states: list):
+def _leave(keep: np.ndarray, live: list, flat, grad, states: list):
     """The stack without the rows that ``keep`` leaves out: each of their
-    parameter rows goes back to its model's ``flat``, and their optimizer
-    rows are dropped."""
+    parameter rows goes back to its model's ``flat``, their optimizer rows
+    are dropped, and so is a state left with none."""
     for lane, row in compress(zip(live, flat), ~keep):
         np.copyto(lane.model.flat, row)
-    kept_groups, kept_states, start = [], [], 0
-    for group, state in zip(groups, states):
-        mask = keep[start : start + len(group)]
-        start += len(group)
+    kept, start = [], 0
+    for state in states:
+        mask = keep[start : start + len(state.learning_rate)]
+        start += len(mask)
         if mask.any():
-            kept_groups.append(list(compress(group, mask)))
-            kept_states.append(state.rows(mask))
-    return list(compress(live, keep)), flat[keep], grad[keep], kept_groups, kept_states
+            kept.append(state.rows(mask))
+    return list(compress(live, keep)), flat[keep], grad[keep], kept
 
 
 def evaluate_losses(model, x_raw: np.ndarray, y_raw: np.ndarray) -> dict[str, float]:
@@ -996,7 +990,8 @@ def prepare_fit(kind: str, dataset, config: TrainConfig, options: Optional[dict]
     windows made and the scalers fitted on the training rows."""
     features = resolve_options(kind, options)["features"]
     sub = dataset.select_features(features)
-    from .data import fit_scaler, make_windows  # local import avoids a cycle
+    # imported per call, as perfbench's tracer patches data.make_windows
+    from .data import fit_scaler, make_windows
 
     x, y, _ = make_windows(sub, config.window)
     if y.size == 0:

@@ -38,8 +38,8 @@ batched (``...``-broadcast) matmuls, each model on its own rows.  The backward p
 model's batch, into structures of the parameters' shapes that the caller
 passes; ``models`` makes both the parameters and the gradients views of
 one flat vector each (``[K, P]`` for K models), and ``optimizer_step``
-updates it in place, each model with its own learning rate and step
-count.  One sample is a batch of one.
+updates it in place, each model with its own learning rate and moments,
+all K with one step count.  One sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -404,12 +404,12 @@ def rmse(preds: np.ndarray, targets: np.ndarray) -> float:
 @dataclass
 class OptimizerState:
     """One optimizer kind's state for parameters [..., P]: per model (one
-    entry per leading index) its learning rate, held as [..., 1], its step
-    count and its moments."""
+    entry per leading index) its learning rate, held as [..., 1], and its
+    moments, and one count of the steps all the models took."""
 
     kind: str
     learning_rate: np.ndarray
-    step: np.ndarray
+    step: int = 0
     m: Optional[np.ndarray] = None  # adam first moment
     v: Optional[np.ndarray] = None  # adam second moment / rmsprop square average
 
@@ -417,7 +417,7 @@ class OptimizerState:
         """The state of the models that ``keep`` selects along the leading
         axis, for a stack of models that drops the others."""
         m, v = (None if a is None else a[keep] for a in (self.m, self.v))
-        return OptimizerState(self.kind, self.learning_rate[keep], self.step[keep], m, v)
+        return OptimizerState(self.kind, self.learning_rate[keep], self.step, m, v)
 
 
 def init_optimizer(kind: str, learning_rate, shape) -> OptimizerState:
@@ -430,7 +430,7 @@ def init_optimizer(kind: str, learning_rate, shape) -> OptimizerState:
     if not np.all(rate > 0):
         raise ConfigurationError("learning rate must be positive")
     shape = tuple(np.atleast_1d(shape))
-    state = OptimizerState(kind, rate[..., None], np.zeros(shape[:-1], dtype=int))
+    state = OptimizerState(kind, rate[..., None])
     if kind == "adam":
         state.m = np.zeros(shape)
         state.v = np.zeros(shape)
@@ -440,8 +440,8 @@ def init_optimizer(kind: str, learning_rate, shape) -> OptimizerState:
 
 
 def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> None:
-    """One update of the parameters ``params`` [..., P], in place; every
-    model's step count advances with it."""
+    """One update of the parameters ``params`` [..., P], in place, which
+    advances the state's step count."""
     if params.shape != grads.shape:
         raise ConfigurationError("param/gradient shapes disagree")
     lr = state.learning_rate
@@ -454,19 +454,12 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray)
         state.v += (1.0 - RMSPROP_ALPHA) * grads**2
         params -= lr * grads / (np.sqrt(state.v) + RMSPROP_EPS)
         return
-    # adam, bias-corrected by each model's own step count
-    step = state.step[..., None]
+    # adam, bias-corrected by Python's float power of the int step count:
+    # NumPy's power differs from it in the last bit for about one in twenty
     state.m *= ADAM_BETA1
     state.m += (1.0 - ADAM_BETA1) * grads
     state.v *= ADAM_BETA2
     state.v += (1.0 - ADAM_BETA2) * grads**2
-    m_hat = state.m / (1.0 - _powers(ADAM_BETA1, step))
-    v_hat = state.v / (1.0 - _powers(ADAM_BETA2, step))
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
     params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
-    """``base ** k`` for each integer k of ``exponents``, by Python's float
-    power: NumPy's power differs from it in the last bit for about one k in
-    twenty."""
-    return np.array([base**k for k in exponents.ravel().tolist()]).reshape(exponents.shape)

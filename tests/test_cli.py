@@ -463,6 +463,25 @@ class TestTrainPredict:
         assert "numeric error" in err
         assert "diverged" in err
 
+    def test_python_warning_prints_as_one_line(self, tmp_path, capsys, campaign):
+        """A window longer than the campaign warns on the way to its config
+        error: the warning is one ``warning:`` line without the source path
+        and line Python shows by default, and the typed error stays last."""
+        code, _, err = run(
+            capsys,
+            "train",
+            "--model", "lstm",
+            "--epochs", "1",
+            "--window", "100",
+            "--data", str(campaign),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert "warning: no contiguous run is 100 hours long; no windows emitted" in lines
+        assert lines[-1].startswith("config error:")
+        assert ".py:" not in err
+
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_is_config_error(self, tmp_path, capsys, campaign, rate):

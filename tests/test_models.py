@@ -313,7 +313,9 @@ class TestFrozenBehaviour:
         )
         model.set_flat(np.zeros(model.param_count()))
         c_prev = np.full((1, 4), 2.0)
-        h, c, y, cache = model.cell_forward(np.array([[0.3]]), np.zeros((1, 4)), c_prev)
+        h, c, y, cache = model.cell_forward(
+            np.array([[0.3]]), np.zeros((1, 4)), c_prev, model._circuits()
+        )
         assert np.allclose(cache["e"][0], 1.0)
         _, f, _, g, _, _ = cache["gates"]
         assert np.allclose(f, 0.5)
@@ -521,7 +523,7 @@ class TestDirectionalGradients:
         theta = model.get_flat().copy()
         # targets 0.3 below every prediction keep l1 away from its kink, and
         # residuals of one sign keep the batch gradient from cancelling
-        ys = model._predict_scaled(xs) - 0.3
+        ys = model._predictor(len(xs))(xs) - 0.3
         lowerings = set()
         backward = vqc.CircuitStack.backward
 
@@ -538,7 +540,7 @@ class TestDirectionalGradients:
 
         def loss_at(flat):
             model.set_flat(flat)
-            return nn.loss_value(loss_kind, model._predict_scaled(xs), ys)
+            return nn.loss_value(loss_kind, model._predictor(len(xs))(xs), ys)
 
         rng = np.random.default_rng(43)
         h = 1e-5

@@ -447,6 +447,36 @@ class TestOptimizers:
                 got, expected = getattr(state, moment), getattr(reference, moment)
                 assert (got is None and expected is None) or np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_stacked_rows_match_lone_states(self, kind):
+        """A state of three models stepped twelve times on random gradients
+        leaves each row bit-equal to a one-model state stepped alone; the
+        rows it keeps carry on its step count, and step on as the lone
+        states do."""
+        rng = np.random.default_rng(17)
+        rates = [0.003, 0.05, 0.4]
+        stacked = init_optimizer(kind, rates, (3, 5))
+        alone = [init_optimizer(kind, rate, 5) for rate in rates]
+        params = rng.normal(size=(3, 5))
+        want = params.copy()
+
+        def step(state, rows, lone):
+            grads = rng.normal(scale=2.0, size=params[rows].shape)
+            optimizer_step(state, params[rows], grads)
+            for k, grad in zip(lone, grads):
+                optimizer_step(alone[k], want[k], grad)
+
+        for _ in range(12):
+            step(stacked, slice(None), (0, 1, 2))
+        np.testing.assert_array_equal(params, want)
+        assert stacked.step == 12 and all(state.step == 12 for state in alone)
+        kept = stacked.rows(np.array([True, False, True]))
+        assert kept.step == 12
+        np.testing.assert_array_equal(kept.learning_rate, [[0.003], [0.4]])
+        step(kept, slice(0, None, 2), (0, 2))
+        np.testing.assert_array_equal(params, want)
+        assert kept.step == 13 and alone[0].step == 13
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             init_optimizer("adagrad", 0.1, 1)
