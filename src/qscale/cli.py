@@ -6,10 +6,10 @@ stated in the message), 2 usage error.  Results go to files and stdout;
 progress lines go to stderr.  ``main`` runs every command the same way:
 it starts the clock, creates ``--out`` when the command has one, calls the
 handler, writes ``manifest.json`` (config echo, seed, versions, wall time)
-next to the outputs from the settings and seed the handler returns, and
-only then prints the handler's stdout result.  Python warnings raised on
-the way print as one ``warning:`` line each.  ``QSCALE_SEED`` supplies
-the default seed.
+into ``--out`` from the settings and seed the handler returns, and only
+then prints the handler's stdout result, so a failed command prints none.
+Python warnings raised on the way print as one ``warning:`` line each.
+``QSCALE_SEED`` supplies the default seed.
 """
 
 from __future__ import annotations
@@ -133,10 +133,10 @@ def _write_manifest(
 
 
 class Recorded(NamedTuple):
-    """What a handler that writes to ``--out`` hands back to ``main``: the
-    settings and seed its manifest records, and the result line ``main``
-    prints once the manifest is written.  A handler that writes no manifest
-    returns None."""
+    """What a handler hands back to ``main``: the settings and seed the
+    manifest records when the command has an ``--out``, and the result line
+    ``main`` prints once the manifest is written.  A handler that writes no
+    manifest and prints its own result returns None."""
 
     settings: dict
     seed: int
@@ -250,9 +250,7 @@ def _cmd_cross_validate(args) -> Recorded:
         f"cross-validating {args.model}: {spec.k} {spec.mode} folds over "
         f"{len(dataset)} hours"
     )
-    report = experiments.cross_validate(
-        args.model, dataset, config, spec, options=options, n_threads=args.threads
-    )
+    report = experiments.cross_validate(args.model, dataset, config, spec, options=options)
     if args.benchmark_draws > 0:
         sample_size = len(dataset) // spec.k
         bench = experiments.benchmark_uncalibrated(
@@ -283,7 +281,7 @@ def _cmd_cross_validate(args) -> Recorded:
     )
 
 
-def _cmd_benchmark(args) -> Optional[Recorded]:
+def _cmd_benchmark(args) -> Recorded:
     dataset = _load_dataset(args.data)
     seed = _resolve_seed(args, {})
     result = experiments.benchmark_uncalibrated(
@@ -293,24 +291,22 @@ def _cmd_benchmark(args) -> Optional[Recorded]:
         n_draws=args.draws,
         seed=seed,
     )
-    print(repr(result.full_loss))
-    if args.out is None:
-        return None
-    report = experiments.MetricsReport(
-        model_kind="uncalibrated",
-        config={"loss": args.loss},
-        options={},
-        seed=seed,
-        benchmark=result.summary(),
-    )
-    experiments.emit_report(report, args.out)
+    if args.out is not None:
+        report = experiments.MetricsReport(
+            model_kind="uncalibrated",
+            config={"loss": args.loss},
+            options={},
+            seed=seed,
+            benchmark=result.summary(),
+        )
+        experiments.emit_report(report, args.out)
     settings = {
         "data": args.data,
         "loss": args.loss,
         "sample_size": result.sample_size,
         "draws": args.draws,
     }
-    return Recorded(settings, seed)
+    return Recorded(settings, seed, repr(result.full_loss))
 
 
 def _cmd_grid_search(args) -> Recorded:
@@ -500,7 +496,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 out.mkdir(parents=True, exist_ok=True)
             recorded = args.handler(args)
             if recorded is not None:
-                _write_manifest(out, args.command, recorded.settings, recorded.seed, started)
+                if out is not None:
+                    _write_manifest(out, args.command, recorded.settings, recorded.seed, started)
                 if recorded.result is not None:
                     print(recorded.result)
             return 0

@@ -17,13 +17,13 @@ square).  Quantum parameters train by adjoint differentiation of the
 circuits, classical ones by backpropagation, mixed via the chain rule.  A
 model's circuits run as one ``vqc.CircuitStack`` per training step or
 ``predict`` call, which lowers them as phase polynomials (the qlstm's
-ring-RX circuits) or through the fused plan (the vqr's); a vqr ``predict``
-of at least 3 x 2**n rows, which nothing differentiates, runs them as one
-ansatz matrix instead.  Each backward pass reuses what the forward pass
-that made the predictions kept.  Parameter shift
-stays as the public, hardware-realistic gradient and as the oracle the
-adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
-per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
+ring-RX circuits) or through the fused plan (the vqr's); a linear vqr's
+``predict``, which nothing differentiates, runs them as one ansatz matrix
+instead.  Each backward pass reuses what the forward pass that made the
+predictions kept.  Parameter shift stays as the public, hardware-realistic
+gradient and as the oracle the adjoint sweep is tested against; it would
+cost 2 x n_angles circuit runs per gradient, 104 per vqr row and 80 per
+call of a qlstm circuit.
 
 Every model takes a minibatch of windows ``[B, T, features]`` in one
 forward and one backward pass, one window being a batch of one; the lstm
@@ -71,7 +71,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import nn, vqc
+from . import data, nn, vqc
 from .data import RangeScaler, _is_int, apply_scaler, invert_scaler
 from .errors import ConfigurationError, DataError, TrainingDivergedError
 
@@ -464,14 +464,14 @@ class VQRModel(_ModelBase):
     def _bind(self, vector):
         return vector  # the angles are the whole vector
 
-    def _circuits(self, rows: Optional[int] = None) -> vqc.CircuitStack:
-        """The model's circuit stack, one circuit per model; ``rows``, the
-        rows a forward-only stack runs, lets a predict take the ansatz
-        matrix."""
-        return vqc.CircuitStack(self.template, self.params[..., None, :], rows)
+    def _circuits(self, forward_only: bool = False) -> vqc.CircuitStack:
+        """The model's circuit stack, one circuit per model; a
+        ``forward_only`` stack, a predict's, lets the linear vqr take the
+        ansatz matrix."""
+        return vqc.CircuitStack(self.template, self.params[..., None, :], forward_only)
 
     def _predictor(self, rows):
-        return partial(self._predict_scaled, circuits=self._circuits(rows))
+        return partial(self._predict_scaled, circuits=self._circuits(forward_only=True))
 
     def _predict_scaled(self, x_scaled, circuits):
         return circuits.run(slice(None), x_scaled[:, 0])[0][0, :, 0]
@@ -990,16 +990,13 @@ def prepare_fit(kind: str, dataset, config: TrainConfig, options: Optional[dict]
     windows made and the scalers fitted on the training rows."""
     features = resolve_options(kind, options)["features"]
     sub = dataset.select_features(features)
-    # imported per call, as perfbench's tracer patches data.make_windows
-    from .data import fit_scaler, make_windows
-
-    x, y, _ = make_windows(sub, config.window)
+    x, y, _ = data.make_windows(sub, config.window)
     if y.size == 0:
         raise ConfigurationError(
             f"no {config.window}-hour windows fit in the training partition"
         )
-    input_scaler = fit_scaler(sub.features, names=features)
-    target_scaler = fit_scaler(sub.target, names=("ref_pm25",))
+    input_scaler = data.fit_scaler(sub.features, names=features)
+    target_scaler = data.fit_scaler(sub.target, names=("ref_pm25",))
     model = build_model(
         kind,
         features,
@@ -1015,9 +1012,7 @@ def prepare_fit(kind: str, dataset, config: TrainConfig, options: Optional[dict]
 def predictions_rows(model, dataset) -> list[dict]:
     """Per-hour prediction rows (timestamp, raw, calibrated, reference)."""
     sub = dataset.select_features(model.feature_names)
-    from .data import make_windows
-
-    x, y, ends = make_windows(sub, model.window)
+    x, y, ends = data.make_windows(sub, model.window)
     if y.size == 0:
         return []
     return series_rows(dataset, model.predict(x), y, ends)

@@ -113,10 +113,6 @@ class DenseLayer:
     def n_in(self) -> int:
         return self.weights.shape[-1]
 
-    @property
-    def n_out(self) -> int:
-        return self.weights.shape[-2]
-
 
 def draw_uniform(rng: np.random.Generator, weights: np.ndarray, bias: np.ndarray) -> None:
     """Fill ``weights`` and then ``bias`` in place, uniformly in

@@ -32,11 +32,9 @@ Every template lowers twice, and both forms are cached per template:
   technique (see Qulacs, Suzuki et al., arXiv:2011.13524).  Between CNOT
   layers, each run of rotations on one qubit (a group) becomes one 2x2
   unitary per row, built as a product of unit quaternions from one cosine
-  and sine per angle; consecutive rotations about one axis first fuse into
-  one rotation by the sum of their angles.  Each CNOT layer becomes one
-  permutation of the amplitudes, and one reduction reads <Z> on every
-  qubit.  The adjoint sweep walks the same plan backwards, one group at a
-  time.
+  and sine per angle.  Each CNOT layer becomes one permutation of the
+  amplitudes, and one reduction reads <Z> on every qubit.  The adjoint
+  sweep walks the same plan backwards, one group at a time.
 
 The plan is the gate kernel and the oracle: :func:`evaluate` runs one
 circuit as a one-row batch of it, the parameter-shift gradients run their
@@ -56,18 +54,16 @@ of three ways; :func:`lowering` is the one choice:
   the angles (:func:`_phase_differences`), split into a params part per
   circuit and an inputs part per row, so <Z> and its exact gradient are a
   cosine, a sine and a few matrix products, with no statevector.
-* ``"matrix"``, a forward-only run of an embed-first template whose
-  circuits share their params over at least ``MATRIX_ROWS_PER_STATE``
-  x 2**n rows (the linear vqr's large predicts).  The rest of the circuit
-  is one 2**n x 2**n unitary U per set of params, built by running the
-  plan on the 2**n basis states with the embedding angles at 0; each row
-  is then its embedding's product state, in closed form, times U.  U holds
-  fewer amplitudes than the plan would for those rows.  Nothing
-  differentiates it: at the batch sizes the models train with, the plan's
-  adjoint sweep over the rows is faster.
-* ``"plan"``, everything else: every vqr training step, and the
-  re-uploading (nonlinear) vqr's and small vqr predicts, run through the
-  plan and its adjoint sweep.
+* ``"matrix"``, every forward-only run of an embed-first template (the
+  linear vqr's predicts).  The rest of the circuit is one 2**n x 2**n
+  unitary U per set of params, built by running the plan on the 2**n basis
+  states with the embedding angles at 0; each row is then its embedding's
+  product state, in closed form, times U.  Nothing differentiates it: at
+  the batch sizes the models train with, the plan's adjoint sweep over the
+  rows is faster.
+* ``"plan"``, everything else: every vqr training step and the
+  re-uploading (nonlinear) vqr's predicts run through the plan and its
+  adjoint sweep.
 
 Templates have no file format of their own: a checkpoint stores a model's
 options, and the model rebuilds its template from them.
@@ -90,10 +86,6 @@ TRANSFORMS = ("identity", "arctan")
 ANSATZ_KINDS = ("strongly_entangling", "ring_rx")
 
 SHIFT = math.pi / 2.0
-# a forward-only stack takes the ansatz matrix from this many rows per basis
-# state on: one default vqr predict (4 qubits) broke even between 32 and 48
-# rows on one CPU, the matrix leading from 48 on (0.29 against 0.32 ms)
-MATRIX_ROWS_PER_STATE = 3
 
 
 @dataclass(frozen=True)
@@ -298,7 +290,7 @@ def _angle_table(
 
 class _Class(NamedTuple):
     """Groups ``groups`` that share one sequence of rotation axes (0, 1, 2
-    for X, Y, Z).  Their fused angles are rows ``start`` onward of the fused
+    for X, Y, Z).  Their angles are rows ``start`` onward of the fused
     table, position-major: the one at position m of the g-th group is row
     ``start + m * len(groups) + g``, so the class reads its [L, G] slab of
     any fused table as a view."""
@@ -308,22 +300,20 @@ class _Class(NamedTuple):
     start: int
 
     def slab(self, table: np.ndarray) -> np.ndarray:
-        """The class's rows of a fused table [n_fused, rows], as [L, G, rows]."""
+        """The class's rows of a fused table [n_angles, rows], as [L, G, rows]."""
         size = len(self.axes) * self.groups.size
         return table[self.start : self.start + size].reshape(len(self.axes), -1, table.shape[-1])
 
 
 class _Plan(NamedTuple):
-    """A template's fused plan.  Consecutive rotations about one axis on a
-    qubit fuse into one angle, their sum: ``order`` lists the angles fused
-    angle by fused angle, each fused angle starting at its entry of
-    ``starts``, and ``fused_of_angle`` maps each angle back.  ``blocks``
-    lists per CNOT-free block the qubits of its groups, in group order, and
-    the gather indices of the CNOT layer after it and of that layer's
-    inverse (``None`` where no CNOT follows)."""
+    """A template's fused plan.  Its fused table holds the template's
+    angles class by class: ``order`` lists the angle of each row, and
+    ``fused_of_angle``, the inverse permutation, each angle's row.
+    ``blocks`` lists per CNOT-free block the qubits of its groups, in group
+    order, and the gather indices of the CNOT layer after it and of that
+    layer's inverse (``None`` where no CNOT follows)."""
 
     order: np.ndarray
-    starts: np.ndarray
     fused_of_angle: np.ndarray
     blocks: tuple[tuple[tuple[int, ...], Optional[np.ndarray], Optional[np.ndarray]], ...]
     classes: tuple[_Class, ...]
@@ -350,7 +340,7 @@ _LEFT_PRODUCT = tuple(_left_product(k) for k in range(3))
 @lru_cache(maxsize=None)
 def _plan(template: CircuitTemplate) -> _Plan:
     n = template.n_qubits
-    # per block: {qubit: [(axis, [angle indices]), ...]} and its CNOT layer
+    # per block: {qubit: [(axis, angle index), ...]} and its CNOT layer
     blocks: list[tuple[dict, tuple]] = []
     runs: dict[int, list] = {}
     pairs: list[tuple[int, int]] = []
@@ -361,12 +351,9 @@ def _plan(template: CircuitTemplate) -> _Plan:
         if pairs:
             blocks.append((runs, tuple(pairs)))
             runs, pairs = {}, []
-        run = runs.setdefault(a, [])
-        if run and run[-1][0] == _AXES[kind]:
-            run[-1][1].append(b)
-        else:
-            run.append((_AXES[kind], [b]))
-    blocks.append((runs, tuple(pairs)))
+        runs.setdefault(a, []).append((_AXES[kind], b))
+    if runs:  # every block has rotations; a template without any has no block
+        blocks.append((runs, tuple(pairs)))
 
     by_axes: dict[tuple, tuple[list, list]] = {}  # axes -> group ids, runs
     plan_blocks = []
@@ -375,7 +362,7 @@ def _plan(template: CircuitTemplate) -> _Plan:
         for run in runs.values():
             groups, members = by_axes.setdefault(tuple(ax for ax, _ in run), ([], []))
             groups.append(n_groups)
-            members.append([angles for _, angles in run])
+            members.append([angle for _, angle in run])
             n_groups += 1
         layer = inverse = None
         if pairs:
@@ -383,20 +370,14 @@ def _plan(template: CircuitTemplate) -> _Plan:
             inverse = sim._cnot_permutation(n, pairs[::-1])
         plan_blocks.append((tuple(runs), layer, inverse))
 
-    fused: list[list[int]] = []  # the angles of each fused angle
+    order: list[int] = []
     classes = []
     for axes, (groups, members) in by_axes.items():
-        classes.append(_Class(axes, _index(groups), len(fused)))
-        fused += [run[m] for m in range(len(axes)) for run in members]
-    fused_of_angle = np.empty(_lowered(template).columns.size, dtype=np.intp)
-    for f, angles in enumerate(fused):
-        fused_of_angle[angles] = f
-    fused_of_angle.setflags(write=False)
-    lengths = [len(angles) for angles in fused]
+        classes.append(_Class(axes, _index(groups), len(order)))
+        order += [run[m] for m in range(len(axes)) for run in members]
     return _Plan(
-        _index([a for angles in fused for a in angles]),
-        _index(np.cumsum(lengths) - lengths),
-        fused_of_angle,
+        _index(order),
+        _index(np.argsort(order)),
         tuple(plan_blocks),
         tuple(classes),
         n_groups,
@@ -404,16 +385,16 @@ def _plan(template: CircuitTemplate) -> _Plan:
 
 
 def _half_angles(plan: _Plan, angle_rows: np.ndarray) -> np.ndarray:
-    """Half of every fused angle, [n_fused, rows]."""
-    half = np.add.reduceat(angle_rows.T[plan.order], plan.starts, axis=0)
+    """Half of every angle, as a fused table [n_angles, rows]."""
+    half = angle_rows.T[plan.order]
     half *= 0.5
     return half
 
 
 def _group_quaternions(plan: _Plan, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Unit quaternions (w, x, y, z) [4, n_groups, rows] of every group's
-    unitary U = w I - i (x X + y Y + z Z), from the cosines and sines of the
-    fused half angles [n_fused, rows]."""
+    unitary U = w I - i (x X + y Y + z Z), from the fused tables of the
+    cosines and sines of the half angles [n_angles, rows]."""
     quats = np.empty((4, plan.n_groups, cos.shape[-1]))
     for cls in plan.classes:
         c, s = cls.slab(cos), cls.slab(sin)  # [L, G, rows]
@@ -449,11 +430,10 @@ def _run_rows(
     amps = sim._zero_rows(angle_rows.shape[0], template.n_qubits) if start is None else start
     g = 0
     for qubits, layer, _ in plan.blocks:
-        if qubits:
-            u = sim._su2(*quats[:, g : g + len(qubits)])
-            for k, qubit in enumerate(qubits):
-                sim._rotate_rows(amps, u[:, :, k], qubit)
-            g += len(qubits)
+        u = sim._su2(*quats[:, g : g + len(qubits)])
+        for k, qubit in enumerate(qubits):
+            sim._rotate_rows(amps, u[:, :, k], qubit)
+        g += len(qubits)
         if layer is not None:
             amps = sim._cnot_rows(amps, layer)
     return sim._expect_z_rows(amps), amps
@@ -500,12 +480,8 @@ def _adjoint_rows(
     pauli = np.empty((3, plan.n_groups, rows))
     g = plan.n_groups
     for qubits, _, inverse in reversed(plan.blocks):
-        if g == 0:
-            break
         if inverse is not None:
             pair = sim._cnot_rows(pair, inverse)
-        if not qubits:
-            continue
         g -= len(qubits)
         pauli[:, g : g + len(qubits)] = sim._pauli_rows(pair[:rows], pair[rows:].conj(), qubits)
         if g:
@@ -557,25 +533,18 @@ def _source_grads_to_args(
 # of params, shared by all rows
 
 
-def lowering(template: CircuitTemplate, rows: Optional[int] = None) -> str:
+def lowering(template: CircuitTemplate, forward_only: bool = False) -> str:
     """How a :class:`CircuitStack` runs circuits of ``template``:
     ``"phase"`` when every gate is an RX or a CNOT, else ``"matrix"``
-    (product state x U) when the stack is forward-only, its circuits
-    sharing their params over ``rows`` input rows, at least
-    ``MATRIX_ROWS_PER_STATE`` x 2**n, and the template's only embedding is
-    its first segment, else ``"plan"``.  ``rows=None`` is a stack that will
-    be differentiated.  Building U runs the plan on 2**n basis rows, so it
-    pays only for a few times that many rows, and then U holds fewer
-    amplitudes than the plan would for them."""
+    (product state x U) when the stack is ``forward_only`` and the
+    template's only embedding is its first segment, else ``"plan"``."""
     if _lowered(template).phase:
         return "phase"
     first, *rest = template.segments
     embed_first = isinstance(first, Embedding) and not any(
         isinstance(seg, Embedding) for seg in rest
     )
-    if embed_first and rows is not None and rows >= MATRIX_ROWS_PER_STATE << template.n_qubits:
-        return "matrix"
-    return "plan"
+    return "matrix" if forward_only and embed_first else "plan"
 
 
 @lru_cache(maxsize=None)
@@ -651,10 +620,9 @@ class CircuitStack:
     shares among its circuits, and to differentiate.  Leading axes are
     models: the circuits of M models of one shape are one stack with params
     [M, K, P], and each model's inputs [M, B, input_dim] reach only its own
-    circuits.  A stack that will only run, never be differentiated, may
-    give ``rows``, how many input rows each circuit will run on over the
-    stack's life; :func:`lowering` picks one of three ways for all of them,
-    named by ``lowering`` (the ansatz matrix only for params [K, P]).
+    circuits.  A stack that will only run, never be differentiated, is
+    ``forward_only``; :func:`lowering` picks one of three ways for all its
+    runs, named by ``lowering`` (the ansatz matrix only for params [K, P]).
 
     * Phase: the params' part dp of every phase difference of each
       circuit (:func:`_phase_differences`), and its cosine and sine scaled
@@ -676,11 +644,11 @@ class CircuitStack:
     ``grads`` [..., K, P] accumulates the plan path's parameter gradients.
     """
 
-    def __init__(self, template: CircuitTemplate, params: np.ndarray, rows: Optional[int] = None):
+    def __init__(self, template: CircuitTemplate, params: np.ndarray, forward_only: bool = False):
         self.template = template
         self.params = params
         self.grads = np.zeros(params.shape)
-        self.lowering = lowering(template, rows)
+        self.lowering = lowering(template, forward_only)
         self.seeds = None
         n, dim = template.n_qubits, 1 << template.n_qubits
         if self.lowering == "phase":

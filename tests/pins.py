@@ -7,9 +7,9 @@ pins in ``checkpoints/pins.json`` are its loss history, its trained
 ``get_flat()`` and its predictions on the held-out quarter.  The configs
 reach all three circuit lowerings of ``qscale.vqc``: the vqr (3 qubits)
 trains on minibatches of 10 rows through the fused plan and predicts 24
-held-out rows through the ansatz matrix (at least 2**3 rows), and the qlstm
-(4 qubits, window 4) trains and predicts through phase polynomials, 10 x 4
-circuit rows per training step.
+held-out rows through the ansatz matrix, as every linear vqr predict does,
+and the qlstm (4 qubits, window 4) trains and predicts through phase
+polynomials, 10 x 4 circuit rows per training step.
 
 The vqr trains with plain SGD.  The last RZ on each qubit of a strongly
 entangling ansatz commutes with the Z readout, so its gradient is zero up to

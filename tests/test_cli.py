@@ -1420,6 +1420,17 @@ class TestManifests:
         assert err.splitlines()[-1].startswith("io error:")
         assert stdout == ""
 
+    def test_failed_benchmark_prints_no_result(self, tmp_path, capsys, campaign):
+        """A directory where report.json goes makes the report's write
+        fail: benchmark exits 1 with an io error, prints no result and
+        writes no manifest."""
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        code, stdout, err, out = run_to_out(capsys, "benchmark", tmp_path, campaign)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("io error:")
+        assert stdout == ""
+        assert not (out / "manifest.json").exists()
+
     def test_benchmark_with_empty_out_writes_nothing(self, tmp_path, capsys, campaign, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, stdout, _ = run(

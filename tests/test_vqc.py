@@ -88,6 +88,17 @@ class TestBuilders:
         angles = vqc._angle_table(t, np.zeros(0), np.array([1.0]))
         assert angles[0] == pytest.approx(math.pi / 4)
 
+    def test_template_without_rotations(self):
+        """An embedding of no features is the whole circuit: |00> stays,
+        and nothing has a gradient."""
+        t = CircuitTemplate(2, 2, (Embedding("Y", ()),))
+        np.testing.assert_array_equal(evaluate(t, np.zeros(0), [0.3, -0.2]), [1.0, 1.0])
+        inputs, weights = np.ones((3, 2)), np.ones((3, 2))
+        for grads in (adjoint_grad_batch, parameter_shift_grad_batch):
+            grad_params, grad_inputs = grads(t, np.zeros(0), inputs, weights)
+            assert grad_params.shape == (3, 0)
+            np.testing.assert_array_equal(grad_inputs, np.zeros((3, 2)))
+
     def test_embedding_too_many_features(self):
         segments = (
             Embedding("Y", (0, 1, 1), "arctan"),
@@ -527,34 +538,40 @@ class TestPhasePolynomial:
 class TestAnsatzMatrix:
     """The ansatz-matrix lowering of ``vqc.CircuitStack`` against the plan:
     a stack that will be differentiated runs every call through the plan,
-    a forward-only one declared for ``MATRIX_ROWS_PER_STATE`` x 2**n rows
-    through product states times U."""
+    a forward-only one through product states times U."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(embed_first_stacks())
     def test_agrees_with_plan(self, case):
-        """<Z> of all circuits, then of the last one on other inputs."""
+        """<Z> of all circuits, then of the last one on other inputs, then
+        of all circuits on 1 and on 2**n - 1 rows, fewer than U has."""
         template, params, inputs = case
         k = len(params)
         plan = vqc.CircuitStack(template, params)
-        matrix = vqc.CircuitStack(template, params, vqc.MATRIX_ROWS_PER_STATE << template.n_qubits)
+        matrix = vqc.CircuitStack(template, params, forward_only=True)
         assert (plan.lowering, matrix.lowering) == ("plan", "matrix")
-        for circuits, x in [(slice(0, k), inputs), (slice(k - 1, k), inputs[::-1] * 0.5)]:
+        below_dim = np.resize(inputs, ((1 << template.n_qubits) - 1, inputs.shape[1]))
+        calls = [
+            (slice(0, k), inputs),
+            (slice(k - 1, k), inputs[::-1] * 0.5),
+            (slice(0, k), inputs[:1]),
+            (slice(0, k), below_dim),
+        ]
+        for circuits, x in calls:
             np.testing.assert_allclose(
                 matrix.run(circuits, x)[0], plan.run(circuits, x)[0], rtol=0.0, atol=1e-12
             )
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 200))
-    def test_path_choice(self, n, layers, rows):
-        """``vqc.lowering`` is the one choice.  Every RX/CNOT template is a
-        phase polynomial at any row count, whatever its segment order;
-        other embed-first templates take the matrix when forward-only over
-        ``MATRIX_ROWS_PER_STATE`` x 2**n rows or more (at most 192 here),
-        and the plan below that and when they will be differentiated;
-        the vqr that re-uploads its inputs (two or more layers) never takes
-        the matrix, nor does a template that starts with its ansatz."""
-        by_rows = "matrix" if rows >= vqc.MATRIX_ROWS_PER_STATE << n else "plan"
+    @given(st.integers(1, 6), st.integers(1, 4))
+    def test_path_choice(self, n, layers):
+        """``vqc.lowering`` is the one choice, and no row count enters it.
+        Every RX/CNOT template is a phase polynomial, whatever its segment
+        order and whether it will be differentiated; other embed-first
+        templates take the matrix when forward-only and the plan when they
+        will be differentiated; the vqr that re-uploads its inputs (two or
+        more layers) never takes the matrix, nor does a template that
+        starts with its ansatz."""
         total = ansatz_param_count("ring_rx", n, layers)
         ring_after_ry = CircuitTemplate(
             n, n, (Embedding("Y", tuple(range(n))), Ansatz("ring_rx", layers, (0, total)))
@@ -572,16 +589,19 @@ class TestAnsatzMatrix:
             ring_after_ry,
         ]
         for template in embed_first:
-            assert vqc.lowering(template, rows) == by_rows
+            assert vqc.lowering(template, forward_only=True) == "matrix"
             assert vqc.lowering(template) == "plan"
         for template in (ring_rx_template(n, layers), ansatz_first):
-            assert vqc.lowering(template, rows) == vqc.lowering(template) == "phase"
+            assert vqc.lowering(template, forward_only=True) == vqc.lowering(template) == "phase"
         for template in (nonlinear_vqr_template(n, layers + 1), entangling_first):
-            assert vqc.lowering(template, rows) == vqc.lowering(template) == "plan"
+            assert vqc.lowering(template, forward_only=True) == vqc.lowering(template) == "plan"
         reuploading = nonlinear_vqr_template(n, layers + 1)
-        stack = vqc.CircuitStack(reuploading, np.zeros((2, reuploading.total_params)), 10**6)
+        stack = vqc.CircuitStack(reuploading, np.zeros((2, reuploading.total_params)), forward_only=True)
         assert stack.lowering == "plan"
-        stack = vqc.CircuitStack(embed_first[0], np.zeros((2, embed_first[0].total_params)))
+        params = np.zeros((2, embed_first[0].total_params))
+        stack = vqc.CircuitStack(embed_first[0], params, forward_only=True)
+        assert stack.lowering == "matrix"
+        stack = vqc.CircuitStack(embed_first[0], params)
         assert stack.lowering == "plan"
 
 
