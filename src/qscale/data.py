@@ -705,9 +705,10 @@ def dataset_to_csv(dataset: CalibrationDataset, path: str | Path) -> None:
 
 
 def dataset_from_csv(path: str | Path) -> CalibrationDataset:
-    """Read a ``dataset_to_csv`` file; a bad cell, or a stamp off the hour
-    grid or not after the row before, is a ``DataError`` naming ``path:line``,
-    and a blank pm25 column (every series row reads it) one naming ``path``."""
+    """Read a ``dataset_to_csv`` file; a bad or non-finite cell, or a stamp
+    off the hour grid or not after the row before, is a ``DataError`` naming
+    ``path:line``, and a blank pm25 column (every series row reads it) one
+    naming ``path``."""
     body = list(_csv_rows(Path(path), DATASET_HEADER, _read_text(Path(path))))
     stamps: list[int] = []
     rows: list[list[float]] = []
@@ -734,8 +735,17 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
                 present = flags
             elif flags != present:
                 raise DataError("inconsistent feature columns across rows")
-            rows.append([float(c) for c, ok in zip(cells, flags) if ok])
-            targets.append(float(row[5]))
+            values = [float(c) for c, ok in zip(cells, flags) if ok]
+            target = float(row[5])
+            if not (all(map(math.isfinite, values)) and math.isfinite(target)):
+                name, cell = next(
+                    (name, cell.strip())
+                    for name, cell in zip(DATASET_HEADER[1:], row[1:])
+                    if cell.strip() and not math.isfinite(float(cell))
+                )
+                raise DataError(f"{name} value {cell!r} is not finite")
+            rows.append(values)
+            targets.append(target)
     except ValueError as err:
         raise DataError(f"{path}:{line}: {err}") from err
     if not stamps:

@@ -220,7 +220,8 @@ class _ModelBase:
     """Shared construction, scaling, parameter-vector, and prediction plumbing.
 
     ``__init__`` settles the kind's options and window with ``_settings``,
-    allocates the parameter vector ``flat``, has the subclass's ``_bind``
+    allocates the parameter vector ``flat`` (a ``ConfigurationError`` if it
+    is too large to allocate), has the subclass's ``_bind``
     put its structures, ``params``, over it, and has ``_init_params`` fill
     them from a generator seeded with ``[seed, seed_tag]``.
     """
@@ -248,7 +249,13 @@ class _ModelBase:
         self.feature_names = self.options["features"]
         self.input_scaler = input_scaler
         self.target_scaler = target_scaler
-        self.flat = np.zeros(self.param_count())
+        count = self.param_count()
+        try:
+            self.flat = np.zeros(count)
+        except (ValueError, MemoryError) as err:  # over NumPy's limit, or the memory's
+            raise ConfigurationError(
+                f"{self.kind} model with {count} parameters is too large to allocate: {err}"
+            ) from None
         self.params = self._bind(self.flat)
         self._init_params(np.random.default_rng(np.random.SeedSequence([seed, self.seed_tag])))
 

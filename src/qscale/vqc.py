@@ -2,8 +2,9 @@
 
 A :class:`CircuitTemplate` is an ordered list of segments.  An embedding
 segment encodes classical inputs as rotation angles (optionally through an
-``arctan`` squashing transform); an ansatz segment consumes a contiguous
-slice of a flat trainable-parameter vector.  Supported ansatz families:
+``arctan`` squashing transform); an ansatz segment takes the next
+:func:`ansatz_param_count` entries of a flat trainable-parameter vector,
+after those of the ansatz segments before it.  Supported ansatz families:
 
 * ``strongly_entangling`` - per qubit a RZ/RY/RZ rotation triple followed
   by a ring of CNOTs whose control-target distance grows with the layer
@@ -105,20 +106,18 @@ class Embedding:
 
 @dataclass(frozen=True)
 class Ansatz:
-    """A trainable block consuming params[param_slots[0]:param_slots[1]]."""
+    """A trainable block.  It takes the next ``ansatz_param_count(kind,
+    n_qubits, n_layers)`` params, after those of the template's ansatz
+    segments before it."""
 
     kind: str
     n_layers: int
-    param_slots: tuple[int, int]
 
     def __post_init__(self) -> None:
         if self.kind not in ANSATZ_KINDS:
             raise ConfigurationError(f"ansatz kind must be one of {ANSATZ_KINDS}")
         if self.n_layers < 1:
             raise ConfigurationError("ansatz needs at least one layer")
-        start, stop = self.param_slots
-        if start < 0 or stop < start:
-            raise ConfigurationError(f"bad param slot range {self.param_slots}")
 
 
 Segment = Union[Embedding, Ansatz]
@@ -131,7 +130,9 @@ def ansatz_param_count(kind: str, n_qubits: int, n_layers: int) -> int:
 
 @dataclass(frozen=True)
 class CircuitTemplate:
-    """Ordered embedding/ansatz segments on a fixed number of qubits."""
+    """Ordered embedding/ansatz segments on a fixed number of qubits.  The
+    ansatz segments take the params in segment order, so ``total_params``
+    is the sum of their counts."""
 
     n_qubits: int
     input_dim: int
@@ -146,7 +147,6 @@ class CircuitTemplate:
             raise ConfigurationError("input_dim must be non-negative")
         if not self.segments:
             raise ConfigurationError("template needs at least one segment")
-        ranges = []
         for seg in self.segments:
             if isinstance(seg, Embedding):
                 if len(seg.feature_slots) > self.n_qubits:
@@ -160,32 +160,13 @@ class CircuitTemplate:
                             f"feature slot {slot} out of range for "
                             f"input_dim {self.input_dim}"
                         )
-            elif isinstance(seg, Ansatz):
-                start, stop = seg.param_slots
-                expected = ansatz_param_count(seg.kind, self.n_qubits, seg.n_layers)
-                if stop - start != expected:
-                    raise ConfigurationError(
-                        f"{seg.kind} with {seg.n_layers} layers on "
-                        f"{self.n_qubits} qubits needs {expected} params, "
-                        f"slot range holds {stop - start}"
-                    )
-                ranges.append((start, stop))
-            else:
+            elif not isinstance(seg, Ansatz):
                 raise ConfigurationError(f"unknown segment type {type(seg).__name__}")
-        ranges.sort()
-        cursor = 0
-        for start, stop in ranges:
-            if start != cursor:
-                raise ConfigurationError(
-                    "ansatz param slots must tile [0, total_params) without "
-                    f"gaps or overlaps; found range ({start}, {stop}) after {cursor}"
-                )
-            cursor = stop
 
     @cached_property
     def total_params(self) -> int:
         return sum(
-            seg.param_slots[1] - seg.param_slots[0]
+            ansatz_param_count(seg.kind, self.n_qubits, seg.n_layers)
             for seg in self.segments
             if isinstance(seg, Ansatz)
         )
@@ -240,6 +221,7 @@ def _lowered(template: CircuitTemplate) -> _Lowered:
     n_params, n_inputs = template.total_params, template.input_dim
     ops: list[tuple] = []
     columns: list[int] = []
+    start = 0  # the first param of the next ansatz
     for seg in template.segments:
         if isinstance(seg, Embedding):
             offset = n_params + (n_inputs if seg.transform == "arctan" else 0)
@@ -247,13 +229,13 @@ def _lowered(template: CircuitTemplate) -> _Lowered:
                 ops.append(("R" + seg.axis, q, len(columns)))
                 columns.append(offset + slot)
         else:
-            start = seg.param_slots[0]
             for kind, a, b in _ansatz_ops(seg.kind, template.n_qubits, seg.n_layers):
                 if kind == "CNOT":
                     ops.append((kind, a, b))
                 else:
                     ops.append((kind, a, len(columns)))
                     columns.append(start + b)
+            start += ansatz_param_count(seg.kind, template.n_qubits, seg.n_layers)
     gather = _index(columns)
     scatter = np.zeros((gather.size, n_params + 2 * n_inputs))
     scatter[np.arange(gather.size), gather] = 1.0
@@ -863,44 +845,26 @@ def linear_vqr_template(
     n_qubits: int, n_layers: int, axis: str = "Y", transform: str = "arctan"
 ) -> CircuitTemplate:
     """Single embedding followed by one strongly entangling block."""
-    total = ansatz_param_count("strongly_entangling", n_qubits, n_layers)
-    return CircuitTemplate(
-        n_qubits,
-        n_qubits,
-        (
-            Embedding(axis, tuple(range(n_qubits)), transform),
-            Ansatz("strongly_entangling", n_layers, (0, total)),
-        ),
-    )
+    embedding = Embedding(axis, tuple(range(n_qubits)), transform)
+    ansatz = Ansatz("strongly_entangling", n_layers)
+    return CircuitTemplate(n_qubits, n_qubits, (embedding, ansatz))
 
 
 def nonlinear_vqr_template(
     n_qubits: int, n_layers: int, axis: str = "Y", transform: str = "arctan"
 ) -> CircuitTemplate:
     """Data re-uploading: n_layers repetitions of [embedding; one SE layer]."""
-    per = ansatz_param_count("strongly_entangling", n_qubits, 1)
-    segments: list[Segment] = []
-    start = 0
-    for _ in range(n_layers):
-        segments.append(Embedding(axis, tuple(range(n_qubits)), transform))
-        segments.append(Ansatz("strongly_entangling", 1, (start, start + per)))
-        start += per
-    return CircuitTemplate(n_qubits, n_qubits, tuple(segments))
+    embedding = Embedding(axis, tuple(range(n_qubits)), transform)
+    pair = (embedding, Ansatz("strongly_entangling", 1))
+    return CircuitTemplate(n_qubits, n_qubits, pair * n_layers)
 
 
 def ring_rx_template(
     n_qubits: int, n_layers: int, transform: str = "identity"
 ) -> CircuitTemplate:
     """RX angle embedding followed by a ring-RX ansatz (recurrent-cell circuit)."""
-    total = ansatz_param_count("ring_rx", n_qubits, n_layers)
-    return CircuitTemplate(
-        n_qubits,
-        n_qubits,
-        (
-            Embedding("X", tuple(range(n_qubits)), transform),
-            Ansatz("ring_rx", n_layers, (0, total)),
-        ),
-    )
+    embedding = Embedding("X", tuple(range(n_qubits)), transform)
+    return CircuitTemplate(n_qubits, n_qubits, (embedding, Ansatz("ring_rx", n_layers)))
 
 
 def init_params(template: CircuitTemplate, rng: np.random.Generator) -> np.ndarray:

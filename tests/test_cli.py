@@ -328,6 +328,33 @@ class TestTrainPredict:
         assert named in err
 
     @pytest.mark.parametrize(
+        "kind,settings",
+        [
+            ("ffnn", {"hidden_sizes": [10**10, 10**10]}),
+            ("lstm", {"n_layers": 2**62}),
+            ("vqr", {"n_layers": 2**62}),
+            ("qlstm", {"n_layers": 2**62}),
+        ],
+    )
+    def test_oversized_model_is_config_error(self, tmp_path, capsys, campaign, kind, settings):
+        """Each of these models has more than 2**63 bytes of parameters,
+        which NumPy refuses without allocating anything."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code, _, err = run(
+            capsys,
+            "train",
+            "--model", kind,
+            "--data", str(campaign),
+            "--config", str(cfg),
+            "--out", str(tmp_path / "big"),
+        )
+        assert code == 1
+        last = err.splitlines()[-1]
+        assert last.startswith(f"config error: {kind} model with ")
+        assert str(models.count_params(kind, models.resolve_options(kind, settings))) in last
+
+    @pytest.mark.parametrize(
         "command,flag",
         [
             ("train", "--config"),
@@ -912,6 +939,23 @@ class TestDatasetDefects:
         assert code == 1
         assert err.splitlines()[-1].startswith(f"data error: {bad}:6: timestamp {stamp}")
 
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize("column,cell", [(2, "nan"), (5, "-inf")])
+    def test_non_finite_cell_names_line(self, tmp_path, capsys, campaign, command, column, cell):
+        header, *rows = campaign.read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        cells[4][column] = cell
+        bad = tmp_path / "dataset.csv"
+        bad.write_text("\n".join([header, *(",".join(c) for c in cells)]) + "\n")
+        argv = ["--model", "ffnn", "--epochs", "1"] if command == "train" else []
+        code, _, err = run(
+            capsys, command, "--data", str(bad), *argv, "--out", str(tmp_path / "o")
+        )
+        assert code == 1
+        name = header.split(",")[column]
+        assert err.splitlines()[-1] == f"data error: {bad}:6: {name} value '{cell}' is not finite"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["train", "predict", "cross-validate", "benchmark"])
     def test_blank_pm25_column_is_data_error(self, tmp_path, capsys, campaign, command):
         """Every series row reads the raw pm25 column, so a dataset without
@@ -1219,6 +1263,24 @@ class TestGridSearchCommand:
         assert len(payload["entries"]) == 2
         best = json.loads(stdout)
         assert best["params"]["epochs"] == 3
+
+    def test_oversized_point_is_recorded_as_failed(self, tmp_path, capsys, campaign):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"hidden_sizes": [[10**10, 10**10], [3]], "epochs": [1]}))
+        out = tmp_path / "gs"
+        code, stdout, _ = run(
+            capsys,
+            "grid-search",
+            "--model", "ffnn",
+            "--data", str(campaign),
+            "--grid", str(grid),
+            "--out", str(out),
+        )
+        assert code == 0
+        failed, trained = json.loads((out / "grid.json").read_text())["entries"]
+        assert failed["error"].startswith("ConfigurationError: ffnn model with ")
+        assert "error" not in trained
+        assert json.loads(stdout)["index"] == 1
 
     def test_grid_axis_must_be_list(self, tmp_path, capsys, campaign):
         grid = tmp_path / "grid.json"

@@ -725,6 +725,21 @@ class TestDatasetCsv:
         with pytest.raises(DataError, match=r"dataset\.csv:3: .*'abc'"):
             dataset_from_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", ["temp", "ref_pm25"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell, column):
+        row = {"pm25": "10.5", "temp": "20.0", "hum": "", "press": "", "ref_pm25": "9.5"}
+        row[column] = cell
+        path = tmp_path / "dataset.csv"
+        path.write_text(
+            "timestamp,pm25,temp,hum,press,ref_pm25\n"
+            "2023-01-01T00:00:00Z,10.0,20.0,,,9.0\n"
+            "\n"
+            f"2023-01-01T01:00:00Z,{','.join(row.values())}\n"
+        )
+        with pytest.raises(DataError, match=rf"dataset\.csv:4: {column} value '{cell}' is not finite"):
+            dataset_from_csv(path)
+
 
 class TestLoadReference:
     def test_non_numeric_cell_names_line(self, tmp_path):

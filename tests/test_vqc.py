@@ -16,7 +16,6 @@ from qscale.vqc import (
     Ansatz,
     CircuitTemplate,
     Embedding,
-    ansatz_param_count,
     evaluate,
     init_params,
     linear_vqr_template,
@@ -41,16 +40,17 @@ def random_template(rng, max_qubits=4, max_layers=3):
 
 def reference_gates(template, params, inputs):
     """The template's gate sequence written out from the ansatz definitions
-    in the ``vqc`` module docstring, without the package's op table."""
+    in the ``vqc`` module docstring, without the package's op table.  The
+    ansatz segments take the params in segment order."""
     n = template.n_qubits
     gates = []
+    theta = iter(params)
     for seg in template.segments:
         if isinstance(seg, Embedding):
             x = np.arctan(inputs) if seg.transform == "arctan" else inputs
             for q, slot in enumerate(seg.feature_slots):
                 gates.append(GateSpec("R" + seg.axis, q, angle=x[slot]))
             continue
-        theta = iter(params[seg.param_slots[0] : seg.param_slots[1]])
         entangling = seg.kind == "strongly_entangling"
         for layer in range(seg.n_layers):
             for q in range(n):
@@ -64,8 +64,7 @@ def reference_gates(template, params, inputs):
 
 def ansatz_ops(kind, n_qubits, n_layers):
     """The lowered ops of a template holding one ansatz and nothing else."""
-    total = ansatz_param_count(kind, n_qubits, n_layers)
-    template = CircuitTemplate(n_qubits, 0, (Ansatz(kind, n_layers, (0, total)),))
+    template = CircuitTemplate(n_qubits, 0, (Ansatz(kind, n_layers),))
     return vqc._lowered(template).ops
 
 
@@ -102,7 +101,7 @@ class TestBuilders:
     def test_embedding_too_many_features(self):
         segments = (
             Embedding("Y", (0, 1, 1), "arctan"),
-            Ansatz("strongly_entangling", 1, (0, 6)),
+            Ansatz("strongly_entangling", 1),
         )
         with pytest.raises(ConfigurationError):
             CircuitTemplate(2, 2, segments)
@@ -149,34 +148,11 @@ class TestBuilders:
     def test_ring_rx_two_qubit_ring(self):
         assert cnot_pairs(ansatz_ops("ring_rx", 2, 1)) == [(0, 1), (1, 0)]
 
-    def test_ring_rx_param_count_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            CircuitTemplate(3, 3, (Ansatz("ring_rx", 2, (0, 5)),))
-
-    def test_strongly_entangling_param_count_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            CircuitTemplate(3, 3, (Ansatz("strongly_entangling", 1, (0, 8)),))
-
 
 class TestTemplateValidation:
     def test_total_params(self):
         assert linear_vqr_template(4, 4).total_params == 48
         assert ring_rx_template(5, 7).total_params == 35
-
-    def test_slots_must_tile(self):
-        with pytest.raises(ConfigurationError):
-            CircuitTemplate(
-                2,
-                2,
-                (
-                    Ansatz("ring_rx", 1, (0, 2)),
-                    Ansatz("ring_rx", 1, (3, 5)),  # gap at index 2
-                ),
-            )
-
-    def test_slot_width_must_match_ansatz(self):
-        with pytest.raises(ConfigurationError):
-            CircuitTemplate(2, 2, (Ansatz("ring_rx", 2, (0, 3)),))
 
     def test_feature_slot_out_of_range(self):
         with pytest.raises(ConfigurationError):
@@ -185,6 +161,14 @@ class TestTemplateValidation:
     def test_feature_count_exceeds_qubits(self):
         with pytest.raises(ConfigurationError):
             CircuitTemplate(1, 2, (Embedding("Y", (0, 1), "identity"),))
+
+    @pytest.mark.parametrize("n, layers", [(1, 1), (2, 3), (4, 2)])
+    def test_nonlinear_is_repeated_pairs(self, n, layers):
+        embedding = Embedding("Y", tuple(range(n)), "arctan")
+        segments = []
+        for _ in range(layers):
+            segments += [embedding, Ansatz("strongly_entangling", 1)]
+        assert nonlinear_vqr_template(n, layers) == CircuitTemplate(n, n, tuple(segments))
 
     def test_nonlinear_single_layer_matches_linear(self):
         a = nonlinear_vqr_template(3, 1)
@@ -453,8 +437,7 @@ def embed_first_stacks(draw):
     kind = draw(st.sampled_from(vqc.ANSATZ_KINDS))
     axis = draw(st.sampled_from(("Y",) if kind == "ring_rx" else vqc.AXES))
     embedding = Embedding(axis, some_features(draw, n), draw(st.sampled_from(vqc.TRANSFORMS)))
-    total = ansatz_param_count(kind, n, layers)
-    template = CircuitTemplate(n, n, (embedding, Ansatz(kind, layers, (0, total))))
+    template = CircuitTemplate(n, n, (embedding, Ansatz(kind, layers)))
     return stack_case(draw, template, 2)[:3]
 
 
@@ -465,14 +448,11 @@ def ring_rx_stacks(draw, max_rows_per_dim=2):
     layers, and perhaps a second RX embedding and ansatz that re-upload
     the inputs), and a stack case."""
     n = draw(st.sampled_from(range(1, 9)))
-    segments, start = [], 0
+    segments = []
     for _ in range(draw(st.integers(1, 2))):
         transform = draw(st.sampled_from(vqc.TRANSFORMS))
         segments.append(Embedding("X", some_features(draw, n), transform))
-        layers = draw(st.integers(1, 3))
-        stop = start + ansatz_param_count("ring_rx", n, layers)
-        segments.append(Ansatz("ring_rx", layers, (start, stop)))
-        start = stop
+        segments.append(Ansatz("ring_rx", draw(st.integers(1, 3))))
     return stack_case(draw, CircuitTemplate(n, n, tuple(segments)), max_rows_per_dim)
 
 
@@ -491,6 +471,20 @@ def plan_oracle(template, params, inputs, weights):
         gx.reshape(k, batch, -1).sum(axis=0),
         gp.reshape(k, batch, -1).sum(axis=1),
     )
+
+
+class TestParamOrder:
+    """The ansatz segments take the params in segment order."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(embed_first_stacks(), ring_rx_stacks()))
+    def test_columns_tile_params(self, case):
+        """In circuit order, the param columns of the op table are 0 ...
+        total_params - 1, each once, for one or two ansatz segments."""
+        template = case[0]
+        columns = vqc._lowered(template).columns
+        params = columns[columns < template.total_params]
+        np.testing.assert_array_equal(params, np.arange(template.total_params))
 
 
 class TestPhasePolynomial:
@@ -572,15 +566,14 @@ class TestAnsatzMatrix:
         will be differentiated; the vqr that re-uploads its inputs (two or
         more layers) never takes the matrix, nor does a template that
         starts with its ansatz."""
-        total = ansatz_param_count("ring_rx", n, layers)
         ring_after_ry = CircuitTemplate(
-            n, n, (Embedding("Y", tuple(range(n))), Ansatz("ring_rx", layers, (0, total)))
+            n, n, (Embedding("Y", tuple(range(n))), Ansatz("ring_rx", layers))
         )
         ansatz_first = CircuitTemplate(
-            n, n, (Ansatz("ring_rx", layers, (0, total)), Embedding("X", tuple(range(n))))
+            n, n, (Ansatz("ring_rx", layers), Embedding("X", tuple(range(n))))
         )
         entangling_first = CircuitTemplate(
-            n, n, (Ansatz("strongly_entangling", layers, (0, 3 * total)), Embedding("Y", tuple(range(n))))
+            n, n, (Ansatz("strongly_entangling", layers), Embedding("Y", tuple(range(n))))
         )
         embed_first = [
             linear_vqr_template(n, layers),
