@@ -8,8 +8,10 @@ row:
 1. ingest splits raw rows (``timestamp_iso8601,sensor_id,quantity,value``)
    into columns a block at a time: a quote-free log is cut at line ends into
    blocks of about 32 K characters, each split by one ``str.split``, and
-   only a log with quotes (or NUL) is read by ``csv.reader``; it parses each
-   distinct timestamp text once and counts malformed rows by reason,
+   only a log with quotes (or NUL) is read by ``csv.reader``; it parses a
+   block's stamps together (``parse_timestamps``: qscale's own
+   ``YYYY-MM-DDTHH:MM:SSZ`` by column, any other form one text at a time)
+   and counts malformed rows by reason,
 2. aggregate finds each (sensor, quantity, bucket) group with one sort and
    takes minute or hour means with ``np.bincount`` sums in input order,
 3. fuse sorts the hourly means by (quantity, hour, value) and takes each
@@ -19,6 +21,11 @@ row:
    dropping hours that cannot be repaired,
 5. scale features/targets with a [-1, +1] range map fitted on training
    rows only, window the rows, and split chronologically.
+
+The hourly files (the reference log and the cached ``dataset.csv``) go
+through the same block splitter and are checked by column; only a file
+that fails a check, or needs ``csv.reader``, is read again row by row,
+which names the failing line.
 
 A deterministic synthetic campaign generator emits the same CSV schemas,
 so every downstream stage can be exercised without the field recordings.
@@ -36,7 +43,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import compress, islice, repeat
 from operator import not_
 from pathlib import Path
@@ -67,8 +74,12 @@ MALFORMED_REASONS = (
 )
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
 def parse_timestamp(text: str) -> int:
-    """ISO-8601 (UTC assumed when unzoned) to epoch seconds."""
+    """ISO-8601 (UTC assumed when unzoned) to epoch seconds, rounded down
+    (toward the past, before 1970 too)."""
     raw = text.strip()
     try:
         stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
@@ -76,7 +87,75 @@ def parse_timestamp(text: str) -> int:
         raise DataError(f"bad timestamp {text!r}") from exc
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
+    return (stamp - _EPOCH) // timedelta(seconds=1)
+
+
+# qscale's own stamp form as a row of a fixed-width buffer: "0" marks a
+# digit column, any other byte the mark that column must hold
+_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00Z\n", np.uint8)
+_DIGIT = _CANONICAL == ord("0")
+# days of months 1-12 (February outside leap years); 0 and 13, which
+# stand in for every month out of range, have none
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+
+
+def _canonical_seconds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of rows ``YYYY-MM-DDTHH:MM:SSZ\\n`` of a uint8 buffer
+    [n, 21], and a mask of the rows that hold a valid stamp of that form;
+    the seconds of other rows are meaningless."""
+    digits = rows[:, _DIGIT] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    ok = (digits < 10).all(axis=1) & (rows[:, ~_DIGIT] == _CANONICAL[~_DIGIT]).all(axis=1)
+    pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
+    century, year_of_century, month, day, hour, minute, second = pairs.T
+    year = century * 100 + year_of_century
+    leap = (year_of_century % 4 == 0) & ((year_of_century != 0) | (century % 4 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
+    ok &= (year >= 1) & (day >= 1) & (day <= month_days)
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    # days from 1970-01-01 of a proleptic Gregorian date (H. Hinnant's
+    # days_from_civil, http://howardhinnant.github.io/date_algorithms.html):
+    # years start in March, so February's leap day ends the year
+    march_year = year - (month <= 2)
+    year_of_era = march_year % 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    days = march_year // 400 * 146_097 + day_of_era - 719_468
+    return days * 86_400 + hour * 3600 + minute * 60 + second, ok
+
+
+def parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``parse_timestamp`` of each text as int64 epoch seconds, and a mask
+    of the texts it rejects (whose seconds read 0).
+
+    The texts are joined into one buffer of fixed-width rows, and those in
+    qscale's own form, ``YYYY-MM-DDTHH:MM:SSZ``, are read by column: the
+    marks and digits are checked at their columns, then the month lengths,
+    leap years and clock ranges, before one days-from-civil sum.  Every
+    other text, and one of that shape that fails a check, goes through
+    ``parse_timestamp`` alone, so the accepted forms stay its own.
+    """
+    n = len(texts)
+    joined = "\n".join(texts) + "\n"
+    # a non-ASCII character reads as one "?", so the rows keep their width
+    rows = np.frombuffer(joined.encode("ascii", "replace"), np.uint8)
+    if rows.size != 21 * n or joined.count("\n") != n or not (rows[20::21] == 10).all():
+        # some text is not 20 characters long, or holds a line end: it gets
+        # a row that no stamp fills, so every other row stays in its place
+        rows = np.frombuffer(
+            "".join(
+                text + "\n" if len(text) == 20 and "\n" not in text else "?" * 20 + "\n"
+                for text in texts
+            ).encode("ascii", "replace"),
+            np.uint8,
+        )
+    seconds, ok = _canonical_seconds(rows.reshape(n, 21))
+    bad = np.zeros(n, bool)
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            seconds[i] = parse_timestamp(texts[i])
+        except ValueError:
+            seconds[i], bad[i] = 0, True
+    return seconds, bad
 
 
 def format_timestamp(seconds: int) -> str:
@@ -221,15 +300,7 @@ def _check_header(path: Path, header: list[str], expected_header: tuple[str, ...
 
 def _csv_rows(path: Path, expected_header: tuple[str, ...], text: str) -> Iterator[list[str]]:
     """The data rows of a CSV text, one at a time, after checking its
-    header; a row the ``csv`` module cannot split is a ``DataError``.
-
-    ``io.StringIO`` is the plain way to feed ``csv.reader`` a text.  The
-    second copy of the text it holds does not speed up the predicts that
-    follow a ``dataset_from_csv``: a reader fed ``text.split("\\n")``
-    instead read predict-year ``stage_norm_s`` 0.0234 against 0.0250 s
-    and its vqr part 0.00298 against 0.00301 normalised s (medians of 12
-    alternating pairs, seed 1, on 2 cores with Python 3.11 and NumPy 2.4).
-    """
+    header; a row the ``csv`` module cannot split is a ``DataError``."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
@@ -254,14 +325,16 @@ _INGEST_BLOCK = 32_768
 # block never holds
 _ASCII_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
-_RawColumns = tuple[list[str], list[str], list[str], list[str], int]
+# a block's stripped cell columns, one per header name, of its rows with
+# one cell per name, and the count of its other rows that are not blank
+_Columns = tuple[list[list[str]], int]
 
 
 def _has_text(cells: Iterable[str]) -> bool:
     return any(cell.strip() for cell in cells)
 
 
-def _csv_columns(path: Path, text: str) -> Iterator[_RawColumns]:
+def _csv_columns(path: Path, text: str) -> Iterator[_Columns]:
     """``_raw_columns`` through ``csv.reader``, for text that needs its
     quoting rules."""
     rows = _csv_rows(path, RAW_HEADER, text)
@@ -271,7 +344,7 @@ def _csv_columns(path: Path, text: str) -> Iterator[_RawColumns]:
             wrong = sum(len(row) != 4 and _has_text(row) for row in chunk)
             chunk = [row for row in chunk if len(row) == 4]
         columns = [list(map(str.strip, column)) for column in zip(*chunk)] or [[], [], [], []]
-        yield (*columns, wrong)
+        yield columns, wrong
 
 
 def _check_field_limit(path: Path, first_line: int, lines: list[str]) -> None:
@@ -282,15 +355,18 @@ def _check_field_limit(path: Path, first_line: int, lines: list[str]) -> None:
             raise DataError(f"{path}:{line}: field larger than field limit ({limit})")
 
 
-def _block_columns(path: Path, text: str) -> Iterator[_RawColumns]:
-    """``_raw_columns`` of a text without quotes or NUL, where every line is
-    a row and every comma splits cells, as ``csv.reader`` reads it.
+def _block_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Columns]:
+    """The cell columns of a text without quotes or NUL, where every line is
+    a row and every comma splits cells, as ``csv.reader`` reads it, a block
+    of rows at a time.
 
     The text is cut at ``\\n`` (never ``splitlines``, which also cuts at
     ``\\x0b``, ``\\x85`` and more) into blocks of about ``_INGEST_BLOCK``
-    characters; one ``str.split`` over a block's three-comma lines gives
-    their cells, and the cells are stripped only when the block holds a
-    character ``str.strip`` removes.
+    characters.  One ``str.split`` over a block, its line ends made cells of
+    their own, gives every cell; the k-cell rows are all there is exactly
+    when every (k + 1)-th cell is a line end, and only a block where they
+    are not has its lines' commas counted.  The cells are stripped only
+    when the block holds a character ``str.strip`` removes.
     """
     if not text:
         return
@@ -298,7 +374,8 @@ def _block_columns(path: Path, text: str) -> Iterator[_RawColumns]:
     header_end = text.find("\n")
     header = text if header_end < 0 else text[:header_end]
     _check_field_limit(path, 1, [header])
-    _check_header(path, header.split(","), RAW_HEADER)
+    _check_header(path, header.split(","), expected_header)
+    width = len(expected_header) + 1  # a row's cells and its line end
     start, stop = len(header) + 1, len(text) - text.endswith("\n")
     line = 2
     while start < stop:
@@ -306,30 +383,40 @@ def _block_columns(path: Path, text: str) -> Iterator[_RawColumns]:
         end = stop if end < 0 else end
         block = text[start:end]
         start = end + 1
-        lines = block.split("\n")
+        n = block.count("\n") + 1
         if len(block) > csv.field_size_limit():
-            _check_field_limit(path, line, lines)
-        line += len(lines)
-        commas = list(map(str.count, lines, repeat(",")))
+            _check_field_limit(path, line, block.split("\n"))
+        line += n
+        cells = block.replace("\n", ",\n,").split(",")
         wrong = 0
-        if commas.count(3) != len(lines):
-            wrong = sum(c != 3 and _has_text(row.split(",")) for row, c in zip(lines, commas))
-            block = "\n".join(compress(lines, [c == 3 for c in commas]))
-        cells = block.replace("\n", ",").split(",") if block else []
+        if len(cells) != width * n - 1 or cells[width - 1 :: width].count("\n") != n - 1:
+            lines = block.split("\n")
+            commas = list(map(str.count, lines, repeat(",")))
+            wrong = sum(
+                c != width - 2 and _has_text(row.split(",")) for row, c in zip(lines, commas)
+            )
+            block = "\n".join(compress(lines, [c == width - 2 for c in commas]))
+            cells = block.replace("\n", ",\n,").split(",") if block else []
+        columns = [cells[k::width] for k in range(width - 1)]
         if not block.isascii() or any(blank in block for blank in _ASCII_BLANKS):
-            cells = list(map(str.strip, cells))
-        yield cells[0::4], cells[1::4], cells[2::4], cells[3::4], wrong
+            columns = [list(map(str.strip, column)) for column in columns]
+        yield columns, wrong
 
 
-def _raw_columns(path: Path) -> Iterator[_RawColumns]:
+def _needs_csv(text: str) -> bool:
+    """Whether a text needs ``csv.reader``: its quoting rules, or NUL, which
+    the csv module of Python 3.10 refuses."""
+    return '"' in text or "\0" in text
+
+
+def _raw_columns(path: Path) -> Iterator[_Columns]:
     """A raw log's rows, a few hundred at a time, as four stripped cell
     columns (stamp, sensor id, quantity, value) of its four-cell rows and the
     count of its other rows that are not blank."""
     text = _read_text(path)
-    if '"' in text or "\0" in text:
-        # quoting rules, and the csv module of Python 3.10 refuses NUL
+    if _needs_csv(text):
         return _csv_columns(path, text)
-    return _block_columns(path, text)
+    return _block_columns(path, text, RAW_HEADER)
 
 
 def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -355,47 +442,40 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
     A row whose cells are all blank is skipped.  Any other row is checked
     for four columns, a timestamp, a numeric value, a known quantity, a
     sensor id and a finite value, in that order, and the first check it
-    fails is its reason.  Each distinct timestamp text is parsed once.
+    fails is its reason.  A block's stamps are parsed together by
+    ``parse_timestamps``, and its values by one ``float`` call each.
     """
     malformed = dict.fromkeys(MALFORMED_REASONS, 0)
-    parsed: dict[str, int] = {}  # timestamp text -> epoch seconds, 0 when bad
-    bad_texts: set[str] = set()
     sensor_codes: dict[str, int] = {}
     quantity_codes = {q: i for i, q in enumerate(QUANTITIES)}
     empty = np.zeros(0, np.int64)
     parts = [(empty, empty, empty, np.zeros(0))]
     for path in paths:
-        for stamp_texts, sensor_ids, names, value_texts, wrong in _raw_columns(Path(path)):
+        for (stamp_texts, sensor_ids, names, value_texts), wrong in _raw_columns(Path(path)):
             malformed["wrong_column_count"] += wrong
             n = len(stamp_texts)
             if not n:
                 continue
-            for text in dict.fromkeys(stamp_texts):
-                if text not in parsed:
-                    try:
-                        parsed[text] = parse_timestamp(text)
-                    except ValueError:
-                        parsed[text] = 0
-                        bad_texts.add(text)
-            bad_stamp = np.fromiter(map(bad_texts.__contains__, stamp_texts), bool, n)
+            stamps, bad_stamp = parse_timestamps(stamp_texts)
             keep = np.ones(n, bool)
             for i in np.flatnonzero(bad_stamp):  # an all-blank row is skipped, not counted
                 keep[i] = any((stamp_texts[i], sensor_ids[i], names[i], value_texts[i]))
             values, non_numeric = _floats(value_texts)
             quantities = np.fromiter(map(quantity_codes.get, names, repeat(-1)), np.int64, n)
-            for reason, fails in (
+            checks = [
                 ("bad_timestamp", bad_stamp),
                 ("non_numeric_value", non_numeric),
                 ("unknown_quantity", quantities < 0),
-                ("empty_sensor", np.fromiter(map(not_, sensor_ids), bool, n)),
-                ("non_finite_value", ~np.isfinite(values)),
-            ):
+            ]
+            if "" in sensor_ids:
+                checks.append(("empty_sensor", np.fromiter(map(not_, sensor_ids), bool, n)))
+            checks.append(("non_finite_value", ~np.isfinite(values)))
+            for reason, fails in checks:
                 malformed[reason] += int(np.count_nonzero(keep & fails))
                 keep &= ~fails
             kept_ids = list(compress(sensor_ids, keep.tolist()))
             for sensor_id in dict.fromkeys(kept_ids):
                 sensor_codes.setdefault(sensor_id, len(sensor_codes))
-            stamps = np.fromiter(map(parsed.__getitem__, stamp_texts), np.int64, n)
             parts.append((
                 stamps[keep],
                 np.fromiter(map(sensor_codes.__getitem__, kept_ids), np.int64, len(kept_ids)),
@@ -407,10 +487,52 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
     return IngestResult(samples=samples, malformed_by_reason=malformed)
 
 
+def _hourly_columns(
+    path: Path, text: str, expected_header: tuple[str, ...]
+) -> Optional[list[list[str]]]:
+    """The stripped cell columns of every row of an hourly file, read by the
+    raw logs' block splitter; None when the text needs ``csv.reader``, or a
+    row that is not blank lacks one cell per header name, or the splitter
+    finds a fault: the row loop then reads the file and names the line."""
+    if _needs_csv(text):
+        return None
+    columns: list[list[str]] = [[] for _ in expected_header]
+    try:
+        for cells, wrong in _block_columns(path, text, expected_header):
+            if wrong:
+                return None
+            for column, block_column in zip(columns, cells):
+                column += block_column
+    except DataError:
+        return None
+    return columns
+
+
 def load_reference(path: str | Path) -> Series:
     """Load the hourly reference-instrument CSV; a bad cell or an off-hour
-    stamp is a ``DataError`` naming ``path:line``."""
-    body = list(_csv_rows(Path(path), REFERENCE_HEADER, _read_text(Path(path))))
+    stamp is a ``DataError`` naming ``path:line``.
+
+    The file is read by column; only a file that fails a check, or needs
+    ``csv.reader``, is read again row by row to name the line."""
+    text = _read_text(Path(path))
+    columns = _hourly_columns(Path(path), text, REFERENCE_HEADER)
+    if columns is not None:
+        stamps, bad_stamp = parse_timestamps(columns[0])
+        values, non_numeric = _floats(columns[1])
+    if columns is None or bad_stamp.any() or non_numeric.any() or (stamps % HOUR).any():
+        stamps, values = _reference_rows(path, text)
+    order = np.argsort(stamps, kind="stable")
+    ts = stamps[order]
+    repeated = ts[1:][np.diff(ts) == 0]
+    if repeated.size:
+        raise DataError(f"{path}: reference hour {format_timestamp(repeated[0])} repeats")
+    return Series(ts, values[order])
+
+
+def _reference_rows(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The stamps and values of a reference log, read row by row; a bad row
+    is a ``DataError`` naming ``path:line``."""
+    body = list(_csv_rows(Path(path), REFERENCE_HEADER, text))
     stamps: list[int] = []
     values: list[float] = []
     try:
@@ -426,12 +548,7 @@ def load_reference(path: str | Path) -> Series:
             values.append(float(row[1]))
     except ValueError as err:
         raise DataError(f"{path}:{line}: {err}") from err
-    order = np.argsort(stamps, kind="stable")
-    ts = np.asarray(stamps, dtype=np.int64)[order]
-    repeated = ts[1:][np.diff(ts) == 0]
-    if repeated.size:
-        raise DataError(f"{path}: reference hour {format_timestamp(repeated[0])} repeats")
-    return Series(ts, np.asarray(values, dtype=float)[order])
+    return np.asarray(stamps, dtype=np.int64), np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +825,34 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     """Read a ``dataset_to_csv`` file; a bad or non-finite cell, or a stamp
     off the hour grid or not after the row before, is a ``DataError`` naming
     ``path:line``, and a blank pm25 column (every series row reads it) one
-    naming ``path``."""
-    body = list(_csv_rows(Path(path), DATASET_HEADER, _read_text(Path(path))))
+    naming ``path``.
+
+    The file is read by column; only a file that fails a check, or needs
+    ``csv.reader``, is read again row by row to name the line."""
+    text = _read_text(Path(path))
+    columns = _hourly_columns(Path(path), text, DATASET_HEADER)
+    if columns is not None and columns[0]:
+        stamps, bad_stamp = parse_timestamps(columns[0])
+        blanks = [column.count("") for column in columns[1:5]]
+        names = tuple(name for name, blank in zip(FEATURE_COLUMNS, blanks) if not blank)
+        cells = [column for column, blank in zip(columns[1:5], blanks) if not blank]
+        (*features, target), non_numeric = zip(*map(_floats, [*cells, columns[5]]))
+        if not (
+            bad_stamp.any()
+            or any(0 < blank < len(stamps) for blank in blanks)
+            or any(mask.any() for mask in non_numeric)
+            or not all(np.isfinite(column).all() for column in (*features, target))
+            or (stamps % HOUR).any()
+            or (np.diff(stamps) <= 0).any()
+            or "pm25" not in names
+        ):
+            return CalibrationDataset(stamps, names, np.column_stack(features), target)
+    return _dataset_rows(path, text)
+
+
+def _dataset_rows(path: str | Path, text: str) -> CalibrationDataset:
+    """``dataset_from_csv`` row by row, naming the line of a bad row."""
+    body = list(_csv_rows(Path(path), DATASET_HEADER, text))
     stamps: list[int] = []
     rows: list[list[float]] = []
     targets: list[float] = []

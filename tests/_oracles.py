@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import compress, islice, repeat
 from operator import not_
 
@@ -255,7 +255,7 @@ def _epoch_seconds(text: str) -> int:
     stamp = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
+    return (stamp - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(seconds=1)
 
 
 def _float_texts(texts: list) -> tuple:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -101,6 +101,35 @@ def hourly_dataset(n, features=None, target=None, names=("pm25",), start=T0):
     return CalibrationDataset(stamps, names, feats, targ)
 
 
+# every datetime second as qscale writes it, and texts that miss that form
+# narrowly: no such day or hour, year 0000, another zone or separator,
+# fractions, non-ASCII digits, a character dropped or added, and noise
+CANONICAL_STAMP = st.integers(DATETIME_MIN_S, DATETIME_MAX_S).map(format_timestamp)
+NEAR_STAMP = st.builds(
+    "{}-{}-{}{}{}:{}:{}{}".format,
+    st.sampled_from(["0000", "0001", "1900", "1969", "1970", "2000", "2023", "2024", "2200"]),
+    st.sampled_from(["00", "01", "02", "04", "09", "11", "12", "13"]),
+    st.sampled_from(["00", "01", "28", "29", "30", "31", "32"]),
+    st.sampled_from(["T", "T", "T", " ", "t"]),
+    st.sampled_from(["00", "09", "23", "24"]),
+    st.sampled_from(["00", "59", "60"]),
+    st.sampled_from(["00", "59", "60"]),
+    st.sampled_from(["Z", "Z", "Z", "z", "+00:00", "-05:30", "", ".5Z", ".25"]),
+)
+EDITED_STAMP = st.builds(
+    lambda text, at, edit: text[:at] + edit + text[at + (edit != "0") :],
+    st.one_of(CANONICAL_STAMP, NEAR_STAMP),
+    st.integers(0, 20),
+    st.sampled_from(["", "0", "\u0663", "\uff13", " ", "\n"]),
+)
+ANY_STAMP = st.one_of(
+    CANONICAL_STAMP,
+    NEAR_STAMP,
+    EDITED_STAMP,
+    st.text(st.sampled_from("0123456789-T:Z \n\u0663"), max_size=22),
+)
+
+
 class TestTimestamps:
     def test_round_trip(self):
         assert parse_timestamp(format_timestamp(T0)) == T0
@@ -123,6 +152,68 @@ class TestTimestamps:
     def test_bad_timestamp(self):
         with pytest.raises(DataError):
             parse_timestamp("yesterday")
+
+    @pytest.mark.parametrize(
+        "text,seconds",
+        [
+            ("1969-12-31T23:30:00.25Z", -1800),
+            ("1969-12-31T23:59:59.5Z", -1),
+            ("1969-12-31T23:59:59.999999Z", -1),
+            ("1970-01-01T00:00:00.5Z", 0),
+        ],
+    )
+    def test_fractional_stamp_rounds_down(self, text, seconds):
+        """A fractional stamp reads as the second it falls in, before 1970
+        as after, so it lands in the hour it falls in."""
+        assert parse_timestamp(text) == seconds
+        assert data.parse_timestamps([text])[0].tolist() == [seconds]
+        hour = data.format_timestamp(seconds // HOUR * HOUR)
+        assert hour[:13] == text[:13]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.lists(CANONICAL_STAMP, max_size=30), st.lists(ANY_STAMP, max_size=30)))
+    @example([
+        f"{year}-02-29T00:00:00Z" for year in ("1900", "2000", "2023", "2024", "2200")
+    ] + ["2023-04-31T00:00:00Z", "2023-01-01T24:00:00Z", "2023-01-01T00:00:60Z",
+         "0000-01-01T00:00:00Z", "2023-01-01T00:00:00z", "2023-01-01 00:00:00Z"])
+    def test_columnar_parse_matches_parse_timestamp(self, texts):
+        """parse_timestamps agrees with parse_timestamp text by text: the
+        same seconds, or a rejection (bad, reading 0) where it raises."""
+        seconds, bad = data.parse_timestamps(texts)
+        assert seconds.dtype == np.int64 and seconds.shape == bad.shape == (len(texts),)
+        for text, got, rejected in zip(texts, seconds.tolist(), bad.tolist()):
+            try:
+                want = parse_timestamp(text)
+            except DataError:
+                assert rejected and got == 0, text
+            else:
+                assert not rejected and got == want, text
+
+    def test_misaligned_texts_of_canonical_total_length(self):
+        """A 19- and a 21-character text fill two rows of 21 bytes between
+        them, but neither is read as a row of the buffer."""
+        texts = ["2023-01-01T00:00:00", "2023-01-01T01:00:00Z ", "2023-01-01T02:00:00Z"]
+        seconds, bad = data.parse_timestamps(texts)
+        assert seconds.tolist() == [T0, T0 + HOUR, T0 + 2 * HOUR]
+        assert not bad.any()
+        seconds, bad = data.parse_timestamps(["2023-01-01T00:00:00Z\n2023-01-01T00:00:00", "Z"])
+        assert bad.tolist() == [True, True]
+
+    def test_only_other_texts_parse_alone(self, monkeypatch):
+        """A block with one bad stamp sends only its texts that are not
+        valid canonical stamps through parse_timestamp, one call each."""
+        texts = format_timestamps(T0 + 600 * np.arange(500, dtype=np.int64))
+        texts[123] = "2023-02-30T10:00:00Z"  # the canonical shape, no such day
+        texts[321] = "not-a-time"
+        texts[400] = "2023-01-03T10:00:00"  # unzoned: valid, in another form
+        calls = []
+        real = data.parse_timestamp
+        monkeypatch.setattr(data, "parse_timestamp", lambda text: calls.append(text) or real(text))
+        seconds, bad = data.parse_timestamps(texts)
+        assert calls == [texts[123], texts[321], texts[400]]
+        assert np.flatnonzero(bad).tolist() == [123, 321]
+        assert seconds[400] == T0 + 2 * 24 * HOUR + 10 * HOUR
+        assert seconds[499] == T0 + 600 * 499
 
 
 class TestIngest:
@@ -776,6 +867,138 @@ class TestLoadReference:
             DataError, match=r"reference\.csv:3: .*2023-01-01T01:20:00Z is not on the hour"
         ):
             load_reference(path)
+
+# cell edits of an hourly file: padding, bad or non-finite cells, stamps
+# that are bad, off the hour, repeated, swapped or in another valid form, a
+# row of the wrong width, a row of blank cells and a quoted cell
+HOURLY_EDITS = (
+    "pad", "text", "empty", "nan", "stamp", "off-hour", "repeat", "swap", "unzoned",
+    "columns", "blank-row", "quoted", "fill",
+)
+
+
+def _edit_rows(rows, edits, value_columns):
+    """Apply (edit, row, column, other) to rows of cells, stamp first."""
+    for edit, row, column, other in edits:
+        if not rows:
+            return
+        row, other, column = row % len(rows), other % len(rows), 1 + column % value_columns
+        cells = rows[row]
+        if edit in ("text", "empty", "nan", "fill", "quoted") and column >= len(cells):
+            continue  # the row lost that cell to a "columns" edit
+        if edit == "pad":
+            rows[row] = [" " + cell + "\t" for cell in cells]
+        elif edit in ("text", "empty", "nan", "fill"):
+            cells[column] = {"text": "abc", "empty": "", "nan": "nan", "fill": "1.5"}[edit]
+        elif edit == "stamp":
+            cells[0] = "2023-13-45T99:00:00Z"
+        elif edit == "off-hour":
+            cells[0] = format_timestamp(T0 + HOUR * row + 60 * (other % 59 + 1))
+        elif edit == "repeat":
+            cells[0] = rows[other][0]
+        elif edit == "swap":
+            rows[row], rows[other] = rows[other], cells
+        elif edit == "unzoned":
+            cells[0] = cells[0].strip()[:19]
+        elif edit == "columns":
+            rows[row] = cells[: 1 + other % value_columns] if other % 2 else [*cells, "1.0"]
+        elif edit == "blank-row":
+            rows[row] = [""] * len(cells)
+        else:
+            cells[column] = f'"{cells[column]}"'
+
+
+@st.composite
+def hourly_files(draw, header, value_cells, hours):
+    """The text of an hourly file of ``header``: rows of a stamp (T0 plus
+    each of ``hours``) and ``value_cells``, edited, with a blank line
+    somewhere, ``\\n`` or ``\\r\\n`` line ends and an optional final one."""
+    rows = [[format_timestamp(T0 + HOUR * hour), *draw(value_cells)] for hour in draw(hours)]
+    edit = st.tuples(
+        st.sampled_from(HOURLY_EDITS), st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)
+    )
+    _edit_rows(rows, draw(st.lists(edit, max_size=3)), len(header) - 1)
+    lines = [",".join(header), *map(",".join, rows)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(lines) + newline * draw(st.booleans())
+
+
+FLOAT_CELL = st.floats(-1e3, 1e3).map(repr)
+
+
+class TestHourlyReadersMatchRowLoop:
+    """load_reference and dataset_from_csv read a file by column and give
+    what their row loops give: a bit-identical result, or the same
+    DataError text."""
+
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            result = reader(path)
+        except DataError as exc:
+            return str(exc)
+        return [
+            (array.dtype, array.shape, array.tobytes()) if isinstance(array, np.ndarray) else array
+            for array in vars(result).values()
+        ]
+
+    def check_reader(self, monkeypatch, tmp_path, reader, row_loop, clean, files):
+        """Check the reader on each edit of the ``clean`` rows alone, at two
+        places, then on the drawn ``files``."""
+        path = tmp_path / "hourly.csv"
+        row_loop_runs = []
+        by_column = []
+
+        def check(text):
+            path.write_bytes(text.encode())
+            with monkeypatch.context() as m:
+                m.setattr(data, "_hourly_columns", lambda *args: None)
+                want = self.outcome(reader, path)
+            runs = len(row_loop_runs)
+            assert self.outcome(reader, path) == want
+            by_column.append(len(row_loop_runs) == runs)
+
+        real = getattr(data, row_loop)
+        monkeypatch.setattr(
+            data, row_loop, lambda *args: row_loop_runs.append(1) or real(*args)
+        )
+        header, *rows = clean
+        for edit in (None, *HOURLY_EDITS):
+            for at in [(1, 0, 2), (2, 1, 1)]:
+                edited = [list(cells) for cells in rows]
+                _edit_rows(edited, [(edit, *at)] if edit else [], len(header) - 1)
+                check("\n".join(map(",".join, [header, *edited])) + "\n")
+        assert by_column[:2] == [True, True]  # the clean rows
+        settings(max_examples=300, deadline=None, derandomize=True)(given(files)(check))()
+        # enough drawn files are clean for the columns to serve alone
+        assert sum(by_column) > len(by_column) // 10, sum(by_column)
+
+    def test_reference(self, monkeypatch, tmp_path):
+        files = hourly_files(
+            data.REFERENCE_HEADER,
+            st.tuples(st.one_of(FLOAT_CELL, st.sampled_from(["nan", "-inf", "1e999"]))),
+            st.integers(0, 10).flatmap(lambda n: st.permutations(range(n))),  # any order
+        )
+        clean = [data.REFERENCE_HEADER, *(
+            (format_timestamp(T0 + HOUR * hour), "9.5") for hour in (3, 0, 1, 2)
+        )]
+        self.check_reader(monkeypatch, tmp_path, load_reference, "_reference_rows", clean, files)
+
+    def test_dataset(self, monkeypatch, tmp_path):
+        present = st.lists(st.booleans(), min_size=4, max_size=4)
+        files = present.flatmap(lambda flags: hourly_files(
+            data.DATASET_HEADER,
+            st.tuples(*(FLOAT_CELL if flag else st.just("") for flag in flags), FLOAT_CELL),
+            st.integers(0, 10).map(range),
+        ))
+        clean = [data.DATASET_HEADER, *(
+            (format_timestamp(T0 + HOUR * hour), "10.5", "", "61.0", "", "9.5")
+            for hour in range(4)
+        )]
+        self.check_reader(monkeypatch, tmp_path, dataset_from_csv, "_dataset_rows", clean, files)
+
 
 class TestSynthesize:
     def test_deterministic(self):
