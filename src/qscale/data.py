@@ -512,8 +512,8 @@ def load_reference(path: str | Path) -> Series:
     """Load the hourly reference-instrument CSV; a bad cell or an off-hour
     stamp is a ``DataError`` naming ``path:line``.
 
-    The file is read by column; only a file that fails a check, or needs
-    ``csv.reader``, is read again row by row to name the line."""
+    The file is read by column; only a file that needs ``csv.reader``, or
+    fails a check, goes through the row loop, which names the line."""
     text = _read_text(Path(path))
     columns = _hourly_columns(Path(path), text, REFERENCE_HEADER)
     if columns is not None:
@@ -827,8 +827,8 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     ``path:line``, and a blank pm25 column (every series row reads it) one
     naming ``path``.
 
-    The file is read by column; only a file that fails a check, or needs
-    ``csv.reader``, is read again row by row to name the line."""
+    The file is read by column; only a file that needs ``csv.reader``, or
+    fails a check, goes through the row loop, which names the line."""
     text = _read_text(Path(path))
     columns = _hourly_columns(Path(path), text, DATASET_HEADER)
     if columns is not None and columns[0]:
