@@ -10,7 +10,8 @@ row:
    blocks of about 32 K characters, each split by one ``str.split``, and
    only a log with quotes (or NUL) is read by ``csv.reader``; it parses a
    block's stamps together (``parse_timestamps``: qscale's own
-   ``YYYY-MM-DDTHH:MM:SSZ`` by column, any other form one text at a time)
+   ``YYYY-MM-DDTHH:MM:SSZ`` by column, each distinct text in any other
+   form once, by ``datetime``)
    and counts malformed rows by reason,
 2. aggregate finds each (sensor, quantity, bucket) group with one sort and
    takes minute or hour means with ``np.bincount`` sums in input order,
@@ -97,6 +98,9 @@ _DIGIT = _CANONICAL == ord("0")
 # days of months 1-12 (February outside leap years); 0 and 13, which
 # stand in for every month out of range, have none
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+# what ``parse_timestamps``' ``known`` holds for a rejected text; no stamp
+# from year 1 on reads it
+_REJECTED = np.iinfo(np.int64).min
 
 
 def _canonical_seconds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +127,9 @@ def _canonical_seconds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return days * 86_400 + hour * 3600 + minute * 60 + second, ok
 
 
-def parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def parse_timestamps(
+    texts: Sequence[str], known: Optional[dict[str, int]] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``parse_timestamp`` of each text as int64 epoch seconds, and a mask
     of the texts it rejects (whose seconds read 0).
 
@@ -132,29 +138,39 @@ def parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     marks and digits are checked at their columns, then the month lengths,
     leap years and clock ranges, before one days-from-civil sum.  Every
     other text, and one of that shape that fails a check, goes through
-    ``parse_timestamp`` alone, so the accepted forms stay its own.
+    ``parse_timestamp``, so the accepted forms stay its own, once per
+    distinct text: ``known``, a dict that the calls fill, carries the texts
+    parsed so far from one call to the next, so a reader of many blocks
+    parses each text once in all.
     """
     n = len(texts)
     joined = "\n".join(texts) + "\n"
     # a non-ASCII character reads as one "?", so the rows keep their width
     rows = np.frombuffer(joined.encode("ascii", "replace"), np.uint8)
-    if rows.size != 21 * n or joined.count("\n") != n or not (rows[20::21] == 10).all():
-        # some text is not 20 characters long, or holds a line end: it gets
-        # a row that no stamp fills, so every other row stays in its place
-        rows = np.frombuffer(
-            "".join(
-                text + "\n" if len(text) == 20 and "\n" not in text else "?" * 20 + "\n"
-                for text in texts
-            ).encode("ascii", "replace"),
-            np.uint8,
-        )
-    seconds, ok = _canonical_seconds(rows.reshape(n, 21))
-    bad = np.zeros(n, bool)
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            seconds[i] = parse_timestamp(texts[i])
-        except ValueError:
-            seconds[i], bad[i] = 0, True
+    if rows.size == 21 * n and joined.count("\n") == n and (rows[20::21] == 10).all():
+        seconds, ok = _canonical_seconds(rows.reshape(n, 21))
+    else:
+        # only a text of 20 characters can be in that form, and those alone
+        # make rows that keep their places (a line end in one fails its row)
+        seconds, ok = np.zeros(n, np.int64), np.zeros(n, bool)
+        fixed = np.flatnonzero(np.fromiter(map(len, texts), np.intp, n) == 20)
+        if fixed.size:
+            joined = "\n".join([texts[i] for i in fixed.tolist()]) + "\n"
+            rows = np.frombuffer(joined.encode("ascii", "replace"), np.uint8)
+            seconds[fixed], ok[fixed] = _canonical_seconds(rows.reshape(-1, 21))
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        known = {} if known is None else known
+        slow_texts = texts if slow.size == n else [texts[i] for i in slow.tolist()]
+        for text in dict.fromkeys(slow_texts):
+            if text not in known:
+                try:
+                    known[text] = parse_timestamp(text)
+                except ValueError:
+                    known[text] = _REJECTED
+        seconds[slow] = np.fromiter(map(known.__getitem__, slow_texts), np.int64, slow.size)
+    bad = seconds == _REJECTED
+    seconds[bad] = 0
     return seconds, bad
 
 
@@ -443,9 +459,11 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
     for four columns, a timestamp, a numeric value, a known quantity, a
     sensor id and a finite value, in that order, and the first check it
     fails is its reason.  A block's stamps are parsed together by
-    ``parse_timestamps``, and its values by one ``float`` call each.
+    ``parse_timestamps``, a stamp text in any form other than qscale's own
+    once in all the logs, and its values by one ``float`` call each.
     """
     malformed = dict.fromkeys(MALFORMED_REASONS, 0)
+    known: dict[str, int] = {}  # stamp texts not in qscale's form, parsed once
     sensor_codes: dict[str, int] = {}
     quantity_codes = {q: i for i, q in enumerate(QUANTITIES)}
     empty = np.zeros(0, np.int64)
@@ -456,7 +474,7 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
             n = len(stamp_texts)
             if not n:
                 continue
-            stamps, bad_stamp = parse_timestamps(stamp_texts)
+            stamps, bad_stamp = parse_timestamps(stamp_texts, known)
             keep = np.ones(n, bool)
             for i in np.flatnonzero(bad_stamp):  # an all-blank row is skipped, not counted
                 keep[i] = any((stamp_texts[i], sensor_ids[i], names[i], value_texts[i]))

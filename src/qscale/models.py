@@ -30,10 +30,9 @@ forward and one backward pass, one window being a batch of one; the lstm
 runs it feature-major inside ``nn``, its states ``[hidden, B]``.
 ``predict`` runs the same forward pass over blocks of ``PREDICT_ROWS``
 windows, so the activations it keeps stay bounded whatever the number of
-rows; the lstm keeps one workspace per model, reused by every predict of
-the same block shape, and every block, the ragged last one too, writes
-into views from its start.  Held-out losses are the ``METRICS`` table, by
-name.
+rows; the lstm allocates one workspace per ``predict`` and every block,
+the ragged last one too, writes into views from its start.  Held-out
+losses are the ``METRICS`` table, by name.
 
 Each model holds its parameters in one float64 vector, ``flat``; every
 array it computes with (dense layers, LSTM gate slabs, the QLSTM's fc_out
@@ -373,8 +372,8 @@ class _ModelBase:
     def _predictor(self, rows: int):
         """What predicts each block of the ``rows`` scaled windows of one
         ``predict``; the quantum kinds set up their circuits here and the
-        lstm finds its workspace, once for all blocks, and pass them to
-        their ``_predict_scaled``, which builds none of its own."""
+        lstm its workspace, once for all blocks, and pass them to their
+        ``_predict_scaled``, which builds none of its own."""
         return self._predict_scaled
 
 
@@ -432,15 +431,8 @@ class LSTMModel(_ModelBase):
             nn.draw_uniform(rng, layer.weights, layer.bias)
 
     def _predictor(self, rows):
-        # the workspace outlives the predict, so a predict of a shape seen
-        # before allocates none (6.18 MB for the default lstm's 1,024-row
-        # blocks)
         shape = (min(rows, PREDICT_ROWS), self.window, len(self.feature_names))
-        if self._workspace is None or self._workspace[0] != shape:
-            self._workspace = shape, nn.lstm_workspace(self.params, shape)
-        return partial(self._predict_scaled, workspace=self._workspace[1])
-
-    _workspace = None  # (windows shape, nn.lstm_workspace) of the last predict
+        return partial(self._predict_scaled, workspace=nn.lstm_workspace(self.params, shape))
 
     def _predict_scaled(self, x_scaled, workspace):
         return nn.lstm_sequence_forward(self.params, x_scaled, workspace)[0]

@@ -215,6 +215,27 @@ class TestTimestamps:
         assert seconds[400] == T0 + 2 * 24 * HOUR + 10 * HOUR
         assert seconds[499] == T0 + 600 * 499
 
+    def test_each_other_text_parses_once(self, monkeypatch):
+        """A text in another form, or rejected, is parsed once however often
+        it repeats, and once in all the calls that share a ``known`` dict;
+        the results are those of calls that share none."""
+        blocks = [
+            ["2023-01-01T00:00:00+00:00", "nonsense", "2023-01-01T00:00:00+00:00",
+             "2023-01-01T00:00:00Z", "nonsense"],
+            ["nonsense", "2023-01-01T00:00:00+00:00", "2023-01-01T01:00:00"],
+        ]
+        want = [data.parse_timestamps(texts) for texts in blocks]
+        calls = []
+        real = data.parse_timestamp
+        monkeypatch.setattr(data, "parse_timestamp", lambda text: calls.append(text) or real(text))
+        known = {}
+        for texts, (seconds, bad) in zip(blocks, want):
+            got = data.parse_timestamps(texts, known)
+            assert got[0].tolist() == seconds.tolist() and got[1].tolist() == bad.tolist()
+        assert calls == ["2023-01-01T00:00:00+00:00", "nonsense", "2023-01-01T01:00:00"]
+        assert want[0][0].tolist() == [T0, 0, T0, T0, 0]
+        assert want[1][1].tolist() == [True, False, False]
+
 
 class TestIngest:
     def test_empty_file(self, tmp_path):
@@ -244,6 +265,26 @@ class TestIngest:
         result = ingest([p])
         assert result.malformed == 3
         assert len(result.samples) == 1
+
+    def test_other_stamp_form_parses_once_in_all_logs(self, tmp_path, monkeypatch):
+        """Logs, one per sensor and several blocks long, whose stamps are in
+        another form parse each distinct stamp text once in all, and read
+        the samples of the same logs in qscale's own form."""
+        texts = format_timestamps(T0 + 60 * np.arange(2000, dtype=np.int64))
+        paths = {"Z": [], "+00:00": []}
+        for zone, logs in paths.items():
+            for sensor in ("pm-00", "pm-01"):
+                logs.append(tmp_path / f"{sensor}{zone}.csv")
+                logs[-1].write_text("timestamp_iso8601,sensor_id,quantity,value\n" + "".join(
+                    f"{text[:-1]}{zone},{sensor},pm25,{i % 7}.5\n" for i, text in enumerate(texts)
+                ))
+        calls = []
+        real = data.parse_timestamp
+        monkeypatch.setattr(data, "parse_timestamp", lambda text: calls.append(text) or real(text))
+        got = ingest(paths["+00:00"])
+        assert len(calls) == len(set(calls)) == len(texts)
+        want = ingest(paths["Z"])
+        assert rows_of(got.samples) == rows_of(want.samples) and len(want.samples) == 4000
 
     def test_reason_is_first_failed_check(self, tmp_path):
         p = tmp_path / "reasons.csv"

@@ -832,27 +832,6 @@ class TestPredictBlocks:
             np.testing.assert_array_equal(model.predict(x), self.default_lstm(seed=61).predict(x))
 
 
-    def test_lstm_predicts_reuse_one_workspace(self, monkeypatch):
-        """Predicts whose blocks share a shape, here of different row counts
-        all over PREDICT_ROWS, write into the one workspace the model keeps,
-        and each equals the predict of a fresh model byte for byte."""
-        rng = np.random.default_rng(71)
-        xs = [
-            rng.uniform(0.0, 30.0, (rows, models.default_config("lstm").window, 1))
-            for rows in (models.PREDICT_ROWS + 5, 2 * models.PREDICT_ROWS + 9, models.PREDICT_ROWS)
-        ]
-        want = [self.default_lstm(seed=73).predict(x) for x in xs]
-        model = self.default_lstm(seed=73)
-        made = []
-        workspace = nn.lstm_workspace
-        monkeypatch.setattr(
-            nn, "lstm_workspace", lambda *args: made.append(workspace(*args)) or made[-1]
-        )
-        for x, preds in zip(xs + xs, want + want):
-            assert model.predict(x).tobytes() == preds.tobytes()
-        assert len(made) == 1
-
-
 class TestCheckpoints:
     @pytest.mark.parametrize(
         "kind,options,window",
