@@ -56,9 +56,8 @@ def main() -> None:
         "ffnn", dataset,
         grid={"learning_rate": [1e-4, 1e-3, 1e-2], "hidden_sizes": [(6,), (10, 5)]},
         base_config=models.TrainConfig(
-            epochs=20, learning_rate=1e-3, optimizer="adam", loss="l1", window=1
+            epochs=20, learning_rate=1e-3, optimizer="adam", loss="l1", window=1, seed=0
         ),
-        seed=0,
     )
     print(f"{result.grid_size} configurations, ranked by test {result.rank_loss}:")
     for index in result.ranking[:3]:

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -38,23 +38,6 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     """A Python warning as one ``warning:`` line on stderr, without the
     source file and line that the default display adds."""
     _log(f"warning: {message}")
-
-
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get("QSCALE_SEED")
-    if raw is None or raw == "":
-        return None
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"QSCALE_SEED must be an integer, got {raw!r}")
-    return _checked_seed(seed, "QSCALE_SEED")
-
-
-def _checked_seed(seed: int, what: str) -> int:
-    if seed < 0:
-        raise ConfigurationError(f"{what} must be non-negative, got {seed}")
-    return seed
 
 
 def _read_json(path_str: str, what: str) -> dict:
@@ -84,18 +67,26 @@ def _load_dataset(path_str: str) -> data.CalibrationDataset:
 
 def _resolve_seed(args, config: dict) -> int:
     """--seed, else the settings file's seed (which ``TrainConfig`` then
-    checks), else QSCALE_SEED, else 0."""
+    checks), else QSCALE_SEED (unset or empty reads as 0)."""
     if getattr(args, "seed", None) is not None:
-        return _checked_seed(args.seed, "--seed")
-    if "seed" in config:
+        seed, what = args.seed, "--seed"
+    elif "seed" in config:
         return config["seed"]
-    env = _env_seed()
-    return env if env is not None else 0
+    else:
+        raw, what = os.environ.get("QSCALE_SEED") or "0", "QSCALE_SEED"
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"QSCALE_SEED must be an integer, got {raw!r}")
+    if seed < 0:
+        raise ConfigurationError(f"{what} must be non-negative, got {seed}")
+    return seed
 
 
-def _training_settings(args) -> tuple[models.TrainConfig, dict, int]:
-    """The ``TrainConfig`` and model options of a training command, and its
-    seed: the config file first, then command-line overrides on top."""
+def _training_settings(args) -> tuple[models.TrainConfig, dict, int, dict]:
+    """The ``TrainConfig``, model options and seed of a training command (the
+    config file, then command-line overrides), and the settings its manifest
+    records: the config, the options resolved, the model kind and dataset."""
     payload = _read_json(args.config, "config") if args.config else {}
     fields, options = models.split_settings(payload)
     for field in ("epochs", "learning_rate", "optimizer", "loss", "batch_size", "window"):
@@ -107,8 +98,11 @@ def _training_settings(args) -> tuple[models.TrainConfig, dict, int]:
             name.strip() for name in args.features.split(",") if name.strip()
         )
     seed = _resolve_seed(args, fields)
-    fields["seed"] = seed
-    return models.config_from_dict(fields, kind=args.model), options, seed
+    config = replace(models.default_config(args.model), **{**fields, "seed": seed})
+    settings = asdict(config)
+    settings.update(models.resolve_options(args.model, options))
+    settings.update(model=args.model, data=args.data)
+    return config, options, seed, settings
 
 
 def _write_manifest(
@@ -190,7 +184,7 @@ def _cmd_synth(args) -> Recorded:
 
 def _cmd_train(args) -> Recorded:
     dataset = _load_dataset(args.data)
-    config, options, seed = _training_settings(args)
+    config, options, seed, settings = _training_settings(args)
     train_set, test_set = data.chronological_split(dataset, args.train_fraction)
     _log(
         f"training {args.model} on {len(train_set)} hours "
@@ -210,11 +204,7 @@ def _cmd_train(args) -> Recorded:
         train_history=history,
     )
     experiments.emit_report(report, args.out)
-    settings = asdict(config)
-    settings.update(models._jsonable(model.options))
     settings["train_fraction"] = args.train_fraction
-    settings["model"] = args.model
-    settings["data"] = args.data
     return Recorded(settings, seed, json.dumps(losses, sort_keys=True))
 
 
@@ -235,7 +225,7 @@ def _cmd_predict(args) -> Recorded:
 
 def _cmd_cross_validate(args) -> Recorded:
     dataset = _load_dataset(args.data)
-    config, options, seed = _training_settings(args)
+    config, options, seed, settings = _training_settings(args)
     if args.benchmark_draws < 0:
         raise ConfigurationError(
             f"--benchmark-draws must be non-negative, got {args.benchmark_draws}"
@@ -262,16 +252,7 @@ def _cmd_cross_validate(args) -> Recorded:
         )
         report.benchmark = bench.summary()
     experiments.emit_report(report, args.out)
-    settings = asdict(config)
-    settings.update(models._jsonable(options))
-    settings.update(
-        {
-            "model": args.model,
-            "data": args.data,
-            "fold_spec": report.fold_spec,
-            "benchmark_draws": args.benchmark_draws,
-        }
-    )
+    settings.update(fold_spec=report.fold_spec, benchmark_draws=args.benchmark_draws)
     average = report.fold_average
     return Recorded(
         settings,
@@ -315,7 +296,7 @@ def _cmd_grid_search(args) -> Recorded:
     for axis, values in grid.items():
         if not isinstance(values, list):
             raise ConfigurationError(f"grid axis {axis!r} must be a JSON list")
-    base_config, options, seed = _training_settings(args)
+    base_config, options, seed, settings = _training_settings(args)
     _log(f"grid search over {experiments.grid_size(grid)} configurations")
     result = experiments.grid_search(
         args.model,
@@ -325,16 +306,9 @@ def _cmd_grid_search(args) -> Recorded:
         options=options,
         train_fraction=args.train_fraction,
         rank_loss=args.rank_loss,
-        seed=seed,
     )
     experiments.write_json(args.out / "grid.json", result.to_dict())
-    settings = {
-        "model": args.model,
-        "data": args.data,
-        "grid": models._jsonable(grid),
-        "train_fraction": args.train_fraction,
-        "rank_loss": args.rank_loss,
-    }
+    settings.update(grid=grid, train_fraction=args.train_fraction, rank_loss=args.rank_loss)
     best = result.best
     return Recorded(
         settings,

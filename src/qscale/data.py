@@ -350,17 +350,18 @@ def _has_text(cells: Iterable[str]) -> bool:
     return any(cell.strip() for cell in cells)
 
 
-def _csv_columns(path: Path, text: str) -> Iterator[_Columns]:
-    """``_raw_columns`` through ``csv.reader``, for text that needs its
-    quoting rules."""
-    rows = _csv_rows(path, RAW_HEADER, text)
+def _csv_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Columns]:
+    """``_columns`` through ``csv.reader``, for text that needs its quoting
+    rules."""
+    width = len(expected_header)
+    rows = _csv_rows(path, expected_header, text)
     while chunk := list(islice(rows, _INGEST_CHUNK)):
         wrong = 0
-        if set(map(len, chunk)) != {4}:
-            wrong = sum(len(row) != 4 and _has_text(row) for row in chunk)
-            chunk = [row for row in chunk if len(row) == 4]
-        columns = [list(map(str.strip, column)) for column in zip(*chunk)] or [[], [], [], []]
-        yield columns, wrong
+        if set(map(len, chunk)) != {width}:
+            wrong = sum(len(row) != width and _has_text(row) for row in chunk)
+            chunk = [row for row in chunk if len(row) == width]
+        columns = [list(map(str.strip, column)) for column in zip(*chunk)]
+        yield columns or [[] for _ in expected_header], wrong
 
 
 def _check_field_limit(path: Path, first_line: int, lines: list[str]) -> None:
@@ -419,20 +420,14 @@ def _block_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> I
         yield columns, wrong
 
 
-def _needs_csv(text: str) -> bool:
-    """Whether a text needs ``csv.reader``: its quoting rules, or NUL, which
-    the csv module of Python 3.10 refuses."""
-    return '"' in text or "\0" in text
-
-
-def _raw_columns(path: Path) -> Iterator[_Columns]:
-    """A raw log's rows, a few hundred at a time, as four stripped cell
-    columns (stamp, sensor id, quantity, value) of its four-cell rows and the
-    count of its other rows that are not blank."""
-    text = _read_text(path)
-    if _needs_csv(text):
-        return _csv_columns(path, text)
-    return _block_columns(path, text, RAW_HEADER)
+def _columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Columns]:
+    """A CSV text's rows, a few hundred at a time, as stripped cell columns,
+    one per header name, of its rows with one cell per name, and the count of
+    its other rows that are not blank.  Only a text with a quote or a NUL goes
+    through ``csv.reader``: for its quoting rules, or its refusal of NUL."""
+    if '"' in text or "\0" in text:
+        return _csv_columns(path, text, expected_header)
+    return _block_columns(path, text, expected_header)
 
 
 def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -469,7 +464,8 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
     empty = np.zeros(0, np.int64)
     parts = [(empty, empty, empty, np.zeros(0))]
     for path in paths:
-        for (stamp_texts, sensor_ids, names, value_texts), wrong in _raw_columns(Path(path)):
+        columns = _columns(Path(path), _read_text(Path(path)), RAW_HEADER)
+        for (stamp_texts, sensor_ids, names, value_texts), wrong in columns:
             malformed["wrong_column_count"] += wrong
             n = len(stamp_texts)
             if not n:
@@ -508,21 +504,16 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
 def _hourly_columns(
     path: Path, text: str, expected_header: tuple[str, ...]
 ) -> Optional[list[list[str]]]:
-    """The stripped cell columns of every row of an hourly file, read by the
-    raw logs' block splitter; None when the text needs ``csv.reader``, or a
-    row that is not blank lacks one cell per header name, or the splitter
-    finds a fault: the row loop then reads the file and names the line."""
-    if _needs_csv(text):
-        return None
+    """The stripped cell columns of every row of an hourly file, read by
+    ``_columns`` as the raw logs are; None when a row that is not blank lacks
+    one cell per header name: the row loop then reads the file and names the
+    line.  Any ``DataError`` raised is the one the row loop's ``csv`` pass raises."""
     columns: list[list[str]] = [[] for _ in expected_header]
-    try:
-        for cells, wrong in _block_columns(path, text, expected_header):
-            if wrong:
-                return None
-            for column, block_column in zip(columns, cells):
-                column += block_column
-    except DataError:
-        return None
+    for cells, wrong in _columns(path, text, expected_header):
+        if wrong:
+            return None
+        for column, block_column in zip(columns, cells):
+            column += block_column
     return columns
 
 
@@ -530,8 +521,8 @@ def load_reference(path: str | Path) -> Series:
     """Load the hourly reference-instrument CSV; a bad cell or an off-hour
     stamp is a ``DataError`` naming ``path:line``.
 
-    The file is read by column; only a file that needs ``csv.reader``, or
-    fails a check, goes through the row loop, which names the line."""
+    The file is read by column; only a file that fails a check goes
+    through the row loop, which names the line."""
     text = _read_text(Path(path))
     columns = _hourly_columns(Path(path), text, REFERENCE_HEADER)
     if columns is not None:
@@ -845,8 +836,8 @@ def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     ``path:line``, and a blank pm25 column (every series row reads it) one
     naming ``path``.
 
-    The file is read by column; only a file that needs ``csv.reader``, or
-    fails a check, goes through the row loop, which names the line."""
+    The file is read by column; only a file that fails a check goes
+    through the row loop, which names the line."""
     text = _read_text(Path(path))
     columns = _hourly_columns(Path(path), text, DATASET_HEADER)
     if columns is not None and columns[0]:
@@ -1051,7 +1042,12 @@ def synthesize(
     if n_hours < 48:
         raise ConfigurationError("synthetic campaigns need at least 48 hours")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2210]))
-    hours = np.arange(n_hours, dtype=float)
+    try:
+        hours = np.arange(n_hours, dtype=float)
+    except (ValueError, MemoryError) as err:  # over NumPy's limit, or the memory's
+        raise ConfigurationError(
+            f"a campaign of {n_hours} hours is too large to allocate: {err}"
+        ) from None
     day_phase = 2.0 * np.pi * (hours % 24) / 24.0
     season_phase = 2.0 * np.pi * hours / (24.0 * 30.0)
 

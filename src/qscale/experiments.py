@@ -135,9 +135,9 @@ def cross_validate(
     fold stacked into one, each ending with the weights and losses it would
     have had alone, and a fold that diverges leaves the others unchanged.
     ``n_threads`` is accepted and unused: the folds run in the calling
-    thread.  ``options`` and ``param_count`` come from the first fold that
-    trained; when every fold diverged, ``param_count`` is None and
-    ``options`` are the caller's merged over the kind's defaults.
+    thread.  The report's ``options`` are the caller's merged over the
+    kind's defaults (``models.resolve_options``), and its ``param_count``
+    is the count of a model with them, whether or not any fold trained.
     """
     if config.window > 1 and spec.mode != "contiguous":
         raise ConfigurationError(
@@ -173,14 +173,13 @@ def cross_validate(
         average = {
             key: float(np.mean([e[key] for e in good])) for key in models.METRICS
         }
-    trained = next((m for m, e in zip(fold_models, entries) if "error" not in e), None)
-    report_options = trained.options if trained else models.resolve_options(kind, options)
+    resolved = models.resolve_options(kind, options)
     return MetricsReport(
         model_kind=kind,
         config=asdict(config),
-        options=models._jsonable(report_options),
+        options=models._jsonable(resolved),
         seed=config.seed,
-        param_count=None if trained is None else trained.param_count(),
+        param_count=models.count_params(kind, resolved),
         fold_spec={"k": spec.k, "mode": spec.mode, "seed": spec.seed},
         folds=entries,
         fold_average=average,
@@ -243,7 +242,12 @@ def benchmark_uncalibrated(
     ref = dataset.target
     metric = models.METRICS[loss_kind]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 57]))
-    draws = np.empty(n_draws)
+    try:
+        draws = np.empty(n_draws)
+    except (ValueError, MemoryError) as err:  # over NumPy's limit, or the memory's
+        raise ConfigurationError(
+            f"{n_draws} benchmark draws are too large to allocate: {err}"
+        ) from None
     for d in range(n_draws):
         idx = rng.choice(n, size=sample_size, replace=False)
         draws[d] = metric(raw[idx], ref[idx])
@@ -288,9 +292,12 @@ def grid_search(
     options: Optional[dict] = None,
     train_fraction: float = 0.75,
     rank_loss: str = "l1",
-    seed: int = 0,
 ) -> "GridSearchResult":
     """Train every grid point on one fixed chronological split and rank.
+
+    Each point's config is ``base_config`` (the kind's default when None)
+    with the point's config fields replaced: a grid ``seed`` axis sets the
+    seed per point like any other field.
 
     Points whose models share one layout (``models.layout``: the same
     window and the same options but feature names) train in lockstep, one
@@ -311,7 +318,7 @@ def grid_search(
         entries.append(entry)
         config_fields, option_fields = models.split_settings(overrides)
         try:
-            config = replace(base, **{**config_fields, "seed": int(seed)})
+            config = replace(base, **config_fields)
             model, x, y = models.prepare_fit(
                 kind, train_set, config, {**(options or {}), **option_fields}
             )
@@ -340,7 +347,7 @@ def grid_search(
         rank_loss=rank_loss,
         grid_size=total,
         train_fraction=train_fraction,
-        seed=int(seed),
+        seed=int(base.seed),
         entries=entries,
         ranking=[e["index"] for e in ranked],
     )

@@ -62,7 +62,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import compress, groupby, islice
 from operator import attrgetter
@@ -1190,11 +1190,3 @@ def split_settings(payload: dict) -> tuple[dict, dict]:
     """Split flat settings into TrainConfig fields and model options."""
     config = {k: v for k, v in payload.items() if k in TrainConfig.__dataclass_fields__}
     return config, {k: v for k, v in payload.items() if k not in config}
-
-
-def config_from_dict(payload: dict, kind: Optional[str] = None) -> TrainConfig:
-    config, unknown = split_settings(payload or {})
-    if unknown:
-        raise ConfigurationError(f"unknown training fields {sorted(unknown)}")
-    base = asdict(default_config(kind)) if kind else {}
-    return TrainConfig(**{**base, **config})

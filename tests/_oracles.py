@@ -496,7 +496,7 @@ def serial_cross_validate(models, experiments, kind, dataset, config, spec, opti
 
 def serial_grid_search(
     models, experiments, kind, dataset, grid, base_config=None, options=None,
-    train_fraction=0.75, rank_loss="l1", seed=0,
+    train_fraction=0.75, rank_loss="l1",
 ):
     """The grid search with every point trained alone by :func:`serial_fit`,
     one after another, as ``experiments.grid_search`` did before it trained
@@ -513,7 +513,7 @@ def serial_grid_search(
         config_fields, option_fields = models.split_settings(overrides)
         fit = None
         try:
-            config = replace(base, **{**config_fields, "seed": int(seed)})
+            config = replace(base, **config_fields)
             fit = serial_fit(
                 models, experiments, kind, train_set, config, {**(options or {}), **option_fields}
             )
@@ -532,7 +532,7 @@ def serial_grid_search(
         rank_loss=rank_loss,
         grid_size=experiments.grid_size(grid),
         train_fraction=train_fraction,
-        seed=int(seed),
+        seed=int(base.seed),
         entries=entries,
         ranking=[e["index"] for e in ranked],
     )

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -1176,6 +1177,32 @@ class TestNegativeDrawCounts:
         assert not (out / "report.json").exists()
 
 
+class TestOversizedRequests:
+    """A count too large to allocate is a config error naming it, not a
+    NumPy ``MemoryError`` traceback."""
+
+    @pytest.mark.parametrize(
+        "command,argv",
+        [
+            ("synth", ["--hours", str(10**15)]),
+            ("benchmark", ["--draws", str(10**15)]),
+            ("cross-validate", ["--model", "ffnn", "--epochs", "1", "--folds", "2",
+                                "--benchmark-draws", str(10**15)]),
+        ],
+        ids=["synth-hours", "benchmark-draws", "cross-validate-benchmark-draws"],
+    )
+    def test_oversized_count_is_config_error(self, tmp_path, capsys, campaign, command, argv):
+        extra = [] if command == "synth" else ["--data", str(campaign)]
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, command, *argv, *extra, "--out", str(out))
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("config error:")
+        assert f"{10**15} " in err
+        assert stdout == ""
+        assert not (out / "manifest.json").exists()
+
+
 class TestCrossValidateCommand:
     def test_cross_validate_writes_report(self, tmp_path, capsys, campaign):
         out = tmp_path / "cv"
@@ -1407,8 +1434,11 @@ MANIFEST_SETTINGS = {
     "train": CONFIG_KEYS
     | {"activation", "features", "hidden_sizes", "data", "model", "train_fraction"},
     "predict": {"model_file", "data", "rows"},
-    "cross-validate": CONFIG_KEYS | {"data", "model", "fold_spec", "benchmark_draws"},
-    "grid-search": {"data", "model", "grid", "train_fraction", "rank_loss"},
+    "cross-validate": CONFIG_KEYS
+    | {"activation", "features", "hidden_sizes", "data", "model", "fold_spec", "benchmark_draws"},
+    "grid-search": CONFIG_KEYS
+    | {"activation", "features", "hidden_sizes", "data", "model", "grid", "train_fraction",
+       "rank_loss"},
     "benchmark": {"data", "loss", "sample_size", "draws"},
 }
 
@@ -1471,6 +1501,64 @@ class TestManifests:
         code, _, _ = run(capsys, "report", "--report-file", str(cv_report))
         assert code == 0
         assert sorted(tmp_path.rglob("manifest.json")) == before
+
+    @pytest.mark.parametrize("command", ["cross-validate", "grid-search"])
+    def test_training_manifest_echoes_resolved_settings(
+        self, tmp_path, capsys, campaign, command
+    ):
+        """The manifest holds the flags given and every default they left:
+        the kind's config fields and its options."""
+        extra = ["--folds", "2", "--benchmark-draws", "0"]
+        if command == "grid-search":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"learning_rate": [0.01]}))
+            extra = ["--grid", str(grid)]
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, command, "--model", "ffnn", "--data", str(campaign), "--epochs", "2",
+            "--features", "pm25,temp", *extra, "--out", str(out),
+        )
+        assert code == 0, err
+        settings = json.loads((out / "manifest.json").read_text())["settings"]
+        assert settings["epochs"] == 2
+        assert settings["features"] == ["pm25", "temp"]
+        assert settings["hidden_sizes"] == [30, 15, 5]
+        assert settings["activation"] == "tanh"
+        assert settings["optimizer"] == "sgd"
+
+    def test_config_file_merges_over_kind_defaults(self, tmp_path, capsys, campaign):
+        """Fields a config file leaves out take the model kind's defaults,
+        not ``TrainConfig``'s."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "n_layers": 1}))
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "train", "--model", "vqr", "--data", str(campaign),
+            "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 0, err
+        want = {**asdict(models.default_config("vqr")), "epochs": 1}
+        assert json.loads((out / "report.json").read_text())["config"] == want
+        settings = json.loads((out / "manifest.json").read_text())["settings"]
+        assert {key: settings[key] for key in want} == want
+        assert (settings["n_qubits"], settings["n_layers"]) == (4, 1)
+
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "grid-search"])
+    def test_unknown_config_field_is_config_error(self, tmp_path, capsys, campaign, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "momentum": 0.9}))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"learning_rate": [0.01]}))
+        extra = {"train": [], "cross-validate": ["--folds", "2"], "grid-search": ["--grid", str(grid)]}
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, command, "--model", "ffnn", "--data", str(campaign), "--config", str(cfg),
+            *extra[command], "--out", str(out),
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == "config error: unknown ffnn options ['momentum']"
+        assert stdout == ""
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "cross-validate", "grid-search"])
     def test_result_printed_only_after_manifest(self, tmp_path, capsys, campaign, command):

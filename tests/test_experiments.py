@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from qscale import experiments, models, nn
-from qscale.data import CalibrationDataset, make_windows
+from qscale.data import CalibrationDataset, chronological_split, make_windows
 from qscale.errors import ConfigurationError
 from qscale.experiments import (
     FoldSpec,
@@ -21,6 +22,7 @@ from qscale.experiments import (
     grid_search,
     make_folds,
     protocol_fold_spec,
+    score_holdout,
 )
 from qscale.models import TrainConfig
 
@@ -208,7 +210,7 @@ class TestCrossValidate:
         assert all("error" in f for f in report.folds)
         assert all("diverged" in f["error"] for f in report.folds)
         assert report.fold_average is None
-        assert report.param_count is None
+        assert report.param_count == 17  # (2 * 4 + 4) + (4 * 1 + 1), as if a fold had trained
         assert report.options == {
             "hidden_sizes": [4], "activation": "tanh", "features": ["pm25", "temp"]
         }
@@ -366,9 +368,8 @@ class TestLockstepMatchesSerial:
             "hidden_sizes": [(3,), (5,)],
         }
         kwargs = dict(
-            base_config=TrainConfig(2, 0.05, "adam", "mse", window=1),
+            base_config=TrainConfig(2, 0.05, "adam", "mse", window=1, seed=6),
             options={"features": ("pm25", "temp")},
-            seed=6,
         )
         built, outcomes = record_lockstep(monkeypatch)
         result = quiet(lambda: grid_search("ffnn", ds, grid, **kwargs))
@@ -459,9 +460,8 @@ class TestLockstepProperties:
             "batch_size": [3, 8, 16],
         }
         kwargs = dict(
-            base_config=TrainConfig(2, 0.05, "adam", "mse", window=1),
+            base_config=TrainConfig(2, 0.05, "adam", "mse", window=1, seed=9),
             options={"hidden_sizes": (3,), "features": ("pm25", "temp")},
-            seed=9,
         )
         for rates in ([0.011, 0.013], [0.011, 1e15]):
             points = {**grid, "learning_rate": rates}
@@ -573,9 +573,8 @@ class TestGridSearch:
         ds = affine_dataset(40, seed=14)
         result = grid_search(
             "ffnn", ds, {"epochs": [3]},
-            base_config=TrainConfig(1, 0.05, "adam", "mse", window=1),
+            base_config=TrainConfig(1, 0.05, "adam", "mse", window=1, seed=1),
             options={"hidden_sizes": (3,), "features": ("pm25", "temp")},
-            seed=1,
         )
         assert result.grid_size == 1
         assert len(result.entries) == 1
@@ -586,9 +585,8 @@ class TestGridSearch:
         ds = affine_dataset(50, seed=15)
         result = grid_search(
             "ffnn", ds, {"epochs": [0, 25]},
-            base_config=TrainConfig(1, 0.05, "adam", "mse", window=1),
+            base_config=TrainConfig(1, 0.05, "adam", "mse", window=1, seed=2),
             options={"hidden_sizes": (6,), "features": ("pm25", "temp")},
-            seed=2,
         )
         assert result.best["params"]["epochs"] == 25
 
@@ -596,9 +594,8 @@ class TestGridSearch:
         ds = affine_dataset(40, seed=16)
         result = grid_search(
             "ffnn", ds, {"learning_rate": [0.01, 0.05], "hidden_sizes": [(3,), (5,)]},
-            base_config=TrainConfig(3, 0.05, "adam", "mse", window=1),
+            base_config=TrainConfig(3, 0.05, "adam", "mse", window=1, seed=3),
             options={"features": ("pm25", "temp")},
-            seed=3,
         )
         assert result.grid_size == 4
         assert len(result.entries) == 4
@@ -617,9 +614,8 @@ class TestGridSearch:
         ds = affine_dataset(40, seed=17)
         result = grid_search(
             "ffnn", ds, {axis: [good, bad]},
-            base_config=TrainConfig(2, 0.05, "adam", "mse", window=1),
+            base_config=TrainConfig(2, 0.05, "adam", "mse", window=1, seed=4),
             options={"hidden_sizes": (3,), "features": ("pm25", "temp")},
-            seed=4,
         )
         failed = [e for e in result.entries if "error" in e]
         assert len(failed) == 1
@@ -641,12 +637,27 @@ class TestGridSearch:
         ds = affine_dataset(40, seed=20)
         result = grid_search(
             "lstm", ds, {"window": [2, 3]},
-            base_config=TrainConfig(2, 0.02, "rmsprop", "l1", window=2),
+            base_config=TrainConfig(2, 0.02, "rmsprop", "l1", window=2, seed=6),
             options={"hidden_size": 3, "n_layers": 1, "features": ("pm25",)},
-            seed=6,
         )
         assert {e["params"]["window"] for e in result.entries} == {2, 3}
         assert all("error" not in e for e in result.entries)
+
+    def test_seed_axis_seeds_each_point(self):
+        """A grid ``seed`` axis replaces ``base_config.seed`` like any other
+        field: each point scores what ``fit_model`` trains under its seed."""
+        ds = affine_dataset(40, seed=19)
+        base = TrainConfig(2, 0.05, "adam", "mse", window=1, seed=7)
+        options = {"hidden_sizes": (3,), "features": ("pm25", "temp")}
+        result = grid_search("ffnn", ds, {"seed": [1, 2]}, base_config=base, options=options)
+        train_set, test_set = chronological_split(ds, 0.75)
+        for entry in result.entries:
+            config = replace(base, seed=entry["params"]["seed"])
+            model, history = models.fit_model("ffnn", train_set, config, options)
+            want = {**score_holdout(model, test_set)[0], "final_train_loss": history[-1]}
+            assert_same({key: entry[key] for key in want}, want)
+        assert result.entries[0]["l1"] != result.entries[1]["l1"]
+        assert result.seed == 7
 
     def test_validation(self):
         ds = affine_dataset(30, seed=21)

@@ -135,15 +135,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             models.build_model("gru", ("pm25",), None, None)
 
-    def test_config_from_dict_merges_defaults(self):
-        cfg = models.config_from_dict({"epochs": 5}, kind="vqr")
-        assert cfg.epochs == 5
-        assert cfg.optimizer == "adam"
-
-    def test_config_from_dict_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            models.config_from_dict({"momentum": 0.9}, kind="ffnn")
-
 
 class TestParameterCounts:
     def test_ffnn_published_topology(self):
