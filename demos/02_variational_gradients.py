@@ -5,8 +5,9 @@ Builds a small data-embedding circuit, differentiates it three ways
 training uses vs the shift rule), and then trains it by plain gradient
 descent to pin the qubit-0 readout at a target value.  Last, it runs a
 ring-RX circuit (the kind a qlstm uses) three ways: as the phase polynomial
-that a CircuitStack makes of it, through the statevector plan, and by
-parameter shift, and prints the largest gap between them.
+that a CircuitStack makes of it, a Fourier series over a few input
+frequencies, through the statevector plan, and by parameter shift, and
+prints the largest gap between them.
 
 Run with: python demos/02_variational_gradients.py
 """
@@ -84,8 +85,10 @@ def main() -> None:
     print()
     print("== a ring-RX circuit three ways ==")
     # every gate is an RX or a CNOT, so in the X basis the circuit only
-    # multiplies each basis state by a phase: <Z> and its gradients follow
-    # from the phase differences, without a statevector
+    # multiplies each basis state by a phase; the inputs part of every phase
+    # difference is, up to its sign, one of a few input frequencies, so <Z>
+    # is a Fourier series in the inputs whose coefficients the params set
+    # once per stack: <Z> and its gradients follow without a statevector
     ring = ring_rx_template(n_qubits=4, n_layers=3)
     ring_params = init_params(ring, rng)
     batch = rng.uniform(-1.0, 1.0, (6, ring.input_dim))
@@ -97,7 +100,9 @@ def main() -> None:
     plan_exps = np.array([evaluate(ring, ring_params, row) for row in batch])
     plan_p, plan_x = adjoint_grad_batch(ring, ring_params, batch, weights)
     shift_p, shift_x = parameter_shift_grad_batch(ring, ring_params, batch, weights)
-    print(f"CircuitStack lowering: {stack.lowering}")
+    print(f"CircuitStack lowering: {stack.lowering}, "
+          f"{stack.coefficients.shape[-1] // 2} input frequencies for "
+          f"{ring.n_qubits << (ring.n_qubits - 1)} pairs of X-basis states")
     print(f"<Z> of row 0: phase polynomial {np.round(exps[0, 0], 6)}")
     print(f"              statevector plan {np.round(plan_exps[0], 6)}")
     gaps = {

@@ -240,16 +240,19 @@ def _cmd_cross_validate(args) -> Recorded:
         f"cross-validating {args.model}: {spec.k} {spec.mode} folds over "
         f"{len(dataset)} hours"
     )
-    report = experiments.cross_validate(args.model, dataset, config, spec, options=options)
+    # the benchmark draws from its own stream, so running it first refuses a
+    # bad draw count, sample size or dataset before any fold trains
+    bench = None
     if args.benchmark_draws > 0:
-        sample_size = len(dataset) // spec.k
         bench = experiments.benchmark_uncalibrated(
             dataset,
             config.loss,
-            sample_size=sample_size,
+            sample_size=len(dataset) // spec.k,
             n_draws=args.benchmark_draws,
             seed=seed,
         )
+    report = experiments.cross_validate(args.model, dataset, config, spec, options=options)
+    if bench is not None:
         report.benchmark = bench.summary()
     experiments.emit_report(report, args.out)
     settings.update(fold_spec=report.fold_spec, benchmark_draws=args.benchmark_draws)

@@ -528,12 +528,16 @@ class QLSTMModel(_ModelBase):
     ``vqc.CircuitStack`` for the whole window, B x T rows each: per time
     step, one run of circuits 1-4 on B rows and one of circuits 5-6.  Every
     gate of a ring-RX circuit is an RX or a CNOT, so the stack runs them as
-    phase polynomials at any batch size: the phase differences of the six
-    circuits' angles are made once per step or predict, each run makes
-    those of its B inputs, and <Z> is a sum of their cosines.
+    phase polynomials at any batch size, each <Z> a Fourier series in the
+    circuit's inputs (Schuld, Sweke & Meyer, arXiv:2008.08605): the
+    encoding fixes a few input frequencies (12 at the default 5 qubits and
+    7 layers), whose coefficients the six circuits' angles set once per
+    step or predict; each run takes a cosine and a sine of its B inputs per
+    frequency, and <Z> is their product with the coefficients.  A predict's
+    stack is forward-only and keeps only the coefficients.
     Backpropagation through time takes each run's input gradient in closed
-    form, sums each circuit's phase gradients over the steps, and folds
-    them into the angle gradients once per step.
+    form, sums each circuit's seeds per frequency over the steps, and
+    spreads them into the angle gradients once per step.
     """
 
     kind = "qlstm"
@@ -575,8 +579,8 @@ class QLSTMModel(_ModelBase):
 
     # -- cell -------------------------------------------------------------
 
-    def _circuits(self) -> vqc.CircuitStack:
-        return vqc.CircuitStack(self.template, self.params.angles)
+    def _circuits(self, forward_only: bool = False) -> vqc.CircuitStack:
+        return vqc.CircuitStack(self.template, self.params.angles, forward_only)
 
     def _expand(self, gates: slice, e: np.ndarray) -> np.ndarray:
         """The given circuits' expectations e [..., k, B, n] through their
@@ -636,7 +640,7 @@ class QLSTMModel(_ModelBase):
         return y, caches
 
     def _predictor(self, rows):
-        return partial(self._predict_scaled, circuits=self._circuits())
+        return partial(self._predict_scaled, circuits=self._circuits(forward_only=True))
 
     def _predict_scaled(self, x_scaled, circuits):
         return self.sequence_forward(x_scaled, circuits, keep_caches=False)[0]

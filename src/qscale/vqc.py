@@ -52,9 +52,15 @@ of three ways; :func:`lowering` is the one choice:
   phi_j linear in the gate angles.  Z_q swaps the X-basis states j and j ^
   2**q, so <Z_q> = 2**(1-n) sum over the pairs (j, j ^ 2**q) of cos(phi_(j
   ^ 2**q) - phi_j).  Each phase difference is a fixed +-1 combination of
-  the angles (:func:`_phase_differences`), split into a params part per
-  circuit and an inputs part per row, so <Z> and its exact gradient are a
-  cosine, a sine and a few matrix products, with no statevector.
+  the angles, split into a params part per circuit and an inputs part per
+  row.  The inputs parts of the n 2**(n-1) pairs are only a few patterns,
+  each up to its sign one of m input frequencies (:func:`_frequencies`; 12
+  for the default qlstm's 80 pairs, 20 for 2,304 pairs at 9 qubits).  So
+  <Z_q> is a Fourier series in the inputs, as for any encoding circuit
+  (Schuld, Sweke & Meyer, arXiv:2008.08605): the encoding fixes the
+  frequencies, and the params set only their coefficients.  The
+  coefficients are made once per set of params, and a row costs a cosine
+  and a sine per frequency and a few matrix products, with no statevector.
 * ``"matrix"``, every forward-only run of an embed-first template (the
   linear vqr's predicts).  The rest of the circuit is one 2**n x 2**n
   unitary U per set of params, built by running the plan on the 2**n basis
@@ -491,21 +497,21 @@ def _angle_grads_to_args(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold angle derivatives [rows, n_angles] into gradients with respect
     to params [rows, P] and inputs [rows, input_dim]."""
-    return _source_grads_to_args(template, dangles @ _lowered(template).scatter, inputs)
+    dsource = dangles @ _lowered(template).scatter
+    n_params = template.total_params
+    return dsource[..., :n_params], _input_grads(dsource[..., n_params:], inputs)
 
 
-def _source_grads_to_args(
-    template: CircuitTemplate, dsource: np.ndarray, inputs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold derivatives [..., rows, n_sources] by the columns of the source
-    table ``[params | inputs | arctan(inputs)]`` into gradients with respect
-    to params [..., rows, P] and inputs [..., rows, input_dim].  An input
-    that several embeddings encode accumulates every term, its arctan terms
-    through the chain rule 1/(1+x^2)."""
-    n_params, n_inputs = template.total_params, template.input_dim
-    grad_inputs = dsource[..., n_params + n_inputs :] * (1.0 / (1.0 + inputs**2))
-    grad_inputs += dsource[..., n_params : n_params + n_inputs]
-    return dsource[..., :n_params], grad_inputs
+def _input_grads(dsource: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Fold derivatives [..., rows, 2 * input_dim] by the input columns of
+    the source table, ``[inputs | arctan(inputs)]``, into gradients with
+    respect to the inputs [..., rows, input_dim].  An input that several
+    embeddings encode accumulates every term, its arctan terms through the
+    chain rule 1/(1+x^2)."""
+    n_inputs = inputs.shape[-1]
+    grad_inputs = dsource[..., n_inputs:] * (1.0 / (1.0 + inputs**2))
+    grad_inputs += dsource[..., :n_inputs]
+    return grad_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +535,37 @@ def lowering(template: CircuitTemplate, forward_only: bool = False) -> str:
     return "matrix" if forward_only and embed_first else "plan"
 
 
+class _Frequencies(NamedTuple):
+    """An RX/CNOT template's phase differences phi_(j ^ 2**q) - phi_j of
+    the final X-basis amplitudes, one per pair (q, j) of states that differ
+    in bit q alone, j with bit q 0, each a params part plus an inputs part.
+    The inputs part of a pair on qubit q is s (source @ u), source the row
+    ``[inputs | arctan(inputs)]``, for one sign s and one column u, a
+    frequency, of ``inputs`` [2 * input_dim, m]; a pattern and its negation
+    fold onto one frequency, whose first non-zero entry is positive.  The
+    pair then adds to its circuit's coefficient of (q, u), column ``q * 2m
+    + u`` of a row [n * 2m] (the next m columns are the sine terms).
+
+    The n 2**(n-1) pairs are sorted by that column, ``slots``, so the pairs
+    of one coefficient are one run, starting at each of ``starts``.
+    ``params`` [P, n 2**(n-1)] takes a circuit's params to the params parts
+    dp of the pairs, and ``signs`` holds their signs.  The spread from
+    pairs to frequencies is kept as these indices and signs: as a 0/+-1
+    matrix it would be n 2**(n-1) x m, 1 GB at 12 qubits and one layer."""
+
+    params: np.ndarray
+    inputs: np.ndarray
+    signs: np.ndarray
+    slots: np.ndarray
+    starts: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _phase_differences(template: CircuitTemplate) -> np.ndarray:
-    """For an RX/CNOT template, D [n, n_sources, 2**(n-1)]: source @ D[q]
-    are the phase differences phi_(j ^ 2**q) - phi_j of the final X-basis
-    amplitudes, over the j whose bit q is 0, for rows ``[params | inputs |
-    arctan(inputs)]`` of the source table.  Each path starts at X-basis
-    state j0 with phase 0; an RX on qubit q adds theta / 2 times the sign
-    of the path's bit q, and CNOT(c -> t) flips the path's bit c where its
-    bit t is set."""
+def _frequencies(template: CircuitTemplate) -> _Frequencies:
+    """The frequency table of an RX/CNOT template.  Each path starts at
+    X-basis state j0 with phase 0; an RX on qubit q adds theta / 2 times
+    the sign of the path's bit q, and CNOT(c -> t) flips the path's bit c
+    where its bit t is set."""
     n = template.n_qubits
     ops, columns, scatter, _ = _lowered(template)
     labels = np.arange(1 << n)
@@ -550,11 +578,28 @@ def _phase_differences(template: CircuitTemplate) -> np.ndarray:
     final = np.empty_like(phases)
     final[labels] = phases
     index = np.arange(1 << n)
-    low = np.stack([index[(index >> q) & 1 == 0] for q in range(n)])  # [n, 2**(n-1)]
-    high = low | (1 << np.arange(n))[:, None]
-    out = np.ascontiguousarray(((final[high] - final[low]) @ scatter).transpose(0, 2, 1))
-    out.setflags(write=False)
-    return out
+    low = np.concatenate([index[(index >> q) & 1 == 0] for q in range(n)])
+    high = low | np.repeat(1 << np.arange(n), 1 << (n - 1))
+    differences = (final[high] - final[low]) @ scatter  # [n * 2**(n-1), n_sources]
+    n_params = template.total_params
+    patterns = differences[:, n_params:]
+    # the sign of each pattern's first non-zero entry; +1 for a zero pattern
+    padded = np.hstack([patterns, np.ones((len(patterns), 1))])
+    signs = np.sign(padded[np.arange(len(padded)), np.argmax(padded != 0, axis=1)])
+    frequencies, which = np.unique(patterns * signs[:, None], axis=0, return_inverse=True)
+    slots = np.repeat(2 * len(frequencies) * np.arange(n), 1 << (n - 1)) + which.ravel()
+    order = np.argsort(slots, kind="stable")
+    slots = slots[order]
+    table = _Frequencies(
+        np.ascontiguousarray(differences[order, :n_params].T),
+        np.ascontiguousarray(frequencies.T),
+        signs[order],
+        slots,
+        np.flatnonzero(np.diff(slots, prepend=-1)),
+    )
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
 def _embedding_factors(template: CircuitTemplate, inputs: np.ndarray) -> np.ndarray:
@@ -582,20 +627,6 @@ def _product_state(factors: np.ndarray) -> np.ndarray:
     return state.T
 
 
-def _cos_sin(source: np.ndarray, differences: np.ndarray) -> np.ndarray:
-    """The cosines and sines of the phase differences ``source @
-    differences[q]`` of source rows [..., R, S], differences [n, S, H], as
-    one table [..., n, R, 2H]: cosines, then sines.  The differences are
-    made in the sine half, so no other table of their size is held."""
-    n, _, half = differences.shape
-    out = np.empty(source.shape[:-2] + (n, source.shape[-2], 2 * half))
-    sin = out[..., half:]
-    np.matmul(source[..., None, :, :], differences, out=sin)
-    np.cos(sin, out=out[..., :half])
-    np.sin(sin, out=sin)
-    return out
-
-
 class CircuitStack:
     """K circuits of one template, each with its own params ``params``
     [..., K, P], to run on input rows [..., B, input_dim] that each run
@@ -606,15 +637,19 @@ class CircuitStack:
     ``forward_only``; :func:`lowering` picks one of three ways for all its
     runs, named by ``lowering`` (the ansatz matrix only for params [K, P]).
 
-    * Phase: the params' part dp of every phase difference of each
-      circuit (:func:`_phase_differences`), and its cosine and sine scaled
-      by 2**(1-n), are made once; a run makes the inputs' part dx for its
-      rows, and <Z_q> of circuit k on row b, 2**(1-n) times the sum of
-      cos(dp + dx) over qubit q's pairs, is one batched matrix product.
-      :meth:`backward` takes d<Z_q>/d(dx) = -2**(1-n) sin(dp + dx) back to
-      the inputs through the same differences, and adds sum_b w cos dx and
-      sum_b w sin dx to the seeds; :meth:`param_grads` turns the seeds into
-      the gradients of dp and takes them back to the params once.
+    * Phase: each pair's phase difference is a params part dp_j plus s_j
+      x_u, x_u = source @ u for one of the template's m input frequencies u
+      (:func:`_frequencies`).  So <Z_q> is a Fourier series in the inputs
+      (Schuld, Sweke & Meyer, arXiv:2008.08605): the encoding fixes the
+      frequencies, and the params set only their coefficients z_qu, the
+      sum of exp(i s_j dp_j) over qubit q's pairs on u.  They are made once
+      per stack, as ``coefficients`` [..., K, n, 2m], 2**(1-n) (Re z, -Im
+      z); a run makes t = (cos x, sin x) [..., B, 2m] for its rows, and <Z>
+      is t times the coefficients.  :meth:`backward` takes dt back to the
+      inputs through the frequencies and adds sum_b w t to the seeds, per
+      circuit, qubit and frequency; :meth:`param_grads` hands each pair its
+      coefficient's seeds and takes them back to the params once.  A
+      forward-only stack keeps only the coefficients.
     * Plan: every run goes through the fused plan, and :meth:`backward`
       makes one adjoint sweep over its rows.
     * Ansatz matrix, forward-only: U_k is built once, as the plan's run of
@@ -634,11 +669,18 @@ class CircuitStack:
         self.seeds = None
         n, dim = template.n_qubits, 1 << template.n_qubits
         if self.lowering == "phase":
-            self.differences = _phase_differences(template)
-            # [..., n, K, 2 * 2**(n-1)]: 2**(1-n) (cos dp, -sin dp) per pair
-            self.trig = _cos_sin(params, self.differences[:, : template.total_params])
-            self.trig[..., dim >> 1 :] *= -(2.0 ** (1 - n))
-            self.trig[..., : dim >> 1] *= 2.0 ** (1 - n)
+            self.frequencies = table = _frequencies(template)
+            m = table.inputs.shape[1]
+            dp = params @ table.params  # [..., K, n 2**(n-1)]
+            cos, sin = np.cos(dp), np.sin(dp)
+            z = np.zeros(dp.shape[:-1] + (n * 2 * m,))
+            coefficient = table.slots[table.starts]
+            z[..., coefficient] = np.add.reduceat(cos, table.starts, axis=-1)
+            z[..., coefficient + m] = np.add.reduceat(sin * -table.signs, table.starts, axis=-1)
+            z *= 2.0 ** (1 - n)
+            self.coefficients = z.reshape(dp.shape[:-1] + (n, 2 * m))
+            if not forward_only:
+                self.pairs = cos, sin
         elif self.lowering == "matrix":
             angles = _angle_table(template, params[:, None], np.zeros((1, template.input_dim)))
             angles = np.broadcast_to(angles, (len(params), dim, angles.shape[-1]))
@@ -657,9 +699,9 @@ class CircuitStack:
         template = self.template
         if self.lowering == "phase":
             source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
-            trig = _cos_sin(source, self.differences[:, template.total_params :])
-            exps = trig @ self.trig[..., circuits, :].swapaxes(-1, -2)  # [..., n, B, k]
-            return exps.swapaxes(-1, -3), trig
+            x = source @ self.frequencies.inputs
+            t = np.concatenate([np.cos(x), np.sin(x)], axis=-1)  # [..., B, 2m]
+            return t[..., None, :, :] @ self.coefficients[..., circuits, :, :].swapaxes(-1, -2), t
         if self.lowering == "plan":
             angles = _angle_table(
                 template, self.params[..., circuits, None, :], inputs[..., None, :, :]
@@ -679,15 +721,13 @@ class CircuitStack:
         input gradient [..., B, input_dim], summed over the circuits."""
         template = self.template
         if self.lowering == "phase":
-            trig, half = record, record.shape[-1] // 2
-            by_qubit = weights.swapaxes(-1, -3)  # [..., n, B, k]
+            t, m = record, record.shape[-1] // 2
             if self.seeds is None:
-                self.seeds = np.zeros_like(self.trig)
-            self.seeds[..., circuits, :] += by_qubit.swapaxes(-1, -2) @ trig
-            mixed = by_qubit @ self.trig[..., circuits, :]  # [..., n, B, 2 half]
-            d_delta = trig[..., :half] * mixed[..., half:] - trig[..., half:] * mixed[..., :half]
-            dsource = (d_delta @ self.differences.transpose(0, 2, 1)).sum(axis=-3)
-            return _source_grads_to_args(template, dsource, inputs)[1]
+                self.seeds = np.zeros_like(self.coefficients)
+            self.seeds[..., circuits, :, :] += weights.swapaxes(-1, -2) @ t[..., None, :, :]
+            dt = (weights @ self.coefficients[..., circuits, :, :]).sum(axis=-3)  # [..., B, 2m]
+            dx = t[..., :m] * dt[..., m:] - t[..., m:] * dt[..., :m]
+            return _input_grads(dx @ self.frequencies.inputs.T, inputs)
         angles, states = record
         rows = weights.shape[:-1]  # [..., k, B]
         cotangent = (weights.reshape(-1, template.n_qubits) @ sim._z_signs(template.n_qubits)) * states
@@ -704,11 +744,14 @@ class CircuitStack:
         far."""
         if self.seeds is None:
             return self.grads
-        # seeds hold sum_b w (cos dx, sin dx); d/d(dp) = -2**(1-n) sum_b w sin(dp + dx)
-        half, trig, seeds = self.trig.shape[-1] // 2, self.trig, self.seeds
-        d_delta = trig[..., half:] * seeds[..., :half] - trig[..., :half] * seeds[..., half:]
-        d_params = self.differences[:, : self.template.total_params].transpose(0, 2, 1)
-        return self.grads + (d_delta @ d_params).sum(axis=-3)
+        # seeds hold sum_b w (cos x, sin x) per qubit and frequency; each
+        # pair j takes its own: d/d(dp_j) = -2**(1-n) sum_b w sin(dp_j + s_j x)
+        table, (cos, sin), m = self.frequencies, self.pairs, self.seeds.shape[-1] // 2
+        seeds = self.seeds.reshape(self.seeds.shape[:-2] + (-1,))  # [..., K, n 2m]
+        d_pairs = sin * seeds[..., table.slots]
+        d_pairs += cos * table.signs * seeds[..., table.slots + m]
+        d_pairs *= -(2.0 ** (1 - self.template.n_qubits))
+        return self.grads + d_pairs @ table.params.T
 
 
 def _check_batch_args(

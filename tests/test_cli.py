@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qscale import cli, data, models, nn
+from qscale import cli, data, experiments, models, nn
 
 
 def run(capsys, *argv):
@@ -1191,10 +1191,18 @@ class TestOversizedRequests:
         ],
         ids=["synth-hours", "benchmark-draws", "cross-validate-benchmark-draws"],
     )
-    def test_oversized_count_is_config_error(self, tmp_path, capsys, campaign, command, argv):
+    def test_oversized_count_is_config_error(
+        self, tmp_path, capsys, monkeypatch, campaign, command, argv
+    ):
+        # cross-validate refuses the draw count before it trains any fold
+        folds_run = []
+        monkeypatch.setattr(
+            experiments, "cross_validate", lambda *args, **kwargs: folds_run.append(args)
+        )
         extra = [] if command == "synth" else ["--data", str(campaign)]
         out = tmp_path / "o"
         code, stdout, err = run(capsys, command, *argv, *extra, "--out", str(out))
+        assert folds_run == []
         assert code == 1
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("config error:")

@@ -529,6 +529,117 @@ class TestPhasePolynomial:
         np.testing.assert_allclose(grad_inputs, shift_inputs, rtol=0.0, atol=1e-10)
 
 
+def x_basis_patterns(template):
+    """Every pair's phase difference phi_(j ^ 2**q) - phi_j as its pattern
+    over the sources ``[params | inputs | arctan(inputs)]``, [n, 2**(n-1),
+    n_sources] by qubit q and by j with bit q 0, read off the plan's final
+    amplitudes in the X basis.  With every angle at 0 the difference is 0;
+    it is p theta for a param theta alone, and p_id x + p_arctan arctan(x)
+    for an input x alone, so one value of each param and two of each input
+    give every entry."""
+    n, dim = template.n_qubits, 1 << template.n_qubits
+    n_params, n_inputs = template.total_params, template.input_dim
+    values = np.array([0.25, 0.5])
+    params = np.zeros((n_params + 2 * n_inputs, n_params))
+    params[np.arange(n_params), np.arange(n_params)] = values[1]
+    inputs = np.zeros((n_params + 2 * n_inputs, n_inputs))
+    for k in range(n_inputs):
+        inputs[n_params + 2 * k : n_params + 2 * k + 2, k] = values
+    _, amps = vqc._run_rows(template, vqc._angle_table(template, params, inputs))
+    hadamard = np.ones((1, 1))
+    for _ in range(n):
+        hadamard = np.kron(hadamard, [[1.0, 1.0], [1.0, -1.0]])
+    x_amps = amps @ hadamard  # unnormalised: only the phases are read
+    index = np.arange(dim)
+    low = np.concatenate([index[(index >> q) & 1 == 0] for q in range(n)])
+    high = low | np.repeat(1 << np.arange(n), dim >> 1)
+    differences = -np.angle(x_amps[:, high] * x_amps[:, low].conj())  # [rows, pairs]
+    by_param = differences[:n_params] / values[1]
+    solve = np.linalg.inv(np.stack([values, np.arctan(values)], axis=1))
+    by_input = solve @ differences[n_params:].reshape(n_inputs, 2, -1)  # [input, 2, pairs]
+    patterns = np.concatenate([by_param, by_input[:, 0], by_input[:, 1]]).T
+    np.testing.assert_allclose(patterns, np.round(patterns), rtol=0.0, atol=1e-9)
+    return np.round(patterns).reshape(n, dim >> 1, -1)
+
+
+def sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+class TestFrequencies:
+    """The frequency table of the phase lowering (``vqc._frequencies``):
+    each pair's inputs part is one frequency times a sign."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ring_rx_stacks())
+    def test_each_pair_is_a_signed_frequency(self, case):
+        """Every pair maps to exactly one frequency, with sign +1 or -1, of
+        its qubit; with its params part, that signed frequency is the
+        pattern of one of the qubit's pairs read off the X-basis
+        amplitudes, and each pair of every qubit is read once.  Each
+        frequency's first non-zero entry is positive, so no frequency is
+        another's negation, and none repeats.  The pairs of one coefficient
+        are one run."""
+        template = case[0]
+        table = vqc._frequencies(template)
+        n, m = template.n_qubits, table.inputs.shape[1]
+        assert table.slots.shape == table.signs.shape == (n << (n - 1),)
+        np.testing.assert_array_equal(np.abs(table.signs), 1.0)
+        qubit, column = np.divmod(table.slots, 2 * m)
+        assert np.all(column < m)
+        assert np.all(np.diff(table.slots) >= 0)
+        np.testing.assert_array_equal(table.starts, np.unique(table.slots, return_index=True)[1])
+        frequencies = table.inputs.T
+        for u in frequencies:
+            assert not u.any() or u[np.flatnonzero(u)[0]] > 0
+        assert len(np.unique(frequencies, axis=0)) == m
+        patterns = np.hstack([table.params.T, table.signs[:, None] * frequencies[column]])
+        for q, want in enumerate(x_basis_patterns(template)):
+            np.testing.assert_array_equal(sorted_rows(patterns[qubit == q]), sorted_rows(want))
+
+    @pytest.mark.parametrize(
+        "n, layers, count", [(5, 7, 12), (4, 2, 12), (6, 3, 28), (8, 7, 15), (9, 7, 20)]
+    )
+    def test_frequency_counts(self, n, layers, count):
+        """The default qlstm circuit (5 qubits, 7 layers) has 80 pairs on 12
+        frequencies; at 9 qubits, 2,304 pairs lie on 20."""
+        table = vqc._frequencies(ring_rx_template(n, layers))
+        assert table.inputs.shape == (2 * n, count)
+        assert table.slots.shape == (n << (n - 1),)
+
+    def test_nine_qubits_agree_with_plan(self):
+        """The Hypothesis strategy stops at 8 qubits: one fixed 9-qubit,
+        7-layer stack against the plan's run and adjoint sweep."""
+        template = ring_rx_template(9, 7)
+        rng = np.random.default_rng(25)
+        params = rng.uniform(0.0, 2.0 * math.pi, (2, template.total_params))
+        inputs = rng.uniform(-2.0, 2.0, (5, 9))
+        weights = rng.uniform(-1.0, 1.0, (2, 5, 9))
+        exps, grad_inputs, grad_params = plan_oracle(template, params, inputs, weights)
+        stack = vqc.CircuitStack(template, params)
+        e_phase, run = stack.run(slice(None), inputs)
+        np.testing.assert_allclose(e_phase, exps, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            stack.backward(slice(None), run, weights, inputs), grad_inputs, rtol=0.0, atol=1e-12
+        )
+        np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ring_rx_stacks())
+    def test_forward_only_runs_the_same_bits(self, case):
+        """A forward-only phase stack keeps only the coefficients and runs
+        the same bits as one that will be differentiated."""
+        template, params, inputs, _ = case
+        k = len(params)
+        stack = vqc.CircuitStack(template, params)
+        forward = vqc.CircuitStack(template, params, forward_only=True)
+        assert forward.lowering == "phase"
+        for circuits in (slice(0, k), slice(k - 1, k)):
+            np.testing.assert_array_equal(
+                forward.run(circuits, inputs)[0], stack.run(circuits, inputs)[0]
+            )
+
+
 class TestAnsatzMatrix:
     """The ansatz-matrix lowering of ``vqc.CircuitStack`` against the plan:
     a stack that will be differentiated runs every call through the plan,
