@@ -1,13 +1,15 @@
 """Variational circuits and exact gradients.
 
-Builds a small data-embedding circuit, differentiates it three ways
-(shift rule vs central finite differences, then the adjoint sweep that
-training uses vs the shift rule), and then trains it by plain gradient
-descent to pin the qubit-0 readout at a target value.  Last, it runs a
-ring-RX circuit (the kind a qlstm uses) three ways: as the phase polynomial
-that a CircuitStack makes of it, a Fourier series over a few input
-frequencies, through the statevector plan, and by parameter shift, and
-prints the largest gap between them.
+Builds a small data-embedding circuit and differentiates it four ways:
+the shift rule against central finite differences, the adjoint sweep over
+the rows against the shift rule, and, as a vqr trains it, a CircuitStack
+that runs the circuit as one ansatz matrix and sweeps one overlap matrix
+instead of the rows, against both.  It then trains the circuit by plain
+gradient descent to pin the qubit-0 readout at a target value.  Last, it
+runs a ring-RX circuit (the kind a qlstm uses) three ways: as the phase
+polynomial that a CircuitStack makes of it, a Fourier series over a few
+input frequencies, through the statevector plan, and by parameter shift,
+and prints the largest gap between them.
 
 Run with: python demos/02_variational_gradients.py
 """
@@ -68,6 +70,29 @@ def main() -> None:
           f"adjoint one forward and one backward pass over the 8 rows")
     print(f"max |adjoint - shift|: params {np.max(np.abs(adj_p - shift_p)):.2e}, "
           f"inputs {np.max(np.abs(adj_x - shift_x)):.2e}")
+
+    print()
+    print("== the same batch as a vqr trains it: one ansatz matrix ==")
+    # the data enter only through the first embedding, so everything after it
+    # is one 8x8 unitary U shared by all rows; the backward pass sums the rows
+    # into one overlap matrix and sweeps that through the ansatz's blocks
+    stack = CircuitStack(template, params[None])
+    exps, record = stack.run(slice(None), batch)
+    matrix_x = stack.backward(slice(None), record, weights[None], batch)
+    matrix_p = stack.param_grads()[0]
+    plan_exps = np.array([evaluate(template, params, row) for row in batch])
+    print(f"CircuitStack lowering: {stack.lowering}, U of shape "
+          f"{stack.matrices.shape[-2:]}")
+    gaps = {
+        "<Z>, matrix vs plan": np.abs(exps[0] - plan_exps).max(),
+        "param grads, matrix vs adjoint": np.abs(matrix_p - adj_p.sum(axis=0)).max(),
+        "input grads, matrix vs adjoint": np.abs(matrix_x - adj_x).max(),
+        "param grads, matrix vs shift": np.abs(matrix_p - shift_p.sum(axis=0)).max(),
+        "input grads, matrix vs shift": np.abs(matrix_x - shift_x).max(),
+    }
+    for name, gap in gaps.items():
+        print(f"max |{name}|: {gap:.2e}")
+    print(f"largest gap: {max(gaps.values()):.2e}")
 
     print()
     print("== training the readout to a target ==")

@@ -155,6 +155,7 @@ def _cmd_prepare(args) -> Recorded:
         "interpolated_cells": report.interpolated_cells,
         "dropped_rows": report.dropped_rows,
         "malformed_rows": malformed,
+        "malformed_by_reason": report.malformed_by_reason,
     }
     return Recorded(settings, 0)
 

@@ -43,7 +43,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, islice, repeat
 from operator import not_
@@ -639,9 +639,14 @@ def fuse_by_quantity(aggregated: SampleColumns) -> dict[str, Series]:
 
 @dataclass
 class CleanReport:
+    """What alignment kept, filled and dropped; :func:`prepare_dataset`
+    adds the malformed input rows by reason, a count per key of
+    ``MALFORMED_REASONS``."""
+
     n_hours: int
     interpolated_cells: int
     dropped_rows: int
+    malformed_by_reason: dict[str, int] = field(default_factory=dict)
 
 
 MAX_GAP_HOURS = 2
@@ -1149,7 +1154,9 @@ def prepare_dataset(
     reference_path: str | Path,
     granularity: str = "hour",
 ) -> tuple[CalibrationDataset, CleanReport, int]:
-    """Full ingest-to-dataset pipeline; returns (dataset, clean report, malformed)."""
+    """Full ingest-to-dataset pipeline; returns (dataset, clean report,
+    malformed), the report carrying the malformed rows by reason and
+    ``malformed`` their total."""
     result = ingest(sensor_paths)
     if not result.samples:
         raise DataError("no valid samples found in the sensor files")
@@ -1160,4 +1167,5 @@ def prepare_dataset(
     fused = fuse_by_quantity(aggregated)
     reference = load_reference(reference_path)
     dataset, report = align_and_clean(fused, reference)
+    report.malformed_by_reason = result.malformed_by_reason
     return dataset, report, result.malformed

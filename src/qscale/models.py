@@ -17,13 +17,12 @@ square).  Quantum parameters train by adjoint differentiation of the
 circuits, classical ones by backpropagation, mixed via the chain rule.  A
 model's circuits run as one ``vqc.CircuitStack`` per training step or
 ``predict`` call, which lowers them as phase polynomials (the qlstm's
-ring-RX circuits) or through the fused plan (the vqr's); a linear vqr's
-``predict``, which nothing differentiates, runs them as one ansatz matrix
-instead.  Each backward pass reuses what the forward pass that made the
-predictions kept.  Parameter shift stays as the public, hardware-realistic
-gradient and as the oracle the adjoint sweep is tested against; it would
-cost 2 x n_angles circuit runs per gradient, 104 per vqr row and 80 per
-call of a qlstm circuit.
+ring-RX circuits), as one ansatz matrix per circuit (the linear vqr's) or
+through the fused plan (the re-uploading vqr's).  Each backward pass reuses
+what the forward pass that made the predictions kept.  Parameter shift
+stays as the public, hardware-realistic gradient and as the oracle the
+adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
+per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
 
 Every model takes a minibatch of windows ``[B, T, features]`` in one
 forward and one backward pass, one window being a batch of one; the lstm
@@ -472,9 +471,10 @@ class VQRModel(_ModelBase):
         return vector  # the angles are the whole vector
 
     def _circuits(self, forward_only: bool = False) -> vqc.CircuitStack:
-        """The model's circuit stack, one circuit per model; a
-        ``forward_only`` stack, a predict's, lets the linear vqr take the
-        ansatz matrix."""
+        """The model's circuit stack, one circuit per model.  The linear
+        vqr trains and predicts through its ansatz matrix, the nonlinear one
+        through the plan; a ``forward_only`` stack, a predict's, keeps only
+        what a run needs."""
         return vqc.CircuitStack(self.template, self.params[..., None, :], forward_only)
 
     def _predictor(self, rows):

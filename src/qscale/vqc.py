@@ -14,7 +14,8 @@ after those of the ansatz segments before it.  Supported ansatz families:
 
 Gradients are exact.  Training uses adjoint differentiation (Jones &
 Gacon, arXiv:2009.02823): the forward pass that produced the outputs keeps
-its final amplitudes, and one backward sweep over the same rows yields the
+its final amplitudes, and one backward sweep over the same rows (for the
+ansatz matrix below, over one overlap matrix per circuit) yields the
 derivative of every gate angle.  The two-point parameter-shift rule (shift
 pi/2, coefficient 1/2) stays as the public API: it is the rule that runs on
 quantum hardware, and it is the oracle the adjoint sweep is tested against.
@@ -61,16 +62,17 @@ of three ways; :func:`lowering` is the one choice:
   frequencies, and the params set only their coefficients.  The
   coefficients are made once per set of params, and a row costs a cosine
   and a sine per frequency and a few matrix products, with no statevector.
-* ``"matrix"``, every forward-only run of an embed-first template (the
-  linear vqr's predicts).  The rest of the circuit is one 2**n x 2**n
-  unitary U per set of params, built by running the plan on the 2**n basis
-  states with the embedding angles at 0; each row is then its embedding's
-  product state, in closed form, times U.  Nothing differentiates it: at
-  the batch sizes the models train with, the plan's adjoint sweep over the
-  rows is faster.
-* ``"plan"``, everything else: every vqr training step and the
-  re-uploading (nonlinear) vqr's predicts run through the plan and its
-  adjoint sweep.
+* ``"matrix"``, every template whose first segment is its only embedding,
+  followed by ansatz segments (every linear vqr circuit), for training and
+  for predicts.  The ansatz is one 2**n x 2**n unitary U per set of params,
+  the product of block unitaries W_b = P_b (u_(n-1) x ... x u_0), one per
+  CNOT-free block of the ansatz's plan, made from its group quaternions;
+  each row is then its embedding's product state, in closed form, times U.
+  Every row of a circuit shares U, so the backward pass sums the batch
+  into one 2**n x 2**n overlap matrix per circuit and sweeps that through
+  the blocks, where the plan would sweep every row.
+* ``"plan"``, everything else: the re-uploading (nonlinear) vqr trains and
+  predicts through the plan and its adjoint sweep.
 
 Templates have no file format of their own: a checkpoint stores a model's
 options, and the model rebuilds its template from them.
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -399,15 +401,12 @@ def _group_quaternions(plan: _Plan, cos: np.ndarray, sin: np.ndarray) -> np.ndar
     return quats
 
 
-def _run_rows(
-    template: CircuitTemplate, angle_rows: np.ndarray, start: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_rows(template: CircuitTemplate, angle_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate many circuits sharing the template structure.
 
-    ``angle_rows`` has shape [rows, n_angles].  Each row starts from
-    |0...0>, or from its row of ``start``, column-major amplitudes
-    [rows, 2**n] that the run overwrites.  Returns the Pauli-Z expectations
-    [rows, n_qubits] and the final amplitudes [rows, 2**n], from which
+    ``angle_rows`` has shape [rows, n_angles]; each row starts from
+    |0...0>.  Returns the Pauli-Z expectations [rows, n_qubits] and the
+    final column-major amplitudes [rows, 2**n], from which
     :func:`_adjoint_rows` differentiates the same circuits.
     """
     plan = _plan(template)
@@ -415,7 +414,7 @@ def _run_rows(
     cos = np.cos(half)
     quats = _group_quaternions(plan, cos, np.sin(half, out=half))
     del half, cos  # free the angle tables before the amplitudes grow
-    amps = sim._zero_rows(angle_rows.shape[0], template.n_qubits) if start is None else start
+    amps = sim._zero_rows(angle_rows.shape[0], template.n_qubits)
     g = 0
     for qubits, layer, _ in plan.blocks:
         u = sim._su2(*quats[:, g : g + len(qubits)])
@@ -444,14 +443,12 @@ def _adjoint_rows(
     sweep (Jones & Gacon, arXiv:2009.02823) walks the fused plan backwards
     over psi and lambda, stacked in one [2 * rows, 2**n] array.  For a
     rotation exp(-i theta P / 2), df/dtheta = Im <lambda|P|psi> just after
-    it.  With
-    R the 2x2 overlap of psi and lambda on a group's qubit, member m's
-    derivative is Im Tr(P' R), P' its Pauli conjugated by the later members
-    of the group; so the vector t = Im Tr(sigma R) of the three Paulis,
-    turned back through each later member's rotation, gives them all.
-    Undoing a group on one qubit leaves R on every other qubit unchanged,
-    so t is read for all groups of a CNOT-free block in one reduction
-    before the block's groups are undone with U^dagger.
+    it.  With R the 2x2 overlap of psi and lambda on a group's qubit, the
+    readings t = Im Tr(sigma R) of the three Paulis after the group give
+    the derivatives of all its members (:func:`_member_grads`).  Undoing a
+    group on one qubit leaves R on every other qubit unchanged, so t is
+    read for all groups of a CNOT-free block in one reduction before the
+    block's groups are undone with U^dagger.
     """
     plan = _plan(template)
     rows, dim = states.shape
@@ -476,7 +473,16 @@ def _adjoint_rows(
             u = sim._su2(*inverses[:, g : g + len(qubits)])
             for k, qubit in enumerate(qubits):
                 sim._rotate_rows(pair, u[:, :, k], qubit)
+    return _member_grads(plan, pauli, cos, sin)
 
+
+def _member_grads(plan: _Plan, pauli: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Derivatives [rows, n_angles] of every gate angle from the readings
+    t = Im Tr(sigma R) [3, n_groups, rows] of the three Paulis, taken just
+    after each group, and the fused tables of the cosines and sines of the
+    half angles [n_angles, rows].  Member m of a group has derivative
+    Im Tr(P' R), P' its Pauli conjugated by the later members, so t turned
+    back through each later member's rotation gives them all."""
     cos_full, sin_full = 1.0 - 2.0 * sin**2, 2.0 * sin * cos
     dfused = np.empty_like(sin)
     for cls in plan.classes:
@@ -515,24 +521,22 @@ def _input_grads(dsource: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the stack's lowerings: phase polynomials for RX/CNOT circuits, and, for
-# forward-only runs, ansatz matrices when the data enter only through a
-# first embedding, the rest of the circuit then being one unitary U per set
-# of params, shared by all rows
+# the stack's lowerings: phase polynomials for RX/CNOT circuits, and ansatz
+# matrices when the data enter only through a first embedding, the rest of
+# the circuit then being one unitary U per set of params, shared by all rows
 
 
-def lowering(template: CircuitTemplate, forward_only: bool = False) -> str:
+def lowering(template: CircuitTemplate) -> str:
     """How a :class:`CircuitStack` runs circuits of ``template``:
     ``"phase"`` when every gate is an RX or a CNOT, else ``"matrix"``
-    (product state x U) when the stack is ``forward_only`` and the
-    template's only embedding is its first segment, else ``"plan"``."""
+    (product state x U) when the template's first segment is its only
+    embedding and ansatz segments follow it, else ``"plan"``."""
     if _lowered(template).phase:
         return "phase"
     first, *rest = template.segments
-    embed_first = isinstance(first, Embedding) and not any(
-        isinstance(seg, Embedding) for seg in rest
-    )
-    return "matrix" if forward_only and embed_first else "plan"
+    if isinstance(first, Embedding) and rest and all(isinstance(seg, Ansatz) for seg in rest):
+        return "matrix"
+    return "plan"
 
 
 class _Frequencies(NamedTuple):
@@ -603,28 +607,127 @@ def _frequencies(template: CircuitTemplate) -> _Frequencies:
 
 
 def _embedding_factors(template: CircuitTemplate, inputs: np.ndarray) -> np.ndarray:
-    """The one-qubit states [n, 2, rows] that the first segment's rotations
-    make from |0>, (cos, -i sin) of the half angle for RX and (cos, sin)
-    for RY.  A qubit that encodes no feature stays |0>."""
+    """The one-qubit states [n, 2, ...] that the first segment's rotations
+    make from |0> for inputs [..., input_dim], (cos, -i sin) of the half
+    angle for RX and (cos, sin) for RY.  A qubit that encodes no feature
+    stays |0>."""
     embedding = template.segments[0]
     count = len(embedding.feature_slots)
-    angles = inputs[:, list(embedding.feature_slots)].T
+    angles = np.moveaxis(inputs[..., list(embedding.feature_slots)], -1, 0)
     if embedding.transform == "arctan":
         angles = np.arctan(angles)
     phase = -1j if embedding.axis == "X" else 1.0
-    factors = np.zeros((template.n_qubits, 2, inputs.shape[0]), dtype=np.complex128)
+    factors = np.zeros((template.n_qubits, 2) + inputs.shape[:-1], dtype=np.complex128)
     factors[count:, 0] = 1.0
     factors[:count, 0], factors[:count, 1] = np.cos(0.5 * angles), phase * np.sin(0.5 * angles)
     return factors
 
 
 def _product_state(factors: np.ndarray) -> np.ndarray:
-    """The product of one-qubit states [n, 2, rows] as amplitudes [rows,
-    2**n], qubit 0 the least significant bit."""
-    state = factors[0]
+    """The product of one-qubit states [n, 2, ...] as column-major
+    amplitudes [..., 2**n], qubit 0 the least significant bit."""
+    lead = factors.shape[2:]
+    state = factors[0].reshape(2, -1)
     for factor in factors[1:]:
-        state = (factor[:, None] * state[None]).reshape(-1, state.shape[-1])
-    return state.T
+        state = (factor.reshape(2, 1, -1) * state[None]).reshape(-1, state.shape[-1])
+    return state.T.reshape(lead + (-1,))
+
+
+class _AnsatzMatrix(NamedTuple):
+    """How a template that takes the ansatz matrix builds and reads U.
+    ``plan`` is the fused plan of its ansatz segments alone, without the
+    embedding: its angles are the params in circuit order, and each of its
+    L blocks, one ansatz layer, holds one group per qubit, in qubit order.
+    ``embedding`` [count, 2 * input_dim] takes the derivatives of the
+    embedding angles to the source columns ``[inputs | arctan(inputs)]``.
+
+    With U_b = W_b ... W_1 the product through block b's CNOT layer P_b,
+    the overlap just after the block's rotations is C_b = P_b^T (U_b C0
+    U_b^dagger) P_b, so C_b[a, c] = X[v[a], v[c]] for X = U_b C0
+    U_b^dagger and v the inverse gather of P_b.  ``reads`` [L, n + 1, dim]
+    are flat indices into the L matrices X of C_b[i ^ 2**q, i] for each
+    qubit q, then of the diagonal C_b[i, i]; ``sums`` [dim, n + 1] holds a
+    column of ones and each qubit's signs z_q.  Tr(X_q C_b) is then the sum
+    of C_b[i ^ 2**q, i], Tr(Y_q C_b) -i times that sum signed by z_q(i),
+    and Tr(Z_q C_b) the diagonal's sum signed by z_q(i)."""
+
+    plan: _Plan
+    embedding: np.ndarray
+    reads: np.ndarray
+    sums: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _ansatz_matrix(template: CircuitTemplate) -> _AnsatzMatrix:
+    n, dim = template.n_qubits, 1 << template.n_qubits
+    plan = _plan(CircuitTemplate(n, 0, template.segments[1:]))
+    index, reads = np.arange(dim), []
+    for b, (_, _, inverse) in enumerate(plan.blocks):
+        undo = index if inverse is None else inverse
+        rows = np.stack([undo[index ^ (1 << q)] for q in range(n)] + [undo])
+        reads.append((b * dim + rows) * dim + undo)
+    count = len(template.segments[0].feature_slots)
+    layout = _AnsatzMatrix(
+        plan,
+        _lowered(template).scatter[:count, template.total_params :].copy(),
+        _index(reads),
+        np.vstack([np.ones(dim), sim._z_signs(n)]).T.astype(np.complex128),
+    )
+    for table in (layout.embedding, layout.sums):
+        table.setflags(write=False)
+    return layout
+
+
+# the unitaries w I - i (x X + y Y + z Z) of quaternions (w, x, y, z): row c
+# is the 2x2 matrix, flattened, that component c multiplies
+_QUATERNION_BASIS = np.array(
+    [[1, 0, 0, 1], [0, -1j, -1j, 0], [0, -1, 1, 0], [-1j, 0, 0, 1j]], dtype=np.complex128
+)
+_QUATERNION_BASIS.setflags(write=False)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a, b) of square matrices [..., m, m] and [..., k, k]."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], -1))
+
+
+def _ansatz_products(
+    layout: _AnsatzMatrix, cos: np.ndarray, sin: np.ndarray, every: bool
+) -> np.ndarray:
+    """The products U_b = W_b ... W_1 [circuits, L, 2**n, 2**n] through
+    each block b of ``layout.plan`` when ``every``, else only U = U_L, as
+    [circuits, 1, 2**n, 2**n].  ``cos`` and ``sin`` are the fused tables of
+    the cosines and sines of the half angles [n_angles, circuits].
+
+    W_b = P_b (A_b x B_b): A_b and B_b are the Kronecker products of the
+    unitaries of the block's groups on the high and on the low half of the
+    qubits, made for every block at once, and P_b is the CNOT layer after
+    the block.  W_1 is made whole; each later W_b is applied to U_(b-1) as
+    B_b on the low bits of its row index, then A_b on the high bits, and
+    then P_b, so it costs (2**(n-n/2) + 2**(n/2)) 4**n products instead of
+    8**n, and the build holds at most two 2**n x 2**n matrices per circuit
+    beyond the ones it returns."""
+    plan, circuits, blocks = layout.plan, cos.shape[-1], len(layout.plan.blocks)
+    n = plan.n_groups // blocks
+    quats = _group_quaternions(plan, cos, sin)  # [4, n_groups, circuits]
+    units = (_QUATERNION_BASIS.T @ quats.reshape(4, -1)).T.reshape(blocks, n, circuits, 2, 2)
+    factors = [units[:, q] for q in range(n - 1, -1, -1)]  # qubit n - 1 first
+    high = reduce(_kron, factors[: n - n // 2])
+    low = reduce(_kron, factors[n - n // 2 :], np.ones((blocks, circuits, 1, 1)))
+    dim, split = 1 << n, (circuits, high.shape[-1], low.shape[-1], 1 << n)
+    product, kept = None, []
+    for (_, layer, _), a, b in zip(plan.blocks, high, low):
+        if product is None:
+            product = _kron(a, b)
+        else:
+            product = b[:, None] @ product.reshape(split)
+            product = (a @ product.reshape(split[:2] + (-1,))).reshape(circuits, dim, dim)
+        if layer is not None:
+            product = product[:, layer]  # (P v)[i] = v[layer[i]]
+        if every:
+            kept.append(product)
+    return np.stack(kept, axis=1) if every else product[:, None]
 
 
 class CircuitStack:
@@ -633,9 +736,9 @@ class CircuitStack:
     shares among its circuits, and to differentiate.  Leading axes are
     models: the circuits of M models of one shape are one stack with params
     [M, K, P], and each model's inputs [M, B, input_dim] reach only its own
-    circuits.  A stack that will only run, never be differentiated, is
-    ``forward_only``; :func:`lowering` picks one of three ways for all its
-    runs, named by ``lowering`` (the ansatz matrix only for params [K, P]).
+    circuits.  :func:`lowering` picks one of three ways for all its runs,
+    named by ``lowering``.  A stack that will only run, never be
+    differentiated, is ``forward_only`` and keeps less.
 
     * Phase: each pair's phase difference is a params part dp_j plus s_j
       x_u, x_u = source @ u for one of the template's m input frequencies u
@@ -650,13 +753,24 @@ class CircuitStack:
       circuit, qubit and frequency; :meth:`param_grads` hands each pair its
       coefficient's seeds and takes them back to the params once.  A
       forward-only stack keeps only the coefficients.
+    * Ansatz matrix: ``matrices`` [..., K, 2**n, 2**n] holds each
+      circuit's U = W_L ... W_1, the product of the unitaries of its
+      ansatz blocks (:func:`_ansatz_products`).  A run is the product state
+      phi of each input row times U^T, psi = U phi.  With lambda = (w @ Z)
+      psi the amplitude cotangent of f = sum w <Z>, :meth:`backward` takes
+      mu = U^dagger lambda to the embedding angles per row and adds the
+      overlap C0 = sum_b phi_b mu_b^dagger of each circuit to its seeds.
+      Every row of a circuit shares its ansatz angles, so
+      :meth:`param_grads` makes one adjoint sweep over C0 instead of over
+      the rows: the overlap just after block b's rotations is U_b C0
+      U_b^dagger with its CNOT layer undone, U_b = W_b ... W_1 the
+      products the build kept.  It makes them for every block at once,
+      reads Im Tr(sigma C_b) for the three Paulis sigma on every qubit
+      (:class:`_AnsatzMatrix`), and :func:`_member_grads` turns the
+      readings into angle derivatives, as in the plan's sweep.  A
+      forward-only stack keeps only U.
     * Plan: every run goes through the fused plan, and :meth:`backward`
       makes one adjoint sweep over its rows.
-    * Ansatz matrix, forward-only: U_k is built once, as the plan's run of
-      the 2**n basis states with the embedding angles at 0 (RX(0) and
-      RY(0) are the identity), so row j of ``matrices[k]`` is U_k e_j.  A
-      run is the product state of its inputs times that matrix, and keeps
-      no record to differentiate.
 
     ``grads`` [..., K, P] accumulates the plan path's parameter gradients.
     """
@@ -665,9 +779,9 @@ class CircuitStack:
         self.template = template
         self.params = params
         self.grads = np.zeros(params.shape)
-        self.lowering = lowering(template, forward_only)
+        self.lowering = lowering(template)
         self.seeds = None
-        n, dim = template.n_qubits, 1 << template.n_qubits
+        n = template.n_qubits
         if self.lowering == "phase":
             self.frequencies = table = _frequencies(template)
             m = table.inputs.shape[1]
@@ -682,15 +796,15 @@ class CircuitStack:
             if not forward_only:
                 self.pairs = cos, sin
         elif self.lowering == "matrix":
-            angles = _angle_table(template, params[:, None], np.zeros((1, template.input_dim)))
-            angles = np.broadcast_to(angles, (len(params), dim, angles.shape[-1]))
-            # the run owns the basis states, so it can free them after the first CNOT layer
-            _, columns = _run_rows(
-                template,
-                angles.reshape(len(params) * dim, -1),
-                np.tile(np.eye(dim, dtype=np.complex128), len(params)).T,
-            )
-            self.matrices = columns.reshape(len(params), dim, dim)
+            self.layout = _ansatz_matrix(template)
+            half = _half_angles(self.layout.plan, params.reshape(-1, params.shape[-1]))
+            cos = np.cos(half)
+            sin = np.sin(half, out=half)
+            products = _ansatz_products(self.layout, cos, sin, not forward_only)
+            if not forward_only:
+                self.products, self.turns = products, (cos, sin)
+            matrix = products[:, -1]
+            self.matrices = matrix.reshape(params.shape[:-1] + matrix.shape[-2:])
 
     def run(self, circuits: slice, inputs: np.ndarray) -> tuple[np.ndarray, object]:
         """<Z> [..., k, B, n] of the given circuits on the inputs [...,
@@ -710,8 +824,10 @@ class CircuitStack:
             angles = angles.reshape(-1, angles.shape[-1])
             exps, states = _run_rows(template, angles)
             return exps.reshape(rows + (-1,)), (angles, states)
-        amps = _product_state(_embedding_factors(template, inputs)) @ self.matrices[circuits]
-        return (amps.real**2 + amps.imag**2) @ sim._z_signs(template.n_qubits).T, None
+        product = _product_state(_embedding_factors(template, inputs))  # [..., B, 2**n]
+        amps = product[..., None, :, :] @ self.matrices[..., circuits, :, :].swapaxes(-1, -2)
+        exps = sim._expect_z_rows(amps.reshape(-1, amps.shape[-1]))
+        return exps.reshape(amps.shape[:-1] + (-1,)), (product, amps)
 
     def backward(
         self, circuits: slice, record, weights: np.ndarray, inputs: np.ndarray
@@ -728,6 +844,8 @@ class CircuitStack:
             dt = (weights @ self.coefficients[..., circuits, :, :]).sum(axis=-3)  # [..., B, 2m]
             dx = t[..., :m] * dt[..., m:] - t[..., m:] * dt[..., :m]
             return _input_grads(dx @ self.frequencies.inputs.T, inputs)
+        if self.lowering == "matrix":
+            return self._matrix_backward(circuits, record, weights, inputs)
         angles, states = record
         rows = weights.shape[:-1]  # [..., k, B]
         cotangent = (weights.reshape(-1, template.n_qubits) @ sim._z_signs(template.n_qubits)) * states
@@ -739,11 +857,33 @@ class CircuitStack:
         self.grads[..., circuits, :] += grad_params.reshape(rows + (-1,)).sum(axis=-2)
         return grad_inputs.reshape(rows + (-1,)).sum(axis=-3)
 
+    def _matrix_backward(self, circuits, record, weights, inputs) -> np.ndarray:
+        template, (product, amps) = self.template, record
+        n = template.n_qubits
+        cotangent = (weights.reshape(-1, n) @ sim._z_signs(n)).reshape(amps.shape) * amps
+        back = cotangent @ self.matrices[..., circuits, :, :].conj()  # U^dagger lambda, as rows
+        if self.seeds is None:
+            self.seeds = np.zeros(self.matrices.shape, dtype=np.complex128)
+        self.seeds[..., circuits, :, :] += product[..., None, :, :].swapaxes(-1, -2) @ back.conj()
+        # every circuit reads the same product state, so the embedding angles
+        # take the sum of the circuits' U^dagger lambda
+        back = back.sum(axis=-3)
+        embedding, dim = self.layout.embedding, product.shape[-1]
+        if not len(embedding):  # an embedding of no features: no input enters
+            return np.zeros(inputs.shape)
+        readings = sim._pauli_rows(
+            product.reshape(-1, dim), back.reshape(-1, dim).conj(), tuple(range(len(embedding)))
+        )
+        dangles = readings[AXES.index(template.segments[0].axis)].T  # [rows, count]
+        return _input_grads((dangles @ embedding).reshape(inputs.shape[:-1] + (-1,)), inputs)
+
     def param_grads(self) -> np.ndarray:
         """The parameter gradients [..., K, P] of every :meth:`backward` so
         far."""
         if self.seeds is None:
             return self.grads
+        if self.lowering == "matrix":
+            return self.grads + self._overlap_sweep()
         # seeds hold sum_b w (cos x, sin x) per qubit and frequency; each
         # pair j takes its own: d/d(dp_j) = -2**(1-n) sum_b w sin(dp_j + s_j x)
         table, (cos, sin), m = self.frequencies, self.pairs, self.seeds.shape[-1] // 2
@@ -752,6 +892,28 @@ class CircuitStack:
         d_pairs += cos * table.signs * seeds[..., table.slots + m]
         d_pairs *= -(2.0 ** (1 - self.template.n_qubits))
         return self.grads + d_pairs @ table.params.T
+
+    def _overlap_sweep(self) -> np.ndarray:
+        """The parameter gradients [..., K, P] from the overlaps C0 in the
+        seeds: every block's overlap C_b at once, then one reading of the
+        three Paulis on every qubit of every block."""
+        layout, dim = self.layout, self.seeds.shape[-1]
+        products, n = self.products, layout.sums.shape[-1] - 1
+        circuits = len(products)
+        overlaps = products.reshape(circuits, -1, dim) @ self.seeds.reshape(circuits, dim, dim)
+        # [circuits, L, dim, dim]
+        overlaps = overlaps.reshape(products.shape) @ products.conj().swapaxes(-1, -2)
+        read = overlaps.reshape(circuits, -1)[:, layout.reads].reshape(-1, dim) @ layout.sums
+        read = read.reshape((circuits,) + layout.reads.shape[:2] + (n + 1,))
+        # read [circuits, L, n + 1, n + 1]: X and Y from the flipped sums of
+        # each qubit, Z from the diagonal; the plan's groups are (L, n)
+        pauli = np.stack([
+            read[..., :n, 0].imag,
+            -np.diagonal(read[..., :n, 1:], axis1=-2, axis2=-1).real,
+            read[..., n, 1:].imag,
+        ]).reshape(3, len(read), -1)
+        grads = _member_grads(layout.plan, pauli.swapaxes(1, 2), *self.turns)
+        return grads.reshape(self.params.shape)
 
 
 def _check_batch_args(

@@ -5,11 +5,13 @@ Each model kind trains for two epochs at a small fixed config on the stored
 distorted sensor profile of acceptance criterion 5, prepared hourly).  The
 pins in ``checkpoints/pins.json`` are its loss history, its trained
 ``get_flat()`` and its predictions on the held-out quarter.  The configs
-reach all three circuit lowerings of ``qscale.vqc``: the vqr (3 qubits)
-trains on minibatches of 10 rows through the fused plan and predicts 24
-held-out rows through the ansatz matrix, as every linear vqr predict does,
-and the qlstm (4 qubits, window 4) trains and predicts through phase
-polynomials, 10 x 4 circuit rows per training step.
+reach two of the three circuit lowerings of ``qscale.vqc``: the vqr (3
+qubits) trains on minibatches of 10 rows and predicts 24 held-out rows
+through the ansatz matrix, as every linear vqr does, and the qlstm (4
+qubits, window 4) trains and predicts through phase polynomials, 10 x 4
+circuit rows per training step.  The fused plan, which only the
+re-uploading vqr takes, is checked against the dense-matrix oracle and
+parameter shift in ``test_vqc.py`` instead.
 
 The vqr trains with plain SGD.  The last RZ on each qubit of a strongly
 entangling ansatz commutes with the Z readout, so its gradient is zero up to

@@ -1436,7 +1436,7 @@ CONFIG_KEYS = {"batch_size", "epochs", "learning_rate", "loss", "optimizer", "se
 MANIFEST_SETTINGS = {
     "prepare": {
         "sensors", "reference", "granularity", "n_hours",
-        "interpolated_cells", "dropped_rows", "malformed_rows",
+        "interpolated_cells", "dropped_rows", "malformed_rows", "malformed_by_reason",
     },
     "synth": {"hours", "profile"},
     "train": CONFIG_KEYS
@@ -1491,6 +1491,31 @@ class TestManifests:
         assert manifest["command"] == command
         assert set(manifest["settings"]) == MANIFEST_SETTINGS[command]
         assert manifest["seed"] == (0 if command in ("prepare", "predict") else 3)
+
+    def test_prepare_counts_malformed_rows_by_reason(self, tmp_path, capsys, campaign):
+        """A sensor log with one row of each of three faults: the manifest
+        names the count of every reason of ``data.MALFORMED_REASONS`` beside
+        their total."""
+        raw = campaign.parent
+        header, *rows = (raw / "sensors.csv").read_text().splitlines()
+        stamp, sensor, _, value = rows[0].split(",")
+        faults = [
+            f"{stamp},{sensor},co2,{value}", f"{stamp},{sensor},pm25,abc", f"{stamp},{sensor}"
+        ]
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text("\n".join([header, *rows, *faults]) + "\n")
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "prepare", "--sensors", str(sensors), "--reference", str(raw / "reference.csv"),
+            "--out", str(out),
+        )
+        assert code == 0, err
+        settings = json.loads((out / "manifest.json").read_text())["settings"]
+        want = {"unknown_quantity": 1, "non_numeric_value": 1, "wrong_column_count": 1}
+        assert settings["malformed_by_reason"] == {
+            reason: want.get(reason, 0) for reason in data.MALFORMED_REASONS
+        }
+        assert settings["malformed_rows"] == 3
 
     @pytest.mark.parametrize("command", sorted(MANIFEST_SETTINGS))
     def test_failed_command_writes_no_manifest(self, tmp_path, capsys, campaign, command):

@@ -481,11 +481,11 @@ def default_model(kind, seed, windows=10, **options):
 class TestDirectionalGradients:
     """Every kind at its default options: the gradient along random unit
     directions against central differences of the batch loss.  This pins
-    the paths the models train through, the fused circuit sweeps included
+    the paths the models train through, the circuit sweeps included
     (CNOT reach up to 3 on vqr's 4 qubits, the ring wrap on qlstm's 5),
-    and the lowering of every stack a step differentiates: a vqr step of
-    32 windows, more than 2**4, runs through the plan, as every step does,
-    whatever its row count."""
+    and the lowering of every stack a step differentiates: the linear vqr
+    trains through its ansatz matrix at 10 and at 32 windows, more than
+    2**4, and the nonlinear vqr through the plan."""
 
     @pytest.mark.parametrize(
         "kind,options,windows",
@@ -524,7 +524,9 @@ class TestDirectionalGradients:
 
         monkeypatch.setattr(vqc.CircuitStack, "backward", recording_backward)
         _, grad = scaled_step(model, xs, ys, loss_kind)
-        assert lowerings == {"vqr": {"plan"}, "qlstm": {"phase"}}.get(kind, set())
+        linear = options.get("architecture", "linear") == "linear"
+        want = {"vqr": {"matrix" if linear else "plan"}, "qlstm": {"phase"}}
+        assert lowerings == want.get(kind, set())
         _, again = scaled_step(model, xs, ys, loss_kind)
         np.testing.assert_array_equal(again, grad)
         assert_fresh(model, grad, again)

@@ -641,20 +641,23 @@ class TestFrequencies:
 
 
 class TestAnsatzMatrix:
-    """The ansatz-matrix lowering of ``vqc.CircuitStack`` against the plan:
-    a stack that will be differentiated runs every call through the plan,
-    a forward-only one through product states times U."""
+    """The ansatz-matrix lowering of ``vqc.CircuitStack`` against the plan's
+    run and adjoint sweep and against parameter shift: product states times
+    U forward, and one adjoint sweep over each circuit's overlap matrix
+    backward."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(embed_first_stacks())
     def test_agrees_with_plan(self, case):
         """<Z> of all circuits, then of the last one on other inputs, then
-        of all circuits on 1 and on 2**n - 1 rows, fewer than U has."""
+        of all circuits on 1 and on 2**n - 1 rows, fewer than U has; a
+        forward-only stack runs the same bits as one that will be
+        differentiated."""
         template, params, inputs = case
         k = len(params)
-        plan = vqc.CircuitStack(template, params)
-        matrix = vqc.CircuitStack(template, params, forward_only=True)
-        assert (plan.lowering, matrix.lowering) == ("plan", "matrix")
+        stack = vqc.CircuitStack(template, params)
+        forward = vqc.CircuitStack(template, params, forward_only=True)
+        assert stack.lowering == forward.lowering == "matrix"
         below_dim = np.resize(inputs, ((1 << template.n_qubits) - 1, inputs.shape[1]))
         calls = [
             (slice(0, k), inputs),
@@ -663,20 +666,91 @@ class TestAnsatzMatrix:
             (slice(0, k), below_dim),
         ]
         for circuits, x in calls:
-            np.testing.assert_allclose(
-                matrix.run(circuits, x)[0], plan.run(circuits, x)[0], rtol=0.0, atol=1e-12
-            )
+            weights = np.ones((len(params[circuits]), len(x), template.n_qubits))
+            exps = plan_oracle(template, params[circuits], x, weights)[0]
+            np.testing.assert_allclose(stack.run(circuits, x)[0], exps, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(forward.run(circuits, x)[0], stack.run(circuits, x)[0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(embed_first_stacks(), st.integers(1, 3))
+    def test_gradients_agree_with_plan(self, case, models):
+        """A stack of M models' circuits, params [M, K, P] and inputs [M,
+        B, input_dim], through two backward calls (all circuits, then the
+        last one on other inputs), against the plan per model: <Z> to
+        1e-12, each call's input gradients and the accumulated parameter
+        gradients to 1e-10."""
+        template, params, inputs = case
+        k = len(params)
+        rng = np.random.default_rng(len(inputs))
+        others = range(models - 1)
+        params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape) for _ in others])
+        inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape) for _ in others])
+        stack = vqc.CircuitStack(template, params)
+        assert stack.lowering == "matrix"
+        calls = [(slice(0, k), inputs), (slice(k - 1, k), inputs[:, ::-1] * 0.5)]
+        grad_params = np.zeros_like(params)
+        for circuits, x in calls:
+            shape = (models, len(params[0, circuits]), x.shape[1], template.n_qubits)
+            weights = rng.uniform(-1.0, 1.0, shape)
+            exps, record = stack.run(circuits, x)
+            grad_inputs = stack.backward(circuits, record, weights, x)
+            for m in range(models):
+                want, want_inputs, want_params = plan_oracle(
+                    template, params[m, circuits], x[m], weights[m]
+                )
+                np.testing.assert_allclose(exps[m], want, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(grad_inputs[m], want_inputs, rtol=1e-10, atol=1e-10)
+                grad_params[m, circuits] += want_params
+        np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(embed_first_stacks())
+    def test_matches_parameter_shift(self, case):
+        template, params, inputs = case
+        inputs = inputs[:6]
+        weights = np.random.default_rng(len(params)).uniform(
+            -1.0, 1.0, (len(params), len(inputs), template.n_qubits)
+        )
+        stack = vqc.CircuitStack(template, params)
+        _, record = stack.run(slice(None), inputs)
+        grad_inputs = stack.backward(slice(None), record, weights, inputs)
+        shift_inputs = np.zeros_like(inputs)
+        for k, grad_params in enumerate(stack.param_grads()):
+            gp, gx = parameter_shift_grad_batch(template, params[k], inputs, weights[k])
+            np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
+            shift_inputs += gx
+        np.testing.assert_allclose(grad_inputs, shift_inputs, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_embedding_of_no_features(self, n):
+        """An embedding of no features before the ansatz: the circuit takes
+        the matrix, no input gradient, and the plan's <Z> and parameter
+        gradients."""
+        template = CircuitTemplate(n, 2, (Embedding("Y", ()), Ansatz("strongly_entangling", 2)))
+        rng = np.random.default_rng(n)
+        params = rng.uniform(0.0, 2.0 * math.pi, (2, template.total_params))
+        inputs = rng.uniform(-2.0, 2.0, (5, 2))
+        weights = rng.uniform(-1.0, 1.0, (2, 5, n))
+        stack = vqc.CircuitStack(template, params)
+        assert stack.lowering == "matrix"
+        exps, record = stack.run(slice(None), inputs)
+        grad_inputs = stack.backward(slice(None), record, weights, inputs)
+        want, want_inputs, want_params = plan_oracle(template, params, inputs, weights)
+        np.testing.assert_allclose(exps, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(grad_inputs, np.zeros_like(inputs))
+        np.testing.assert_array_equal(want_inputs, np.zeros_like(inputs))
+        np.testing.assert_allclose(stack.param_grads(), want_params, rtol=0.0, atol=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.integers(1, 4))
     def test_path_choice(self, n, layers):
-        """``vqc.lowering`` is the one choice, and no row count enters it.
-        Every RX/CNOT template is a phase polynomial, whatever its segment
-        order and whether it will be differentiated; other embed-first
-        templates take the matrix when forward-only and the plan when they
-        will be differentiated; the vqr that re-uploads its inputs (two or
-        more layers) never takes the matrix, nor does a template that
-        starts with its ansatz."""
+        """``vqc.lowering`` is the one choice, made from the template alone:
+        no row count and no use of the stack enters it.  Every RX/CNOT
+        template is a phase polynomial, whatever its segment order; other
+        embed-first templates take the matrix; the vqr that re-uploads its
+        inputs (two or more layers) takes the plan, as does a template that
+        starts with its ansatz.  A stack, forward-only or not, takes its
+        template's lowering."""
         ring_after_ry = CircuitTemplate(
             n, n, (Embedding("Y", tuple(range(n))), Ansatz("ring_rx", layers))
         )
@@ -686,27 +760,22 @@ class TestAnsatzMatrix:
         entangling_first = CircuitTemplate(
             n, n, (Ansatz("strongly_entangling", layers), Embedding("Y", tuple(range(n))))
         )
-        embed_first = [
-            linear_vqr_template(n, layers),
-            linear_vqr_template(n, layers, axis="X"),
-            nonlinear_vqr_template(n, 1),
-            ring_after_ry,
-        ]
-        for template in embed_first:
-            assert vqc.lowering(template, forward_only=True) == "matrix"
-            assert vqc.lowering(template) == "plan"
-        for template in (ring_rx_template(n, layers), ansatz_first):
-            assert vqc.lowering(template, forward_only=True) == vqc.lowering(template) == "phase"
-        for template in (nonlinear_vqr_template(n, layers + 1), entangling_first):
-            assert vqc.lowering(template, forward_only=True) == vqc.lowering(template) == "plan"
-        reuploading = nonlinear_vqr_template(n, layers + 1)
-        stack = vqc.CircuitStack(reuploading, np.zeros((2, reuploading.total_params)), forward_only=True)
-        assert stack.lowering == "plan"
-        params = np.zeros((2, embed_first[0].total_params))
-        stack = vqc.CircuitStack(embed_first[0], params, forward_only=True)
-        assert stack.lowering == "matrix"
-        stack = vqc.CircuitStack(embed_first[0], params)
-        assert stack.lowering == "plan"
+        choices = {
+            "matrix": [
+                linear_vqr_template(n, layers),
+                linear_vqr_template(n, layers, axis="X"),
+                nonlinear_vqr_template(n, 1),
+                ring_after_ry,
+            ],
+            "phase": [ring_rx_template(n, layers), ansatz_first],
+            "plan": [nonlinear_vqr_template(n, layers + 1), entangling_first],
+        }
+        for choice, templates in choices.items():
+            for template in templates:
+                assert vqc.lowering(template) == choice
+                params = np.zeros((2, template.total_params))
+                for forward_only in (False, True):
+                    assert vqc.CircuitStack(template, params, forward_only).lowering == choice
 
 
 class TestInitParams:
