@@ -322,6 +322,22 @@ def _cmd_grid_search(args) -> Recorded:
     )
 
 
+# what a JSON value of each Python type that json.loads makes is called
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", bool: "true or false",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _typed(value, name: str, kind: type):
+    """``value`` when it is null or of type ``kind``; else a TypeError that
+    names the field and the type it needs."""
+    if value is not None and not isinstance(value, kind):
+        needed, found = _JSON_TYPES[kind], _JSON_TYPES[type(value)]
+        raise TypeError(f"{name} must be {needed} or null, not {found}")
+    return value
+
+
 def _number(entry: dict, key: str) -> float:
     if not isinstance(entry[key], (int, float)):
         raise TypeError(f"{key} holds {entry[key]!r}, not a number")
@@ -341,16 +357,17 @@ def _report_lines(payload: dict) -> list[str]:
         f"seed: {payload['seed']}",
         f"trainable parameters: {payload['param_count']}",
     ]
-    for fold in payload["folds"] or []:
+    for i, fold in enumerate(_typed(payload["folds"], "folds", list) or []):
+        _typed(fold, f"folds[{i}]", dict)
         if "error" in fold:
             lines.append(f"fold {fold['fold']}: FAILED ({fold['error']})")
         else:
             lines.append(f"fold {fold['fold']}: {_losses_text(fold)}")
-    if payload["fold_average"]:
+    if _typed(payload["fold_average"], "fold_average", dict):
         lines.append(f"fold average: {_losses_text(payload['fold_average'])}")
-    if payload["test_losses"]:
+    if _typed(payload["test_losses"], "test_losses", dict):
         lines.append(f"test: {_losses_text(payload['test_losses'])}")
-    bench = payload["benchmark"]
+    bench = _typed(payload["benchmark"], "benchmark", dict)
     if bench:
         lines.append(
             f"benchmark ({bench['loss_kind']}): mean={_number(bench, 'mean'):.6g} "

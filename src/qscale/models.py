@@ -66,7 +66,7 @@ from functools import partial
 from itertools import compress, groupby, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -512,6 +512,24 @@ class QLSTMParams:
     angles: np.ndarray
 
 
+class _FoldedCircuits(NamedTuple):
+    """A QLSTM's six phase-lowered circuits with its fc_out maps folded
+    into their coefficients: circuit k's cell output is t F_k + b_k, t the
+    Fourier features ``circuits.features`` of its inputs, with ``tables``
+    F [..., 6, 2m, hidden] and ``bias`` b [..., 6, 1, hidden]."""
+
+    circuits: vqc.CircuitStack
+    tables: np.ndarray
+    bias: np.ndarray
+
+    def outputs(self, gates: slice, t: np.ndarray) -> np.ndarray:
+        """The given circuits' cell outputs [..., k, B, hidden] for the
+        features t [..., B, 2m]."""
+        out = t[..., None, :, :] @ self.tables[..., gates, :, :]
+        out += self.bias[..., gates, :, :]
+        return out
+
+
 class QLSTMModel(_ModelBase):
     """LSTM cell whose gates run through six ring-RX variational circuits.
 
@@ -531,13 +549,19 @@ class QLSTMModel(_ModelBase):
     phase polynomials at any batch size, each <Z> a Fourier series in the
     circuit's inputs (Schuld, Sweke & Meyer, arXiv:2008.08605): the
     encoding fixes a few input frequencies (12 at the default 5 qubits and
-    7 layers), whose coefficients the six circuits' angles set once per
-    step or predict; each run takes a cosine and a sine of its B inputs per
-    frequency, and <Z> is their product with the coefficients.  A predict's
-    stack is forward-only and keeps only the coefficients.
-    Backpropagation through time takes each run's input gradient in closed
-    form, sums each circuit's seeds per frequency over the steps, and
-    spreads them into the angle gradients once per step.
+    7 layers), whose coefficients C_k [n, 2m] the six circuits' angles set
+    once per step or predict.  The fc_out map W_k, b_k of circuit k is
+    linear too, so it is folded into the coefficients at the same time
+    (:meth:`_cell`): F_k = C_k^T W_k^T [2m, hidden].  A cell call takes the
+    Fourier features t = (cos x, sin x) [B, 2m] of its inputs, and its
+    circuits' outputs through fc_out are t F_k + b_k, made for circuits
+    1-4 in one batched product in ``nn.lstm_gates``' [4, B, hidden] layout.
+    A predict's stack is forward-only and keeps only the coefficients.
+    Backpropagation through time takes each call's input gradient from the
+    features' closed form, dt = sum_k D_k F_k^T for the gradients D_k at
+    the outputs, and sums G_k = sum t^T D_k over the steps; after the last
+    step the fc_out gradient is (C_k G_k)^T and the seeds (G_k W_k)^T go to
+    the stack, which spreads them into the angle gradients once per step.
     """
 
     kind = "qlstm"
@@ -579,85 +603,85 @@ class QLSTMModel(_ModelBase):
 
     # -- cell -------------------------------------------------------------
 
-    def _circuits(self, forward_only: bool = False) -> vqc.CircuitStack:
-        return vqc.CircuitStack(self.template, self.params.angles, forward_only)
-
-    def _expand(self, gates: slice, e: np.ndarray) -> np.ndarray:
-        """The given circuits' expectations e [..., k, B, n] through their
-        fc_out entries; returns [..., k, B, hidden]."""
-        slots, p = self.fc_out_slot[gates], self.params
-        weights = p.fc_out_weights[..., slots, :, :]
-        return e @ weights.swapaxes(-1, -2) + p.fc_out_bias[..., slots, None, :]
+    def _cell(self, forward_only: bool = False) -> _FoldedCircuits:
+        """The six circuits as one stack, for one training step or predict,
+        with the fc_out maps folded into their coefficients."""
+        p = self.params
+        circuits = vqc.CircuitStack(self.template, p.angles, forward_only)
+        # F_k = C_k^T W_k^T; a shared map broadcasts over the six circuits
+        tables = circuits.coefficients.swapaxes(-1, -2) @ p.fc_out_weights.swapaxes(-1, -2)
+        return _FoldedCircuits(circuits, tables, p.fc_out_bias[..., self.fc_out_slot, None, :])
 
     def cell_forward(
         self,
         x_t: np.ndarray,
         h_prev: np.ndarray,
         c_prev: np.ndarray,
-        circuits: vqc.CircuitStack,
+        cell: _FoldedCircuits,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         """One time step on scaled inputs x_t [..., B, features] and states
-        h_prev, c_prev [..., B, hidden], its circuits run by ``circuits``, a
-        stack of the model's six; returns (h, c, y [..., B], cache)."""
+        h_prev, c_prev [..., B, hidden], its circuits run by ``cell``, the
+        model's six folded with their fc_out maps (:meth:`_cell`); returns
+        (h, c, y [..., B], cache)."""
         p = self.params
         concat = np.concatenate([h_prev, x_t], axis=-1)
         v = nn.dense_forward(p.fc_in, concat)[0]
-        e, gate_run = circuits.run(slice(0, 4), v)
-        u, c, gates = nn.lstm_gates(self._expand(slice(0, 4), e), c_prev)
+        t_v = cell.circuits.features(v)
+        u, c, gates = nn.lstm_gates(cell.outputs(slice(0, 4), t_v), c_prev)
         w = nn.dense_forward(p.projection, u)[0]
-        e_out, out_run = circuits.run(slice(4, 6), w)
-        h, q = self._expand(slice(4, 6), e_out).swapaxes(0, -3)
+        t_w = cell.circuits.features(w)
+        h, q = cell.outputs(slice(4, 6), t_w).swapaxes(0, -3)
         y = nn.dense_forward(p.readout, q)[0][..., 0]
         cache = {
             "concat": concat,
             "v": v,
-            "e": e,
-            "gate_run": gate_run,
+            "t_v": t_v,
             "gates": gates,
             "u": u,
             "w": w,
-            "e_out": e_out,
-            "out_run": out_run,
+            "t_w": t_w,
             "q": q,
         }
         return h, c, y, cache
 
     def sequence_forward(
-        self, x_scaled: np.ndarray, circuits: vqc.CircuitStack, keep_caches: bool = True
+        self, x_scaled: np.ndarray, cell: _FoldedCircuits, keep_caches: bool = True
     ) -> tuple[np.ndarray, list[dict]]:
         """Run windows [..., B, T, features] through the cell, its circuits
-        run by ``circuits``; returns the predictions [..., B] and, when
+        run by ``cell``; returns the predictions [..., B] and, when
         ``keep_caches``, the per-step caches that :meth:`_backward`
-        consumes.  Otherwise each step's cache, circuit amplitudes included,
-        is dropped as it goes."""
+        consumes.  Otherwise each step's cache is dropped as it goes."""
         h = c = np.zeros(x_scaled.shape[:-2] + (self.hidden_size,))
         caches = []
         for t in range(x_scaled.shape[-2]):
-            h, c, y, cache = self.cell_forward(x_scaled[..., t, :], h, c, circuits)
+            h, c, y, cache = self.cell_forward(x_scaled[..., t, :], h, c, cell)
             if keep_caches:
                 caches.append(cache)
-            del cache  # a predict holds no step's circuit records into the next step
+            del cache  # a predict holds no step's activations into the next step
         return y, caches
 
     def _predictor(self, rows):
-        return partial(self._predict_scaled, circuits=self._circuits(forward_only=True))
+        return partial(self._predict_scaled, cell=self._cell(forward_only=True))
 
-    def _predict_scaled(self, x_scaled, circuits):
-        return self.sequence_forward(x_scaled, circuits, keep_caches=False)[0]
+    def _predict_scaled(self, x_scaled, cell):
+        return self.sequence_forward(x_scaled, cell, keep_caches=False)[0]
 
     # -- backward ---------------------------------------------------------
 
     def _backward(
-        self, circuits: vqc.CircuitStack, caches: list[dict], d_pred: np.ndarray
+        self, cell: _FoldedCircuits, caches: list[dict], d_pred: np.ndarray
     ) -> np.ndarray:
-        """Backpropagation through time over the batch, through the
-        circuits that ran the forward pass; a fresh flat gradient."""
-        hidden, steps, lead = self.hidden_size, len(caches), self.flat.shape[:-1]
-        p = self.params
+        """Backpropagation through time over the batch, through the folded
+        circuits that ran the forward pass; a fresh flat gradient.  Each
+        step adds t^T D_k into G_k [..., 6, 2m, hidden], D_k the gradient
+        at circuit k's cell output t F_k + b_k; after the last step the
+        fc_out gradient is (C_k G_k)^T and the coefficient seeds are (G_k
+        W_k)^T."""
+        hidden, steps, p = self.hidden_size, len(caches), self.params
+        circuits, tables = cell.circuits, cell.tables
         grad, g = self._zero_grads()
-        grad_fc_w = np.zeros(lead + (6, hidden, self.n_qubits))
-        grad_fc_b = np.zeros(lead + (6, hidden))
-        gate_weights = p.fc_out_weights[..., self.fc_out_slot[:4], :, :]
+        sums = np.zeros(tables.shape)
+        bias_sums = np.zeros(tables.shape[:-2] + (hidden,))
         dh = np.zeros(d_pred.shape + (hidden,))
         dc = np.zeros_like(dh)
         for t in range(steps - 1, -1, -1):
@@ -669,31 +693,33 @@ class QLSTMModel(_ModelBase):
                 k, d_out = 5, nn.linear_backward(p.readout, cache["q"], d_pred[..., None], g.readout)
             else:
                 k, d_out = 4, dh
-            grad_fc_w[..., k, :, :] += d_out.swapaxes(-1, -2) @ cache["e_out"][..., k - 4, :, :]
-            grad_fc_b[..., k, :] += d_out.sum(axis=-2)
-            d_exps = np.zeros_like(cache["e_out"])
-            d_exps[..., k - 4, :, :] = d_out @ p.fc_out_weights[..., self.fc_out_slot[k], :, :]
-            dw = circuits.backward(slice(4, 6), cache["out_run"], d_exps, cache["w"])
+            sums[..., k, :, :] += cache["t_w"].swapaxes(-1, -2) @ d_out
+            bias_sums[..., k, :] += d_out.sum(axis=-2)
+            dt = d_out @ tables[..., k, :, :].swapaxes(-1, -2)
+            dw = circuits.feature_grads(cache["t_w"], dt, cache["w"])
             du = nn.linear_backward(p.projection, cache["u"], dw, g.projection)
 
             dz, dc = nn.lstm_gates_backward(cache["gates"], du, dc)
-            grad_fc_w[..., :4, :, :] += dz.swapaxes(-1, -2) @ cache["e"]
-            grad_fc_b[..., :4, :] += dz.sum(axis=-2)
-            dv = circuits.backward(slice(0, 4), cache["gate_run"], dz @ gate_weights, cache["v"])
+            sums[..., :4, :, :] += cache["t_v"][..., None, :, :].swapaxes(-1, -2) @ dz
+            bias_sums[..., :4, :] += dz.sum(axis=-2)
+            dt = (dz @ tables[..., :4, :, :].swapaxes(-1, -2)).sum(axis=-3)
+            dv = circuits.feature_grads(cache["t_v"], dt, cache["v"])
             dh = nn.linear_backward(p.fc_in, cache["concat"], dv, g.fc_in)[..., :hidden]
 
         # each fc_out entry sums the gradients of the circuits in its slot
         every = slice(None)
+        grad_fc_w = (circuits.coefficients @ sums).swapaxes(-1, -2)
         np.add.at(g.fc_out_weights, (..., self.fc_out_slot, every, every), grad_fc_w)
-        np.add.at(g.fc_out_bias, (..., self.fc_out_slot, every), grad_fc_b)
+        np.add.at(g.fc_out_bias, (..., self.fc_out_slot, every), bias_sums)
+        circuits.add_seeds(every, (sums @ p.fc_out_weights).swapaxes(-1, -2))
         g.angles += circuits.param_grads()
         return grad
 
     def _loss_and_grad_scaled(self, x_scaled, loss):
-        circuits = self._circuits()
-        preds, caches = self.sequence_forward(self._by_model(x_scaled), circuits)
+        cell = self._cell()
+        preds, caches = self.sequence_forward(self._by_model(x_scaled), cell)
         value, d_preds = loss(preds)
-        return value, self._backward(circuits, caches, d_preds)
+        return value, self._backward(cell, caches, d_preds)
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (FFNNModel, LSTMModel, VQRModel, QLSTMModel)}
@@ -800,22 +826,22 @@ def build_model(
     )
 
 
-def _batch_loss(kind: str, targets: np.ndarray, preds: np.ndarray) -> tuple[float, np.ndarray]:
-    """The mean ``kind`` loss of one model's predictions and its gradient."""
-    return nn.loss_value(kind, preds, targets), nn.loss_grad(kind, preds, targets)
-
-
 def hybrid_backward(model, x_raw: np.ndarray, y_raw: np.ndarray, loss_kind: str):
     """Mean loss over a raw batch and its gradient w.r.t. the flat parameters.
 
     Both are expressed in original units; the scaled-space loss the training
     loop minimises differs only by the constant target-span factor.
     """
+    if loss_kind not in nn.LOSS_KINDS:
+        raise ConfigurationError(f"unknown loss kind {loss_kind!r}")
     xs = model.scale_windows(np.asarray(x_raw, dtype=float))
     ys = model.scale_targets(np.asarray(y_raw, dtype=float))
-    loss_scaled, grad = model._loss_and_grad_scaled(xs, partial(_batch_loss, loss_kind, ys))
+    if ys.size == 0:
+        raise ConfigurationError("loss of an empty batch is undefined")
+    loss = partial(_lane_losses, [loss_kind], [ys.size], ys[None])
+    (loss_scaled,), grad = model._loss_and_grad_scaled(xs, loss)
     factor = _loss_to_original_units(loss_kind, 1.0, model.target_halfspan)
-    return loss_scaled * factor, grad * factor
+    return float(loss_scaled) * factor, grad * factor
 
 
 def train(
@@ -879,13 +905,20 @@ class _Lane:
 
 def _lane_losses(kinds, counts, targets, preds) -> tuple[np.ndarray, np.ndarray]:
     """Each of K models' mean loss over its first ``counts[k]`` rows of
-    ``preds`` [K, W] (or [W] for one model) and the loss gradient, shaped
-    as ``preds``, zero on the padding rows past them."""
-    by_model = preds.reshape(len(kinds), -1)
-    values, d_preds = zip(
-        *(_batch_loss(kind, y[:n], p[:n]) for kind, n, y, p in zip(kinds, counts, targets, by_model))
-    )
-    return np.array(values), _padded(d_preds).reshape(preds.shape)
+    ``preds`` [K, W] (or [W] for one model) against ``targets`` [K, W], and
+    the loss gradient, shaped as ``preds``, zero on the padding rows past
+    them; lanes of the kinds ``kinds`` may mix.  One pass over the stack:
+    with d = preds - targets, l1 is sum |d| / n with gradient sign(d) / n
+    and mse sum d**2 / n with gradient 2 d / n, so where every count is W
+    each lane has the bits of ``nn.loss_value`` and ``nn.loss_grad``."""
+    d = preds.reshape(len(kinds), -1) - targets
+    for row, count in enumerate(counts):
+        d[row, count:] = 0.0
+    l1 = np.array([kind == "l1" for kind in kinds])[:, None]
+    n = np.array(counts, dtype=float)
+    values = np.where(l1, np.abs(d), d**2).sum(axis=-1) / n
+    d_preds = np.where(l1, np.sign(d), 2.0 * d) / n[:, None]
+    return values, d_preds.reshape(preds.shape)
 
 
 def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs: Sequence) -> list:

@@ -22,12 +22,16 @@ update, from the pre-activations to c_t and h_t, and its gradient, with the
 gates on the third axis from the end.  The LSTM cell feeds them the linear
 maps above; the QLSTM cell in ``models`` feeds them ``[4, B, hidden]`` maps
 of variational-circuit outputs instead (Chen, Yoo & Fang,
-arXiv:2009.01783).  Every step of ``lstm_sequence_forward`` writes into
-views of one flat workspace, which a caller may allocate once
-(``lstm_workspace``) and pass to call after call; the backward pass reads
-the gates each step kept there.  ``draw_uniform`` fills weights in place,
-uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)], from a caller-provided
-generator, so a fixed seed reproduces training bit for bit.
+arXiv:2009.01783).  The gate update keeps, for its gradient, the cache
+(c_prev, z, tanh c), z the ``[..., 4, *S]`` slab of the four gate values
+written over the pre-activations, and ``lstm_gates_backward`` builds the
+pre-activation gradient on that slab.  Every step of
+``lstm_sequence_forward`` writes into views of one flat workspace, which a
+caller may allocate once (``lstm_workspace``) and pass to call after call;
+the backward pass reads the gates each step kept there.  ``draw_uniform``
+fills weights in place, uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)],
+from a caller-provided generator, so a fixed seed reproduces training bit
+for bit.
 
 Layers run over a minibatch: dense activations and their gradients are
 ``[B, size]``, LSTM windows ``[B, T, n_features]`` and LSTM predictions
@@ -80,17 +84,12 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d activation / d z, from the cached pre-activation z and output a."""
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "tanh":
-        return 1.0 - a**2
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ConfigurationError(f"unknown activation {name!r}")
+# d activation / d z, from the cached pre-activation z and output a
+_ACTIVATION_GRADS = {
+    "sigmoid": lambda z, a: a * (1.0 - a),
+    "tanh": lambda z, a: 1.0 - a**2,
+    "relu": lambda z, a: (z > 0.0).astype(float),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +148,15 @@ def ffnn_backward(
 ) -> np.ndarray:
     """Backpropagate d_out [..., B, n_out]: adds each layer's weight and
     bias gradients, summed over the batch, into ``grads`` (one layer each)
-    and returns the input gradient [..., B, n_in]."""
+    and returns the input gradient [..., B, n_in].  An identity layer's
+    delta passes through its activation unchanged."""
     delta = np.asarray(d_out, dtype=float)
-    for idx in range(len(layers) - 1, -1, -1):
-        x, z, a = caches[idx]
-        delta = delta * _activation_grad(layers[idx].activation, z, a)
-        delta = linear_backward(layers[idx], x, delta, grads[idx])
+    for layer, (x, z, a), grad in zip(layers[::-1], caches[::-1], grads[::-1]):
+        if layer.activation != "identity":
+            delta = delta * _ACTIVATION_GRADS[layer.activation](z, a)
+        grad.weights += delta.swapaxes(-1, -2) @ x
+        grad.bias += delta.sum(axis=-2)
+        delta = delta @ layer.weights
     return delta
 
 
@@ -194,8 +196,8 @@ def lstm_gates(
     o), S being the shape of c_prev: [hidden, B] for the LSTM, [B, hidden]
     for the QLSTM.  z is overwritten with the gate values; c, tanh(c) and h
     go into ``out`` = (c, tc, h), arrays of c_prev's shape, fresh ones by
-    default.  Returns (h, c, cache); the cache (c_prev, f, i, g, o, tanh(c))
-    feeds lstm_gates_backward.
+    default.  Returns (h, c, cache); the cache (c_prev, z, tanh(c)), the
+    gates kept as the one slab z, feeds lstm_gates_backward.
 
     sigmoid(x) = (1 + tanh(x / 2)) / 2, so the three sigmoid gates, halved
     in place, share one tanh call with g; halving is exact, so each gate
@@ -213,26 +215,29 @@ def lstm_gates(
     c += np.multiply(i, g, out=tc)
     np.tanh(c, out=tc)
     np.multiply(o, tc, out=h)
-    return h, c, (c_prev, f, i, g, o, tc)
+    return h, c, (c_prev, z, tc)
 
 
 def lstm_gates_backward(
     cache: tuple, dh: np.ndarray, dc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the gate update for upstream dh and dc; returns
-    (dz [..., 4, *S], dc_prev)."""
-    c_prev, f, i, g, o, tc = cache
-    do = dh * tc
+    (dz [..., 4, *S], dc_prev).  dz is built on the gate slab: z (1 - z)
+    for all four gates, 1 - g**2 over the g row, then one product per
+    factor: dc on the f, i and g rows at once, then c_prev, g, i and dh
+    tanh(c) on one row each."""
+    c_prev, z, tc = cache
+    f, i, g, o = z.swapaxes(0, -3)
     dc = dc + dh * o * (1.0 - tc**2)
-    dz = np.stack(
-        (
-            dc * c_prev * f * (1.0 - f),
-            dc * g * i * (1.0 - i),
-            dc * i * (1.0 - g**2),
-            do * o * (1.0 - o),
-        ),
-        axis=-3,
-    )
+    dz = z * (1.0 - z)
+    df, di, dg, do = dz.swapaxes(0, -3)
+    np.subtract(1.0, g**2, out=dg)
+    dz[..., :3, :, :] *= dc[..., None, :, :]
+    df *= c_prev
+    di *= g
+    dg *= i
+    do *= dh
+    do *= tc
     return dz, dc * f
 
 

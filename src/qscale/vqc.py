@@ -747,11 +747,15 @@ class CircuitStack:
       frequencies, and the params set only their coefficients z_qu, the
       sum of exp(i s_j dp_j) over qubit q's pairs on u.  They are made once
       per stack, as ``coefficients`` [..., K, n, 2m], 2**(1-n) (Re z, -Im
-      z); a run makes t = (cos x, sin x) [..., B, 2m] for its rows, and <Z>
-      is t times the coefficients.  :meth:`backward` takes dt back to the
-      inputs through the frequencies and adds sum_b w t to the seeds, per
-      circuit, qubit and frequency; :meth:`param_grads` hands each pair its
-      coefficient's seeds and takes them back to the params once.  A
+      z); a run makes the features t = (cos x, sin x) [..., B, 2m] of its
+      rows (:meth:`features`), and <Z> is t times the coefficients.
+      :meth:`backward` takes dt back to the inputs through the frequencies
+      (:meth:`feature_grads`) and adds sum_b w t to the seeds, per circuit,
+      qubit and frequency (:meth:`add_seeds`); :meth:`param_grads` hands
+      each pair its coefficient's seeds and takes them back to the params
+      once.  ``run`` and ``backward`` are these parts composed; a caller
+      that maps the outputs on linearly, as the qlstm's fc_out maps do, may
+      fold its maps into the coefficients and call the parts itself.  A
       forward-only stack keeps only the coefficients.
     * Ansatz matrix: ``matrices`` [..., K, 2**n, 2**n] holds each
       circuit's U = W_L ... W_1, the product of the unitaries of its
@@ -812,9 +816,7 @@ class CircuitStack:
         from."""
         template = self.template
         if self.lowering == "phase":
-            source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
-            x = source @ self.frequencies.inputs
-            t = np.concatenate([np.cos(x), np.sin(x)], axis=-1)  # [..., B, 2m]
+            t = self.features(inputs)
             return t[..., None, :, :] @ self.coefficients[..., circuits, :, :].swapaxes(-1, -2), t
         if self.lowering == "plan":
             angles = _angle_table(
@@ -829,6 +831,31 @@ class CircuitStack:
         exps = sim._expect_z_rows(amps.reshape(-1, amps.shape[-1]))
         return exps.reshape(amps.shape[:-1] + (-1,)), (product, amps)
 
+    def features(self, inputs: np.ndarray) -> np.ndarray:
+        """The phase lowering's Fourier features t = (cos x, sin x) [..., B,
+        2m] of the inputs [..., B, input_dim], x their m input frequencies:
+        circuit k's <Z> is t times its ``coefficients[..., k, :, :]``
+        transposed."""
+        source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
+        x = source @ self.frequencies.inputs
+        return np.concatenate([np.cos(x), np.sin(x)], axis=-1)
+
+    def feature_grads(self, t: np.ndarray, dt: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """The input gradient [..., B, input_dim] of the inputs whose
+        :meth:`features` are t, for the gradient dt [..., B, 2m] at t."""
+        m = t.shape[-1] // 2
+        dx = t[..., :m] * dt[..., m:] - t[..., m:] * dt[..., :m]
+        return _input_grads(dx @ self.frequencies.inputs.T, inputs)
+
+    def add_seeds(self, circuits: slice, seeds: np.ndarray) -> None:
+        """Add seeds [..., k, ...] to the given circuits' seeds, from which
+        :meth:`param_grads` makes the parameter gradients: for the phase
+        lowering sum_b w t [..., k, n, 2m] (w the weights of <Z>), for the
+        ansatz matrix the overlaps C0 [..., k, 2**n, 2**n]."""
+        if self.seeds is None:
+            self.seeds = np.zeros(self.params.shape[:-1] + seeds.shape[-2:], dtype=seeds.dtype)
+        self.seeds[..., circuits, :, :] += seeds
+
     def backward(
         self, circuits: slice, record, weights: np.ndarray, inputs: np.ndarray
     ) -> np.ndarray:
@@ -837,13 +864,10 @@ class CircuitStack:
         input gradient [..., B, input_dim], summed over the circuits."""
         template = self.template
         if self.lowering == "phase":
-            t, m = record, record.shape[-1] // 2
-            if self.seeds is None:
-                self.seeds = np.zeros_like(self.coefficients)
-            self.seeds[..., circuits, :, :] += weights.swapaxes(-1, -2) @ t[..., None, :, :]
+            t = record
+            self.add_seeds(circuits, weights.swapaxes(-1, -2) @ t[..., None, :, :])
             dt = (weights @ self.coefficients[..., circuits, :, :]).sum(axis=-3)  # [..., B, 2m]
-            dx = t[..., :m] * dt[..., m:] - t[..., m:] * dt[..., :m]
-            return _input_grads(dx @ self.frequencies.inputs.T, inputs)
+            return self.feature_grads(t, dt, inputs)
         if self.lowering == "matrix":
             return self._matrix_backward(circuits, record, weights, inputs)
         angles, states = record
@@ -862,9 +886,7 @@ class CircuitStack:
         n = template.n_qubits
         cotangent = (weights.reshape(-1, n) @ sim._z_signs(n)).reshape(amps.shape) * amps
         back = cotangent @ self.matrices[..., circuits, :, :].conj()  # U^dagger lambda, as rows
-        if self.seeds is None:
-            self.seeds = np.zeros(self.matrices.shape, dtype=np.complex128)
-        self.seeds[..., circuits, :, :] += product[..., None, :, :].swapaxes(-1, -2) @ back.conj()
+        self.add_seeds(circuits, product[..., None, :, :].swapaxes(-1, -2) @ back.conj())
         # every circuit reads the same product state, so the embedding angles
         # take the sum of the circuits' U^dagger lambda
         back = back.sum(axis=-3)

@@ -11,10 +11,14 @@ replaced, the optimizer oracle the out-of-place update that the in-place
 ``nn.optimizer_step`` replaced, and the training, cross-validation and
 grid-search oracles the serial loops that lockstep training replaced: one
 model trained alone, one minibatch step after another, and one such fit
-per fold or grid point.  Nothing here imports the package's kernels: the
-serial loops take the package's ``models`` and ``experiments`` modules as
-arguments, and run one model's unstacked training step,
-``_loss_and_grad_scaled`` on its own ``flat``."""
+per fold or grid point, each step scored by the per-batch loss calls that
+the one-pass stack loss replaced.  The QLSTM oracle is its cell before the
+fc_out maps were folded into the circuit coefficients, each circuit run
+through the fused plan and differentiated by parameter shift.  Nothing here
+imports the package's kernels: the serial loops take the package's
+``models`` and ``experiments`` modules as arguments, and run one model's
+unstacked training step, ``_loss_and_grad_scaled`` on its own ``flat``; the
+QLSTM oracle takes ``vqc`` the same way."""
 
 from __future__ import annotations
 
@@ -411,6 +415,90 @@ def optimizer_step(state, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
+def qlstm_shift_grad(model, vqc, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The flat gradient of the mean squared error of one QLSTM (not a
+    stack) on scaled windows xs [B, T, features] and targets ys [B], by
+    backpropagation through time of the cell as it reads before its fc_out
+    maps were folded into the circuit coefficients: each circuit's <Z> run
+    row by row through the fused plan (``vqc.evaluate``), mapped through
+    its fc_out entry, and differentiated by parameter shift
+    (``vqc.parameter_shift_grad_batch``); the gates by their formulas."""
+    p, template, hidden = model.params, model.template, model.hidden_size
+    maps = [(p.fc_out_weights[s], p.fc_out_bias[s]) for s in model.fc_out_slot]
+    grad = np.zeros_like(model.flat)
+    g = model._bind(grad)
+
+    def run(k, inputs):
+        return np.array([vqc.evaluate(template, p.angles[k], row) for row in inputs])
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def circuit_backward(k, e, d_out, inputs):
+        """Adds circuit k's fc_out and angle gradients; returns its input
+        gradient."""
+        weights, _ = maps[k]
+        g.fc_out_weights[model.fc_out_slot[k]] += d_out.T @ e
+        g.fc_out_bias[model.fc_out_slot[k]] += d_out.sum(axis=0)
+        grad_angles, grad_inputs = vqc.parameter_shift_grad_batch(
+            template, p.angles[k], inputs, d_out @ weights
+        )
+        g.angles[k] += grad_angles.sum(axis=0)
+        return grad_inputs
+
+    def dense_backward(layer, grads, x, delta):
+        grads.weights += delta.T @ x
+        grads.bias += delta.sum(axis=0)
+        return delta @ layer.weights
+
+    h = c = np.zeros((len(xs), hidden))
+    steps = []
+    for t in range(xs.shape[1]):
+        concat = np.hstack([h, xs[:, t]])
+        v = concat @ p.fc_in.weights.T + p.fc_in.bias
+        e = [run(k, v) for k in range(4)]
+        zf, zi, zg, zo = (e[k] @ maps[k][0].T + maps[k][1] for k in range(4))
+        f, i, g_gate, o = sigmoid(zf), sigmoid(zi), np.tanh(zg), sigmoid(zo)
+        c_prev, c = c, f * c + i * g_gate
+        u = o * np.tanh(c)
+        w = u @ p.projection.weights.T + p.projection.bias
+        e_out = [run(k, w) for k in (4, 5)]
+        h, q = (e_out[k - 4] @ maps[k][0].T + maps[k][1] for k in (4, 5))
+        steps.append((concat, v, e, f, i, g_gate, o, c_prev, c, u, w, e_out, q))
+    pred = q @ p.readout.weights[0] + p.readout.bias[0]
+    d_pred = 2.0 * (pred - ys) / len(ys)
+
+    dh = dc = np.zeros((len(xs), hidden))
+    for t in range(len(steps) - 1, -1, -1):
+        concat, v, e, f, i, g_gate, o, c_prev, c, u, w, e_out, q = steps[t]
+        if t == len(steps) - 1:  # only the last step's circuit 6 reaches the prediction
+            k, d_out = 5, dense_backward(p.readout, g.readout, q, d_pred[:, None])
+        else:
+            k, d_out = 4, dh
+        dw = circuit_backward(k, e_out[k - 4], d_out, w)
+        du = dense_backward(p.projection, g.projection, u, dw)
+        tc = np.tanh(c)
+        dc = dc + du * o * (1.0 - tc**2)
+        dzs = (
+            dc * c_prev * f * (1.0 - f),
+            dc * g_gate * i * (1.0 - i),
+            dc * i * (1.0 - g_gate**2),
+            du * tc * o * (1.0 - o),
+        )
+        dc = dc * f
+        dv = sum(circuit_backward(k, e[k], dz, v) for k, dz in enumerate(dzs))
+        dh = dense_backward(p.fc_in, g.fc_in, concat, dv)[:, :hidden]
+    return grad
+
+
+def batch_loss(nn, kind, targets, preds):
+    """The mean ``kind`` loss of one model's predictions and its gradient,
+    by the package's per-batch ``nn.loss_value`` and ``nn.loss_grad``, the
+    loss the training loop used before it scored every model of a stack in
+    one pass."""
+    return nn.loss_value(kind, preds, targets), nn.loss_grad(kind, preds, targets)
+
+
 def serial_fit(models, experiments, kind, dataset, config, options=None):
     """``models.fit_model`` as it was before training went through a stack
     of models: the model and windows of ``models.prepare_fit``, then one
@@ -430,7 +518,7 @@ def serial_fit(models, experiments, kind, dataset, config, options=None):
         running = 0.0
         for start in range(0, y.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss = partial(models._batch_loss, config.loss, ys[batch])
+            loss = partial(batch_loss, models.nn, config.loss, ys[batch])
             value, grad = model._loss_and_grad_scaled(xs[batch], loss)
             if not (np.isfinite(value) and np.all(np.isfinite(grad))):
                 raise experiments.TrainingDivergedError(epoch)

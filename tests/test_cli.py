@@ -1394,6 +1394,27 @@ class TestReportCommand:
         assert err.startswith("data error:")
         assert named in err
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("folds", "x", "folds must be a list or null, not a string"),
+            ("folds", [3], "folds[0] must be an object or null, not a number"),
+            ("fold_average", ["l1"], "fold_average must be an object or null, not a list"),
+            ("test_losses", 2.5, "test_losses must be an object or null, not a number"),
+            ("benchmark", True, "benchmark must be an object or null, not true or false"),
+        ],
+        ids=["folds-text", "fold-number", "fold-average-list", "test-losses-number", "benchmark-bool"],
+    )
+    def test_report_wrong_type_names_field(self, capsys, cv_report, field, value, message):
+        """A field of the wrong JSON type is a data error that names the
+        field and the type it needs, not Python's indexing message."""
+        report = json.loads(cv_report.read_text())
+        report[field] = value
+        cv_report.write_text(json.dumps(report))
+        code, stdout, err = run(capsys, "report", "--report-file", str(cv_report))
+        assert (code, stdout) == (1, "")
+        assert err.strip() == f"data error: report {cv_report} has a malformed field: {message}"
+
     def test_mutated_report_never_tracebacks(self, capsys, cv_report):
         """Deleting or replacing any member of a valid report.json ends
         report with exit 0, or exit 1 and a typed error prefix."""

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscale import models, nn, vqc
 from qscale.data import CalibrationDataset, RangeScaler, fit_scaler, make_windows
@@ -15,7 +17,7 @@ from qscale.errors import ConfigurationError, DataError, TrainingDivergedError
 from qscale.models import TrainConfig
 
 import pins
-from _oracles import central_difference
+from _oracles import batch_loss, central_difference, qlstm_shift_grad
 
 HOUR = 3600
 
@@ -304,11 +306,10 @@ class TestFrozenBehaviour:
         )
         model.set_flat(np.zeros(model.param_count()))
         c_prev = np.full((1, 4), 2.0)
-        h, c, y, cache = model.cell_forward(
-            np.array([[0.3]]), np.zeros((1, 4)), c_prev, model._circuits()
-        )
-        assert np.allclose(cache["e"][0], 1.0)
-        _, f, _, g, _, _ = cache["gates"]
+        cell = model._cell()
+        h, c, y, cache = model.cell_forward(np.array([[0.3]]), np.zeros((1, 4)), c_prev, cell)
+        assert np.allclose(cell.circuits.run(slice(0, 4), cache["v"])[0][0], 1.0)
+        f, _, g, _ = cache["gates"][1]
         assert np.allclose(f, 0.5)
         assert np.allclose(g, 0.0)
         assert np.allclose(c, 1.0)  # f * c_prev = 0.5 * 2
@@ -516,13 +517,13 @@ class TestDirectionalGradients:
         # residuals of one sign keep the batch gradient from cancelling
         ys = model._predictor(len(xs))(xs) - 0.3
         lowerings = set()
-        backward = vqc.CircuitStack.backward
+        param_grads = vqc.CircuitStack.param_grads
 
-        def recording_backward(stack, *args):
+        def recording_param_grads(stack):
             lowerings.add(stack.lowering)
-            return backward(stack, *args)
+            return param_grads(stack)
 
-        monkeypatch.setattr(vqc.CircuitStack, "backward", recording_backward)
+        monkeypatch.setattr(vqc.CircuitStack, "param_grads", recording_param_grads)
         _, grad = scaled_step(model, xs, ys, loss_kind)
         linear = options.get("architecture", "linear") == "linear"
         want = {"vqr": {"matrix" if linear else "plan"}, "qlstm": {"phase"}}
@@ -549,7 +550,7 @@ class TestDirectionalGradients:
 def scaled_step(model, xs, ys, loss_kind):
     """One training step's scaled loss and flat gradient on scaled windows
     and targets."""
-    return model._loss_and_grad_scaled(xs, partial(models._batch_loss, loss_kind, ys))
+    return model._loss_and_grad_scaled(xs, partial(batch_loss, nn, loss_kind, ys))
 
 
 def assert_fresh(model, first, second):
@@ -560,40 +561,27 @@ def assert_fresh(model, first, second):
     assert not np.shares_memory(second, model.flat)
 
 
-def shift_backward(stack, circuits, record, weights, inputs):
-    """``vqc.CircuitStack.backward`` with each circuit's gradient taken by
-    parameter shift, one circuit at a time."""
-    d_inputs = np.zeros_like(inputs)
-    for k, circuit_weights in zip(range(len(stack.params))[circuits], weights):
-        gp, gx = vqc.parameter_shift_grad_batch(
-            stack.template, stack.params[k], inputs, circuit_weights
-        )
-        stack.grads[k] += gp.sum(axis=0)
-        d_inputs += gx
-    return d_inputs
-
-
 class TestQLSTMShiftOracle:
+    """The folded QLSTM step against :func:`_oracles.qlstm_shift_grad`,
+    the cell before the fold, its circuits run through the fused plan and
+    differentiated by parameter shift, one circuit at a time."""
+
     @pytest.mark.parametrize("shared", [True, False])
-    def test_bptt_with_parameter_shift_circuits(self, monkeypatch, shared):
-        """Backpropagation through time with each circuit's gradient taken
-        by parameter shift, one circuit at a time, instead of the stack's
-        own backward: the paper-config QLSTM gradient agrees to 1e-10.
-        Four windows of 5 steps are 20 rows; ring-RX circuits run as phase
-        polynomials at any row count."""
+    def test_bptt_with_parameter_shift_circuits(self, shared):
+        """The paper-config QLSTM gradient agrees to 1e-10.  Four windows
+        of 5 steps are 20 rows; ring-RX circuits run as phase polynomials
+        at any row count."""
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
         xs = xs[:4]
         assert vqc.lowering(model.template) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = scaled_step(model, xs, ys, "mse")
-
-        monkeypatch.setattr(vqc.CircuitStack, "backward", shift_backward)
-        _, shifted = scaled_step(model, xs, ys, "mse")
+        shifted = qlstm_shift_grad(model, vqc, xs, ys)
         assert_fresh(model, adjoint, shifted)
         np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("shared", [True, False])
-    def test_bptt_through_phase_polynomials(self, monkeypatch, shared):
+    def test_bptt_through_phase_polynomials(self, shared):
         """As above on ten windows, 50 rows per circuit, more than 2**5: the
         forward pass runs the six circuits as phase polynomials, and the
         parameter gradient is folded from the phase gradients summed over
@@ -602,11 +590,147 @@ class TestQLSTMShiftOracle:
         assert vqc.lowering(model.template) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = scaled_step(model, xs, ys, "mse")
-
-        monkeypatch.setattr(vqc.CircuitStack, "backward", shift_backward)
-        _, shifted = scaled_step(model, xs, ys, "mse")
+        shifted = qlstm_shift_grad(model, vqc, xs, ys)
         assert_fresh(model, adjoint, shifted)
         np.testing.assert_allclose(adjoint, shifted, rtol=0.0, atol=1e-10)
+
+
+@st.composite
+def loss_stacks(draw):
+    """K lanes of mixed loss kinds over padded predictions [K, W] (or [W]
+    for one lane, as a one-model stack binds them) and targets [K, W]: lane
+    k counts its first counts[k] rows, and the rows past them hold values
+    the loss must ignore.  ``ragged`` draws counts up to W, else every
+    count is W, as in every step but an epoch's last."""
+    k = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 12))
+    ragged = draw(st.booleans())
+    counts = [draw(st.integers(1, width)) if ragged else width for _ in range(k)]
+    kinds = [draw(st.sampled_from(nn.LOSS_KINDS)) for _ in range(k)]
+    values = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    preds = np.array(draw(st.lists(values, min_size=k * width, max_size=k * width)))
+    targets = np.array(draw(st.lists(values, min_size=k * width, max_size=k * width)))
+    preds = preds.reshape(k, width)[0] if k == 1 else preds.reshape(k, width)
+    return kinds, counts, targets.reshape(k, width), preds
+
+
+class TestStackLoss:
+    """``models._lane_losses``, every lane's loss and gradient in one pass,
+    against each lane's own ``nn.loss_value`` and ``nn.loss_grad``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(loss_stacks())
+    def test_matches_per_lane_losses(self, case):
+        kinds, counts, targets, preds = case
+        values, d_preds = models._lane_losses(kinds, counts, targets, preds)
+        assert values.shape == (len(kinds),) and d_preds.shape == preds.shape
+        by_lane = d_preds.reshape(len(kinds), -1)
+        width = by_lane.shape[1]
+        equal = all(n == width for n in counts)
+        lanes = zip(kinds, counts, targets, preds.reshape(len(kinds), -1))
+        for k, (kind, n, y, p) in enumerate(lanes):
+            want_value, want_grad = batch_loss(nn, kind, y[:n], p[:n])
+            # every count W: the bits of the per-lane calls; a lane with
+            # padding sums its zeros too, which may regroup the sum
+            if equal:
+                assert values[k] == want_value
+            else:
+                assert abs(values[k] - want_value) <= 1e-15 * abs(want_value)
+            np.testing.assert_array_equal(by_lane[k, :n], want_grad)
+            assert np.all(by_lane[k, n:] == 0.0)
+
+    @pytest.mark.parametrize(
+        "rows,kind,message",
+        [(4, "huber", "unknown loss kind"), (0, "l1", "empty batch")],
+        ids=["unknown-kind", "empty-batch"],
+    )
+    def test_hybrid_backward_rejects_bad_batches(self, rows, kind, message):
+        """hybrid_backward scores its batch as a one-lane stack, and refuses
+        what ``nn.loss_value`` refuses."""
+        model, _ = default_model("ffnn", seed=3, windows=4)
+        with pytest.raises(ConfigurationError, match=message):
+            models.hybrid_backward(model, np.zeros((rows, 1, 4)), np.zeros(rows), kind)
+
+
+def mse_of(model, xs, ys):
+    """A model's mean squared error on scaled windows and targets, through
+    its predict path."""
+    return nn.loss_value("mse", model._predictor(len(xs))(xs), ys)
+
+
+class TestFoldedQLSTMStep:
+    """The QLSTM step with its fc_out maps folded into the circuit
+    coefficients against central differences: every parameter array (fc_in,
+    projection, each fc_out entry's weights and bias, readout and the six
+    circuits' angles) of one model and of each model of a 3-model stack."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-gate"])
+    @pytest.mark.parametrize("stacked", [1, 3], ids=["one-model", "3-model-stack"])
+    def test_matches_central_differences(self, shared, stacked):
+        ds = tiny_dataset(30, seed=61)
+        names = ("pm25", "temp")
+        inp, tgt = scalers_for(ds, names)
+        x, _, _ = make_windows(ds.select_features(names), 3)
+        lanes = []
+        for k in range(stacked):
+            model = models.QLSTMModel(
+                names, inp, tgt, n_qubits=3, n_layers=2, hidden_size=4, window=3,
+                shared_fc_out=shared, seed=70 + k,
+            )
+            xs = model.scale_windows(x[4 * k : 4 * k + 6])
+            lanes.append((model, xs, np.linspace(-0.4, 0.6, len(xs)) - 0.1 * k))
+        lane_models, xs, ys = zip(*lanes)
+        stack = lane_models[0]._stacked(np.stack([m.flat for m in lane_models]))
+        loss = partial(models._lane_losses, ["mse"] * stacked, [len(y) for y in ys], np.stack(ys))
+        _, grad = stack._loss_and_grad_scaled(np.concatenate(xs), loss)
+        for model, lane_xs, lane_ys, row in zip(lane_models, xs, ys, grad.reshape(stacked, -1)):
+            theta = model.get_flat().copy()
+
+            def objective(vector):
+                model.set_flat(vector)
+                return mse_of(model, lane_xs, lane_ys)
+
+            fd = central_difference(objective, theta)
+            model.set_flat(theta)
+            starts = np.cumsum([0] + [a.size for _, a in model.param_arrays()])
+            for (name, _), lo, hi in zip(model.param_arrays(), starts, starts[1:]):
+                np.testing.assert_allclose(row[lo:hi], fd[lo:hi], rtol=0.0, atol=1e-8, err_msg=name)
+
+
+class TestPhaseParts:
+    """The phase lowering's parts that the folded QLSTM cell calls: its
+    features, their input gradient and its seeds."""
+
+    def test_feature_grads_match_central_differences(self):
+        rng = np.random.default_rng(67)
+        template = vqc.ring_rx_template(3, 2, transform="arctan")
+        stack = vqc.CircuitStack(template, rng.uniform(0, 2 * np.pi, (2, 4, template.total_params)))
+        inputs = rng.uniform(-1.5, 1.5, (2, 5, 3))
+        upstream = rng.normal(size=stack.features(inputs).shape)
+
+        def objective(flat):
+            return float(np.sum(upstream * stack.features(flat.reshape(inputs.shape))))
+
+        t = stack.features(inputs)
+        got = stack.feature_grads(t, upstream, inputs)
+        fd = central_difference(objective, inputs.ravel())
+        np.testing.assert_allclose(got.ravel(), fd, rtol=0.0, atol=1e-8)
+
+    def test_run_is_features_times_coefficients(self):
+        """run and backward are compositions of the parts: the same <Z>, and
+        a backward's parameter gradient equals seeds added directly."""
+        rng = np.random.default_rng(68)
+        template = vqc.ring_rx_template(3, 2)
+        params = rng.uniform(0, 2 * np.pi, (4, template.total_params))
+        inputs = rng.uniform(-1, 1, (5, 3))
+        weights = rng.normal(size=(4, 5, 3))
+        by_run, by_parts = vqc.CircuitStack(template, params), vqc.CircuitStack(template, params)
+        exps, record = by_run.run(slice(None), inputs)
+        t = by_parts.features(inputs)
+        np.testing.assert_array_equal(exps, t[None] @ by_parts.coefficients.swapaxes(-1, -2))
+        by_run.backward(slice(None), record, weights, inputs)
+        by_parts.add_seeds(slice(None), weights.swapaxes(-1, -2) @ t[None])
+        np.testing.assert_array_equal(by_run.param_grads(), by_parts.param_grads())
 
 
 class TestTraining:

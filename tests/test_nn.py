@@ -198,10 +198,10 @@ class TestLSTMCell:
         h, c, (_, gates) = lstm_cell_forward(params.layers[0], concat, c_prev)
         out = (np.empty((4, 3, 4)), np.empty((3, 4)), np.empty((3, 4)), np.empty((3, 4)))
         h_out, c_out, (_, gates_out) = lstm_cell_forward(params.layers[0], concat, c_prev, out)
-        assert h_out is out[3] and c_out is out[1] and gates_out[5] is out[2]
+        assert h_out is out[3] and c_out is out[1] and gates_out[2] is out[2]
         np.testing.assert_array_equal(h_out, h)
         np.testing.assert_array_equal(c_out, c)
-        np.testing.assert_array_equal(out[0], np.stack(gates[1:5]))
+        np.testing.assert_array_equal(out[0], gates[1])
 
     def test_stack_shapes(self):
         rng = np.random.default_rng(3)
@@ -226,10 +226,37 @@ class TestLSTMGates:
         want_g = np.tanh(z[..., 2, :, :])
         want_c = want_f * c_prev + want_i * want_g
         want_h = want_o * np.tanh(want_c)
-        h, c, (_, f, i, g, o, _) = nn.lstm_gates(z.copy(), c_prev)
+        h, c, (_, gates, _) = nn.lstm_gates(z.copy(), c_prev)
+        f, i, g, o = np.moveaxis(gates, -3, 0)
         for got, want in zip((f, i, g, o, c, h), (want_f, want_i, want_g, want_o, want_c, want_h)):
             assert got.shape == want.shape
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-model", "model-axis"])
+    @pytest.mark.parametrize("layout", ["lstm", "qlstm"])
+    def test_backward_matches_central_differences(self, lead, layout):
+        """lstm_gates_backward, built on the gate slab the forward pass
+        keeps, against central differences of sum(wh h + wc c) in every
+        pre-activation and every entry of c_prev."""
+        rng = np.random.default_rng(73)
+        shape = (3, 4) if layout == "lstm" else (4, 3)
+        z = rng.normal(0.0, 1.5, lead + (4,) + shape)
+        c_prev = rng.normal(0.0, 1.0, lead + shape)
+        wh, wc = rng.normal(size=c_prev.shape), rng.normal(size=c_prev.shape)
+
+        def objective(z_flat, c_flat):
+            # lstm_gates overwrites its pre-activations with the gates
+            h, c, _ = nn.lstm_gates(z_flat.reshape(z.shape).copy(), c_flat.reshape(c_prev.shape))
+            return float(np.sum(wh * h) + np.sum(wc * c))
+
+        _, _, cache = nn.lstm_gates(z.copy(), c_prev)
+        dz, dc_prev = nn.lstm_gates_backward(cache, wh, wc)
+        assert dz.shape == z.shape and dc_prev.shape == c_prev.shape
+        fd_z = oracle.central_difference(lambda v: objective(v, c_prev.ravel()), z.ravel())
+        fd_c = oracle.central_difference(lambda v: objective(z.ravel(), v), c_prev.ravel())
+        np.testing.assert_allclose(dz.ravel(), fd_z, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(dc_prev.ravel(), fd_c, rtol=0.0, atol=1e-8)
 
 
 class TestLSTMSequence:
