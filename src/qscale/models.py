@@ -43,7 +43,7 @@ each structure then with a leading model axis.  ``param_arrays`` cuts
 Training has one loop, ``train_lockstep``: K models of one layout train as
 one stack (``_ModelBase._stacked``) whose parameters are the rows of a
 [K, P] matrix, each step one forward and one backward pass over all K
-minibatches, their gradients added into views of one [K, P] gradient, and
+minibatches, their gradients written into views of one [K, P] gradient, and
 ``nn.optimizer_step`` updating the matrix in place.  Each model keeps its
 own seed, scalers, batch order and optimizer state, so it ends as it would
 have trained alone; ``train`` and ``fit_model`` are the case K = 1, and
@@ -293,14 +293,14 @@ class _ModelBase:
         names, shapes = zip(*_param_shapes(self.kind, self.options))
         return list(zip(names, _cut(self.flat, shapes)))
 
-    def _zero_grads(self):
-        """A zero gradient vector and the kind's structures over it: fresh
-        for a model, and for a stack its one buffer, zeroed, since its
-        trainer is done with each step's gradient before the next step."""
+    def _grad_buffers(self):
+        """A gradient vector and the kind's structures over it, for a
+        backward pass to write every entry of: fresh for a model, and for a
+        stack its one buffer, as the last step left it, since its trainer
+        is done with each step's gradient before the next step."""
         if self._grads is None:
-            grad = np.zeros_like(self.flat)
+            grad = np.empty_like(self.flat)
             return grad, self._bind(grad)
-        self._grads[0].fill(0.0)
         return self._grads
 
     _grads = None
@@ -399,7 +399,7 @@ class FFNNModel(_ModelBase):
     def _loss_and_grad_scaled(self, x_scaled, loss):
         out, caches = nn.ffnn_forward(self.params, self._by_model(x_scaled)[..., 0, :])
         value, d_preds = loss(out[..., 0])
-        grad, grads = self._zero_grads()
+        grad, grads = self._grad_buffers()
         nn.ffnn_backward(self.params, caches, d_preds[..., None], grads)
         return value, grad
 
@@ -439,7 +439,7 @@ class LSTMModel(_ModelBase):
     def _loss_and_grad_scaled(self, x_scaled, loss):
         preds, state = nn.lstm_sequence_forward(self.params, self._by_model(x_scaled))
         value, d_preds = loss(preds)
-        grad, grads = self._zero_grads()
+        grad, grads = self._grad_buffers()
         nn.lstm_sequence_backward(self.params, state, d_preds, grads)
         return value, grad
 
@@ -537,14 +537,15 @@ class QLSTMModel(_ModelBase):
     qubit; circuits 1-4 drive the forget/input/update/output gates through
     an expansion (``fc_out``) back to the hidden size, and
     ``nn.lstm_gates`` turns them into the cell update; a dedicated
-    projection feeds circuits 5-6, which produce the next hidden state and
-    the per-step prediction.  ``params`` is a ``QLSTMParams``; its
-    expansions are one slab pair, with K = 1 when shared and 6 otherwise,
-    and ``fc_out_slot`` names each circuit's entry.
+    projection feeds circuits 5-6, which produce the next hidden state and,
+    at a window's last step, the prediction.  ``params`` is a
+    ``QLSTMParams``; its expansions are one slab pair, with K = 1 when
+    shared and 6 otherwise, and ``fc_out_slot`` names each circuit's entry.
 
     The cell runs over a minibatch [B, ...].  The six circuits are one
     ``vqc.CircuitStack`` for the whole window, B x T rows each: per time
-    step, one run of circuits 1-4 on B rows and one of circuits 5-6.  Every
+    step, one run of circuits 1-4 on B rows and one of circuit 5, or at a
+    window's last step, the only one read out, of circuits 5-6.  Every
     gate of a ring-RX circuit is an RX or a CNOT, so the stack runs them as
     phase polynomials at any batch size, each <Z> a Fourier series in the
     circuit's inputs (Schuld, Sweke & Meyer, arXiv:2008.08605): the
@@ -618,11 +619,15 @@ class QLSTMModel(_ModelBase):
         h_prev: np.ndarray,
         c_prev: np.ndarray,
         cell: _FoldedCircuits,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        readout: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], dict]:
         """One time step on scaled inputs x_t [..., B, features] and states
         h_prev, c_prev [..., B, hidden], its circuits run by ``cell``, the
         model's six folded with their fc_out maps (:meth:`_cell`); returns
-        (h, c, y [..., B], cache)."""
+        (h, c, y [..., B], cache).  Only a window's last step is read out:
+        with ``readout`` circuits 5 and 6 run together and the readout makes
+        y from circuit 6's output q, which the cache keeps; without it
+        circuit 5 runs alone, and y and q are None."""
         p = self.params
         concat = np.concatenate([h_prev, x_t], axis=-1)
         v = nn.dense_forward(p.fc_in, concat)[0]
@@ -630,8 +635,12 @@ class QLSTMModel(_ModelBase):
         u, c, gates = nn.lstm_gates(cell.outputs(slice(0, 4), t_v), c_prev)
         w = nn.dense_forward(p.projection, u)[0]
         t_w = cell.circuits.features(w)
-        h, q = cell.outputs(slice(4, 6), t_w).swapaxes(0, -3)
-        y = nn.dense_forward(p.readout, q)[0][..., 0]
+        if readout:
+            out = cell.outputs(slice(4, 6), t_w)
+            h, q = out[..., 0, :, :], out[..., 1, :, :]
+            y = nn.dense_forward(p.readout, q)[0][..., 0]
+        else:
+            h, q, y = cell.outputs(slice(4, 5), t_w)[..., 0, :, :], None, None
         cache = {
             "concat": concat,
             "v": v,
@@ -652,9 +661,9 @@ class QLSTMModel(_ModelBase):
         ``keep_caches``, the per-step caches that :meth:`_backward`
         consumes.  Otherwise each step's cache is dropped as it goes."""
         h = c = np.zeros(x_scaled.shape[:-2] + (self.hidden_size,))
-        caches = []
-        for t in range(x_scaled.shape[-2]):
-            h, c, y, cache = self.cell_forward(x_scaled[..., t, :], h, c, cell)
+        caches, steps = [], x_scaled.shape[-2]
+        for t in range(steps):
+            h, c, y, cache = self.cell_forward(x_scaled[..., t, :], h, c, cell, t == steps - 1)
             if keep_caches:
                 caches.append(cache)
             del cache  # a predict holds no step's activations into the next step
@@ -679,7 +688,8 @@ class QLSTMModel(_ModelBase):
         W_k)^T."""
         hidden, steps, p = self.hidden_size, len(caches), self.params
         circuits, tables = cell.circuits, cell.tables
-        grad, g = self._zero_grads()
+        grad, g = self._grad_buffers()
+        grad.fill(0.0)  # every gradient below is added in
         sums = np.zeros(tables.shape)
         bias_sums = np.zeros(tables.shape[:-2] + (hidden,))
         dh = np.zeros(d_pred.shape + (hidden,))
@@ -903,22 +913,45 @@ class _Lane:
             self.running = 0.0
 
 
+class _LaneLosses:
+    """The loss of K lanes of the kinds ``kinds`` that count the first
+    ``counts[k]`` of their ``width`` rows, its constants made once: called
+    on ``targets`` [K, width] and ``preds`` [K, width] (or [width] for one
+    model), it returns each lane's mean loss over its rows and the loss
+    gradient, shaped as ``preds``, zero on the padding rows past them.
+
+    One pass over the stack: with d = preds - targets, l1 is sum |d| / n
+    with gradient sign(d) / n and mse sum d**2 / n with gradient 2 d / n,
+    so where every count is ``width`` each lane has the bits of
+    ``nn.loss_value`` and ``nn.loss_grad``.  Only the lanes with fewer rows
+    are zeroed past them; a stack of one kind computes only that kind's
+    terms, and a mixed one picks each lane's by ``np.where``."""
+
+    def __init__(self, kinds: Sequence[str], counts: Sequence[int], width: int):
+        self.padded = [(row, count) for row, count in enumerate(counts) if count < width]
+        self.n = np.array(counts, dtype=float)
+        self.n_rows = self.n[:, None]
+        self.kind = kinds[0] if len(set(kinds)) == 1 else None
+        self.l1 = np.array([kind == "l1" for kind in kinds])[:, None]
+
+    def __call__(self, targets: np.ndarray, preds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = preds.reshape(len(self.n), -1) - targets
+        for row, count in self.padded:
+            d[row, count:] = 0.0
+        if self.kind == "l1":
+            values, d_preds = np.abs(d), np.sign(d)
+        elif self.kind == "mse":
+            values, d_preds = d**2, 2.0 * d
+        else:
+            values = np.where(self.l1, np.abs(d), d**2)
+            d_preds = np.where(self.l1, np.sign(d), 2.0 * d)
+        return values.sum(axis=-1) / self.n, (d_preds / self.n_rows).reshape(preds.shape)
+
+
 def _lane_losses(kinds, counts, targets, preds) -> tuple[np.ndarray, np.ndarray]:
-    """Each of K models' mean loss over its first ``counts[k]`` rows of
-    ``preds`` [K, W] (or [W] for one model) against ``targets`` [K, W], and
-    the loss gradient, shaped as ``preds``, zero on the padding rows past
-    them; lanes of the kinds ``kinds`` may mix.  One pass over the stack:
-    with d = preds - targets, l1 is sum |d| / n with gradient sign(d) / n
-    and mse sum d**2 / n with gradient 2 d / n, so where every count is W
-    each lane has the bits of ``nn.loss_value`` and ``nn.loss_grad``."""
-    d = preds.reshape(len(kinds), -1) - targets
-    for row, count in enumerate(counts):
-        d[row, count:] = 0.0
-    l1 = np.array([kind == "l1" for kind in kinds])[:, None]
-    n = np.array(counts, dtype=float)
-    values = np.where(l1, np.abs(d), d**2).sum(axis=-1) / n
-    d_preds = np.where(l1, np.sign(d), 2.0 * d) / n[:, None]
-    return values, d_preds.reshape(preds.shape)
+    """The :class:`_LaneLosses` of ``kinds`` and ``counts`` on ``targets``
+    and ``preds``, for a one-off loss."""
+    return _LaneLosses(kinds, counts, targets.shape[-1])(targets, preds)
 
 
 def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs: Sequence) -> list:
@@ -939,6 +972,14 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
     others train on unchanged.  Every model starts at step 0 and takes part
     in every step until it leaves, so the models of one state have always
     taken the same number of steps, its one step count.
+
+    What stays fixed while no model leaves, a composition of the stack, is
+    made once for it: the stack, the loss constants of each set of row
+    counts and the step at which the next model leaves.
+    A step checks its losses and gradient with one sum; only when that sum
+    is not finite does it build per-model masks, which find every model
+    finite when the sum overflowed from finite values, and then no model
+    leaves.
     """
     if len({layout(model) for model in models}) > 1:
         raise ConfigurationError("models trained in lockstep must share one kind and layout")
@@ -954,21 +995,31 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
     for kind, group in groupby(live, optimizer):
         rates = [lane.config.learning_rate for lane in group]
         states.append(nn.init_optimizer(kind, rates, (len(rates), flat.shape[1])))
-    step, stack = 0, live[0].model._stacked(flat)
+    step, stack = 0, None
     while live:
+        if stack is None:  # a new composition: its stack, losses and next leaving step
+            stack = live[0].model._stacked(flat)
+            kinds, losses = [lane.config.loss for lane in live], {}
+            leave_at = min(lane.total for lane in live)
         x, y = zip(*(lane.batch(step) for lane in live))
-        counts = [len(rows) for rows in y]
-        loss = partial(_lane_losses, [lane.config.loss for lane in live], counts, _padded(y))
+        counts = tuple(map(len, y))
+        if counts not in losses:
+            losses[counts] = _LaneLosses(kinds, counts, max(counts))
         x = _padded(x)
-        values, grad = stack._loss_and_grad_scaled(x.reshape(-1, *x.shape[2:]), loss)
+        values, grad = stack._loss_and_grad_scaled(
+            x.reshape(-1, *x.shape[2:]), partial(losses[counts], _padded(y))
+        )
         grad = grad.reshape(flat.shape)
-        if not (np.isfinite(values).all() and np.isfinite(grad).all()):
+        # one reduction; an overflowing sum of finite values falls back to
+        # the per-lane masks, which then find every lane finite
+        if not math.isfinite(values.sum() + grad.sum()):
             finite = np.isfinite(values) & np.isfinite(grad).all(axis=1)
-            for lane in compress(live, ~finite):
-                lane.outcome = TrainingDivergedError(step // lane.per_epoch)
-            values, counts = values[finite], list(compress(counts, finite))
-            live, flat, grad, states = _leave(finite, live, flat, grad, states)
-            stack = live[0].model._stacked(flat) if live else None
+            if not finite.all():
+                for lane in compress(live, ~finite):
+                    lane.outcome = TrainingDivergedError(step // lane.per_epoch)
+                values, counts = values[finite], list(compress(counts, finite))
+                live, flat, grad, states = _leave(finite, live, flat, grad, states)
+                stack = None
         start = 0
         for state in states:
             rows = slice(start, start + len(state.learning_rate))
@@ -977,10 +1028,10 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
         for lane, value, count in zip(live, values.tolist(), counts):
             lane.add_loss(step, value, count)
         step += 1
-        if any(lane.total == step for lane in live):
+        if step == leave_at:
             going = np.array([lane.total > step for lane in live])
             live, flat, grad, states = _leave(going, live, flat, grad, states)
-            stack = live[0].model._stacked(flat) if live else None
+            stack = None
     return [lane.outcome for lane in lanes]
 
 

@@ -38,12 +38,16 @@ Layers run over a minibatch: dense activations and their gradients are
 ``[B]``.  Every array may carry leading model axes, the same on the
 parameters and the data: K models of one shape, parameters ``[K, ...]``
 and data ``[K, B, ...]`` (LSTM states ``[K, hidden, B]``), run as one with
-batched (``...``-broadcast) matmuls, each model on its own rows.  The backward passes add the parameter gradients, summed over each
-model's batch, into structures of the parameters' shapes that the caller
-passes; ``models`` makes both the parameters and the gradients views of
-one flat vector each (``[K, P]`` for K models), and ``optimizer_step``
-updates it in place, each model with its own learning rate and moments,
-all K with one step count.  One sample is a batch of one.
+batched (``...``-broadcast) matmuls, each model on its own rows.  The
+dense and LSTM backward passes write the parameter gradients, summed over
+each model's batch, into structures of the parameters' shapes that the
+caller passes (``linear_backward``, which the QLSTM calls step after step,
+adds into them); the LSTM's weight gradients come from one product per
+layer over all steps and the batch.  ``models`` makes both the parameters
+and the gradients views of one flat vector each (``[K, P]`` for K
+models), and ``optimizer_step`` updates it in place, each model with its
+own learning rate and moments, all K with one step count.  One sample is
+a batch of one.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ def draw_uniform(rng: np.random.Generator, weights: np.ndarray, bias: np.ndarray
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    z = x @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
+    z = x @ layer.weights.swapaxes(-1, -2)
+    z += layer.bias[..., None, :]
     a = _activate(layer.activation, z)
     return a, (x, z, a)
 
@@ -146,16 +151,16 @@ def ffnn_forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarra
 def ffnn_backward(
     layers: Sequence[DenseLayer], caches: list, d_out: np.ndarray, grads: Sequence[DenseLayer]
 ) -> np.ndarray:
-    """Backpropagate d_out [..., B, n_out]: adds each layer's weight and
-    bias gradients, summed over the batch, into ``grads`` (one layer each)
-    and returns the input gradient [..., B, n_in].  An identity layer's
-    delta passes through its activation unchanged."""
+    """Backpropagate d_out [..., B, n_out]: writes each layer's weight and
+    bias gradients, summed over the batch, into ``grads`` (one layer each,
+    whatever they held) and returns the input gradient [..., B, n_in].  An
+    identity layer's delta passes through its activation unchanged."""
     delta = np.asarray(d_out, dtype=float)
     for layer, (x, z, a), grad in zip(layers[::-1], caches[::-1], grads[::-1]):
         if layer.activation != "identity":
             delta = delta * _ACTIVATION_GRADS[layer.activation](z, a)
-        grad.weights += delta.swapaxes(-1, -2) @ x
-        grad.bias += delta.sum(axis=-2)
+        np.matmul(delta.swapaxes(-1, -2), x, out=grad.weights)
+        delta.sum(axis=-2, out=grad.bias)
         delta = delta @ layer.weights
     return delta
 
@@ -210,7 +215,7 @@ def lstm_gates(
     for s in sigmoids:
         s += 1.0
         s *= 0.5
-    f, i, g, o = z.swapaxes(0, -3)
+    f, i, g, o = _gate_rows(z)
     np.multiply(f, c_prev, out=c)
     c += np.multiply(i, g, out=tc)
     np.tanh(c, out=tc)
@@ -218,19 +223,25 @@ def lstm_gates(
     return h, c, (c_prev, z, tc)
 
 
+def _gate_rows(z: np.ndarray) -> tuple:
+    """The four gates of a slab z [..., 4, *S] as views, for any number of
+    leading model axes."""
+    return z[..., 0, :, :], z[..., 1, :, :], z[..., 2, :, :], z[..., 3, :, :]
+
+
 def lstm_gates_backward(
-    cache: tuple, dh: np.ndarray, dc: np.ndarray
+    cache: tuple, dh: np.ndarray, dc: np.ndarray, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the gate update for upstream dh and dc; returns
-    (dz [..., 4, *S], dc_prev).  dz is built on the gate slab: z (1 - z)
-    for all four gates, 1 - g**2 over the g row, then one product per
-    factor: dc on the f, i and g rows at once, then c_prev, g, i and dh
-    tanh(c) on one row each."""
+    (dz [..., 4, *S], dc_prev), dz written into ``out``, a fresh array by
+    default.  dz is built on the gate slab: z (1 - z) for all four gates,
+    1 - g**2 over the g row, then one product per factor: dc on the f, i
+    and g rows at once, then c_prev, g, i and dh tanh(c) on one row each."""
     c_prev, z, tc = cache
-    f, i, g, o = z.swapaxes(0, -3)
+    f, i, g, o = _gate_rows(z)
     dc = dc + dh * o * (1.0 - tc**2)
-    dz = z * (1.0 - z)
-    df, di, dg, do = dz.swapaxes(0, -3)
+    dz = np.multiply(z, 1.0 - z, out=out)
+    df, di, dg, do = _gate_rows(dz)
     np.subtract(1.0, g**2, out=dg)
     dz[..., :3, :, :] *= dc[..., None, :, :]
     df *= c_prev
@@ -254,22 +265,6 @@ def lstm_cell_forward(
     z += layer.bias[..., None]
     h, c, gates = lstm_gates(z, c_prev, states)
     return h, c, (concat, gates)
-
-
-def lstm_cell_backward(
-    layer: LSTMLayerParams, cache: tuple, dh: np.ndarray, dc: np.ndarray, grads: LSTMLayerParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adds the param grads, summed over the batch, into ``grads``; returns
-    (dx, dh_prev, dc_prev)."""
-    concat, gates = cache
-    dz, dc_prev = lstm_gates_backward(gates, dh, dc)
-    grads.weights += dz @ concat[..., None, :, :].swapaxes(-1, -2)
-    grads.bias += dz.sum(axis=-1)
-    # one product over the gates and hidden units together: W^T [..., n, 4 hidden]
-    *lead, gates_n, hidden, batch = dz.shape
-    by_column = layer.weights.reshape(*lead, gates_n * hidden, -1).swapaxes(-1, -2)
-    dconcat = by_column @ dz.reshape(*lead, gates_n * hidden, batch)
-    return dconcat[..., hidden:, :], dconcat[..., :hidden, :], dc_prev
 
 
 @dataclass
@@ -311,8 +306,9 @@ def lstm_sequence_forward(
     (from ``lstm_workspace``; a fresh one by default), feature-major: the
     windows go in once as [T, ..., n_features, B], and each step's h is
     the next step's h_prev and the input of the layer above.  The state
-    holds views of the workspace, so it is valid until the workspace is
-    passed to another call."""
+    holds each layer's workspace views, every step's [h_prev; x_t], gates,
+    c and tanh(c), so it is valid until the workspace is passed to another
+    call."""
     windows = np.asarray(windows, dtype=float)
     if windows.ndim < 3:
         raise ConfigurationError(f"windows must be [B, T, features], got {windows.shape}")
@@ -327,41 +323,60 @@ def lstm_sequence_forward(
         start += views[-1].size
     hidden = params.layers[0].hidden_size
     x = np.moveaxis(windows, (-2, -3), (0, -1))
-    caches = []
     for k, layer in enumerate(params.layers):
         concat, z, c, tc = views[4 * k : 4 * k + 4]
         concat[0, ..., :hidden, :] = 0.0
         concat[:-1, ..., hidden:, :] = x
         c[0] = 0.0
-        layer_caches = []
         for t in range(steps):
             out = (z[t], c[t + 1], tc[t], concat[t + 1, ..., :hidden, :])
-            layer_caches.append(lstm_cell_forward(layer, concat[t], c[t], out)[2])
-        caches.append(layer_caches)
+            lstm_cell_forward(layer, concat[t], c[t], out)
         x = concat[1:, ..., :hidden, :]  # h_1 .. h_T, the input of the layer above
     pred = params.readout.weights @ x[-1] + params.readout.bias[..., None]
-    return pred[..., 0, :], {"caches": caches, "h": x[-1]}
+    layers = [views[k : k + 4] for k in range(0, len(views), 4)]
+    return pred[..., 0, :], {"layers": layers, "h": x[-1]}
+
+
+def _steps_by_batch(a: np.ndarray) -> np.ndarray:
+    """A copy of a [T, ..., B] as [..., T B]: each row runs over the steps
+    and, within each step, the batch."""
+    return a.transpose(*range(1, a.ndim - 1), 0, a.ndim - 1).reshape(a.shape[1:-1] + (-1,))
 
 
 def lstm_sequence_backward(
     params: LSTMParams, forward_state: dict, d_pred: np.ndarray, grads: LSTMParams
 ) -> None:
-    """Backpropagation through time of d_pred [..., B]: adds the gradients,
-    summed over the batch, into ``grads``, which has the shapes of
-    ``params``.  It runs layer by layer from the top, each layer's input
-    gradients at every step feeding the layer below."""
+    """Backpropagation through time of d_pred [..., B]: writes the
+    gradients, summed over the batch, into ``grads``, which has the shapes
+    of ``params``, whatever it held.  It runs layer by layer from the top.
+    Each step takes its gate gradient dz and, in one product over the
+    gates and hidden units together, the gradient of [h_prev; x_t]: its h
+    part flows to the step before, its x part to the same step of the
+    layer below.  A layer's weight and bias gradients are then taken once,
+    from all T steps' dz and the [h_prev; x_t] rows the forward pass kept,
+    in one product over the steps and the batch."""
     d = d_pred[..., None, :]
-    grads.readout.weights += d @ forward_state["h"].swapaxes(-1, -2)
-    grads.readout.bias += d.sum(axis=-1)
-    caches = forward_state["caches"]
-    steps = len(caches[0])
+    np.matmul(d, forward_state["h"].swapaxes(-1, -2), out=grads.readout.weights)
+    d.sum(axis=-1, out=grads.readout.bias)
+    layers = forward_state["layers"]
+    steps = len(layers[0][1])  # a layer's z holds one gate slab per step
     d_above = [0.0] * (steps - 1) + [params.readout.weights.swapaxes(-1, -2) @ d]
-    for k in range(len(params.layers) - 1, -1, -1):
-        dh, dc = 0.0, 0.0
+    for layer, (concat, z, c, tc), grad in zip(
+        params.layers[::-1], layers[::-1], grads.layers[::-1]
+    ):
+        *lead, gates_n, hidden, batch = z.shape[1:]
+        # W^T [..., hidden + n_in, 4 hidden]: one product over the gates and hidden units
+        by_column = layer.weights.reshape(*lead, gates_n * hidden, -1).swapaxes(-1, -2)
+        dz = np.empty(z.shape)  # every step's gate gradient
+        dh = dc = 0.0
         for t in range(steps - 1, -1, -1):
-            d_above[t], dh, dc = lstm_cell_backward(
-                params.layers[k], caches[k][t], dh + d_above[t], dc, grads.layers[k]
-            )
+            dc = lstm_gates_backward((c[t], z[t], tc[t]), dh + d_above[t], dc, dz[t])[1]
+            dconcat = by_column @ dz[t].reshape(*lead, gates_n * hidden, batch)
+            dh, d_above[t] = dconcat[..., :hidden, :], dconcat[..., hidden:, :]
+        # dz [..., 4, hidden, (t, b)] against [h_prev; x_t] [..., (t, b), hidden + n_in]
+        dz, rows = _steps_by_batch(dz), _steps_by_batch(concat[:-1])
+        np.matmul(dz, rows[..., None, :, :].swapaxes(-1, -2), out=grad.weights)
+        dz.sum(axis=-1, out=grad.bias)
 
 
 # ---------------------------------------------------------------------------

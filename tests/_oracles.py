@@ -14,11 +14,14 @@ model trained alone, one minibatch step after another, and one such fit
 per fold or grid point, each step scored by the per-batch loss calls that
 the one-pass stack loss replaced.  The QLSTM oracle is its cell before the
 fc_out maps were folded into the circuit coefficients, each circuit run
-through the fused plan and differentiated by parameter shift.  Nothing here
+through the fused plan and differentiated by parameter shift; the
+every-step QLSTM oracle is its forward pass before only a window's last
+step was read out, circuits 5 and 6 and the readout run at every step.
+Nothing here
 imports the package's kernels: the serial loops take the package's
 ``models`` and ``experiments`` modules as arguments, and run one model's
 unstacked training step, ``_loss_and_grad_scaled`` on its own ``flat``; the
-QLSTM oracle takes ``vqc`` the same way."""
+QLSTM oracles take ``vqc`` and ``nn`` the same way."""
 
 from __future__ import annotations
 
@@ -413,6 +416,32 @@ def optimizer_step(state, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     m_hat = state.m / (1.0 - 0.9 ** int(state.step))
     v_hat = state.v / (1.0 - 0.999 ** int(state.step))
     return params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def qlstm_every_step_forward(model, nn, x_scaled: np.ndarray, cell) -> tuple:
+    """``QLSTMModel.sequence_forward`` of a QLSTM or a stack of them on
+    windows [..., B, T, features], through the folded circuits ``cell``, as
+    it ran before only a window's last step was read out: every step runs
+    circuits 5 and 6 together and the readout, and keeps circuit 6's output
+    q.  Returns the last step's predictions [..., B] and every step's
+    cache, as ``QLSTMModel._backward`` reads them."""
+    p = model.params
+    h = c = np.zeros(x_scaled.shape[:-2] + (model.hidden_size,))
+    caches = []
+    for t in range(x_scaled.shape[-2]):
+        concat = np.concatenate([h, x_scaled[..., t, :]], axis=-1)
+        v = nn.dense_forward(p.fc_in, concat)[0]
+        t_v = cell.circuits.features(v)
+        u, c, gates = nn.lstm_gates(cell.outputs(slice(0, 4), t_v), c)
+        w = nn.dense_forward(p.projection, u)[0]
+        t_w = cell.circuits.features(w)
+        h, q = np.moveaxis(cell.outputs(slice(4, 6), t_w), -3, 0)
+        y = nn.dense_forward(p.readout, q)[0][..., 0]
+        caches.append(
+            {"concat": concat, "v": v, "t_v": t_v, "gates": gates,
+             "u": u, "w": w, "t_w": t_w, "q": q}
+        )
+    return y, caches
 
 
 def qlstm_shift_grad(model, vqc, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from qscale.errors import ConfigurationError, DataError, TrainingDivergedError
 from qscale.models import TrainConfig
 
 import pins
-from _oracles import batch_loss, central_difference, qlstm_shift_grad
+from _oracles import batch_loss, central_difference, qlstm_every_step_forward, qlstm_shift_grad
 
 HOUR = 3600
 
@@ -697,6 +697,47 @@ class TestFoldedQLSTMStep:
                 np.testing.assert_allclose(row[lo:hi], fd[lo:hi], rtol=0.0, atol=1e-8, err_msg=name)
 
 
+class TestQLSTMLastStepReadout:
+    """``sequence_forward`` runs circuit 6 and the readout at a window's
+    last step only: its predictions, in training and through a predict's
+    forward-only stack, and the training step's loss and gradient have the
+    bits of ``_oracles.qlstm_every_step_forward``, which reads out every
+    step, for one model and for a 3-model stack."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-gate"])
+    @pytest.mark.parametrize("stacked", [1, 3], ids=["one-model", "3-model-stack"])
+    def test_matches_every_step_readout(self, shared, stacked):
+        ds = tiny_dataset(30, seed=62)
+        names = ("pm25", "temp")
+        inp, tgt = scalers_for(ds, names)
+        x, _, _ = make_windows(ds.select_features(names), 3)
+        lane_models = [
+            models.QLSTMModel(
+                names, inp, tgt, n_qubits=3, n_layers=2, hidden_size=4, window=3,
+                shared_fc_out=shared, seed=80 + k,
+            )
+            for k in range(stacked)
+        ]
+        xs = np.concatenate(
+            [m.scale_windows(x[4 * k : 4 * k + 6]) for k, m in enumerate(lane_models)]
+        )
+        ys = np.linspace(-0.5, 0.5, 6 * stacked).reshape(stacked, 6)
+        stack = lane_models[0]._stacked(np.stack([m.flat for m in lane_models]))
+        loss = partial(models._lane_losses, ["mse"] * stacked, [6] * stacked, ys)
+        value, grad = stack._loss_and_grad_scaled(xs, loss)
+        grad = grad.copy()  # a stack's gradient buffer is reused by the next step
+
+        windows, cell = stack._by_model(xs), stack._cell()
+        want_preds, caches = qlstm_every_step_forward(stack, nn, windows, cell)
+        want_value, d_preds = loss(want_preds)
+        np.testing.assert_array_equal(value, want_value)
+        np.testing.assert_array_equal(grad, stack._backward(cell, caches, d_preds))
+        for forward_only in (False, True):
+            got = stack.sequence_forward(windows, stack._cell(forward_only))[0]
+            want = qlstm_every_step_forward(stack, nn, windows, stack._cell(forward_only))[0]
+            np.testing.assert_array_equal(got, want)
+
+
 class TestPhaseParts:
     """The phase lowering's parts that the folded QLSTM cell calls: its
     features, their input gradient and its seeds."""
@@ -833,6 +874,86 @@ class TestTraining:
         cfg = TrainConfig(1, 0.1, "rmsprop", "l1", window=10)
         with pytest.raises(ConfigurationError), pytest.warns(UserWarning):
             models.fit_model("lstm", ds, cfg, options={"features": ("pm25",)})
+
+
+def crafted_gradient(monkeypatch, at_step: int, lane: int, edit) -> list:
+    """Have the ffnn training step ``at_step`` of every lockstep stack hand
+    back its gradient with the row of lane ``lane`` changed by ``edit``;
+    returns the list of each step's lane count."""
+    original = models.FFNNModel._loss_and_grad_scaled
+    steps = []
+
+    def crafted(self, x, loss):
+        values, grad = original(self, x, loss)
+        if len(steps) == at_step:
+            edit(grad.reshape(len(values), -1)[lane])
+        steps.append(len(values))
+        return values, grad
+
+    monkeypatch.setattr(models.FFNNModel, "_loss_and_grad_scaled", crafted)
+    return steps
+
+
+class TestLockstepFiniteness:
+    """``train_lockstep`` checks a step's losses and gradients with one
+    sum; a sum that is not finite falls back to per-lane masks.  Three ffnn
+    lanes of 3 epochs, 4 steps each, one lane's gradient crafted at one
+    step."""
+
+    EPOCHS, ROWS, BATCH = 3, 24, 6
+
+    def lanes(self):
+        ds = tiny_dataset(self.ROWS, seed=23)
+        names = ("pm25", "temp")
+        inp, tgt = scalers_for(ds, names)
+        x, y, _ = make_windows(ds.select_features(names), 1)
+        configs = [
+            TrainConfig(self.EPOCHS, 0.05, "sgd", "l1", self.BATCH, 1, seed) for seed in (1, 2, 3)
+        ]
+        built = [models.FFNNModel(names, inp, tgt, hidden_sizes=(6,), seed=c.seed) for c in configs]
+        return built, x, y, configs
+
+    def alone(self, k):
+        """Lane k's model trained by itself, unedited."""
+        built, x, y, configs = self.lanes()
+        return models.train(built[k], x, y, configs[k])
+
+    def test_overflowing_sum_of_finite_values_keeps_every_lane(self, monkeypatch):
+        big = 0.75 * np.finfo(float).max
+
+        def edit(row):
+            row[:2] = big  # two finite entries whose sum is not
+            with np.errstate(over="ignore"):
+                assert not math.isfinite(row.sum())
+
+        steps = crafted_gradient(monkeypatch, 5, 0, edit)
+        built, x, y, configs = self.lanes()
+        with np.errstate(over="ignore"):
+            outcomes = models.train_lockstep(built, [x] * 3, [y] * 3, configs)
+        assert steps == [3] * (self.EPOCHS * self.ROWS // self.BATCH)
+        assert all(isinstance(o, list) and len(o) == self.EPOCHS for o in outcomes)
+        assert np.all(np.isfinite(outcomes[0]))
+        monkeypatch.undo()
+        for k in (1, 2):
+            model, history = self.alone(k)
+            np.testing.assert_allclose(outcomes[k], history, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(built[k].flat, model.flat, rtol=0.0, atol=1e-12)
+
+    def test_nan_gradient_removes_only_its_lane(self, monkeypatch):
+        def edit(row):
+            row[0] = np.nan
+
+        steps = crafted_gradient(monkeypatch, 5, 1, edit)
+        built, x, y, configs = self.lanes()
+        outcomes = models.train_lockstep(built, [x] * 3, [y] * 3, configs)
+        assert steps == [3] * 6 + [2] * 6  # the lane leaves at step 5, unstepped
+        assert isinstance(outcomes[1], TrainingDivergedError)
+        assert outcomes[1].epoch == 5 // (self.ROWS // self.BATCH)
+        monkeypatch.undo()
+        for k in (0, 2):
+            model, history = self.alone(k)
+            np.testing.assert_allclose(outcomes[k], history, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(built[k].flat, model.flat, rtol=0.0, atol=1e-12)
 
 
 class TestEvaluationAndPredictions:

@@ -259,6 +259,24 @@ class TestLSTMGates:
         np.testing.assert_allclose(dc_prev.ravel(), fd_c, rtol=0.0, atol=1e-8)
 
 
+    @pytest.mark.parametrize("layout", ["lstm", "qlstm"])
+    def test_two_model_axes_match_a_loop_over_models(self, layout):
+        """A [2, 3]-model slab, forward and backward, has the bits of each
+        model's slab run alone: the gates are unpacked on the third axis
+        from the end whatever the number of leading model axes."""
+        rng = np.random.default_rng(79)
+        shape = (5, 6) if layout == "lstm" else (6, 5)
+        z = rng.normal(0.0, 2.0, (2, 3, 4) + shape)
+        c_prev, dh, dc = (rng.normal(size=(2, 3) + shape) for _ in range(3))
+        h, c, cache = nn.lstm_gates(z.copy(), c_prev)
+        dz, dc_prev = nn.lstm_gates_backward(cache, dh, dc)
+        for j, k in np.ndindex(2, 3):
+            h_1, c_1, cache_1 = nn.lstm_gates(z[j, k].copy(), c_prev[j, k])
+            dz_1, dc_prev_1 = nn.lstm_gates_backward(cache_1, dh[j, k], dc[j, k])
+            for got, want in ((h, h_1), (c, c_1), (dz, dz_1), (dc_prev, dc_prev_1)):
+                np.testing.assert_array_equal(got[j, k], want)
+
+
 class TestLSTMSequence:
     def test_single_step_equals_cell_plus_readout(self):
         rng = np.random.default_rng(4)
