@@ -848,7 +848,7 @@ def hybrid_backward(model, x_raw: np.ndarray, y_raw: np.ndarray, loss_kind: str)
     ys = model.scale_targets(np.asarray(y_raw, dtype=float))
     if ys.size == 0:
         raise ConfigurationError("loss of an empty batch is undefined")
-    loss = partial(_lane_losses, [loss_kind], [ys.size], ys[None])
+    loss = partial(_LaneLosses([loss_kind], [ys.size], ys.size), ys[None])
     (loss_scaled,), grad = model._loss_and_grad_scaled(xs, loss)
     factor = _loss_to_original_units(loss_kind, 1.0, model.target_halfspan)
     return float(loss_scaled) * factor, grad * factor
@@ -948,12 +948,6 @@ class _LaneLosses:
         return values.sum(axis=-1) / self.n, (d_preds / self.n_rows).reshape(preds.shape)
 
 
-def _lane_losses(kinds, counts, targets, preds) -> tuple[np.ndarray, np.ndarray]:
-    """The :class:`_LaneLosses` of ``kinds`` and ``counts`` on ``targets``
-    and ``preds``, for a one-off loss."""
-    return _LaneLosses(kinds, counts, targets.shape[-1])(targets, preds)
-
-
 def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs: Sequence) -> list:
     """Train K models of one :func:`layout` as one, each on its raw windows
     and targets with its ``TrainConfig``; returns per model its per-epoch
@@ -1028,7 +1022,8 @@ def train_lockstep(models: Sequence, xs_raw: Sequence, ys_raw: Sequence, configs
         for lane, value, count in zip(live, values.tolist(), counts):
             lane.add_loss(step, value, count)
         step += 1
-        if step == leave_at:
+        # a divergence that emptied the stack leaves no lane to go here
+        if live and step == leave_at:
             going = np.array([lane.total > step for lane in live])
             live, flat, grad, states = _leave(going, live, flat, grad, states)
             stack = None

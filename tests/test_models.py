@@ -615,14 +615,14 @@ def loss_stacks(draw):
 
 
 class TestStackLoss:
-    """``models._lane_losses``, every lane's loss and gradient in one pass,
+    """``models._LaneLosses``, every lane's loss and gradient in one pass,
     against each lane's own ``nn.loss_value`` and ``nn.loss_grad``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(loss_stacks())
     def test_matches_per_lane_losses(self, case):
         kinds, counts, targets, preds = case
-        values, d_preds = models._lane_losses(kinds, counts, targets, preds)
+        values, d_preds = models._LaneLosses(kinds, counts, targets.shape[-1])(targets, preds)
         assert values.shape == (len(kinds),) and d_preds.shape == preds.shape
         by_lane = d_preds.reshape(len(kinds), -1)
         width = by_lane.shape[1]
@@ -681,7 +681,7 @@ class TestFoldedQLSTMStep:
             lanes.append((model, xs, np.linspace(-0.4, 0.6, len(xs)) - 0.1 * k))
         lane_models, xs, ys = zip(*lanes)
         stack = lane_models[0]._stacked(np.stack([m.flat for m in lane_models]))
-        loss = partial(models._lane_losses, ["mse"] * stacked, [len(y) for y in ys], np.stack(ys))
+        loss = partial(models._LaneLosses(["mse"] * stacked, [len(y) for y in ys], 6), np.stack(ys))
         _, grad = stack._loss_and_grad_scaled(np.concatenate(xs), loss)
         for model, lane_xs, lane_ys, row in zip(lane_models, xs, ys, grad.reshape(stacked, -1)):
             theta = model.get_flat().copy()
@@ -723,7 +723,7 @@ class TestQLSTMLastStepReadout:
         )
         ys = np.linspace(-0.5, 0.5, 6 * stacked).reshape(stacked, 6)
         stack = lane_models[0]._stacked(np.stack([m.flat for m in lane_models]))
-        loss = partial(models._lane_losses, ["mse"] * stacked, [6] * stacked, ys)
+        loss = partial(models._LaneLosses(["mse"] * stacked, [6] * stacked, 6), ys)
         value, grad = stack._loss_and_grad_scaled(xs, loss)
         grad = grad.copy()  # a stack's gradient buffer is reused by the next step
 
@@ -954,6 +954,24 @@ class TestLockstepFiniteness:
             model, history = self.alone(k)
             np.testing.assert_allclose(outcomes[k], history, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(built[k].flat, model.flat, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("epochs,batch", [(1, 24), (2, 6)], ids=["one-step", "last-step"])
+    def test_nan_on_the_last_step_ends_the_fit(self, monkeypatch, epochs, batch):
+        """Every live lane diverging on the step after which the next would
+        leave empties the stack there: a one-model fit whose last step, its
+        only one or the last of two epochs, gets a NaN gradient raises the
+        epoch it diverged in."""
+        def edit(row):
+            row[0] = np.nan
+
+        last = epochs * self.ROWS // batch - 1
+        steps = crafted_gradient(monkeypatch, last, 0, edit)
+        built, x, y, configs = self.lanes()
+        config = dataclasses.replace(configs[0], epochs=epochs, batch_size=batch)
+        with pytest.raises(TrainingDivergedError) as err:
+            models.train(built[0], x, y, config)
+        assert steps == [1] * (last + 1)
+        assert err.value.epoch == epochs - 1
 
 
 class TestEvaluationAndPredictions:
