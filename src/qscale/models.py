@@ -70,7 +70,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import data, nn, vqc
+from . import data, nn, sim, vqc
 from .data import RangeScaler, _is_int, apply_scaler, invert_scaler
 from .errors import ConfigurationError, DataError, TrainingDivergedError
 
@@ -488,9 +488,10 @@ class VQRModel(_ModelBase):
         circuits = self._circuits()
         exps, record = circuits.run(slice(None), inputs)
         value, d_preds = loss(exps[..., 0, :, 0])
-        weights = np.zeros_like(exps)
-        weights[..., 0, :, 0] = d_preds
-        circuits.backward(slice(None), record, weights, inputs)
+        # the prediction is <Z_0>, so O = d_preds Z_0; the inputs are data,
+        # so the step takes no input gradient
+        observable = d_preds[..., None, :, None] * sim._z_signs(self.template.n_qubits)[0]
+        circuits.pull_back(slice(None), record, observable)
         return value, circuits.param_grads()[..., 0, :]
 
 

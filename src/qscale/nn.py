@@ -229,17 +229,24 @@ def _gate_rows(z: np.ndarray) -> tuple:
     return z[..., 0, :, :], z[..., 1, :, :], z[..., 2, :, :], z[..., 3, :, :]
 
 
+def _plus(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """a + b, where None is no gradient yet: no copy when one side has
+    none."""
+    return b if a is None else a if b is None else a + b
+
+
 def lstm_gates_backward(
-    cache: tuple, dh: np.ndarray, dc: np.ndarray, out: Optional[np.ndarray] = None
+    cache: tuple, dh: np.ndarray, dc: Optional[np.ndarray], out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the gate update for upstream dh and dc; returns
     (dz [..., 4, *S], dc_prev), dz written into ``out``, a fresh array by
-    default.  dz is built on the gate slab: z (1 - z) for all four gates,
-    1 - g**2 over the g row, then one product per factor: dc on the f, i
-    and g rows at once, then c_prev, g, i and dh tanh(c) on one row each."""
+    default.  A ``dc`` of None is no gradient yet, as at a sequence's last
+    step.  dz is built on the gate slab: z (1 - z) for all four gates, 1 -
+    g**2 over the g row, then one product per factor: dc on the f, i and g
+    rows at once, then c_prev, g, i and dh tanh(c) on one row each."""
     c_prev, z, tc = cache
     f, i, g, o = _gate_rows(z)
-    dc = dc + dh * o * (1.0 - tc**2)
+    dc = _plus(dc, dh * o * (1.0 - tc**2))
     dz = np.multiply(z, 1.0 - z, out=out)
     df, di, dg, do = _gate_rows(dz)
     np.subtract(1.0, g**2, out=dg)
@@ -360,7 +367,9 @@ def lstm_sequence_backward(
     d.sum(axis=-1, out=grads.readout.bias)
     layers = forward_state["layers"]
     steps = len(layers[0][1])  # a layer's z holds one gate slab per step
-    d_above = [0.0] * (steps - 1) + [params.readout.weights.swapaxes(-1, -2) @ d]
+    # None is no gradient yet: the readout reads the top layer only at the
+    # last step, and the last step has no later one to send any back
+    d_above = [None] * (steps - 1) + [params.readout.weights.swapaxes(-1, -2) @ d]
     for layer, (concat, z, c, tc), grad in zip(
         params.layers[::-1], layers[::-1], grads.layers[::-1]
     ):
@@ -368,9 +377,9 @@ def lstm_sequence_backward(
         # W^T [..., hidden + n_in, 4 hidden]: one product over the gates and hidden units
         by_column = layer.weights.reshape(*lead, gates_n * hidden, -1).swapaxes(-1, -2)
         dz = np.empty(z.shape)  # every step's gate gradient
-        dh = dc = 0.0
+        dh = dc = None
         for t in range(steps - 1, -1, -1):
-            dc = lstm_gates_backward((c[t], z[t], tc[t]), dh + d_above[t], dc, dz[t])[1]
+            dc = lstm_gates_backward((c[t], z[t], tc[t]), _plus(dh, d_above[t]), dc, dz[t])[1]
             dconcat = by_column @ dz[t].reshape(*lead, gates_n * hidden, batch)
             dh, d_above[t] = dconcat[..., :hidden, :], dconcat[..., hidden:, :]
         # dz [..., 4, hidden, (t, b)] against [h_prev; x_t] [..., (t, b), hidden + n_in]

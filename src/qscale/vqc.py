@@ -70,7 +70,8 @@ of three ways; :func:`lowering` is the one choice:
   each row is then its embedding's product state, in closed form, times U.
   Every row of a circuit shares U, so the backward pass sums the batch
   into one 2**n x 2**n overlap matrix per circuit and sweeps that through
-  the blocks, where the plan would sweep every row.
+  the blocks, where the plan would sweep every row; it takes the rows to
+  the input gradient only for a caller that asks for it.
 * ``"plan"``, everything else: the re-uploading (nonlinear) vqr trains and
   predicts through the plan and its adjoint sweep.
 
@@ -473,28 +474,31 @@ def _adjoint_rows(
             u = sim._su2(*inverses[:, g : g + len(qubits)])
             for k, qubit in enumerate(qubits):
                 sim._rotate_rows(pair, u[:, :, k], qubit)
-    return _member_grads(plan, pauli, cos, sin)
+    return _member_grads(plan, pauli, 1.0 - 2.0 * sin**2, 2.0 * sin * cos)
 
 
 def _member_grads(plan: _Plan, pauli: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Derivatives [rows, n_angles] of every gate angle from the readings
     t = Im Tr(sigma R) [3, n_groups, rows] of the three Paulis, taken just
     after each group, and the fused tables of the cosines and sines of the
-    half angles [n_angles, rows].  Member m of a group has derivative
-    Im Tr(P' R), P' its Pauli conjugated by the later members, so t turned
-    back through each later member's rotation gives them all."""
-    cos_full, sin_full = 1.0 - 2.0 * sin**2, 2.0 * sin * cos
+    angles [n_angles, rows].  Member m of a group has derivative Im Tr(P'
+    R), P' its Pauli conjugated by the later members, so t turned back
+    through each later member's rotation gives them all."""
     dfused = np.empty_like(sin)
     for cls in plan.classes:
         t = pauli[:, cls.groups]  # [3, G, rows]
-        c, s = cls.slab(cos_full), cls.slab(sin_full)  # [L, G, rows]
+        c, s = cls.slab(cos), cls.slab(sin)  # [L, G, rows]
         d = cls.slab(dfused)
         for m in range(len(cls.axes) - 1, -1, -1):
             k = cls.axes[m]
             d[m] = t[k]
-            if m:  # turn t back through member m's rotation about axis k
-                i, j = (k + 1) % 3, (k + 2) % 3
-                t[i], t[j] = c[m] * t[i] + s[m] * t[j], c[m] * t[j] - s[m] * t[i]
+            if m:  # turn t back through member m's rotation about axis k, in place
+                ti, tj, cm, sm = t[(k + 1) % 3], t[(k + 2) % 3], c[m], s[m]
+                minus = sm * ti
+                ti *= cm
+                ti += sm * tj  # c t_i + s t_j
+                tj *= cm
+                tj -= minus  # c t_j - s t_i
     return dfused[plan.fused_of_angle].T
 
 
@@ -638,40 +642,57 @@ class _AnsatzMatrix(NamedTuple):
     ``plan`` is the fused plan of its ansatz segments alone, without the
     embedding: its angles are the params in circuit order, and each of its
     L blocks, one ansatz layer, holds one group per qubit, in qubit order.
-    ``embedding`` [count, 2 * input_dim] takes the derivatives of the
-    embedding angles to the source columns ``[inputs | arctan(inputs)]``.
+    ``layers`` [L, 2**n] gathers each block's CNOT layer, the identity
+    where none follows.  ``embedding`` [count, 2 * input_dim] takes the
+    derivatives of the embedding angles to the source columns ``[inputs |
+    arctan(inputs)]``.
 
     With U_b = W_b ... W_1 the product through block b's CNOT layer P_b,
     the overlap just after the block's rotations is C_b = P_b^T (U_b C0
     U_b^dagger) P_b, so C_b[a, c] = X[v[a], v[c]] for X = U_b C0
     U_b^dagger and v the inverse gather of P_b.  ``reads`` [L, n + 1, dim]
     are flat indices into the L matrices X of C_b[i ^ 2**q, i] for each
-    qubit q, then of the diagonal C_b[i, i]; ``sums`` [dim, n + 1] holds a
-    column of ones and each qubit's signs z_q.  Tr(X_q C_b) is then the sum
-    of C_b[i ^ 2**q, i], Tr(Y_q C_b) -i times that sum signed by z_q(i),
-    and Tr(Z_q C_b) the diagonal's sum signed by z_q(i)."""
+    qubit q, then of the diagonal C_b[i, i].  ``sums`` [dim, 2n + 1] holds
+    a column of ones, each qubit's signs z_q, and each -i z_q: Tr(X_q C_b)
+    is the sum of C_b[i ^ 2**q, i], Tr(Y_q C_b) that sum weighted by -i
+    z_q(i), and Tr(Z_q C_b) the diagonal's sum weighted by z_q(i).
+    ``picks`` [3, L, n] are the flat indices of these three among the
+    products [L, n + 1, 2n + 1] of the reads and the sums."""
 
     plan: _Plan
+    layers: np.ndarray
     embedding: np.ndarray
     reads: np.ndarray
     sums: np.ndarray
+    picks: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _ansatz_matrix(template: CircuitTemplate) -> _AnsatzMatrix:
     n, dim = template.n_qubits, 1 << template.n_qubits
     plan = _plan(CircuitTemplate(n, 0, template.segments[1:]))
-    index, reads = np.arange(dim), []
-    for b, (_, _, inverse) in enumerate(plan.blocks):
+    index, layers, reads = np.arange(dim), [], []
+    for b, (_, layer, inverse) in enumerate(plan.blocks):
+        layers.append(index if layer is None else layer)
         undo = index if inverse is None else inverse
         rows = np.stack([undo[index ^ (1 << q)] for q in range(n)] + [undo])
         reads.append((b * dim + rows) * dim + undo)
+    qubits, first_row = np.arange(n), (n + 1) * np.arange(len(layers))[:, None]
+    columns = 2 * n + 1
+    picks = [
+        (first_row + qubits) * columns,  # X_q: row q, the ones
+        (first_row + qubits) * columns + n + 1 + qubits,  # Y_q: row q, -i z_q
+        (first_row + n) * columns + 1 + qubits,  # Z_q: the diagonal, z_q
+    ]
+    signs = sim._z_signs(n).T
     count = len(template.segments[0].feature_slots)
     layout = _AnsatzMatrix(
         plan,
+        _index(layers),
         _lowered(template).scatter[:count, template.total_params :].copy(),
         _index(reads),
-        np.vstack([np.ones(dim), sim._z_signs(n)]).T.astype(np.complex128),
+        np.hstack([np.ones((dim, 1)), signs, -1j * signs]),
+        _index(picks),
     )
     for table in (layout.embedding, layout.sums):
         table.setflags(write=False)
@@ -704,30 +725,39 @@ def _ansatz_products(
     unitaries of the block's groups on the high and on the low half of the
     qubits, made for every block at once, and P_b is the CNOT layer after
     the block.  W_1 is made whole; each later W_b is applied to U_(b-1) as
-    B_b on the low bits of its row index, then A_b on the high bits, and
-    then P_b, so it costs (2**(n-n/2) + 2**(n/2)) 4**n products instead of
-    8**n, and the build holds at most two 2**n x 2**n matrices per circuit
-    beyond the ones it returns."""
-    plan, circuits, blocks = layout.plan, cos.shape[-1], len(layout.plan.blocks)
+    B_b on the low bits of its row index, then A_b on the high bits, so it
+    costs (2**(n-n/2) + 2**(n/2)) 4**n products instead of 8**n.  P_b then
+    gathers the rows, when ``every`` straight into the array returned, so
+    the build holds at most two 2**n x 2**n matrices per circuit beyond
+    the ones it returns."""
+    plan, circuits, blocks = layout.plan, cos.shape[-1], len(layout.layers)
     n = plan.n_groups // blocks
     quats = _group_quaternions(plan, cos, sin)  # [4, n_groups, circuits]
-    units = (_QUATERNION_BASIS.T @ quats.reshape(4, -1)).T.reshape(blocks, n, circuits, 2, 2)
+    units = (quats.reshape(4, -1).T @ _QUATERNION_BASIS).reshape(blocks, n, circuits, 2, 2)
     factors = [units[:, q] for q in range(n - 1, -1, -1)]  # qubit n - 1 first
-    high = reduce(_kron, factors[: n - n // 2])
-    low = reduce(_kron, factors[n - n // 2 :], np.ones((blocks, circuits, 1, 1)))
-    dim, split = 1 << n, (circuits, high.shape[-1], low.shape[-1], 1 << n)
-    product, kept = None, []
-    for (_, layer, _), a, b in zip(plan.blocks, high, low):
-        if product is None:
-            product = _kron(a, b)
-        else:
-            product = b[:, None] @ product.reshape(split)
-            product = (a @ product.reshape(split[:2] + (-1,))).reshape(circuits, dim, dim)
-        if layer is not None:
-            product = product[:, layer]  # (P v)[i] = v[layer[i]]
-        if every:
-            kept.append(product)
-    return np.stack(kept, axis=1) if every else product[:, None]
+    split = n - n // 2  # the qubits of the high half
+    high = reduce(_kron, factors[1:split], factors[0])
+    if split < n:
+        low = reduce(_kron, factors[split + 1 :], factors[split])
+    else:  # one qubit: no low half
+        low = np.ones((blocks, circuits, 1, 1))
+    dim, hi = 1 << n, high.shape[-1]
+    halves = (circuits, hi, low.shape[-1], dim)  # the row index as (high bits, low bits)
+    kept = np.empty((circuits, blocks, dim, dim), dtype=np.complex128) if every else None
+    # one name holds each matrix in turn, so that each is freed once replaced
+    product = _kron(high[0], low[0])
+    for b, (layer, a, lo) in enumerate(zip(layout.layers, high, low[:, :, None])):
+        if b:
+            product = lo @ product.reshape(halves)
+            product = (a @ product.reshape(circuits, hi, -1)).reshape(circuits, dim, dim)
+        out = None if kept is None else kept[:, b]
+        product = product.take(layer, axis=1, out=out, mode="clip")  # (P v)[i] = v[layer[i]]
+    return product[:, None] if kept is None else kept
+
+
+# the ansatz matrix's build rotates by the half angles, and its backward
+# pass turns the Pauli readings by the angles
+_HALF_AND_WHOLE = np.array([0.5, 1.0])[:, None, None]
 
 
 class CircuitStack:
@@ -760,29 +790,33 @@ class CircuitStack:
     * Ansatz matrix: ``matrices`` [..., K, 2**n, 2**n] holds each
       circuit's U = W_L ... W_1, the product of the unitaries of its
       ansatz blocks (:func:`_ansatz_products`).  A run is the product state
-      phi of each input row times U^T, psi = U phi.  With lambda = (w @ Z)
-      psi the amplitude cotangent of f = sum w <Z>, :meth:`backward` takes
-      mu = U^dagger lambda to the embedding angles per row and adds the
-      overlap C0 = sum_b phi_b mu_b^dagger of each circuit to its seeds.
-      Every row of a circuit shares its ansatz angles, so
-      :meth:`param_grads` makes one adjoint sweep over C0 instead of over
-      the rows: the overlap just after block b's rotations is U_b C0
-      U_b^dagger with its CNOT layer undone, U_b = W_b ... W_1 the
-      products the build kept.  It makes them for every block at once,
-      reads Im Tr(sigma C_b) for the three Paulis sigma on every qubit
-      (:class:`_AnsatzMatrix`), and :func:`_member_grads` turns the
-      readings into angle derivatives, as in the plan's sweep.  A
-      forward-only stack keeps only U.
-    * Plan: every run goes through the fused plan, and :meth:`backward`
-      makes one adjoint sweep over its rows.
+      phi of each input row times U^T, psi = U phi.  The backward pass has
+      two parts.  With lambda = O psi the amplitude cotangent of f = sum
+      <psi|O|psi>, O diagonal (O = w @ Z for f = sum w <Z>),
+      :meth:`pull_back` takes mu = U^dagger lambda per row and adds the
+      overlap C0 = sum_b phi_b mu_b^dagger of each circuit to its seeds;
+      :meth:`embedding_grads` takes mu to the embedding angles and the
+      inputs, only for a caller that needs the input gradient.  Every row
+      of a circuit shares its ansatz angles, so :meth:`param_grads` makes
+      one adjoint sweep over C0 instead of over the rows: the overlap just
+      after block b's rotations is U_b C0 U_b^dagger with its CNOT layer
+      undone, U_b = W_b ... W_1 the products the build kept.  It makes
+      them for every block at once, reads Im Tr(sigma C_b) for the three
+      Paulis sigma on every qubit (:class:`_AnsatzMatrix`), and
+      :func:`_member_grads` turns the readings into angle derivatives, as
+      in the plan's sweep.  A forward-only stack keeps only U.
+    * Plan: every run goes through the fused plan.  :meth:`pull_back`
+      makes one adjoint sweep over its rows and adds the parameter
+      gradients to ``grads`` [..., K, P]; :meth:`embedding_grads` takes
+      the sweep's angle derivatives to the inputs.
 
-    ``grads`` [..., K, P] accumulates the plan path's parameter gradients.
+    For the ansatz matrix and the plan, ``backward`` is :meth:`pull_back`
+    then :meth:`embedding_grads`.
     """
 
     def __init__(self, template: CircuitTemplate, params: np.ndarray, forward_only: bool = False):
         self.template = template
         self.params = params
-        self.grads = np.zeros(params.shape)
         self.lowering = lowering(template)
         self.seeds = None
         n = template.n_qubits
@@ -801,14 +835,16 @@ class CircuitStack:
                 self.pairs = cos, sin
         elif self.lowering == "matrix":
             self.layout = _ansatz_matrix(template)
-            half = _half_angles(self.layout.plan, params.reshape(-1, params.shape[-1]))
-            cos = np.cos(half)
-            sin = np.sin(half, out=half)
-            products = _ansatz_products(self.layout, cos, sin, not forward_only)
+            angles = params.reshape(-1, params.shape[-1]).T[self.layout.plan.order]
+            turns = angles * _HALF_AND_WHOLE  # [2, n_angles, circuits]
+            cos, sin = np.cos(turns), np.sin(turns, out=turns)
+            products = _ansatz_products(self.layout, cos[0], sin[0], not forward_only)
             if not forward_only:
-                self.products, self.turns = products, (cos, sin)
+                self.products, self.turns = products, (cos[1], sin[1])
             matrix = products[:, -1]
             self.matrices = matrix.reshape(params.shape[:-1] + matrix.shape[-2:])
+        else:
+            self.grads = np.zeros(params.shape)
 
     def run(self, circuits: slice, inputs: np.ndarray) -> tuple[np.ndarray, object]:
         """<Z> [..., k, B, n] of the given circuits on the inputs [...,
@@ -862,50 +898,64 @@ class CircuitStack:
         """Differentiate sum weights * <Z> of a :meth:`run`, weights [...,
         k, B, n]: adds the parameter gradient to the stack's and returns the
         input gradient [..., B, input_dim], summed over the circuits."""
-        template = self.template
         if self.lowering == "phase":
             t = record
             self.add_seeds(circuits, weights.swapaxes(-1, -2) @ t[..., None, :, :])
             dt = (weights @ self.coefficients[..., circuits, :, :]).sum(axis=-3)  # [..., B, 2m]
             return self.feature_grads(t, dt, inputs)
-        if self.lowering == "matrix":
-            return self._matrix_backward(circuits, record, weights, inputs)
-        angles, states = record
-        rows = weights.shape[:-1]  # [..., k, B]
-        cotangent = (weights.reshape(-1, template.n_qubits) @ sim._z_signs(template.n_qubits)) * states
-        dangles = _adjoint_rows(template, angles, states, cotangent)
-        per_row = np.broadcast_to(inputs[..., None, :, :], rows + inputs.shape[-1:])
-        grad_params, grad_inputs = _angle_grads_to_args(
-            template, dangles, per_row.reshape(-1, inputs.shape[-1])
-        )
-        self.grads[..., circuits, :] += grad_params.reshape(rows + (-1,)).sum(axis=-2)
-        return grad_inputs.reshape(rows + (-1,)).sum(axis=-3)
+        pulled = self.pull_back(circuits, record, weights @ sim._z_signs(self.template.n_qubits))
+        return self.embedding_grads(record, pulled, inputs)
 
-    def _matrix_backward(self, circuits, record, weights, inputs) -> np.ndarray:
-        template, (product, amps) = self.template, record
-        n = template.n_qubits
-        cotangent = (weights.reshape(-1, n) @ sim._z_signs(n)).reshape(amps.shape) * amps
-        back = cotangent @ self.matrices[..., circuits, :, :].conj()  # U^dagger lambda, as rows
-        self.add_seeds(circuits, product[..., None, :, :].swapaxes(-1, -2) @ back.conj())
-        # every circuit reads the same product state, so the embedding angles
-        # take the sum of the circuits' U^dagger lambda
-        back = back.sum(axis=-3)
-        embedding, dim = self.layout.embedding, product.shape[-1]
+    def pull_back(self, circuits: slice, record, observable: np.ndarray) -> np.ndarray:
+        """The parameter part of :meth:`backward` for the ansatz matrix and
+        the plan: differentiates f = sum <psi|O|psi> over the rows of a
+        :meth:`run` of the given circuits, O diagonal with entries
+        ``observable`` [..., k, B, 2**n], and adds the parameter gradient to
+        the stack's.  Returns what :meth:`embedding_grads` takes to the
+        inputs: the rows conj(mu) [..., k, B, 2**n] for the ansatz matrix,
+        the angle derivatives [..., k, B, n_angles] for the plan."""
+        if self.lowering == "matrix":
+            product, amps = record
+            # conj(mu) = conj(U^dagger lambda) = conj(lambda) U, as rows
+            conj_mu = (observable * amps.conj()) @ self.matrices[..., circuits, :, :]
+            self.add_seeds(circuits, product[..., None, :, :].swapaxes(-1, -2) @ conj_mu)
+            return conj_mu
+        template, (angles, states) = self.template, record
+        dangles = _adjoint_rows(template, angles, states, observable.reshape(states.shape) * states)
+        dangles = dangles.reshape(observable.shape[:-1] + (-1,))
+        params = _lowered(template).scatter[:, : template.total_params]
+        self.grads[..., circuits, :] += (dangles @ params).sum(axis=-2)
+        return dangles
+
+    def embedding_grads(self, record, pulled: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """The input gradient [..., B, input_dim], summed over the
+        circuits, from what :meth:`pull_back` returned for the same
+        record."""
+        template = self.template
+        if self.lowering == "plan":
+            dsource = pulled @ _lowered(template).scatter[:, template.total_params :]
+            return _input_grads(dsource, inputs[..., None, :, :]).sum(axis=-3)
+        embedding, product = self.layout.embedding, record[0]
         if not len(embedding):  # an embedding of no features: no input enters
             return np.zeros(inputs.shape)
+        # every circuit reads the same product state, so the embedding angles
+        # take the sum of the circuits' mu
+        dim, qubits = product.shape[-1], tuple(range(len(embedding)))
         readings = sim._pauli_rows(
-            product.reshape(-1, dim), back.reshape(-1, dim).conj(), tuple(range(len(embedding)))
+            product.reshape(-1, dim), pulled.sum(axis=-3).reshape(-1, dim), qubits
         )
         dangles = readings[AXES.index(template.segments[0].axis)].T  # [rows, count]
         return _input_grads((dangles @ embedding).reshape(inputs.shape[:-1] + (-1,)), inputs)
 
     def param_grads(self) -> np.ndarray:
-        """The parameter gradients [..., K, P] of every :meth:`backward` so
-        far."""
-        if self.seeds is None:
+        """The parameter gradients [..., K, P] of every :meth:`backward` or
+        :meth:`pull_back` so far, and of the seeds added."""
+        if self.lowering == "plan":
             return self.grads
+        if self.seeds is None:
+            return np.zeros(self.params.shape)
         if self.lowering == "matrix":
-            return self.grads + self._overlap_sweep()
+            return self._overlap_sweep()
         # seeds hold sum_b w (cos x, sin x) per qubit and frequency; each
         # pair j takes its own: d/d(dp_j) = -2**(1-n) sum_b w sin(dp_j + s_j x)
         table, (cos, sin), m = self.frequencies, self.pairs, self.seeds.shape[-1] // 2
@@ -913,28 +963,21 @@ class CircuitStack:
         d_pairs = sin * seeds[..., table.slots]
         d_pairs += cos * table.signs * seeds[..., table.slots + m]
         d_pairs *= -(2.0 ** (1 - self.template.n_qubits))
-        return self.grads + d_pairs @ table.params.T
+        return d_pairs @ table.params.T
 
     def _overlap_sweep(self) -> np.ndarray:
         """The parameter gradients [..., K, P] from the overlaps C0 in the
         seeds: every block's overlap C_b at once, then one reading of the
         three Paulis on every qubit of every block."""
-        layout, dim = self.layout, self.seeds.shape[-1]
-        products, n = self.products, layout.sums.shape[-1] - 1
-        circuits = len(products)
+        layout, products = self.layout, self.products
+        circuits, dim = len(products), products.shape[-1]
         overlaps = products.reshape(circuits, -1, dim) @ self.seeds.reshape(circuits, dim, dim)
         # [circuits, L, dim, dim]
         overlaps = overlaps.reshape(products.shape) @ products.conj().swapaxes(-1, -2)
-        read = overlaps.reshape(circuits, -1)[:, layout.reads].reshape(-1, dim) @ layout.sums
-        read = read.reshape((circuits,) + layout.reads.shape[:2] + (n + 1,))
-        # read [circuits, L, n + 1, n + 1]: X and Y from the flipped sums of
-        # each qubit, Z from the diagonal; the plan's groups are (L, n)
-        pauli = np.stack([
-            read[..., :n, 0].imag,
-            -np.diagonal(read[..., :n, 1:], axis1=-2, axis2=-1).real,
-            read[..., n, 1:].imag,
-        ]).reshape(3, len(read), -1)
-        grads = _member_grads(layout.plan, pauli.swapaxes(1, 2), *self.turns)
+        read = overlaps.reshape(circuits, -1)[:, layout.reads] @ layout.sums
+        # Im Tr(sigma C_b) [3, L n, circuits]; the plan's groups are (L, n)
+        pauli = read.reshape(circuits, -1).T[layout.picks].imag.reshape(3, -1, circuits)
+        grads = _member_grads(layout.plan, pauli, *self.turns)
         return grads.reshape(self.params.shape)
 
 

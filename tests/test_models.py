@@ -547,6 +547,39 @@ class TestDirectionalGradients:
         model.set_flat(theta)
 
 
+class TestVQRStepPin:
+    """A default linear vqr step on 10 and on 32 windows, its targets 0.3
+    below every prediction as in ``TestDirectionalGradients``: it goes
+    through the ansatz matrix's seeds part, ``pull_back``, never through
+    the input-gradient part its data inputs do not need, and its loss and
+    flat gradient match ``checkpoints/vqr_steps.json``, recorded at commit
+    1e313e0, when the step still made the input gradient, to 1e-12."""
+
+    @pytest.mark.parametrize("windows", [10, 32])
+    @pytest.mark.parametrize("loss_kind", ["mse", "l1"])
+    def test_matches_recorded_step(self, monkeypatch, windows, loss_kind):
+        recorded = json.loads((CHECKPOINTS / "vqr_steps.json").read_text())
+        want = recorded[f"{windows}-{loss_kind}"]
+        model, xs = default_model("vqr", seed=41, windows=windows)
+        ys = model._predictor(len(xs))(xs) - 0.3
+        lowerings = []
+        pull_back = vqc.CircuitStack.pull_back
+
+        def recording_pull_back(stack, *args):
+            lowerings.append(stack.lowering)
+            return pull_back(stack, *args)
+
+        def no_input_grads(*args):
+            raise AssertionError("a vqr step takes no input gradient")
+
+        monkeypatch.setattr(vqc.CircuitStack, "pull_back", recording_pull_back)
+        monkeypatch.setattr(vqc.CircuitStack, "embedding_grads", no_input_grads)
+        value, grad = scaled_step(model, xs, ys, loss_kind)
+        assert lowerings == ["matrix"]
+        np.testing.assert_allclose(value, want["loss"], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grad, want["grad"], rtol=0.0, atol=1e-12)
+
+
 def scaled_step(model, xs, ys, loss_kind):
     """One training step's scaled loss and flat gradient on scaled windows
     and targets."""

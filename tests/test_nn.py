@@ -260,6 +260,20 @@ class TestLSTMGates:
 
 
     @pytest.mark.parametrize("layout", ["lstm", "qlstm"])
+    def test_no_cell_gradient_yet_is_zero(self, layout):
+        """A dc of None, no gradient yet, gives the values of a zero dc
+        (only the sign of an exact zero may differ)."""
+        rng = np.random.default_rng(83)
+        shape = (5, 6) if layout == "lstm" else (6, 5)
+        z = rng.normal(0.0, 2.0, (4,) + shape)
+        c_prev, dh = rng.normal(size=shape), rng.normal(size=shape)
+        _, _, cache = nn.lstm_gates(z, c_prev)
+        dz, dc_prev = nn.lstm_gates_backward(cache, dh, None)
+        want_dz, want_dc_prev = nn.lstm_gates_backward(cache, dh, np.zeros(shape))
+        np.testing.assert_array_equal(dz, want_dz)
+        np.testing.assert_array_equal(dc_prev, want_dc_prev)
+
+    @pytest.mark.parametrize("layout", ["lstm", "qlstm"])
     def test_two_model_axes_match_a_loop_over_models(self, layout):
         """A [2, 3]-model slab, forward and backward, has the bits of each
         model's slab run alone: the gates are unpacked on the third axis

@@ -442,6 +442,14 @@ def embed_first_stacks(draw):
 
 
 @st.composite
+def reuploading_stacks(draw):
+    """A re-uploading vqr template (1-4 qubits, 2-3 layers), which takes
+    the plan, K params rows and input rows on both sides of 2**n."""
+    template = nonlinear_vqr_template(draw(st.integers(1, 4)), draw(st.integers(2, 3)))
+    return stack_case(draw, template, 2)[:3]
+
+
+@st.composite
 def ring_rx_stacks(draw, max_rows_per_dim=2):
     """An RX/CNOT template on 1-8 qubits (an RX embedding of some features
     in any qubit order, identity or arctan, then a ring-RX ansatz of 1-3
@@ -702,6 +710,32 @@ class TestAnsatzMatrix:
                 np.testing.assert_allclose(grad_inputs[m], want_inputs, rtol=1e-10, atol=1e-10)
                 grad_params[m, circuits] += want_params
         np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(embed_first_stacks(), reuploading_stacks()), st.integers(1, 3))
+    def test_backward_is_its_parts(self, case, models):
+        """``backward`` is ``pull_back`` then ``embedding_grads``, as the
+        phase lowering's is its seeds and its feature gradients: for M
+        models, a stack differentiated by ``pull_back`` alone, on the
+        diagonal of w @ Z, has exactly the parameter gradients of one
+        differentiated by ``backward``, for the ansatz matrix and for the
+        plan; and ``backward``'s input gradients match the plan oracle."""
+        template, params, inputs = case
+        n = template.n_qubits
+        rng = np.random.default_rng(len(inputs) + models)
+        others = range(models - 1)
+        params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape) for _ in others])
+        inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape) for _ in others])
+        weights = rng.uniform(-1.0, 1.0, params.shape[:2] + (inputs.shape[1], n))
+        by_run, by_parts = vqc.CircuitStack(template, params), vqc.CircuitStack(template, params)
+        assert by_run.lowering in ("matrix", "plan")
+        every = slice(None)
+        grad_inputs = by_run.backward(every, by_run.run(every, inputs)[1], weights, inputs)
+        by_parts.pull_back(every, by_parts.run(every, inputs)[1], weights @ sim._z_signs(n))
+        np.testing.assert_array_equal(by_run.param_grads(), by_parts.param_grads())
+        for m in range(models):
+            want_inputs = plan_oracle(template, params[m], inputs[m], weights[m])[1]
+            np.testing.assert_allclose(grad_inputs[m], want_inputs, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(embed_first_stacks())
