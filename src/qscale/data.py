@@ -23,10 +23,11 @@ row:
 5. scale features/targets with a [-1, +1] range map fitted on training
    rows only, window the rows, and split chronologically.
 
-The hourly files (the reference log and the cached ``dataset.csv``) go
-through the same block splitter and are checked by column; only a file
-that fails a check, or needs ``csv.reader``, is read again row by row,
-which names the failing line.
+The hourly files (the reference log and the cached ``dataset.csv``) are
+read once, into columns, as the raw logs are, and checked by column: each
+check makes a mask of the rows it fails, and a file that fails one names
+the first failing line and the first check that line fails, as a row-by-row
+read would.
 
 A deterministic synthetic campaign generator emits the same CSV schemas,
 so every downstream stage can be exercised without the field recordings.
@@ -45,10 +46,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import not_
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -314,20 +315,6 @@ def _check_header(path: Path, header: list[str], expected_header: tuple[str, ...
         )
 
 
-def _csv_rows(path: Path, expected_header: tuple[str, ...], text: str) -> Iterator[list[str]]:
-    """The data rows of a CSV text, one at a time, after checking its
-    header; a row the ``csv`` module cannot split is a ``DataError``."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, None)
-        if header is None:
-            return
-        _check_header(path, header, expected_header)
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-
-
 # a quoted raw log is split 512 rows at a time: few enough that a chunk's
 # row lists are freed before the garbage collector moves them to an older
 # generation (16,384 rows made ingest half again slower), enough that the
@@ -341,27 +328,54 @@ _INGEST_BLOCK = 32_768
 # block never holds
 _ASCII_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
-# a block's stripped cell columns, one per header name, of its rows with
-# one cell per name, and the count of its other rows that are not blank
-_Columns = tuple[list[list[str]], int]
+
+class _Block(NamedTuple):
+    """A few hundred rows of a CSV text as ``_columns`` reads them: the
+    stripped cells of its rows with one cell per header name, a column per
+    name, the same cells as ``csv.reader`` gives them, and the line each of
+    those rows starts on; the count of its other rows that are not blank, and
+    the line and cells of the first of them."""
+
+    columns: list[list[str]]
+    raw: Sequence[Sequence[str]]
+    lines: Sequence[int]
+    wrong: int
+    first_wrong: Optional[tuple[int, list[str]]]
 
 
 def _has_text(cells: Iterable[str]) -> bool:
     return any(cell.strip() for cell in cells)
 
 
-def _csv_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Columns]:
+def _csv_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Block]:
     """``_columns`` through ``csv.reader``, for text that needs its quoting
-    rules."""
+    rules; a row the ``csv`` module cannot split is a ``DataError``."""
     width = len(expected_header)
-    rows = _csv_rows(path, expected_header, text)
-    while chunk := list(islice(rows, _INGEST_CHUNK)):
-        wrong = 0
-        if set(map(len, chunk)) != {width}:
-            wrong = sum(len(row) != width and _has_text(row) for row in chunk)
-            chunk = [row for row in chunk if len(row) == width]
-        columns = [list(map(str.strip, column)) for column in zip(*chunk)]
-        yield columns or [[] for _ in expected_header], wrong
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            return
+        _check_header(path, header, expected_header)
+        start = reader.line_num + 1
+        while chunk := list(islice(reader, _INGEST_CHUNK)):
+            lines: Sequence[int] = range(start, start + len(chunk))
+            if reader.line_num >= lines.stop:  # a quoted cell holds a line end
+                spans = [1 + sum(map(str.count, row, repeat("\n"))) for row in chunk]
+                lines = list(accumulate(spans[:-1], initial=start))
+            start = reader.line_num + 1
+            wrong, first_wrong = 0, None
+            if set(map(len, chunk)) != {width}:
+                keep = [len(row) == width for row in chunk]
+                dropped = [i for i, row in enumerate(chunk) if not keep[i] and _has_text(row)]
+                if dropped:
+                    wrong, first_wrong = len(dropped), (lines[dropped[0]], chunk[dropped[0]])
+                chunk, lines = list(compress(chunk, keep)), list(compress(lines, keep))
+            raw = list(zip(*chunk)) or [()] * width
+            columns = [list(map(str.strip, column)) for column in raw]
+            yield _Block(columns, raw, lines, wrong, first_wrong)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _check_field_limit(path: Path, first_line: int, lines: list[str]) -> None:
@@ -372,7 +386,7 @@ def _check_field_limit(path: Path, first_line: int, lines: list[str]) -> None:
             raise DataError(f"{path}:{line}: field larger than field limit ({limit})")
 
 
-def _block_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Columns]:
+def _block_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Block]:
     """The cell columns of a text without quotes or NUL, where every line is
     a row and every comma splits cells, as ``csv.reader`` reads it, a block
     of rows at a time.
@@ -382,8 +396,10 @@ def _block_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> I
     characters.  One ``str.split`` over a block, its line ends made cells of
     their own, gives every cell; the k-cell rows are all there is exactly
     when every (k + 1)-th cell is a line end, and only a block where they
-    are not has its lines' commas counted.  The cells are stripped only
-    when the block holds a character ``str.strip`` removes.
+    are not has its lines' commas counted.  A block's ``lines`` are a
+    ``range`` from its first line, and a list only in a block that drops
+    rows.  The cells are stripped only when the block holds a character
+    ``str.strip`` removes.
     """
     if not text:
         return
@@ -403,28 +419,29 @@ def _block_columns(path: Path, text: str, expected_header: tuple[str, ...]) -> I
         n = block.count("\n") + 1
         if len(block) > csv.field_size_limit():
             _check_field_limit(path, line, block.split("\n"))
+        lines: Sequence[int] = range(line, line + n)
         line += n
         cells = block.replace("\n", ",\n,").split(",")
-        wrong = 0
+        wrong, first_wrong = 0, None
         if len(cells) != width * n - 1 or cells[width - 1 :: width].count("\n") != n - 1:
-            lines = block.split("\n")
-            commas = list(map(str.count, lines, repeat(",")))
-            wrong = sum(
-                c != width - 2 and _has_text(row.split(",")) for row, c in zip(lines, commas)
-            )
-            block = "\n".join(compress(lines, [c == width - 2 for c in commas]))
+            rows = block.split("\n")
+            keep = [row.count(",") == width - 2 for row in rows]
+            dropped = [i for i, row in enumerate(rows) if not keep[i] and _has_text(row.split(","))]
+            if dropped:
+                wrong, first_wrong = len(dropped), (lines[dropped[0]], rows[dropped[0]].split(","))
+            lines = list(compress(lines, keep))
+            block = "\n".join(compress(rows, keep))
             cells = block.replace("\n", ",\n,").split(",") if block else []
-        columns = [cells[k::width] for k in range(width - 1)]
+        raw = columns = [cells[k::width] for k in range(width - 1)]
         if not block.isascii() or any(blank in block for blank in _ASCII_BLANKS):
-            columns = [list(map(str.strip, column)) for column in columns]
-        yield columns, wrong
+            columns = [list(map(str.strip, column)) for column in raw]
+        yield _Block(columns, raw, lines, wrong, first_wrong)
 
 
-def _columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Columns]:
-    """A CSV text's rows, a few hundred at a time, as stripped cell columns,
-    one per header name, of its rows with one cell per name, and the count of
-    its other rows that are not blank.  Only a text with a quote or a NUL goes
-    through ``csv.reader``: for its quoting rules, or its refusal of NUL."""
+def _columns(path: Path, text: str, expected_header: tuple[str, ...]) -> Iterator[_Block]:
+    """A CSV text's rows, a few hundred at a time, as ``_Block``s.  Only a
+    text with a quote or a NUL goes through ``csv.reader``: for its quoting
+    rules, or its refusal of NUL."""
     if '"' in text or "\0" in text:
         return _csv_columns(path, text, expected_header)
     return _block_columns(path, text, expected_header)
@@ -464,9 +481,9 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
     empty = np.zeros(0, np.int64)
     parts = [(empty, empty, empty, np.zeros(0))]
     for path in paths:
-        columns = _columns(Path(path), _read_text(Path(path)), RAW_HEADER)
-        for (stamp_texts, sensor_ids, names, value_texts), wrong in columns:
-            malformed["wrong_column_count"] += wrong
+        for block in _columns(Path(path), _read_text(Path(path)), RAW_HEADER):
+            stamp_texts, sensor_ids, names, value_texts = block.columns
+            malformed["wrong_column_count"] += block.wrong
             n = len(stamp_texts)
             if not n:
                 continue
@@ -501,63 +518,82 @@ def ingest(paths: Sequence[str | Path]) -> IngestResult:
     return IngestResult(samples=samples, malformed_by_reason=malformed)
 
 
+def _rejection(parse: Callable[[str], object], texts: Iterable[str]) -> Optional[str]:
+    """The message of the first ``ValueError`` that ``parse`` raises on one
+    of ``texts``."""
+    for text in texts:
+        try:
+            parse(text)
+        except ValueError as exc:
+            return str(exc)
+
+
 def _hourly_columns(
-    path: Path, text: str, expected_header: tuple[str, ...]
-) -> Optional[list[list[str]]]:
-    """The stripped cell columns of every row of an hourly file, read by
-    ``_columns`` as the raw logs are; None when a row that is not blank lacks
-    one cell per header name: the row loop then reads the file and names the
-    line.  Any ``DataError`` raised is the one the row loop's ``csv`` pass raises."""
+    path: Path, expected_header: tuple[str, ...]
+) -> tuple[list[list[str]], np.ndarray, Callable[..., None]]:
+    """The stripped cell columns of an hourly file's rows that are not blank,
+    read once by ``_columns`` as the raw logs are, their int64 stamps, and
+    ``check(width_error, *checks)``.
+
+    ``check`` raises the ``DataError`` of the first line that fails a check,
+    naming ``path:line`` and the first check that line fails, in the order a
+    row is read: the row lacks one cell per header name (its message is
+    ``width_error`` of the row's cells), its stamp is one ``parse_timestamp``
+    rejects, then each of ``checks``: the mask of the rows that fail it, and
+    the message of a failing row from its index and its cells as
+    ``csv.reader`` gives them.  A blank row is skipped: a row of blank cells
+    has a blank stamp, so only the rows whose stamps are rejected are looked
+    at."""
+    blocks = list(_columns(path, _read_text(path), expected_header))
     columns: list[list[str]] = [[] for _ in expected_header]
-    for cells, wrong in _columns(path, text, expected_header):
-        if wrong:
-            return None
-        for column, block_column in zip(columns, cells):
+    for block in blocks:
+        for column, block_column in zip(columns, block.columns):
             column += block_column
-    return columns
+    stamps, bad_stamp = parse_timestamps(columns[0])
+    rows: Sequence[int] = range(len(stamps))  # each row's place in the blocks
+    blank = [i for i in np.flatnonzero(bad_stamp).tolist() if not any(c[i] for c in columns)]
+    if blank:
+        rows = np.delete(np.arange(len(stamps)), blank)
+        columns = [list(map(column.__getitem__, rows.tolist())) for column in columns]
+        stamps, bad_stamp = stamps[rows], bad_stamp[rows]
+
+    def check(width_error: Callable[[list[str]], str], *checks: tuple) -> None:
+        checks = ((bad_stamp, lambda i, row: _rejection(parse_timestamp, row[:1])), *checks)
+        wrong = next((block.first_wrong for block in blocks if block.first_wrong), None)
+        # rows are in line order: the first failing row is the one of least index
+        failing = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+        if failing:
+            i, k = min(failing)
+            j = int(rows[i])
+            line = list(chain.from_iterable(block.lines for block in blocks))[j]
+            if wrong is None or line < wrong[0]:
+                cells = [list(chain.from_iterable(raw)) for raw in zip(*(b.raw for b in blocks))]
+                raise DataError(f"{path}:{line}: {checks[k][1](i, [c[j] for c in cells])}")
+        if wrong:
+            raise DataError(f"{path}:{wrong[0]}: {width_error(wrong[1])}")
+
+    return columns, stamps, check
 
 
 def load_reference(path: str | Path) -> Series:
     """Load the hourly reference-instrument CSV; a bad cell or an off-hour
-    stamp is a ``DataError`` naming ``path:line``.
+    stamp is a ``DataError`` naming ``path:line``, and an hour given twice one
+    naming the hour.
 
-    The file is read by column; only a file that fails a check goes
-    through the row loop, which names the line."""
-    text = _read_text(Path(path))
-    columns = _hourly_columns(Path(path), text, REFERENCE_HEADER)
-    if columns is not None:
-        stamps, bad_stamp = parse_timestamps(columns[0])
-        values, non_numeric = _floats(columns[1])
-    if columns is None or bad_stamp.any() or non_numeric.any() or (stamps % HOUR).any():
-        stamps, values = _reference_rows(path, text)
+    The file is read once and checked by column (``_hourly_columns``)."""
+    (_, value_texts), stamps, check = _hourly_columns(Path(path), REFERENCE_HEADER)
+    values, non_numeric = _floats(value_texts)
+    check(
+        lambda row: f"reference row needs 2 columns, got {row}",
+        (stamps % HOUR != 0, lambda i, row: f"reference stamp {row[0].strip()} is not on the hour"),
+        (non_numeric, lambda i, row: _rejection(float, row[1:])),
+    )
     order = np.argsort(stamps, kind="stable")
     ts = stamps[order]
     repeated = ts[1:][np.diff(ts) == 0]
     if repeated.size:
         raise DataError(f"{path}: reference hour {format_timestamp(repeated[0])} repeats")
     return Series(ts, values[order])
-
-
-def _reference_rows(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The stamps and values of a reference log, read row by row; a bad row
-    is a ``DataError`` naming ``path:line``."""
-    body = list(_csv_rows(Path(path), REFERENCE_HEADER, text))
-    stamps: list[int] = []
-    values: list[float] = []
-    try:
-        for line, row in enumerate(body, 2):  # line 1 is the header
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"reference row needs 2 columns, got {row}")
-            stamp = parse_timestamp(row[0])
-            if stamp % HOUR:
-                raise DataError(f"reference stamp {row[0].strip()} is not on the hour")
-            stamps.append(stamp)
-            values.append(float(row[1]))
-    except ValueError as err:
-        raise DataError(f"{path}:{line}: {err}") from err
-    return np.asarray(stamps, dtype=np.int64), np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -838,84 +874,42 @@ def dataset_to_csv(dataset: CalibrationDataset, path: str | Path) -> None:
 def dataset_from_csv(path: str | Path) -> CalibrationDataset:
     """Read a ``dataset_to_csv`` file; a bad or non-finite cell, or a stamp
     off the hour grid or not after the row before, is a ``DataError`` naming
-    ``path:line``, and a blank pm25 column (every series row reads it) one
-    naming ``path``.
+    ``path:line``, and so is a feature cell blank in some rows only; a blank
+    pm25 column (every series row reads it) is one naming ``path``.
 
-    The file is read by column; only a file that fails a check goes
-    through the row loop, which names the line."""
-    text = _read_text(Path(path))
-    columns = _hourly_columns(Path(path), text, DATASET_HEADER)
-    if columns is not None and columns[0]:
-        stamps, bad_stamp = parse_timestamps(columns[0])
-        blanks = [column.count("") for column in columns[1:5]]
-        names = tuple(name for name, blank in zip(FEATURE_COLUMNS, blanks) if not blank)
-        cells = [column for column, blank in zip(columns[1:5], blanks) if not blank]
-        (*features, target), non_numeric = zip(*map(_floats, [*cells, columns[5]]))
-        if not (
-            bad_stamp.any()
-            or any(0 < blank < len(stamps) for blank in blanks)
-            or any(mask.any() for mask in non_numeric)
-            or not all(np.isfinite(column).all() for column in (*features, target))
-            or (stamps % HOUR).any()
-            or (np.diff(stamps) <= 0).any()
-            or "pm25" not in names
-        ):
-            return CalibrationDataset(stamps, names, np.column_stack(features), target)
-    return _dataset_rows(path, text)
-
-
-def _dataset_rows(path: str | Path, text: str) -> CalibrationDataset:
-    """``dataset_from_csv`` row by row, naming the line of a bad row."""
-    body = list(_csv_rows(Path(path), DATASET_HEADER, text))
-    stamps: list[int] = []
-    rows: list[list[float]] = []
-    targets: list[float] = []
-    present: Optional[list[bool]] = None
-    try:
-        for line, row in enumerate(body, 2):  # line 1 is the header
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(DATASET_HEADER):
-                raise DataError(f"dataset row has {len(row)} columns")
-            stamp = parse_timestamp(row[0])
-            if stamp % HOUR:
-                raise DataError(f"timestamp {row[0].strip()} is not on the hour")
-            if stamps and stamp <= stamps[-1]:
-                raise DataError(
-                    f"timestamp {row[0].strip()} does not follow "
-                    f"{format_timestamp(stamps[-1])}"
-                )
-            stamps.append(stamp)
-            cells = row[1:5]
-            flags = [bool(c.strip()) for c in cells]
-            if present is None:
-                present = flags
-            elif flags != present:
-                raise DataError("inconsistent feature columns across rows")
-            values = [float(c) for c, ok in zip(cells, flags) if ok]
-            target = float(row[5])
-            if not (all(map(math.isfinite, values)) and math.isfinite(target)):
-                name, cell = next(
-                    (name, cell.strip())
-                    for name, cell in zip(DATASET_HEADER[1:], row[1:])
-                    if cell.strip() and not math.isfinite(float(cell))
-                )
-                raise DataError(f"{name} value {cell!r} is not finite")
-            rows.append(values)
-            targets.append(target)
-    except ValueError as err:
-        raise DataError(f"{path}:{line}: {err}") from err
-    if not stamps:
+    The file is read once and checked by column (``_hourly_columns``); a
+    feature is present when the first row's cell is not blank."""
+    columns, stamps, check = _hourly_columns(Path(path), DATASET_HEADER)
+    n = len(stamps)
+    present = [bool(column and column[0]) for column in columns[1:5]]
+    value_columns = [k for k, ok in enumerate(present, 1) if ok] + [5]
+    values, non_numeric = zip(*(_floats(columns[k]) for k in value_columns))
+    after = np.diff(stamps, prepend=stamps[:1] - 1) <= 0
+    inconsistent = np.zeros(n, bool)
+    for column, ok in zip(columns[1:5], present):
+        if column.count("") != (0 if ok else n):
+            inconsistent |= np.fromiter(map(bool, column), bool, n) != ok
+    check(
+        lambda row: f"dataset row has {len(row)} columns",
+        (stamps % HOUR != 0, lambda i, row: f"timestamp {row[0].strip()} is not on the hour"),
+        (after, lambda i, row: (
+            f"timestamp {row[0].strip()} does not follow {format_timestamp(stamps[i - 1])}"
+        )),
+        (inconsistent, lambda i, row: "inconsistent feature columns across rows"),
+        (np.logical_or.reduce(non_numeric), lambda i, row: (
+            _rejection(float, [row[k] for k in value_columns])
+        )),
+        (np.logical_or.reduce([~np.isfinite(column) for column in values]), lambda i, row: next(
+            f"{DATASET_HEADER[k]} value {columns[k][i]!r} is not finite"
+            for k, column in zip(value_columns, values) if not math.isfinite(column[i])
+        )),
+    )
+    if not n:
         raise DataError(f"{path}: dataset file holds no rows")
-    names = tuple(n for n, ok in zip(FEATURE_COLUMNS, present) if ok)
+    names = tuple(name for name, ok in zip(FEATURE_COLUMNS, present) if ok)
     if "pm25" not in names:
         raise DataError(f"{path}: the pm25 column is blank")
-    return CalibrationDataset(
-        np.asarray(stamps, dtype=np.int64),
-        names,
-        np.asarray(rows, dtype=float),
-        np.asarray(targets, dtype=float),
-    )
+    return CalibrationDataset(stamps, names, np.column_stack(values[:-1]), values[-1])
 
 
 def predictions_to_csv(rows: Sequence[dict], path: str | Path) -> None:

@@ -93,28 +93,38 @@ def make_folds(n: int, spec: FoldSpec) -> list[np.ndarray]:
 # cross-validation
 
 
-def score_holdout(
-    model, test_set: CalibrationDataset
-) -> tuple[dict[str, float], list[dict]]:
-    """L1/MSE/RMSE of a fitted model on the windows of held-out hours, and
-    the series rows of those windows, from one prediction pass."""
+def holdout_windows(model, test_set: CalibrationDataset) -> tuple[np.ndarray, ...]:
+    """The windows ``(x, y, ends)`` of held-out hours that a model with
+    ``model``'s features and window is scored on; none is a ``DataError``."""
     x, y, ends = make_windows(test_set.select_features(model.feature_names), model.window)
     if y.size == 0:
         raise DataError(
             f"the {len(test_set)} held-out hours hold no {model.window}-hour window"
         )
+    return x, y, ends
+
+
+def score_holdout(
+    model, test_set: CalibrationDataset, windows: Optional[tuple[np.ndarray, ...]] = None
+) -> tuple[dict[str, float], list[dict]]:
+    """L1/MSE/RMSE of a fitted model on the windows of held-out hours
+    (``holdout_windows`` unless given), and the series rows of those windows,
+    from one prediction pass."""
+    x, y, ends = holdout_windows(model, test_set) if windows is None else windows
     preds = model.predict(x)
     return models.prediction_losses(preds, y), models.series_rows(test_set, preds, y, ends)
 
 
-def _evaluate_on_fold(entry: dict, model, outcome, test_set: CalibrationDataset) -> list[dict]:
+def _evaluate_on_fold(
+    entry: dict, model, outcome, test_set: CalibrationDataset, windows: tuple[np.ndarray, ...]
+) -> list[dict]:
     """Complete a fold's ``entry`` from its model's training ``outcome``,
     the epoch losses or the ``TrainingDivergedError`` that ended them, and
-    its held-out hours; returns the fold's series rows."""
+    its held-out hours and their windows; returns the fold's series rows."""
     if isinstance(outcome, TrainingDivergedError):
         entry["error"] = str(outcome)
         return []
-    losses, series = score_holdout(model, test_set)
+    losses, series = score_holdout(model, test_set, windows)
     entry.update(losses)
     entry["final_train_loss"] = outcome[-1] if outcome else None
     return series
@@ -135,8 +145,10 @@ def cross_validate(
     fold stacked into one, each ending with the weights and losses it would
     have had alone, and a fold that diverges leaves the others unchanged.
     ``n_threads`` is accepted and unused: the folds run in the calling
-    thread.  The report's ``options`` are the caller's merged over the
-    kind's defaults (``models.resolve_options``), and its ``param_count``
+    thread.  Each fold's held-out windows are made before any fold trains,
+    so a fold without one is a ``DataError`` naming it, raised untrained.
+    The report's ``options`` are the caller's merged over the kind's
+    defaults (``models.resolve_options``), and its ``param_count``
     is the count of a model with them, whether or not any fold trained.
     """
     if config.window > 1 and spec.mode != "contiguous":
@@ -144,27 +156,31 @@ def cross_validate(
             "sequence models need contiguous folds; shuffled folds would "
             "leave no intact training windows"
         )
-    entries, fits, test_sets, configs = [], [], [], []
+    entries, fits, holdouts, configs = [], [], [], []
     for i, test_indices in enumerate(make_folds(len(dataset), spec)):
         mask = np.ones(len(dataset), dtype=bool)
         mask[test_indices] = False
         train_set = dataset.subset(np.nonzero(mask)[0])
-        test_sets.append(dataset.subset(test_indices))
+        test_set = dataset.subset(test_indices)
         configs.append(replace(config, seed=int(config.seed) + i))
         entries.append(
             {
                 "fold": i,
                 "seed": configs[-1].seed,
                 "train_hours": int(len(train_set)),
-                "test_hours": int(len(test_sets[-1])),
+                "test_hours": int(len(test_set)),
             }
         )
         fits.append(models.prepare_fit(kind, train_set, configs[-1], options))
+        try:
+            holdouts.append((test_set, holdout_windows(fits[-1][0], test_set)))
+        except DataError as err:
+            raise DataError(f"fold {i}: {err}") from err
     fold_models, xs, ys = zip(*fits)
     outcomes = models.train_lockstep(fold_models, xs, ys, configs)
     series: list[dict] = []
-    for entry, model, outcome, test_set in zip(entries, fold_models, outcomes, test_sets):
-        series.extend(_evaluate_on_fold(entry, model, outcome, test_set))
+    for entry, model, outcome, holdout in zip(entries, fold_models, outcomes, holdouts):
+        series.extend(_evaluate_on_fold(entry, model, outcome, *holdout))
     series.sort(key=lambda row: row["timestamp"])
 
     good = [e for e in entries if "error" not in e]

@@ -4,7 +4,9 @@ The simulator oracle builds full 2^n x 2^n dense unitaries with Kronecker
 products and literal gate matrices; the gradient oracle is plain central
 finite differences; the aggregation and fusion oracles are the row-wise
 dict loops that the columnar data path replaced, the raw-log oracle the
-``csv.reader`` chunk loop that the block reader replaced, the synthesis
+``csv.reader`` chunk loop that the block reader replaced, the hourly-file
+oracles the row loops that named a bad line before the columnar readers
+did (each naming the line a row starts on), the synthesis
 oracle the nested per-row loops that columnar synthesis replaced, and the
 window oracle the per-hour run loop that the vectorized ``make_windows``
 replaced, the optimizer oracle the out-of-place update that the in-place
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from datetime import datetime, timedelta, timezone
 from itertools import compress, islice, repeat
@@ -347,6 +350,123 @@ def ingest_rows(paths) -> tuple:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     stamps, sensors, quantities, values = (np.concatenate(column) for column in zip(*parts))
     return stamps, sensors, quantities, values, tuple(sensor_codes), malformed
+
+
+def _hourly_rows(path, header) -> list:
+    """The data rows of an hourly CSV read by ``csv.reader``, each with the
+    line it starts on, after checking the header; a row ``csv`` cannot
+    split, or a wrong header, raises ``ValueError`` with the message of the
+    reader's ``DataError``."""
+    reader = csv.reader(io.StringIO(path.read_text()))
+    rows = []
+    try:
+        first = next(reader, None)
+        if first is None:
+            return rows
+        if [h.strip() for h in first] != list(header):
+            raise ValueError(
+                f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}"
+            )
+        line = reader.line_num + 1
+        for row in reader:
+            rows.append((line, row))
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    return rows
+
+
+def _hour_seconds(text: str) -> int:
+    try:
+        return _epoch_seconds(text)
+    except ValueError as exc:
+        raise ValueError(f"bad timestamp {text!r}") from exc
+
+
+def _stamp_text(seconds) -> str:
+    return datetime.fromtimestamp(int(seconds), tz=timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def load_reference_rows(path) -> list:
+    """The reference log read row by row, as ``load_reference`` did before
+    it named a bad line itself: ``[timestamps, values]`` in stamp order. A
+    bad row, or an hour given twice, raises ``ValueError`` with the message
+    of the reader's ``DataError``."""
+    stamps, values = [], []
+    for line, row in _hourly_rows(path, ("timestamp_iso8601", "pm25_ug_m3")):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            if len(row) != 2:
+                raise ValueError(f"reference row needs 2 columns, got {row}")
+            stamp = _hour_seconds(row[0])
+            if stamp % 3600:
+                raise ValueError(f"reference stamp {row[0].strip()} is not on the hour")
+            stamps.append(stamp)
+            values.append(float(row[1]))
+        except ValueError as err:
+            raise ValueError(f"{path}:{line}: {err}") from err
+    stamps = np.asarray(stamps, dtype=np.int64)
+    order = np.argsort(stamps, kind="stable")
+    ts = stamps[order]
+    repeated = ts[1:][np.diff(ts) == 0]
+    if repeated.size:
+        raise ValueError(f"{path}: reference hour {_stamp_text(repeated[0])} repeats")
+    return [ts, np.asarray(values, dtype=float)[order]]
+
+
+def dataset_rows(path) -> list:
+    """``dataset.csv`` read row by row, as ``dataset_from_csv`` did before
+    it named a bad line itself: ``[timestamps, feature_names, features,
+    target]``. A bad row raises ``ValueError`` with the message of the
+    reader's ``DataError``."""
+    header = ("timestamp", "pm25", "temp", "hum", "press", "ref_pm25")
+    stamps, rows, targets = [], [], []
+    present = None
+    for line, row in _hourly_rows(path, header):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"dataset row has {len(row)} columns")
+            stamp = _hour_seconds(row[0])
+            if stamp % 3600:
+                raise ValueError(f"timestamp {row[0].strip()} is not on the hour")
+            if stamps and stamp <= stamps[-1]:
+                raise ValueError(
+                    f"timestamp {row[0].strip()} does not follow {_stamp_text(stamps[-1])}"
+                )
+            stamps.append(stamp)
+            cells = row[1:5]
+            flags = [bool(c.strip()) for c in cells]
+            if present is None:
+                present = flags
+            elif flags != present:
+                raise ValueError("inconsistent feature columns across rows")
+            values = [float(c) for c, ok in zip(cells, flags) if ok]
+            target = float(row[5])
+            if not (all(map(math.isfinite, values)) and math.isfinite(target)):
+                name, cell = next(
+                    (name, cell.strip())
+                    for name, cell in zip(header[1:], row[1:])
+                    if cell.strip() and not math.isfinite(float(cell))
+                )
+                raise ValueError(f"{name} value {cell!r} is not finite")
+            rows.append(values)
+            targets.append(target)
+        except ValueError as err:
+            raise ValueError(f"{path}:{line}: {err}") from err
+    if not stamps:
+        raise ValueError(f"{path}: dataset file holds no rows")
+    names = tuple(n for n, ok in zip(header[1:5], present) if ok)
+    if "pm25" not in names:
+        raise ValueError(f"{path}: the pm25 column is blank")
+    return [
+        np.asarray(stamps, dtype=np.int64),
+        names,
+        np.asarray(rows, dtype=float),
+        np.asarray(targets, dtype=float),
+    ]
 
 
 def interpolate_short_gaps(values: np.ndarray, max_gap: int) -> tuple:

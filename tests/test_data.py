@@ -130,6 +130,14 @@ ANY_STAMP = st.one_of(
 )
 
 
+def field_bits(fields):
+    """A reader result's fields, each array as its dtype, shape and bytes."""
+    return [
+        (array.dtype, array.shape, array.tobytes()) if isinstance(array, np.ndarray) else array
+        for array in fields
+    ]
+
+
 class TestTimestamps:
     def test_round_trip(self):
         assert parse_timestamp(format_timestamp(T0)) == T0
@@ -847,6 +855,16 @@ class TestDatasetCsv:
         with pytest.raises(DataError):
             dataset_from_csv(path)
 
+    @pytest.mark.parametrize("blank", [",,,,,", " ,,\t,,,"])
+    def test_blank_row_is_skipped(self, tmp_path, blank):
+        rows = ["2023-01-01T00:00:00Z,10.0,,61.0,,9.0", "2023-01-01T01:00:00Z,11.0,,62.0,,8.0"]
+        clean, with_blank = tmp_path / "clean.csv", tmp_path / "dataset.csv"
+        header = ",".join(data.DATASET_HEADER)
+        clean.write_text("\n".join([header, *rows]) + "\n")
+        with_blank.write_text("\n".join([header, rows[0], blank, rows[1]]) + "\n")
+        want = field_bits(vars(dataset_from_csv(clean)).values())
+        assert field_bits(vars(dataset_from_csv(with_blank)).values()) == want
+
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "dataset.csv"
         path.write_text(
@@ -885,6 +903,26 @@ class TestLoadReference:
         with pytest.raises(DataError, match=r"reference\.csv:4: .*'n/a'"):
             load_reference(path)
 
+    @pytest.mark.parametrize("blank", [",", " ,\t"])
+    def test_blank_row_is_skipped(self, tmp_path, blank):
+        rows = ["2023-01-01T01:00:00Z,9.0", "2023-01-01T00:00:00Z,8.0"]
+        clean, with_blank = tmp_path / "clean.csv", tmp_path / "reference.csv"
+        header = ",".join(data.REFERENCE_HEADER)
+        clean.write_text("\n".join([header, *rows]) + "\n")
+        with_blank.write_text("\n".join([header, rows[0], blank, rows[1]]) + "\n")
+        want = field_bits(vars(load_reference(clean)).values())
+        assert field_bits(vars(load_reference(with_blank)).values()) == want
+
+    def test_multiline_cell_names_line_row_starts_on(self, tmp_path):
+        """A quoted cell that holds a line end makes its row two lines long:
+        the bad row after it is named by its own first line, not its row
+        number."""
+        path = tmp_path / "reference.csv"
+        path.write_text(MULTILINE_REFERENCE)
+        message = r"reference\.csv:5: reference stamp 2023-01-01T02:20:00Z is not on the hour"
+        with pytest.raises(DataError, match=message):
+            load_reference(path)
+
     def test_duplicate_hour_is_data_error(self, tmp_path):
         path = tmp_path / "reference.csv"
         path.write_text(
@@ -911,10 +949,25 @@ class TestLoadReference:
 
 # cell edits of an hourly file: padding, bad or non-finite cells, stamps
 # that are bad, off the hour, repeated, swapped or in another valid form, a
-# row of the wrong width, a row of blank cells and a quoted cell
+# row of the wrong width, a row of blank cells, a quoted cell and a quoted
+# cell that holds a line end
 HOURLY_EDITS = (
     "pad", "text", "empty", "nan", "stamp", "off-hour", "repeat", "swap", "unzoned",
-    "columns", "blank-row", "quoted", "fill",
+    "columns", "blank-row", "quoted", "fill", "multiline",
+)
+# hourly files whose first row spans lines 2 and 3, so the bad row on line 5
+# is the third row
+MULTILINE_REFERENCE = (
+    "timestamp_iso8601,pm25_ug_m3\n"
+    '2023-01-01T00:00:00Z,"9.0\n"\n'
+    "2023-01-01T01:00:00Z,8.0\n"
+    "2023-01-01T02:20:00Z,7.0\n"
+)
+MULTILINE_DATASET = (
+    "timestamp,pm25,temp,hum,press,ref_pm25\n"
+    '2023-01-01T00:00:00Z,"10.0\n",,,,9.0\n'
+    "2023-01-01T01:00:00Z,11.0,,,,8.0\n"
+    "2023-01-01T02:00:00Z,abc,,,,7.0\n"
 )
 
 
@@ -925,7 +978,7 @@ def _edit_rows(rows, edits, value_columns):
             return
         row, other, column = row % len(rows), other % len(rows), 1 + column % value_columns
         cells = rows[row]
-        if edit in ("text", "empty", "nan", "fill", "quoted") and column >= len(cells):
+        if edit in ("text", "empty", "nan", "fill", "quoted", "multiline") and column >= len(cells):
             continue  # the row lost that cell to a "columns" edit
         if edit == "pad":
             rows[row] = [" " + cell + "\t" for cell in cells]
@@ -945,8 +998,10 @@ def _edit_rows(rows, edits, value_columns):
             rows[row] = cells[: 1 + other % value_columns] if other % 2 else [*cells, "1.0"]
         elif edit == "blank-row":
             rows[row] = [""] * len(cells)
-        else:
+        elif edit == "quoted":
             cells[column] = f'"{cells[column]}"'
+        else:
+            cells[column] = f'"{cells[column]}\n"'
 
 
 @st.composite
@@ -970,51 +1025,48 @@ FLOAT_CELL = st.floats(-1e3, 1e3).map(repr)
 
 
 class TestHourlyReadersMatchRowLoop:
-    """load_reference and dataset_from_csv read a file by column and give
-    what their row loops give: a bit-identical result, or the same
-    DataError text."""
+    """load_reference and dataset_from_csv read a file once, by column, and
+    give what their row loops (``_oracles``) give: a bit-identical result,
+    or the same DataError text."""
 
     @staticmethod
-    def outcome(reader, path):
+    def outcome(read, path, error):
         try:
-            result = reader(path)
-        except DataError as exc:
+            return field_bits(read(path))
+        except error as exc:
             return str(exc)
-        return [
-            (array.dtype, array.shape, array.tobytes()) if isinstance(array, np.ndarray) else array
-            for array in vars(result).values()
-        ]
 
-    def check_reader(self, monkeypatch, tmp_path, reader, row_loop, clean, files):
+    def check_reader(self, monkeypatch, tmp_path, reader, row_loop, clean, files, texts):
         """Check the reader on each edit of the ``clean`` rows alone, at two
-        places, then on the drawn ``files``."""
+        places, on the whole ``texts``, then on the drawn ``files``; each
+        with the default blocks and chunks, and with a block or a chunk of
+        csv rows of one or two rows."""
         path = tmp_path / "hourly.csv"
-        row_loop_runs = []
-        by_column = []
+        reads = []
+        for name in ("_read_text", "_columns"):
+            real = getattr(data, name)
+            monkeypatch.setattr(data, name, lambda *args, real=real: reads.append(1) or real(*args))
 
         def check(text):
             path.write_bytes(text.encode())
-            with monkeypatch.context() as m:
-                m.setattr(data, "_hourly_columns", lambda *args: None)
-                want = self.outcome(reader, path)
-            runs = len(row_loop_runs)
-            assert self.outcome(reader, path) == want
-            by_column.append(len(row_loop_runs) == runs)
+            want = self.outcome(row_loop, path, ValueError)
+            for block, chunk in [(data._INGEST_BLOCK, data._INGEST_CHUNK), (1, 2)]:
+                with monkeypatch.context() as m:
+                    m.setattr(data, "_INGEST_BLOCK", block)
+                    m.setattr(data, "_INGEST_CHUNK", chunk)
+                    reads.clear()
+                    assert self.outcome(lambda p: vars(reader(p)).values(), path, DataError) == want
+                assert len(reads) == 2  # the text once, its rows once: never read twice
 
-        real = getattr(data, row_loop)
-        monkeypatch.setattr(
-            data, row_loop, lambda *args: row_loop_runs.append(1) or real(*args)
-        )
         header, *rows = clean
         for edit in (None, *HOURLY_EDITS):
             for at in [(1, 0, 2), (2, 1, 1)]:
                 edited = [list(cells) for cells in rows]
                 _edit_rows(edited, [(edit, *at)] if edit else [], len(header) - 1)
                 check("\n".join(map(",".join, [header, *edited])) + "\n")
-        assert by_column[:2] == [True, True]  # the clean rows
+        for text in texts:
+            check(text)
         settings(max_examples=300, deadline=None, derandomize=True)(given(files)(check))()
-        # enough drawn files are clean for the columns to serve alone
-        assert sum(by_column) > len(by_column) // 10, sum(by_column)
 
     def test_reference(self, monkeypatch, tmp_path):
         files = hourly_files(
@@ -1025,7 +1077,10 @@ class TestHourlyReadersMatchRowLoop:
         clean = [data.REFERENCE_HEADER, *(
             (format_timestamp(T0 + HOUR * hour), "9.5") for hour in (3, 0, 1, 2)
         )]
-        self.check_reader(monkeypatch, tmp_path, load_reference, "_reference_rows", clean, files)
+        self.check_reader(
+            monkeypatch, tmp_path, load_reference, _oracles.load_reference_rows, clean, files,
+            [MULTILINE_REFERENCE],
+        )
 
     def test_dataset(self, monkeypatch, tmp_path):
         present = st.lists(st.booleans(), min_size=4, max_size=4)
@@ -1038,7 +1093,10 @@ class TestHourlyReadersMatchRowLoop:
             (format_timestamp(T0 + HOUR * hour), "10.5", "", "61.0", "", "9.5")
             for hour in range(4)
         )]
-        self.check_reader(monkeypatch, tmp_path, dataset_from_csv, "_dataset_rows", clean, files)
+        self.check_reader(
+            monkeypatch, tmp_path, dataset_from_csv, _oracles.dataset_rows, clean, files,
+            [MULTILINE_DATASET],
+        )
 
 
 class TestSynthesize:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import _oracles as oracle
 from qscale import experiments, models, nn
 from qscale.data import CalibrationDataset, chronological_split, make_windows
-from qscale.errors import ConfigurationError
+from qscale.errors import ConfigurationError, DataError
 from qscale.experiments import (
     FoldSpec,
     MetricsReport,
@@ -178,6 +178,23 @@ class TestCrossValidate:
         assert report.fold_average is not None
         # each contiguous 15-hour fold yields 15-3+1 = 13 test windows
         assert all(f["test_hours"] == 15 for f in report.folds)
+
+    def test_fold_without_window_refused_before_training(self, monkeypatch):
+        """5 contiguous folds of 12 hours hold 3, 3, 2, 2 and 2 hours: fold 2
+        is the first with no 3-hour window, and no fold trains."""
+        trained = []
+        lockstep = models.train_lockstep
+        monkeypatch.setattr(
+            models, "train_lockstep", lambda *args: trained.append(args) or lockstep(*args)
+        )
+        cfg = TrainConfig(1, 0.02, "rmsprop", "l1", batch_size=8, window=3, seed=0)
+        message = r"^fold 2: the 2 held-out hours hold no 3-hour window$"
+        with pytest.raises(DataError, match=message), pytest.warns(UserWarning, match="no windows"):
+            cross_validate(
+                "lstm", affine_dataset(12, seed=5), cfg, FoldSpec(5, "contiguous"),
+                options={"hidden_size": 3, "n_layers": 1, "features": ("pm25",)},
+            )
+        assert trained == []
 
     def test_no_training_window_crosses_fold_join(self):
         ds = affine_dataset(30, seed=6)
