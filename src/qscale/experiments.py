@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -95,8 +96,11 @@ def make_folds(n: int, spec: FoldSpec) -> list[np.ndarray]:
 
 def holdout_windows(model, test_set: CalibrationDataset) -> tuple[np.ndarray, ...]:
     """The windows ``(x, y, ends)`` of held-out hours that a model with
-    ``model``'s features and window is scored on; none is a ``DataError``."""
-    x, y, ends = make_windows(test_set.select_features(model.feature_names), model.window)
+    ``model``'s features and window is scored on; none is a ``DataError``
+    (so ``make_windows``' warning, which would say the same, is held back)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        x, y, ends = make_windows(test_set.select_features(model.feature_names), model.window)
     if y.size == 0:
         raise DataError(
             f"the {len(test_set)} held-out hours hold no {model.window}-hour window"

@@ -302,13 +302,15 @@ class _Plan(NamedTuple):
     ``fused_of_angle``, the inverse permutation, each angle's row.
     ``blocks`` lists per CNOT-free block the qubits of its groups, in group
     order, and the gather indices of the CNOT layer after it and of that
-    layer's inverse (``None`` where no CNOT follows)."""
+    layer's inverse (``None`` where no CNOT follows), and ``class_slots``
+    each group's place in class order."""
 
     order: np.ndarray
     fused_of_angle: np.ndarray
     blocks: tuple[tuple[tuple[int, ...], Optional[np.ndarray], Optional[np.ndarray]], ...]
     classes: tuple[_Class, ...]
     n_groups: int
+    class_slots: np.ndarray
 
 
 _AXES = {"RX": 0, "RY": 1, "RZ": 2}
@@ -372,24 +374,19 @@ def _plan(template: CircuitTemplate) -> _Plan:
         tuple(plan_blocks),
         tuple(classes),
         n_groups,
+        _index(np.argsort([g for cls in classes for g in cls.groups])),
     )
-
-
-def _half_angles(plan: _Plan, angle_rows: np.ndarray) -> np.ndarray:
-    """Half of every angle, as a fused table [n_angles, rows]."""
-    half = angle_rows.T[plan.order]
-    half *= 0.5
-    return half
 
 
 def _group_quaternions(plan: _Plan, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Unit quaternions (w, x, y, z) [4, n_groups, rows] of every group's
     unitary U = w I - i (x X + y Y + z Z), from the fused tables of the
     cosines and sines of the half angles [n_angles, rows]."""
-    quats = np.empty((4, plan.n_groups, cos.shape[-1]))
+    by_class, end = np.zeros((4, plan.n_groups, cos.shape[-1])), 0
     for cls in plan.classes:
         c, s = cls.slab(cos), cls.slab(sin)  # [L, G, rows]
-        q = np.zeros((4,) + c[0].shape)
+        start, end = end, end + cls.groups.size
+        q = by_class[:, start:end]
         q[0], q[1 + cls.axes[0]] = c[0], s[0]
         turn = np.empty_like(q)
         for m in range(1, len(cls.axes)):
@@ -398,8 +395,7 @@ def _group_quaternions(plan: _Plan, cos: np.ndarray, sin: np.ndarray) -> np.ndar
             turn *= s[m]
             q *= c[m]
             q += turn
-        quats[:, cls.groups] = q
-    return quats
+    return by_class.take(plan.class_slots, axis=1)
 
 
 def _run_rows(template: CircuitTemplate, angle_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,7 +407,7 @@ def _run_rows(template: CircuitTemplate, angle_rows: np.ndarray) -> tuple[np.nda
     :func:`_adjoint_rows` differentiates the same circuits.
     """
     plan = _plan(template)
-    half = _half_angles(plan, angle_rows)
+    half = 0.5 * angle_rows.T.take(plan.order, axis=0)  # the fused table [n_angles, rows]
     cos = np.cos(half)
     quats = _group_quaternions(plan, cos, np.sin(half, out=half))
     del half, cos  # free the angle tables before the amplitudes grow
@@ -453,7 +449,7 @@ def _adjoint_rows(
     """
     plan = _plan(template)
     rows, dim = states.shape
-    half = _half_angles(plan, angle_rows)
+    half = 0.5 * angle_rows.T.take(plan.order, axis=0)
     cos = np.cos(half)
     sin = np.sin(half, out=half)
     # each group's U^dagger, repeated for the psi and the lambda rows
@@ -486,7 +482,7 @@ def _member_grads(plan: _Plan, pauli: np.ndarray, cos: np.ndarray, sin: np.ndarr
     through each later member's rotation gives them all."""
     dfused = np.empty_like(sin)
     for cls in plan.classes:
-        t = pauli[:, cls.groups]  # [3, G, rows]
+        t = pauli.take(cls.groups, axis=1)  # [3, G, rows]
         c, s = cls.slab(cos), cls.slab(sin)  # [L, G, rows]
         d = cls.slab(dfused)
         for m in range(len(cls.axes) - 1, -1, -1):
@@ -499,7 +495,7 @@ def _member_grads(plan: _Plan, pauli: np.ndarray, cos: np.ndarray, sin: np.ndarr
                 ti += sm * tj  # c t_i + s t_j
                 tj *= cm
                 tj -= minus  # c t_j - s t_i
-    return dfused[plan.fused_of_angle].T
+    return dfused.take(plan.fused_of_angle, axis=0).T
 
 
 def _angle_grads_to_args(
@@ -555,17 +551,20 @@ class _Frequencies(NamedTuple):
     + u`` of a row [n * 2m] (the next m columns are the sine terms).
 
     The n 2**(n-1) pairs are sorted by that column, ``slots``, so the pairs
-    of one coefficient are one run, starting at each of ``starts``.
-    ``params`` [P, n 2**(n-1)] takes a circuit's params to the params parts
-    dp of the pairs, and ``signs`` holds their signs.  The spread from
-    pairs to frequencies is kept as these indices and signs: as a 0/+-1
-    matrix it would be n 2**(n-1) x m, 1 GB at 12 qubits and one layer."""
+    of one coefficient are one run.  ``params`` [P, n 2**(n-1)] takes a
+    circuit's params to the params parts dp of the pairs, and ``signs``
+    holds their signs.  The spread from pairs to frequencies is kept as
+    these indices and signs: as a 0/+-1 matrix it would be n 2**(n-1) x m,
+    1 GB at 12 qubits and one layer.  A circuit sums its pairs' terms [cos
+    | sin | 0] by the runs starting at ``starts``, and ``spread`` [n * 2m]
+    gathers its coefficients from the sums, the zero where no pair adds."""
 
     params: np.ndarray
     inputs: np.ndarray
     signs: np.ndarray
     slots: np.ndarray
     starts: np.ndarray
+    spread: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -598,43 +597,43 @@ def _frequencies(template: CircuitTemplate) -> _Frequencies:
     slots = np.repeat(2 * len(frequencies) * np.arange(n), 1 << (n - 1)) + which.ravel()
     order = np.argsort(slots, kind="stable")
     slots = slots[order]
+    starts = np.flatnonzero(np.diff(slots, prepend=-1))
+    columns, runs = slots[starts], np.arange(2 * starts.size)
+    spread = np.full(2 * len(frequencies) * n, runs.size)
+    spread[np.concatenate([columns, columns + len(frequencies)])] = runs
     table = _Frequencies(
         np.ascontiguousarray(differences[order, :n_params].T),
         np.ascontiguousarray(frequencies.T),
         signs[order],
         slots,
-        np.flatnonzero(np.diff(slots, prepend=-1)),
+        np.concatenate([starts, starts + slots.size, [2 * slots.size]]),
+        spread,
     )
     for array in table:
         array.setflags(write=False)
     return table
 
 
-def _embedding_factors(template: CircuitTemplate, inputs: np.ndarray) -> np.ndarray:
-    """The one-qubit states [n, 2, ...] that the first segment's rotations
-    make from |0> for inputs [..., input_dim], (cos, -i sin) of the half
-    angle for RX and (cos, sin) for RY.  A qubit that encodes no feature
-    stays |0>."""
+def _product_states(template: CircuitTemplate, inputs: np.ndarray) -> np.ndarray:
+    """The product states [..., 2**n], column-major with qubit 0 the least
+    significant bit, that the first segment's rotations make from |0...0>
+    for inputs [..., input_dim]: per qubit (cos, -i sin) of the half angle
+    for RX, (cos, sin) for RY, and |0> where no feature is encoded."""
     embedding = template.segments[0]
     count = len(embedding.feature_slots)
-    angles = np.moveaxis(inputs[..., list(embedding.feature_slots)], -1, 0)
+    half = inputs.reshape(-1, inputs.shape[-1]).T.take(embedding.feature_slots, axis=0)
     if embedding.transform == "arctan":
-        angles = np.arctan(angles)
-    phase = -1j if embedding.axis == "X" else 1.0
-    factors = np.zeros((template.n_qubits, 2) + inputs.shape[:-1], dtype=np.complex128)
-    factors[count:, 0] = 1.0
-    factors[:count, 0], factors[:count, 1] = np.cos(0.5 * angles), phase * np.sin(0.5 * angles)
-    return factors
-
-
-def _product_state(factors: np.ndarray) -> np.ndarray:
-    """The product of one-qubit states [n, 2, ...] as column-major
-    amplitudes [..., 2**n], qubit 0 the least significant bit."""
-    lead = factors.shape[2:]
-    state = factors[0].reshape(2, -1)
+        np.arctan(half, out=half)
+    half *= 0.5
+    factors = np.empty((template.n_qubits, 2, half.shape[-1]), dtype=np.complex128)
+    factors[count:, 0], factors[count:, 1] = 1.0, 0.0
+    factors[:count, 0] = np.cos(half)
+    sin = np.sin(half, out=half)
+    factors[:count, 1] = -1j * sin if embedding.axis == "X" else sin
+    state = factors[0]
     for factor in factors[1:]:
-        state = (factor.reshape(2, 1, -1) * state[None]).reshape(-1, state.shape[-1])
-    return state.T.reshape(lead + (-1,))
+        state = (factor[:, None] * state[None]).reshape(-1, state.shape[-1])
+    return state.T.reshape(inputs.shape[:-1] + (-1,))
 
 
 class _AnsatzMatrix(NamedTuple):
@@ -822,20 +821,17 @@ class CircuitStack:
         n = template.n_qubits
         if self.lowering == "phase":
             self.frequencies = table = _frequencies(template)
-            m = table.inputs.shape[1]
             dp = params @ table.params  # [..., K, n 2**(n-1)]
             cos, sin = np.cos(dp), np.sin(dp)
-            z = np.zeros(dp.shape[:-1] + (n * 2 * m,))
-            coefficient = table.slots[table.starts]
-            z[..., coefficient] = np.add.reduceat(cos, table.starts, axis=-1)
-            z[..., coefficient + m] = np.add.reduceat(sin * -table.signs, table.starts, axis=-1)
+            terms = np.concatenate([cos, sin * -table.signs, np.zeros(dp.shape[:-1] + (1,))], -1)
+            z = np.add.reduceat(terms, table.starts, axis=-1).take(table.spread, axis=-1)
             z *= 2.0 ** (1 - n)
-            self.coefficients = z.reshape(dp.shape[:-1] + (n, 2 * m))
+            self.coefficients = z.reshape(dp.shape[:-1] + (n, -1))
             if not forward_only:
                 self.pairs = cos, sin
         elif self.lowering == "matrix":
             self.layout = _ansatz_matrix(template)
-            angles = params.reshape(-1, params.shape[-1]).T[self.layout.plan.order]
+            angles = params.reshape(-1, params.shape[-1]).T.take(self.layout.plan.order, axis=0)
             turns = angles * _HALF_AND_WHOLE  # [2, n_angles, circuits]
             cos, sin = np.cos(turns), np.sin(turns, out=turns)
             products = _ansatz_products(self.layout, cos[0], sin[0], not forward_only)
@@ -862,7 +858,7 @@ class CircuitStack:
             angles = angles.reshape(-1, angles.shape[-1])
             exps, states = _run_rows(template, angles)
             return exps.reshape(rows + (-1,)), (angles, states)
-        product = _product_state(_embedding_factors(template, inputs))  # [..., B, 2**n]
+        product = _product_states(template, inputs)  # [..., B, 2**n]
         amps = product[..., None, :, :] @ self.matrices[..., circuits, :, :].swapaxes(-1, -2)
         exps = sim._expect_z_rows(amps.reshape(-1, amps.shape[-1]))
         return exps.reshape(amps.shape[:-1] + (-1,)), (product, amps)
@@ -960,8 +956,8 @@ class CircuitStack:
         # pair j takes its own: d/d(dp_j) = -2**(1-n) sum_b w sin(dp_j + s_j x)
         table, (cos, sin), m = self.frequencies, self.pairs, self.seeds.shape[-1] // 2
         seeds = self.seeds.reshape(self.seeds.shape[:-2] + (-1,))  # [..., K, n 2m]
-        d_pairs = sin * seeds[..., table.slots]
-        d_pairs += cos * table.signs * seeds[..., table.slots + m]
+        d_pairs = sin * seeds.take(table.slots, axis=-1)
+        d_pairs += cos * table.signs * seeds.take(table.slots + m, axis=-1)
         d_pairs *= -(2.0 ** (1 - self.template.n_qubits))
         return d_pairs @ table.params.T
 
@@ -974,9 +970,9 @@ class CircuitStack:
         overlaps = products.reshape(circuits, -1, dim) @ self.seeds.reshape(circuits, dim, dim)
         # [circuits, L, dim, dim]
         overlaps = overlaps.reshape(products.shape) @ products.conj().swapaxes(-1, -2)
-        read = overlaps.reshape(circuits, -1)[:, layout.reads] @ layout.sums
+        read = overlaps.reshape(circuits, -1).take(layout.reads, axis=1) @ layout.sums
         # Im Tr(sigma C_b) [3, L n, circuits]; the plan's groups are (L, n)
-        pauli = read.reshape(circuits, -1).T[layout.picks].imag.reshape(3, -1, circuits)
+        pauli = read.reshape(circuits, -1).T.take(layout.picks, axis=0).imag.reshape(3, -1, circuits)
         grads = _member_grads(layout.plan, pauli, *self.turns)
         return grads.reshape(self.params.shape)
 

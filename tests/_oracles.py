@@ -19,7 +19,9 @@ fc_out maps were folded into the circuit coefficients, each circuit run
 through the fused plan and differentiated by parameter shift; the
 every-step QLSTM oracle is its forward pass before only a window's last
 step was read out, circuits 5 and 6 and the readout run at every step.
-Nothing here
+The circuit-kernel oracles are the vqr step's pieces before their gathers
+went through ``take``: the member-gradient turn loop and the embedding's
+one-qubit states, whose product is taken one row at a time with ``np.kron``.  Nothing here
 imports the package's kernels: the serial loops take the package's
 ``models`` and ``experiments`` modules as arguments, and run one model's
 unstacked training step, ``_loss_and_grad_scaled`` on its own ``flat``; the
@@ -32,6 +34,7 @@ import io
 import math
 import warnings
 from datetime import datetime, timedelta, timezone
+from functools import reduce
 from itertools import compress, islice, repeat
 from operator import not_
 
@@ -536,6 +539,65 @@ def optimizer_step(state, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     m_hat = state.m / (1.0 - 0.9 ** int(state.step))
     v_hat = state.v / (1.0 - 0.999 ** int(state.step))
     return params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def member_grads_loop(plan, pauli: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """``vqc._member_grads`` as it read with fancy indexing: derivatives
+    [rows, n_angles] of every gate angle of a fused ``plan`` (the
+    package's) from the Pauli readings [3, n_groups, rows] after each group
+    and the fused tables of the cosines and sines of the angles.  Each
+    class's readings are gathered, then turned back in place through each
+    later member's rotation."""
+    dfused = np.empty_like(sin)
+    for cls in plan.classes:
+        size = len(cls.axes) * cls.groups.size
+        c, s, d = (
+            table[cls.start : cls.start + size].reshape(len(cls.axes), -1, table.shape[-1])
+            for table in (cos, sin, dfused)
+        )
+        t = pauli[:, cls.groups]  # [3, G, rows]
+        for m in range(len(cls.axes) - 1, -1, -1):
+            k = cls.axes[m]
+            d[m] = t[k]
+            if m:
+                ti, tj, cm, sm = t[(k + 1) % 3], t[(k + 2) % 3], c[m], s[m]
+                minus = sm * ti
+                ti *= cm
+                ti += sm * tj
+                tj *= cm
+                tj -= minus
+    return dfused[plan.fused_of_angle].T
+
+
+def embedding_factors(template, inputs: np.ndarray) -> np.ndarray:
+    """The first half of ``vqc._product_states`` as it read with
+    ``np.moveaxis``, a list index and a zero-filled array: the one-qubit
+    states [n, 2, ...] that the first segment's rotations make from |0>
+    for inputs [..., input_dim]; a qubit that encodes no feature stays
+    |0>."""
+    embedding = template.segments[0]
+    count = len(embedding.feature_slots)
+    angles = np.moveaxis(inputs[..., list(embedding.feature_slots)], -1, 0)
+    if embedding.transform == "arctan":
+        angles = np.arctan(angles)
+    phase = -1j if embedding.axis == "X" else 1.0
+    factors = np.zeros((template.n_qubits, 2) + inputs.shape[:-1], dtype=np.complex128)
+    factors[count:, 0] = 1.0
+    factors[:count, 0], factors[:count, 1] = np.cos(0.5 * angles), phase * np.sin(0.5 * angles)
+    return factors
+
+
+def product_states(factors: np.ndarray) -> np.ndarray:
+    """The product of one-qubit states [n, 2, ...] as amplitudes [...,
+    2**n], qubit 0 the least significant bit, one Kronecker product per
+    row."""
+    lead = factors.shape[2:]
+    rows = factors.reshape(factors.shape[:2] + (-1,))
+    states = [
+        reduce(np.kron, [rows[q, :, r] for q in range(len(rows) - 1, -1, -1)])
+        for r in range(rows.shape[-1])
+    ]
+    return np.array(states).reshape(lead + (-1,))
 
 
 def qlstm_every_step_forward(model, nn, x_scaled: np.ndarray, cell) -> tuple:

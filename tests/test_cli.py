@@ -510,6 +510,28 @@ class TestTrainPredict:
         assert lines[-1].startswith("config error:")
         assert ".py:" not in err
 
+    def test_fold_without_window_prints_one_data_error(self, tmp_path, capsys, campaign):
+        """5 contiguous lstm folds over 12 hours: fold 2 holds no 3-hour
+        window, which one ``data error:`` line says, with no ``warning:``
+        line saying it first."""
+        short = tmp_path / "short.csv"
+        data.dataset_to_csv(data.dataset_from_csv(campaign).subset(np.arange(12)), short)
+        code, _, err = run(
+            capsys,
+            "cross-validate",
+            "--model", "lstm",
+            "--epochs", "1",
+            "--folds", "5",
+            "--fold-mode", "contiguous",
+            "--window", "3",
+            "--data", str(short),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert lines[-1] == "data error: fold 2: the 2 held-out hours hold no 3-hour window"
+        assert [line for line in lines if line.startswith(("data error:", "warning:"))] == lines[-1:]
+
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_is_config_error(self, tmp_path, capsys, campaign, rate):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -181,7 +182,8 @@ class TestCrossValidate:
 
     def test_fold_without_window_refused_before_training(self, monkeypatch):
         """5 contiguous folds of 12 hours hold 3, 3, 2, 2 and 2 hours: fold 2
-        is the first with no 3-hour window, and no fold trains."""
+        is the first with no 3-hour window, and no fold trains.  The error
+        says what ``make_windows``' warning would, so no warning is shown."""
         trained = []
         lockstep = models.train_lockstep
         monkeypatch.setattr(
@@ -189,7 +191,8 @@ class TestCrossValidate:
         )
         cfg = TrainConfig(1, 0.02, "rmsprop", "l1", batch_size=8, window=3, seed=0)
         message = r"^fold 2: the 2 held-out hours hold no 3-hour window$"
-        with pytest.raises(DataError, match=message), pytest.warns(UserWarning, match="no windows"):
+        with pytest.raises(DataError, match=message), warnings.catch_warnings():
+            warnings.simplefilter("error")
             cross_validate(
                 "lstm", affine_dataset(12, seed=5), cfg, FoldSpec(5, "contiguous"),
                 options={"hidden_size": 3, "n_layers": 1, "features": ("pm25",)},

@@ -596,7 +596,9 @@ class TestFrequencies:
         qubit, column = np.divmod(table.slots, 2 * m)
         assert np.all(column < m)
         assert np.all(np.diff(table.slots) >= 0)
-        np.testing.assert_array_equal(table.starts, np.unique(table.slots, return_index=True)[1])
+        # the runs over the terms [cos | sin | 0] of the pairs
+        runs, size = np.unique(table.slots, return_index=True)[1], table.slots.size
+        np.testing.assert_array_equal(table.starts, np.concatenate([runs, runs + size, [2 * size]]))
         frequencies = table.inputs.T
         for u in frequencies:
             assert not u.any() or u[np.flatnonzero(u)[0]] > 0
@@ -810,6 +812,75 @@ class TestAnsatzMatrix:
                 params = np.zeros((2, template.total_params))
                 for forward_only in (False, True):
                     assert vqc.CircuitStack(template, params, forward_only).lowering == choice
+
+
+@st.composite
+def plan_templates(draw):
+    """A template whose fused plan has groups of 1-4 members: an RY or RX
+    embedding of some features (or none) on 1-5 qubits, then a strongly
+    entangling (RZ RY RZ) or ring-RX ansatz, perhaps twice, as the
+    re-uploading vqr's (1, 2, 1, 2) groups are."""
+    n = draw(st.integers(1, 5))
+    segments = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            axis, transform = draw(st.sampled_from(vqc.AXES)), draw(st.sampled_from(vqc.TRANSFORMS))
+            segments.append(Embedding(axis, some_features(draw, n), transform))
+        kind = draw(st.sampled_from(vqc.ANSATZ_KINDS))
+        segments.append(Ansatz(kind, draw(st.integers(1, 3))))
+    return CircuitTemplate(n, n, tuple(segments))
+
+
+class TestGatherForms:
+    """The vqr step's pieces whose gathers go through ``take`` against
+    their fancy-indexed forms and a per-row Kronecker product, at 1e-12."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            plan_templates().map(lambda template: (template, False)),
+            st.builds(nonlinear_vqr_template, st.integers(2, 4), st.integers(2, 3)).map(
+                lambda template: (template, True)
+            ),
+        ),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_member_grads_match_turn_loop(self, case, rows, seed):
+        """Every plan's angle derivatives from random readings and angles;
+        the re-uploading vqr's groups have 4 members."""
+        template, reuploading = case
+        plan = vqc._plan(template)
+        if reuploading:
+            assert (1, 2, 1, 2) in {cls.axes for cls in plan.classes}
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(0.0, 2.0 * math.pi, (plan.order.size, rows))
+        pauli = rng.uniform(-1.0, 1.0, (3, plan.n_groups, rows))
+        want = oracle.member_grads_loop(plan, pauli.copy(), np.cos(angles), np.sin(angles))
+        got = vqc._member_grads(plan, pauli, np.cos(angles), np.sin(angles))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from(vqc.AXES),
+        st.sampled_from(vqc.TRANSFORMS),
+        st.sampled_from([(7,), (1,), (3, 5), (2, 1)]),
+        st.data(),
+    )
+    def test_product_states_match_kron(self, n, axis, transform, lead, data):
+        """The embedding's product states for inputs [B, d] and [M, B, d],
+        RX and RY, identity and arctan, with fewer features than qubits and
+        more inputs than features."""
+        slots = some_features(data.draw, n)
+        template = CircuitTemplate(
+            n, n + 1, (Embedding(axis, slots, transform), Ansatz("strongly_entangling", 1))
+        )
+        inputs = np.random.default_rng(n + len(lead)).uniform(-3.0, 3.0, lead + (n + 1,))
+        want = oracle.product_states(oracle.embedding_factors(template, inputs))
+        np.testing.assert_allclose(
+            vqc._product_states(template, inputs), want, rtol=0.0, atol=1e-12
+        )
 
 
 class TestInitParams:
