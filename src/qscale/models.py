@@ -62,7 +62,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress, groupby, islice
 from operator import attrgetter
 from pathlib import Path
@@ -514,21 +514,83 @@ class QLSTMParams:
 
 
 class _FoldedCircuits(NamedTuple):
-    """A QLSTM's six phase-lowered circuits with its fc_out maps folded
-    into their coefficients: circuit k's cell output is t F_k + b_k, t the
-    Fourier features ``circuits.features`` of its inputs, with ``tables``
-    F [..., 6, 2m, hidden] and ``bias`` b [..., 6, 1, hidden]."""
+    """A QLSTM's six phase-lowered circuits with its linear maps folded in,
+    for one training step or predict.  The fc_out maps go into the
+    coefficients: circuit k's cell output is t F_k + b_k for the Fourier
+    features t [..., B, 2m] of its frequency angles, one product [t, 1]
+    with ``tables`` [..., 6, 2m + 1, hidden], F_k [2m, hidden] and then
+    b_k.  The maps in front of the circuits go into the input frequencies
+    Omega, each made against [Omega, Omega] [n, 2m] (the model's
+    ``input_frequencies``), so that the gradient at the features goes back
+    through it with its halves unsummed; the angles are the first m
+    columns.  The gate circuits' angles are h_prev M_h + x_t M_x + b_in
+    Omega, with ``hidden_map`` M_h [..., hidden, 2m], ``input_map`` M_x
+    [..., features, m] and ``input_bias`` b_in Omega [..., 1, m], and
+    circuits 5 and 6 take u M_p + b_p Omega, with ``projection_map`` M_p
+    [..., hidden, 2m] and ``projection_bias`` [..., 1, m]."""
 
     circuits: vqc.CircuitStack
     tables: np.ndarray
-    bias: np.ndarray
+    hidden_map: np.ndarray
+    input_map: np.ndarray
+    input_bias: np.ndarray
+    projection_map: np.ndarray
+    projection_bias: np.ndarray
 
-    def outputs(self, gates: slice, t: np.ndarray) -> np.ndarray:
+    def outputs(self, gates: slice, t: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The given circuits' cell outputs [..., k, B, hidden] for the
-        features t [..., B, 2m]."""
-        out = t[..., None, :, :] @ self.tables[..., gates, :, :]
-        out += self.bias[..., gates, :, :]
-        return out
+        features t [..., B, 2m + 1], whose last column is ones, written
+        into ``out``."""
+        return np.matmul(t[..., None, :, :], self.tables[..., gates, :, :], out=out)
+
+
+class _Window(NamedTuple):
+    """What a QLSTM's forward pass over windows [..., B, T, features]
+    writes, step-major, one row block per time step, for the backward pass
+    to read as slabs of all T B rows: ``concat`` [T, ..., B, hidden +
+    features], each step's [h_prev, x_t] (h_0 = 0); ``drive`` [T, ..., B,
+    m], the angles x_t M_x + b_in Omega that the inputs send to the gate
+    circuits; the gate circuits' features ``t_v`` and circuit 5's or 6's
+    ``t_w`` [T, ..., B, 2m + 1], each with a last column of ones that reads
+    the bias row of ``_FoldedCircuits.tables``; the gate slabs ``z`` [T,
+    ..., 4, B, hidden]; the cell states ``c`` [T + 1, ..., B, hidden] (c_0
+    = 0 first), ``tc`` = tanh(c) and the LSTM outputs ``u`` [T, ..., B,
+    hidden]; and circuit 6's output ``q`` [..., B, hidden] at the last
+    step, which the readout reads."""
+
+    concat: np.ndarray
+    drive: np.ndarray
+    t_v: np.ndarray
+    t_w: np.ndarray
+    z: np.ndarray
+    c: np.ndarray
+    tc: np.ndarray
+    u: np.ndarray
+    q: np.ndarray
+
+
+# each circuit's fc_out slot, and the same as a 0/1 matrix [K, 6]: one
+# shared map, or one map per circuit
+_FC_OUT_SLOTS = {True: (np.zeros(6, dtype=int), np.ones((1, 6))), False: (np.arange(6), np.eye(6))}
+
+
+@lru_cache(maxsize=None)
+def _frequency_pairs(template: vqc.CircuitTemplate) -> np.ndarray:
+    """[Omega, Omega] [n, 2m] for the input frequencies Omega [n, m] of a
+    phase-lowered template whose encoding has the identity transform, so
+    that no frequency reads the arctan of an input."""
+    n, frequencies = template.n_qubits, vqc._frequencies(template).inputs
+    assert not frequencies[n:].any(), "the encoding has arctan frequencies"
+    pairs = np.concatenate([frequencies[:n]] * 2, axis=-1)
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _rows(slab: np.ndarray) -> np.ndarray:
+    """A step-major slab [T, ..., B, X] as the T B rows [..., T B, X] of
+    one product: a view for one model, a copy for a stack."""
+    order = (*range(1, slab.ndim - 2), 0, slab.ndim - 2, slab.ndim - 1)
+    return slab.transpose(order).reshape(slab.shape[1:-2] + (-1, slab.shape[-1]))
 
 
 class QLSTMModel(_ModelBase):
@@ -541,29 +603,43 @@ class QLSTMModel(_ModelBase):
     projection feeds circuits 5-6, which produce the next hidden state and,
     at a window's last step, the prediction.  ``params`` is a
     ``QLSTMParams``; its expansions are one slab pair, with K = 1 when
-    shared and 6 otherwise, and ``fc_out_slot`` names each circuit's entry.
+    shared and 6 otherwise; ``fc_out_slot`` names each circuit's entry, and
+    ``fc_out_slots`` [K, 6] is the same as a 0/1 matrix.
 
     The cell runs over a minibatch [B, ...].  The six circuits are one
     ``vqc.CircuitStack`` for the whole window, B x T rows each: per time
     step, one run of circuits 1-4 on B rows and one of circuit 5, or at a
-    window's last step, the only one read out, of circuits 5-6.  Every
-    gate of a ring-RX circuit is an RX or a CNOT, so the stack runs them as
-    phase polynomials at any batch size, each <Z> a Fourier series in the
+    window's last step, the only one read out, of circuit 6.  Every gate of
+    a ring-RX circuit is an RX or a CNOT, so the stack runs them as phase
+    polynomials at any batch size, each <Z> a Fourier series in the
     circuit's inputs (Schuld, Sweke & Meyer, arXiv:2008.08605): the
-    encoding fixes a few input frequencies (12 at the default 5 qubits and
-    7 layers), whose coefficients C_k [n, 2m] the six circuits' angles set
-    once per step or predict.  The fc_out map W_k, b_k of circuit k is
-    linear too, so it is folded into the coefficients at the same time
-    (:meth:`_cell`): F_k = C_k^T W_k^T [2m, hidden].  A cell call takes the
-    Fourier features t = (cos x, sin x) [B, 2m] of its inputs, and its
-    circuits' outputs through fc_out are t F_k + b_k, made for circuits
-    1-4 in one batched product in ``nn.lstm_gates``' [4, B, hidden] layout.
-    A predict's stack is forward-only and keeps only the coefficients.
-    Backpropagation through time takes each call's input gradient from the
-    features' closed form, dt = sum_k D_k F_k^T for the gradients D_k at
-    the outputs, and sums G_k = sum t^T D_k over the steps; after the last
-    step the fc_out gradient is (C_k G_k)^T and the seeds (G_k W_k)^T go to
-    the stack, which spreads them into the angle gradients once per step.
+    encoding fixes a few input frequencies, the columns of Omega [n, m] (m
+    = 12 at the default 5 qubits and 7 layers), whose coefficients C_k [n,
+    2m] the six circuits' angles set once per step or predict.  Every map
+    around the circuits is linear, so :meth:`_cell` folds each one in at
+    the same time (:class:`_FoldedCircuits`): circuit k's fc_out map into
+    its coefficients, F_k = C_k^T W_k^T, and, since the ring-RX encoding
+    has the identity transform, fc_in and the projection into the
+    frequencies.  A window's input part of the gate angles is one product
+    for all T steps before the time loop (:meth:`_window`); a step
+    (:meth:`cell_forward`) adds h_prev M_h, takes the Fourier features t =
+    (cos x, sin x) and makes the gate circuits' outputs t F_k + b_k in one
+    product straight into ``nn.lstm_gates``' [4, B, hidden] layout.  A
+    predict's stack is forward-only and keeps only the coefficients.
+
+    Backpropagation through time (:meth:`_backward`) keeps in its loop only
+    what a step needs from the step after it.  For the gradients D_k at the
+    circuits' outputs, the gradient at the features is dt = sum_k D_k
+    F_k^T, and the one at the angles, cos x dt_sin - sin x dt_cos, is the
+    sum of the halves of e = t * ``vqc.turned`` (dt); a step takes e as t *
+    (sum_k D_k turned(F_k^T)) and sends it back through maps made against
+    [Omega, Omega], which sum its halves.  Each step's D_k and e go into
+    [T, ...] slabs, and every weight gradient is then one product over all
+    T B rows: G_k = sum t^T D_k with the bias sums, then the fc_out
+    gradient (C_k G_k)^T, which ``fc_out_slots`` sums into the slots, and
+    the coefficient seeds (G_k W_k)^T; and the fc_in and projection
+    gradients [Omega, Omega] sum e^T [h_prev, x_t] and [Omega, Omega] sum
+    e^T u.
     """
 
     kind = "qlstm"
@@ -587,13 +663,14 @@ class QLSTMModel(_ModelBase):
 
     def _init_params(self, rng):
         self.template = vqc.ring_rx_template(self.n_qubits, self.options["n_layers"])
+        self.input_frequencies = _frequency_pairs(self.template)
         p = self.params
         maps = [p.fc_in, p.projection, *map(nn.DenseLayer, p.fc_out_weights, p.fc_out_bias)]
         for layer in maps + [p.readout]:
             nn.draw_uniform(rng, layer.weights, layer.bias)
         for angles in p.angles:
             angles[...] = vqc.init_params(self.template, rng)
-        self.fc_out_slot = np.zeros(6, dtype=int) if self.options["shared_fc_out"] else np.arange(6)
+        self.fc_out_slot, self.fc_out_slots = _FC_OUT_SLOTS[self.options["shared_fc_out"]]
 
     @property
     def hidden_size(self) -> int:
@@ -607,130 +684,179 @@ class QLSTMModel(_ModelBase):
 
     def _cell(self, forward_only: bool = False) -> _FoldedCircuits:
         """The six circuits as one stack, for one training step or predict,
-        with the fc_out maps folded into their coefficients."""
-        p = self.params
+        with the fc_out maps folded into their coefficients and the fc_in
+        and projection maps into their frequencies."""
+        p, omega, hidden = self.params, self.input_frequencies, self.hidden_size
+        m = omega.shape[-1] // 2
         circuits = vqc.CircuitStack(self.template, p.angles, forward_only)
-        # F_k = C_k^T W_k^T; a shared map broadcasts over the six circuits
-        tables = circuits.coefficients.swapaxes(-1, -2) @ p.fc_out_weights.swapaxes(-1, -2)
-        return _FoldedCircuits(circuits, tables, p.fc_out_bias[..., self.fc_out_slot, None, :])
+        # F_k = C_k^T W_k^T, then b_k; a shared map broadcasts over the six
+        # circuits
+        coefficients = circuits.coefficients.swapaxes(-1, -2)
+        tables = np.empty(coefficients.shape[:-2] + (2 * m + 1, hidden))
+        np.matmul(coefficients, p.fc_out_weights.swapaxes(-1, -2), out=tables[..., :-1, :])
+        tables[..., -1, :] = p.fc_out_bias[..., self.fc_out_slot, :]
+        maps = p.fc_in.weights.swapaxes(-1, -2) @ omega  # [M_h; M_x]
+        return _FoldedCircuits(
+            circuits,
+            tables,
+            maps[..., :hidden, :],
+            maps[..., hidden:, :m],
+            p.fc_in.bias[..., None, :] @ omega[:, :m],
+            p.projection.weights.swapaxes(-1, -2) @ omega,
+            p.projection.bias[..., None, :] @ omega[:, :m],
+        )
 
-    def cell_forward(
-        self,
-        x_t: np.ndarray,
-        h_prev: np.ndarray,
-        c_prev: np.ndarray,
-        cell: _FoldedCircuits,
-        readout: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], dict]:
-        """One time step on scaled inputs x_t [..., B, features] and states
-        h_prev, c_prev [..., B, hidden], its circuits run by ``cell``, the
-        model's six folded with their fc_out maps (:meth:`_cell`); returns
-        (h, c, y [..., B], cache).  Only a window's last step is read out:
-        with ``readout`` circuits 5 and 6 run together and the readout makes
-        y from circuit 6's output q, which the cache keeps; without it
-        circuit 5 runs alone, and y and q are None."""
-        p = self.params
-        concat = np.concatenate([h_prev, x_t], axis=-1)
-        v = nn.dense_forward(p.fc_in, concat)[0]
-        t_v = cell.circuits.features(v)
-        u, c, gates = nn.lstm_gates(cell.outputs(slice(0, 4), t_v), c_prev)
-        w = nn.dense_forward(p.projection, u)[0]
-        t_w = cell.circuits.features(w)
-        if readout:
-            out = cell.outputs(slice(4, 6), t_w)
-            h, q = out[..., 0, :, :], out[..., 1, :, :]
-            y = nn.dense_forward(p.readout, q)[0][..., 0]
-        else:
-            h, q, y = cell.outputs(slice(4, 5), t_w)[..., 0, :, :], None, None
-        cache = {
-            "concat": concat,
-            "v": v,
-            "t_v": t_v,
-            "gates": gates,
-            "u": u,
-            "w": w,
-            "t_w": t_w,
-            "q": q,
-        }
-        return h, c, y, cache
+    def _window(self, x_scaled: np.ndarray, cell: _FoldedCircuits) -> _Window:
+        """The arrays of a forward pass over windows [..., B, T, features],
+        with the windows and their gate-circuit angles x_t M_x + b_in Omega
+        filled in, the latter in one product over every step."""
+        *lead, batch, steps, features = x_scaled.shape
+        hidden, m = self.hidden_size, self.input_frequencies.shape[-1] // 2
+
+        def empty(rows, *shape):
+            return np.empty((rows, *lead, batch, *shape))
+
+        concat = empty(steps, hidden + features)
+        concat[0, ..., :hidden] = 0.0
+        concat[..., hidden:] = np.moveaxis(x_scaled, -2, 0)
+        drive = concat[..., hidden:] @ cell.input_map
+        drive += cell.input_bias
+        c = empty(steps + 1, hidden)
+        c[0] = 0.0
+        return _Window(
+            concat,
+            drive,
+            np.ones((steps, *lead, batch, 2 * m + 1)),
+            np.ones((steps, *lead, batch, 2 * m + 1)),
+            np.empty((steps, *lead, 4, batch, hidden)),
+            c,
+            empty(steps, hidden),
+            empty(steps, hidden),
+            np.empty((*lead, batch, hidden)),
+        )
+
+    def cell_forward(self, window: _Window, t: int, cell: _FoldedCircuits) -> Optional[np.ndarray]:
+        """Time step t of ``window``, its circuits run by ``cell``, the
+        model's six folded with its maps (:meth:`_cell`): writes the step's
+        features, gates and states into ``window``, and h into the next
+        step's [h_prev, x_t].  Only a window's last step is read out: there
+        circuit 6 runs instead of circuit 5, and the step returns the
+        predictions y [..., B] that the readout makes from its output q;
+        any other step returns None."""
+        hidden, m = self.hidden_size, window.drive.shape[-1]
+        t_v, t_w, last = window.t_v[t], window.t_w[t], t == len(window.t_v) - 1
+        x = window.drive[t]
+        if t:  # h_0 = 0 sends nothing
+            x = window.concat[t, ..., :hidden] @ cell.hidden_map[..., :m] + x
+        vqc.fourier_features(x, t_v[..., :-1])
+        z = cell.outputs(slice(0, 4), t_v, window.z[t])
+        nn.lstm_gates(z, window.c[t], (window.c[t + 1], window.tc[t], window.u[t]))
+        w = window.u[t] @ cell.projection_map[..., :m]
+        w += cell.projection_bias
+        vqc.fourier_features(w, t_w[..., :-1])
+        if not last:
+            cell.outputs(slice(4, 5), t_w, window.concat[t + 1, ..., None, :, :hidden])
+            return None
+        cell.outputs(slice(5, 6), t_w, window.q[..., None, :, :])
+        return nn.dense_forward(self.params.readout, window.q)[0][..., 0]
 
     def sequence_forward(
-        self, x_scaled: np.ndarray, cell: _FoldedCircuits, keep_caches: bool = True
-    ) -> tuple[np.ndarray, list[dict]]:
+        self, x_scaled: np.ndarray, cell: _FoldedCircuits
+    ) -> tuple[np.ndarray, _Window]:
         """Run windows [..., B, T, features] through the cell, its circuits
-        run by ``cell``; returns the predictions [..., B] and, when
-        ``keep_caches``, the per-step caches that :meth:`_backward`
-        consumes.  Otherwise each step's cache is dropped as it goes."""
-        h = c = np.zeros(x_scaled.shape[:-2] + (self.hidden_size,))
-        caches, steps = [], x_scaled.shape[-2]
-        for t in range(steps):
-            h, c, y, cache = self.cell_forward(x_scaled[..., t, :], h, c, cell, t == steps - 1)
-            if keep_caches:
-                caches.append(cache)
-            del cache  # a predict holds no step's activations into the next step
-        return y, caches
+        run by ``cell``; returns the predictions [..., B] and the
+        :class:`_Window` that :meth:`_backward` consumes."""
+        window = self._window(x_scaled, cell)
+        for t in range(x_scaled.shape[-2]):
+            y = self.cell_forward(window, t, cell)
+        return y, window
 
     def _predictor(self, rows):
         return partial(self._predict_scaled, cell=self._cell(forward_only=True))
 
     def _predict_scaled(self, x_scaled, cell):
-        return self.sequence_forward(x_scaled, cell, keep_caches=False)[0]
+        return self.sequence_forward(x_scaled, cell)[0]
 
     # -- backward ---------------------------------------------------------
 
-    def _backward(
-        self, cell: _FoldedCircuits, caches: list[dict], d_pred: np.ndarray
-    ) -> np.ndarray:
+    def _backward(self, cell: _FoldedCircuits, window: _Window, d_pred: np.ndarray) -> np.ndarray:
         """Backpropagation through time over the batch, through the folded
-        circuits that ran the forward pass; a fresh flat gradient.  Each
-        step adds t^T D_k into G_k [..., 6, 2m, hidden], D_k the gradient
-        at circuit k's cell output t F_k + b_k; after the last step the
-        fc_out gradient is (C_k G_k)^T and the coefficient seeds are (G_k
-        W_k)^T."""
-        hidden, steps, p = self.hidden_size, len(caches), self.params
-        circuits, tables = cell.circuits, cell.tables
-        grad, g = self._grad_buffers()
-        grad.fill(0.0)  # every gradient below is added in
-        sums = np.zeros(tables.shape)
-        bias_sums = np.zeros(tables.shape[:-2] + (hidden,))
-        dh = np.zeros(d_pred.shape + (hidden,))
-        dc = np.zeros_like(dh)
+        circuits that ran the forward pass; a fresh flat gradient.  The
+        loop writes each step's gradients at the circuits' outputs and at
+        their features into [T, ...] slabs, and each weight gradient is
+        taken from them after the loop, in one product over all T B rows."""
+        hidden, n, p = self.hidden_size, self.n_qubits, self.params
+        omega, t_v, t_w = self.input_frequencies, window.t_v, window.t_w
+        # D_k times turned F_k^T is the gradient at circuit k's features
+        # turned, whose product with the features holds the halves of the
+        # gradient at its angles (vqc.turned); [..., 6, hidden, 2m]
+        turns = vqc.turned(cell.tables[..., :-1, :].swapaxes(-1, -2))
+        # the four gate circuits' turned tables stacked, [..., 4 hidden, 2m]:
+        # a step's gate gradients, laid side by side, are turned in one product
+        gate_turns = turns[..., :4, :, :].reshape(turns.shape[:-3] + (-1, omega.shape[-1]))
+        projection_map = cell.projection_map.swapaxes(-1, -2)  # M_p^T
+        hidden_map = cell.hidden_map.swapaxes(-1, -2)  # M_h^T
+        grad, g = self._grad_buffers()  # every entry is written below
+        steps = len(t_v)
+        # step-major slabs of D_5 at every step but the last and D_6 at it,
+        # of the gates' D_1..4, and of the halves of the angle gradients at
+        # circuits 5-6 and at 1-4, t * turned(dt)
+        d_out, dz = np.empty(window.u.shape), np.empty(window.z.shape)
+        e_w = np.empty(t_w.shape[:-1] + omega.shape[-1:])
+        e_v = np.empty_like(e_w)
+        np.matmul(d_pred[..., None, :], window.q, out=g.readout.weights)
+        np.add.reduce(d_pred, axis=-1, keepdims=True, out=g.readout.bias)
+        np.matmul(d_pred[..., None], p.readout.weights, out=d_out[-1])
+        dc = None
         for t in range(steps - 1, -1, -1):
-            cache = caches[t]
             # Nothing reads h after the last step, and the prediction reads
             # circuit 6 at the last step only, so each step sends gradient
             # back through exactly one of circuits 5 and 6.
-            if t == steps - 1:
-                k, d_out = 5, nn.linear_backward(p.readout, cache["q"], d_pred[..., None], g.readout)
-            else:
-                k, d_out = 4, dh
-            sums[..., k, :, :] += cache["t_w"].swapaxes(-1, -2) @ d_out
-            bias_sums[..., k, :] += d_out.sum(axis=-2)
-            dt = d_out @ tables[..., k, :, :].swapaxes(-1, -2)
-            dw = circuits.feature_grads(cache["t_w"], dt, cache["w"])
-            du = nn.linear_backward(p.projection, cache["u"], dw, g.projection)
+            k = 5 if t == steps - 1 else 4
+            e = np.matmul(d_out[t], turns[..., k, :, :], out=e_w[t])
+            e *= t_w[t, ..., :-1]
+            du = e @ projection_map
+            gates = window.c[t], window.z[t], window.tc[t]
+            dc = nn.lstm_gates_backward(gates, du, dc, dz[t])[1]
+            by_row = dz[t].swapaxes(-3, -2)  # [..., B, 4, hidden]
+            e = np.matmul(by_row.reshape(by_row.shape[:-2] + (-1,)), gate_turns, out=e_v[t])
+            e *= t_v[t, ..., :-1]
+            if t:
+                np.matmul(e, hidden_map, out=d_out[t - 1])
 
-            dz, dc = nn.lstm_gates_backward(cache["gates"], du, dc)
-            sums[..., :4, :, :] += cache["t_v"][..., None, :, :].swapaxes(-1, -2) @ dz
-            bias_sums[..., :4, :] += dz.sum(axis=-2)
-            dt = (dz @ tables[..., :4, :, :].swapaxes(-1, -2)).sum(axis=-3)
-            dv = circuits.feature_grads(cache["t_v"], dt, cache["v"])
-            dh = nn.linear_backward(p.fc_in, cache["concat"], dv, g.fc_in)[..., :hidden]
-
-        # each fc_out entry sums the gradients of the circuits in its slot
-        every = slice(None)
-        grad_fc_w = (circuits.coefficients @ sums).swapaxes(-1, -2)
-        np.add.at(g.fc_out_weights, (..., self.fc_out_slot, every, every), grad_fc_w)
-        np.add.at(g.fc_out_bias, (..., self.fc_out_slot, every), bias_sums)
-        circuits.add_seeds(every, (sums @ p.fc_out_weights).swapaxes(-1, -2))
-        g.angles += circuits.param_grads()
+        # G_k = sum t^T D_k [..., 6, 2m, hidden] and, in the row after it,
+        # the bias sum: the features' column of ones sums D_k
+        sums = np.empty(cell.tables.shape)
+        np.matmul(_rows(t_v).swapaxes(-1, -2)[..., None, :, :], _rows(dz), out=sums[..., :4, :, :])
+        # circuit 5 ran at every step but the last, circuit 6 at the last
+        np.matmul(_rows(t_w[:-1]).swapaxes(-1, -2), _rows(d_out[:-1]), out=sums[..., 4, :, :])
+        np.matmul(t_w[-1].swapaxes(-1, -2), d_out[-1], out=sums[..., 5, :, :])
+        # circuit k's fc_out gradient (C_k G_k)^T and bias sum, summed into
+        # its slot
+        parts = np.empty(sums.shape[:-3] + (6, hidden * (n + 1)))
+        weights, bias = _interleaved(parts, (hidden, n))
+        g_k = sums[..., :-1, :]
+        np.matmul(g_k.swapaxes(-1, -2), cell.circuits.coefficients.swapaxes(-1, -2), out=weights)
+        bias[...] = sums[..., -1, :]
+        slotted = self.fc_out_slots @ parts
+        g.fc_out_weights[...], g.fc_out_bias[...] = _interleaved(slotted, (hidden, n))
+        # fc_in's [Omega, Omega] sum e_v^T [h_prev, x_t] and the projection's
+        # [Omega, Omega] sum e_w^T u, and their biases, which sum the halves
+        ones = np.ones(steps * t_v.shape[-2])
+        rows_v, rows_w = _rows(e_v), _rows(e_w)
+        np.matmul(omega, rows_v.swapaxes(-1, -2) @ _rows(window.concat), out=g.fc_in.weights)
+        np.matmul(ones @ rows_v, omega.T, out=g.fc_in.bias)
+        np.matmul(omega, rows_w.swapaxes(-1, -2) @ _rows(window.u), out=g.projection.weights)
+        np.matmul(ones @ rows_w, omega.T, out=g.projection.bias)
+        cell.circuits.add_seeds(slice(None), (g_k @ p.fc_out_weights).swapaxes(-1, -2))
+        g.angles[...] = cell.circuits.param_grads()
         return grad
 
     def _loss_and_grad_scaled(self, x_scaled, loss):
         cell = self._cell()
-        preds, caches = self.sequence_forward(self._by_model(x_scaled), cell)
+        preds, window = self.sequence_forward(self._by_model(x_scaled), cell)
         value, d_preds = loss(preds)
-        return value, self._backward(cell, caches, d_preds)
+        return value, self._backward(cell, window, d_preds)
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (FFNNModel, LSTMModel, VQRModel, QLSTMModel)}

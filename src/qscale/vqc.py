@@ -539,6 +539,30 @@ def lowering(template: CircuitTemplate) -> str:
     return "plan"
 
 
+def fourier_features(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The Fourier features t = (cos x, sin x) [..., 2m] of the angles x
+    [..., m] of the m input frequencies, written into ``out`` when given:
+    a phase-lowered circuit's <Z> is t times its coefficients."""
+    m = x.shape[-1]
+    if out is None:
+        out = np.empty(x.shape[:-1] + (2 * m,))
+    np.cos(x, out=out[..., :m])
+    np.sin(x, out=out[..., m:])
+    return out
+
+
+def turned(a: np.ndarray) -> np.ndarray:
+    """a [..., 2m] in the layout of the Fourier features (cos x, sin x),
+    with its halves swapped and the new second one negated: (a_sin,
+    -a_cos).  The gradient at the angles x for a gradient dt at the
+    features t is dx = cos x dt_sin - sin x dt_cos, the sum of the two
+    halves of t * turned(dt) (:meth:`CircuitStack.feature_grads`).  A
+    caller whose dt is D F^T may turn F^T once instead, and fold the
+    halves' sum into the product that takes dx on."""
+    m = a.shape[-1] // 2
+    return np.concatenate([a[..., m:], -a[..., :m]], axis=-1)
+
+
 class _Frequencies(NamedTuple):
     """An RX/CNOT template's phase differences phi_(j ^ 2**q) - phi_j of
     the final X-basis amplitudes, one per pair (q, j) of states that differ
@@ -784,8 +808,13 @@ class CircuitStack:
       each pair its coefficient's seeds and takes them back to the params
       once.  ``run`` and ``backward`` are these parts composed; a caller
       that maps the outputs on linearly, as the qlstm's fc_out maps do, may
-      fold its maps into the coefficients and call the parts itself.  A
-      forward-only stack keeps only the coefficients.
+      fold its maps into the coefficients and call the parts itself.  With
+      an identity embedding the frequency angles x are linear in the
+      inputs too, so a caller that makes its inputs by linear maps, as the
+      qlstm's fc_in and projection do, may fold those into the frequencies
+      and take :func:`fourier_features` of x and the gradient at x through
+      :func:`turned` itself.  A forward-only stack keeps only the
+      coefficients.
     * Ansatz matrix: ``matrices`` [..., K, 2**n, 2**n] holds each
       circuit's U = W_L ... W_1, the product of the unitaries of its
       ansatz blocks (:func:`_ansatz_products`).  A run is the product state
@@ -869,14 +898,15 @@ class CircuitStack:
         circuit k's <Z> is t times its ``coefficients[..., k, :, :]``
         transposed."""
         source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
-        x = source @ self.frequencies.inputs
-        return np.concatenate([np.cos(x), np.sin(x)], axis=-1)
+        return fourier_features(source @ self.frequencies.inputs)
 
     def feature_grads(self, t: np.ndarray, dt: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """The input gradient [..., B, input_dim] of the inputs whose
-        :meth:`features` are t, for the gradient dt [..., B, 2m] at t."""
-        m = t.shape[-1] // 2
-        dx = t[..., :m] * dt[..., m:] - t[..., m:] * dt[..., :m]
+        :meth:`features` are t, for the gradient dt [..., B, 2m] at t: the
+        gradient at their frequency angles is the sum of the halves of t *
+        :func:`turned` (dt)."""
+        halves, m = t * turned(dt), t.shape[-1] // 2
+        dx = halves[..., :m] + halves[..., m:]
         return _input_grads(dx @ self.frequencies.inputs.T, inputs)
 
     def add_seeds(self, circuits: slice, seeds: np.ndarray) -> None:

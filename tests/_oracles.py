@@ -17,8 +17,11 @@ per fold or grid point, each step scored by the per-batch loss calls that
 the one-pass stack loss replaced.  The QLSTM oracle is its cell before the
 fc_out maps were folded into the circuit coefficients, each circuit run
 through the fused plan and differentiated by parameter shift; the
-every-step QLSTM oracle is its forward pass before only a window's last
-step was read out, circuits 5 and 6 and the readout run at every step.
+per-step QLSTM oracle is its cell before the maps in front of its circuits
+were folded into their frequencies and its weight gradients were taken once
+per window; the every-step QLSTM oracle is its forward pass as it would
+run if it read out every step, circuits 5 and 6 and the readout run at
+every step.
 The circuit-kernel oracles are the vqr step's pieces before their gathers
 went through ``take``: the member-gradient turn loop and the embedding's
 one-qubit states, whose product is taken one row at a time with ``np.kron``.  Nothing here
@@ -600,30 +603,96 @@ def product_states(factors: np.ndarray) -> np.ndarray:
     return np.array(states).reshape(lead + (-1,))
 
 
-def qlstm_every_step_forward(model, nn, x_scaled: np.ndarray, cell) -> tuple:
+def qlstm_every_step_forward(model, nn, vqc, x_scaled: np.ndarray, cell) -> tuple:
     """``QLSTMModel.sequence_forward`` of a QLSTM or a stack of them on
-    windows [..., B, T, features], through the folded circuits ``cell``, as
-    it ran before only a window's last step was read out: every step runs
-    circuits 5 and 6 together and the readout, and keeps circuit 6's output
-    q.  Returns the last step's predictions [..., B] and every step's
-    cache, as ``QLSTMModel._backward`` reads them."""
-    p = model.params
-    h = c = np.zeros(x_scaled.shape[:-2] + (model.hidden_size,))
-    caches = []
-    for t in range(x_scaled.shape[-2]):
+    windows [..., B, T, features], through the folded circuits ``cell``,
+    as it would run if it read out every step: each step runs circuits 5
+    and 6 together and the readout, through the same folded maps.  Returns
+    the last step's predictions [..., B] and the ``_Window`` it wrote, as
+    ``QLSTMModel._backward`` reads it."""
+    window = model._window(x_scaled, cell)
+    hidden, steps, m = model.hidden_size, x_scaled.shape[-2], window.drive.shape[-1]
+    for t in range(steps):
+        x = window.drive[t]
+        if t:
+            x = window.concat[t, ..., :hidden] @ cell.hidden_map[..., :m] + x
+        t_v, t_w = window.t_v[t], window.t_w[t]
+        vqc.fourier_features(x, t_v[..., :-1])
+        z = cell.outputs(slice(0, 4), t_v, window.z[t])
+        nn.lstm_gates(z, window.c[t], (window.c[t + 1], window.tc[t], window.u[t]))
+        w = window.u[t] @ cell.projection_map[..., :m] + cell.projection_bias
+        vqc.fourier_features(w, t_w[..., :-1])
+        out = np.empty(t_w.shape[:-2] + (2,) + window.q.shape[-2:])
+        h, q = np.moveaxis(cell.outputs(slice(4, 6), t_w, out), -3, 0)
+        y = nn.dense_forward(model.params.readout, q)[0][..., 0]
+        if t + 1 < steps:
+            window.concat[t + 1, ..., :hidden] = h
+    window.q[...] = q
+    return y, window
+
+
+def qlstm_per_step(model, nn, vqc, x_scaled: np.ndarray, loss) -> tuple:
+    """The predictions [..., B] and flat gradient of a QLSTM or a stack of
+    them on windows [..., B, T, features] for ``loss`` (predictions ->
+    loss, gradient), by its cell as it read before the maps around its
+    circuits were folded into their frequencies: per step the [h_prev, x_t]
+    concatenation, fc_in by ``nn.dense_forward``, the circuits' features
+    of [v, arctan v] through every frequency row, the projection the same
+    way, and in the backward pass ``feature_grads`` and ``nn.linear_backward``
+    per map and step, the G_k and bias sums added step by step, and the
+    fc_out gradient scattered into its slots by ``np.add.at``.  The fc_out
+    maps stay folded into the coefficients, F_k = C_k^T W_k^T."""
+    p, hidden = model.params, model.hidden_size
+    circuits = vqc.CircuitStack(model.template, p.angles)
+    tables = circuits.coefficients.swapaxes(-1, -2) @ p.fc_out_weights.swapaxes(-1, -2)
+    bias = p.fc_out_bias[..., model.fc_out_slot, None, :]
+
+    def outputs(gates, t):
+        return t[..., None, :, :] @ tables[..., gates, :, :] + bias[..., gates, :, :]
+
+    h = c = np.zeros(x_scaled.shape[:-2] + (hidden,))
+    caches, steps = [], x_scaled.shape[-2]
+    for t in range(steps):
         concat = np.concatenate([h, x_scaled[..., t, :]], axis=-1)
         v = nn.dense_forward(p.fc_in, concat)[0]
-        t_v = cell.circuits.features(v)
-        u, c, gates = nn.lstm_gates(cell.outputs(slice(0, 4), t_v), c)
+        t_v = circuits.features(v)
+        u, c, gates = nn.lstm_gates(outputs(slice(0, 4), t_v), c)
         w = nn.dense_forward(p.projection, u)[0]
-        t_w = cell.circuits.features(w)
-        h, q = np.moveaxis(cell.outputs(slice(4, 6), t_w), -3, 0)
-        y = nn.dense_forward(p.readout, q)[0][..., 0]
-        caches.append(
-            {"concat": concat, "v": v, "t_v": t_v, "gates": gates,
-             "u": u, "w": w, "t_w": t_w, "q": q}
-        )
-    return y, caches
+        t_w = circuits.features(w)
+        h, q = np.moveaxis(outputs(slice(4, 6), t_w), -3, 0)
+        caches.append((concat, v, t_v, gates, u, w, t_w))
+    preds = nn.dense_forward(p.readout, q)[0][..., 0]
+    d_pred = loss(preds)[1]
+
+    grad = np.zeros_like(model.flat)
+    g = model._bind(grad)
+    sums = np.zeros(tables.shape)
+    bias_sums = np.zeros(tables.shape[:-2] + (hidden,))
+    dh = dc = np.zeros(d_pred.shape + (hidden,))
+    for t in range(steps - 1, -1, -1):
+        concat, v, t_v, gates, u, w, t_w = caches[t]
+        if t == steps - 1:
+            k, d_out = 5, nn.linear_backward(p.readout, q, d_pred[..., None], g.readout)
+        else:
+            k, d_out = 4, dh
+        sums[..., k, :, :] += t_w.swapaxes(-1, -2) @ d_out
+        bias_sums[..., k, :] += d_out.sum(axis=-2)
+        dt = d_out @ tables[..., k, :, :].swapaxes(-1, -2)
+        dw = circuits.feature_grads(t_w, dt, w)
+        du = nn.linear_backward(p.projection, u, dw, g.projection)
+        dz, dc = nn.lstm_gates_backward(gates, du, dc)
+        sums[..., :4, :, :] += t_v[..., None, :, :].swapaxes(-1, -2) @ dz
+        bias_sums[..., :4, :] += dz.sum(axis=-2)
+        dt = (dz @ tables[..., :4, :, :].swapaxes(-1, -2)).sum(axis=-3)
+        dv = circuits.feature_grads(t_v, dt, v)
+        dh = nn.linear_backward(p.fc_in, concat, dv, g.fc_in)[..., :hidden]
+    every = slice(None)
+    grad_fc_w = (circuits.coefficients @ sums).swapaxes(-1, -2)
+    np.add.at(g.fc_out_weights, (..., model.fc_out_slot, every, every), grad_fc_w)
+    np.add.at(g.fc_out_bias, (..., model.fc_out_slot, every), bias_sums)
+    circuits.add_seeds(every, (sums @ p.fc_out_weights).swapaxes(-1, -2))
+    g.angles += circuits.param_grads()
+    return preds, grad
 
 
 def qlstm_shift_grad(model, vqc, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -17,7 +17,13 @@ from qscale.errors import ConfigurationError, DataError, TrainingDivergedError
 from qscale.models import TrainConfig
 
 import pins
-from _oracles import batch_loss, central_difference, qlstm_every_step_forward, qlstm_shift_grad
+from _oracles import (
+    batch_loss,
+    central_difference,
+    qlstm_every_step_forward,
+    qlstm_per_step,
+    qlstm_shift_grad,
+)
 
 HOUR = 3600
 
@@ -305,16 +311,18 @@ class TestFrozenBehaviour:
             ("pm25",), inp, tgt, n_qubits=3, n_layers=2, hidden_size=4, window=2
         )
         model.set_flat(np.zeros(model.param_count()))
-        c_prev = np.full((1, 4), 2.0)
         cell = model._cell()
-        h, c, y, cache = model.cell_forward(np.array([[0.3]]), np.zeros((1, 4)), c_prev, cell)
-        assert np.allclose(cell.circuits.run(slice(0, 4), cache["v"])[0][0], 1.0)
-        f, _, g, _ = cache["gates"][1]
+        window = model._window(np.array([[[0.3], [0.3]]]), cell)
+        window.c[0] = 2.0  # c_prev of the first step
+        assert model.cell_forward(window, 0, cell) is None  # only the last step reads out
+        exps = window.t_v[0, :, :-1] @ cell.circuits.coefficients[:4].swapaxes(-1, -2)
+        assert np.allclose(exps, 1.0)
+        f, _, g, _ = window.z[0]
         assert np.allclose(f, 0.5)
         assert np.allclose(g, 0.0)
-        assert np.allclose(c, 1.0)  # f * c_prev = 0.5 * 2
-        assert np.allclose(h, 0.0)
-        assert y[0] == 0.0
+        assert np.allclose(window.c[1], 1.0)  # f * c_prev = 0.5 * 2
+        assert np.allclose(window.concat[1, :, :4], 0.0)  # h, the next step's h_prev
+        assert model.cell_forward(window, 1, cell)[0] == 0.0
 
     def test_qlstm_zero_params_predicts_target_midpoint(self):
         ds = tiny_dataset()
@@ -732,10 +740,12 @@ class TestFoldedQLSTMStep:
 
 class TestQLSTMLastStepReadout:
     """``sequence_forward`` runs circuit 6 and the readout at a window's
-    last step only: its predictions, in training and through a predict's
-    forward-only stack, and the training step's loss and gradient have the
-    bits of ``_oracles.qlstm_every_step_forward``, which reads out every
-    step, for one model and for a 3-model stack."""
+    last step only, and circuit 5 at every other step: its predictions, in
+    training and through a predict's forward-only stack, and the training
+    step's loss and gradient have the bits of
+    ``_oracles.qlstm_every_step_forward``, which runs circuits 5 and 6 and
+    the readout at every step through the same folded maps, for one model
+    and for a 3-model stack."""
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-gate"])
     @pytest.mark.parametrize("stacked", [1, 3], ids=["one-model", "3-model-stack"])
@@ -761,19 +771,86 @@ class TestQLSTMLastStepReadout:
         grad = grad.copy()  # a stack's gradient buffer is reused by the next step
 
         windows, cell = stack._by_model(xs), stack._cell()
-        want_preds, caches = qlstm_every_step_forward(stack, nn, windows, cell)
+        want_preds, window = qlstm_every_step_forward(stack, nn, vqc, windows, cell)
         want_value, d_preds = loss(want_preds)
         np.testing.assert_array_equal(value, want_value)
-        np.testing.assert_array_equal(grad, stack._backward(cell, caches, d_preds))
+        np.testing.assert_array_equal(grad, stack._backward(cell, window, d_preds))
         for forward_only in (False, True):
             got = stack.sequence_forward(windows, stack._cell(forward_only))[0]
-            want = qlstm_every_step_forward(stack, nn, windows, stack._cell(forward_only))[0]
+            want = qlstm_every_step_forward(stack, nn, vqc, windows, stack._cell(forward_only))[0]
             np.testing.assert_array_equal(got, want)
 
 
+@st.composite
+def qlstm_stacks(draw):
+    """A stack of K in {1, 3} QLSTMs of one drawn layout, with scaled
+    windows [K * B, T, features] and targets [K, B]: B 1-12, T 1-6, hidden
+    size 1-6, 2-6 qubits, 1-3 layers, 1-4 features, shared or per-gate
+    fc_out maps."""
+    k = draw(st.sampled_from([1, 3]))
+    batch, steps = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    names = ("pm25", "temp", "hum", "press")[: draw(st.integers(1, 4))]
+    options = {
+        "n_qubits": draw(st.integers(2, 6)),
+        "n_layers": draw(st.integers(1, 3)),
+        "hidden_size": draw(st.integers(1, 6)),
+        "shared_fc_out": draw(st.booleans()),
+    }
+    seed = draw(st.integers(0, 2**16))
+    inp, tgt = scalers_for(tiny_dataset(), names)
+    lanes = [
+        models.QLSTMModel(names, inp, tgt, window=steps, seed=seed + j, **options)
+        for j in range(k)
+    ]
+    stack = lanes[0]._stacked(np.stack([m.flat for m in lanes]))
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, (k * batch, steps, len(names)))
+    ys = rng.uniform(-1.0, 1.0, (k, batch))
+    return stack, xs, ys
+
+
+class TestFoldedInputMaps:
+    """The qlstm step with its fc_in and projection maps folded into the
+    circuits' frequencies and its weight gradients taken once per window,
+    against ``_oracles.qlstm_per_step``, the cell before either change."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(qlstm_stacks())
+    def test_matches_per_step_cell(self, case):
+        stack, xs, ys = case
+        k, batch = ys.shape
+        loss = partial(models._LaneLosses(["mse"] * k, [batch] * k, batch), ys)
+        windows = stack._by_model(xs)
+        want_preds, want_grad = qlstm_per_step(stack, nn, vqc, windows, loss)
+        got_preds, window = stack.sequence_forward(windows, stack._cell())
+        np.testing.assert_allclose(got_preds, want_preds, rtol=0.0, atol=1e-12)
+        predicted = stack._predict_scaled(windows, stack._cell(forward_only=True))
+        np.testing.assert_allclose(predicted, want_preds, rtol=0.0, atol=1e-12)
+        _, grad = stack._loss_and_grad_scaled(xs, loss)
+        np.testing.assert_allclose(grad, want_grad, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_qubits", range(2, 9))
+    def test_ring_rx_frequencies_read_no_arctan(self, n_qubits):
+        """The fold's precondition: every ring-RX template a qlstm builds
+        has the identity transform, so the arctan rows of its frequency
+        table are exactly zero, and the model keeps the other rows twice,
+        [Omega, Omega]."""
+        inp, tgt = scalers_for(tiny_dataset(), ("pm25",))
+        for n_layers in range(1, 8):
+            model = models.QLSTMModel(
+                ("pm25",), inp, tgt, n_qubits=n_qubits, n_layers=n_layers, hidden_size=2, window=2
+            )
+            frequencies = vqc._frequencies(model.template).inputs
+            assert frequencies.shape[0] == 2 * n_qubits
+            assert np.all(frequencies[n_qubits:] == 0.0)
+            omega = frequencies[:n_qubits]
+            np.testing.assert_array_equal(model.input_frequencies, np.tile(omega, 2))
+
+
 class TestPhaseParts:
-    """The phase lowering's parts that the folded QLSTM cell calls: its
-    features, their input gradient and its seeds."""
+    """The phase lowering's parts that ``CircuitStack.run`` and
+    ``backward`` compose: its features, their input gradient and its
+    seeds."""
 
     def test_feature_grads_match_central_differences(self):
         rng = np.random.default_rng(67)
