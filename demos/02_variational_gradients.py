@@ -3,8 +3,9 @@
 Builds a small data-embedding circuit and differentiates it four ways:
 the shift rule against central finite differences, the adjoint sweep over
 the rows against the shift rule, and, as a vqr trains it, a CircuitStack
-that runs the circuit as one ansatz matrix and sweeps one overlap matrix
-instead of the rows, against both.  It then trains the circuit by plain
+that reads the circuit through one ansatz matrix, as real quadratic forms in
+the rows' product states, and sweeps one overlap matrix instead of the
+rows, against both.  It then trains the circuit by plain
 gradient descent to pin the qubit-0 readout at a target value.  Last, it
 runs a ring-RX circuit (the kind a qlstm uses) three ways: as the phase
 polynomial that a CircuitStack makes of it, a Fourier series over a few
@@ -74,15 +75,16 @@ def main() -> None:
     print()
     print("== the same batch as a vqr trains it: one ansatz matrix ==")
     # the data enter only through the first embedding, so everything after it
-    # is one 8x8 unitary U shared by all rows; the backward pass sums the rows
-    # into one overlap matrix and sweeps that through the ansatz's blocks
+    # is one 8x8 unitary U shared by all rows, and each <Z_q> is a fixed real
+    # quadratic form in the rows' product states; the backward pass sums the
+    # rows into one overlap matrix and sweeps that through the ansatz's blocks
     stack = CircuitStack(template, params[None])
     exps, record = stack.run(slice(None), batch)
     matrix_x = stack.backward(slice(None), record, weights[None], batch)
     matrix_p = stack.param_grads()[0]
     plan_exps = np.array([evaluate(template, params, row) for row in batch])
-    print(f"CircuitStack lowering: {stack.lowering}, U of shape "
-          f"{stack.matrices.shape[-2:]}")
+    print(f"CircuitStack lowering: {stack.lowering}, one real form A_q of shape "
+          f"{stack.forms.shape[-2:]} per qubit")
     gaps = {
         "<Z>, matrix vs plan": np.abs(exps[0] - plan_exps).max(),
         "param grads, matrix vs adjoint": np.abs(matrix_p - adj_p.sum(axis=0)).max(),

@@ -792,13 +792,22 @@ def fit_scaler(
 
 
 def apply_scaler(scaler: RangeScaler, values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    return (arr - scaler.minimum) / (scaler.maximum - scaler.minimum) * 2.0 - 1.0
+    """(values - min) / (max - min) * 2 - 1, in one new array: the
+    subtraction makes it, and the rest works on it in place."""
+    out = np.asarray(values, dtype=float) - scaler.minimum
+    out /= scaler.maximum - scaler.minimum
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def invert_scaler(scaler: RangeScaler, values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    return (arr + 1.0) / 2.0 * (scaler.maximum - scaler.minimum) + scaler.minimum
+    """(values + 1) / 2 * (max - min) + min, in one new array."""
+    out = np.asarray(values, dtype=float) + 1.0
+    out /= 2.0
+    out *= scaler.maximum - scaler.minimum
+    out += scaler.minimum
+    return out
 
 
 # ---------------------------------------------------------------------------

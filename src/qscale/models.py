@@ -17,21 +17,23 @@ square).  Quantum parameters train by adjoint differentiation of the
 circuits, classical ones by backpropagation, mixed via the chain rule.  A
 model's circuits run as one ``vqc.CircuitStack`` per training step or
 ``predict`` call, which lowers them as phase polynomials (the qlstm's
-ring-RX circuits), as one ansatz matrix per circuit (the linear vqr's) or
-through the fused plan (the re-uploading vqr's).  Each backward pass reuses
-what the forward pass that made the predictions kept.  Parameter shift
-stays as the public, hardware-realistic gradient and as the oracle the
-adjoint sweep is tested against; it would cost 2 x n_angles circuit runs
-per gradient, 104 per vqr row and 80 per call of a qlstm circuit.
+ring-RX circuits), as quadratic forms in their product states made from
+one ansatz matrix per circuit (the linear vqr's, whose stack makes the form
+of Z_0 alone, the one qubit it reads out) or through the fused plan (the
+re-uploading vqr's).  Each backward pass reuses what the forward pass that
+made the predictions kept.  Parameter shift stays as the public,
+hardware-realistic gradient and as the oracle the adjoint sweep is tested
+against; it would cost 2 x n_angles circuit runs per gradient, 104 per vqr
+row and 80 per call of a qlstm circuit.
 
 Every model takes a minibatch of windows ``[B, T, features]`` in one
 forward and one backward pass, one window being a batch of one; the lstm
 runs it feature-major inside ``nn``, its states ``[hidden, B]``.
 ``predict`` runs the same forward pass over blocks of ``PREDICT_ROWS``
 windows, so the activations it keeps stay bounded whatever the number of
-rows; the lstm allocates one workspace per ``predict`` and every block,
-the ragged last one too, writes into views from its start.  Held-out
-losses are the ``METRICS`` table, by name.
+rows; the lstm and the linear vqr allocate one workspace per ``predict``
+and every block, the ragged last one too, writes into views from its
+start.  Held-out losses are the ``METRICS`` table, by name.
 
 Each model holds its parameters in one float64 vector, ``flat``; every
 array it computes with (dense layers, LSTM gate slabs, the QLSTM's fc_out
@@ -70,7 +72,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import data, nn, sim, vqc
+from . import data, nn, vqc
 from .data import RangeScaler, _is_int, apply_scaler, invert_scaler
 from .errors import ConfigurationError, DataError, TrainingDivergedError
 
@@ -370,9 +372,10 @@ class _ModelBase:
 
     def _predictor(self, rows: int):
         """What predicts each block of the ``rows`` scaled windows of one
-        ``predict``; the quantum kinds set up their circuits here and the
-        lstm its workspace, once for all blocks, and pass them to their
-        ``_predict_scaled``, which builds none of its own."""
+        ``predict``; the quantum kinds set up their circuits here, and the
+        lstm and the linear vqr their workspaces, once for all blocks, and
+        pass them to their ``_predict_scaled``, which builds none of its
+        own."""
         return self._predict_scaled
 
 
@@ -471,27 +474,35 @@ class VQRModel(_ModelBase):
         return vector  # the angles are the whole vector
 
     def _circuits(self, forward_only: bool = False) -> vqc.CircuitStack:
-        """The model's circuit stack, one circuit per model.  The linear
-        vqr trains and predicts through its ansatz matrix, the nonlinear one
-        through the plan; a ``forward_only`` stack, a predict's, keeps only
-        what a run needs."""
-        return vqc.CircuitStack(self.template, self.params[..., None, :], forward_only)
+        """The model's circuit stack, one circuit per model, reading <Z_0>
+        alone.  The linear vqr trains and predicts through its ansatz
+        matrix, the nonlinear one through the plan; a ``forward_only``
+        stack, a predict's, keeps only what a run needs."""
+        return vqc.CircuitStack(self.template, self.params[..., None, :], forward_only, (0,))
 
     def _predictor(self, rows):
-        return partial(self._predict_scaled, circuits=self._circuits(forward_only=True))
+        circuits = self._circuits(forward_only=True)
+        workspace = None
+        if circuits.lowering == "matrix":  # a block's product states and products A_0 r
+            size = min(rows, PREDICT_ROWS) << self.template.n_qubits
+            workspace = np.empty(size), np.empty(size)
+        return partial(self._predict_scaled, circuits=circuits, workspace=workspace)
 
-    def _predict_scaled(self, x_scaled, circuits):
-        return circuits.run(slice(None), x_scaled[:, 0])[0][0, :, 0]
+    def _predict_scaled(self, x_scaled, circuits, workspace):
+        if workspace is not None:  # every block, the ragged last one too, from the starts
+            size, rows = len(x_scaled) << self.template.n_qubits, len(x_scaled)
+            states, products = workspace
+            workspace = states[:size].reshape(-1, rows), products[:size].reshape(1, -1, rows)
+        return circuits.run(slice(None), x_scaled[:, 0], workspace)[0][0, :, 0]
 
     def _loss_and_grad_scaled(self, x_scaled, loss):
         inputs = self._by_model(x_scaled)[..., 0, :]
         circuits = self._circuits()
         exps, record = circuits.run(slice(None), inputs)
         value, d_preds = loss(exps[..., 0, :, 0])
-        # the prediction is <Z_0>, so O = d_preds Z_0; the inputs are data,
-        # so the step takes no input gradient
-        observable = d_preds[..., None, :, None] * sim._z_signs(self.template.n_qubits)[0]
-        circuits.pull_back(slice(None), record, observable)
+        # the prediction is <Z_0>, so its weights are d_preds; the inputs are
+        # data, so the step takes no input gradient
+        circuits.pull_back(slice(None), record, d_preds[..., None, :, None])
         return value, circuits.param_grads()[..., 0, :]
 
 

@@ -66,12 +66,16 @@ of three ways; :func:`lowering` is the one choice:
   followed by ansatz segments (every linear vqr circuit), for training and
   for predicts.  The ansatz is one 2**n x 2**n unitary U per set of params,
   the product of block unitaries W_b = P_b (u_(n-1) x ... x u_0), one per
-  CNOT-free block of the ansatz's plan, made from its group quaternions;
-  each row is then its embedding's product state, in closed form, times U.
-  Every row of a circuit shares U, so the backward pass sums the batch
-  into one 2**n x 2**n overlap matrix per circuit and sweeps that through
-  the blocks, where the plan would sweep every row; it takes the rows to
-  the input gradient only for a caller that asks for it.
+  CNOT-free block of the ansatz's plan, made from its group quaternions.
+  The embedding makes a product state D r, r real in closed form and D the
+  fixed phases of an RX embedding, so each <Z_q> is a fixed quadratic form
+  r . (A_q r), A_q = Re(D^dagger U^dagger Z_q U D), made once per set of
+  params; a row costs one real product per qubit read, and no row of
+  amplitudes is made.  Every row of a circuit shares U, so the backward
+  pass sums the batch into one 2**n x 2**n overlap matrix per circuit,
+  from the rows' outer products, and sweeps that through the blocks, where
+  the plan would sweep every row; it turns the rows to the input gradient
+  only for a caller that asks for it.
 * ``"plan"``, everything else: the re-uploading (nonlinear) vqr trains and
   predicts through the plan and its adjoint sweep.
 
@@ -638,26 +642,41 @@ def _frequencies(template: CircuitTemplate) -> _Frequencies:
     return table
 
 
-def _product_states(template: CircuitTemplate, inputs: np.ndarray) -> np.ndarray:
-    """The product states [..., 2**n], column-major with qubit 0 the least
-    significant bit, that the first segment's rotations make from |0...0>
-    for inputs [..., input_dim]: per qubit (cos, -i sin) of the half angle
-    for RX, (cos, sin) for RY, and |0> where no feature is encoded."""
+def _product_states(
+    template: CircuitTemplate, inputs: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The real product states r [..., 2**n, B] of the first segment's
+    embedding for inputs [..., B, input_dim], qubit 0 the least significant
+    bit of the amplitude index: per qubit (cos, sin) of the half angle, and
+    (1, 0) where no feature is encoded.  An RY embedding makes r from
+    |0...0>, an RX one D r, D the phases (-i)**popcount(a) of the embedded
+    bits of each basis state a (``_AnsatzMatrix.phases``).  The states are
+    amplitude-major, as the lstm's are feature-major, so that each step of
+    the build and each product runs over contiguous rows of B.  Written
+    into ``out``, a C-contiguous array, when given."""
     embedding = template.segments[0]
-    count = len(embedding.feature_slots)
+    count, rows, lead = len(embedding.feature_slots), inputs.shape[-2], inputs.shape[:-2]
     half = inputs.reshape(-1, inputs.shape[-1]).T.take(embedding.feature_slots, axis=0)
     if embedding.transform == "arctan":
         np.arctan(half, out=half)
     half *= 0.5
-    factors = np.empty((template.n_qubits, 2, half.shape[-1]), dtype=np.complex128)
-    factors[count:, 0], factors[count:, 1] = 1.0, 0.0
-    factors[:count, 0] = np.cos(half)
-    sin = np.sin(half, out=half)
-    factors[:count, 1] = -1j * sin if embedding.axis == "X" else sin
-    state = factors[0]
-    for factor in factors[1:]:
-        state = (factor[:, None] * state[None]).reshape(-1, state.shape[-1])
-    return state.T.reshape(inputs.shape[:-1] + (-1,))
+    half = half.reshape((count,) + lead + (1, rows))
+    factors = np.empty((count,) + lead + (2, rows))  # per qubit (cos, sin) of the half angle
+    np.cos(half, out=factors[..., :1, :])
+    np.sin(half, out=factors[..., 1:, :])
+    if out is None:
+        out = np.empty(lead + (1 << template.n_qubits, rows))
+    if count < template.n_qubits:
+        out[..., 1 << count :, :] = 0.0
+    # qubit q's factor times the states of qubits 0 .. q - 1, the last into out
+    state = factors[0] if count else np.ones(lead + (1, rows))
+    for q in range(1, count):
+        into = out[..., : 2 << q, :].reshape(lead + (2, 1 << q, rows)) if q == count - 1 else None
+        state = np.multiply(factors[q][..., None, :], state[..., None, :, :], out=into)
+        state = state.reshape(lead + (2 << q, rows))
+    if count <= 1:
+        out[..., : 1 << count, :] = state
+    return out
 
 
 class _AnsatzMatrix(NamedTuple):
@@ -668,7 +687,11 @@ class _AnsatzMatrix(NamedTuple):
     ``layers`` [L, 2**n] gathers each block's CNOT layer, the identity
     where none follows.  ``embedding`` [count, 2 * input_dim] takes the
     derivatives of the embedding angles to the source columns ``[inputs |
-    arctan(inputs)]``.
+    arctan(inputs)]``.  ``phases`` [2**n] is the diagonal D of an RX
+    embedding's product states D r, ones for RY.  ``flips`` and ``turns``
+    [count, 2**n] turn the real product states r towards their embedding
+    angles: d r / d theta_j = J_j r / 2, (J_j r)[i] = turns[j, i] r[flips[j,
+    i]] = -+ r[i ^ 2**j], minus where bit j of i is 0.
 
     With U_b = W_b ... W_1 the product through block b's CNOT layer P_b,
     the overlap just after the block's rotations is C_b = P_b^T (U_b C0
@@ -685,6 +708,9 @@ class _AnsatzMatrix(NamedTuple):
     plan: _Plan
     layers: np.ndarray
     embedding: np.ndarray
+    phases: np.ndarray
+    flips: np.ndarray
+    turns: np.ndarray
     reads: np.ndarray
     sums: np.ndarray
     picks: np.ndarray
@@ -693,6 +719,8 @@ class _AnsatzMatrix(NamedTuple):
 @lru_cache(maxsize=None)
 def _ansatz_matrix(template: CircuitTemplate) -> _AnsatzMatrix:
     n, dim = template.n_qubits, 1 << template.n_qubits
+    first = template.segments[0]
+    count = len(first.feature_slots)
     plan = _plan(CircuitTemplate(n, 0, template.segments[1:]))
     index, layers, reads = np.arange(dim), [], []
     for b, (_, layer, inverse) in enumerate(plan.blocks):
@@ -708,16 +736,20 @@ def _ansatz_matrix(template: CircuitTemplate) -> _AnsatzMatrix:
         (first_row + n) * columns + 1 + qubits,  # Z_q: the diagonal, z_q
     ]
     signs = sim._z_signs(n).T
-    count = len(template.segments[0].feature_slots)
+    bits = (index[None, :] >> np.arange(count)[:, None]) & 1  # [count, dim]
+    powers = np.array([1, -1j, -1, 1j]) if first.axis == "X" else np.ones(4, dtype=np.complex128)
     layout = _AnsatzMatrix(
         plan,
         _index(layers),
         _lowered(template).scatter[:count, template.total_params :].copy(),
+        powers[bits.sum(axis=0) % 4],  # (-i)**popcount for RX
+        _index(index ^ (1 << np.arange(count)[:, None])),
+        2.0 * bits - 1.0,
         _index(reads),
         np.hstack([np.ones((dim, 1)), signs, -1j * signs]),
         _index(picks),
     )
-    for table in (layout.embedding, layout.sums):
+    for table in (layout.embedding, layout.phases, layout.turns, layout.sums):
         table.setflags(write=False)
     return layout
 
@@ -783,6 +815,14 @@ def _ansatz_products(
 _HALF_AND_WHOLE = np.array([0.5, 1.0])[:, None, None]
 
 
+@lru_cache(maxsize=None)
+def _readout_signs(n_qubits: int, readout: tuple[int, ...]) -> np.ndarray:
+    """The diagonals of Z_q [m, 2**n] of the read qubits."""
+    signs = sim._z_signs(n_qubits).take(readout, axis=0)
+    signs.setflags(write=False)
+    return signs
+
+
 class CircuitStack:
     """K circuits of one template, each with its own params ``params``
     [..., K, P], to run on input rows [..., B, input_dim] that each run
@@ -791,7 +831,11 @@ class CircuitStack:
     [M, K, P], and each model's inputs [M, B, input_dim] reach only its own
     circuits.  :func:`lowering` picks one of three ways for all its runs,
     named by ``lowering``.  A stack that will only run, never be
-    differentiated, is ``forward_only`` and keeps less.
+    differentiated, is ``forward_only`` and keeps less.  A run reads <Z> on
+    the m qubits ``readout``, every qubit unless the caller names fewer,
+    and a backward pass takes one weight per row and read qubit.  The
+    ansatz matrix pays for each qubit it reads; the phase lowering reads
+    every qubit.
 
     * Phase: each pair's phase difference is a params part dp_j plus s_j
       x_u, x_u = source @ u for one of the template's m input frequencies u
@@ -815,24 +859,31 @@ class CircuitStack:
       and take :func:`fourier_features` of x and the gradient at x through
       :func:`turned` itself.  A forward-only stack keeps only the
       coefficients.
-    * Ansatz matrix: ``matrices`` [..., K, 2**n, 2**n] holds each
-      circuit's U = W_L ... W_1, the product of the unitaries of its
-      ansatz blocks (:func:`_ansatz_products`).  A run is the product state
-      phi of each input row times U^T, psi = U phi.  The backward pass has
-      two parts.  With lambda = O psi the amplitude cotangent of f = sum
-      <psi|O|psi>, O diagonal (O = w @ Z for f = sum w <Z>),
-      :meth:`pull_back` takes mu = U^dagger lambda per row and adds the
-      overlap C0 = sum_b phi_b mu_b^dagger of each circuit to its seeds;
-      :meth:`embedding_grads` takes mu to the embedding angles and the
-      inputs, only for a caller that needs the input gradient.  Every row
-      of a circuit shares its ansatz angles, so :meth:`param_grads` makes
-      one adjoint sweep over C0 instead of over the rows: the overlap just
-      after block b's rotations is U_b C0 U_b^dagger with its CNOT layer
-      undone, U_b = W_b ... W_1 the products the build kept.  It makes
-      them for every block at once, reads Im Tr(sigma C_b) for the three
-      Paulis sigma on every qubit (:class:`_AnsatzMatrix`), and
-      :func:`_member_grads` turns the readings into angle derivatives, as
-      in the plan's sweep.  A forward-only stack keeps only U.
+    * Ansatz matrix: the embedding makes a product state, D r with r real
+      (:func:`_product_states`) and D the phases of an RX embedding, so
+      each <Z_q> is a fixed quadratic form r . (A_q r) in r, the view the
+      phase lowering takes: the encoding fixes the states, and the params
+      set only the forms.  With U = W_L ... W_1 the product of the
+      unitaries of the ansatz blocks (:func:`_ansatz_products`) and V = U
+      D, M_q = V^dagger Z_q V and A_q = Re M_q, real and symmetric, made
+      once per stack; ``forms`` [..., K, m, 2**n, 2**n] holds A_q for each
+      read qubit, and a run costs one real product per row and read qubit.
+      For f = sum w <Z>, w [..., k, B, m], :meth:`pull_back` adds to each
+      circuit's seeds the overlap Y = sum_q S_q M_q, S_q = sum_b w_bq r_b
+      r_b^T, which is D^dagger C0 D for the overlap C0 = sum_b phi_b
+      mu_b^dagger of the product states phi = D r and the pulled-back
+      cotangents mu = U^dagger O psi; no row of psi or mu is made.
+      :meth:`embedding_grads` reads d f / d theta_j = sum_q w_q (A_q r) .
+      (J_j r) (``_AnsatzMatrix.turns``), only for a caller that needs the
+      input gradient.  Every row of a circuit shares its ansatz angles, so
+      :meth:`param_grads` makes one adjoint sweep over Y instead of over the
+      rows: the overlap just after block b's rotations is V_b Y V_b^dagger
+      = U_b C0 U_b^dagger with its CNOT layer undone, V_b = W_b ... W_1 D
+      the products the build kept.  It makes them for every block at once,
+      reads Im Tr(sigma C_b) for the three Paulis sigma on every qubit
+      (:class:`_AnsatzMatrix`), and :func:`_member_grads` turns the readings
+      into angle derivatives, as in the plan's sweep.  A forward-only stack
+      keeps only the forms.
     * Plan: every run goes through the fused plan.  :meth:`pull_back`
       makes one adjoint sweep over its rows and adds the parameter
       gradients to ``grads`` [..., K, P]; :meth:`embedding_grads` takes
@@ -842,13 +893,22 @@ class CircuitStack:
     then :meth:`embedding_grads`.
     """
 
-    def __init__(self, template: CircuitTemplate, params: np.ndarray, forward_only: bool = False):
+    def __init__(
+        self,
+        template: CircuitTemplate,
+        params: np.ndarray,
+        forward_only: bool = False,
+        readout: Optional[Sequence[int]] = None,
+    ):
         self.template = template
         self.params = params
         self.lowering = lowering(template)
         self.seeds = None
         n = template.n_qubits
+        self.readout = tuple(range(n) if readout is None else readout)
         if self.lowering == "phase":
+            if readout is not None:
+                raise ConfigurationError("a phase-lowered circuit stack reads every qubit")
             self.frequencies = table = _frequencies(template)
             dp = params @ table.params  # [..., K, n 2**(n-1)]
             cos, sin = np.cos(dp), np.sin(dp)
@@ -864,17 +924,33 @@ class CircuitStack:
             turns = angles * _HALF_AND_WHOLE  # [2, n_angles, circuits]
             cos, sin = np.cos(turns), np.sin(turns, out=turns)
             products = _ansatz_products(self.layout, cos[0], sin[0], not forward_only)
+            if template.segments[0].axis == "X":
+                products *= self.layout.phases  # V_b = U_b D
+            final = products[:, -1]  # V [circuits, 2**n, 2**n]
+            # M_q = (V^dagger Z_q) V [circuits, m, 2**n, 2**n] of the read
+            # qubits, and A_q = Re M_q
+            signed = final.swapaxes(-1, -2)[:, None] * _readout_signs(n, self.readout)[:, None]
+            observables = np.conjugate(signed, out=signed) @ final[:, None]
+            del signed  # before the forms' copy, at 2**n x 2**n per read qubit
+            lead = params.shape[:-1]
+            forms = np.ascontiguousarray(observables.real)
+            self.forms = forms.reshape(lead + observables.shape[1:])
             if not forward_only:
                 self.products, self.turns = products, (cos[1], sin[1])
-            matrix = products[:, -1]
-            self.matrices = matrix.reshape(params.shape[:-1] + matrix.shape[-2:])
+                # M_q's floats (re, im) interleaved, the read qubits' stacked
+                # [..., K, m 2**n, 2**(n+1)], as pull_back takes them
+                self.observables = observables.view(np.float64).reshape(lead + (-1, 2 << n))
         else:
             self.grads = np.zeros(params.shape)
 
-    def run(self, circuits: slice, inputs: np.ndarray) -> tuple[np.ndarray, object]:
-        """<Z> [..., k, B, n] of the given circuits on the inputs [...,
-        B, input_dim], and the record :meth:`backward` differentiates them
-        from."""
+    def run(
+        self, circuits: slice, inputs: np.ndarray, out: Optional[tuple] = None
+    ) -> tuple[np.ndarray, object]:
+        """<Z> [..., k, B, m] of the given circuits on the inputs [..., B,
+        input_dim], on the read qubits, and the record :meth:`backward`
+        differentiates them from.  For the ansatz matrix, ``out`` may hold
+        arrays [..., 2**n, B] and [..., k, m 2**n, B] to write the product
+        states and their products with the forms into."""
         template = self.template
         if self.lowering == "phase":
             t = self.features(inputs)
@@ -886,11 +962,24 @@ class CircuitStack:
             rows = angles.shape[:-1]  # [..., k, B]
             angles = angles.reshape(-1, angles.shape[-1])
             exps, states = _run_rows(template, angles)
-            return exps.reshape(rows + (-1,)), (angles, states)
-        product = _product_states(template, inputs)  # [..., B, 2**n]
-        amps = product[..., None, :, :] @ self.matrices[..., circuits, :, :].swapaxes(-1, -2)
-        exps = sim._expect_z_rows(amps.reshape(-1, amps.shape[-1]))
-        return exps.reshape(amps.shape[:-1] + (-1,)), (product, amps)
+            return exps.take(self.readout, axis=-1).reshape(rows + (-1,)), (angles, states)
+        states, products = (None, None) if out is None else out
+        states = _product_states(template, inputs, states)
+        products = self._form_products(circuits, states, products)
+        products *= states[..., None, None, :, :]
+        return products.sum(axis=-2).swapaxes(-1, -2), states
+
+    def _form_products(
+        self, circuits: slice, states: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """A_q r [..., k, m, 2**n, B] of the given circuits' forms and the
+        product states r [..., 2**n, B], each circuit's forms against every
+        row in one product, written into ``out`` [..., k, m 2**n, B] when
+        given."""
+        forms = self.forms[..., circuits, :, :, :]
+        stacked = forms.reshape(forms.shape[:-3] + (-1, forms.shape[-1]))  # [..., k, m 2**n, 2**n]
+        products = np.matmul(stacked, states[..., None, :, :], out=out)
+        return products.reshape(forms.shape[:-1] + states.shape[-1:])
 
     def features(self, inputs: np.ndarray) -> np.ndarray:
         """The phase lowering's Fourier features t = (cos x, sin x) [..., B,
@@ -913,7 +1002,7 @@ class CircuitStack:
         """Add seeds [..., k, ...] to the given circuits' seeds, from which
         :meth:`param_grads` makes the parameter gradients: for the phase
         lowering sum_b w t [..., k, n, 2m] (w the weights of <Z>), for the
-        ansatz matrix the overlaps C0 [..., k, 2**n, 2**n]."""
+        ansatz matrix the overlaps Y [..., k, 2**n, 2**n]."""
         if self.seeds is None:
             self.seeds = np.zeros(self.params.shape[:-1] + seeds.shape[-2:], dtype=seeds.dtype)
         self.seeds[..., circuits, :, :] += seeds
@@ -922,38 +1011,43 @@ class CircuitStack:
         self, circuits: slice, record, weights: np.ndarray, inputs: np.ndarray
     ) -> np.ndarray:
         """Differentiate sum weights * <Z> of a :meth:`run`, weights [...,
-        k, B, n]: adds the parameter gradient to the stack's and returns the
+        k, B, m]: adds the parameter gradient to the stack's and returns the
         input gradient [..., B, input_dim], summed over the circuits."""
         if self.lowering == "phase":
             t = record
             self.add_seeds(circuits, weights.swapaxes(-1, -2) @ t[..., None, :, :])
             dt = (weights @ self.coefficients[..., circuits, :, :]).sum(axis=-3)  # [..., B, 2m]
             return self.feature_grads(t, dt, inputs)
-        pulled = self.pull_back(circuits, record, weights @ sim._z_signs(self.template.n_qubits))
-        return self.embedding_grads(record, pulled, inputs)
+        return self.embedding_grads(record, self.pull_back(circuits, record, weights), inputs)
 
-    def pull_back(self, circuits: slice, record, observable: np.ndarray) -> np.ndarray:
+    def pull_back(self, circuits: slice, record, weights: np.ndarray):
         """The parameter part of :meth:`backward` for the ansatz matrix and
-        the plan: differentiates f = sum <psi|O|psi> over the rows of a
-        :meth:`run` of the given circuits, O diagonal with entries
-        ``observable`` [..., k, B, 2**n], and adds the parameter gradient to
-        the stack's.  Returns what :meth:`embedding_grads` takes to the
-        inputs: the rows conj(mu) [..., k, B, 2**n] for the ansatz matrix,
-        the angle derivatives [..., k, B, n_angles] for the plan."""
+        the plan: differentiates f = sum weights * <Z> over the rows of a
+        :meth:`run` of the given circuits, weights [..., k, B, m], and adds
+        the parameter gradient to the stack's.  Returns what
+        :meth:`embedding_grads` takes to the inputs: the circuits and the
+        weights for the ansatz matrix, the angle derivatives [..., k, B,
+        n_angles] for the plan."""
         if self.lowering == "matrix":
-            product, amps = record
-            # conj(mu) = conj(U^dagger lambda) = conj(lambda) U, as rows
-            conj_mu = (observable * amps.conj()) @ self.matrices[..., circuits, :, :]
-            self.add_seeds(circuits, product[..., None, :, :].swapaxes(-1, -2) @ conj_mu)
-            return conj_mu
+            states = record  # [..., 2**n, B]
+            weighted = weights.swapaxes(-1, -2)[..., None, :] * states[..., None, None, :, :]
+            # the S_q = r (w_q r)^T side by side [..., k, 2**n, m 2**n], then
+            # Y = sum_q S_q M_q
+            weighted = weighted.reshape(weighted.shape[:-3] + (-1, weighted.shape[-1]))
+            sums = states[..., None, :, :] @ weighted.swapaxes(-1, -2)
+            # the real S_q take M_q's floats in one real product whose floats are Y's
+            seeds = sums @ self.observables[..., circuits, :, :]
+            self.add_seeds(circuits, seeds.view(np.complex128))
+            return circuits, weights
         template, (angles, states) = self.template, record
+        observable = weights @ _readout_signs(template.n_qubits, self.readout)
         dangles = _adjoint_rows(template, angles, states, observable.reshape(states.shape) * states)
-        dangles = dangles.reshape(observable.shape[:-1] + (-1,))
+        dangles = dangles.reshape(weights.shape[:-1] + (-1,))
         params = _lowered(template).scatter[:, : template.total_params]
         self.grads[..., circuits, :] += (dangles @ params).sum(axis=-2)
         return dangles
 
-    def embedding_grads(self, record, pulled: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    def embedding_grads(self, record, pulled, inputs: np.ndarray) -> np.ndarray:
         """The input gradient [..., B, input_dim], summed over the
         circuits, from what :meth:`pull_back` returned for the same
         record."""
@@ -961,17 +1055,18 @@ class CircuitStack:
         if self.lowering == "plan":
             dsource = pulled @ _lowered(template).scatter[:, template.total_params :]
             return _input_grads(dsource, inputs[..., None, :, :]).sum(axis=-3)
-        embedding, product = self.layout.embedding, record[0]
-        if not len(embedding):  # an embedding of no features: no input enters
+        layout, states = self.layout, record
+        if not len(layout.embedding):  # an embedding of no features: no input enters
             return np.zeros(inputs.shape)
-        # every circuit reads the same product state, so the embedding angles
-        # take the sum of the circuits' mu
-        dim, qubits = product.shape[-1], tuple(range(len(embedding)))
-        readings = sim._pauli_rows(
-            product.reshape(-1, dim), pulled.sum(axis=-3).reshape(-1, dim), qubits
-        )
-        dangles = readings[AXES.index(template.segments[0].axis)].T  # [rows, count]
-        return _input_grads((dangles @ embedding).reshape(inputs.shape[:-1] + (-1,)), inputs)
+        circuits, weights = pulled
+        # sum_q w_q A_q r per row, summed over the circuits [..., 2**n, B]
+        slopes = self._form_products(circuits, states)
+        slopes *= weights.swapaxes(-1, -2)[..., None, :]
+        slopes = slopes.sum(axis=(-4, -3))
+        # d f / d theta_j = (sum_q w_q A_q r) . (J_j r) [..., count, B]
+        flipped = states.take(layout.flips, axis=-2) * layout.turns[:, :, None]
+        dangles = (flipped * slopes[..., None, :, :]).sum(axis=-2)
+        return _input_grads(dangles.swapaxes(-1, -2) @ layout.embedding, inputs)
 
     def param_grads(self) -> np.ndarray:
         """The parameter gradients [..., K, P] of every :meth:`backward` or
@@ -992,7 +1087,7 @@ class CircuitStack:
         return d_pairs @ table.params.T
 
     def _overlap_sweep(self) -> np.ndarray:
-        """The parameter gradients [..., K, P] from the overlaps C0 in the
+        """The parameter gradients [..., K, P] from the overlaps Y in the
         seeds: every block's overlap C_b at once, then one reading of the
         three Paulis on every qubit of every block."""
         layout, products = self.layout, self.products

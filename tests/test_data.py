@@ -705,6 +705,22 @@ class TestRangeScaler:
         back = invert_scaler(scaler, apply_scaler(scaler, arr))
         np.testing.assert_allclose(back, arr, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 1, 3), (0, 1, 3)])
+    def test_in_place_forms_match_expressions(self, shape):
+        """Both maps work in place on one new array: the same bits as the
+        whole expressions, and the caller's array is left as it was."""
+        rng = np.random.default_rng(len(shape))
+        scaler = fit_scaler(rng.uniform(-50.0, 80.0, (20, shape[-1])))
+        values = rng.uniform(-60.0, 90.0, shape)
+        before = values.copy()
+        lo, hi = scaler.minimum, scaler.maximum
+        scaled = apply_scaler(scaler, values)
+        assert scaled.tobytes() == ((values - lo) / (hi - lo) * 2.0 - 1.0).tobytes()
+        back = invert_scaler(scaler, scaled)
+        assert back.tobytes() == ((scaled + 1.0) / 2.0 * (hi - lo) + lo).tobytes()
+        assert values.tobytes() == before.tobytes()
+        assert not np.shares_memory(scaled, values) and not np.shares_memory(back, scaled)
+
     def test_degenerate_feature_named(self):
         with pytest.raises(ConfigurationError, match="press"):
             fit_scaler(

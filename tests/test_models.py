@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscale import models, nn, vqc
-from qscale.data import CalibrationDataset, RangeScaler, fit_scaler, make_windows
+from qscale.data import CalibrationDataset, RangeScaler, fit_scaler, invert_scaler, make_windows
 from qscale.errors import ConfigurationError, DataError, TrainingDivergedError
 from qscale.models import TrainConfig
 
@@ -1186,6 +1186,35 @@ class TestPredictBlocks:
         single = np.concatenate([model.predict(row[None]) for row in x])
         np.testing.assert_allclose(preds, single, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(model.predict(x), preds)
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2051])
+    def test_vqr_workspace_blocks(self, rows):
+        """A linear vqr predict writes every block's product states and
+        their products with A_0 into one workspace: the predictions match
+        the plan's <Z_0> at 1e-12, a second predict repeats the first bit
+        for bit, and a ragged last block, run after its workspace was
+        filled with NaN, reads only the rows it wrote and predicts the bits
+        of a predict of its rows alone."""
+        names = models.default_options("vqr")["features"]
+        inp, tgt = scalers_for(tiny_dataset(24, seed=41), names)
+        model = models.build_model("vqr", names, inp, tgt, seed=71)
+        x = np.random.default_rng(rows).uniform(0.0, 30.0, (rows, 1, len(names)))
+        preds = model.predict(x)
+        angles = vqc._angle_table(model.template, model.flat, model.scale_windows(x)[:, 0])
+        want = invert_scaler(tgt, vqc._run_rows(model.template, angles)[0][:, 0])
+        np.testing.assert_allclose(preds, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(model.predict(x), preds)
+        last = (rows - 1) // models.PREDICT_ROWS * models.PREDICT_ROWS
+        if 0 < rows - last < models.PREDICT_ROWS and last:
+            predict_block = model._predictor(rows)
+            x_scaled = model.scale_windows(x)
+            for start in range(0, last, models.PREDICT_ROWS):
+                predict_block(x_scaled[start : start + models.PREDICT_ROWS])
+            for array in predict_block.keywords["workspace"]:
+                array.fill(np.nan)
+            ragged = invert_scaler(tgt, predict_block(x_scaled[last:]))
+            np.testing.assert_array_equal(ragged, preds[last:])
+            np.testing.assert_array_equal(ragged, model.predict(x[last:]))
 
     def test_lstm_predicts_of_different_lengths(self):
         """Two predicts of different lengths on one model each equal a

@@ -719,7 +719,7 @@ class TestAnsatzMatrix:
         """``backward`` is ``pull_back`` then ``embedding_grads``, as the
         phase lowering's is its seeds and its feature gradients: for M
         models, a stack differentiated by ``pull_back`` alone, on the
-        diagonal of w @ Z, has exactly the parameter gradients of one
+        Z-weights w, has exactly the parameter gradients of one
         differentiated by ``backward``, for the ansatz matrix and for the
         plan; and ``backward``'s input gradients match the plan oracle."""
         template, params, inputs = case
@@ -733,7 +733,7 @@ class TestAnsatzMatrix:
         assert by_run.lowering in ("matrix", "plan")
         every = slice(None)
         grad_inputs = by_run.backward(every, by_run.run(every, inputs)[1], weights, inputs)
-        by_parts.pull_back(every, by_parts.run(every, inputs)[1], weights @ sim._z_signs(n))
+        by_parts.pull_back(every, by_parts.run(every, inputs)[1], weights)
         np.testing.assert_array_equal(by_run.param_grads(), by_parts.param_grads())
         for m in range(models):
             want_inputs = plan_oracle(template, params[m], inputs[m], weights[m])[1]
@@ -756,6 +756,45 @@ class TestAnsatzMatrix:
             np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
             shift_inputs += gx
         np.testing.assert_allclose(grad_inputs, shift_inputs, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(embed_first_stacks(), reuploading_stacks()), st.integers(1, 2), st.data())
+    def test_readout_reads_the_named_qubits(self, case, models, data):
+        """A stack of M models that reads some qubits, in any order, runs
+        their <Z> and differentiates their weights as a stack that reads
+        every qubit does with zero weights on the others, for the ansatz
+        matrix and the plan: <Z> to 1e-12, gradients to 1e-10; a
+        forward-only stack runs the same bits."""
+        template, params, inputs = case
+        n = template.n_qubits
+        readout = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
+        rng = np.random.default_rng(len(inputs) + 7 * models)
+        params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape)] * (models - 1))
+        inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape)] * (models - 1))
+        every = slice(None)
+        full = vqc.CircuitStack(template, params)
+        part = vqc.CircuitStack(template, params, readout=readout)
+        forward = vqc.CircuitStack(template, params, forward_only=True, readout=readout)
+        exps, record = full.run(every, inputs)
+        got, part_record = part.run(every, inputs)
+        assert got.shape == exps.shape[:-1] + (len(readout),)
+        np.testing.assert_allclose(got, exps[..., list(readout)], rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(forward.run(every, inputs)[0], got)
+        weights = rng.uniform(-1.0, 1.0, got.shape)
+        padded = np.zeros(exps.shape)
+        padded[..., list(readout)] = weights
+        np.testing.assert_allclose(
+            part.backward(every, part_record, weights, inputs),
+            full.backward(every, record, padded, inputs),
+            rtol=1e-10,
+            atol=1e-10,
+        )
+        np.testing.assert_allclose(part.param_grads(), full.param_grads(), rtol=1e-10, atol=1e-10)
+
+    def test_phase_lowering_reads_every_qubit(self):
+        template = ring_rx_template(3, 1)
+        with pytest.raises(ConfigurationError, match="every qubit"):
+            vqc.CircuitStack(template, np.zeros((1, template.total_params)), readout=(0,))
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_embedding_of_no_features(self, n):
@@ -869,18 +908,20 @@ class TestGatherForms:
         st.data(),
     )
     def test_product_states_match_kron(self, n, axis, transform, lead, data):
-        """The embedding's product states for inputs [B, d] and [M, B, d],
-        RX and RY, identity and arctan, with fewer features than qubits and
-        more inputs than features."""
+        """The embedding's real product states r, times the phases D of an
+        RX embedding, for inputs [B, d] and [M, B, d], RX and RY, identity
+        and arctan, with fewer features than qubits and more inputs than
+        features."""
         slots = some_features(data.draw, n)
         template = CircuitTemplate(
             n, n + 1, (Embedding(axis, slots, transform), Ansatz("strongly_entangling", 1))
         )
         inputs = np.random.default_rng(n + len(lead)).uniform(-3.0, 3.0, lead + (n + 1,))
         want = oracle.product_states(oracle.embedding_factors(template, inputs))
-        np.testing.assert_allclose(
-            vqc._product_states(template, inputs), want, rtol=0.0, atol=1e-12
-        )
+        states = vqc._product_states(template, inputs)
+        assert states.dtype == np.float64
+        phases = vqc._ansatz_matrix(template).phases
+        np.testing.assert_allclose(states.swapaxes(-1, -2) * phases, want, rtol=0.0, atol=1e-12)
 
 
 class TestInitParams:
