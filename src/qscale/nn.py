@@ -41,9 +41,9 @@ and data ``[K, B, ...]`` (LSTM states ``[K, hidden, B]``), run as one with
 batched (``...``-broadcast) matmuls, each model on its own rows.  The
 dense and LSTM backward passes write the parameter gradients, summed over
 each model's batch, into structures of the parameters' shapes that the
-caller passes (``linear_backward``, which the QLSTM calls step after step,
-adds into them); the LSTM's weight gradients come from one product per
-layer over all steps and the batch.  ``models`` makes both the parameters
+caller passes, and the dense pass makes no gradient for its inputs, which
+are data; the LSTM's weight gradients come from one product per layer over
+all steps and the batch.  ``models`` makes both the parameters
 and the gradients views of one flat vector each (``[K, P]`` for K
 models), and ``optimizer_step`` updates it in place, each model with its
 own learning rate and moments, all K with one step count.  One sample is
@@ -150,30 +150,21 @@ def ffnn_forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarra
 
 def ffnn_backward(
     layers: Sequence[DenseLayer], caches: list, d_out: np.ndarray, grads: Sequence[DenseLayer]
-) -> np.ndarray:
+) -> None:
     """Backpropagate d_out [..., B, n_out]: writes each layer's weight and
     bias gradients, summed over the batch, into ``grads`` (one layer each,
-    whatever they held) and returns the input gradient [..., B, n_in].  An
-    identity layer's delta passes through its activation unchanged."""
+    whatever they held).  The inputs are data, so the first layer's delta
+    goes no further.  An identity layer's delta passes through its
+    activation unchanged."""
     delta = np.asarray(d_out, dtype=float)
-    for layer, (x, z, a), grad in zip(layers[::-1], caches[::-1], grads[::-1]):
+    for k in range(len(layers) - 1, -1, -1):
+        layer, (x, z, a), grad = layers[k], caches[k], grads[k]
         if layer.activation != "identity":
             delta = delta * _ACTIVATION_GRADS[layer.activation](z, a)
         np.matmul(delta.swapaxes(-1, -2), x, out=grad.weights)
         delta.sum(axis=-2, out=grad.bias)
-        delta = delta @ layer.weights
-    return delta
-
-
-def linear_backward(
-    layer: DenseLayer, x: np.ndarray, delta: np.ndarray, grads: DenseLayer
-) -> np.ndarray:
-    """The gradient of the pre-activation x W^T + b for upstream delta
-    [..., B, n_out]: adds the weight and bias gradients, summed over the
-    batch, into ``grads`` and returns the input gradient [..., B, n_in]."""
-    grads.weights += delta.swapaxes(-1, -2) @ x
-    grads.bias += delta.sum(axis=-2)
-    return delta @ layer.weights
+        if k:
+            delta = delta @ layer.weights
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,13 @@ of three ways; :func:`lowering` is the one choice:
   amplitudes is made.  Every row of a circuit shares U, so the backward
   pass sums the batch into one 2**n x 2**n overlap matrix per circuit,
   from the rows' outer products, and sweeps that through the blocks, where
-  the plan would sweep every row; it turns the rows to the input gradient
-  only for a caller that asks for it.
+  the plan would sweep every row.
 * ``"plan"``, everything else: the re-uploading (nonlinear) vqr trains and
   predicts through the plan and its adjoint sweep.
+
+A stack differentiates only its params: a model's circuit inputs are data.
+The input gradients stay public through :func:`adjoint_grad_batch` and
+:func:`parameter_shift_grad_batch`, each the other's oracle.
 
 Templates have no file format of their own: a checkpoint stores a model's
 options, and the model rebuilds its template from them.
@@ -506,22 +509,14 @@ def _angle_grads_to_args(
     template: CircuitTemplate, dangles: np.ndarray, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold angle derivatives [rows, n_angles] into gradients with respect
-    to params [rows, P] and inputs [rows, input_dim]."""
-    dsource = dangles @ _lowered(template).scatter
-    n_params = template.total_params
-    return dsource[..., :n_params], _input_grads(dsource[..., n_params:], inputs)
-
-
-def _input_grads(dsource: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Fold derivatives [..., rows, 2 * input_dim] by the input columns of
-    the source table, ``[inputs | arctan(inputs)]``, into gradients with
-    respect to the inputs [..., rows, input_dim].  An input that several
+    to params [rows, P] and inputs [rows, input_dim].  An input that several
     embeddings encode accumulates every term, its arctan terms through the
     chain rule 1/(1+x^2)."""
-    n_inputs = inputs.shape[-1]
-    grad_inputs = dsource[..., n_inputs:] * (1.0 / (1.0 + inputs**2))
-    grad_inputs += dsource[..., :n_inputs]
-    return grad_inputs
+    dsource = dangles @ _lowered(template).scatter
+    n_params, n_inputs = template.total_params, template.input_dim
+    grad_inputs = dsource[..., n_params + n_inputs :] * (1.0 / (1.0 + inputs**2))
+    grad_inputs += dsource[..., n_params : n_params + n_inputs]
+    return dsource[..., :n_params], grad_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +555,9 @@ def turned(a: np.ndarray) -> np.ndarray:
     with its halves swapped and the new second one negated: (a_sin,
     -a_cos).  The gradient at the angles x for a gradient dt at the
     features t is dx = cos x dt_sin - sin x dt_cos, the sum of the two
-    halves of t * turned(dt) (:meth:`CircuitStack.feature_grads`).  A
-    caller whose dt is D F^T may turn F^T once instead, and fold the
-    halves' sum into the product that takes dx on."""
+    halves of t * turned(dt).  A caller whose dt is D F^T may turn F^T
+    once instead, and fold the halves' sum into the product that takes dx
+    on."""
     m = a.shape[-1] // 2
     return np.concatenate([a[..., m:], -a[..., :m]], axis=-1)
 
@@ -685,13 +680,8 @@ class _AnsatzMatrix(NamedTuple):
     embedding: its angles are the params in circuit order, and each of its
     L blocks, one ansatz layer, holds one group per qubit, in qubit order.
     ``layers`` [L, 2**n] gathers each block's CNOT layer, the identity
-    where none follows.  ``embedding`` [count, 2 * input_dim] takes the
-    derivatives of the embedding angles to the source columns ``[inputs |
-    arctan(inputs)]``.  ``phases`` [2**n] is the diagonal D of an RX
-    embedding's product states D r, ones for RY.  ``flips`` and ``turns``
-    [count, 2**n] turn the real product states r towards their embedding
-    angles: d r / d theta_j = J_j r / 2, (J_j r)[i] = turns[j, i] r[flips[j,
-    i]] = -+ r[i ^ 2**j], minus where bit j of i is 0.
+    where none follows.  ``phases`` [2**n] is the diagonal D of an RX
+    embedding's product states D r, ones for RY.
 
     With U_b = W_b ... W_1 the product through block b's CNOT layer P_b,
     the overlap just after the block's rotations is C_b = P_b^T (U_b C0
@@ -707,10 +697,7 @@ class _AnsatzMatrix(NamedTuple):
 
     plan: _Plan
     layers: np.ndarray
-    embedding: np.ndarray
     phases: np.ndarray
-    flips: np.ndarray
-    turns: np.ndarray
     reads: np.ndarray
     sums: np.ndarray
     picks: np.ndarray
@@ -720,7 +707,6 @@ class _AnsatzMatrix(NamedTuple):
 def _ansatz_matrix(template: CircuitTemplate) -> _AnsatzMatrix:
     n, dim = template.n_qubits, 1 << template.n_qubits
     first = template.segments[0]
-    count = len(first.feature_slots)
     plan = _plan(CircuitTemplate(n, 0, template.segments[1:]))
     index, layers, reads = np.arange(dim), [], []
     for b, (_, layer, inverse) in enumerate(plan.blocks):
@@ -736,20 +722,17 @@ def _ansatz_matrix(template: CircuitTemplate) -> _AnsatzMatrix:
         (first_row + n) * columns + 1 + qubits,  # Z_q: the diagonal, z_q
     ]
     signs = sim._z_signs(n).T
-    bits = (index[None, :] >> np.arange(count)[:, None]) & 1  # [count, dim]
+    bits = (index[None, :] >> np.arange(len(first.feature_slots))[:, None]) & 1  # [count, dim]
     powers = np.array([1, -1j, -1, 1j]) if first.axis == "X" else np.ones(4, dtype=np.complex128)
     layout = _AnsatzMatrix(
         plan,
         _index(layers),
-        _lowered(template).scatter[:count, template.total_params :].copy(),
         powers[bits.sum(axis=0) % 4],  # (-i)**popcount for RX
-        _index(index ^ (1 << np.arange(count)[:, None])),
-        2.0 * bits - 1.0,
         _index(reads),
         np.hstack([np.ones((dim, 1)), signs, -1j * signs]),
         _index(picks),
     )
-    for table in (layout.embedding, layout.phases, layout.turns, layout.sums):
+    for table in (layout.phases, layout.sums):
         table.setflags(write=False)
     return layout
 
@@ -826,16 +809,21 @@ def _readout_signs(n_qubits: int, readout: tuple[int, ...]) -> np.ndarray:
 class CircuitStack:
     """K circuits of one template, each with its own params ``params``
     [..., K, P], to run on input rows [..., B, input_dim] that each run
-    shares among its circuits, and to differentiate.  Leading axes are
-    models: the circuits of M models of one shape are one stack with params
-    [M, K, P], and each model's inputs [M, B, input_dim] reach only its own
-    circuits.  :func:`lowering` picks one of three ways for all its runs,
-    named by ``lowering``.  A stack that will only run, never be
-    differentiated, is ``forward_only`` and keeps less.  A run reads <Z> on
-    the m qubits ``readout``, every qubit unless the caller names fewer,
-    and a backward pass takes one weight per row and read qubit.  The
-    ansatz matrix pays for each qubit it reads; the phase lowering reads
-    every qubit.
+    shares among its circuits, and to differentiate with respect to their
+    params.  Leading axes are models: the circuits of M models of one shape
+    are one stack with params [M, K, P], and each model's inputs [M, B,
+    input_dim] reach only its own circuits.  :func:`lowering` picks one of
+    three ways for all its runs, named by ``lowering``.  A stack that will
+    only run, never be differentiated, is ``forward_only`` and keeps less.
+    A run reads <Z> on the m qubits ``readout``, every qubit unless the
+    caller names fewer; the ansatz matrix pays for each qubit it reads, and
+    the phase lowering reads every qubit.
+
+    Every lowering has one contract: :meth:`run` returns <Z> and a record,
+    :meth:`pull_back` takes the record and one weight per row and read
+    qubit, w [..., k, B, m], and adds what f = sum w <Z> needs to the
+    stack, and :meth:`param_grads` returns the parameter gradients of every
+    pull-back so far.  The inputs are data, so no input gradient is made.
 
     * Phase: each pair's phase difference is a params part dp_j plus s_j
       x_u, x_u = source @ u for one of the template's m input frequencies u
@@ -845,20 +833,18 @@ class CircuitStack:
       sum of exp(i s_j dp_j) over qubit q's pairs on u.  They are made once
       per stack, as ``coefficients`` [..., K, n, 2m], 2**(1-n) (Re z, -Im
       z); a run makes the features t = (cos x, sin x) [..., B, 2m] of its
-      rows (:meth:`features`), and <Z> is t times the coefficients.
-      :meth:`backward` takes dt back to the inputs through the frequencies
-      (:meth:`feature_grads`) and adds sum_b w t to the seeds, per circuit,
-      qubit and frequency (:meth:`add_seeds`); :meth:`param_grads` hands
-      each pair its coefficient's seeds and takes them back to the params
-      once.  ``run`` and ``backward`` are these parts composed; a caller
-      that maps the outputs on linearly, as the qlstm's fc_out maps do, may
-      fold its maps into the coefficients and call the parts itself.  With
-      an identity embedding the frequency angles x are linear in the
-      inputs too, so a caller that makes its inputs by linear maps, as the
-      qlstm's fc_in and projection do, may fold those into the frequencies
-      and take :func:`fourier_features` of x and the gradient at x through
-      :func:`turned` itself.  A forward-only stack keeps only the
-      coefficients.
+      rows (:func:`fourier_features`), and <Z> is t times the
+      coefficients.  :meth:`pull_back` adds sum_b w t to the seeds, per
+      circuit, qubit and frequency (:meth:`add_seeds`); :meth:`param_grads`
+      hands each pair its coefficient's seeds and takes them back to the
+      params once.  A caller that maps the outputs on linearly, as the
+      qlstm's fc_out maps do, may fold its maps into the coefficients and
+      add its own seeds.  With an identity embedding the frequency angles x
+      are linear in the inputs too, so a caller that makes its inputs by
+      linear maps, as the qlstm's fc_in and projection do, may fold those
+      into the frequencies and take :func:`fourier_features` of x and the
+      gradient at x through :func:`turned` itself.  A forward-only stack
+      keeps only the coefficients.
     * Ansatz matrix: the embedding makes a product state, D r with r real
       (:func:`_product_states`) and D the phases of an RX embedding, so
       each <Z_q> is a fixed quadratic form r . (A_q r) in r, the view the
@@ -868,14 +854,11 @@ class CircuitStack:
       D, M_q = V^dagger Z_q V and A_q = Re M_q, real and symmetric, made
       once per stack; ``forms`` [..., K, m, 2**n, 2**n] holds A_q for each
       read qubit, and a run costs one real product per row and read qubit.
-      For f = sum w <Z>, w [..., k, B, m], :meth:`pull_back` adds to each
-      circuit's seeds the overlap Y = sum_q S_q M_q, S_q = sum_b w_bq r_b
-      r_b^T, which is D^dagger C0 D for the overlap C0 = sum_b phi_b
-      mu_b^dagger of the product states phi = D r and the pulled-back
-      cotangents mu = U^dagger O psi; no row of psi or mu is made.
-      :meth:`embedding_grads` reads d f / d theta_j = sum_q w_q (A_q r) .
-      (J_j r) (``_AnsatzMatrix.turns``), only for a caller that needs the
-      input gradient.  Every row of a circuit shares its ansatz angles, so
+      :meth:`pull_back` adds to each circuit's seeds the overlap Y = sum_q
+      S_q M_q, S_q = sum_b w_bq r_b r_b^T, which is D^dagger C0 D for the
+      overlap C0 = sum_b phi_b mu_b^dagger of the product states phi = D r
+      and the pulled-back cotangents mu = U^dagger O psi; no row of psi or
+      mu is made.  Every row of a circuit shares its ansatz angles, so
       :meth:`param_grads` makes one adjoint sweep over Y instead of over the
       rows: the overlap just after block b's rotations is V_b Y V_b^dagger
       = U_b C0 U_b^dagger with its CNOT layer undone, V_b = W_b ... W_1 D
@@ -886,11 +869,7 @@ class CircuitStack:
       keeps only the forms.
     * Plan: every run goes through the fused plan.  :meth:`pull_back`
       makes one adjoint sweep over its rows and adds the parameter
-      gradients to ``grads`` [..., K, P]; :meth:`embedding_grads` takes
-      the sweep's angle derivatives to the inputs.
-
-    For the ansatz matrix and the plan, ``backward`` is :meth:`pull_back`
-    then :meth:`embedding_grads`.
+      gradients to ``grads`` [..., K, P].
     """
 
     def __init__(
@@ -947,13 +926,16 @@ class CircuitStack:
         self, circuits: slice, inputs: np.ndarray, out: Optional[tuple] = None
     ) -> tuple[np.ndarray, object]:
         """<Z> [..., k, B, m] of the given circuits on the inputs [..., B,
-        input_dim], on the read qubits, and the record :meth:`backward`
+        input_dim], on the read qubits, and the record :meth:`pull_back`
         differentiates them from.  For the ansatz matrix, ``out`` may hold
         arrays [..., 2**n, B] and [..., k, m 2**n, B] to write the product
         states and their products with the forms into."""
         template = self.template
         if self.lowering == "phase":
-            t = self.features(inputs)
+            # the Fourier features t = (cos x, sin x) [..., B, 2m] of the
+            # rows' frequency angles x
+            source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
+            t = fourier_features(source @ self.frequencies.inputs)
             return t[..., None, :, :] @ self.coefficients[..., circuits, :, :].swapaxes(-1, -2), t
         if self.lowering == "plan":
             angles = _angle_table(
@@ -965,38 +947,14 @@ class CircuitStack:
             return exps.take(self.readout, axis=-1).reshape(rows + (-1,)), (angles, states)
         states, products = (None, None) if out is None else out
         states = _product_states(template, inputs, states)
-        products = self._form_products(circuits, states, products)
-        products *= states[..., None, None, :, :]
-        return products.sum(axis=-2).swapaxes(-1, -2), states
-
-    def _form_products(
-        self, circuits: slice, states: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """A_q r [..., k, m, 2**n, B] of the given circuits' forms and the
-        product states r [..., 2**n, B], each circuit's forms against every
-        row in one product, written into ``out`` [..., k, m 2**n, B] when
-        given."""
+        # A_q r [..., k, m, 2**n, B], each circuit's forms against every row
+        # in one product
         forms = self.forms[..., circuits, :, :, :]
         stacked = forms.reshape(forms.shape[:-3] + (-1, forms.shape[-1]))  # [..., k, m 2**n, 2**n]
-        products = np.matmul(stacked, states[..., None, :, :], out=out)
-        return products.reshape(forms.shape[:-1] + states.shape[-1:])
-
-    def features(self, inputs: np.ndarray) -> np.ndarray:
-        """The phase lowering's Fourier features t = (cos x, sin x) [..., B,
-        2m] of the inputs [..., B, input_dim], x their m input frequencies:
-        circuit k's <Z> is t times its ``coefficients[..., k, :, :]``
-        transposed."""
-        source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
-        return fourier_features(source @ self.frequencies.inputs)
-
-    def feature_grads(self, t: np.ndarray, dt: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """The input gradient [..., B, input_dim] of the inputs whose
-        :meth:`features` are t, for the gradient dt [..., B, 2m] at t: the
-        gradient at their frequency angles is the sum of the halves of t *
-        :func:`turned` (dt)."""
-        halves, m = t * turned(dt), t.shape[-1] // 2
-        dx = halves[..., :m] + halves[..., m:]
-        return _input_grads(dx @ self.frequencies.inputs.T, inputs)
+        products = np.matmul(stacked, states[..., None, :, :], out=products)
+        products = products.reshape(forms.shape[:-1] + states.shape[-1:])
+        products *= states[..., None, None, :, :]
+        return products.sum(axis=-2).swapaxes(-1, -2), states
 
     def add_seeds(self, circuits: slice, seeds: np.ndarray) -> None:
         """Add seeds [..., k, ...] to the given circuits' seeds, from which
@@ -1007,28 +965,15 @@ class CircuitStack:
             self.seeds = np.zeros(self.params.shape[:-1] + seeds.shape[-2:], dtype=seeds.dtype)
         self.seeds[..., circuits, :, :] += seeds
 
-    def backward(
-        self, circuits: slice, record, weights: np.ndarray, inputs: np.ndarray
-    ) -> np.ndarray:
-        """Differentiate sum weights * <Z> of a :meth:`run`, weights [...,
-        k, B, m]: adds the parameter gradient to the stack's and returns the
-        input gradient [..., B, input_dim], summed over the circuits."""
+    def pull_back(self, circuits: slice, record, weights: np.ndarray) -> None:
+        """Differentiate f = sum weights * <Z> over the rows of a
+        :meth:`run` of the given circuits, weights [..., k, B, m], with
+        respect to their params: the phase lowering and the ansatz matrix
+        add their seeds, and the plan adds its parameter gradient."""
         if self.lowering == "phase":
-            t = record
+            t = record  # [..., B, 2m]
             self.add_seeds(circuits, weights.swapaxes(-1, -2) @ t[..., None, :, :])
-            dt = (weights @ self.coefficients[..., circuits, :, :]).sum(axis=-3)  # [..., B, 2m]
-            return self.feature_grads(t, dt, inputs)
-        return self.embedding_grads(record, self.pull_back(circuits, record, weights), inputs)
-
-    def pull_back(self, circuits: slice, record, weights: np.ndarray):
-        """The parameter part of :meth:`backward` for the ansatz matrix and
-        the plan: differentiates f = sum weights * <Z> over the rows of a
-        :meth:`run` of the given circuits, weights [..., k, B, m], and adds
-        the parameter gradient to the stack's.  Returns what
-        :meth:`embedding_grads` takes to the inputs: the circuits and the
-        weights for the ansatz matrix, the angle derivatives [..., k, B,
-        n_angles] for the plan."""
-        if self.lowering == "matrix":
+        elif self.lowering == "matrix":
             states = record  # [..., 2**n, B]
             weighted = weights.swapaxes(-1, -2)[..., None, :] * states[..., None, None, :, :]
             # the S_q = r (w_q r)^T side by side [..., k, 2**n, m 2**n], then
@@ -1038,39 +983,19 @@ class CircuitStack:
             # the real S_q take M_q's floats in one real product whose floats are Y's
             seeds = sums @ self.observables[..., circuits, :, :]
             self.add_seeds(circuits, seeds.view(np.complex128))
-            return circuits, weights
-        template, (angles, states) = self.template, record
-        observable = weights @ _readout_signs(template.n_qubits, self.readout)
-        dangles = _adjoint_rows(template, angles, states, observable.reshape(states.shape) * states)
-        dangles = dangles.reshape(weights.shape[:-1] + (-1,))
-        params = _lowered(template).scatter[:, : template.total_params]
-        self.grads[..., circuits, :] += (dangles @ params).sum(axis=-2)
-        return dangles
-
-    def embedding_grads(self, record, pulled, inputs: np.ndarray) -> np.ndarray:
-        """The input gradient [..., B, input_dim], summed over the
-        circuits, from what :meth:`pull_back` returned for the same
-        record."""
-        template = self.template
-        if self.lowering == "plan":
-            dsource = pulled @ _lowered(template).scatter[:, template.total_params :]
-            return _input_grads(dsource, inputs[..., None, :, :]).sum(axis=-3)
-        layout, states = self.layout, record
-        if not len(layout.embedding):  # an embedding of no features: no input enters
-            return np.zeros(inputs.shape)
-        circuits, weights = pulled
-        # sum_q w_q A_q r per row, summed over the circuits [..., 2**n, B]
-        slopes = self._form_products(circuits, states)
-        slopes *= weights.swapaxes(-1, -2)[..., None, :]
-        slopes = slopes.sum(axis=(-4, -3))
-        # d f / d theta_j = (sum_q w_q A_q r) . (J_j r) [..., count, B]
-        flipped = states.take(layout.flips, axis=-2) * layout.turns[:, :, None]
-        dangles = (flipped * slopes[..., None, :, :]).sum(axis=-2)
-        return _input_grads(dangles.swapaxes(-1, -2) @ layout.embedding, inputs)
+        else:
+            template, (angles, states) = self.template, record
+            observable = weights @ _readout_signs(template.n_qubits, self.readout)
+            dangles = _adjoint_rows(
+                template, angles, states, observable.reshape(states.shape) * states
+            )
+            dangles = dangles.reshape(weights.shape[:-1] + (-1,))
+            params = _lowered(template).scatter[:, : template.total_params]
+            self.grads[..., circuits, :] += (dangles @ params).sum(axis=-2)
 
     def param_grads(self) -> np.ndarray:
-        """The parameter gradients [..., K, P] of every :meth:`backward` or
-        :meth:`pull_back` so far, and of the seeds added."""
+        """The parameter gradients [..., K, P] of every :meth:`pull_back`
+        so far, and of the seeds added."""
         if self.lowering == "plan":
             return self.grads
         if self.seeds is None:

@@ -19,9 +19,10 @@ fc_out maps were folded into the circuit coefficients, each circuit run
 through the fused plan and differentiated by parameter shift; the
 per-step QLSTM oracle is its cell before the maps in front of its circuits
 were folded into their frequencies and its weight gradients were taken once
-per window; the every-step QLSTM oracle is its forward pass as it would
-run if it read out every step, circuits 5 and 6 and the readout run at
-every step.
+per window, with the dense layers' and the circuit features' input
+gradients the package no longer makes; the every-step QLSTM oracle is its
+forward pass as it would run if it read out every step, circuits 5 and 6
+and the readout run at every step.
 The circuit-kernel oracles are the vqr step's pieces before their gathers
 went through ``take``: the member-gradient turn loop and the embedding's
 one-qubit states, whose product is taken one row at a time with ``np.kron``.  Nothing here
@@ -631,6 +632,37 @@ def qlstm_every_step_forward(model, nn, vqc, x_scaled: np.ndarray, cell) -> tupl
     return y, window
 
 
+def linear_backward(layer, x: np.ndarray, delta: np.ndarray, grads) -> np.ndarray:
+    """The gradient of the pre-activation x W^T + b of a dense layer for
+    upstream delta [..., B, n_out]: adds the weight and bias gradients,
+    summed over the batch, into ``grads`` and returns the input gradient
+    [..., B, n_in]."""
+    grads.weights += delta.swapaxes(-1, -2) @ x
+    grads.bias += delta.sum(axis=-2)
+    return delta @ layer.weights
+
+
+def phase_features(frequencies: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Fourier features t = (cos a, sin a) [..., B, 2m] of the inputs x
+    [..., B, n] of a phase-lowered circuit, a = [x, arctan x] @ frequencies
+    their angles at its m input frequencies [2n, m]."""
+    angles = np.concatenate([x, np.arctan(x)], axis=-1) @ frequencies
+    return np.concatenate([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+def phase_feature_grads(
+    frequencies: np.ndarray, t: np.ndarray, dt: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """The gradient [..., B, n] at the inputs x whose :func:`phase_features`
+    are t, for the gradient dt at t: da = cos a dt_sin - sin a dt_cos at the
+    angles, then back through the frequencies to [x, arctan x], the arctan
+    part by the chain rule 1/(1+x^2)."""
+    m, n = t.shape[-1] // 2, x.shape[-1]
+    da = t[..., :m] * dt[..., m:] - t[..., m:] * dt[..., :m]
+    dsource = da @ frequencies.T
+    return dsource[..., n:] * (1.0 / (1.0 + x**2)) + dsource[..., :n]
+
+
 def qlstm_per_step(model, nn, vqc, x_scaled: np.ndarray, loss) -> tuple:
     """The predictions [..., B] and flat gradient of a QLSTM or a stack of
     them on windows [..., B, T, features] for ``loss`` (predictions ->
@@ -638,12 +670,14 @@ def qlstm_per_step(model, nn, vqc, x_scaled: np.ndarray, loss) -> tuple:
     circuits were folded into their frequencies: per step the [h_prev, x_t]
     concatenation, fc_in by ``nn.dense_forward``, the circuits' features
     of [v, arctan v] through every frequency row, the projection the same
-    way, and in the backward pass ``feature_grads`` and ``nn.linear_backward``
-    per map and step, the G_k and bias sums added step by step, and the
-    fc_out gradient scattered into its slots by ``np.add.at``.  The fc_out
-    maps stay folded into the coefficients, F_k = C_k^T W_k^T."""
+    way (:func:`phase_features`), and in the backward pass
+    :func:`phase_feature_grads` and :func:`linear_backward` per map and
+    step, the G_k and bias sums added step by step, and the fc_out gradient
+    scattered into its slots by ``np.add.at``.  The fc_out maps stay folded
+    into the coefficients, F_k = C_k^T W_k^T."""
     p, hidden = model.params, model.hidden_size
     circuits = vqc.CircuitStack(model.template, p.angles)
+    omega = circuits.frequencies.inputs
     tables = circuits.coefficients.swapaxes(-1, -2) @ p.fc_out_weights.swapaxes(-1, -2)
     bias = p.fc_out_bias[..., model.fc_out_slot, None, :]
 
@@ -655,10 +689,10 @@ def qlstm_per_step(model, nn, vqc, x_scaled: np.ndarray, loss) -> tuple:
     for t in range(steps):
         concat = np.concatenate([h, x_scaled[..., t, :]], axis=-1)
         v = nn.dense_forward(p.fc_in, concat)[0]
-        t_v = circuits.features(v)
+        t_v = phase_features(omega, v)
         u, c, gates = nn.lstm_gates(outputs(slice(0, 4), t_v), c)
         w = nn.dense_forward(p.projection, u)[0]
-        t_w = circuits.features(w)
+        t_w = phase_features(omega, w)
         h, q = np.moveaxis(outputs(slice(4, 6), t_w), -3, 0)
         caches.append((concat, v, t_v, gates, u, w, t_w))
     preds = nn.dense_forward(p.readout, q)[0][..., 0]
@@ -672,20 +706,20 @@ def qlstm_per_step(model, nn, vqc, x_scaled: np.ndarray, loss) -> tuple:
     for t in range(steps - 1, -1, -1):
         concat, v, t_v, gates, u, w, t_w = caches[t]
         if t == steps - 1:
-            k, d_out = 5, nn.linear_backward(p.readout, q, d_pred[..., None], g.readout)
+            k, d_out = 5, linear_backward(p.readout, q, d_pred[..., None], g.readout)
         else:
             k, d_out = 4, dh
         sums[..., k, :, :] += t_w.swapaxes(-1, -2) @ d_out
         bias_sums[..., k, :] += d_out.sum(axis=-2)
         dt = d_out @ tables[..., k, :, :].swapaxes(-1, -2)
-        dw = circuits.feature_grads(t_w, dt, w)
-        du = nn.linear_backward(p.projection, u, dw, g.projection)
+        dw = phase_feature_grads(omega, t_w, dt, w)
+        du = linear_backward(p.projection, u, dw, g.projection)
         dz, dc = nn.lstm_gates_backward(gates, du, dc)
         sums[..., :4, :, :] += t_v[..., None, :, :].swapaxes(-1, -2) @ dz
         bias_sums[..., :4, :] += dz.sum(axis=-2)
         dt = (dz @ tables[..., :4, :, :].swapaxes(-1, -2)).sum(axis=-3)
-        dv = circuits.feature_grads(t_v, dt, v)
-        dh = nn.linear_backward(p.fc_in, concat, dv, g.fc_in)[..., :hidden]
+        dv = phase_feature_grads(omega, t_v, dt, v)
+        dh = linear_backward(p.fc_in, concat, dv, g.fc_in)[..., :hidden]
     every = slice(None)
     grad_fc_w = (circuits.coefficients @ sums).swapaxes(-1, -2)
     np.add.at(g.fc_out_weights, (..., model.fc_out_slot, every, every), grad_fc_w)
@@ -726,11 +760,6 @@ def qlstm_shift_grad(model, vqc, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         g.angles[k] += grad_angles.sum(axis=0)
         return grad_inputs
 
-    def dense_backward(layer, grads, x, delta):
-        grads.weights += delta.T @ x
-        grads.bias += delta.sum(axis=0)
-        return delta @ layer.weights
-
     h = c = np.zeros((len(xs), hidden))
     steps = []
     for t in range(xs.shape[1]):
@@ -752,11 +781,11 @@ def qlstm_shift_grad(model, vqc, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     for t in range(len(steps) - 1, -1, -1):
         concat, v, e, f, i, g_gate, o, c_prev, c, u, w, e_out, q = steps[t]
         if t == len(steps) - 1:  # only the last step's circuit 6 reaches the prediction
-            k, d_out = 5, dense_backward(p.readout, g.readout, q, d_pred[:, None])
+            k, d_out = 5, linear_backward(p.readout, q, d_pred[:, None], g.readout)
         else:
             k, d_out = 4, dh
         dw = circuit_backward(k, e_out[k - 4], d_out, w)
-        du = dense_backward(p.projection, g.projection, u, dw)
+        du = linear_backward(p.projection, u, dw, g.projection)
         tc = np.tanh(c)
         dc = dc + du * o * (1.0 - tc**2)
         dzs = (
@@ -767,7 +796,7 @@ def qlstm_shift_grad(model, vqc, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         )
         dc = dc * f
         dv = sum(circuit_backward(k, e[k], dz, v) for k, dz in enumerate(dzs))
-        dh = dense_backward(p.fc_in, g.fc_in, concat, dv)[:, :hidden]
+        dh = linear_backward(p.fc_in, concat, dv, g.fc_in)[:, :hidden]
     return grad
 
 

@@ -20,6 +20,8 @@ import pins
 from _oracles import (
     batch_loss,
     central_difference,
+    phase_feature_grads,
+    phase_features,
     qlstm_every_step_forward,
     qlstm_per_step,
     qlstm_shift_grad,
@@ -558,9 +560,8 @@ class TestDirectionalGradients:
 class TestVQRStepPin:
     """A default linear vqr step on 10 and on 32 windows, its targets 0.3
     below every prediction as in ``TestDirectionalGradients``: it goes
-    through the ansatz matrix's seeds part, ``pull_back``, never through
-    the input-gradient part its data inputs do not need, and its loss and
-    flat gradient match ``checkpoints/vqr_steps.json``, recorded at commit
+    through the ansatz matrix's ``pull_back`` once, and its loss and flat
+    gradient match ``checkpoints/vqr_steps.json``, recorded at commit
     1e313e0, when the step still made the input gradient, to 1e-12."""
 
     @pytest.mark.parametrize("windows", [10, 32])
@@ -577,11 +578,7 @@ class TestVQRStepPin:
             lowerings.append(stack.lowering)
             return pull_back(stack, *args)
 
-        def no_input_grads(*args):
-            raise AssertionError("a vqr step takes no input gradient")
-
         monkeypatch.setattr(vqc.CircuitStack, "pull_back", recording_pull_back)
-        monkeypatch.setattr(vqc.CircuitStack, "embedding_grads", no_input_grads)
         value, grad = scaled_step(model, xs, ys, loss_kind)
         assert lowerings == ["matrix"]
         np.testing.assert_allclose(value, want["loss"], rtol=1e-12, atol=0.0)
@@ -848,40 +845,38 @@ class TestFoldedInputMaps:
 
 
 class TestPhaseParts:
-    """The phase lowering's parts that ``CircuitStack.run`` and
-    ``backward`` compose: its features, their input gradient and its
-    seeds."""
+    """The phase lowering's run, its features times its coefficients, and
+    the features' input gradient that the per-step qlstm oracle takes."""
 
-    def test_feature_grads_match_central_differences(self):
+    def test_oracle_feature_grads_match_central_differences(self):
         rng = np.random.default_rng(67)
         template = vqc.ring_rx_template(3, 2, transform="arctan")
-        stack = vqc.CircuitStack(template, rng.uniform(0, 2 * np.pi, (2, 4, template.total_params)))
+        omega = vqc._frequencies(template).inputs
         inputs = rng.uniform(-1.5, 1.5, (2, 5, 3))
-        upstream = rng.normal(size=stack.features(inputs).shape)
+        upstream = rng.normal(size=phase_features(omega, inputs).shape)
 
         def objective(flat):
-            return float(np.sum(upstream * stack.features(flat.reshape(inputs.shape))))
+            return float(np.sum(upstream * phase_features(omega, flat.reshape(inputs.shape))))
 
-        t = stack.features(inputs)
-        got = stack.feature_grads(t, upstream, inputs)
+        t = phase_features(omega, inputs)
+        got = phase_feature_grads(omega, t, upstream, inputs)
         fd = central_difference(objective, inputs.ravel())
         np.testing.assert_allclose(got.ravel(), fd, rtol=0.0, atol=1e-8)
 
     def test_run_is_features_times_coefficients(self):
-        """run and backward are compositions of the parts: the same <Z>, and
-        a backward's parameter gradient equals seeds added directly."""
+        """run's <Z> is the Fourier features of the inputs' frequency
+        angles times the coefficients, bit for bit; the features are its
+        record."""
         rng = np.random.default_rng(68)
         template = vqc.ring_rx_template(3, 2)
         params = rng.uniform(0, 2 * np.pi, (4, template.total_params))
         inputs = rng.uniform(-1, 1, (5, 3))
-        weights = rng.normal(size=(4, 5, 3))
-        by_run, by_parts = vqc.CircuitStack(template, params), vqc.CircuitStack(template, params)
-        exps, record = by_run.run(slice(None), inputs)
-        t = by_parts.features(inputs)
-        np.testing.assert_array_equal(exps, t[None] @ by_parts.coefficients.swapaxes(-1, -2))
-        by_run.backward(slice(None), record, weights, inputs)
-        by_parts.add_seeds(slice(None), weights.swapaxes(-1, -2) @ t[None])
-        np.testing.assert_array_equal(by_run.param_grads(), by_parts.param_grads())
+        stack = vqc.CircuitStack(template, params)
+        exps, record = stack.run(slice(None), inputs)
+        source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
+        t = vqc.fourier_features(source @ vqc._frequencies(template).inputs)
+        np.testing.assert_array_equal(record, t)
+        np.testing.assert_array_equal(exps, t[None] @ stack.coefficients.swapaxes(-1, -2))
 
 
 class TestTraining:

@@ -160,17 +160,6 @@ class TestFFNNGradients:
             fd = oracle.central_difference(f, vec)
             assert np.max(np.abs(flat_grad - fd)) < 1e-4 * (1 + np.max(np.abs(fd)))
 
-    def test_input_gradient(self):
-        rng = np.random.default_rng(2)
-        layers = random_ffnn(rng, [3, 4, 1])
-        x = rng.uniform(-1, 1, 3)
-        out, caches = ffnn_forward(layers, x[None])
-        dx = ffnn_backward(layers, caches, np.array([[1.0]]), zero_layers(layers))
-        fd = oracle.central_difference(
-            lambda probe: float(ffnn_forward(layers, probe[None])[0][0, 0]), x
-        )
-        np.testing.assert_allclose(dx[0], fd, atol=1e-7)
-
 
 class TestLSTMCell:
     """Cells run feature-major: concat [h_prev; x_t] is [hidden + n_in, B]

@@ -465,20 +465,16 @@ def ring_rx_stacks(draw, max_rows_per_dim=2):
 
 
 def plan_oracle(template, params, inputs, weights):
-    """<Z> [k, B, n], the input gradient [B, input_dim] summed over the
-    circuits and the parameter gradients [k, P] summed over the rows, from
-    the plan's run and adjoint sweep of every (circuit, row) pair."""
+    """<Z> [k, B, n] and the parameter gradients [k, P] summed over the
+    rows, from the plan's run and adjoint sweep of every (circuit, row)
+    pair."""
     k, batch, n = weights.shape
     angles = vqc._angle_table(template, params[:, None], inputs[None]).reshape(k * batch, -1)
     exps, states = vqc._run_rows(template, angles)
     cotangent = (weights.reshape(k * batch, n) @ sim._z_signs(n)) * states
     dangles = vqc._adjoint_rows(template, angles, states, cotangent)
-    gp, gx = vqc._angle_grads_to_args(template, dangles, np.tile(inputs, (k, 1)))
-    return (
-        exps.reshape(k, batch, n),
-        gx.reshape(k, batch, -1).sum(axis=0),
-        gp.reshape(k, batch, -1).sum(axis=1),
-    )
+    gp = vqc._angle_grads_to_args(template, dangles, np.tile(inputs, (k, 1)))[0]
+    return exps.reshape(k, batch, n), gp.reshape(k, batch, -1).sum(axis=1)
 
 
 class TestParamOrder:
@@ -502,9 +498,9 @@ class TestPhasePolynomial:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ring_rx_stacks())
     def test_agrees_with_plan(self, case):
-        """<Z>, then two backward calls (all circuits, then the last one on
+        """<Z>, then two pull-backs (all circuits, then the last one on
         other inputs, as the steps of a recurrent cell make them): the
-        input gradients of each and the summed parameter gradients."""
+        summed parameter gradients."""
         template, params, inputs, weights = case
         k = len(params)
         stack = vqc.CircuitStack(template, params)
@@ -512,12 +508,10 @@ class TestPhasePolynomial:
         calls = [(slice(0, k), inputs, weights), (slice(k - 1, k), inputs[::-1] * 0.5, weights[:1])]
         grad_params = np.zeros_like(params)
         for circuits, x, w in calls:
-            exps, grad_inputs, gp = plan_oracle(template, params[circuits], x, w)
+            exps, gp = plan_oracle(template, params[circuits], x, w)
             e_phase, run = stack.run(circuits, x)
             np.testing.assert_allclose(e_phase, exps, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(
-                stack.backward(circuits, run, w, x), grad_inputs, rtol=1e-10, atol=1e-10
-            )
+            stack.pull_back(circuits, run, w)
             grad_params[circuits] += gp
         np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=1e-10, atol=1e-10)
 
@@ -528,13 +522,29 @@ class TestPhasePolynomial:
         inputs, weights = inputs[:6], weights[:, :6]
         stack = vqc.CircuitStack(template, params)
         _, run = stack.run(slice(None), inputs)
-        grad_inputs = stack.backward(slice(None), run, weights, inputs)
-        shift_inputs = np.zeros_like(inputs)
+        stack.pull_back(slice(None), run, weights)
         for k, grad_params in enumerate(stack.param_grads()):
-            gp, gx = parameter_shift_grad_batch(template, params[k], inputs, weights[k])
+            gp = parameter_shift_grad_batch(template, params[k], inputs, weights[k])[0]
             np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
-            shift_inputs += gx
-        np.testing.assert_allclose(grad_inputs, shift_inputs, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ring_rx_stacks(), st.integers(1, 3))
+    def test_pull_back_is_its_seeds(self, case, models):
+        """For M models, pull_back adds the seeds sum_b w t of the run's
+        features t and nothing else: a stack that adds them itself has
+        exactly the same parameter gradients."""
+        template, params, inputs, weights = case
+        rng = np.random.default_rng(len(inputs) + models)
+        others = range(models - 1)
+        params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape) for _ in others])
+        inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape) for _ in others])
+        weights = rng.uniform(-1.0, 1.0, params.shape[:2] + (inputs.shape[1], template.n_qubits))
+        by_pull, by_seeds = vqc.CircuitStack(template, params), vqc.CircuitStack(template, params)
+        every = slice(None)
+        t = by_pull.run(every, inputs)[1]
+        by_pull.pull_back(every, t, weights)
+        by_seeds.add_seeds(every, weights.swapaxes(-1, -2) @ t[..., None, :, :])
+        np.testing.assert_array_equal(by_pull.param_grads(), by_seeds.param_grads())
 
 
 def x_basis_patterns(template):
@@ -625,13 +635,11 @@ class TestFrequencies:
         params = rng.uniform(0.0, 2.0 * math.pi, (2, template.total_params))
         inputs = rng.uniform(-2.0, 2.0, (5, 9))
         weights = rng.uniform(-1.0, 1.0, (2, 5, 9))
-        exps, grad_inputs, grad_params = plan_oracle(template, params, inputs, weights)
+        exps, grad_params = plan_oracle(template, params, inputs, weights)
         stack = vqc.CircuitStack(template, params)
         e_phase, run = stack.run(slice(None), inputs)
         np.testing.assert_allclose(e_phase, exps, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(
-            stack.backward(slice(None), run, weights, inputs), grad_inputs, rtol=0.0, atol=1e-12
-        )
+        stack.pull_back(slice(None), run, weights)
         np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -685,10 +693,9 @@ class TestAnsatzMatrix:
     @given(embed_first_stacks(), st.integers(1, 3))
     def test_gradients_agree_with_plan(self, case, models):
         """A stack of M models' circuits, params [M, K, P] and inputs [M,
-        B, input_dim], through two backward calls (all circuits, then the
-        last one on other inputs), against the plan per model: <Z> to
-        1e-12, each call's input gradients and the accumulated parameter
-        gradients to 1e-10."""
+        B, input_dim], through two pull-backs (all circuits, then the last
+        one on other inputs), against the plan per model: <Z> to 1e-12 and
+        the accumulated parameter gradients to 1e-10."""
         template, params, inputs = case
         k = len(params)
         rng = np.random.default_rng(len(inputs))
@@ -703,41 +710,12 @@ class TestAnsatzMatrix:
             shape = (models, len(params[0, circuits]), x.shape[1], template.n_qubits)
             weights = rng.uniform(-1.0, 1.0, shape)
             exps, record = stack.run(circuits, x)
-            grad_inputs = stack.backward(circuits, record, weights, x)
+            stack.pull_back(circuits, record, weights)
             for m in range(models):
-                want, want_inputs, want_params = plan_oracle(
-                    template, params[m, circuits], x[m], weights[m]
-                )
+                want, want_params = plan_oracle(template, params[m, circuits], x[m], weights[m])
                 np.testing.assert_allclose(exps[m], want, rtol=0.0, atol=1e-12)
-                np.testing.assert_allclose(grad_inputs[m], want_inputs, rtol=1e-10, atol=1e-10)
                 grad_params[m, circuits] += want_params
         np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=1e-10, atol=1e-10)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.one_of(embed_first_stacks(), reuploading_stacks()), st.integers(1, 3))
-    def test_backward_is_its_parts(self, case, models):
-        """``backward`` is ``pull_back`` then ``embedding_grads``, as the
-        phase lowering's is its seeds and its feature gradients: for M
-        models, a stack differentiated by ``pull_back`` alone, on the
-        Z-weights w, has exactly the parameter gradients of one
-        differentiated by ``backward``, for the ansatz matrix and for the
-        plan; and ``backward``'s input gradients match the plan oracle."""
-        template, params, inputs = case
-        n = template.n_qubits
-        rng = np.random.default_rng(len(inputs) + models)
-        others = range(models - 1)
-        params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape) for _ in others])
-        inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape) for _ in others])
-        weights = rng.uniform(-1.0, 1.0, params.shape[:2] + (inputs.shape[1], n))
-        by_run, by_parts = vqc.CircuitStack(template, params), vqc.CircuitStack(template, params)
-        assert by_run.lowering in ("matrix", "plan")
-        every = slice(None)
-        grad_inputs = by_run.backward(every, by_run.run(every, inputs)[1], weights, inputs)
-        by_parts.pull_back(every, by_parts.run(every, inputs)[1], weights)
-        np.testing.assert_array_equal(by_run.param_grads(), by_parts.param_grads())
-        for m in range(models):
-            want_inputs = plan_oracle(template, params[m], inputs[m], weights[m])[1]
-            np.testing.assert_allclose(grad_inputs[m], want_inputs, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(embed_first_stacks())
@@ -749,13 +727,10 @@ class TestAnsatzMatrix:
         )
         stack = vqc.CircuitStack(template, params)
         _, record = stack.run(slice(None), inputs)
-        grad_inputs = stack.backward(slice(None), record, weights, inputs)
-        shift_inputs = np.zeros_like(inputs)
+        stack.pull_back(slice(None), record, weights)
         for k, grad_params in enumerate(stack.param_grads()):
-            gp, gx = parameter_shift_grad_batch(template, params[k], inputs, weights[k])
+            gp = parameter_shift_grad_batch(template, params[k], inputs, weights[k])[0]
             np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
-            shift_inputs += gx
-        np.testing.assert_allclose(grad_inputs, shift_inputs, rtol=0.0, atol=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(embed_first_stacks(), reuploading_stacks()), st.integers(1, 2), st.data())
@@ -783,12 +758,8 @@ class TestAnsatzMatrix:
         weights = rng.uniform(-1.0, 1.0, got.shape)
         padded = np.zeros(exps.shape)
         padded[..., list(readout)] = weights
-        np.testing.assert_allclose(
-            part.backward(every, part_record, weights, inputs),
-            full.backward(every, record, padded, inputs),
-            rtol=1e-10,
-            atol=1e-10,
-        )
+        part.pull_back(every, part_record, weights)
+        full.pull_back(every, record, padded)
         np.testing.assert_allclose(part.param_grads(), full.param_grads(), rtol=1e-10, atol=1e-10)
 
     def test_phase_lowering_reads_every_qubit(self):
@@ -799,8 +770,7 @@ class TestAnsatzMatrix:
     @pytest.mark.parametrize("n", [1, 3])
     def test_embedding_of_no_features(self, n):
         """An embedding of no features before the ansatz: the circuit takes
-        the matrix, no input gradient, and the plan's <Z> and parameter
-        gradients."""
+        the matrix, and the plan's <Z> and parameter gradients."""
         template = CircuitTemplate(n, 2, (Embedding("Y", ()), Ansatz("strongly_entangling", 2)))
         rng = np.random.default_rng(n)
         params = rng.uniform(0.0, 2.0 * math.pi, (2, template.total_params))
@@ -809,11 +779,9 @@ class TestAnsatzMatrix:
         stack = vqc.CircuitStack(template, params)
         assert stack.lowering == "matrix"
         exps, record = stack.run(slice(None), inputs)
-        grad_inputs = stack.backward(slice(None), record, weights, inputs)
-        want, want_inputs, want_params = plan_oracle(template, params, inputs, weights)
+        stack.pull_back(slice(None), record, weights)
+        want, want_params = plan_oracle(template, params, inputs, weights)
         np.testing.assert_allclose(exps, want, rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(grad_inputs, np.zeros_like(inputs))
-        np.testing.assert_array_equal(want_inputs, np.zeros_like(inputs))
         np.testing.assert_allclose(stack.param_grads(), want_params, rtol=0.0, atol=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
