@@ -848,7 +848,7 @@ class TestPhaseParts:
     """The phase lowering's run, its features times its coefficients, and
     the features' input gradient that the per-step qlstm oracle takes."""
 
-    def test_oracle_feature_grads_match_central_differences(self):
+    def test_feature_grads_match_central_differences(self):
         rng = np.random.default_rng(67)
         template = vqc.ring_rx_template(3, 2, transform="arctan")
         omega = vqc._frequencies(template).inputs

@@ -527,25 +527,6 @@ class TestPhasePolynomial:
             gp = parameter_shift_grad_batch(template, params[k], inputs, weights[k])[0]
             np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(ring_rx_stacks(), st.integers(1, 3))
-    def test_pull_back_is_its_seeds(self, case, models):
-        """For M models, pull_back adds the seeds sum_b w t of the run's
-        features t and nothing else: a stack that adds them itself has
-        exactly the same parameter gradients."""
-        template, params, inputs, weights = case
-        rng = np.random.default_rng(len(inputs) + models)
-        others = range(models - 1)
-        params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape) for _ in others])
-        inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape) for _ in others])
-        weights = rng.uniform(-1.0, 1.0, params.shape[:2] + (inputs.shape[1], template.n_qubits))
-        by_pull, by_seeds = vqc.CircuitStack(template, params), vqc.CircuitStack(template, params)
-        every = slice(None)
-        t = by_pull.run(every, inputs)[1]
-        by_pull.pull_back(every, t, weights)
-        by_seeds.add_seeds(every, weights.swapaxes(-1, -2) @ t[..., None, :, :])
-        np.testing.assert_array_equal(by_pull.param_grads(), by_seeds.param_grads())
-
 
 def x_basis_patterns(template):
     """Every pair's phase difference phi_(j ^ 2**q) - phi_j as its pattern
@@ -716,6 +697,26 @@ class TestAnsatzMatrix:
                 np.testing.assert_allclose(exps[m], want, rtol=0.0, atol=1e-12)
                 grad_params[m, circuits] += want_params
         np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ring_rx_stacks(), st.integers(1, 3))
+    def test_backward_is_its_parts(self, case, models):
+        """What ``backward`` was, the phase lowering's ``pull_back`` is: for
+        M models it adds the seeds sum_b w t of the run's features t and
+        nothing else, so a stack that adds them itself by ``add_seeds`` has
+        exactly the same parameter gradients."""
+        template, params, inputs, weights = case
+        rng = np.random.default_rng(len(inputs) + models)
+        others = range(models - 1)
+        params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape) for _ in others])
+        inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape) for _ in others])
+        weights = rng.uniform(-1.0, 1.0, params.shape[:2] + (inputs.shape[1], template.n_qubits))
+        by_pull, by_seeds = vqc.CircuitStack(template, params), vqc.CircuitStack(template, params)
+        every = slice(None)
+        t = by_pull.run(every, inputs)[1]
+        by_pull.pull_back(every, t, weights)
+        by_seeds.add_seeds(every, weights.swapaxes(-1, -2) @ t[..., None, :, :])
+        np.testing.assert_array_equal(by_pull.param_grads(), by_seeds.param_grads())
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(embed_first_stacks())
