@@ -3,16 +3,17 @@
 Builds a small data-embedding circuit and differentiates it four ways:
 the shift rule against central finite differences, the adjoint sweep over
 the rows against the shift rule, in both the params and the inputs, and, as
-a vqr trains it, a CircuitStack that reads the circuit through one ansatz
-matrix, as real quadratic forms in the rows' product states, and sweeps one
+a vqr trains it, MatrixCircuits, which read the circuit through one ansatz
+matrix, as real quadratic forms in the rows' product states, and sweep one
 overlap matrix instead of the rows for the parameter gradients, against
 both.  It then trains the circuit by plain
 gradient descent to pin the qubit-0 readout at a target value.  Last, it
 runs a ring-RX circuit (the kind a qlstm uses) three ways: as the phase
-polynomial that a CircuitStack makes of it, a Fourier series over a few
-input frequencies, through the statevector plan, and by parameter shift,
-and prints the largest gap between them.  A stack differentiates only the
-params: a model's circuit inputs are data.
+polynomial that PhaseCircuits make of it, a Fourier series over a few
+input frequencies whose features times the coefficients are <Z> and whose
+seeds give the parameter gradients, through the statevector plan, and by
+parameter shift, and prints the largest gap between them.  The circuit
+classes differentiate only the params: a model's circuit inputs are data.
 
 Run with: python demos/02_variational_gradients.py
 """
@@ -20,9 +21,11 @@ Run with: python demos/02_variational_gradients.py
 import numpy as np
 
 from qscale.vqc import (
-    CircuitStack,
+    MatrixCircuits,
+    PhaseCircuits,
     adjoint_grad_batch,
     evaluate,
+    fourier_features,
     init_params,
     linear_vqr_template,
     parameter_shift_grad,
@@ -80,13 +83,12 @@ def main() -> None:
     # is one 8x8 unitary U shared by all rows, and each <Z_q> is a fixed real
     # quadratic form in the rows' product states; the backward pass sums the
     # rows into one overlap matrix and sweeps that through the ansatz's blocks
-    stack = CircuitStack(template, params[None])
-    exps, record = stack.run(slice(None), batch)
-    stack.pull_back(slice(None), record, weights[None])
-    matrix_p = stack.param_grads()[0]
+    circuits = MatrixCircuits(template, params[None])
+    exps, states = circuits.run(batch)
+    matrix_p = circuits.param_grads(states, weights[None])[0]
     plan_exps = np.array([evaluate(template, params, row) for row in batch])
-    print(f"CircuitStack lowering: {stack.lowering}, one real form A_q of shape "
-          f"{stack.forms.shape[-2:]} per qubit")
+    print(f"MatrixCircuits: one real form A_q of shape "
+          f"{circuits.forms.shape[-2:]} per qubit")
     gaps = {
         "<Z>, matrix vs plan": np.abs(exps[0] - plan_exps).max(),
         "param grads, matrix vs adjoint": np.abs(matrix_p - adj_p.sum(axis=0)).max(),
@@ -115,25 +117,29 @@ def main() -> None:
     # multiplies each basis state by a phase; the inputs part of every phase
     # difference is, up to its sign, one of a few input frequencies, so <Z>
     # is a Fourier series in the inputs whose coefficients the params set
-    # once per stack: <Z> and its gradients follow without a statevector
+    # once: <Z> and its gradients follow without a statevector
     ring = ring_rx_template(n_qubits=4, n_layers=3)
     ring_params = init_params(ring, rng)
     batch = rng.uniform(-1.0, 1.0, (6, ring.input_dim))
     weights = rng.uniform(-1.0, 1.0, (6, ring.n_qubits))
-    stack = CircuitStack(ring, ring_params[None])
-    exps, record = stack.run(slice(None), batch)
-    stack.pull_back(slice(None), record, weights[None])
-    phase_p = stack.param_grads()[0]
+    circuits = PhaseCircuits(ring, ring_params[None])
+    # the rows' Fourier features t = (cos x, sin x) at the frequency angles
+    # x = [inputs, arctan inputs] @ frequencies, then <Z> = t C^T
+    source = np.concatenate([batch, np.arctan(batch)], axis=-1)
+    features = fourier_features(source @ circuits.frequencies.inputs)
+    exps = features @ circuits.coefficients[0].T
+    # f = sum w <Z> seeds each coefficient with sum_b w t, which the
+    # circuits take back to their params once
+    phase_p = circuits.param_grads((weights.T @ features)[None])[0]
     plan_exps = np.array([evaluate(ring, ring_params, row) for row in batch])
     plan_p = adjoint_grad_batch(ring, ring_params, batch, weights)[0]
     shift_p = parameter_shift_grad_batch(ring, ring_params, batch, weights)[0]
-    print(f"CircuitStack lowering: {stack.lowering}, "
-          f"{stack.coefficients.shape[-1] // 2} input frequencies for "
+    print(f"PhaseCircuits: {circuits.coefficients.shape[-1] // 2} input frequencies for "
           f"{ring.n_qubits << (ring.n_qubits - 1)} pairs of X-basis states")
-    print(f"<Z> of row 0: phase polynomial {np.round(exps[0, 0], 6)}")
+    print(f"<Z> of row 0: phase polynomial {np.round(exps[0], 6)}")
     print(f"              statevector plan {np.round(plan_exps[0], 6)}")
     gaps = {
-        "<Z>, phase vs plan": np.abs(exps[0] - plan_exps).max(),
+        "<Z>, phase vs plan": np.abs(exps - plan_exps).max(),
         "param grads, phase vs plan": np.abs(phase_p - plan_p.sum(axis=0)).max(),
         "param grads, phase vs shift": np.abs(phase_p - shift_p.sum(axis=0)).max(),
     }

@@ -15,16 +15,16 @@ space and losses are reported in original units through the exact affine
 conversion (an L1 loss scales by the target half-span, an MSE loss by its
 square).  Quantum parameters train by adjoint differentiation of the
 circuits, classical ones by backpropagation, mixed via the chain rule.  A
-model's circuits run as one ``vqc.CircuitStack`` per training step or
-``predict`` call, which lowers them as phase polynomials (the qlstm's
-ring-RX circuits), as quadratic forms in their product states made from
-one ansatz matrix per circuit (the linear vqr's, whose stack makes the form
-of Z_0 alone, the one qubit it reads out) or through the fused plan (the
-re-uploading vqr's).  Each backward pass reuses what the forward pass that
-made the predictions kept.  Parameter shift stays as the public,
-hardware-realistic gradient and as the oracle the adjoint sweep is tested
-against; it would cost 2 x n_angles circuit runs per gradient, 104 per vqr
-row and 80 per call of a qlstm circuit.
+model's circuits are made once per training step or ``predict`` call, as
+``vqc.PhaseCircuits``, phase polynomials (the qlstm's ring-RX circuits), as
+``vqc.MatrixCircuits``, quadratic forms in their product states made from
+one ansatz matrix per circuit (the linear vqr's, which make the form of Z_0
+alone, the one qubit it reads out), or as ``vqc.PlanCircuits``, through the
+fused plan (the re-uploading vqr's).  Each backward pass reuses what the
+forward pass that made the predictions kept.  Parameter shift stays as the
+public, hardware-realistic gradient and as the oracle the adjoint sweep is
+tested against; it would cost 2 x n_angles circuit runs per gradient, 104
+per vqr row and 80 per call of a qlstm circuit.
 
 Every model takes a minibatch of windows ``[B, T, features]`` in one
 forward and one backward pass, one window being a batch of one; the lstm
@@ -473,37 +473,42 @@ class VQRModel(_ModelBase):
     def _bind(self, vector):
         return vector  # the angles are the whole vector
 
-    def _circuits(self, forward_only: bool = False) -> vqc.CircuitStack:
-        """The model's circuit stack, one circuit per model, reading <Z_0>
-        alone.  The linear vqr trains and predicts through its ansatz
-        matrix, the nonlinear one through the plan; a ``forward_only``
-        stack, a predict's, keeps only what a run needs."""
-        return vqc.CircuitStack(self.template, self.params[..., None, :], forward_only, (0,))
+    def _circuits(self, forward_only: bool = False):
+        """The model's circuits, one per model, reading <Z_0> alone.  A
+        template whose first segment is its only embedding (the linear
+        vqr's, and a one-layer re-uploading vqr's) trains and predicts
+        through ``vqc.MatrixCircuits``, ``forward_only`` for a predict, which
+        keeps only what a run needs; any other (the re-uploading vqr's)
+        through ``vqc.PlanCircuits``."""
+        params = self.params[..., None, :]
+        if vqc.embedding_first(self.template):
+            return vqc.MatrixCircuits(self.template, params, forward_only, (0,))
+        return vqc.PlanCircuits(self.template, params, (0,))
 
     def _predictor(self, rows):
-        circuits = self._circuits(forward_only=True)
-        workspace = None
-        if circuits.lowering == "matrix":  # a block's product states and products A_0 r
+        circuits, workspace = self._circuits(forward_only=True), None
+        if vqc.embedding_first(self.template):  # a block's product states and products A_0 r
             size = min(rows, PREDICT_ROWS) << self.template.n_qubits
             workspace = np.empty(size), np.empty(size)
         return partial(self._predict_scaled, circuits=circuits, workspace=workspace)
 
     def _predict_scaled(self, x_scaled, circuits, workspace):
-        if workspace is not None:  # every block, the ragged last one too, from the starts
-            size, rows = len(x_scaled) << self.template.n_qubits, len(x_scaled)
-            states, products = workspace
-            workspace = states[:size].reshape(-1, rows), products[:size].reshape(1, -1, rows)
-        return circuits.run(slice(None), x_scaled[:, 0], workspace)[0][0, :, 0]
+        if workspace is None:
+            return circuits.run(x_scaled[:, 0])[0][0, :, 0]
+        # every block, the ragged last one too, from the starts
+        size, rows = len(x_scaled) << self.template.n_qubits, len(x_scaled)
+        states, products = workspace
+        out = states[:size].reshape(-1, rows), products[:size].reshape(1, -1, rows)
+        return circuits.run(x_scaled[:, 0], out)[0][0, :, 0]
 
     def _loss_and_grad_scaled(self, x_scaled, loss):
         inputs = self._by_model(x_scaled)[..., 0, :]
         circuits = self._circuits()
-        exps, record = circuits.run(slice(None), inputs)
+        exps, record = circuits.run(inputs)
         value, d_preds = loss(exps[..., 0, :, 0])
         # the prediction is <Z_0>, so its weights are d_preds; the inputs are
         # data, so the step takes no input gradient
-        circuits.pull_back(slice(None), record, d_preds[..., None, :, None])
-        return value, circuits.param_grads()[..., 0, :]
+        return value, circuits.param_grads(record, d_preds[..., None, :, None])[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +530,8 @@ class QLSTMParams:
 
 
 class _FoldedCircuits(NamedTuple):
-    """A QLSTM's six phase-lowered circuits with its linear maps folded in,
-    for one training step or predict.  The fc_out maps go into the
+    """A QLSTM's six circuits, ``vqc.PhaseCircuits``, with its linear maps
+    folded in, for one training step or predict.  The fc_out maps go into the
     coefficients: circuit k's cell output is t F_k + b_k for the Fourier
     features t [..., B, 2m] of its frequency angles, one product [t, 1]
     with ``tables`` [..., 6, 2m + 1, hidden], F_k [2m, hidden] and then
@@ -540,7 +545,7 @@ class _FoldedCircuits(NamedTuple):
     circuits 5 and 6 take u M_p + b_p Omega, with ``projection_map`` M_p
     [..., hidden, 2m] and ``projection_bias`` [..., 1, m]."""
 
-    circuits: vqc.CircuitStack
+    circuits: vqc.PhaseCircuits
     tables: np.ndarray
     hidden_map: np.ndarray
     input_map: np.ndarray
@@ -588,7 +593,7 @@ _FC_OUT_SLOTS = {True: (np.zeros(6, dtype=int), np.ones((1, 6))), False: (np.ara
 @lru_cache(maxsize=None)
 def _frequency_pairs(template: vqc.CircuitTemplate) -> np.ndarray:
     """[Omega, Omega] [n, 2m] for the input frequencies Omega [n, m] of a
-    phase-lowered template whose encoding has the identity transform, so
+    ring-RX template whose encoding has the identity transform, so
     that no frequency reads the arctan of an input."""
     n, frequencies = template.n_qubits, vqc._frequencies(template).inputs
     assert not frequencies[n:].any(), "the encoding has arctan frequencies"
@@ -618,25 +623,24 @@ class QLSTMModel(_ModelBase):
     ``fc_out_slots`` [K, 6] is the same as a 0/1 matrix.
 
     The cell runs over a minibatch [B, ...].  The six circuits are one
-    ``vqc.CircuitStack`` for the whole window, B x T rows each: per time
-    step, one run of circuits 1-4 on B rows and one of circuit 5, or at a
-    window's last step, the only one read out, of circuit 6.  Every gate of
-    a ring-RX circuit is an RX or a CNOT, so the stack runs them as phase
-    polynomials at any batch size, each <Z> a Fourier series in the
-    circuit's inputs (Schuld, Sweke & Meyer, arXiv:2008.08605): the
-    encoding fixes a few input frequencies, the columns of Omega [n, m] (m
-    = 12 at the default 5 qubits and 7 layers), whose coefficients C_k [n,
-    2m] the six circuits' angles set once per step or predict.  Every map
-    around the circuits is linear, so :meth:`_cell` folds each one in at
-    the same time (:class:`_FoldedCircuits`): circuit k's fc_out map into
-    its coefficients, F_k = C_k^T W_k^T, and, since the ring-RX encoding
-    has the identity transform, fc_in and the projection into the
-    frequencies.  A window's input part of the gate angles is one product
-    for all T steps before the time loop (:meth:`_window`); a step
-    (:meth:`cell_forward`) adds h_prev M_h, takes the Fourier features t =
-    (cos x, sin x) and makes the gate circuits' outputs t F_k + b_k in one
-    product straight into ``nn.lstm_gates``' [4, B, hidden] layout.  A
-    predict's stack is forward-only and keeps only the coefficients.
+    ``vqc.PhaseCircuits`` for the whole window, B x T rows each: per time
+    step, circuits 1-4 on B rows and circuit 5, or at a window's last step,
+    the only one read out, circuit 6.  Every gate of a ring-RX circuit is an
+    RX or a CNOT, so they run as phase polynomials at any batch size, each
+    <Z> a Fourier series in the circuit's inputs (Schuld, Sweke & Meyer,
+    arXiv:2008.08605): the encoding fixes a few input frequencies, the
+    columns of Omega [n, m] (m = 12 at the default 5 qubits and 7 layers),
+    whose coefficients C_k [n, 2m] the six circuits' angles set once per
+    step or predict.  Every map around the circuits is linear, so
+    :meth:`_cell` folds each one in at the same time
+    (:class:`_FoldedCircuits`): circuit k's fc_out map into its
+    coefficients, F_k = C_k^T W_k^T, and, since the ring-RX encoding has the
+    identity transform, fc_in and the projection into the frequencies.  A
+    window's input part of the gate angles is one product for all T steps
+    before the time loop (:meth:`_window`); a step (:meth:`cell_forward`)
+    adds h_prev M_h, takes the Fourier features t = (cos x, sin x) and makes
+    the gate circuits' outputs t F_k + b_k in one product straight into
+    ``nn.lstm_gates``' [4, B, hidden] layout.
 
     Backpropagation through time (:meth:`_backward`) keeps in its loop only
     what a step needs from the step after it.  For the gradients D_k at the
@@ -693,13 +697,13 @@ class QLSTMModel(_ModelBase):
 
     # -- cell -------------------------------------------------------------
 
-    def _cell(self, forward_only: bool = False) -> _FoldedCircuits:
-        """The six circuits as one stack, for one training step or predict,
-        with the fc_out maps folded into their coefficients and the fc_in
-        and projection maps into their frequencies."""
+    def _cell(self) -> _FoldedCircuits:
+        """The six circuits, for one training step or predict, with the
+        fc_out maps folded into their coefficients and the fc_in and
+        projection maps into their frequencies."""
         p, omega, hidden = self.params, self.input_frequencies, self.hidden_size
         m = omega.shape[-1] // 2
-        circuits = vqc.CircuitStack(self.template, p.angles, forward_only)
+        circuits = vqc.PhaseCircuits(self.template, p.angles)
         # F_k = C_k^T W_k^T, then b_k; a shared map broadcasts over the six
         # circuits
         coefficients = circuits.coefficients.swapaxes(-1, -2)
@@ -783,7 +787,7 @@ class QLSTMModel(_ModelBase):
         return y, window
 
     def _predictor(self, rows):
-        return partial(self._predict_scaled, cell=self._cell(forward_only=True))
+        return partial(self._predict_scaled, cell=self._cell())
 
     def _predict_scaled(self, x_scaled, cell):
         return self.sequence_forward(x_scaled, cell)[0]
@@ -859,8 +863,7 @@ class QLSTMModel(_ModelBase):
         np.matmul(ones @ rows_v, omega.T, out=g.fc_in.bias)
         np.matmul(omega, rows_w.swapaxes(-1, -2) @ _rows(window.u), out=g.projection.weights)
         np.matmul(ones @ rows_w, omega.T, out=g.projection.bias)
-        cell.circuits.add_seeds(slice(None), (g_k @ p.fc_out_weights).swapaxes(-1, -2))
-        g.angles[...] = cell.circuits.param_grads()
+        g.angles[...] = cell.circuits.param_grads((g_k @ p.fc_out_weights).swapaxes(-1, -2))
         return grad
 
     def _loss_and_grad_scaled(self, x_scaled, loss):

@@ -41,12 +41,12 @@ Every template lowers twice, and both forms are cached per template:
 The plan is the gate kernel and the oracle: :func:`evaluate` runs one
 circuit as a one-row batch of it, the parameter-shift gradients run their
 shifted circuits as rows of it, with results identical to evaluating each
-circuit on its own, and :func:`adjoint_grad_batch` sweeps it.  A model's
-circuits run through a :class:`CircuitStack`, which lowers its template one
-of three ways; :func:`lowering` is the one choice:
+circuit on its own, and :func:`adjoint_grad_batch` sweeps it.  A model runs
+its circuits through one of three classes, each with only the calls its
+model makes:
 
-* ``"phase"``, every template made only of RX rotations and CNOTs (every
-  qlstm circuit, no vqr circuit).  In the X basis an RX is a diagonal phase
+* :class:`PhaseCircuits`, for a template made only of RX rotations and
+  CNOTs (every qlstm circuit).  In the X basis an RX is a diagonal phase
   and CNOT(c -> t) is the permutation CNOT(t -> c), so the circuit is a
   phase polynomial (Amy, Maslov & Mosca, arXiv:1303.2042): from the
   uniform X-basis state, final amplitude j is 2**(-n/2) exp(-i phi_j),
@@ -59,28 +59,32 @@ of three ways; :func:`lowering` is the one choice:
   for the default qlstm's 80 pairs, 20 for 2,304 pairs at 9 qubits).  So
   <Z_q> is a Fourier series in the inputs, as for any encoding circuit
   (Schuld, Sweke & Meyer, arXiv:2008.08605): the encoding fixes the
-  frequencies, and the params set only their coefficients.  The
-  coefficients are made once per set of params, and a row costs a cosine
-  and a sine per frequency and a few matrix products, with no statevector.
-* ``"matrix"``, every template whose first segment is its only embedding,
-  followed by ansatz segments (every linear vqr circuit), for training and
-  for predicts.  The ansatz is one 2**n x 2**n unitary U per set of params,
-  the product of block unitaries W_b = P_b (u_(n-1) x ... x u_0), one per
-  CNOT-free block of the ansatz's plan, made from its group quaternions.
-  The embedding makes a product state D r, r real in closed form and D the
-  fixed phases of an RX embedding, so each <Z_q> is a fixed quadratic form
-  r . (A_q r), A_q = Re(D^dagger U^dagger Z_q U D), made once per set of
-  params; a row costs one real product per qubit read, and no row of
-  amplitudes is made.  Every row of a circuit shares U, so the backward
-  pass sums the batch into one 2**n x 2**n overlap matrix per circuit,
-  from the rows' outer products, and sweeps that through the blocks, where
-  the plan would sweep every row.
-* ``"plan"``, everything else: the re-uploading (nonlinear) vqr trains and
-  predicts through the plan and its adjoint sweep.
+  frequencies, and the params set only their coefficients.  The class
+  makes the coefficients once per set of params and takes summed seeds
+  back to the params; its caller makes the Fourier features of its rows
+  (:func:`fourier_features`), so a row costs a cosine and a sine per
+  frequency and a few matrix products, with no statevector.
+* :class:`MatrixCircuits`, for a template whose first segment is its only
+  embedding, followed by ansatz segments (:func:`embedding_first`; every
+  linear vqr circuit), for training and for predicts.  The ansatz is one
+  2**n x 2**n unitary U per set of params, the product of block unitaries
+  W_b = P_b (u_(n-1) x ... x u_0), one per CNOT-free block of the
+  ansatz's plan, made from its group quaternions.  The embedding makes a
+  product state D r, r real in closed form and D the fixed phases of an
+  RX embedding, so each <Z_q> is a fixed quadratic form r . (A_q r), A_q =
+  Re(D^dagger U^dagger Z_q U D), made once per set of params; a row costs
+  one real product per qubit read, and no row of amplitudes is made.
+  Every row of a circuit shares U, so the backward pass sums the batch
+  into one 2**n x 2**n overlap matrix per circuit, from the rows' outer
+  products, and sweeps that through the blocks, where the plan would
+  sweep every row.
+* :class:`PlanCircuits`, for every other template: the re-uploading
+  (nonlinear) vqr trains and predicts through the plan and its adjoint
+  sweep.
 
-A stack differentiates only its params: a model's circuit inputs are data.
-The input gradients stay public through :func:`adjoint_grad_batch` and
-:func:`parameter_shift_grad_batch`, each the other's oracle.
+Each class differentiates only its params: a model's circuit inputs are
+data.  The input gradients stay public through :func:`adjoint_grad_batch`
+and :func:`parameter_shift_grad_batch`, each the other's oracle.
 
 Templates have no file format of their own: a checkpoint stores a model's
 options, and the model rebuilds its template from them.
@@ -217,13 +221,11 @@ class _Lowered(NamedTuple):
     """``ops``: ``(rotation kind, target, angle index)`` or ``("CNOT",
     control, target)``, in circuit order.  ``columns``: per angle, its
     column in the source table ``[params | inputs | arctan(inputs)]``;
-    ``scatter`` [n_angles, n_sources] is the same map as a 0/1 matrix.
-    ``phase``: whether every gate is an RX or a CNOT."""
+    ``scatter`` [n_angles, n_sources] is the same map as a 0/1 matrix."""
 
     ops: tuple
     columns: np.ndarray
     scatter: np.ndarray
-    phase: bool
 
 
 def _index(values) -> np.ndarray:
@@ -256,8 +258,7 @@ def _lowered(template: CircuitTemplate) -> _Lowered:
     scatter = np.zeros((gather.size, n_params + 2 * n_inputs))
     scatter[np.arange(gather.size), gather] = 1.0
     scatter.setflags(write=False)
-    phase = all(op[0] in ("RX", "CNOT") for op in ops)
-    return _Lowered(tuple(ops), gather, scatter, phase)
+    return _Lowered(tuple(ops), gather, scatter)
 
 
 def _angle_table(
@@ -520,28 +521,24 @@ def _angle_grads_to_args(
 
 
 # ---------------------------------------------------------------------------
-# the stack's lowerings: phase polynomials for RX/CNOT circuits, and ansatz
+# the models' circuits: phase polynomials for RX/CNOT circuits, and ansatz
 # matrices when the data enter only through a first embedding, the rest of
 # the circuit then being one unitary U per set of params, shared by all rows
 
 
-def lowering(template: CircuitTemplate) -> str:
-    """How a :class:`CircuitStack` runs circuits of ``template``:
-    ``"phase"`` when every gate is an RX or a CNOT, else ``"matrix"``
-    (product state x U) when the template's first segment is its only
-    embedding and ansatz segments follow it, else ``"plan"``."""
-    if _lowered(template).phase:
-        return "phase"
+def embedding_first(template: CircuitTemplate) -> bool:
+    """Whether the template's first segment is its only embedding and
+    ansatz segments follow it, so that its circuits are a product state
+    times one unitary per set of params: :class:`MatrixCircuits` runs such
+    a template, and :class:`PlanCircuits` any other."""
     first, *rest = template.segments
-    if isinstance(first, Embedding) and rest and all(isinstance(seg, Ansatz) for seg in rest):
-        return "matrix"
-    return "plan"
+    return isinstance(first, Embedding) and bool(rest) and all(isinstance(seg, Ansatz) for seg in rest)
 
 
 def fourier_features(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The Fourier features t = (cos x, sin x) [..., 2m] of the angles x
     [..., m] of the m input frequencies, written into ``out`` when given:
-    a phase-lowered circuit's <Z> is t times its coefficients."""
+    the <Z> of :class:`PhaseCircuits` is t times their coefficients."""
     m = x.shape[-1]
     if out is None:
         out = np.empty(x.shape[:-1] + (2 * m,))
@@ -595,9 +592,11 @@ def _frequencies(template: CircuitTemplate) -> _Frequencies:
     """The frequency table of an RX/CNOT template.  Each path starts at
     X-basis state j0 with phase 0; an RX on qubit q adds theta / 2 times
     the sign of the path's bit q, and CNOT(c -> t) flips the path's bit c
-    where its bit t is set."""
+    where its bit t is set.  Any other gate is a ``ConfigurationError``."""
     n = template.n_qubits
-    ops, columns, scatter, _ = _lowered(template)
+    ops, columns, scatter = _lowered(template)
+    if any(op[0] not in ("RX", "CNOT") for op in ops):
+        raise ConfigurationError("a phase polynomial takes only RX and CNOT gates")
     labels = np.arange(1 << n)
     phases = np.zeros((1 << n, columns.size))  # d phi / d angle, by start
     for kind, a, b in ops:
@@ -806,71 +805,86 @@ def _readout_signs(n_qubits: int, readout: tuple[int, ...]) -> np.ndarray:
     return signs
 
 
-class CircuitStack:
-    """K circuits of one template, each with its own params ``params``
-    [..., K, P], to run on input rows [..., B, input_dim] that each run
-    shares among its circuits, and to differentiate with respect to their
-    params.  Leading axes are models: the circuits of M models of one shape
-    are one stack with params [M, K, P], and each model's inputs [M, B,
-    input_dim] reach only its own circuits.  :func:`lowering` picks one of
-    three ways for all its runs, named by ``lowering``.  A stack that will
-    only run, never be differentiated, is ``forward_only`` and keeps less.
-    A run reads <Z> on the m qubits ``readout``, every qubit unless the
-    caller names fewer; the ansatz matrix pays for each qubit it reads, and
-    the phase lowering reads every qubit.
+class PhaseCircuits:
+    """K circuits of one RX/CNOT template, each with its own params
+    ``params`` [..., K, P], as phase polynomials; leading axes are models.
+    Each pair's phase difference is a params part dp_j plus s_j x_u, x_u =
+    source @ u for one of the template's m input frequencies u
+    (:func:`_frequencies`).  So <Z_q> is a Fourier series in the inputs
+    (Schuld, Sweke & Meyer, arXiv:2008.08605): the encoding fixes the
+    frequencies, and the params set only their coefficients z_qu, the sum
+    of exp(i s_j dp_j) over qubit q's pairs on u.  They are made once, as
+    ``coefficients`` [..., K, n, 2m], 2**(1-n) (Re z, -Im z), and <Z> of a
+    row is its Fourier features t = (cos x, sin x) [..., 2m]
+    (:func:`fourier_features`) times them.
 
-    Every lowering has one contract: :meth:`run` returns <Z> and a record,
-    :meth:`pull_back` takes the record and one weight per row and read
-    qubit, w [..., k, B, m], and adds what f = sum w <Z> needs to the
-    stack, and :meth:`param_grads` returns the parameter gradients of every
-    pull-back so far.  The inputs are data, so no input gradient is made.
+    The caller makes the features, so it may fold linear maps around the
+    circuits in: output maps, as the qlstm's fc_out maps, into the
+    coefficients, and, with an identity embedding, whose frequency angles
+    x are linear in the inputs too, input maps, as the qlstm's fc_in and
+    projection, into the frequencies, taking the gradient at x through
+    :func:`turned` itself.  For f = sum w <Z> it sums the seeds sum_b w t
+    over every row, and :meth:`param_grads` takes them to the params
+    once."""
 
-    * Phase: each pair's phase difference is a params part dp_j plus s_j
-      x_u, x_u = source @ u for one of the template's m input frequencies u
-      (:func:`_frequencies`).  So <Z_q> is a Fourier series in the inputs
-      (Schuld, Sweke & Meyer, arXiv:2008.08605): the encoding fixes the
-      frequencies, and the params set only their coefficients z_qu, the
-      sum of exp(i s_j dp_j) over qubit q's pairs on u.  They are made once
-      per stack, as ``coefficients`` [..., K, n, 2m], 2**(1-n) (Re z, -Im
-      z); a run makes the features t = (cos x, sin x) [..., B, 2m] of its
-      rows (:func:`fourier_features`), and <Z> is t times the
-      coefficients.  :meth:`pull_back` adds sum_b w t to the seeds, per
-      circuit, qubit and frequency (:meth:`add_seeds`); :meth:`param_grads`
-      hands each pair its coefficient's seeds and takes them back to the
-      params once.  A caller that maps the outputs on linearly, as the
-      qlstm's fc_out maps do, may fold its maps into the coefficients and
-      add its own seeds.  With an identity embedding the frequency angles x
-      are linear in the inputs too, so a caller that makes its inputs by
-      linear maps, as the qlstm's fc_in and projection do, may fold those
-      into the frequencies and take :func:`fourier_features` of x and the
-      gradient at x through :func:`turned` itself.  A forward-only stack
-      keeps only the coefficients.
-    * Ansatz matrix: the embedding makes a product state, D r with r real
-      (:func:`_product_states`) and D the phases of an RX embedding, so
-      each <Z_q> is a fixed quadratic form r . (A_q r) in r, the view the
-      phase lowering takes: the encoding fixes the states, and the params
-      set only the forms.  With U = W_L ... W_1 the product of the
-      unitaries of the ansatz blocks (:func:`_ansatz_products`) and V = U
-      D, M_q = V^dagger Z_q V and A_q = Re M_q, real and symmetric, made
-      once per stack; ``forms`` [..., K, m, 2**n, 2**n] holds A_q for each
-      read qubit, and a run costs one real product per row and read qubit.
-      :meth:`pull_back` adds to each circuit's seeds the overlap Y = sum_q
-      S_q M_q, S_q = sum_b w_bq r_b r_b^T, which is D^dagger C0 D for the
-      overlap C0 = sum_b phi_b mu_b^dagger of the product states phi = D r
-      and the pulled-back cotangents mu = U^dagger O psi; no row of psi or
-      mu is made.  Every row of a circuit shares its ansatz angles, so
-      :meth:`param_grads` makes one adjoint sweep over Y instead of over the
-      rows: the overlap just after block b's rotations is V_b Y V_b^dagger
-      = U_b C0 U_b^dagger with its CNOT layer undone, V_b = W_b ... W_1 D
-      the products the build kept.  It makes them for every block at once,
-      reads Im Tr(sigma C_b) for the three Paulis sigma on every qubit
-      (:class:`_AnsatzMatrix`), and :func:`_member_grads` turns the readings
-      into angle derivatives, as in the plan's sweep.  A forward-only stack
-      keeps only the forms.
-    * Plan: every run goes through the fused plan.  :meth:`pull_back`
-      makes one adjoint sweep over its rows and adds the parameter
-      gradients to ``grads`` [..., K, P].
-    """
+    def __init__(self, template: CircuitTemplate, params: np.ndarray):
+        self.frequencies = table = _frequencies(template)
+        n = template.n_qubits
+        dp = params @ table.params  # [..., K, n 2**(n-1)]
+        self.pairs = cos, sin = np.cos(dp), np.sin(dp)
+        terms = np.concatenate([cos, sin * -table.signs, np.zeros(dp.shape[:-1] + (1,))], -1)
+        z = np.add.reduceat(terms, table.starts, axis=-1).take(table.spread, axis=-1)
+        z *= 2.0 ** (1 - n)
+        self.coefficients = z.reshape(dp.shape[:-1] + (n, -1))
+
+    def param_grads(self, seeds: np.ndarray) -> np.ndarray:
+        """The parameter gradients [..., K, P] of f = sum w <Z> from its
+        seeds sum_b w (cos x, sin x) [..., K, n, 2m], summed over every row,
+        per circuit, qubit and frequency.  Each pair j takes its
+        coefficient's: d/d(dp_j) = -2**(1-n) sum_b w sin(dp_j + s_j x)."""
+        table, (cos, sin) = self.frequencies, self.pairs
+        n, m = seeds.shape[-2], seeds.shape[-1] // 2
+        seeds = seeds.reshape(seeds.shape[:-2] + (-1,))  # [..., K, n 2m]
+        d_pairs = sin * seeds.take(table.slots, axis=-1)
+        d_pairs += cos * table.signs * seeds.take(table.slots + m, axis=-1)
+        d_pairs *= -(2.0 ** (1 - n))
+        return d_pairs @ table.params.T
+
+
+class MatrixCircuits:
+    """K circuits of one template whose first segment is its only
+    embedding (:func:`embedding_first`), each with its own params
+    ``params`` [..., K, P], run on input rows [..., B, input_dim] that they
+    share; leading axes are models, so the circuits of M models of one
+    shape have params [M, K, P], and each model's inputs [M, B, input_dim]
+    reach only its own circuits.  A run reads <Z> on the m qubits
+    ``readout``, every qubit unless the caller names fewer, and pays for
+    each qubit it reads.  Circuits that will only run, never be
+    differentiated, are ``forward_only`` and keep only the forms, so a
+    predict's memory stays bounded for wide circuits.
+
+    The embedding makes a product state, D r with r real
+    (:func:`_product_states`) and D the phases of an RX embedding, so each
+    <Z_q> is a fixed quadratic form r . (A_q r) in r: the encoding fixes
+    the states, and the params set only the forms.  With U = W_L ... W_1
+    the product of the unitaries of the ansatz blocks
+    (:func:`_ansatz_products`) and V = U D, M_q = V^dagger Z_q V and A_q =
+    Re M_q, real and symmetric, made once; ``forms`` [..., K, m, 2**n,
+    2**n] holds A_q for each read qubit, and a run costs one real product
+    per row and read qubit.
+
+    For f = sum w <Z>, :meth:`param_grads` makes each circuit's overlap Y =
+    sum_q S_q M_q, S_q = sum_b w_bq r_b r_b^T, which is D^dagger C0 D for
+    the overlap C0 = sum_b phi_b mu_b^dagger of the product states phi = D
+    r and the pulled-back cotangents mu = U^dagger O psi; no row of psi or
+    mu is made.  Every row of a circuit shares its ansatz angles, so it
+    makes one adjoint sweep over Y instead of over the rows: the overlap
+    just after block b's rotations is V_b Y V_b^dagger = U_b C0 U_b^dagger
+    with its CNOT layer undone, V_b = W_b ... W_1 D the products the build
+    kept.  It makes them for every block at once, reads Im Tr(sigma C_b)
+    for the three Paulis sigma on every qubit (:class:`_AnsatzMatrix`), and
+    :func:`_member_grads` turns the readings into angle derivatives, as in
+    the plan's sweep."""
 
     def __init__(
         self,
@@ -879,145 +893,71 @@ class CircuitStack:
         forward_only: bool = False,
         readout: Optional[Sequence[int]] = None,
     ):
+        if not embedding_first(template):
+            raise ConfigurationError(
+                "matrix circuits need a template whose first segment is its only embedding"
+            )
         self.template = template
         self.params = params
-        self.lowering = lowering(template)
-        self.seeds = None
         n = template.n_qubits
-        self.readout = tuple(range(n) if readout is None else readout)
-        if self.lowering == "phase":
-            if readout is not None:
-                raise ConfigurationError("a phase-lowered circuit stack reads every qubit")
-            self.frequencies = table = _frequencies(template)
-            dp = params @ table.params  # [..., K, n 2**(n-1)]
-            cos, sin = np.cos(dp), np.sin(dp)
-            terms = np.concatenate([cos, sin * -table.signs, np.zeros(dp.shape[:-1] + (1,))], -1)
-            z = np.add.reduceat(terms, table.starts, axis=-1).take(table.spread, axis=-1)
-            z *= 2.0 ** (1 - n)
-            self.coefficients = z.reshape(dp.shape[:-1] + (n, -1))
-            if not forward_only:
-                self.pairs = cos, sin
-        elif self.lowering == "matrix":
-            self.layout = _ansatz_matrix(template)
-            angles = params.reshape(-1, params.shape[-1]).T.take(self.layout.plan.order, axis=0)
-            turns = angles * _HALF_AND_WHOLE  # [2, n_angles, circuits]
-            cos, sin = np.cos(turns), np.sin(turns, out=turns)
-            products = _ansatz_products(self.layout, cos[0], sin[0], not forward_only)
-            if template.segments[0].axis == "X":
-                products *= self.layout.phases  # V_b = U_b D
-            final = products[:, -1]  # V [circuits, 2**n, 2**n]
-            # M_q = (V^dagger Z_q) V [circuits, m, 2**n, 2**n] of the read
-            # qubits, and A_q = Re M_q
-            signed = final.swapaxes(-1, -2)[:, None] * _readout_signs(n, self.readout)[:, None]
-            observables = np.conjugate(signed, out=signed) @ final[:, None]
-            del signed  # before the forms' copy, at 2**n x 2**n per read qubit
-            lead = params.shape[:-1]
-            forms = np.ascontiguousarray(observables.real)
-            self.forms = forms.reshape(lead + observables.shape[1:])
-            if not forward_only:
-                self.products, self.turns = products, (cos[1], sin[1])
-                # M_q's floats (re, im) interleaved, the read qubits' stacked
-                # [..., K, m 2**n, 2**(n+1)], as pull_back takes them
-                self.observables = observables.view(np.float64).reshape(lead + (-1, 2 << n))
-        else:
-            self.grads = np.zeros(params.shape)
+        self.layout = _ansatz_matrix(template)
+        angles = params.reshape(-1, params.shape[-1]).T.take(self.layout.plan.order, axis=0)
+        turns = angles * _HALF_AND_WHOLE  # [2, n_angles, circuits]
+        cos, sin = np.cos(turns), np.sin(turns, out=turns)
+        products = _ansatz_products(self.layout, cos[0], sin[0], not forward_only)
+        if template.segments[0].axis == "X":
+            products *= self.layout.phases  # V_b = U_b D
+        final = products[:, -1]  # V [circuits, 2**n, 2**n]
+        # M_q = (V^dagger Z_q) V [circuits, m, 2**n, 2**n] of the read
+        # qubits, and A_q = Re M_q
+        readout = tuple(range(n) if readout is None else readout)
+        signed = final.swapaxes(-1, -2)[:, None] * _readout_signs(n, readout)[:, None]
+        observables = np.conjugate(signed, out=signed) @ final[:, None]
+        del signed  # before the forms' copy, at 2**n x 2**n per read qubit
+        lead = params.shape[:-1]
+        forms = np.ascontiguousarray(observables.real)
+        self.forms = forms.reshape(lead + observables.shape[1:])
+        if not forward_only:
+            self.products, self.turns = products, (cos[1], sin[1])
+            # M_q's floats (re, im) interleaved, the read qubits' stacked
+            # [..., K, m 2**n, 2**(n+1)], as param_grads takes them
+            self.observables = observables.view(np.float64).reshape(lead + (-1, 2 << n))
 
     def run(
-        self, circuits: slice, inputs: np.ndarray, out: Optional[tuple] = None
-    ) -> tuple[np.ndarray, object]:
-        """<Z> [..., k, B, m] of the given circuits on the inputs [..., B,
-        input_dim], on the read qubits, and the record :meth:`pull_back`
-        differentiates them from.  For the ansatz matrix, ``out`` may hold
-        arrays [..., 2**n, B] and [..., k, m 2**n, B] to write the product
+        self, inputs: np.ndarray, out: Optional[tuple] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """<Z> [..., K, B, m] of every circuit on the inputs [..., B,
+        input_dim], on the read qubits, and the product states r [..., 2**n,
+        B] that :meth:`param_grads` differentiates them from.  ``out`` may
+        hold arrays [..., 2**n, B] and [..., K, m 2**n, B] to write the
         states and their products with the forms into."""
-        template = self.template
-        if self.lowering == "phase":
-            # the Fourier features t = (cos x, sin x) [..., B, 2m] of the
-            # rows' frequency angles x
-            source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
-            t = fourier_features(source @ self.frequencies.inputs)
-            return t[..., None, :, :] @ self.coefficients[..., circuits, :, :].swapaxes(-1, -2), t
-        if self.lowering == "plan":
-            angles = _angle_table(
-                template, self.params[..., circuits, None, :], inputs[..., None, :, :]
-            )
-            rows = angles.shape[:-1]  # [..., k, B]
-            angles = angles.reshape(-1, angles.shape[-1])
-            exps, states = _run_rows(template, angles)
-            return exps.take(self.readout, axis=-1).reshape(rows + (-1,)), (angles, states)
         states, products = (None, None) if out is None else out
-        states = _product_states(template, inputs, states)
-        # A_q r [..., k, m, 2**n, B], each circuit's forms against every row
+        states = _product_states(self.template, inputs, states)
+        # A_q r [..., K, m, 2**n, B], each circuit's forms against every row
         # in one product
-        forms = self.forms[..., circuits, :, :, :]
-        stacked = forms.reshape(forms.shape[:-3] + (-1, forms.shape[-1]))  # [..., k, m 2**n, 2**n]
+        forms = self.forms
+        stacked = forms.reshape(forms.shape[:-3] + (-1, forms.shape[-1]))  # [..., K, m 2**n, 2**n]
         products = np.matmul(stacked, states[..., None, :, :], out=products)
         products = products.reshape(forms.shape[:-1] + states.shape[-1:])
         products *= states[..., None, None, :, :]
         return products.sum(axis=-2).swapaxes(-1, -2), states
 
-    def add_seeds(self, circuits: slice, seeds: np.ndarray) -> None:
-        """Add seeds [..., k, ...] to the given circuits' seeds, from which
-        :meth:`param_grads` makes the parameter gradients: for the phase
-        lowering sum_b w t [..., k, n, 2m] (w the weights of <Z>), for the
-        ansatz matrix the overlaps Y [..., k, 2**n, 2**n]."""
-        if self.seeds is None:
-            self.seeds = np.zeros(self.params.shape[:-1] + seeds.shape[-2:], dtype=seeds.dtype)
-        self.seeds[..., circuits, :, :] += seeds
-
-    def pull_back(self, circuits: slice, record, weights: np.ndarray) -> None:
-        """Differentiate f = sum weights * <Z> over the rows of a
-        :meth:`run` of the given circuits, weights [..., k, B, m], with
-        respect to their params: the phase lowering and the ansatz matrix
-        add their seeds, and the plan adds its parameter gradient."""
-        if self.lowering == "phase":
-            t = record  # [..., B, 2m]
-            self.add_seeds(circuits, weights.swapaxes(-1, -2) @ t[..., None, :, :])
-        elif self.lowering == "matrix":
-            states = record  # [..., 2**n, B]
-            weighted = weights.swapaxes(-1, -2)[..., None, :] * states[..., None, None, :, :]
-            # the S_q = r (w_q r)^T side by side [..., k, 2**n, m 2**n], then
-            # Y = sum_q S_q M_q
-            weighted = weighted.reshape(weighted.shape[:-3] + (-1, weighted.shape[-1]))
-            sums = states[..., None, :, :] @ weighted.swapaxes(-1, -2)
-            # the real S_q take M_q's floats in one real product whose floats are Y's
-            seeds = sums @ self.observables[..., circuits, :, :]
-            self.add_seeds(circuits, seeds.view(np.complex128))
-        else:
-            template, (angles, states) = self.template, record
-            observable = weights @ _readout_signs(template.n_qubits, self.readout)
-            dangles = _adjoint_rows(
-                template, angles, states, observable.reshape(states.shape) * states
-            )
-            dangles = dangles.reshape(weights.shape[:-1] + (-1,))
-            params = _lowered(template).scatter[:, : template.total_params]
-            self.grads[..., circuits, :] += (dangles @ params).sum(axis=-2)
-
-    def param_grads(self) -> np.ndarray:
-        """The parameter gradients [..., K, P] of every :meth:`pull_back`
-        so far, and of the seeds added."""
-        if self.lowering == "plan":
-            return self.grads
-        if self.seeds is None:
-            return np.zeros(self.params.shape)
-        if self.lowering == "matrix":
-            return self._overlap_sweep()
-        # seeds hold sum_b w (cos x, sin x) per qubit and frequency; each
-        # pair j takes its own: d/d(dp_j) = -2**(1-n) sum_b w sin(dp_j + s_j x)
-        table, (cos, sin), m = self.frequencies, self.pairs, self.seeds.shape[-1] // 2
-        seeds = self.seeds.reshape(self.seeds.shape[:-2] + (-1,))  # [..., K, n 2m]
-        d_pairs = sin * seeds.take(table.slots, axis=-1)
-        d_pairs += cos * table.signs * seeds.take(table.slots + m, axis=-1)
-        d_pairs *= -(2.0 ** (1 - self.template.n_qubits))
-        return d_pairs @ table.params.T
-
-    def _overlap_sweep(self) -> np.ndarray:
-        """The parameter gradients [..., K, P] from the overlaps Y in the
-        seeds: every block's overlap C_b at once, then one reading of the
-        three Paulis on every qubit of every block."""
+    def param_grads(self, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The parameter gradients [..., K, P] of f = sum weights * <Z>
+        over the rows of a :meth:`run` whose product states were
+        ``states``, weights [..., K, B, m]: every block's overlap C_b at
+        once, then one reading of the three Paulis on every qubit of every
+        block."""
+        weighted = weights.swapaxes(-1, -2)[..., None, :] * states[..., None, None, :, :]
+        # the S_q = r (w_q r)^T side by side [..., K, 2**n, m 2**n], then
+        # Y = sum_q S_q M_q
+        weighted = weighted.reshape(weighted.shape[:-3] + (-1, weighted.shape[-1]))
+        sums = states[..., None, :, :] @ weighted.swapaxes(-1, -2)
+        # the real S_q take M_q's floats in one real product whose floats are Y's
+        seeds = (sums @ self.observables).view(np.complex128)
         layout, products = self.layout, self.products
         circuits, dim = len(products), products.shape[-1]
-        overlaps = products.reshape(circuits, -1, dim) @ self.seeds.reshape(circuits, dim, dim)
+        overlaps = products.reshape(circuits, -1, dim) @ seeds.reshape(circuits, dim, dim)
         # [circuits, L, dim, dim]
         overlaps = overlaps.reshape(products.shape) @ products.conj().swapaxes(-1, -2)
         read = overlaps.reshape(circuits, -1).take(layout.reads, axis=1) @ layout.sums
@@ -1025,6 +965,47 @@ class CircuitStack:
         pauli = read.reshape(circuits, -1).T.take(layout.picks, axis=0).imag.reshape(3, -1, circuits)
         grads = _member_grads(layout.plan, pauli, *self.turns)
         return grads.reshape(self.params.shape)
+
+
+class PlanCircuits:
+    """K circuits of any template, each with its own params ``params``
+    [..., K, P], run through the fused plan on input rows [..., B,
+    input_dim] that they share, and differentiated by its adjoint sweep
+    over those rows; leading axes are models.  A run reads <Z> on the m
+    qubits ``readout``, every qubit unless the caller names fewer."""
+
+    def __init__(
+        self,
+        template: CircuitTemplate,
+        params: np.ndarray,
+        readout: Optional[Sequence[int]] = None,
+    ):
+        self.template = template
+        self.params = params
+        self.readout = tuple(range(template.n_qubits) if readout is None else readout)
+
+    def run(self, inputs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """<Z> [..., K, B, m] of every circuit on the inputs [..., B,
+        input_dim], on the read qubits, and the record, the rows' angles and
+        final amplitudes, that :meth:`param_grads` differentiates them
+        from."""
+        template = self.template
+        angles = _angle_table(template, self.params[..., None, :], inputs[..., None, :, :])
+        rows = angles.shape[:-1]  # [..., K, B]
+        angles = angles.reshape(-1, angles.shape[-1])
+        exps, states = _run_rows(template, angles)
+        return exps.take(self.readout, axis=-1).reshape(rows + (-1,)), (angles, states)
+
+    def param_grads(self, record: tuple, weights: np.ndarray) -> np.ndarray:
+        """The parameter gradients [..., K, P] of f = sum weights * <Z>
+        over the rows of the :meth:`run` that made ``record``, weights
+        [..., K, B, m], by one adjoint sweep over the rows."""
+        template, (angles, states) = self.template, record
+        observable = weights @ _readout_signs(template.n_qubits, self.readout)
+        dangles = _adjoint_rows(template, angles, states, observable.reshape(states.shape) * states)
+        dangles = dangles.reshape(weights.shape[:-1] + (-1,))
+        params = _lowered(template).scatter[:, : template.total_params]
+        return (dangles @ params).sum(axis=-2)
 
 
 def _check_batch_args(

@@ -20,7 +20,9 @@ through the fused plan and differentiated by parameter shift; the
 per-step QLSTM oracle is its cell before the maps in front of its circuits
 were folded into their frequencies and its weight gradients were taken once
 per window, with the dense layers' and the circuit features' input
-gradients the package no longer makes; the every-step QLSTM oracle is its
+gradients the package no longer makes; the phase-path oracle is the run
+and pull-back of the qlstm's circuits before the model made their features
+itself; the every-step QLSTM oracle is its
 forward pass as it would run if it read out every step, circuits 5 and 6
 and the readout run at every step.
 The circuit-kernel oracles are the vqr step's pieces before their gathers
@@ -644,10 +646,26 @@ def linear_backward(layer, x: np.ndarray, delta: np.ndarray, grads) -> np.ndarra
 
 def phase_features(frequencies: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Fourier features t = (cos a, sin a) [..., B, 2m] of the inputs x
-    [..., B, n] of a phase-lowered circuit, a = [x, arctan x] @ frequencies
-    their angles at its m input frequencies [2n, m]."""
+    [..., B, n] of a phase-polynomial circuit, a = [x, arctan x] @
+    frequencies their angles at its m input frequencies [2n, m]."""
     angles = np.concatenate([x, np.arctan(x)], axis=-1) @ frequencies
     return np.concatenate([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+def phase_run(circuits, x: np.ndarray) -> tuple:
+    """<Z> [..., K, B, n] of ``vqc.PhaseCircuits`` ``circuits`` [..., K]
+    on the inputs x [..., B, n] that they share, as their run read before
+    the qlstm made its features itself: the :func:`phase_features` t of the
+    inputs times the coefficients; returns <Z> and t."""
+    t = phase_features(circuits.frequencies.inputs, x)
+    return t[..., None, :, :] @ circuits.coefficients.swapaxes(-1, -2), t
+
+
+def phase_pull_back(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The seeds sum_b w t [..., K, n, 2m] that ``PhaseCircuits.param_grads``
+    takes for f = sum w <Z>, weights [..., K, B, n], over the rows of a
+    :func:`phase_run` whose features were t [..., B, 2m]."""
+    return weights.swapaxes(-1, -2) @ t[..., None, :, :]
 
 
 def phase_feature_grads(
@@ -676,7 +694,7 @@ def qlstm_per_step(model, nn, vqc, x_scaled: np.ndarray, loss) -> tuple:
     scattered into its slots by ``np.add.at``.  The fc_out maps stay folded
     into the coefficients, F_k = C_k^T W_k^T."""
     p, hidden = model.params, model.hidden_size
-    circuits = vqc.CircuitStack(model.template, p.angles)
+    circuits = vqc.PhaseCircuits(model.template, p.angles)
     omega = circuits.frequencies.inputs
     tables = circuits.coefficients.swapaxes(-1, -2) @ p.fc_out_weights.swapaxes(-1, -2)
     bias = p.fc_out_bias[..., model.fc_out_slot, None, :]
@@ -724,8 +742,7 @@ def qlstm_per_step(model, nn, vqc, x_scaled: np.ndarray, loss) -> tuple:
     grad_fc_w = (circuits.coefficients @ sums).swapaxes(-1, -2)
     np.add.at(g.fc_out_weights, (..., model.fc_out_slot, every, every), grad_fc_w)
     np.add.at(g.fc_out_bias, (..., model.fc_out_slot, every), bias_sums)
-    circuits.add_seeds(every, (sums @ p.fc_out_weights).swapaxes(-1, -2))
-    g.angles += circuits.param_grads()
+    g.angles += circuits.param_grads((sums @ p.fc_out_weights).swapaxes(-1, -2))
     return preds, grad
 
 

@@ -5,7 +5,7 @@ Each model kind trains for two epochs at a small fixed config on the stored
 distorted sensor profile of acceptance criterion 5, prepared hourly).  The
 pins in ``checkpoints/pins.json`` are its loss history, its trained
 ``get_flat()`` and its predictions on the held-out quarter.  The configs
-reach two of the three circuit lowerings of ``qscale.vqc``: the vqr (3
+reach two of the three circuit classes of ``qscale.vqc``: the vqr (3
 qubits) trains on minibatches of 10 rows and predicts 24 held-out rows
 through the ansatz matrix, as every linear vqr does, and the qlstm (4
 qubits, window 4) trains and predicts through phase polynomials, 10 x 4

@@ -22,6 +22,7 @@ from _oracles import (
     central_difference,
     phase_feature_grads,
     phase_features,
+    phase_run,
     qlstm_every_step_forward,
     qlstm_per_step,
     qlstm_shift_grad,
@@ -494,9 +495,10 @@ class TestDirectionalGradients:
     directions against central differences of the batch loss.  This pins
     the paths the models train through, the circuit sweeps included
     (CNOT reach up to 3 on vqr's 4 qubits, the ring wrap on qlstm's 5),
-    and the lowering of every stack a step differentiates: the linear vqr
+    and the class of the circuits a step differentiates: the linear vqr
     trains through its ansatz matrix at 10 and at 32 windows, more than
-    2**4, and the nonlinear vqr through the plan."""
+    2**4, the nonlinear vqr through the plan and the qlstm through phase
+    polynomials."""
 
     @pytest.mark.parametrize(
         "kind,options,windows",
@@ -526,18 +528,16 @@ class TestDirectionalGradients:
         # targets 0.3 below every prediction keep l1 away from its kink, and
         # residuals of one sign keep the batch gradient from cancelling
         ys = model._predictor(len(xs))(xs) - 0.3
-        lowerings = set()
-        param_grads = vqc.CircuitStack.param_grads
-
-        def recording_param_grads(stack):
-            lowerings.add(stack.lowering)
-            return param_grads(stack)
-
-        monkeypatch.setattr(vqc.CircuitStack, "param_grads", recording_param_grads)
+        classes = []
+        for cls in (vqc.PhaseCircuits, vqc.MatrixCircuits, vqc.PlanCircuits):
+            monkeypatch.setattr(cls, "param_grads", recording(cls.param_grads, classes))
         _, grad = scaled_step(model, xs, ys, loss_kind)
         linear = options.get("architecture", "linear") == "linear"
-        want = {"vqr": {"matrix" if linear else "plan"}, "qlstm": {"phase"}}
-        assert lowerings == want.get(kind, set())
+        want = {
+            "vqr": {vqc.MatrixCircuits if linear else vqc.PlanCircuits},
+            "qlstm": {vqc.PhaseCircuits},
+        }
+        assert set(classes) == want.get(kind, set())
         _, again = scaled_step(model, xs, ys, loss_kind)
         np.testing.assert_array_equal(again, grad)
         assert_fresh(model, grad, again)
@@ -560,7 +560,7 @@ class TestDirectionalGradients:
 class TestVQRStepPin:
     """A default linear vqr step on 10 and on 32 windows, its targets 0.3
     below every prediction as in ``TestDirectionalGradients``: it goes
-    through the ansatz matrix's ``pull_back`` once, and its loss and flat
+    through ``MatrixCircuits.param_grads`` once, and its loss and flat
     gradient match ``checkpoints/vqr_steps.json``, recorded at commit
     1e313e0, when the step still made the input gradient, to 1e-12."""
 
@@ -571,18 +571,24 @@ class TestVQRStepPin:
         want = recorded[f"{windows}-{loss_kind}"]
         model, xs = default_model("vqr", seed=41, windows=windows)
         ys = model._predictor(len(xs))(xs) - 0.3
-        lowerings = []
-        pull_back = vqc.CircuitStack.pull_back
-
-        def recording_pull_back(stack, *args):
-            lowerings.append(stack.lowering)
-            return pull_back(stack, *args)
-
-        monkeypatch.setattr(vqc.CircuitStack, "pull_back", recording_pull_back)
+        classes = []
+        for cls in (vqc.MatrixCircuits, vqc.PlanCircuits):
+            monkeypatch.setattr(cls, "param_grads", recording(cls.param_grads, classes))
         value, grad = scaled_step(model, xs, ys, loss_kind)
-        assert lowerings == ["matrix"]
+        assert classes == [vqc.MatrixCircuits]
         np.testing.assert_allclose(value, want["loss"], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(grad, want["grad"], rtol=0.0, atol=1e-12)
+
+
+def recording(param_grads, classes):
+    """``param_grads`` of a circuits class, appending to ``classes`` the
+    class of every instance it runs for."""
+
+    def recorded(circuits, *args):
+        classes.append(type(circuits))
+        return param_grads(circuits, *args)
+
+    return recorded
 
 
 def scaled_step(model, xs, ys, loss_kind):
@@ -611,7 +617,6 @@ class TestQLSTMShiftOracle:
         at any row count."""
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
         xs = xs[:4]
-        assert vqc.lowering(model.template) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = scaled_step(model, xs, ys, "mse")
         shifted = qlstm_shift_grad(model, vqc, xs, ys)
@@ -625,7 +630,6 @@ class TestQLSTMShiftOracle:
         parameter gradient is folded from the phase gradients summed over
         every step, once per stack."""
         model, xs = default_model("qlstm", seed=47, shared_fc_out=shared)
-        assert vqc.lowering(model.template) == "phase"
         ys = np.linspace(-0.5, 0.5, xs.shape[0])
         _, adjoint = scaled_step(model, xs, ys, "mse")
         shifted = qlstm_shift_grad(model, vqc, xs, ys)
@@ -772,10 +776,8 @@ class TestQLSTMLastStepReadout:
         want_value, d_preds = loss(want_preds)
         np.testing.assert_array_equal(value, want_value)
         np.testing.assert_array_equal(grad, stack._backward(cell, window, d_preds))
-        for forward_only in (False, True):
-            got = stack.sequence_forward(windows, stack._cell(forward_only))[0]
-            want = qlstm_every_step_forward(stack, nn, vqc, windows, stack._cell(forward_only))[0]
-            np.testing.assert_array_equal(got, want)
+        got = stack.sequence_forward(windows, stack._cell())[0]
+        np.testing.assert_array_equal(got, want_preds)
 
 
 @st.composite
@@ -821,7 +823,7 @@ class TestFoldedInputMaps:
         want_preds, want_grad = qlstm_per_step(stack, nn, vqc, windows, loss)
         got_preds, window = stack.sequence_forward(windows, stack._cell())
         np.testing.assert_allclose(got_preds, want_preds, rtol=0.0, atol=1e-12)
-        predicted = stack._predict_scaled(windows, stack._cell(forward_only=True))
+        predicted = stack._predict_scaled(windows, stack._cell())
         np.testing.assert_allclose(predicted, want_preds, rtol=0.0, atol=1e-12)
         _, grad = stack._loss_and_grad_scaled(xs, loss)
         np.testing.assert_allclose(grad, want_grad, rtol=0.0, atol=1e-12)
@@ -845,7 +847,7 @@ class TestFoldedInputMaps:
 
 
 class TestPhaseParts:
-    """The phase lowering's run, its features times its coefficients, and
+    """The phase oracle's run, its features times the coefficients, and
     the features' input gradient that the per-step qlstm oracle takes."""
 
     def test_feature_grads_match_central_differences(self):
@@ -864,19 +866,19 @@ class TestPhaseParts:
         np.testing.assert_allclose(got.ravel(), fd, rtol=0.0, atol=1e-8)
 
     def test_run_is_features_times_coefficients(self):
-        """run's <Z> is the Fourier features of the inputs' frequency
-        angles times the coefficients, bit for bit; the features are its
-        record."""
+        """The oracle's <Z> is the package's Fourier features
+        (``vqc.fourier_features``) of the inputs' frequency angles times the
+        coefficients, bit for bit; the features are its record."""
         rng = np.random.default_rng(68)
         template = vqc.ring_rx_template(3, 2)
         params = rng.uniform(0, 2 * np.pi, (4, template.total_params))
         inputs = rng.uniform(-1, 1, (5, 3))
-        stack = vqc.CircuitStack(template, params)
-        exps, record = stack.run(slice(None), inputs)
+        circuits = vqc.PhaseCircuits(template, params)
+        exps, record = phase_run(circuits, inputs)
         source = np.concatenate([inputs, np.arctan(inputs)], axis=-1)
         t = vqc.fourier_features(source @ vqc._frequencies(template).inputs)
         np.testing.assert_array_equal(record, t)
-        np.testing.assert_array_equal(exps, t[None] @ stack.coefficients.swapaxes(-1, -2))
+        np.testing.assert_array_equal(exps, t[None] @ circuits.coefficients.swapaxes(-1, -2))
 
 
 class TestTraining:

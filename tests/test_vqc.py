@@ -427,15 +427,14 @@ def some_features(draw, n):
 
 @st.composite
 def embed_first_stacks(draw):
-    """An embed-first template that still takes the ansatz matrix (RX or RY
+    """An embed-first template, which takes the ansatz matrix (RX or RY
     embedding of some features in any qubit order, identity or arctan, then
-    one ansatz of 1-4 layers on 1-6 qubits; a ring-RX ansatz only after an
-    RY embedding, since with RX the circuit is a phase polynomial), K
-    params rows and input rows on both sides of 2**n."""
+    one ansatz of 1-4 layers on 1-6 qubits), K params rows and input rows
+    on both sides of 2**n."""
     n = draw(st.integers(1, 6))
     layers = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(vqc.ANSATZ_KINDS))
-    axis = draw(st.sampled_from(("Y",) if kind == "ring_rx" else vqc.AXES))
+    axis = draw(st.sampled_from(vqc.AXES))
     embedding = Embedding(axis, some_features(draw, n), draw(st.sampled_from(vqc.TRANSFORMS)))
     template = CircuitTemplate(n, n, (embedding, Ansatz(kind, layers)))
     return stack_case(draw, template, 2)[:3]
@@ -492,40 +491,47 @@ class TestParamOrder:
 
 
 class TestPhasePolynomial:
-    """The phase-polynomial lowering of ``vqc.CircuitStack`` against the
-    plan's run and adjoint sweep and against parameter shift."""
+    """``vqc.PhaseCircuits`` against the plan's run and adjoint sweep and
+    against parameter shift: <Z> through the phase oracle's run, features
+    times coefficients, and the parameter gradients from the seeds of its
+    pull-back."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ring_rx_stacks())
     def test_agrees_with_plan(self, case):
-        """<Z>, then two pull-backs (all circuits, then the last one on
-        other inputs, as the steps of a recurrent cell make them): the
-        summed parameter gradients."""
         template, params, inputs, weights = case
-        k = len(params)
-        stack = vqc.CircuitStack(template, params)
-        assert stack.lowering == "phase"
-        calls = [(slice(0, k), inputs, weights), (slice(k - 1, k), inputs[::-1] * 0.5, weights[:1])]
-        grad_params = np.zeros_like(params)
-        for circuits, x, w in calls:
-            exps, gp = plan_oracle(template, params[circuits], x, w)
-            e_phase, run = stack.run(circuits, x)
-            np.testing.assert_allclose(e_phase, exps, rtol=0.0, atol=1e-12)
-            stack.pull_back(circuits, run, w)
-            grad_params[circuits] += gp
-        np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=1e-10, atol=1e-10)
+        circuits = vqc.PhaseCircuits(template, params)
+        exps, grad_params = plan_oracle(template, params, inputs, weights)
+        e_phase, t = oracle.phase_run(circuits, inputs)
+        np.testing.assert_allclose(e_phase, exps, rtol=0.0, atol=1e-12)
+        got = circuits.param_grads(oracle.phase_pull_back(t, weights))
+        np.testing.assert_allclose(got, grad_params, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(ring_rx_stacks(max_rows_per_dim=1))
     def test_matches_parameter_shift(self, case):
         template, params, inputs, weights = case
         inputs, weights = inputs[:6], weights[:, :6]
-        stack = vqc.CircuitStack(template, params)
-        _, run = stack.run(slice(None), inputs)
-        stack.pull_back(slice(None), run, weights)
-        for k, grad_params in enumerate(stack.param_grads()):
+        circuits = vqc.PhaseCircuits(template, params)
+        t = oracle.phase_run(circuits, inputs)[1]
+        for k, grad_params in enumerate(circuits.param_grads(oracle.phase_pull_back(t, weights))):
             gp = parameter_shift_grad_batch(template, params[k], inputs, weights[k])[0]
             np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            CircuitTemplate(3, 3, (Embedding("Y", (0, 1, 2)), Ansatz("ring_rx", 2))),
+            linear_vqr_template(2, 1),
+        ],
+        ids=["ry-embedding", "strongly-entangling"],
+    )
+    def test_refuses_other_gates(self, template):
+        """A template with a gate other than RX and CNOT is no phase
+        polynomial: the circuits refuse it instead of reading the gate as
+        an RX."""
+        with pytest.raises(ConfigurationError, match="only RX and CNOT"):
+            vqc.PhaseCircuits(template, np.zeros((1, template.total_params)))
 
 
 def x_basis_patterns(template):
@@ -566,7 +572,7 @@ def sorted_rows(rows):
 
 
 class TestFrequencies:
-    """The frequency table of the phase lowering (``vqc._frequencies``):
+    """The frequency table of ``vqc.PhaseCircuits`` (``vqc._frequencies``):
     each pair's inputs part is one frequency times a sign."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -617,106 +623,55 @@ class TestFrequencies:
         inputs = rng.uniform(-2.0, 2.0, (5, 9))
         weights = rng.uniform(-1.0, 1.0, (2, 5, 9))
         exps, grad_params = plan_oracle(template, params, inputs, weights)
-        stack = vqc.CircuitStack(template, params)
-        e_phase, run = stack.run(slice(None), inputs)
+        circuits = vqc.PhaseCircuits(template, params)
+        e_phase, t = oracle.phase_run(circuits, inputs)
         np.testing.assert_allclose(e_phase, exps, rtol=0.0, atol=1e-12)
-        stack.pull_back(slice(None), run, weights)
-        np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=0.0, atol=1e-12)
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(ring_rx_stacks())
-    def test_forward_only_runs_the_same_bits(self, case):
-        """A forward-only phase stack keeps only the coefficients and runs
-        the same bits as one that will be differentiated."""
-        template, params, inputs, _ = case
-        k = len(params)
-        stack = vqc.CircuitStack(template, params)
-        forward = vqc.CircuitStack(template, params, forward_only=True)
-        assert forward.lowering == "phase"
-        for circuits in (slice(0, k), slice(k - 1, k)):
-            np.testing.assert_array_equal(
-                forward.run(circuits, inputs)[0], stack.run(circuits, inputs)[0]
-            )
+        got = circuits.param_grads(oracle.phase_pull_back(t, weights))
+        np.testing.assert_allclose(got, grad_params, rtol=0.0, atol=1e-12)
 
 
 class TestAnsatzMatrix:
-    """The ansatz-matrix lowering of ``vqc.CircuitStack`` against the plan's
-    run and adjoint sweep and against parameter shift: product states times
-    U forward, and one adjoint sweep over each circuit's overlap matrix
-    backward."""
+    """``vqc.MatrixCircuits`` against the plan's run and adjoint sweep and
+    against parameter shift: product states times U forward, and one
+    adjoint sweep over each circuit's overlap matrix backward."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(embed_first_stacks())
     def test_agrees_with_plan(self, case):
-        """<Z> of all circuits, then of the last one on other inputs, then
-        of all circuits on 1 and on 2**n - 1 rows, fewer than U has; a
-        forward-only stack runs the same bits as one that will be
+        """<Z> on the inputs, on 1 row and on 2**n - 1 rows, fewer than U
+        has, each run of the same circuits, as a predict runs its blocks;
+        forward-only circuits run the same bits as ones that will be
         differentiated."""
         template, params, inputs = case
-        k = len(params)
-        stack = vqc.CircuitStack(template, params)
-        forward = vqc.CircuitStack(template, params, forward_only=True)
-        assert stack.lowering == forward.lowering == "matrix"
+        circuits = vqc.MatrixCircuits(template, params)
+        forward = vqc.MatrixCircuits(template, params, forward_only=True)
         below_dim = np.resize(inputs, ((1 << template.n_qubits) - 1, inputs.shape[1]))
-        calls = [
-            (slice(0, k), inputs),
-            (slice(k - 1, k), inputs[::-1] * 0.5),
-            (slice(0, k), inputs[:1]),
-            (slice(0, k), below_dim),
-        ]
-        for circuits, x in calls:
-            weights = np.ones((len(params[circuits]), len(x), template.n_qubits))
-            exps = plan_oracle(template, params[circuits], x, weights)[0]
-            np.testing.assert_allclose(stack.run(circuits, x)[0], exps, rtol=0.0, atol=1e-12)
-            np.testing.assert_array_equal(forward.run(circuits, x)[0], stack.run(circuits, x)[0])
+        for x in (inputs, inputs[:1], below_dim):
+            weights = np.ones((len(params), len(x), template.n_qubits))
+            exps = plan_oracle(template, params, x, weights)[0]
+            np.testing.assert_allclose(circuits.run(x)[0], exps, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(forward.run(x)[0], circuits.run(x)[0])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(embed_first_stacks(), st.integers(1, 3))
     def test_gradients_agree_with_plan(self, case, models):
-        """A stack of M models' circuits, params [M, K, P] and inputs [M,
-        B, input_dim], through two pull-backs (all circuits, then the last
-        one on other inputs), against the plan per model: <Z> to 1e-12 and
-        the accumulated parameter gradients to 1e-10."""
+        """The circuits of M models, params [M, K, P] and inputs [M, B,
+        input_dim], against the plan per model: <Z> to 1e-12 and the
+        parameter gradients to 1e-10."""
         template, params, inputs = case
-        k = len(params)
         rng = np.random.default_rng(len(inputs))
         others = range(models - 1)
         params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape) for _ in others])
         inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape) for _ in others])
-        stack = vqc.CircuitStack(template, params)
-        assert stack.lowering == "matrix"
-        calls = [(slice(0, k), inputs), (slice(k - 1, k), inputs[:, ::-1] * 0.5)]
-        grad_params = np.zeros_like(params)
-        for circuits, x in calls:
-            shape = (models, len(params[0, circuits]), x.shape[1], template.n_qubits)
-            weights = rng.uniform(-1.0, 1.0, shape)
-            exps, record = stack.run(circuits, x)
-            stack.pull_back(circuits, record, weights)
-            for m in range(models):
-                want, want_params = plan_oracle(template, params[m, circuits], x[m], weights[m])
-                np.testing.assert_allclose(exps[m], want, rtol=0.0, atol=1e-12)
-                grad_params[m, circuits] += want_params
-        np.testing.assert_allclose(stack.param_grads(), grad_params, rtol=1e-10, atol=1e-10)
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(ring_rx_stacks(), st.integers(1, 3))
-    def test_backward_is_its_parts(self, case, models):
-        """What ``backward`` was, the phase lowering's ``pull_back`` is: for
-        M models it adds the seeds sum_b w t of the run's features t and
-        nothing else, so a stack that adds them itself by ``add_seeds`` has
-        exactly the same parameter gradients."""
-        template, params, inputs, weights = case
-        rng = np.random.default_rng(len(inputs) + models)
-        others = range(models - 1)
-        params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape) for _ in others])
-        inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape) for _ in others])
+        circuits = vqc.MatrixCircuits(template, params)
         weights = rng.uniform(-1.0, 1.0, params.shape[:2] + (inputs.shape[1], template.n_qubits))
-        by_pull, by_seeds = vqc.CircuitStack(template, params), vqc.CircuitStack(template, params)
-        every = slice(None)
-        t = by_pull.run(every, inputs)[1]
-        by_pull.pull_back(every, t, weights)
-        by_seeds.add_seeds(every, weights.swapaxes(-1, -2) @ t[..., None, :, :])
-        np.testing.assert_array_equal(by_pull.param_grads(), by_seeds.param_grads())
+        exps, states = circuits.run(inputs)
+        grad_params = np.empty_like(params)
+        for m in range(models):
+            want, grad_params[m] = plan_oracle(template, params[m], inputs[m], weights[m])
+            np.testing.assert_allclose(exps[m], want, rtol=0.0, atol=1e-12)
+        got = circuits.param_grads(states, weights)
+        np.testing.assert_allclose(got, grad_params, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(embed_first_stacks())
@@ -726,47 +681,45 @@ class TestAnsatzMatrix:
         weights = np.random.default_rng(len(params)).uniform(
             -1.0, 1.0, (len(params), len(inputs), template.n_qubits)
         )
-        stack = vqc.CircuitStack(template, params)
-        _, record = stack.run(slice(None), inputs)
-        stack.pull_back(slice(None), record, weights)
-        for k, grad_params in enumerate(stack.param_grads()):
+        circuits = vqc.MatrixCircuits(template, params)
+        states = circuits.run(inputs)[1]
+        for k, grad_params in enumerate(circuits.param_grads(states, weights)):
             gp = parameter_shift_grad_batch(template, params[k], inputs, weights[k])[0]
             np.testing.assert_allclose(grad_params, gp.sum(axis=0), rtol=0.0, atol=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(embed_first_stacks(), reuploading_stacks()), st.integers(1, 2), st.data())
     def test_readout_reads_the_named_qubits(self, case, models, data):
-        """A stack of M models that reads some qubits, in any order, runs
-        their <Z> and differentiates their weights as a stack that reads
-        every qubit does with zero weights on the others, for the ansatz
-        matrix and the plan: <Z> to 1e-12, gradients to 1e-10; a
-        forward-only stack runs the same bits."""
+        """Circuits of M models that read some qubits, in any order, run
+        their <Z> and differentiate their weights as circuits that read
+        every qubit do with zero weights on the others, for the ansatz
+        matrix and the plan: <Z> to 1e-12, gradients to 1e-10; forward-only
+        matrix circuits run the same bits."""
         template, params, inputs = case
         n = template.n_qubits
         readout = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
         rng = np.random.default_rng(len(inputs) + 7 * models)
         params = np.stack([params] + [rng.uniform(0.0, 6.0, params.shape)] * (models - 1))
         inputs = np.stack([inputs] + [rng.uniform(-2.0, 2.0, inputs.shape)] * (models - 1))
-        every = slice(None)
-        full = vqc.CircuitStack(template, params)
-        part = vqc.CircuitStack(template, params, readout=readout)
-        forward = vqc.CircuitStack(template, params, forward_only=True, readout=readout)
-        exps, record = full.run(every, inputs)
-        got, part_record = part.run(every, inputs)
+        matrix = vqc.embedding_first(template)
+        kind = vqc.MatrixCircuits if matrix else vqc.PlanCircuits
+        full, part = kind(template, params), kind(template, params, readout=readout)
+        exps, record = full.run(inputs)
+        got, part_record = part.run(inputs)
         assert got.shape == exps.shape[:-1] + (len(readout),)
         np.testing.assert_allclose(got, exps[..., list(readout)], rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(forward.run(every, inputs)[0], got)
+        if matrix:
+            forward = vqc.MatrixCircuits(template, params, forward_only=True, readout=readout)
+            np.testing.assert_array_equal(forward.run(inputs)[0], got)
         weights = rng.uniform(-1.0, 1.0, got.shape)
         padded = np.zeros(exps.shape)
         padded[..., list(readout)] = weights
-        part.pull_back(every, part_record, weights)
-        full.pull_back(every, record, padded)
-        np.testing.assert_allclose(part.param_grads(), full.param_grads(), rtol=1e-10, atol=1e-10)
-
-    def test_phase_lowering_reads_every_qubit(self):
-        template = ring_rx_template(3, 1)
-        with pytest.raises(ConfigurationError, match="every qubit"):
-            vqc.CircuitStack(template, np.zeros((1, template.total_params)), readout=(0,))
+        np.testing.assert_allclose(
+            part.param_grads(part_record, weights),
+            full.param_grads(record, padded),
+            rtol=1e-10,
+            atol=1e-10,
+        )
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_embedding_of_no_features(self, n):
@@ -777,24 +730,42 @@ class TestAnsatzMatrix:
         params = rng.uniform(0.0, 2.0 * math.pi, (2, template.total_params))
         inputs = rng.uniform(-2.0, 2.0, (5, 2))
         weights = rng.uniform(-1.0, 1.0, (2, 5, n))
-        stack = vqc.CircuitStack(template, params)
-        assert stack.lowering == "matrix"
-        exps, record = stack.run(slice(None), inputs)
-        stack.pull_back(slice(None), record, weights)
+        assert vqc.embedding_first(template)
+        circuits = vqc.MatrixCircuits(template, params)
+        exps, states = circuits.run(inputs)
         want, want_params = plan_oracle(template, params, inputs, weights)
         np.testing.assert_allclose(exps, want, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(stack.param_grads(), want_params, rtol=0.0, atol=1e-10)
+        got = circuits.param_grads(states, weights)
+        np.testing.assert_allclose(got, want_params, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            nonlinear_vqr_template(2, 2),
+            CircuitTemplate(2, 2, (Ansatz("strongly_entangling", 1), Embedding("Y", (0, 1)))),
+            CircuitTemplate(2, 2, (Embedding("Y", (0, 1)),)),
+        ],
+        ids=["re-uploading", "ansatz-first", "no-ansatz"],
+    )
+    def test_refuses_templates_not_embedding_first(self, template):
+        """A template whose inputs enter after an ansatz, or with no ansatz
+        after its embedding, is no product state times one unitary: the
+        matrix circuits refuse it."""
+        with pytest.raises(ConfigurationError, match="only embedding"):
+            vqc.MatrixCircuits(template, np.zeros((1, template.total_params)))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.integers(1, 4))
     def test_path_choice(self, n, layers):
-        """``vqc.lowering`` is the one choice, made from the template alone:
-        no row count and no use of the stack enters it.  Every RX/CNOT
-        template is a phase polynomial, whatever its segment order; other
-        embed-first templates take the matrix; the vqr that re-uploads its
-        inputs (two or more layers) takes the plan, as does a template that
-        starts with its ansatz.  A stack, forward-only or not, takes its
-        template's lowering."""
+        """``vqc.embedding_first`` is the one choice between the matrix and
+        the plan, made from the template alone: no row count and no use of
+        the circuits enters it.  Every template whose first segment is its
+        only embedding takes the matrix, whatever its ansatz: the linear
+        vqr's, the one-layer re-uploading vqr's and the qlstm's ring-RX
+        template among them; the vqr that re-uploads its inputs (two or
+        more layers) takes the plan, as does a template that starts with
+        its ansatz.  The matrix circuits, forward-only or not, take every
+        template the choice sends them."""
         ring_after_ry = CircuitTemplate(
             n, n, (Embedding("Y", tuple(range(n))), Ansatz("ring_rx", layers))
         )
@@ -805,21 +776,22 @@ class TestAnsatzMatrix:
             n, n, (Ansatz("strongly_entangling", layers), Embedding("Y", tuple(range(n))))
         )
         choices = {
-            "matrix": [
+            True: [
                 linear_vqr_template(n, layers),
                 linear_vqr_template(n, layers, axis="X"),
                 nonlinear_vqr_template(n, 1),
                 ring_after_ry,
+                ring_rx_template(n, layers),
             ],
-            "phase": [ring_rx_template(n, layers), ansatz_first],
-            "plan": [nonlinear_vqr_template(n, layers + 1), entangling_first],
+            False: [nonlinear_vqr_template(n, layers + 1), entangling_first, ansatz_first],
         }
         for choice, templates in choices.items():
             for template in templates:
-                assert vqc.lowering(template) == choice
-                params = np.zeros((2, template.total_params))
-                for forward_only in (False, True):
-                    assert vqc.CircuitStack(template, params, forward_only).lowering == choice
+                assert vqc.embedding_first(template) == choice
+                if choice:
+                    params = np.zeros((2, template.total_params))
+                    for forward_only in (False, True):
+                        vqc.MatrixCircuits(template, params, forward_only)
 
 
 @st.composite
